@@ -84,7 +84,7 @@ def run_bench() -> dict:
     pa.set_cpu_count(max(1, NUM_CPUS))
     pa.set_io_thread_count(max(2, NUM_CPUS))
     # object store at 50% of RAM (Ray Data's own recommendation; the default
-    # ~43% forces spill at 8M docs where the fused exchange holds ~2x the
+    # ~43% forces spill at 8M docs where the build exchange holds ~2x the
     # corpus text transiently)
     try:
         store = int(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -244,7 +244,7 @@ def run_scaling() -> dict:
     floor, reduce-wave tail — a few seconds) don't shrink with CPUs and
     the rule's criterion is defined at 10^12-doc scale where they vanish:
     measured 2->8 efficiency rises with docs/job (BASELINE.md round-2/3
-    tables). 6M is the largest size whose fused exchange (~2x corpus text
+    tables). 6M is the largest size whose build exchange (~2x corpus text
     transiently in the object store) fits this box's store without spilling
     — 8M spills and the measurement degrades for memory, not scheduling,
     reasons (see BASELINE.md round-3). The low CPU pair is used because

@@ -346,19 +346,10 @@ def _segment_postings(index_dir: str, seg_id: int, field: str,
     if filters is None:
         return {}
     path = seg_terms_path(index_dir, seg_id)
-    schema = pq.read_schema(path)
-    if blobs.has_sidecar(schema):
-        cols = ["field", "term", "df", "segment_id", *blobs.RANGE_COLUMNS]
-        if "pos_nbytes" not in schema.names:
-            cols.remove("pos_nbytes")
-        tt = pq.read_table(path, columns=cols, filters=filters)
-        tt = blobs.materialize_enc(tt, lambda _s: path,
-                                   want_positions=False)
-    else:
-        tt = pq.read_table(path,
-                           columns=["field", "term", "df", "doc_ids_enc",
-                                    "tfs_enc"],
-                           filters=filters)
+    tt = pq.read_table(path, columns=["field", "term", "df", "segment_id",
+                                      "blob_off", "doc_nbytes", "tf_nbytes"],
+                       filters=filters)
+    tt = blobs.materialize_enc(tt, lambda _s: path)
     out: dict[str, list] = {}
     for i in range(tt.num_rows):
         ids, tfs = codec.decode_postings(

@@ -17,7 +17,13 @@ Semantics
   surviving docs shift by at most the deleted docs' statistical weight —
   the exact ES behavior between merges).
 * ``strict_duplicates=True`` treats BOTH intra-batch duplicates and
-  cross-generation upserts as fatal create conflicts (D1 parity).
+  cross-generation upserts as fatal create conflicts (D1 parity). The
+  upsert probe reads the urls of the generation's built segments, so a
+  rejected append discards that still-invisible generation.
+* The new batch runs the build's exchange (``build._run_exchange``) with
+  segment ids from the generation block and doc ids from ``stats.n_docs``;
+  only the upsert probe, tombstones and the generation record are
+  append-specific.
 
 Commit protocol / crash safety
 ------------------------------
@@ -36,7 +42,6 @@ is bit-identical to a from-scratch build over the union — the basis of the
 
 from __future__ import annotations
 
-import math
 import os
 import shutil
 import time
@@ -47,18 +52,14 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.extract import extract_batch
 from . import manifest as mf
 from .build import (
     BuildConfig,
     DuplicateUrlError,
-    _build_bucket,
-    _corpus_columns,
+    _extract_source,
     _finalize,
-    _ncpus,
-    _partition_block,
+    _run_exchange,
     _segment_boundaries,
-    _write_corpus_block,
     pin_worker_threads,
     seg_docs_path,
     seg_terms_path,
@@ -90,57 +91,69 @@ def sweep_invisible_segments(index_dir: str, n_docs_visible: int) -> list[int]:
     return swept
 
 
-@ray.remote
-def _bucket_stats_urls(*minis: pa.Table):
-    """waveA for appends: (n_docs, dl_sum, n_dups, dup_examples,
-    unique_urls ndarray) — urls come back so the driver can probe existing
-    segments for upserts (driver memory: one pointer-sized row per appended
-    unique url; shard giant appends into multiple calls)."""
-    pin_worker_threads()
-    tabs = [m for m in minis if m.num_rows]
-    if not tabs:
-        return 0, 0, 0, [], np.empty(0, dtype=object)
-    t = pa.concat_tables(tabs).combine_chunks().sort_by(
-        [("url", "ascending"), ("warc_ts", "ascending")])
-    urls = np.asarray(t["url"].to_numpy(zero_copy_only=False), dtype=object)
-    first = np.ones(len(urls), dtype=bool)
-    first[1:] = urls[1:] != urls[:-1]
-    dl = t["doc_len"].to_numpy()
-    return (int(first.sum()), int(dl[first].sum()),
-            int(len(urls) - first.sum()), urls[~first][:3].tolist(),
-            urls[first])
+def _discard_generation(index_dir: str, gen_base: int,
+                        n_docs_visible: int) -> None:
+    """Remove everything a rejected append wrote: its invisible segments,
+    its corpus (read_resolved would otherwise serve stored fields from it)
+    and its generation record."""
+    sweep_invisible_segments(index_dir, n_docs_visible)
+    gen_corpus = os.path.join(index_dir, "corpus_gen", f"gen-{gen_base}")
+    if os.path.isdir(gen_corpus):
+        shutil.rmtree(gen_corpus)
+    record = os.path.join(index_dir, "generations", f"gen-{gen_base}.json")
+    if os.path.exists(record):
+        os.unlink(record)
 
 
 @ray.remote
-def _match_urls(docs_path: str, urls_ref) -> np.ndarray:
-    """Doc ids in one existing segment whose url is being re-ingested."""
+def _match_urls(docs_path: str, urls: np.ndarray) -> pa.Table:
+    """(doc_id, url) rows of one existing segment whose url is being
+    re-ingested."""
     pin_worker_threads()
-    urls = urls_ref if isinstance(urls_ref, np.ndarray) else ray.get(urls_ref)
     t = pq.read_table(docs_path, columns=["doc_id", "url"])
     seg_urls = np.asarray(t["url"].to_numpy(zero_copy_only=False),
                           dtype=object)
-    hit = np.isin(seg_urls, urls)
-    return t["doc_id"].to_numpy()[hit]
+    return t.filter(pa.array(np.isin(seg_urls, urls)))
+
+
+def _upsert_probe(index_dir: str, stats: dict, committed: dict[int, dict],
+                  new_segs: list[int]) -> tuple[np.ndarray, list[str]]:
+    """Existing docs that the new segments' urls supersede: (sorted global
+    doc ids not yet tombstoned, their urls). The new urls come from the
+    built segments (driver memory: one pointer-sized row per appended
+    unique url; shard giant appends into multiple calls)."""
+    if not new_segs or not committed:
+        return np.empty(0, np.int64), []
+    urls_ref = ray.put(pq.read_table(
+        [seg_docs_path(index_dir, s) for s in new_segs], columns=["url"]
+    )["url"].to_numpy())
+    hits = pa.concat_tables(ray.get([
+        _match_urls.remote(seg_docs_path(index_dir, s), urls_ref)
+        for s in sorted(committed)
+    ]))
+    ids, first = np.unique(hits["doc_id"].to_numpy(), return_index=True)
+    urls = hits["url"].to_numpy()[first]
+    if len(ids):
+        # a url re-ingested a SECOND time matches its original doc id
+        # again; without this filter n_deleted / n_upserts inflate
+        # (search is unaffected — _load_deleted dedupes)
+        from .search import _drop_deleted, _load_deleted
+
+        already = _load_deleted(index_dir, stats)
+        if len(already):
+            keep = _drop_deleted(already, ids)
+            ids, urls = ids[keep], urls[keep]
+    return ids, urls.tolist()
 
 
 def append_index(input_path: str, index_dir: str,
                  cfg: BuildConfig | None = None) -> dict:
     """Append raw webtext at ``input_path`` to an existing index."""
     cfg = cfg or BuildConfig()
-    urls_ds = rd.read_parquet(input_path, columns=["url"])
-    n_est = urls_ds.count()
-    boundaries = _segment_boundaries(urls_ds, n_est, cfg) if n_est else []
-    errors_dir = os.path.join(index_dir, "errors")
-    n_blocks = max(2 * _ncpus(), 16, math.ceil(max(n_est, 1) / 125_000))
-    src = rd.read_parquet(
-        input_path, override_num_blocks=n_blocks
-    ).map_batches(
-        extract_batch,
-        fn_kwargs={"errors_dir": errors_dir,
-                   "max_doc_bytes": cfg.max_doc_bytes},
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-    )
+    boundaries, n_est = _segment_boundaries(
+        rd.read_parquet(input_path, columns=["url"]), cfg)
+    src = _extract_source(input_path, os.path.join(index_dir, "errors"),
+                          n_est, cfg)
     return _run_append(src, index_dir, cfg, boundaries)
 
 
@@ -150,9 +163,7 @@ def append_index_from_corpus(corpus: rd.Dataset, index_dir: str,
     text, lang, doc_len) to an existing index."""
     cfg = cfg or BuildConfig()
     mat = corpus.materialize()
-    n_est = mat.count()
-    boundaries = (_segment_boundaries(mat.select_columns(["url"]), n_est, cfg)
-                  if n_est else [])
+    boundaries, _n = _segment_boundaries(mat.select_columns(["url"]), cfg)
     return _run_append(mat, index_dir, cfg, boundaries)
 
 
@@ -176,114 +187,30 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
     committed = mf.committed_segments(index_dir)
     gen_base = _next_gen_base(committed)
     timings: dict[str, float] = {}
-
-    corpus_dir = os.path.join(index_dir, "corpus_gen", f"gen-{gen_base}")
-    if os.path.isdir(corpus_dir):
-        shutil.rmtree(corpus_dir)
-    os.makedirs(corpus_dir, exist_ok=True)
-    n_buckets = len(boundaries) + 1
-    cols = _corpus_columns(cfg)
-    part_task = _partition_block.options(num_returns=2 * n_buckets)
-    t0 = time.perf_counter()
-    write_refs, data_refs, mini_refs = [], [], []
-    keep: list = []
-    i = 0
-    for bundle in source.iter_internal_ref_bundles():
-        keep.append(bundle)
-        for block_ref in bundle.block_refs:
-            write_refs.append(_write_corpus_block.remote(
-                block_ref, corpus_dir, f"part-{i:06d}.parquet"))
-            rets = part_task.remote(block_ref, boundaries, n_buckets, cols)
-            data_refs.append(list(rets[:n_buckets]))
-            mini_refs.append(list(rets[n_buckets:]))
-            i += 1
-    del keep
-    timings["corpus"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    stats_pb = ray.get(
-        [_bucket_stats_urls.remote(*per_b) for per_b in zip(*mini_refs)]
-    ) if mini_refs else []
-    del mini_refs
-    per_bucket = np.array([s[0] for s in stats_pb], dtype=np.int64)
-    if len(per_bucket) == 0:
-        per_bucket = np.zeros(n_buckets, dtype=np.int64)
-    new_docs = int(per_bucket.sum())
-    new_dl = sum(s[1] for s in stats_pb)
-    n_dups = sum(s[2] for s in stats_pb)
-    if cfg.strict_duplicates and n_dups:
-        raise DuplicateUrlError(
-            n_dups, [u for s in stats_pb for u in s[3]][:5])
-    new_urls = (np.concatenate([s[4] for s in stats_pb])
-                if stats_pb else np.empty(0, dtype=object))
-
-    # upsert probe: which existing VISIBLE docs carry a re-ingested url
-    deleted_new: np.ndarray = np.empty(0, np.int64)
-    if len(new_urls) and committed:
-        urls_ref = ray.put(new_urls)
-        matches = ray.get([
-            _match_urls.remote(seg_docs_path(index_dir, s), urls_ref)
-            for s in sorted(committed)
-        ])
-        deleted_new = (np.unique(np.concatenate(matches))
-                       if any(len(m) for m in matches)
-                       else np.empty(0, np.int64))
-        if len(deleted_new):
-            # a url re-ingested a SECOND time matches its original doc id
-            # again; without this filter n_deleted / n_upserts inflate
-            # (search is unaffected — _load_deleted dedupes)
-            from .search import _drop_deleted, _load_deleted
-
-            already = _load_deleted(index_dir, stats)
-            if len(already):
-                deleted_new = deleted_new[
-                    _drop_deleted(already, deleted_new)]
-    if cfg.strict_duplicates and len(deleted_new):
-        raise DuplicateUrlError(
-            len(deleted_new),
-            [u for u in new_urls[:5].tolist()])
-
-    total_docs = base_docs + new_docs
-    dl_total = int(stats["dl_total"]) + int(new_dl)
-    new_avgdl = (dl_total / total_docs) if total_docs else 0.0
-    offsets = base_docs + np.r_[0, np.cumsum(per_bucket)[:-1]]
-    gen_plan = {
-        "boundaries": boundaries,
-        "offsets": {int(gen_base + b): int(offsets[b])
-                    for b in range(n_buckets)},
-        "per_segment_docs": per_bucket.tolist(),
-        "n_docs": total_docs,
-        "n_duplicates": n_dups,
-        "avgdl": new_avgdl,
-        "dl_total": dl_total,
-        "n_segments": len(committed) + int((per_bucket > 0).sum()),
-        "seed": cfg.seed,
-        "generation": gen_base,
-    }
-    mf.write_json_atomic(
-        os.path.join(index_dir, "generations", f"gen-{gen_base}.json"),
-        {k: (v if k != "offsets" else {str(a): b for a, b in v.items()})
-         for k, v in gen_plan.items()})
-    timings["plan"] = round(time.perf_counter() - t0, 3)
+    try:
+        # the generation's segments commit INVISIBLE (doc ids from
+        # base_docs on); stats.json below is the visibility point
+        plan = _run_exchange(
+            source, index_dir, cfg, timings, boundaries,
+            corpus_dir=os.path.join(index_dir, "corpus_gen",
+                                    f"gen-{gen_base}"),
+            plan_path=os.path.join(index_dir, "generations",
+                                   f"gen-{gen_base}.json"),
+            seg_base=gen_base, doc_base=base_docs,
+            dl_base=int(stats["dl_total"]))
+        t0 = time.perf_counter()
+        new_segs = [gen_base + b
+                    for b, n in enumerate(plan["per_segment_docs"]) if n]
+        deleted_new, upsert_urls = _upsert_probe(index_dir, stats, committed,
+                                                 new_segs)
+        if cfg.strict_duplicates and len(deleted_new):
+            raise DuplicateUrlError(len(deleted_new), upsert_urls[:5])
+        timings["probe"] = round(time.perf_counter() - t0, 3)
+    except DuplicateUrlError:
+        _discard_generation(index_dir, gen_base, base_docs)
+        raise
 
     t0 = time.perf_counter()
-    plan_ref = ray.put(gen_plan)
-    if new_docs:
-        build_refs = [
-            _build_bucket.remote(index_dir, int(gen_base + b), plan_ref, cfg,
-                                 *[blk[b] for blk in data_refs])
-            for b in range(n_buckets) if per_bucket[b] > 0
-        ]
-        del data_refs
-        ray.get(build_refs)
-    else:
-        del data_refs
-    timings["segments"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    ray.get(write_refs)
-    with open(os.path.join(corpus_dir, "_SUCCESS"), "w") as f:
-        f.write("")
     tombstone_files = list(stats.get("tombstone_files", []))
     if len(deleted_new):
         tpath = os.path.join("tombstones", f"gen-{gen_base}.json")
@@ -301,13 +228,13 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
 
     drop_termdict(index_dir)
     drop_pruned(index_dir)
-    out = _finalize(index_dir, gen_plan, cfg, timings, extra={
-        "dl_total": dl_total,
+    out = _finalize(index_dir, plan, cfg, timings, extra={
+        "n_segments": len(committed) + plan["n_segments"],
         "tombstone_files": tombstone_files,
         "n_deleted": int(stats.get("n_deleted", 0)) + int(len(deleted_new)),
         "generations": [*stats.get("generations", []), {
             "generation": gen_base,
-            "n_docs": new_docs,
+            "n_docs": plan["n_docs"] - base_docs,
             "n_upserts": int(len(deleted_new)),
             "doc_id_base": base_docs,
         }],

@@ -19,11 +19,8 @@ cost is exactly the bytes asked for, served by ``os.pread`` (or one
 whole-file read when the request covers most of it). On an object store
 this maps to ranged GETs — the layout a 100-TB index needs.
 
-Format compatibility: readers detect the layout from the schema
-(``blob_off`` present -> sidecar; ``doc_ids_enc`` present -> inline).
-Inline stays the written format when ``BuildConfig.postings_compression``
-!= "none" (compressed postings can't be range-read) and for indexes built
-before this round; every search/merge path handles both.
+This is the only terms layout: builds, appends and merges all write it, and
+every reader materializes postings from the sidecar (``materialize_enc``).
 """
 
 from __future__ import annotations
@@ -54,13 +51,9 @@ def blob_path(terms_parquet_path: str) -> str:
     return os.path.join(os.path.dirname(terms_parquet_path), BLOB_NAME)
 
 
-def has_sidecar(schema: pa.Schema) -> bool:
-    return "blob_off" in schema.names
-
-
 def has_positions(schema: pa.Schema) -> bool:
-    """True when the index records positions (either layout)."""
-    return "positions_enc" in schema.names or "pos_nbytes" in schema.names
+    """True when the index records positions."""
+    return "pos_nbytes" in schema.names
 
 
 def _list_views(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,19 +198,15 @@ def materialize_enc(tbl: pa.Table, path_of_segment,
                     want_positions: bool = False,
                     want_blocks: bool = False) -> pa.Table:
     """Append ``doc_ids_enc`` / ``tfs_enc`` (and ``positions_enc``,
-    ``block_*``) columns to a sidecar-layout dictionary table by ranged
-    reads.
+    ``block_*``) columns to a dictionary table by ranged sidecar reads.
 
-    ``tbl`` must carry ``segment_id`` plus the RANGE_COLUMNS;
-    ``path_of_segment(seg_id) -> terms parquet path`` locates each blob.
-    No-op for inline-layout tables (enc columns already present); block
-    columns already inline in the parquet (pre-v2 layout) are kept as-is.
-    Scoring bytes (doc|tf|pos prefix) and block metadata (fixed 32 bytes x
-    blk_n tail) fetch as separate ranges so an OR query on a positioned
-    index doesn't read the (large) positions stream; the reader coalesces
-    them when the gap is small."""
-    if "doc_ids_enc" in tbl.column_names:
-        return tbl
+    ``tbl`` must carry ``segment_id``, ``blob_off``, ``doc_nbytes`` and
+    ``tf_nbytes`` (plus ``pos_nbytes`` for positions and ``blk_n`` for
+    blocks); ``path_of_segment(seg_id) -> terms parquet path`` locates each
+    blob. Scoring bytes (doc|tf|pos prefix) and block metadata (fixed 32
+    bytes x blk_n tail) fetch as separate ranges so an OR query on a
+    positioned index doesn't read the (large) positions stream; the reader
+    coalesces them when the gap is small."""
     n = tbl.num_rows
     segs = tbl["segment_id"].to_numpy()
     offs = tbl["blob_off"].to_numpy()
@@ -227,8 +216,7 @@ def materialize_enc(tbl: pa.Table, path_of_segment,
     want_positions = want_positions and has_pos
     pos_n = (tbl["pos_nbytes"].to_numpy() if has_pos
              else np.zeros(n, dtype=np.int64))
-    want_blocks = (want_blocks and "blk_n" in tbl.column_names
-                   and "block_last_doc" not in tbl.column_names)
+    want_blocks = want_blocks and "blk_n" in tbl.column_names
     blk_n = (tbl["blk_n"].to_numpy().astype(np.int64) if want_blocks
              else np.zeros(n, dtype=np.int64))
     # main range: the doc|tf(|pos) prefix the scorer needs

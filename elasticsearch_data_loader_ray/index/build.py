@@ -1,23 +1,21 @@
-"""Index build pipeline — Ray-Data-native, 4 resumable phases.
+"""Index build pipeline — Ray-Data-native, one resumable exchange.
 
 Replaces the reference's load path (Mongo cursor -> enrich -> transform ->
-ES ``_bulk``, ``/root/reference/companybindex/main.go:105-279``) plus the
+ES ``_bulk``, reference ``companybindex/main.go:105-279``) plus the
 index construction ES performs from ``config/search_scheme.json``. Shape:
 
-  A. corpus:   read_parquet(webtext) -> HtmlExtractor actor pool
-               (extract text, reject side-writes, doc_len) -> drop html ->
-               write cleaned corpus parquet.                     [no shuffle]
-  B. plan:     url-range segment boundaries from a seeded sample; exact
-               post-dedup per-segment doc counts + doc-length sums via a
-               url-only groupby; prefix sums -> per-segment doc_id offsets,
-               global N / avgdl -> plan.json.              [url-only shuffle]
-  C. segments: corpus -> bucket by url range -> groupby(bucket) ->
-               one vectorized SegmentBuilder per segment: dedup-by-url
-               (D1), dense doc_id = offset + rank, tokenize, tf, encode
-               postings (delta+varint+block-max), atomic segment write +
-               lineage manifest.                         [the main shuffle]
-  D. finalize: global term stats (term -> df) for BM25 idf; stats.json.
-                                                      [small term shuffle]
+  bounds:   url-range segment boundaries from a seeded sample of the input
+            (placement only affects segment membership, never doc ids).
+  exchange: ONE streaming pass over the extracted source (``_run_exchange``,
+            also the append path): each block writes a corpus parquet part
+            and partitions into per-bucket-group slices; a count wave over
+            (url, warc_ts, doc_len) minis gives exact post-dedup per-segment
+            doc counts -> prefix-sum doc-id offsets + global avgdl ->
+            plan.json; a build wave runs one vectorized segment build per
+            bucket: dedup-by-url (D1), dense doc_id = offset + rank,
+            tokenize, tf, encode postings (delta+varint+block-max), atomic
+            segment write + lineage manifest.
+  finalize: global term stats (term -> df) for BM25 idf; stats.json.
 
 Skew design: the shuffle key is the url-range bucket — uniform by
 construction — so Zipf-head terms never concentrate on one worker; a head
@@ -25,14 +23,16 @@ term simply appears in every segment (the ES 3-shard analogue,
 ``search_scheme.json:4-5``). Doc ids are global-rank-of-url: invariant to
 boundary placement, parallelism and retries (SURVEY.md §7 hard part (a)).
 
-Resumability: phase A commits ``corpus/_SUCCESS``; phase B ``plan.json``;
-phase C one manifest per segment (atomic tmp+rename) — a resumed build
-filters committed segments out *before* the shuffle; phase D ``stats.json``.
+Resumability: ``plan.json`` freezes boundaries and doc-id offsets; each
+segment commits one manifest (atomic tmp+rename) and a resumed build ships
+no rows for committed buckets; ``corpus/_SUCCESS`` lets a resume read the
+committed corpus instead of re-extracting; ``stats.json`` is the last commit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import os
 import shutil
@@ -63,7 +63,7 @@ def seg_docs_path(index_dir: str, seg_id: int) -> str:
 @dataclass
 class BuildConfig:
     # None -> auto: n_docs / (4 * num_cpus), clamped to [1_000, 200_000] so
-    # segments outnumber workers (parallel phase C) but one segment's text
+    # segments outnumber workers (parallel build wave) but one segment's text
     # still fits a worker's heap at web scale.
     docs_per_segment: int | None = None
     extract_batch_size: int = 1024
@@ -88,37 +88,6 @@ class BuildConfig:
     # quarantine html payloads larger than this to errors/oversize_payload
     # instead of extracting them (web-scale poison guard); None = unlimited
     max_doc_bytes: int | None = None
-    # parquet codec for the encoded-postings byte columns (doc_ids_enc,
-    # tfs_enc, positions_enc). "none" (default): the varint stream is the
-    # compression (ES/Lucene precedent) — cold term lookups skip snappy
-    # decompress (measured 2.4x faster filtered reads at 2M docs: 803 ->
-    # 340ms for 5 terms x 243 segments) at ~+50% term-file bytes.
-    # "snappy": smallest files, slower cold reads.
-    postings_compression: str = "none"
-    # physical terms layout: True (default) splits the encoded-postings
-    # byte columns into a per-segment sidecar binary with byte-range
-    # columns in the parquet (index/blobs.py — the Lucene terms-dict/.doc
-    # shape; cold queries range-read only the postings they touch). False
-    # keeps them inline in parquet. Forced inline when
-    # postings_compression != "none" (compressed cells can't be
-    # range-read). Readers auto-detect the layout per segment.
-    postings_sidecar: bool = True
-    # pack each (block x bucket) cell into one compressed Arrow-IPC payload
-    # row before the segment shuffle ('zstd' | 'lz4' | None). Cuts exchange
-    # rows ~1000x and bytes 2-3x — worth it when the exchange crosses a
-    # NETWORK (multi-node); on this single box the exchange is a memcpy and
-    # packing measured net-negative (iso @1M docs: raw 18.6/10.6s at 2/8
-    # cpus vs packed-zstd 31.1/13.7s), so default off
-    shuffle_pack_codec: str | None = None
-    # fused-exchange slice compression ("zstd"/"lz4"/None): packs each
-    # per-(block, bucket-group) slice into one compressed Arrow-IPC payload
-    # so the exchange's object-store residency shrinks ~2x — measured at 8M
-    # docs / 8 cpus this removed a 63% per-task compute inflation under
-    # plasma residency (22.5k vs 14.0k docs/task-sec) and cut the build
-    # 124.6 -> 106.6 s, while staying neutral at 100k and at 2 cpus; it is
-    # also the multi-node network-shuffle shape (ship compressed bytes).
-    # Default ON; EDLR_FUSED_PACK=none disables at runtime.
-    fused_pack_codec: str | None = "zstd"
     # D1 create-conflict parity: the reference treats a duplicate _id as
     # FATAL (companybindex/main.go:216-222 aborts the load on a bulk item
     # create conflict). Default off — the engine's default semantics
@@ -165,7 +134,7 @@ def pin_worker_threads() -> None:
         pa.set_cpu_count(want)
 
 
-# --- phase A --------------------------------------------------------------
+# --- source + boundaries ---------------------------------------------------
 
 def _clear_errors_dir(errors_dir: str) -> None:
     """Remove a previous attempt's reject side-writes before a fresh
@@ -183,37 +152,30 @@ def _clear_errors_dir(errors_dir: str) -> None:
         except OSError:
             time.sleep(0.2)
     shutil.rmtree(errors_dir, ignore_errors=True)
+    if os.path.exists(errors_dir):
+        logging.warning("could not clear %s; reject counts may include a "
+                        "previous attempt's side-writes", errors_dir)
 
 
-def _build_corpus(input_path: str, index_dir: str, cfg: BuildConfig) -> None:
-    corpus_dir = os.path.join(index_dir, "corpus")
-    success = os.path.join(corpus_dir, "_SUCCESS")
-    if os.path.exists(success):
-        return
-    if os.path.isdir(corpus_dir):
-        shutil.rmtree(corpus_dir)
-    errors_dir = os.path.join(index_dir, "errors")
-    # the corpus phase is restarting from scratch: clear its side-writes so
-    # a resumed-after-crash build doesn't double-count rejects (files from
-    # the aborted attempt would otherwise accumulate alongside the new ones)
-    if os.path.isdir(errors_dir):
-        _clear_errors_dir(errors_dir)
-    # stateless tasks, not an actor pool: a pool sized to the node starves
-    # the read/write operators of CPU slots and serializes the phase
-    ds = rd.read_parquet(input_path, override_num_blocks=max(2 * _ncpus(), 16))
-    ds = ds.map_batches(
+def _extract_source(input_path: str, errors_dir: str, n_est: int,
+                    cfg: BuildConfig) -> rd.Dataset:
+    """Streaming read -> extract of raw webtext (rejects side-write into
+    ``errors_dir``). Stateless tasks, not an actor pool: a pool sized to the
+    node starves the read operator of CPU slots. Block count scales with
+    rows (~125k docs / ~300MB of text per block) so one block + its
+    partition copy stays a small fraction of a worker heap, and never below
+    2 blocks per CPU."""
+    n_blocks = max(2 * _ncpus(), 16, math.ceil(n_est / 125_000))
+    return rd.read_parquet(
+        input_path, override_num_blocks=n_blocks
+    ).map_batches(
         extract_batch,
         fn_kwargs={"errors_dir": errors_dir,
                    "max_doc_bytes": cfg.max_doc_bytes},
         batch_format="pyarrow",
         batch_size=cfg.extract_batch_size,
     )
-    ds.write_parquet(corpus_dir)
-    with open(success, "w") as f:
-        f.write("")
 
-
-# --- phase B --------------------------------------------------------------
 
 def _docs_per_segment(cfg: BuildConfig, n_est: int) -> int:
     if cfg.docs_per_segment:
@@ -224,22 +186,25 @@ def _docs_per_segment(cfg: BuildConfig, n_est: int) -> int:
     return int(min(200_000, max(4_000, math.ceil(n_est / (2 * _ncpus())))))
 
 
-def _segment_boundaries(urls_ds: rd.Dataset, n_est: int, cfg: BuildConfig) -> list[str]:
-    """Seeded-sample url quantiles -> S-1 range cut points. Boundary placement
-    affects only segment membership, never doc ids (global url rank)."""
+def _segment_boundaries(urls_ds: rd.Dataset,
+                        cfg: BuildConfig) -> tuple[list[str], int]:
+    """(S-1 range cut points, row estimate) from seeded-sample url
+    quantiles of a url-column Dataset. Boundary placement affects only
+    segment membership, never doc ids (global url rank)."""
+    n_est = urls_ds.count()
     n_segments = max(1, math.ceil(n_est / _docs_per_segment(cfg, n_est)))
     if n_segments == 1:
-        return []
+        return [], n_est
     want = n_segments * cfg.boundary_sample_per_segment
     frac = min(1.0, want / max(1, n_est))
     sample = urls_ds.random_sample(frac, seed=cfg.seed).take_all()
     urls = sorted(r["url"] for r in sample)
     if not urls:
-        return []
+        return [], n_est
     cuts = []
     for k in range(1, n_segments):
         cuts.append(urls[min(len(urls) - 1, k * len(urls) // n_segments)])
-    return sorted(set(cuts))
+    return sorted(set(cuts)), n_est
 
 
 def _bucket_of(urls: np.ndarray, boundaries: list[str]) -> np.ndarray:
@@ -249,125 +214,7 @@ def _bucket_of(urls: np.ndarray, boundaries: list[str]) -> np.ndarray:
                            side="right").astype(np.int32)
 
 
-def _make_plan(index_dir: str, cfg: BuildConfig) -> dict:
-    plan_path = os.path.join(index_dir, "plan.json")
-    if os.path.exists(plan_path):
-        return mf.read_json(plan_path)
-    corpus_dir = os.path.join(index_dir, "corpus")
-    urls_ds = rd.read_parquet(corpus_dir, columns=["url", "doc_len", "warc_ts"])
-    n_est = urls_ds.count()
-    if n_est == 0:
-        plan = {"boundaries": [], "offsets": [0], "n_docs": 0, "avgdl": 0.0,
-                "n_segments": 0, "seed": cfg.seed}
-        mf.write_json_atomic(plan_path, plan)
-        return plan
-    plan_cutoff = int(os.environ.get("EDLR_PLAN_CUTOFF", "5000000"))
-    if n_est <= plan_cutoff:
-        # driver fast path: one url-column pull, exact boundaries/counts via
-        # Arrow C++ kernels (urls are ~1% of corpus bytes; above the cutoff,
-        # fall back to the fully distributed path). The previous
-        # numpy-object lexsort + searchsorted cost ~2s at 1M rows — a fixed
-        # driver term that caps scaling; sort_by is multi-threaded C++.
-        import pyarrow.compute as pc
-
-        tbl = pa.concat_tables(
-            ray.get(urls_ds.to_arrow_refs())).combine_chunks()
-        # same keep-first rule as phase C: (url asc, warc_ts asc), so plan
-        # avgdl is computed over exactly the docs that get indexed
-        tbl_s = tbl.sort_by([("url", "ascending"), ("warc_ts", "ascending")])
-        n_rows = tbl_s.num_rows
-        urls_col = tbl_s["url"].combine_chunks()
-        first_tail = pc.not_equal(urls_col.slice(1),
-                                  urls_col.slice(0, n_rows - 1))
-        first = np.ones(n_rows, dtype=bool)
-        if n_rows > 1:
-            first[1:] = first_tail.to_numpy(zero_copy_only=False)
-        uniq = tbl_s.filter(pa.array(first))
-        n_docs = uniq.num_rows
-        n_dups = n_rows - n_docs
-        if cfg.strict_duplicates and n_dups:
-            dup_urls = np.asarray(
-                urls_col.to_numpy(zero_copy_only=False), dtype=object)[~first]
-            raise DuplicateUrlError(n_dups, dup_urls[:5].tolist())
-        dps = _docs_per_segment(cfg, n_docs)
-        n_segments = max(1, math.ceil(n_docs / dps))
-        # cut INDICES into the deduped url order: per-bucket counts are the
-        # index differences — urls are unique here, so no re-searching
-        cuts = sorted({min(n_docs - 1, k * n_docs // n_segments)
-                       for k in range(1, n_segments)})
-        uniq_urls = uniq["url"]
-        boundaries = [uniq_urls[i].as_py() for i in cuts]
-        n_segments = len(boundaries) + 1
-        per_bucket = np.diff(np.r_[0, cuts, n_docs]).astype(np.int64)
-        offsets = np.r_[0, np.cumsum(per_bucket)[:-1]]
-        dl_total = int(pc.sum(uniq["doc_len"]).as_py() or 0)
-    else:
-        boundaries = _segment_boundaries(urls_ds.select_columns(["url"]), n_est, cfg)
-        # re-read with CPU-sized blocks: the bucket shuffle's cost tracks
-        # upstream block count (see _build_segments)
-        urls_ds = rd.read_parquet(corpus_dir,
-                                  columns=["url", "doc_len", "warc_ts"],
-                                  override_num_blocks=max(2 * _ncpus(), 8))
-
-        def add_bucket(t: pa.Table) -> pa.Table:
-            pin_worker_threads()
-            urls = np.asarray(t["url"].to_numpy(zero_copy_only=False), dtype=object)
-            return t.append_column("bucket", pa.array(_bucket_of(urls, boundaries)))
-
-        def distinct_stats(t: pa.Table) -> pa.Table:
-            # keep-first by (url, warc_ts) — the exact phase-C dedup rule,
-            # vectorized (Arrow sort + run-boundary mask, no pandas groups)
-            pin_worker_threads()
-            t = t.combine_chunks().sort_by(
-                [("url", "ascending"), ("warc_ts", "ascending")])
-            urls = np.asarray(t["url"].to_numpy(zero_copy_only=False),
-                              dtype=object)
-            first = np.ones(len(urls), dtype=bool)
-            first[1:] = urls[1:] != urls[:-1]
-            dl = t["doc_len"].to_numpy()
-            dup_ex = urls[~first][:1]
-            return pa.table({
-                "bucket": pa.array([int(t["bucket"][0].as_py())], pa.int32()),
-                "n_docs": pa.array([int(first.sum())], pa.int64()),
-                "dl_sum": pa.array([int(dl[first].sum())], pa.int64()),
-                "n_dups": pa.array([int(len(urls) - first.sum())], pa.int64()),
-                "dup_example": pa.array(
-                    [str(dup_ex[0]) if len(dup_ex) else None], pa.string()),
-            })
-
-        counts = (
-            urls_ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(distinct_stats, batch_format="pyarrow")
-            .to_pandas()
-            .sort_values("bucket")
-        )
-        n_segments = len(boundaries) + 1
-        per_bucket = np.zeros(n_segments, dtype=np.int64)
-        per_bucket[counts["bucket"].to_numpy()] = counts["n_docs"].to_numpy()
-        offsets = np.r_[0, np.cumsum(per_bucket)[:-1]]
-        n_docs = int(per_bucket.sum())
-        n_dups = int(counts["n_dups"].sum())
-        dl_total = int(counts["dl_sum"].sum())
-        if cfg.strict_duplicates and n_dups:
-            raise DuplicateUrlError(
-                n_dups, counts["dup_example"].dropna().tolist()[:5])
-    plan = {
-        "boundaries": boundaries,
-        "offsets": offsets.tolist(),
-        "per_segment_docs": per_bucket.tolist(),
-        "n_docs": n_docs,
-        "n_duplicates": n_dups,
-        "avgdl": (dl_total / n_docs) if n_docs else 0.0,
-        "dl_total": int(dl_total),
-        "n_segments": n_segments,
-        "seed": cfg.seed,
-    }
-    mf.write_json_atomic(plan_path, plan)
-    return plan
-
-
-# --- phase C --------------------------------------------------------------
+# --- segment build --------------------------------------------------------
 
 def doc_idx_positions(doc_idx: np.ndarray) -> np.ndarray:
     """Within-doc token positions from an ascending doc-index stream."""
@@ -382,13 +229,8 @@ def doc_idx_positions(doc_idx: np.ndarray) -> np.ndarray:
     return np.arange(n, dtype=np.int64) - np.repeat(starts, lengths)
 
 
-ENC_COLUMNS = ("doc_ids_enc", "tfs_enc", "positions_enc")
-
-
 def _write_segment_files(index_dir: str, seg_id: int, terms: pa.Table,
-                         docs: pa.Table, row_group_size: int,
-                         postings_compression: str = "none",
-                         sidecar: bool = True) -> None:
+                         docs: pa.Table, row_group_size: int) -> None:
     """Atomic segment publish: write each table into a tmp dir and rename.
 
     Layout is hive-partitioned per table (``terms/segment=K/``,
@@ -397,31 +239,24 @@ def _write_segment_files(index_dir: str, seg_id: int, terms: pa.Table,
     after both renames is the commit point (crash between renames leaves an
     uncommitted dir that the next build overwrites).
 
-    Terms layout: with ``postings_compression == "none"`` (default) the
-    encoded-postings byte columns split into a consolidated sidecar binary
-    (``postings-0.bin``) with byte-range columns in the parquet — the
-    Lucene terms-dict/.doc shape; cold queries range-read exactly the
-    postings they touch (see ``blobs.py``). Compressed postings can't be
-    range-read, so a non-"none" codec keeps them inline in parquet.
+    Terms layout: the encoded-postings byte columns and block lists split
+    into a consolidated sidecar binary (``postings-0.bin``) with byte-range
+    columns in the parquet — the Lucene terms-dict/.doc shape; cold queries
+    range-read exactly the postings they touch (see ``blobs.py``).
     """
     if "segment_id" not in terms.column_names:
         terms = terms.append_column(
             "segment_id",
             pa.array(np.full(terms.num_rows, seg_id, dtype=np.int32)))
-    blob: bytes | None = None
-    if sidecar and postings_compression == "none":
-        terms, blob = blobs.split_for_write(terms)
+    terms, blob = blobs.split_for_write(terms)
     for sub, tbl, rgs in (("terms", terms, row_group_size),
                           ("docs", docs, 1 << 20)):
         final_dir = os.path.join(index_dir, sub, f"segment={seg_id:06d}")
         tmp_dir = final_dir + f".tmp-{uuid.uuid4().hex}"
         os.makedirs(tmp_dir, exist_ok=True)
-        comp = {c: ("NONE" if c in ENC_COLUMNS
-                    and postings_compression == "none" else "SNAPPY")
-                for c in tbl.column_names}
         pq.write_table(tbl, os.path.join(tmp_dir, "part-0.parquet"),
-                       row_group_size=rgs, compression=comp)
-        if sub == "terms" and blob is not None:
+                       row_group_size=rgs, compression="snappy")
+        if sub == "terms":
             with open(os.path.join(tmp_dir, blobs.BLOB_NAME), "wb") as f:
                 f.write(blob)
         if os.path.isdir(final_dir):
@@ -430,16 +265,14 @@ def _write_segment_files(index_dir: str, seg_id: int, terms: pa.Table,
 
 
 def read_segment_terms(index_dir: str, seg_id: int) -> pa.Table:
-    """Full logical terms table for one segment (enc columns materialized
-    from the sidecar when the segment uses the blob layout). Canonical
-    column order, so tables from mixed-layout segments concat cleanly."""
+    """Full logical terms table for one segment (enc columns and block
+    lists materialized from the sidecar), in canonical column order."""
     path = seg_terms_path(index_dir, seg_id)
     tbl = pq.read_table(path)
-    if blobs.has_sidecar(tbl.schema):
-        tbl = blobs.materialize_enc(
-            tbl, lambda _s: path,
-            want_positions="pos_nbytes" in tbl.column_names,
-            want_blocks=True)
+    tbl = blobs.materialize_enc(
+        tbl, lambda _s: path,
+        want_positions="pos_nbytes" in tbl.column_names,
+        want_blocks=True)
     order = ["field", "term", "df", "doc_ids_enc", "tfs_enc",
              "block_last_doc", "block_max_impact", "block_doc_byte_off",
              "block_tf_byte_off", "max_impact", "positions_enc"]
@@ -447,7 +280,7 @@ def read_segment_terms(index_dir: str, seg_id: int) -> pa.Table:
 
 
 def _corpus_columns(cfg: BuildConfig) -> list[str]:
-    """Columns phase C actually needs: shuffle nothing else."""
+    """Columns the segment build actually needs: shuffle nothing else."""
     cols = ["url", "warc_ts", "text", "doc_len"]
     for _fname, src_col, _an in cfg.fields:
         if src_col not in cols:
@@ -455,34 +288,13 @@ def _corpus_columns(cfg: BuildConfig) -> list[str]:
     return cols
 
 
-def _pack_cell(sub: pa.Table, codec: str | None) -> bytes:
-    """One (input block x bucket) cell -> an Arrow IPC payload (optionally
-    compressed). Packed shuffles move ~(n_blocks x n_buckets) rows through
-    the exchange instead of n_docs and shrink the bytes crossing it — the
-    multi-node/network shuffle shape (see BuildConfig.shuffle_pack_codec)."""
-    sink = pa.BufferOutputStream()
-    opts = pa.ipc.IpcWriteOptions(compression=codec)
-    with pa.ipc.new_stream(sink, sub.schema, options=opts) as w:
-        w.write_table(sub)
-    return sink.getvalue().to_pybytes()
-
-
-def _unpack_cells(payloads: list[bytes]) -> pa.Table:
-    tabs = [pa.ipc.open_stream(pa.BufferReader(p)).read_all() for p in payloads]
-    return pa.concat_tables(tabs)
-
-
-def _build_segment(group: pa.Table, index_dir: str, plan: dict,
-                   cfg: BuildConfig) -> pa.Table:
-    """Vectorized per-segment build: dedup, doc ids, tokenize, encode, commit.
-
-    ``group`` is either raw doc rows with a ``bucket`` column, or packed
-    cells (bucket, payload) from :func:`_pack_cell`."""
+def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
+                   base: int, avgdl: float, cfg: BuildConfig) -> None:
+    """Vectorized per-segment build of one bucket's raw doc rows: dedup,
+    doc ids ``base + url rank``, tokenize, encode, commit. ``avgdl`` is the
+    global text-field avgdl the block-max bounds are encoded under."""
     pin_worker_threads()
     t0 = time.perf_counter()
-    seg_id = int(group["bucket"][0].as_py())
-    if "payload" in group.column_names:
-        group = _unpack_cells(group["payload"].to_pylist())
     n_input = group.num_rows
     # groups arrive as many zero-copy slices of shuffle outputs; every kernel
     # below is much faster over contiguous buffers
@@ -494,7 +306,6 @@ def _build_segment(group: pa.Table, index_dir: str, plan: dict,
     deduped = group.filter(pa.array(first))
     n_docs = deduped.num_rows
     n_dups = n_input - n_docs
-    base = int(plan["offsets"][seg_id])
     doc_ids = base + np.arange(n_docs, dtype=np.int64)
     doc_len = deduped["doc_len"].to_numpy().astype(np.int64)
 
@@ -579,8 +390,7 @@ def _build_segment(group: pa.Table, index_dir: str, plan: dict,
         return pa.table(cols)
 
     doc_idx, tokens, _dl = standard_tokenize_batch(deduped["text"])
-    field_tables = [encode_field("text", doc_idx, tokens, doc_len,
-                                 float(plan["avgdl"]),
+    field_tables = [encode_field("text", doc_idx, tokens, doc_len, avgdl,
                                  with_positions=cfg.index_positions)]
     docs_cols = {
         "doc_id": pa.array(doc_ids, pa.int64()),
@@ -610,8 +420,7 @@ def _build_segment(group: pa.Table, index_dir: str, plan: dict,
     # pruning on (field, term)
     docs_out = pa.table(docs_cols)
     _write_segment_files(index_dir, seg_id, terms_out, docs_out,
-                         cfg.index_block_rows, cfg.postings_compression,
-                         cfg.postings_sidecar)
+                         cfg.index_block_rows)
 
     secs = time.perf_counter() - t0
     if cfg.enable_metrics:
@@ -628,7 +437,7 @@ def _build_segment(group: pa.Table, index_dir: str, plan: dict,
             # avgdl the text-field block-max bounds were encoded under:
             # after appends move the global avgdl, searchers scale stored
             # bounds by max(1, avgdl_now/encode_avgdl) to stay admissible
-            "encode_avgdl": float(plan["avgdl"]),
+            "encode_avgdl": avgdl,
             "n_input_rows": int(n_input),
             "n_docs": int(n_docs),
             "n_duplicates": int(n_dups),
@@ -641,114 +450,26 @@ def _build_segment(group: pa.Table, index_dir: str, plan: dict,
             "docs_per_sec": round(n_docs / secs, 2) if secs > 0 else None,
         },
     )
-    return pa.table(
-        {
-            "segment_id": pa.array([seg_id], pa.int32()),
-            "n_docs": pa.array([n_docs], pa.int64()),
-            "n_terms": pa.array([terms_out.num_rows], pa.int64()),
-            "n_postings": pa.array([n_postings], pa.int64()),
-            "n_duplicates": pa.array([n_dups], pa.int64()),
-            "build_secs": pa.array([secs], pa.float64()),
-        }
-    )
 
 
-def _build_segments(index_dir: str, plan: dict, cfg: BuildConfig) -> list[dict]:
-    # resume skips every bucket whose docs live in SOME segment — including
-    # buckets absorbed into merged segments (mf.covered_buckets)
-    done = mf.covered_buckets(index_dir)
-    boundaries = plan["boundaries"]
-    corpus_dir = os.path.join(index_dir, "corpus")
-    # Shuffle reduce-side parallelism follows the upstream block count —
-    # but it must track the CPU budget, NOT n_segments: the sort-shuffle's
-    # cost grows with block count (sample/sort/reduce per block, B x B
-    # partition fragments), and map_groups already yields each bucket's
-    # group separately inside a reduce task, so segments in the same block
-    # just build sequentially. Measured at 1M docs / 122 segments / 8 cpus:
-    # 122 blocks -> 10-12s exchange, 16 blocks -> 2.8s, identical groups.
-    # Prune to the columns phase C consumes.
-    ds = rd.read_parquet(
-        corpus_dir, columns=_corpus_columns(cfg),
-        override_num_blocks=int(os.environ.get("EDLR_SHUFFLE_BLOCKS", "0")) or max(2 * _ncpus(), 8))
-
-    done_ref = ray.put(frozenset(done))
-    plan_ref = ray.put(plan)
-
-    def add_bucket_filter(t: pa.Table) -> pa.Table:
-        urls = np.asarray(t["url"].to_numpy(zero_copy_only=False), dtype=object)
-        b = _bucket_of(urls, boundaries)
-        t = t.append_column("bucket", pa.array(b))
-        skip = ray.get(done_ref)
-        if skip:
-            keep = ~np.isin(b, np.fromiter(skip, dtype=np.int32))
-            t = t.filter(pa.array(keep))
-        return t
-
-    def pack_by_bucket(t: pa.Table) -> pa.Table:
-        """Assign buckets, drop finished ones, and PACK each bucket's rows
-        into one payload row (see _pack_cell): the groupby then shuffles
-        ~(blocks x buckets) small rows, not every doc."""
-        pin_worker_threads()
-        t = add_bucket_filter(t)
-        b = t["bucket"].to_numpy()
-        t = t.drop_columns(["bucket"])
-        if t.num_rows == 0:
-            return pa.table({"bucket": pa.array([], pa.int32()),
-                             "payload": pa.array([], pa.binary())})
-        order = np.argsort(b, kind="stable")
-        t = t.take(pa.array(order)).combine_chunks()
-        bs = b[order]
-        starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
-        ends = np.r_[starts[1:], len(bs)]
-        return pa.table({
-            "bucket": pa.array(bs[starts], pa.int32()),
-            "payload": pa.array(
-                [_pack_cell(t.slice(int(s), int(e - s)), cfg.shuffle_pack_codec)
-                 for s, e in zip(starts, ends)], pa.binary()),
-        })
-
-    def seg_fn(group: pa.Table) -> pa.Table:
-        return _build_segment(group, index_dir, ray.get(plan_ref), cfg)
-
-    packed = cfg.shuffle_pack_codec is not None
-    staged = (ds.map_batches(pack_by_bucket, batch_format="pyarrow",
-                             batch_size=None)
-              if packed else
-              ds.map_batches(add_bucket_filter, batch_format="pyarrow"))
-    summaries = (
-        staged.groupby("bucket")
-        .map_groups(seg_fn, batch_format="pyarrow")
-        .take_all()
-    )
-    return summaries
-
-
-# --- fused fresh-build path (manual exchange, overlapped phases) ----------
+# --- the exchange (partition -> count -> build) ----------------------------
 #
-# The 4-phase path above re-reads the corpus parquet twice (plan + segments)
-# and routes the segment exchange through Ray Data's sort-based shuffle,
-# whose cost is dominated by per-job terms that do not shrink with CPU count
-# (boundary sampling, per-block sorts, shuffle-block materialization, the
-# all-to-all barrier — measured ~24 s at 4M docs regardless of 2 vs 8 CPUs;
-# the segments phase scaled 0.59 while per-task build times were flat).
-# Fresh builds therefore run this fused plan:
+# Builds and appends both run this one plan over a streaming source (the
+# extract output, a clean corpus Dataset, or the committed corpus):
 #
-#   1. boundaries: one pruned url-column pass over the INPUT (quantile
-#      sample — placement only affects segment membership, never doc ids);
-#   2. ONE streaming pass: read -> extract; each finished block concurrently
-#      (a) writes a corpus parquet part (resumability — same bytes as
-#      phase A) and (b) partitions into per-bucket-GROUP slices returned
-#      as separate driver-owned objects (ceil(n/BUILD_GROUP) data slices +
-#      ceil(n/STATS_GROUP) (url, warc_ts, doc_len) count minis, each with
-#      an int32 bucket column for local re-split) — ref fan-out per block
-#      is O(buckets/BUILD_GROUP), and a ray.wait throttle on unfinished
-#      write/partition tasks backpressures the streaming extract so the
-#      exchange holds ~1x corpus (the slices) + a bounded block window;
-#   3. fixed-range count wave over the minis (~5% of corpus bytes): exact
-#      post-dedup counts -> prefix-sum doc-id offsets -> plan.json
-#      (identical content/semantics to _make_plan);
-#   4. fixed-range build wave: each task concatenates its bucket range's
-#      slices, re-splits on the bucket column and runs the same vectorized
+#   1. ONE streaming pass: each source block concurrently (a) writes a
+#      corpus parquet part (resumability; aggs/export read stored fields
+#      from it) and (b) partitions into per-bucket-GROUP slices returned as
+#      separate driver-owned objects (ceil(n/BUILD_GROUP) zstd-packed data
+#      slices + ceil(n/STATS_GROUP) (url, warc_ts, doc_len) count minis,
+#      each with an int32 bucket column for local re-split) — ref fan-out
+#      per block is O(buckets/BUILD_GROUP), and a ray.wait throttle on
+#      unfinished write/partition tasks backpressures the streaming source
+#      so the exchange holds ~1x corpus (the slices) + a bounded block window;
+#   2. fixed-range count wave over the minis (~5% of corpus bytes): exact
+#      post-dedup counts -> prefix-sum doc-id offsets -> the plan file;
+#   3. fixed-range build wave: each task concatenates its bucket range's
+#      slices, re-splits on the bucket column and runs the vectorized
 #      ``_build_segment`` (dedup, dense ids, tokenize, encode, atomic
 #      manifest commit) per bucket.
 #
@@ -756,31 +477,29 @@ def _build_segments(index_dir: str, plan: dict, cfg: BuildConfig) -> list[dict]:
 # range-partition by *known* boundaries without a sort: every object is
 # owned by the driver (lineage-reconstructible), data crosses the object
 # store exactly once, and there is no sample/sort/fragment machinery.
-# Resume runs through the SAME plan whenever plan.json survived (see
-# _fused_route). Fused and phased builds agree on the semantic contract
-# (doc ids are global url ranks in both; search results bitwise-equal);
-# segment MEMBERSHIP may differ — the plans quantile-sample boundaries
-# from the input vs the extracted corpus (test_fuzz_round4).
+# A resumed build re-runs the same exchange under its committed plan.json
+# (see _resume_state): boundaries and offsets are frozen, so resumed doc
+# ids are bitwise-identical, and committed buckets ship no rows.
 
-def _fused_route(index_dir: str) -> tuple[bool, dict | None, bool]:
-    """(use_fused, plan_override, corpus_done) routing for a build attempt.
-
-    Fresh indexes run the fused plan. A RESUMED build runs fused too when
-    plan.json survived the crash (boundaries + doc-id offsets are frozen,
-    committed buckets ship no rows through the exchange); the one state
-    fused cannot resume is a corpus committed before any plan landed
-    (phased phase-A crash) — the phased path owns that shape. EDLR_FUSED=0
-    forces the phased path everywhere."""
-    corpus_done = os.path.exists(
-        os.path.join(index_dir, "corpus", "_SUCCESS"))
-    if os.environ.get("EDLR_FUSED", "1") == "0":
-        return False, None, corpus_done
+def _resume_state(index_dir: str) -> tuple[dict | None, rd.Dataset | None]:
+    """(committed plan, committed corpus Dataset) a build attempt resumes
+    from; either is None when absent. A corpus with no plan (crash before
+    the count wave) re-samples boundaries from the corpus. Committed
+    segments with no plan have no recorded doc-id plan to resume under, so
+    that state is refused instead of rebuilt over."""
     plan_path = os.path.join(index_dir, "plan.json")
-    if os.path.exists(plan_path):
-        return True, mf.read_json(plan_path), corpus_done
-    if corpus_done or mf.committed_segments(index_dir):
-        return False, None, corpus_done
-    return True, None, corpus_done
+    plan = mf.read_json(plan_path) if os.path.exists(plan_path) else None
+    if plan is None and mf.committed_segments(index_dir):
+        raise ValueError(
+            f"{index_dir}: committed segment manifests but no plan.json; "
+            "their doc ids have no recorded plan to resume under — remove "
+            "the index directory and rebuild")
+    corpus_dir = os.path.join(index_dir, "corpus")
+    corpus = (rd.read_parquet(corpus_dir,
+                              override_num_blocks=max(2 * _ncpus(), 16))
+              if os.path.exists(os.path.join(corpus_dir, "_SUCCESS"))
+              else None)
+    return plan, corpus
 
 
 @ray.remote
@@ -792,32 +511,6 @@ def _write_corpus_block(tbl: pa.Table, corpus_dir: str, name: str) -> int:
 
 _MINI_COLS = ["url", "warc_ts", "doc_len"]
 
-
-@ray.remote
-def _partition_block(tbl: pa.Table, boundaries: list[str], n_buckets: int,
-                     cols: list[str]):
-    """One corpus block -> 2*n_buckets driver-owned objects: the bucket's
-    data slice (columns ``cols``) and its count mini (``_MINI_COLS``).
-    Slices of a taken table serialize compactly (verified: ~row bytes, not
-    buffer bytes), so each bucket ships only its own rows."""
-    pin_worker_threads()
-    t = tbl.select(cols).combine_chunks()
-    urls = np.asarray(t["url"].to_numpy(zero_copy_only=False), dtype=object)
-    b = _bucket_of(urls, boundaries)
-    order = np.argsort(b, kind="stable")
-    ts = t.take(pa.array(order))
-    bs = b[order]
-    empty = ts.slice(0, 0)
-    datas: list[pa.Table] = [empty] * n_buckets
-    if len(bs):
-        starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
-        ends = np.r_[starts[1:], len(bs)]
-        for s, e in zip(starts, ends):
-            datas[int(bs[s])] = ts.slice(int(s), int(e - s))
-    minis = [d.select(_MINI_COLS) for d in datas]
-    return tuple(datas) + tuple(minis)
-
-
 # buckets per stats task / segments per build task: grouping amortizes the
 # per-task scheduling + arg-serialization cost (485 one-bucket tasks cost
 # ~4s of driver time regardless of CPU count — pure Amdahl overhead).
@@ -825,12 +518,20 @@ def _partition_block(tbl: pa.Table, boundaries: list[str], n_buckets: int,
 STATS_GROUP = 16
 BUILD_GROUP = 4
 
-# max unfinished corpus-write + partition tasks before the fused bundle
-# loop blocks on ray.wait: bounds how many EXTRACT blocks sit in the object
+# max unfinished corpus-write + partition tasks before the bundle loop
+# blocks on ray.wait: bounds how many source blocks sit in the object
 # store awaiting their two consumers (backpressure propagates up through
 # the streaming source), so exchange residency stays ~1x corpus (the
 # bucket slices) + this window instead of 2x.
-FUSED_INFLIGHT = max(4 * os.cpu_count() if os.cpu_count() else 32, 32)
+EXCHANGE_INFLIGHT = max(4 * os.cpu_count() if os.cpu_count() else 32, 32)
+
+# data-slice compression: packing each (block, bucket-group) slice into one
+# zstd Arrow-IPC payload halves the exchange's object-store residency —
+# measured at 8M docs / 8 cpus this removed a 63% per-task compute
+# inflation under plasma residency (22.5k vs 14.0k docs/task-sec) and cut
+# the build 124.6 -> 106.6 s, neutral at 100k docs and at 2 cpus; it is
+# also the multi-node network-shuffle shape (ship compressed bytes).
+SLICE_CODEC = "zstd"
 
 
 def _group_cuts(n_buckets: int, group: int) -> np.ndarray:
@@ -841,20 +542,27 @@ def _group_cuts(n_buckets: int, group: int) -> np.ndarray:
     return np.r_[np.arange(0, n_buckets, group, dtype=np.int64), n_buckets]
 
 
+def _pack_cell(sub: pa.Table) -> bytes:
+    """One (block x bucket-group) slice -> a compressed Arrow IPC payload."""
+    sink = pa.BufferOutputStream()
+    opts = pa.ipc.IpcWriteOptions(compression=SLICE_CODEC)
+    with pa.ipc.new_stream(sink, sub.schema, options=opts) as w:
+        w.write_table(sub)
+    return sink.getvalue().to_pybytes()
+
+
 @ray.remote
-def _partition_block_grouped(tbl: pa.Table, boundaries: list[str],
-                             n_buckets: int, cols: list[str],
-                             skip: frozenset[int],
-                             pack: str | None = None):
-    """One corpus block -> per-bucket-GROUP driver-owned objects:
-    ``ceil(n/BUILD_GROUP)`` data slices (columns ``cols`` + an int32
+def _partition_block(tbl: pa.Table, boundaries: list[str], n_buckets: int,
+                     cols: list[str], skip: frozenset[int]):
+    """One source block -> per-bucket-GROUP driver-owned objects:
+    ``ceil(n/BUILD_GROUP)`` packed data slices (columns ``cols`` + an int32
     ``bucket`` column, rows bucket-sorted) then ``ceil(n/STATS_GROUP)``
     count minis (``_MINI_COLS`` + ``bucket``). Grouped returns bound the
     driver's ref fan-out at O(blocks x buckets / BUILD_GROUP) — the
     per-(block, bucket) shape was the first thing to break at 8M+ docs
     (object metadata + residency). Buckets in ``skip`` (resume: already
-    committed) ship no rows. Slices of a taken table serialize compactly
-    (verified: ~row bytes, not buffer bytes)."""
+    committed) ship no rows. Minis stay unpacked: they are ~6% of corpus
+    and packing them just adds a decode to the low-parallelism count wave."""
     pin_worker_threads()
     t = tbl.select(cols).combine_chunks()
     urls = np.asarray(t["url"].to_numpy(zero_copy_only=False), dtype=object)
@@ -872,16 +580,11 @@ def _partition_block_grouped(tbl: pa.Table, boundaries: list[str],
     s_cuts = _group_cuts(n_buckets, STATS_GROUP)
     d_pos = np.searchsorted(bs, d_cuts)
     s_pos = np.searchsorted(bs, s_cuts)
-    datas = [ts.slice(int(d_pos[i]), int(d_pos[i + 1] - d_pos[i]))
+    datas = [_pack_cell(ts.slice(int(d_pos[i]), int(d_pos[i + 1] - d_pos[i])))
              for i in range(len(d_cuts) - 1)]
     minis = [ts.select(mini_cols).slice(int(s_pos[i]),
                                         int(s_pos[i + 1] - s_pos[i]))
              for i in range(len(s_cuts) - 1)]
-    if pack is not None:
-        # DATA slices only: they are the residency (text column); minis are
-        # ~6% of corpus and packing them just adds a decode to the
-        # low-parallelism stats wave
-        datas = [_pack_cell(d, pack) for d in datas]
     return tuple(datas) + tuple(minis)
 
 
@@ -890,12 +593,9 @@ def _bucket_stats_group(bucket_lo: int, n_in_group: int,
                         *minis: pa.Table) -> list[tuple]:
     """Stats for one FIXED bucket range [bucket_lo, bucket_lo+n): per-bucket
     (n_docs, dl_sum, n_dups, dup_examples) after keep-first dedup by
-    (url asc, warc_ts asc) — the exact phase-C rule, vectorized across the
-    whole group via the carried ``bucket`` column."""
+    (url asc, warc_ts asc) — the exact segment-build rule, vectorized across
+    the whole group via the carried ``bucket`` column."""
     pin_worker_threads()
-    if minis and isinstance(minis[0], bytes):
-        minis = [pa.ipc.open_stream(pa.BufferReader(p)).read_all()
-                 for p in minis]
     tabs = [m for m in minis if m.num_rows]
     if not tabs:
         return [(0, 0, 0, [])] * n_in_group
@@ -922,31 +622,16 @@ def _bucket_stats_group(bucket_lo: int, n_in_group: int,
 
 
 @ray.remote
-def _build_bucket(index_dir: str, seg_id: int, plan: dict, cfg: BuildConfig,
-                  *parts: pa.Table) -> int:
-    pin_worker_threads()
-    tabs = [p for p in parts if p.num_rows]
-    group = pa.concat_tables(tabs)
-    group = group.append_column(
-        "bucket", pa.array(np.full(group.num_rows, seg_id, dtype=np.int32)))
-    _build_segment(group, index_dir, plan, cfg)
-    return seg_id
-
-
-@ray.remote
-def _build_bucket_group(index_dir: str, bucket_lo: int, n_in_group: int,
-                        plan: dict, cfg: BuildConfig,
-                        *parts: pa.Table) -> list[int]:
+def _build_bucket_group(index_dir: str, seg_base: int, plan: dict,
+                        cfg: BuildConfig, *parts: bytes) -> list[int]:
     """Build the segments of one FIXED bucket range sequentially in one
-    task; ``parts`` are that range's data slices from every block (rows
-    bucket-sorted, seg id == the carried ``bucket`` value in fresh
-    builds). Empty buckets (or resume-skipped ones, which ship no rows)
-    build nothing."""
+    task; ``parts`` are that range's packed data slices from every block
+    (rows bucket-sorted). Bucket ``b`` becomes segment ``seg_base + b``
+    with doc ids from ``plan["offsets"][b]``. Empty buckets (or
+    resume-skipped ones, which ship no rows) build nothing."""
     pin_worker_threads()
-    if parts and isinstance(parts[0], bytes):
-        parts = [pa.ipc.open_stream(pa.BufferReader(p)).read_all()
-                 for p in parts]
-    tabs = [p for p in parts if p.num_rows]
+    tabs = [t for t in (pa.ipc.open_stream(pa.BufferReader(p)).read_all()
+                        for p in parts) if t.num_rows]
     if not tabs:
         return []
     g = pa.concat_tables(tabs).combine_chunks()
@@ -958,40 +643,42 @@ def _build_bucket_group(index_dir: str, bucket_lo: int, n_in_group: int,
     starts = np.flatnonzero(np.r_[True, bs[1:] != bs[:-1]])
     ends = np.r_[starts[1:], len(bs)]
     for s, e in zip(starts, ends):
-        sub = gs.slice(int(s), int(e - s))
-        _build_segment(sub, index_dir, plan, cfg)
-        built.append(int(bs[s]))
+        b = int(bs[s])
+        _build_segment(gs.slice(int(s), int(e - s)), index_dir, seg_base + b,
+                       int(plan["offsets"][b]), float(plan["avgdl"]), cfg)
+        built.append(seg_base + b)
     return built
 
 
-def _run_fused(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
-               timings: dict[str, float], boundaries: list[str],
-               plan_override: dict | None = None,
-               write_corpus: bool = True) -> dict:
-    """Run the fused exchange+build over ``source`` (extract output or a
-    clean corpus Dataset). See the section comment above for the plan.
+def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
+                  timings: dict[str, float], boundaries: list[str], *,
+                  corpus_dir: str | None, plan_path: str,
+                  seg_base: int = 0, doc_base: int = 0, dl_base: int = 0,
+                  plan: dict | None = None) -> dict:
+    """Run the exchange over ``source`` and build its segments; returns the
+    plan. See the section comment above.
 
-    Resume: ``plan_override`` reuses a committed plan.json (boundaries and
-    doc-id offsets are frozen — the stats wave is skipped and already-
-    committed buckets ship no rows through the exchange); ``write_corpus=
-    False`` skips the corpus part writes when corpus/_SUCCESS already
-    exists and ``source`` is the corpus itself."""
-    corpus_dir = os.path.join(index_dir, "corpus")
-    if write_corpus:
+    ``corpus_dir``: each source block is also written there as a corpus
+    part, then ``_SUCCESS``; None when ``source`` is the committed corpus.
+    ``plan_path``: where the counted plan commits before any segment builds.
+    ``seg_base`` / ``doc_base`` / ``dl_base``: bucket ``b`` becomes segment
+    ``seg_base + b``, doc ids continue at ``doc_base`` and the encoded
+    avgdl counts ``dl_base`` existing doc-length tokens — all 0 for a build;
+    the next generation block and the live ``n_docs`` / ``dl_total`` for an
+    append. ``plan``: a committed plan to resume under (the count wave is
+    skipped and already-committed buckets ship no rows)."""
+    if corpus_dir is not None:
         if os.path.isdir(corpus_dir):
             shutil.rmtree(corpus_dir)
         os.makedirs(corpus_dir, exist_ok=True)
     n_buckets = len(boundaries) + 1
-    skip = frozenset(mf.covered_buckets(index_dir)) if plan_override else \
-        frozenset()
+    skip = (frozenset(mf.covered_buckets(index_dir)) if plan is not None
+            else frozenset())
     cols = _corpus_columns(cfg)
     d_cuts = _group_cuts(n_buckets, BUILD_GROUP)
     s_cuts = _group_cuts(n_buckets, STATS_GROUP)
     n_dg, n_sg = len(d_cuts) - 1, len(s_cuts) - 1
-    pack = os.environ.get("EDLR_FUSED_PACK") or cfg.fused_pack_codec
-    if pack in ("", "none", "0"):
-        pack = None
-    part_task = _partition_block_grouped.options(num_returns=n_dg + n_sg)
+    part_task = _partition_block.options(num_returns=n_dg + n_sg)
     t0 = time.perf_counter()
     write_refs: list = []
     data_refs: list[list] = []   # [block][data_group]
@@ -1007,100 +694,84 @@ def _run_fused(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
             # yields fully-filtered upstream blocks.
             if bmeta.num_rows == 0:
                 continue
-            if write_corpus:
+            if corpus_dir is not None:
                 w = _write_corpus_block.remote(
                     block_ref, corpus_dir, f"part-{i:06d}.parquet")
                 write_refs.append(w)
                 pending.append(w)
             rets = part_task.remote(block_ref, boundaries, n_buckets, cols,
-                                    skip, pack)
+                                    skip)
             data_refs.append(list(rets[:n_dg]))
             mini_refs.append(list(rets[n_dg:]))
             pending.append(rets[0])
             i += 1
-            # bound extract-block residency: blocks stay pinned only by
+            # bound source-block residency: blocks stay pinned only by
             # their two consumers' args; throttling the consumer backlog
             # backpressures the streaming source
-            if len(pending) > FUSED_INFLIGHT:
+            if len(pending) > EXCHANGE_INFLIGHT:
                 done, pending = ray.wait(
-                    pending, num_returns=len(pending) - FUSED_INFLIGHT // 2)
+                    pending, num_returns=len(pending) - EXCHANGE_INFLIGHT // 2)
     timings["corpus"] = round(time.perf_counter() - t0, 3)
 
     t0 = time.perf_counter()
-    if plan_override is not None:
-        plan = plan_override
-        per_bucket = np.asarray(plan["per_segment_docs"], dtype=np.int64)
-        n_docs = int(plan["n_docs"])
-        mini_refs.clear()
-    else:
-        if mini_refs:
-            gtasks = []
-            for g in range(n_sg):
-                flat = [blk[g] for blk in mini_refs]
-                gtasks.append(_bucket_stats_group.remote(
-                    int(s_cuts[g]), int(s_cuts[g + 1] - s_cuts[g]), *flat))
-            stats_per_bucket = [t for res in ray.get(gtasks) for t in res]
-        else:
-            stats_per_bucket = []
-        per_bucket = np.array([s[0] for s in stats_per_bucket],
-                              dtype=np.int64)
-        if len(per_bucket) == 0:
-            per_bucket = np.zeros(n_buckets, dtype=np.int64)
-        n_docs = int(per_bucket.sum())
-        dl_total = sum(s[1] for s in stats_per_bucket)
+    if plan is None:
+        gtasks = [_bucket_stats_group.remote(
+            int(s_cuts[g]), int(s_cuts[g + 1] - s_cuts[g]),
+            *[blk[g] for blk in mini_refs])
+            for g in range(n_sg)] if mini_refs else []
+        stats_per_bucket = [t for res in ray.get(gtasks) for t in res]
+        per_bucket = np.zeros(n_buckets, dtype=np.int64)
+        per_bucket[:len(stats_per_bucket)] = [s[0] for s in stats_per_bucket]
+        new_dl = sum(s[1] for s in stats_per_bucket)
         n_dups = sum(s[2] for s in stats_per_bucket)
         if cfg.strict_duplicates and n_dups:
+            ray.get(write_refs)  # settle corpus writes: callers may discard
             raise DuplicateUrlError(
                 n_dups, [u for s in stats_per_bucket for u in s[3]][:5])
-        offsets = np.r_[0, np.cumsum(per_bucket)[:-1]]
+        n_docs = doc_base + int(per_bucket.sum())
+        dl_total = dl_base + int(new_dl)
         plan = {
             "boundaries": boundaries,
-            "offsets": offsets.tolist(),
+            "segment_id_base": seg_base,
+            "offsets": (doc_base
+                        + np.r_[0, np.cumsum(per_bucket)[:-1]]).tolist(),
             "per_segment_docs": per_bucket.tolist(),
             "n_docs": n_docs,
             "n_duplicates": n_dups,
             "avgdl": (dl_total / n_docs) if n_docs else 0.0,
-            "dl_total": int(dl_total),
-            "n_segments": n_buckets if n_docs else 0,
+            "dl_total": dl_total,
+            "n_segments": int((per_bucket > 0).sum()),
             "seed": cfg.seed,
         }
-        mf.write_json_atomic(os.path.join(index_dir, "plan.json"), plan)
+        mf.write_json_atomic(plan_path, plan)
+    del mini_refs  # minis free as soon as their stats tasks finish
     timings["plan"] = round(time.perf_counter() - t0, 3)
 
     t0 = time.perf_counter()
+    per_bucket = plan["per_segment_docs"]
     plan_ref = ray.put(plan)
-    del mini_refs  # minis free as soon as their stats tasks finish
-    if n_docs:
-        build_refs = []
-        for g in range(n_dg):
-            lo, hi = int(d_cuts[g]), int(d_cuts[g + 1])
-            todo = [b for b in range(lo, hi)
-                    if per_bucket[b] > 0 and b not in skip]
-            if not todo:
-                continue
-            flat = [blk[g] for blk in data_refs]
+    build_refs = []
+    for g in range(n_dg):
+        lo, hi = int(d_cuts[g]), int(d_cuts[g + 1])
+        if any(per_bucket[b] > 0 and b not in skip for b in range(lo, hi)):
             build_refs.append(_build_bucket_group.remote(
-                index_dir, lo, hi - lo, plan_ref, cfg, *flat))
-        # drop the driver's slice refs NOW: each slice stays pinned only by
-        # its pending build task's args, so store memory frees group by
-        # group as waveB progresses instead of all-at-once at the end
-        del data_refs
-        ray.get(build_refs)
-    else:
-        del data_refs
+                index_dir, seg_base, plan_ref, cfg,
+                *[blk[g] for blk in data_refs]))
+    # drop the driver's slice refs NOW: each slice stays pinned only by
+    # its pending build task's args, so store memory frees group by
+    # group as the build wave progresses instead of all-at-once at the end
+    del data_refs
+    ray.get(build_refs)
     timings["segments"] = round(time.perf_counter() - t0, 3)
 
-    t0 = time.perf_counter()
     ray.get(write_refs)
-    if write_corpus:
+    if corpus_dir is not None:
         with open(os.path.join(corpus_dir, "_SUCCESS"), "w") as f:
             f.write("")
-    stats = _finalize(index_dir, plan, cfg, timings)
-    timings["finalize"] = round(time.perf_counter() - t0, 3)
-    return stats
+    return plan
 
 
-# --- phase D --------------------------------------------------------------
+# --- finalize ---------------------------------------------------------------
 
 def _build_termdict(index_dir: str, term_files: list[str],
                     seg_ids: list[int], cfg: BuildConfig) -> None:
@@ -1121,8 +792,7 @@ def _build_termdict(index_dir: str, term_files: list[str],
     explicitly, or ``LocalSearcher(termdict="auto")`` at bind once the
     segment count makes the fan-out hurt — and after merges.
 
-    Sidecar layout only (inline layouts would drag the encoded postings
-    through the sort). ``meta.json`` records the segment set; readers
+    ``meta.json`` records the segment set; readers
     ignore a termdict whose set no longer matches (merge/append/compact
     also remove it eagerly)."""
     td_dir = os.path.join(index_dir, "termdict")
@@ -1137,9 +807,6 @@ def _build_termdict(index_dir: str, term_files: list[str],
     if os.path.isdir(td_dir):
         shutil.rmtree(td_dir)
     if not term_files:
-        return
-    schema = pq.ParquetFile(term_files[0]).schema_arrow
-    if "blob_off" not in schema.names:  # inline layout: keep per-seg reads
         return
     total = sum(pq.ParquetFile(f).metadata.num_rows for f in term_files)
     os.makedirs(td_dir, exist_ok=True)
@@ -1263,120 +930,76 @@ def _finalize(index_dir: str, plan: dict, cfg: BuildConfig,
 
 # --- entry ----------------------------------------------------------------
 
-def build_index_from_corpus(corpus: rd.Dataset, index_dir: str,
-                            cfg: BuildConfig | None = None) -> dict:
-    """Build an index from an already-cleaned corpus Dataset (columns
-    url, warc_ts, text, lang, doc_len) — phase A becomes a plain write.
-    Used when the input is a text table rather than raw HTML webtext."""
-    cfg = cfg or BuildConfig()
-    os.makedirs(index_dir, exist_ok=True)
-    timings: dict[str, float] = {}
-    use_fused, plan_override, corpus_done = _fused_route(index_dir)
-    if use_fused:
-        t = time.perf_counter()
-        if plan_override is not None:
-            boundaries = list(plan_override["boundaries"])
-            if corpus_done:  # committed corpus replaces the caller's input
-                corpus = rd.read_parquet(
-                    os.path.join(index_dir, "corpus"),
-                    override_num_blocks=max(2 * _ncpus(), 16))
-            mat = corpus if corpus_done else corpus.materialize()
-        else:
-            mat = corpus.materialize()
-            n_est = mat.count()
-            boundaries = (_segment_boundaries(mat.select_columns(["url"]),
-                                              n_est, cfg) if n_est else [])
-        timings["bounds"] = round(time.perf_counter() - t, 3)
-        return _run_fused(mat, index_dir, cfg, timings, boundaries,
-                          plan_override=plan_override,
-                          write_corpus=not corpus_done)
-    corpus_dir = os.path.join(index_dir, "corpus")
-    success = os.path.join(corpus_dir, "_SUCCESS")
-    t = time.perf_counter()
-    if not os.path.exists(success):
-        if os.path.isdir(corpus_dir):
-            shutil.rmtree(corpus_dir)
-        corpus.write_parquet(corpus_dir)
-        with open(success, "w") as f:
-            f.write("")
-    timings["corpus"] = round(time.perf_counter() - t, 3)
-    return _build_after_corpus(index_dir, cfg, timings)
-
-
-def _build_after_corpus(index_dir: str, cfg: BuildConfig,
-                        timings: dict[str, float]) -> dict:
-    t = time.perf_counter()
-    plan = _make_plan(index_dir, cfg)
-    timings["plan"] = round(time.perf_counter() - t, 3)
-    t = time.perf_counter()
-    if plan["n_docs"] > 0:
-        _build_segments(index_dir, plan, cfg)
-    timings["segments"] = round(time.perf_counter() - t, 3)
+def _build(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
+           timings: dict[str, float], boundaries: list[str],
+           plan: dict | None, write_corpus: bool) -> dict:
+    plan = _run_exchange(
+        source, index_dir, cfg, timings, boundaries,
+        corpus_dir=os.path.join(index_dir, "corpus") if write_corpus else None,
+        plan_path=os.path.join(index_dir, "plan.json"), plan=plan)
     t = time.perf_counter()
     stats = _finalize(index_dir, plan, cfg, timings)
     timings["finalize"] = round(time.perf_counter() - t, 3)
     return stats
 
 
+def _plan_boundaries(plan: dict | None, corpus: rd.Dataset,
+                     cfg: BuildConfig) -> list[str]:
+    if plan is not None:
+        return list(plan["boundaries"])
+    return _segment_boundaries(corpus.select_columns(["url"]), cfg)[0]
+
+
+def build_index_from_corpus(corpus: rd.Dataset, index_dir: str,
+                            cfg: BuildConfig | None = None) -> dict:
+    """Build an index from an already-cleaned corpus Dataset (columns
+    url, warc_ts, text, lang, doc_len) — the exchange writes it as the
+    corpus. Used when the input is a text table rather than raw HTML
+    webtext. Resumes like :func:`build_index`."""
+    cfg = cfg or BuildConfig()
+    os.makedirs(index_dir, exist_ok=True)
+    timings: dict[str, float] = {}
+    t = time.perf_counter()
+    plan, committed = _resume_state(index_dir)
+    # a committed corpus replaces the caller's input
+    source = committed if committed is not None else corpus.materialize()
+    boundaries = _plan_boundaries(plan, source, cfg)
+    timings["bounds"] = round(time.perf_counter() - t, 3)
+    return _build(source, index_dir, cfg, timings, boundaries, plan,
+                  write_corpus=committed is None)
+
+
 def build_index(input_path: str, index_dir: str,
                 cfg: BuildConfig | None = None) -> dict:
     """Build (or resume) the full inverted index; returns stats.json content.
 
-    Fresh builds run the fused overlapped plan (see the fused section
-    comment); resumed builds (corpus/plan/manifests already on disk) run
-    the 4-phase path, which skips completed work. ``EDLR_FUSED=0`` forces
-    the phased path everywhere."""
+    One exchange (see the exchange section comment) runs over the streaming
+    extract of ``input_path``. A resumed build keeps what survived: a
+    committed plan.json freezes boundaries and doc-id offsets (committed
+    segments ship no rows), and a committed corpus replaces the extract."""
     cfg = cfg or BuildConfig()
     os.makedirs(index_dir, exist_ok=True)
     timings: dict[str, float] = {}
-    use_fused, plan_override, corpus_done = _fused_route(index_dir)
-    if use_fused:
-        t = time.perf_counter()
-        if plan_override is not None and corpus_done:
-            # resume after the corpus committed: source the exchange from
-            # the durable corpus (no re-extract), skip committed buckets
-            boundaries = list(plan_override["boundaries"])
-            src = rd.read_parquet(
-                os.path.join(index_dir, "corpus"),
-                override_num_blocks=max(2 * _ncpus(), 16))
-            timings["bounds"] = round(time.perf_counter() - t, 3)
-            return _run_fused(src, index_dir, cfg, timings, boundaries,
-                              plan_override=plan_override,
-                              write_corpus=False)
-        errors_dir = os.path.join(index_dir, "errors")
-        if plan_override is None and os.path.isdir(errors_dir):
-            _clear_errors_dir(errors_dir)  # resume keeps retry-safe sinks
-        if plan_override is not None:
-            # corpus never committed: re-extract, but keep the FROZEN
-            # boundaries/offsets so resumed doc ids are bitwise-identical
-            boundaries = list(plan_override["boundaries"])
-            n_est = int(plan_override["n_docs"])
-        else:
-            # boundary sample over the INPUT's url column only (pruned
-            # read): reject rows shift quantiles negligibly and never
-            # affect doc ids
-            urls_ds = rd.read_parquet(input_path, columns=["url"])
-            n_est = urls_ds.count()
-            boundaries = (_segment_boundaries(urls_ds, n_est, cfg)
-                          if n_est else [])
-        timings["bounds"] = round(time.perf_counter() - t, 3)
-        # block count scales with rows (~125k docs / ~300MB of text per
-        # block) so one block + its partition copy stays a small fraction
-        # of a worker heap, and never below 2 blocks per CPU
-        n_blocks = max(2 * _ncpus(), 16, math.ceil(n_est / 125_000))
-        src = rd.read_parquet(
-            input_path, override_num_blocks=n_blocks
-        ).map_batches(
-            extract_batch,
-            fn_kwargs={"errors_dir": errors_dir,
-                       "max_doc_bytes": cfg.max_doc_bytes},
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-        )
-        return _run_fused(src, index_dir, cfg, timings, boundaries,
-                          plan_override=plan_override,
-                          write_corpus=True)
     t = time.perf_counter()
-    _build_corpus(input_path, index_dir, cfg)
-    timings["corpus"] = round(time.perf_counter() - t, 3)
-    return _build_after_corpus(index_dir, cfg, timings)
+    plan, corpus = _resume_state(index_dir)
+    if corpus is not None:
+        boundaries = _plan_boundaries(plan, corpus, cfg)
+        timings["bounds"] = round(time.perf_counter() - t, 3)
+        return _build(corpus, index_dir, cfg, timings, boundaries, plan,
+                      write_corpus=False)
+    errors_dir = os.path.join(index_dir, "errors")
+    if plan is None:
+        if os.path.isdir(errors_dir):
+            _clear_errors_dir(errors_dir)  # resume keeps retry-safe sinks
+        # boundary sample over the INPUT's url column only (pruned read):
+        # reject rows shift quantiles negligibly and never affect doc ids
+        boundaries, n_est = _segment_boundaries(
+            rd.read_parquet(input_path, columns=["url"]), cfg)
+    else:
+        # corpus never committed: re-extract, but keep the FROZEN
+        # boundaries/offsets so resumed doc ids are bitwise-identical
+        boundaries, n_est = list(plan["boundaries"]), int(plan["n_docs"])
+    timings["bounds"] = round(time.perf_counter() - t, 3)
+    return _build(_extract_source(input_path, errors_dir, n_est, cfg),
+                  index_dir, cfg, timings, boundaries, plan,
+                  write_corpus=True)

@@ -481,22 +481,14 @@ def _segment_anchors(index_dir: str, field: str, terms: list[str],
 
     filters = _term_filters({field: terms})
     path = seg_terms_path(index_dir, seg_id)
-    schema = pq.read_schema(path)
-    if blobs.has_sidecar(schema):
-        if "pos_nbytes" not in schema.names:
-            raise ValueError(
-                "index was built without positions "
-                "(BuildConfig.index_positions=True required)")
-        cols = ["field", "term", "df", "segment_id",
-                *blobs.RANGE_COLUMNS]
-        tt = pq.read_table(path, columns=cols, filters=filters)
-        tt = blobs.materialize_enc(tt, lambda _s: path,
-                                   want_positions=True)
-    else:
-        tt = pq.read_table(
-            path, columns=["field", "term", "df", "doc_ids_enc",
-                           "tfs_enc", "positions_enc"],
-            filters=filters)
+    if "pos_nbytes" not in pq.read_schema(path).names:
+        raise ValueError(
+            "index was built without positions "
+            "(BuildConfig.index_positions=True required)")
+    tt = pq.read_table(path, columns=["field", "term", "df", "segment_id",
+                                      *blobs.RANGE_COLUMNS],
+                       filters=filters)
+    tt = blobs.materialize_enc(tt, lambda _s: path, want_positions=True)
     all_ids, all_firsts = [], []
     for i in range(tt.num_rows):
         enc_pos = tt["positions_enc"][i].as_py()

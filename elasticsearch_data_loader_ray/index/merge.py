@@ -186,9 +186,7 @@ def _merge_run(index_dir: str, run: list[int], new_id: int,
     merged_terms = _merge_term_tables(term_parts)
     merged_docs = pa.concat_tables(doc_parts).combine_chunks()
     _write_segment_files(index_dir, new_id, merged_terms, merged_docs,
-                         cfg.index_block_rows,
-                         getattr(cfg, "postings_compression", "none"),
-                         getattr(cfg, "postings_sidecar", True))
+                         cfg.index_block_rows)
     secs = time.perf_counter() - t0
     absorbed_buckets = sorted({
         b for s in run

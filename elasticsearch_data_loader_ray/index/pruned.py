@@ -94,14 +94,8 @@ def _prune_segment(index_dir: str, seg_id: int, doc_base: int,
     for f, ts in hot.items():
         c = (pads.field("field") == f) & pads.field("term").isin(ts)
         flt = c if flt is None else (flt | c)
-    schema = pq.ParquetFile(tpath).schema_arrow
-    cols = ["field", "term", "df"]
-    if "blob_off" in schema.names:
-        cols += ["segment_id", "blob_off", "doc_nbytes", "tf_nbytes"]
-        if "pos_nbytes" in schema.names:
-            cols.append("pos_nbytes")
-    else:
-        cols += ["doc_ids_enc", "tfs_enc"]
+    cols = ["field", "term", "df", "segment_id", "blob_off", "doc_nbytes",
+            "tf_nbytes"]
     tt = pads.dataset(tpath).to_table(columns=cols, filter=flt)
     if tt.num_rows == 0:
         return None

@@ -834,20 +834,13 @@ class SegmentSearcher:
         path = seg_terms_path(self.index_dir, seg_id)
         need_positions = any(m == "phrase" for *_rest, m in self.queries)
         schema = pq.read_schema(path)
-        if blobs.has_sidecar(schema):
-            cols = ["field", "term", "df", "max_impact", "segment_id",
-                    *blobs.RANGE_COLUMNS]
-            if "pos_nbytes" not in schema.names:
-                cols.remove("pos_nbytes")
-            tt = pq.read_table(path, columns=cols, filters=filters)
-            tt = blobs.materialize_enc(tt, lambda _s: path,
-                                       want_positions=need_positions)
-        else:
-            cols = ["field", "term", "df", "doc_ids_enc", "tfs_enc",
-                    "max_impact"]
-            if need_positions:
-                cols.append("positions_enc")
-            tt = pq.read_table(path, columns=cols, filters=filters)
+        cols = ["field", "term", "df", "max_impact", "segment_id",
+                *blobs.RANGE_COLUMNS]
+        if "pos_nbytes" not in schema.names:
+            cols.remove("pos_nbytes")
+        tt = pq.read_table(path, columns=cols, filters=filters)
+        tt = blobs.materialize_enc(tt, lambda _s: path,
+                                   want_positions=need_positions)
         dl_fields = set(self.by_field) | self._extra_dl
         dl_cols = sorted({_dl_column(f) for f in dl_fields})
         docs = pq.read_table(seg_docs_path(self.index_dir, seg_id),
@@ -1546,41 +1539,26 @@ class LocalSearcher:
 
     def _read_terms(self, dict_cols: list[str], terms_by_field: dict,
                     positions: bool = False) -> pa.Table:
-        """Filtered term-dictionary read WITH encoded postings materialized,
-        for either layout: inline (enc columns live in parquet) or blob
-        sidecar (small byte-range columns in parquet; postings fetched with
-        coalesced ``pread`` s of exactly the needed ranges — the cold-query
-        path stops paying for whole row-group binary column chunks).
-        Block-metadata columns in ``dict_cols`` likewise come from the
-        parquet when present (inline / v1 sidecar) or the blob (v2)."""
-        filt = _term_filters(terms_by_field)
+        """Filtered term-dictionary read WITH encoded postings materialized:
+        small byte-range columns come from the parquet, postings (and the
+        block-metadata columns in ``dict_cols``) from coalesced ``pread`` s
+        of exactly the needed sidecar ranges — the cold-query path never
+        pays for whole row-group binary column chunks."""
         schema = self.term_ds.schema
-        if not blobs.has_sidecar(schema):
-            cols = [*dict_cols, "doc_ids_enc", "tfs_enc"]
-            if positions:
-                cols.append("positions_enc")
-            tt = self._read_terms_direct(cols, terms_by_field)
-            if tt is not None:
-                return tt
-            return self.term_ds.to_table(columns=cols, filter=filt)
-        blocks_from_blob = ("blk_n" in schema.names
-                            and any(c in blobs.BLOCK_COLUMNS
-                                    for c in dict_cols))
-        cols = [c for c in dict_cols
-                if not (blocks_from_blob and c in blobs.BLOCK_COLUMNS)]
+        want_blocks = any(c in blobs.BLOCK_COLUMNS for c in dict_cols)
+        cols = [c for c in dict_cols if c not in blobs.BLOCK_COLUMNS]
         cols += ["segment_id", "blob_off", "doc_nbytes", "tf_nbytes"]
-        if blocks_from_blob:
+        if want_blocks:
             cols.append("blk_n")
-        if positions and "pos_nbytes" in schema.names:
-            cols.append("pos_nbytes")
-        elif blocks_from_blob and "pos_nbytes" in schema.names:
-            cols.append("pos_nbytes")  # needed to locate the block tail
+        if (positions or want_blocks) and "pos_nbytes" in schema.names:
+            cols.append("pos_nbytes")  # also locates the block tail
         tt = self._read_terms_direct(cols, terms_by_field)
         if tt is None:  # missing row-group stats: dataset filter fallback
-            tt = self.term_ds.to_table(columns=cols, filter=filt)
+            tt = self.term_ds.to_table(columns=cols,
+                                       filter=_term_filters(terms_by_field))
         return blobs.materialize_enc(
             tt, lambda sid: seg_terms_path(self.index_dir, sid),
-            want_positions=positions, want_blocks=blocks_from_blob)
+            want_positions=positions, want_blocks=want_blocks)
 
     def _rg_bounds(self) -> list[tuple]:
         """Per term-file ``(ParquetFile, [(fmin, tmin, fmax, tmax)]
@@ -1677,15 +1655,18 @@ class LocalSearcher:
         return pa.concat_tables(out)
 
     def refresh(self) -> bool:
-        """Epoch swap: re-resolve the committed segment set and, if it
-        changed (segment merge, incremental build), rebind files and drop
+        """Epoch swap: re-resolve the committed segment set and tombstone
+        list and, if either changed (segment merge, incremental build,
+        delete-only ``delete_by_query`` commit), rebind files and drop
         every derived cache. Returns True when a swap happened. Readers
         in-flight on the old epoch are unaffected (segment files are
         immutable; merge publishes under NEW ids and the combined manifest
         is the atomic commit point)."""
-        new_ids, _ = _visible_seg_ids(self.index_dir,
-                                      _load_stats(self.index_dir))
-        if new_ids == self.seg_ids:
+        stats = _load_stats(self.index_dir)
+        new_ids, _ = _visible_seg_ids(self.index_dir, stats)
+        if (new_ids == self.seg_ids
+                and stats.get("tombstone_files", [])
+                == self.stats.get("tombstone_files", [])):
             return False
         self._bind()
         return True
@@ -1871,10 +1852,6 @@ class LocalSearcher:
         full-decode path. ``self.last_block_stats`` records
         (blocks_decoded, blocks_total) for observability.
         """
-        names = self.term_ds.schema.names
-        if "block_doc_byte_off" not in names and "blk_n" not in names:
-            # index built before block byte offsets existed: full decode
-            return self._search_and_fulldecode(field, terms, k, idf, dl, avgdl)
         # cost model: probing costs ~driver_df per other term and loses the
         # vectorized-decode advantage (~8x); skip-read only pays when the
         # driver is selective relative to the other lists. df comes from the
@@ -1961,15 +1938,11 @@ class LocalSearcher:
         return cand[order].astype(np.int64), scores[order]
 
     def _load_blocked_runs(self, field: str, terms: list[str]
-                           ) -> dict[str, list[tuple]] | None:
+                           ) -> dict[str, list[tuple]]:
         """(BlockedPostings, block_max_impact, max_impact) runs per term,
-        runs sorted by doc range; None if the index predates block byte
-        offsets. Served from ``_blocked_cache`` — only terms not yet cached
-        touch parquet, and cached readers keep their decoded-block memos
-        across queries (warm path does no I/O)."""
-        names = self.term_ds.schema.names
-        if "block_doc_byte_off" not in names and "blk_n" not in names:
-            return None
+        runs sorted by doc range. Served from ``_blocked_cache`` — only
+        terms not yet cached touch parquet, and cached readers keep their
+        decoded-block memos across queries (warm path does no I/O)."""
         missing = [t for t in terms if (field, t) not in self._blocked_cache]
         if missing:
             tt = self._read_terms(
@@ -2054,8 +2027,6 @@ class LocalSearcher:
         ``self.last_block_stats`` reports (blocks_decoded, blocks_total).
         """
         runs = self._load_blocked_runs(field, terms)
-        if runs is None:
-            return self._search_or_fulldecode(field, terms, k, idf, dl, avgdl)
         terms = [t for t in terms if runs[t]]
         if not terms:
             self.last_block_stats = (0, 0)
@@ -2190,12 +2161,11 @@ class LocalSearcher:
         (we stop only when ``kth > ub``, and kth never decreases), and the
         final cut is the same ``lexsort((ids, -sc))[:k]``.
 
-        Returns None (caller falls back) when the index predates block
-        metadata or the bound is too flat to prune (needed blocks exceed a
-        third of the list — per-block decode overhead would beat one bulk
-        decode)."""
+        Returns None (caller falls back) when the term has no postings or
+        the bound is too flat to prune (needed blocks exceed a third of the
+        list — per-block decode overhead would beat one bulk decode)."""
         runs_all = self._load_blocked_runs(field, [term])
-        if runs_all is None or not runs_all.get(term):
+        if not runs_all.get(term):
             return None
         rl = runs_all[term]
         readers = [r[0] for r in rl]

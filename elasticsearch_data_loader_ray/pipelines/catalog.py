@@ -738,7 +738,7 @@ N_BANDS = 32  # 4 rows per band
 _MERSENNE = (1 << 61) - 1
 _FNV_OFF = np.uint64(1469598103934665603)
 _FNV_P = np.uint64(1099511628211)
-# Driver fast-path cutoffs (same pattern as build._make_plan/_finalize):
+# Driver fast-path cutoffs (same pattern as build._finalize):
 # below these sizes a Ray shuffle's fixed overhead dwarfs the work, so the
 # driver handles it; above, the distributed plan runs.
 _MINHASH_DRIVER_ROWS = 2_000_000   # band rows (3 int64 cols ~ 48 MB)
@@ -962,7 +962,7 @@ def q_minhash_lsh_pairs(sf_dir: str):
 
     # Band rows are ~all singleton buckets, so bucket-level work must not
     # pay per-group Python. Two plans behind an explicit size cutoff (the
-    # same driver-fast-path pattern as build._make_plan/_finalize):
+    # same driver-fast-path pattern as build._finalize):
     #  - small band table (<= _MINHASH_DRIVER_ROWS rows of 3 int64 cols):
     #    pull the integer columns and pair-generate with numpy run-length
     #    logic — one Ray pipeline total, no shuffle.

@@ -42,11 +42,10 @@ DOC_STATS = pa.schema(
     ]
 )
 
-# Per-segment posting (term) table — the LOGICAL schema. The default
-# physical layout (postings_compression="none") moves the *_enc byte
-# columns into a per-segment sidecar binary and stores
-# (segment_id, blob_off, doc_nbytes, tf_nbytes[, pos_nbytes]) byte ranges
-# instead (index/blobs.py); readers materialize either layout.
+# Per-segment posting (term) table — the LOGICAL schema. On disk the *_enc
+# byte columns and block lists live in a per-segment sidecar binary; the
+# parquet stores (segment_id, blob_off, doc_nbytes, tf_nbytes[, pos_nbytes],
+# blk_n) byte ranges instead (index/blobs.py), and readers materialize them.
 SEGMENT_TERMS = pa.schema(
     [
         pa.field("field", pa.string()),

@@ -128,15 +128,28 @@ def test_append_visible_via_refresh(tmp_path):
 
 
 def test_append_strict_duplicates_rejects_upsert(tmp_path):
+    from elasticsearch_data_loader_ray.index.append import _next_gen_base
+
     urls = [f"https://s/{i:04d}" for i in range(30)]
+    idx = str(tmp_path / "idx")
     build_index_from_corpus(
         rd.from_arrow(_corpus_table(urls, ["text one"] * 30)),
-        str(tmp_path / "idx"), BuildConfig(docs_per_segment=10))
-    with pytest.raises(DuplicateUrlError):
+        idx, BuildConfig(docs_per_segment=10))
+    gen_base = _next_gen_base(mf.committed_segments(idx))
+    with open(os.path.join(idx, "stats.json"), "rb") as f:
+        stats_before = f.read()
+    with pytest.raises(DuplicateUrlError) as ei:
         append_index_from_corpus(
-            rd.from_arrow(_corpus_table([urls[3]], ["conflict"])),
-            str(tmp_path / "idx"),
-            BuildConfig(docs_per_segment=10, strict_duplicates=True))
+            rd.from_arrow(_corpus_table([urls[3], "https://s/new"],
+                                        ["conflict", "fresh"])),
+            idx, BuildConfig(docs_per_segment=10, strict_duplicates=True))
+    assert ei.value.examples == [urls[3]]
+    # the rejection commits nothing and leaves no invisible generation
+    with open(os.path.join(idx, "stats.json"), "rb") as f:
+        assert f.read() == stats_before
+    assert not [s for s in mf.committed_segments(idx) if s >= gen_base]
+    assert not os.path.exists(os.path.join(idx, "corpus_gen",
+                                           f"gen-{gen_base}"))
 
 
 def test_invisible_segment_sweep_and_gating(tmp_path):
@@ -219,6 +232,29 @@ def test_delete_by_query_tombstones_matches(tmp_path):
     # unrelated second delete stacks
     assert delete_by_query(idx, "zeta") == 3
     assert count_matches(idx, "epsilon") == 0
+
+
+def test_refresh_sees_delete_only_commit(tmp_path):
+    """A delete_by_query commit changes no segment, only the tombstone
+    list; a live searcher's refresh() must still swap and stop serving
+    the deleted docs."""
+    from elasticsearch_data_loader_ray.index.append import delete_by_query
+
+    texts = ["alpha beta"] * 6 + ["alpha gamma"] * 6
+    urls = [f"{i:08d}" for i in range(len(texts))]
+    idx = str(tmp_path / "idx")
+    build_index_from_corpus(rd.from_arrow(_corpus_table(urls, texts)), idx,
+                            BuildConfig(docs_per_segment=5))
+    s = LocalSearcher(idx)
+    assert len(s.search("beta", k=20)[0]) == 6
+    assert s.refresh() is False  # nothing committed yet
+    assert delete_by_query(idx, "beta") == 6
+    assert s.refresh() is True
+    assert len(s.search("beta", k=20)[0]) == 0
+    ids, _sc = s.search("alpha", k=20)
+    umap = _url_of(idx)
+    assert sorted(umap[int(d)] for d in ids) == urls[6:]
+    assert s.refresh() is False
 
 
 def test_export_serves_newest_generation_after_upsert(tmp_path):

@@ -1,9 +1,10 @@
 """Postings blob sidecar (index/blobs.py): the Lucene terms-dict/.doc
 layout — encoded postings in a consolidated per-segment binary, byte-range
 columns in the terms parquet. These tests pin (a) split/materialize
-round-trip fidelity, (b) bitwise search parity between the inline and
-sidecar physical layouts, (c) ranged-read coalescing correctness, and
-(d) merge over mixed-layout segment sets."""
+round-trip fidelity, (b) that builds write the sidecar layout, (c)
+ranged-read coalescing correctness, and (d) fd-cache revalidation. Search
+over the layout is checked against brute force by the phrase and e2e
+oracle tests."""
 
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ from elasticsearch_data_loader_ray.functions.analyzers import token_count_batch
 from elasticsearch_data_loader_ray.index import blobs
 from elasticsearch_data_loader_ray.index import manifest as mf
 from elasticsearch_data_loader_ray.index.build import (
-    BuildConfig, build_index_from_corpus, read_segment_terms, seg_terms_path)
-from elasticsearch_data_loader_ray.index.merge import merge_segments
-from elasticsearch_data_loader_ray.index.search import LocalSearcher, PhraseSearcher
+    BuildConfig, build_index_from_corpus, seg_terms_path)
 
 
 def _corpus(n_docs: int, phrase_every: int = 7) -> pa.Table:
@@ -40,13 +39,10 @@ def _corpus(n_docs: int, phrase_every: int = 7) -> pa.Table:
     })
 
 
-def _build(tmp_path, name: str, corpus: pa.Table, sidecar: bool,
-           **cfg_kw) -> str:
+def _build(tmp_path, name: str, corpus: pa.Table) -> str:
     out = str(tmp_path / name)
-    build_index_from_corpus(
-        rd.from_arrow(corpus), out,
-        BuildConfig(docs_per_segment=500, postings_sidecar=sidecar,
-                    **cfg_kw))
+    build_index_from_corpus(rd.from_arrow(corpus), out,
+                            BuildConfig(docs_per_segment=500))
     return out
 
 
@@ -105,80 +101,13 @@ def test_read_ranges_coalescing(tmp_path):
     assert blobs._read_ranges(p, starts2, ends2)[0] == payload
 
 
-def test_sidecar_layout_written_and_inline_toggle(tmp_path):
-    corpus = _corpus(800)
-    idx_s = _build(tmp_path, "side", corpus, sidecar=True)
-    idx_i = _build(tmp_path, "inline", corpus, sidecar=False)
-
+def test_sidecar_layout_written(tmp_path):
+    idx_s = _build(tmp_path, "side", _corpus(800))
     seg = sorted(mf.committed_segments(idx_s))[0]
     schema_s = pq.read_schema(seg_terms_path(idx_s, seg))
-    assert blobs.has_sidecar(schema_s)
-    assert "doc_ids_enc" not in schema_s.names
+    assert all(c in schema_s.names for c in blobs.RANGE_COLUMNS[:3])
+    assert not any(c in schema_s.names for c in blobs.ENC_COLUMNS)
     assert os.path.exists(blobs.blob_path(seg_terms_path(idx_s, seg)))
-
-    seg_i = sorted(mf.committed_segments(idx_i))[0]
-    schema_i = pq.read_schema(seg_terms_path(idx_i, seg_i))
-    assert not blobs.has_sidecar(schema_i)
-    assert "doc_ids_enc" in schema_i.names
-
-
-def test_inline_vs_sidecar_search_parity(tmp_path):
-    corpus = _corpus(1200)
-    idx_s = _build(tmp_path, "side", corpus, sidecar=True,
-                   index_positions=True)
-    idx_i = _build(tmp_path, "inline", corpus, sidecar=False,
-                   index_positions=True)
-    s_s, s_i = LocalSearcher(idx_s), LocalSearcher(idx_i)
-    for q in ["alpha", "common body", "alpha beta gamma", "w13 filler7"]:
-        for mode in ["or", "and"]:
-            ids_a, sc_a = s_s.search(q, 25, mode=mode)
-            ids_b, sc_b = s_i.search(q, 25, mode=mode)
-            np.testing.assert_array_equal(ids_a, ids_b)
-            np.testing.assert_array_equal(sc_a, sc_b)  # bitwise
-    p_s, p_i = PhraseSearcher(s_s), PhraseSearcher(s_i)
-    ids_a, sc_a, _ = p_s.search("alpha beta gamma", 25)
-    ids_b, sc_b, _ = p_i.search("alpha beta gamma", 25)
-    np.testing.assert_array_equal(ids_a, ids_b)
-    np.testing.assert_array_equal(sc_a, sc_b)
-
-
-def test_merge_mixed_layouts(tmp_path):
-    """A merge run over segments written in different physical layouts
-    (e.g. an old inline index appended to after the sidecar landed) must
-    produce the same postings as an all-one-layout index."""
-    corpus = _corpus(1000)
-    idx = _build(tmp_path, "mixed", corpus, sidecar=True)
-    # rewrite ONE committed segment inline (simulating a pre-sidecar segment)
-    seg = sorted(mf.committed_segments(idx))[0]
-    logical = read_segment_terms(idx, seg)
-    path = seg_terms_path(idx, seg)
-    blob = blobs.blob_path(path)
-    pq.write_table(logical.drop_columns(
-        [c for c in ("segment_id",) if c in logical.column_names]), path)
-    if os.path.exists(blob):
-        os.remove(blob)
-    assert not blobs.has_sidecar(pq.read_schema(path))
-
-    before = {}
-    for s in sorted(mf.committed_segments(idx)):
-        t = read_segment_terms(idx, s)
-        for i in range(t.num_rows):
-            key = (t["field"][i].as_py(), t["term"][i].as_py())
-            before.setdefault(key, 0)
-            before[key] += t["df"][i].as_py()
-
-    merge_segments(idx, group_size=100)
-    segs = sorted(mf.committed_segments(idx))
-    assert len(segs) == 1
-    t = read_segment_terms(idx, segs[0])
-    after = {(t["field"][i].as_py(), t["term"][i].as_py()):
-             t["df"][i].as_py() for i in range(t.num_rows)}
-    assert after == before
-
-    # merged output is searchable and uses the current (sidecar) layout
-    assert blobs.has_sidecar(pq.read_schema(seg_terms_path(idx, segs[0])))
-    ids, _ = LocalSearcher(idx).search("alpha", 10)
-    assert len(ids) > 0
 
 
 def test_fd_cache_detects_inode_change(tmp_path):

@@ -152,3 +152,29 @@ def test_clear_errors_dir_retries_transient_enotempty(tmp_path, monkeypatch):
     # missing dir is a silent no-op (fresh index, nothing to clear)
     monkeypatch.setattr(shutil, "rmtree", real_rmtree)
     _clear_errors_dir(str(tmp_path / "never_existed"))
+
+
+def test_clear_errors_dir_warns_when_dir_survives(tmp_path, monkeypatch,
+                                                  caplog):
+    """An rmtree that always fails must not raise, but must not be silent
+    either: the surviving side-writes would over-count rejects."""
+    import logging
+    import shutil
+
+    from elasticsearch_data_loader_ray.index.build import _clear_errors_dir
+
+    d = tmp_path / "errors"
+    (d / "missing_payload").mkdir(parents=True)
+    (d / "missing_payload" / "b0.parquet").write_bytes(b"x")
+
+    def failing_rmtree(path, ignore_errors=False, **kw):
+        if not ignore_errors:
+            raise OSError(39, "Directory not empty", str(path))
+
+    monkeypatch.setattr(shutil, "rmtree", failing_rmtree)
+    monkeypatch.setattr("time.sleep", lambda _s: None)
+    with caplog.at_level(logging.WARNING):
+        _clear_errors_dir(str(d))
+    assert d.exists()
+    assert any(str(d) in r.getMessage() and r.levelno == logging.WARNING
+               for r in caplog.records)

@@ -1,6 +1,6 @@
 """Property-based checks for the round-4 surfaces: the JPEG codec over
 random images, mget over random url subsets vs a brute-force scan, and
-fused-vs-phased build identity at randomized sizes/segmenting."""
+corpus-only build resume at randomized sizes/segmenting."""
 
 from __future__ import annotations
 
@@ -107,48 +107,80 @@ def test_mget_random_subsets_match_brute(mget_index, data):
         assert txt == truth[u]
 
 
-@pytest.mark.parametrize("seed,n_docs,dps", [(3, 211, 31), (77, 460, 120)])
-def test_fused_equals_phased_random_sizes(tmp_path, seed, n_docs, dps):
-    """The fused (grouped, packed) exchange and the 4-phase sort-shuffle
-    path must agree on the SEMANTIC contract at arbitrary sizes: the same
-    global (doc_id, url, doc_len) assignment (doc ids are url ranks in
-    both) and bitwise-identical search results. Segment MEMBERSHIP may
-    legitimately differ — fused samples range boundaries from the input's
-    url column while the phased plan samples the extracted corpus, so the
-    quantile cuts land differently around reject rows."""
-    from elasticsearch_data_loader_ray import fixtures
+def _doc_table(idx: str) -> pa.Table:
     from elasticsearch_data_loader_ray.index import manifest as mf
-    from elasticsearch_data_loader_ray.index.build import (
-        BuildConfig,
-        build_index,
-        seg_docs_path,
-    )
-    from elasticsearch_data_loader_ray.index.search import search_inprocess
+    from elasticsearch_data_loader_ray.index.build import seg_docs_path
+
+    files = [seg_docs_path(idx, s) for s in sorted(mf.committed_segments(idx))]
+    return pq.read_table(files, columns=["doc_id", "url", "doc_len"]
+                         ).sort_by("doc_id")
+
+
+def _write_src(tmp_path, n_docs: int, seed: int):
+    from elasticsearch_data_loader_ray import fixtures
 
     t = fixtures.generate_webtext(n_docs, seed=seed)
     src = tmp_path / "src"
     src.mkdir()
     pq.write_table(t, str(src / "p.parquet"))
-    a, b = str(tmp_path / "fused"), str(tmp_path / "phased")
-    sa = build_index(str(src), a, BuildConfig(docs_per_segment=dps))
-    os.environ["EDLR_FUSED"] = "0"
-    try:
-        sb = build_index(str(src), b, BuildConfig(docs_per_segment=dps))
-    finally:
-        del os.environ["EDLR_FUSED"]
-    assert sa["n_docs"] == sb["n_docs"]
-    assert sa["dl_total"] == sb["dl_total"]
-    assert sa["n_postings"] == sb["n_postings"]
+    return t, str(src)
 
-    def doc_table(idx):
-        files = [seg_docs_path(idx, s)
-                 for s in sorted(mf.committed_segments(idx))]
-        dt = pq.read_table(files, columns=["doc_id", "url", "doc_len"])
-        return dt.sort_by("doc_id")
 
-    assert doc_table(a).equals(doc_table(b))
+@pytest.mark.parametrize("seed,n_docs,dps", [(3, 211, 31), (77, 460, 120)])
+def test_corpus_only_resume_random_sizes(tmp_path, seed, n_docs, dps):
+    """A crash after the corpus committed but before plan.json landed
+    (corpus/_SUCCESS only) resumes through the exchange, re-sampling
+    boundaries from the committed corpus. Segment MEMBERSHIP may differ from
+    the fresh build (input vs corpus quantiles), but the (doc_id, url,
+    doc_len) assignment is the url rank in both, and search stays
+    bitwise-equal to the brute-force oracle."""
+    import shutil
+
+    from elasticsearch_data_loader_ray import fixtures
+    from elasticsearch_data_loader_ray.index import oracle
+    from elasticsearch_data_loader_ray.index.build import (
+        BuildConfig,
+        build_index,
+    )
+    from elasticsearch_data_loader_ray.index.search import search_inprocess
+
+    t, src = _write_src(tmp_path, n_docs, seed)
+    idx = str(tmp_path / "idx")
+    cfg = BuildConfig(docs_per_segment=dps)
+    fresh = build_index(src, idx, cfg)
+    want_docs = _doc_table(idx)
+    os.unlink(os.path.join(idx, "plan.json"))
+    os.unlink(os.path.join(idx, "stats.json"))
+    for sub in ("terms", "docs", "manifests", "term_stats"):
+        shutil.rmtree(os.path.join(idx, sub))
+    assert os.path.exists(os.path.join(idx, "corpus", "_SUCCESS"))
+    resumed = build_index(src, idx, cfg)
+    assert resumed["n_docs"] == fresh["n_docs"]
+    assert resumed["dl_total"] == fresh["dl_total"]
+    assert resumed["rejects"] == fresh["rejects"]
+    assert _doc_table(idx).equals(want_docs)
     queries = fixtures.generate_queries()
-    ga = search_inprocess(a, queries).to_pandas()
-    gb = search_inprocess(b, queries).to_pandas()
-    assert ga["doc_id"].tolist() == gb["doc_id"].tolist()
-    assert ga["score"].tolist() == gb["score"].tolist()  # bitwise
+    got = search_inprocess(idx, queries).to_pandas()
+    want = oracle.bm25_topk(t, queries).to_pandas()
+    assert got["doc_id"].tolist() == want["doc_id"].tolist()
+    assert got["score"].tolist() == want["score"].tolist()  # bitwise
+
+
+def test_segments_without_plan_refused(tmp_path):
+    """Committed segments with no plan.json have no recorded doc-id plan:
+    the build must refuse the state instead of rebuilding over them."""
+    from elasticsearch_data_loader_ray.index.build import (
+        BuildConfig,
+        build_index,
+    )
+
+    _t, src = _write_src(tmp_path, 150, 5)
+    idx = str(tmp_path / "idx")
+    cfg = BuildConfig(docs_per_segment=50)
+    build_index(src, idx, cfg)
+    before = _doc_table(idx)
+    os.unlink(os.path.join(idx, "plan.json"))
+    os.unlink(os.path.join(idx, "stats.json"))
+    with pytest.raises(ValueError, match="no plan.json"):
+        build_index(src, idx, cfg)
+    assert _doc_table(idx).equals(before)  # nothing rebuilt over

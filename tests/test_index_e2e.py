@@ -74,26 +74,6 @@ def test_doc_ids_dense_and_url_sorted(index_dir):
     assert all_urls == sorted(all_urls)
 
 
-def test_packed_shuffle_identical_index(webtext, index_dir, tmp_path_factory):
-    """shuffle_pack_codec packs each (block x bucket) cell into one Arrow-IPC
-    payload row before the segment exchange (the multi-node/network shuffle
-    shape); the resulting index must be file-identical to the raw-row path."""
-    _, src = webtext
-    idx, stats = index_dir
-    out = str(tmp_path_factory.mktemp("index_packed"))
-    cfg = BuildConfig(docs_per_segment=150, extract_concurrency=2,
-                      shuffle_pack_codec="zstd")
-    stats_p = build_index(src, out, cfg)
-    assert stats_p["n_docs"] == stats["n_docs"]
-    assert stats_p["n_postings"] == stats["n_postings"]
-    from elasticsearch_data_loader_ray.index.build import seg_terms_path
-
-    for s in sorted(mf.committed_segments(idx)):
-        a = pq.read_table(seg_terms_path(idx, s))
-        b = pq.read_table(seg_terms_path(out, s))
-        assert a.equals(b)
-
-
 def test_search_matches_oracle_bitwise(webtext, index_dir):
     t, _ = webtext
     idx, _ = index_dir
@@ -256,29 +236,6 @@ def test_manifest_lineage_fields(index_dir):
     for field in ("n_docs", "n_postings", "url_checksum", "doc_id_base",
                   "build_secs", "status"):
         assert field in m
-
-
-def test_distributed_plan_path_builds_identical_docs(webtext, index_dir,
-                                                     tmp_path_factory,
-                                                     monkeypatch):
-    """Forcing the >cutoff distributed plan (sampled boundaries + bucketed
-    exact counts) must index the same doc set with the same global stats;
-    search results must match the fast-path index exactly (doc ids are
-    url-rank, invariant to boundary placement)."""
-    _, src = webtext
-    idx_fast, stats_fast = index_dir
-    monkeypatch.setenv("EDLR_PLAN_CUTOFF", "1")
-    out = str(tmp_path_factory.mktemp("index_distplan"))
-    stats = build_index(src, out, BuildConfig(docs_per_segment=150,
-                                              extract_concurrency=2))
-    assert stats["n_docs"] == stats_fast["n_docs"]
-    assert stats["n_postings"] == stats_fast["n_postings"]
-    assert abs(stats["avgdl"] - stats_fast["avgdl"]) < 1e-9
-    queries = fixtures.generate_queries()
-    a = search(idx_fast, queries).to_pandas()
-    b = search(out, queries).to_pandas()
-    assert a["doc_id"].tolist() == b["doc_id"].tolist()
-    assert a["score"].tolist() == b["score"].tolist()
 
 
 def test_search_after_windowed_path_tiles(index_dir, monkeypatch):

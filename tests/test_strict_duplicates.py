@@ -37,15 +37,6 @@ def test_strict_duplicates_fails_with_examples(tmp_path):
     assert not os.path.isdir(tmp_path / "idx" / "manifests")
 
 
-def test_strict_duplicates_fails_on_phased_path_too(tmp_path, monkeypatch):
-    src = _write_src(tmp_path)
-    monkeypatch.setenv("EDLR_FUSED", "0")
-    with pytest.raises(DuplicateUrlError):
-        build_index(src, str(tmp_path / "idx2"), BuildConfig(
-            docs_per_segment=100, strict_duplicates=True))
-    assert not os.path.exists(tmp_path / "idx2" / "plan.json")
-
-
 def test_default_build_counts_duplicates(tmp_path):
     src = _write_src(tmp_path)
     stats = build_index(src, str(tmp_path / "idx3"),
