@@ -106,7 +106,6 @@ def run_bench() -> dict:
     from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
     from elasticsearch_data_loader_ray.index.search import (
         LocalSearcher,
-        SearchConfig,
         search,
     )
 
@@ -154,9 +153,10 @@ def run_bench() -> dict:
         return out
 
     queries = fixtures.generate_queries()
-    # distributed batch search (actor pool) — whole reference set
+    # distributed batch search (one task per segment group) — whole
+    # reference set
     t0 = time.perf_counter()
-    search(BENCH_IDX, queries, SearchConfig(use_maxscore=True))
+    search(BENCH_IDX, queries)
     batch_search_secs = time.perf_counter() - t0
     # per-query latency, in-process searcher (serving path): first pass is
     # cold (parquet reads), later passes hit the hot postings cache

@@ -16,7 +16,7 @@ golden tests citing the reference (see SURVEY.md / FIXTURES.md).
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuildConfig", "SearchConfig", "build_index", "build_index_from_corpus",
+    "BuildConfig", "build_index", "build_index_from_corpus",
     "append_index", "append_index_from_corpus",
     "search", "search_inprocess", "LocalSearcher", "PhraseSearcher",
     "merge_segments",
@@ -32,7 +32,7 @@ def __getattr__(name):  # lazy public API (avoid importing ray at package import
         from .index import append as _a
 
         return getattr(_a, name)
-    if name in ("SearchConfig", "search", "search_inprocess", "LocalSearcher",
+    if name in ("search", "search_inprocess", "LocalSearcher",
                 "PhraseSearcher"):
         from .index import search as _s
 

@@ -9,20 +9,21 @@ over the same source column, ``search_scheme.json:140-198``) are separate
 ``field`` values in the term tables; each query targets one field
 (default ``text``).
 
-Execution: one stateful searcher actor pool over a Dataset of segments; each
-task scores its segments against all queries (queries + idf broadcast via
-``ray.put``) and emits per-segment top-k; a ``groupby(query_id)`` merge
-produces the global top-k (A5 tree-merge analogue).
+Execution: one scorer, :class:`LocalSearcher`. A query row (plain, bool,
+multi_match, fuzzy, wildcard, regexp, phrase, function_score, boosting)
+maps to one ``LocalSearcher`` method in :func:`_run_query`, which both
+entry points share. :func:`search_inprocess` runs it on one whole-index
+searcher; :func:`search` runs it in Ray tasks, each on a searcher bound to
+one contiguous group of visible segments, and merges the groups' top-k per
+query by (score desc, doc_id asc). The merge is exact: a doc's postings
+live in one segment, and every group scores with the global idf, avgdl and
+doc lengths, so each group's top-k is bitwise the whole index's restricted
+to its docs.
 
-Scoring modes:
-
-* exact (default): accumulate every query term in lexicographic term order —
-  bitwise-identical float64 scores vs the brute-force oracle.
-* maxscore (``use_maxscore=True``): terms processed in descending
-  idf*max_impact; once the remaining upper bound cannot beat the current
-  k-th score, remaining terms only update already-touched docs (classic
-  MaxScore, using the term-level bound from the block-max metadata).
-  Rank-identical; scores equal to ~1e-12 (float association order differs).
+Scoring: accumulation runs per term in lexicographic order, so scores are
+bitwise-identical to the brute-force oracle on every path; OR queries pick
+exhaustive decode or block-max WAND pruning (``or_strategy``), AND queries
+skip blocks, and both return the exhaustive path's scores bitwise.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from ..functions.analyzers import analyze
 from . import blobs, codec
@@ -45,13 +44,6 @@ from . import manifest as mf
 from .build import seg_docs_path, seg_terms_path
 
 DEFAULT_FIELD = "text"
-
-
-@dataclass
-class SearchConfig:
-    use_maxscore: bool = False
-    concurrency: tuple[int, int] | int = (1, 8)
-    segments_per_batch: int = 4
 
 
 def _dl_column(field: str) -> str:
@@ -265,8 +257,8 @@ def parse_query_string(q: str) -> dict:
     * ``word_count:[lo TO hi]`` — non-scoring range filter on the
       per-doc token count (either end ``*`` for open).
 
-    The output feeds :func:`prepare_bool_spec` unchanged, so local and
-    distributed serving and the DuckDB oracle all share one lowering.
+    The output feeds :func:`prepare_bool_spec` unchanged, so every
+    serving path and the DuckDB oracle share one lowering.
     """
     must: list[str] = []
     should: list[str] = []
@@ -334,9 +326,7 @@ def prepare_bool_spec(bq: dict, field: str, analyzer: str) -> dict:
       O(missing docs), not O(corpus)).
 
     The returned spec carries per-clause term lists (``query_terms``
-    order: deduped, sorted — fixes float accumulation order) plus a
-    ``load`` map of every (field -> terms) the index must fetch, so both
-    serving paths read postings once and score identically."""
+    order: deduped, sorted — fixes float accumulation order)."""
     must = [query_terms(s, analyzer) for s in bq.get("must", ())]
     should = [query_terms(s, analyzer) for s in bq.get("should", ())]
     must_not = [query_terms(s, analyzer) for s in bq.get("must_not", ())]
@@ -372,17 +362,10 @@ def prepare_bool_spec(bq: dict, field: str, analyzer: str) -> dict:
     if msm is None:
         msm = 0 if (must or filter_terms or filter_any or range_dl
                     or exists or msm_div) else 1
-    load: dict[str, list[str]] = {
-        field: sorted({t for cl in (*must, *should, *must_not) for t in cl})}
-    for f, t in filter_terms:
-        load.setdefault(f, []).append(t)
-    for f, vs in filter_any:
-        load.setdefault(f, []).extend(vs)
-    load = {f: sorted(set(ts)) for f, ts in load.items() if ts}
     return {"field": field, "must": must, "should": should,
             "must_not": must_not, "filter_terms": filter_terms,
             "filter_any": filter_any, "exists": exists,
-            "range_dl": range_dl, "msm": int(msm), "load": load,
+            "range_dl": range_dl, "msm": int(msm),
             "msm_div": int(msm_div) if msm_div else 0, "msm_src": msm_src}
 
 
@@ -698,629 +681,6 @@ def expand_prefix(index_dir: str, field: str, prefix: str,
     return sorted(set(tbl["term"].to_pylist()))[:max_expansions]
 
 
-def _prepare(queries, stats: dict) -> list[tuple[int, str, list[str], int, str]]:
-    qrows = queries.to_pylist() if isinstance(queries, pa.Table) else list(queries)
-    out = []
-    for q in qrows:
-        if q.get("bool") is not None:  # ES bool query body (dict or JSON)
-            bq = q["bool"]
-            if isinstance(bq, str):
-                import json as _json
-                bq = _json.loads(bq)
-            field = q.get("field") or DEFAULT_FIELD
-            spec = prepare_bool_spec(bq, field, _field_analyzer(stats, field))
-            out.append((int(q["query_id"]), field, spec,
-                        int(q.get("k", 10)), "bool"))
-            continue
-        if q.get("fields"):  # multi_match: per-field analyzed term lists
-            fields = _parse_boosted_fields(q["fields"])
-            combine = q.get("multi_type", "most_fields")
-            if combine not in ("most_fields", "best_fields"):
-                raise ValueError(f"unknown multi_type {combine!r}")
-            terms_by_field = {
-                f: query_terms(q["query"], _field_analyzer(stats, f))
-                for f, _b in fields}
-            out.append((int(q["query_id"]), fields, terms_by_field,
-                        int(q.get("k", 10)), f"multi:{combine}"))
-            continue
-        field = q.get("field") or DEFAULT_FIELD
-        mode = q.get("mode", "or")
-        if mode == "fuzzy":
-            # expansion happens against the index term dictionary in
-            # search()/LocalSearcher — params ride along in the mode tag
-            terms = query_terms(q["query"], _field_analyzer(stats, field))
-            tag = (f"fuzzy:{q.get('fuzziness', 'AUTO')}"
-                   f":{int(q.get('prefix_length', 1))}"
-                   f":{int(q.get('max_expansions', 50))}")
-            out.append((int(q["query_id"]), field, terms,
-                        int(q.get("k", 10)), tag))
-            continue
-        if mode in ("wildcard", "regexp"):
-            # raw pattern, never analyzed (ES wildcard/regexp contract)
-            out.append((int(q["query_id"]), field, [str(q["query"])],
-                        int(q.get("k", 10)), mode))
-            continue
-        if mode == "function_score":
-            terms = query_terms(q["query"], _field_analyzer(stats, field))
-            out.append((int(q["query_id"]), field, terms,
-                        int(q.get("k", 10)),
-                        f"fscore:{q.get('modifier', 'log1p')}"))
-            continue
-        if mode == "boosting":
-            an = _field_analyzer(stats, field)
-            out.append((int(q["query_id"]), field,
-                        {"pos": query_terms(q["query"], an),
-                         "neg": query_terms(q.get("negative", ""), an)},
-                        int(q.get("k", 10)),
-                        f"boosting:{float(q.get('negative_boost', 0.5))!r}"))
-            continue
-        if mode == "phrase":
-            # ordered token sequence, duplicates kept (position matching)
-            terms = list(analyze(_field_analyzer(stats, field), q["query"]))
-        else:
-            terms = query_terms(q["query"], _field_analyzer(stats, field))
-        out.append((int(q["query_id"]), field, terms, int(q.get("k", 10)),
-                    mode))
-    return out
-
-
-class SegmentSearcher:
-    """Actor: scores segment batches against the broadcast query set."""
-
-    def __init__(self, index_dir: str, prepared_ref, idf_ref,
-                 avgdl_by_field: dict[str, float], use_maxscore: bool):
-        def deref(x):
-            return ray.get(x) if isinstance(x, ray.ObjectRef) else x
-
-        self.index_dir = index_dir
-        self.queries = deref(prepared_ref)  # [(qid, field, [terms], k, mode)]
-        self.idf = deref(idf_ref)           # {(field, term): idf}
-        self.avgdl = avgdl_by_field
-        self.use_maxscore = use_maxscore
-        stats = _load_stats(index_dir)
-        self._deleted = _load_deleted(index_dir, stats)
-        self._bscale = _bound_scale(
-            _visible_seg_ids(index_dir, stats)[1], stats)
-        self.by_field: dict[str, list[str]] = {}
-        self._extra_dl: set[str] = set()
-        self._rangeonly_bool = False
-        for _qid, field, terms, _k, _m in self.queries:
-            if _m == "bool":
-                # bool specs load every clause term (filter/must_not terms
-                # included — they gate matching even without an idf entry)
-                for f, ts in terms["load"].items():
-                    self.by_field.setdefault(f, []).extend(ts)
-                for rf, _lo, _hi in terms["range_dl"]:
-                    self._extra_dl.add(_range_dl_field(rf))
-                if terms.get("msm_div"):
-                    self._extra_dl.add(_range_dl_field(terms["msm_src"]))
-                if not terms["load"]:
-                    self._rangeonly_bool = True
-                continue
-            if isinstance(_m, str) and _m.startswith("boosting:"):
-                got = self.by_field.setdefault(field, [])
-                got.extend(t for t in terms["pos"]
-                           if (field, t) in self.idf)
-                # negative terms gate demotion; no idf entry needed
-                got.extend(terms["neg"])
-                continue
-            items = (terms.items() if isinstance(terms, dict)
-                     else [(field, terms)])
-            for f, ts in items:
-                got = self.by_field.setdefault(f, [])
-                got.extend(t for t in ts if (f, t) in self.idf)
-        # drop fields with no surviving terms: their doc_len_<field> column
-        # may not exist and they contribute nothing
-        self.by_field = {f: sorted(set(ts))
-                         for f, ts in self.by_field.items() if ts}
-
-    def _load_segment(self, seg_id: int):
-        filters = _term_filters(self.by_field)
-        if filters is None:
-            if not self._rangeonly_bool:
-                return None
-            # a term-less (range-filter-only) bool query still needs the
-            # segment's doc range + doc lengths
-            docs = pq.read_table(
-                seg_docs_path(self.index_dir, seg_id),
-                columns=["doc_id", *sorted({_dl_column(f)
-                                            for f in self._extra_dl})])
-            if docs.num_rows == 0:
-                return None
-            base = int(docs["doc_id"][0].as_py())
-            dl = {f: docs[_dl_column(f)].to_numpy().astype(np.float64)
-                  for f in self._extra_dl}
-            return base, docs.num_rows, dl, {}, {}
-        path = seg_terms_path(self.index_dir, seg_id)
-        need_positions = any(m == "phrase" for *_rest, m in self.queries)
-        schema = pq.read_schema(path)
-        cols = ["field", "term", "df", "max_impact", "segment_id",
-                *blobs.RANGE_COLUMNS]
-        if "pos_nbytes" not in schema.names:
-            cols.remove("pos_nbytes")
-        tt = pq.read_table(path, columns=cols, filters=filters)
-        tt = blobs.materialize_enc(tt, lambda _s: path,
-                                   want_positions=need_positions)
-        dl_fields = set(self.by_field) | self._extra_dl
-        dl_cols = sorted({_dl_column(f) for f in dl_fields})
-        docs = pq.read_table(seg_docs_path(self.index_dir, seg_id),
-                             columns=["doc_id", *dl_cols])
-        if docs.num_rows == 0:
-            return None
-        base = int(docs["doc_id"][0].as_py())
-        dl = {f: docs[_dl_column(f)].to_numpy().astype(np.float64)
-              for f in dl_fields}
-        postings: dict[tuple[str, str], tuple] = {}
-        positions: dict[tuple[str, str], dict[int, np.ndarray]] = {}
-        for i in range(tt.num_rows):
-            key = (tt["field"][i].as_py(), tt["term"][i].as_py())
-            ids, tfs = codec.decode_postings(
-                tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-                int(tt["df"][i].as_py()),
-            )
-            postings[key] = (ids, tfs, float(tt["max_impact"][i].as_py()))
-            if need_positions:
-                enc_pos = tt["positions_enc"][i].as_py()
-                if enc_pos is not None:
-                    positions[key] = _positions_by_doc(ids, tfs, enc_pos)
-        return base, docs.num_rows, dl, postings, positions
-
-    def _score_conjunctive(self, field: str, terms: list[str], k: int,
-                           base: int, dl: np.ndarray,
-                           postings: dict) -> tuple[np.ndarray, np.ndarray]:
-        """AND semantics (ES bool-must analogue): docs containing ALL query
-        terms, BM25-scored; a term absent from the index matches nothing.
-        Segments hold disjoint doc ranges, so per-segment intersection is
-        exact."""
-        keys = [(field, t) for t in terms]
-        if not keys or any(kk not in self.idf for kk in keys):
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        if any(kk not in postings for kk in keys):
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        avgdl = self.avgdl[field]
-        cand = postings[keys[0]][0]
-        for kk in keys[1:]:
-            cand = np.intersect1d(cand, postings[kk][0], assume_unique=True)
-            if len(cand) == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-        if len(self._deleted):
-            cand = cand[_drop_deleted(self._deleted, cand)]
-            if len(cand) == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-        loc = cand - base
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for kk in keys:  # lexicographic order (query_terms sorts)
-            ids, tfs, _ = postings[kk]
-            pos = np.searchsorted(ids, cand)
-            scores += self.idf[kk] * codec.bm25_tf_impact(
-                tfs[pos], dl[loc], avgdl)
-        if len(cand) > k:
-            kth = np.partition(scores, -k)[-k]
-            keep = scores >= kth
-            cand, scores = cand[keep], scores[keep]
-        order = np.lexsort((cand, -scores))[:k]
-        return cand[order].astype(np.int64), scores[order]
-
-    def _score_phrase(self, field: str, seq: list[str], k: int, base: int,
-                      dl: np.ndarray, postings: dict,
-                      positions: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Phrase semantics per segment (doc ranges disjoint -> exact).
-        Same scoring convention as PhraseSearcher: docs where the token
-        sequence occurs, sum(idf of unique terms) * impact(phrase_freq)."""
-        uniq = sorted(set(seq))
-        keys = [(field, t) for t in uniq]
-        if (not keys or any(kk not in self.idf for kk in keys)
-                or any(kk not in postings for kk in keys)
-                or any(kk not in positions for kk in keys)):
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        cand = postings[keys[0]][0]
-        for kk in keys[1:]:
-            cand = np.intersect1d(cand, postings[kk][0], assume_unique=True)
-            if len(cand) == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-        if len(self._deleted):
-            cand = cand[_drop_deleted(self._deleted, cand)]
-        idf_sum = float(sum(self.idf[(field, t)] for t in uniq))
-        avgdl = self.avgdl[field]
-        hits, freqs = [], []
-        for d in cand:
-            fq = _phrase_freq([positions[(field, t)][int(d)] for t in seq])
-            if fq > 0:
-                hits.append(int(d))
-                freqs.append(fq)
-        if not hits:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        hits_a = np.array(hits, dtype=np.int64)
-        scores = idf_sum * codec.bm25_tf_impact(
-            np.array(freqs, dtype=np.float64), dl[hits_a - base], avgdl)
-        order = np.lexsort((hits_a, -scores))[:k]
-        return hits_a[order], scores[order]
-
-    def _score_query(self, field: str, terms: list[str], k: int, base: int,
-                     n: int, dl: np.ndarray,
-                     postings: dict) -> tuple[np.ndarray, np.ndarray]:
-        keys = [(field, t) for t in terms]
-        keys = [kk for kk in keys if kk in postings and kk in self.idf]
-        if not keys:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        avgdl = self.avgdl[field]
-        scores = np.zeros(n, dtype=np.float64)
-        touched = np.zeros(n, dtype=bool)
-        if not self.use_maxscore:
-            for kk in keys:  # lexicographic order fixed by query_terms()
-                ids, tfs, _ = postings[kk]
-                loc = ids - base
-                scores[loc] += self.idf[kk] * codec.bm25_tf_impact(
-                    tfs, dl[loc], avgdl)
-                touched[loc] = True
-        else:
-            ubs = [(self.idf[kk] * postings[kk][2] * self._bscale, kk)
-                   for kk in keys]
-            ubs.sort(reverse=True)
-            remaining = sum(u for u, _ in ubs)
-            theta = -np.inf
-            for u, kk in ubs:
-                ids, tfs, _ = postings[kk]
-                loc = ids - base
-                if remaining < theta:
-                    keep = touched[loc]
-                    loc, tfs = loc[keep], tfs[keep]
-                    if len(loc) == 0:
-                        remaining -= u
-                        continue
-                scores[loc] += self.idf[kk] * codec.bm25_tf_impact(
-                    tfs, dl[loc], avgdl)
-                touched[loc] = True
-                remaining -= u
-                # theta over NON-deleted docs only: a tombstoned doc in the
-                # top-k would inflate the bar and over-prune legit docs
-                loc_t = np.flatnonzero(touched)
-                if len(self._deleted):
-                    loc_t = loc_t[_drop_deleted(self._deleted, loc_t + base)]
-                cand = scores[loc_t]
-                if len(cand) > k:
-                    theta = np.partition(cand, -k)[-k]
-        loc = np.flatnonzero(touched)
-        sc = scores[loc]
-        if len(self._deleted):
-            keepd = _drop_deleted(self._deleted, loc + base)
-            loc, sc = loc[keepd], sc[keepd]
-        if len(loc) > k:
-            kth = np.partition(sc, -k)[-k]
-            keep = sc >= kth  # keep ALL ties at the k-th score for tie-break
-            loc, sc = loc[keep], sc[keep]
-        order = np.lexsort((loc, -sc))[:k]
-        return (loc[order] + base).astype(np.int64), sc[order]
-
-    def _score_multi(self, fields: tuple, terms_by_field: dict, k: int,
-                     combine: str, base: int, n: int,
-                     dl_by_field: dict[str, np.ndarray],
-                     postings: dict) -> tuple[np.ndarray, np.ndarray]:
-        """multi_match semantics per segment (ES multi_match analogue).
-
-        ``most_fields``: combined score = SUM over fields of that field's
-        (boost x) BM25 score (its own analyzer terms, df, dl and avgdl;
-        idf over the global doc count — the engine's single-field
-        convention). ``best_fields``: MAX over boosted field scores (ES
-        dis_max with tie_breaker=0). ``fields`` is ((name, boost), ...)
-        from the ES ``"name^boost"`` syntax. Accumulation is (field,
-        term)-major over ascending doc ids — the same per-doc addition
-        order as LocalSearcher.search_multi, so both paths are
-        bitwise-identical."""
-        scores = np.zeros(n, dtype=np.float64)
-        touched = np.zeros(n, dtype=bool)
-        plain_sum = (combine == "most_fields"
-                     and all(b == 1.0 for _f, b in fields))
-        fsc = scores if plain_sum else np.zeros(n)
-        for field, boost in fields:
-            if field not in self.by_field or field not in self.avgdl:
-                continue
-            dlf = dl_by_field.get(field)
-            if dlf is None:
-                continue
-            avgdl = self.avgdl[field]
-            if not plain_sum:
-                fsc[:] = 0.0
-            for t in terms_by_field.get(field, ()):
-                kk = (field, t)
-                if kk not in postings or kk not in self.idf:
-                    continue
-                ids, tfs, _mi = postings[kk]
-                loc = ids - base
-                fsc[loc] += self.idf[kk] * codec.bm25_tf_impact(
-                    tfs, dlf[loc], avgdl)
-                touched[loc] = True
-            if not plain_sum:
-                if combine == "best_fields":
-                    np.maximum(scores, boost * fsc, out=scores)
-                else:
-                    scores += boost * fsc
-        loc = np.flatnonzero(touched)
-        sc = scores[loc]
-        if len(self._deleted):
-            keepd = _drop_deleted(self._deleted, loc + base)
-            loc, sc = loc[keepd], sc[keepd]
-        if len(loc) > k:
-            kth = np.partition(sc, -k)[-k]
-            keep = sc >= kth
-            loc, sc = loc[keep], sc[keep]
-        order = np.lexsort((loc, -sc))[:k]
-        return (loc[order] + base).astype(np.int64), sc[order]
-
-    def _score_bool(self, spec: dict, k: int, base: int, n: int,
-                    dl_by_field: dict[str, np.ndarray],
-                    postings: dict, seg_id: int = -1
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """ES bool query per segment (see ``prepare_bool_spec`` for the
-        clause semantics). Segments hold disjoint doc ranges and every
-        posting of a doc lives in its segment, so must/filter/must_not
-        resolution within the segment is globally exact. Accumulation is
-        clause-major, term order as analyzed — the same per-doc addition
-        order as ``LocalSearcher.search_bool`` (bitwise-identical)."""
-        field = spec["field"]
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-
-        def runs_of(f):
-            return lambda t: ([postings[(f, t)][:2]]
-                              if (f, t) in postings else [])
-
-        score_runs = runs_of(field)
-        # candidate doc ids (absolute)
-        if spec["must"]:
-            cand = None
-            for cl in spec["must"]:
-                ids = _bool_clause_ids(cl, score_runs)
-                cand = ids if cand is None else np.intersect1d(
-                    cand, ids, assume_unique=True)
-                if len(cand) == 0:
-                    return empty
-        elif spec["should"]:
-            cand = _bool_clause_ids(
-                [t for cl in spec["should"] for t in cl], score_runs)
-        elif spec["filter_terms"] or spec.get("filter_any"):
-            cand = None
-        else:  # range-only: every doc in the segment
-            cand = np.arange(base, base + n, dtype=np.int64)
-        for f, t in spec["filter_terms"]:
-            ids = _bool_clause_ids([t], runs_of(f))
-            cand = ids if cand is None else np.intersect1d(
-                cand, ids, assume_unique=True)
-            if len(cand) == 0:
-                return empty
-        for f, vs in spec.get("filter_any", ()):
-            ids = _bool_clause_ids(vs, runs_of(f))
-            cand = ids if cand is None else np.intersect1d(
-                cand, ids, assume_unique=True)
-            if len(cand) == 0:
-                return empty
-        if cand is None or len(cand) == 0:
-            return empty
-        for rf, lo, hi in spec["range_dl"]:
-            dlf = dl_by_field.get(_range_dl_field(rf))
-            if dlf is None:
-                return empty
-            v = dlf[cand - base]
-            cand = cand[(v >= lo) & (v <= hi)]
-            if len(cand) == 0:
-                return empty
-        for col in spec.get("exists", ()):
-            nulls = _null_dv_ids_segment(self.index_dir, seg_id, col)
-            if len(nulls):
-                cand = cand[_drop_deleted(nulls, cand)]
-                if len(cand) == 0:
-                    return empty
-        for cl in spec["must_not"]:
-            nids = _bool_clause_ids(cl, score_runs)
-            if len(nids):
-                cand = cand[~_in_sorted(nids, cand)]
-                if len(cand) == 0:
-                    return empty
-        if spec["msm"] > 0 and spec["should"]:
-            cnt = np.zeros(len(cand), np.int64)
-            for cl in spec["should"]:
-                cnt += _in_sorted(_bool_clause_ids(cl, score_runs), cand)
-            cand = cand[cnt >= spec["msm"]]
-            if len(cand) == 0:
-                return empty
-        if spec.get("msm_div") and spec["should"]:
-            # terms_set: required(doc) = min(n_clauses,
-            # max(1, floor(dl_src / divisor))) — per-doc dynamic msm
-            cnt = np.zeros(len(cand), np.int64)
-            for cl in spec["should"]:
-                cnt += _in_sorted(_bool_clause_ids(cl, score_runs), cand)
-            src = dl_by_field[_range_dl_field(spec["msm_src"])]
-            req = np.minimum(
-                len(spec["should"]),
-                np.maximum(1, src[cand - base].astype(np.int64)
-                           // spec["msm_div"]))
-            cand = cand[cnt >= req]
-            if len(cand) == 0:
-                return empty
-        if len(self._deleted):
-            cand = cand[_drop_deleted(self._deleted, cand)]
-            if len(cand) == 0:
-                return empty
-        scores = np.zeros(len(cand), dtype=np.float64)
-        dlf = dl_by_field.get(field)
-        avgdl = self.avgdl.get(field)
-        for cl in (*spec["must"], *spec["should"]):
-            for t in cl:
-                kk = (field, t)
-                if kk not in postings or kk not in self.idf:
-                    continue
-                ids, tfs, _mi = postings[kk]
-                hit = _in_sorted(ids, cand)
-                pos = np.searchsorted(ids, cand[hit])
-                scores[hit] += self.idf[kk] * codec.bm25_tf_impact(
-                    tfs[pos], dlf[cand[hit] - base], avgdl)
-        if len(cand) > k:
-            kth = np.partition(scores, -k)[-k]
-            keep = scores >= kth
-            cand, scores = cand[keep], scores[keep]
-        order = np.lexsort((cand, -scores))[:k]
-        return cand[order].astype(np.int64), scores[order]
-
-    def _score_function(self, field: str, terms: list[str], k: int,
-                        base: int, n: int, dl: np.ndarray,
-                        postings: dict, modifier: str
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """function_score per segment: exhaustive OR accumulation
-        (the multiplicative factor breaks MaxScore bound admissibility),
-        modifier applied BEFORE the per-segment top-k cut — valid because
-        a doc's postings live entirely in its segment. Bitwise-identical
-        to ``LocalSearcher.search_function_score`` (same accumulation
-        order, same elementwise modifier)."""
-        keys = [(field, t) for t in terms
-                if (field, t) in postings and (field, t) in self.idf]
-        if not keys:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        avgdl = self.avgdl[field]
-        scores = np.zeros(n, dtype=np.float64)
-        touched = np.zeros(n, dtype=bool)
-        for kk in keys:  # lexicographic order fixed by query_terms()
-            ids, tfs, _ = postings[kk]
-            loc = ids - base
-            scores[loc] += self.idf[kk] * codec.bm25_tf_impact(
-                tfs, dl[loc], avgdl)
-            touched[loc] = True
-        loc = np.flatnonzero(touched)
-        sc = scores[loc]
-        if len(self._deleted):
-            keepd = _drop_deleted(self._deleted, loc + base)
-            loc, sc = loc[keepd], sc[keepd]
-        fv = dl[loc]
-        if modifier == "log1p":
-            sc = sc * np.log(1.0 + fv)
-        elif modifier == "sqrt":
-            sc = sc * np.sqrt(fv)
-        elif modifier == "none":
-            sc = sc * fv
-        else:
-            raise ValueError(f"unknown modifier {modifier!r}")
-        if len(loc) > k:
-            kth = np.partition(sc, -k)[-k]
-            keep = sc >= kth
-            loc, sc = loc[keep], sc[keep]
-        order = np.lexsort((loc, -sc))[:k]
-        return (loc[order] + base).astype(np.int64), sc[order]
-
-    def _score_boosting(self, field: str, terms: dict, k: int,
-                        base: int, n: int, dl: np.ndarray,
-                        postings: dict, negative_boost: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """boosting query per segment: exhaustive OR accumulation of the
-        positive terms, then docs matching any negative term demoted by
-        ``negative_boost`` BEFORE the per-segment top-k cut — valid
-        because a doc's postings live entirely in its segment.
-        Bitwise-identical to ``LocalSearcher.search_boosting`` (same
-        accumulation order, same elementwise multiply)."""
-        keys = [(field, t) for t in terms["pos"]
-                if (field, t) in postings and (field, t) in self.idf]
-        if not keys:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        avgdl = self.avgdl[field]
-        scores = np.zeros(n, dtype=np.float64)
-        touched = np.zeros(n, dtype=bool)
-        for kk in keys:  # lexicographic order fixed by query_terms()
-            ids, tfs, _ = postings[kk]
-            loc = ids - base
-            scores[loc] += self.idf[kk] * codec.bm25_tf_impact(
-                tfs, dl[loc], avgdl)
-            touched[loc] = True
-        neg = np.zeros(n, dtype=bool)
-        for t in terms["neg"]:
-            kk = (field, t)
-            if kk in postings:
-                neg[postings[kk][0] - base] = True
-        scores[neg] *= negative_boost
-        loc = np.flatnonzero(touched)
-        sc = scores[loc]
-        if len(self._deleted):
-            keepd = _drop_deleted(self._deleted, loc + base)
-            loc, sc = loc[keepd], sc[keepd]
-        if len(loc) > k:
-            kth = np.partition(sc, -k)[-k]
-            keep = sc >= kth
-            loc, sc = loc[keep], sc[keep]
-        order = np.lexsort((loc, -sc))[:k]
-        return (loc[order] + base).astype(np.int64), sc[order]
-
-    def _score_union_const(self, field: str, terms: list[str], k: int,
-                           postings: dict
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Constant-score union (ES wildcard/multi-term constant_score
-        rewrite): docs containing ANY of the expanded terms, score 1.0,
-        ordered by doc_id asc."""
-        runs = [postings[(field, t)][0] for t in terms
-                if (field, t) in postings]
-        if not runs:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        ids = runs[0] if len(runs) == 1 else np.unique(np.concatenate(runs))
-        if len(self._deleted):
-            ids = ids[_drop_deleted(self._deleted, ids)]
-        ids = ids[:k]
-        return ids.astype(np.int64), np.ones(len(ids), np.float64)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_d, out_s = [], [], []
-        for seg_id in batch["segment_id"].to_pylist():
-            loaded = self._load_segment(int(seg_id))
-            if loaded is None:
-                continue
-            base, n, dl, postings, positions = loaded
-            for qid, field, terms, k, mode in self.queries:
-                if mode == "bool":
-                    ids, sc = self._score_bool(terms, int(k), base, n,
-                                               dl, postings,
-                                               seg_id=int(seg_id))
-                    out_q.extend([qid] * len(ids))
-                    out_d.extend(ids.tolist())
-                    out_s.extend(sc.tolist())
-                    continue
-                if mode.startswith("multi:"):
-                    if not any(f in self.by_field for f, _b in field):
-                        continue
-                    ids, sc = self._score_multi(
-                        field, terms, int(k), mode.split(":", 1)[1],
-                        base, n, dl, postings)
-                    out_q.extend([qid] * len(ids))
-                    out_d.extend(ids.tolist())
-                    out_s.extend(sc.tolist())
-                    continue
-                if field not in self.by_field:  # no indexed terms: no hits
-                    continue
-                if mode.startswith("fscore:"):
-                    ids, sc = self._score_function(
-                        field, terms, int(k), base, n, dl[field],
-                        postings, mode.split(":", 1)[1])
-                elif mode.startswith("boosting:"):
-                    ids, sc = self._score_boosting(
-                        field, terms, int(k), base, n, dl[field],
-                        postings, float(mode.split(":", 1)[1]))
-                elif mode == "union_const":
-                    ids, sc = self._score_union_const(field, terms, int(k),
-                                                      postings)
-                elif mode == "and":
-                    ids, sc = self._score_conjunctive(field, terms, int(k),
-                                                      base, dl[field], postings)
-                elif mode == "phrase":
-                    ids, sc = self._score_phrase(field, terms, int(k), base,
-                                                 dl[field], postings, positions)
-                else:
-                    ids, sc = self._score_query(field, terms, int(k), base, n,
-                                                dl[field], postings)
-                out_q.extend([qid] * len(ids))
-                out_d.extend(ids.tolist())
-                out_s.extend(sc.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "doc_id": pa.array(out_d, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            }
-        )
-
-
 def _parse_rg_bounds(files: list[str]) -> list[tuple]:
     """Per file ``(ParquetFile, [(fmin, tmin, fmax, tmax)] per row group)``
     from the footers. Parquet string min/max may be truncated, but
@@ -1349,12 +709,12 @@ def _parse_rg_bounds(files: list[str]) -> list[tuple]:
 
 
 class LocalSearcher:
-    """Warm single-process serving path: global doc-length arrays loaded
-    once, per-query postings fetched with ONE threaded multi-file parquet
-    read ((field, term)-predicate pushdown over all segments' term tables).
-    Accumulation is per term in lexicographic order into a global dense
-    score array — bitwise-identical to the distributed path (each doc's
-    additions happen in the same order).
+    """The one scorer: global doc-length arrays loaded once, per-query
+    postings fetched with ONE threaded multi-file parquet read ((field,
+    term)-predicate pushdown over the bound segments' term tables).
+    Accumulation is per term in lexicographic order, so a searcher bound
+    to a segment subset (``segments=``, the :func:`search` fan-out) scores
+    its docs bitwise-identically to a whole-index searcher.
     """
 
     #: auto-consolidate threshold: below this many segments the per-segment
@@ -1373,7 +733,8 @@ class LocalSearcher:
     COMPACT_TARGET = 64
 
     def __init__(self, index_dir: str, refresh_interval: float | None = None,
-                 termdict: str = "auto", compact: str = "auto"):
+                 termdict: str = "auto", compact: str = "auto",
+                 segments: list[int] | None = None):
         """``refresh_interval`` (seconds) is the ES ``refresh_interval``
         analogue (reference ``config/search_scheme.json:6`` sets 30s): when
         set, every search first checks — at most once per interval — whether
@@ -1395,9 +756,20 @@ class LocalSearcher:
         a routing decision. Skipped silently on read-only dirs or when
         another process holds the compaction lock (routing then falls back
         to exact decode via :attr:`BLOCKMAX_MAX_SEGMENTS`). ``"off"``
-        never compacts."""
+        never compacts.
+
+        ``segments``: bind only these visible segment ids (None = every
+        visible segment). Hits come from their docs only; idf, avgdl and
+        doc lengths stay global, so scores equal the whole-index ones. A
+        subset searcher never compacts and never uses the termdict (it
+        indexes the whole set); binding fails with ``ValueError`` when a
+        listed segment is not visible."""
         self.index_dir = index_dir
         self.refresh_interval = refresh_interval
+        self._segments = None if segments is None else sorted(
+            int(s) for s in segments)
+        if self._segments is not None:
+            termdict = compact = "off"
         self._termdict_mode = termdict
         self._compact_mode = compact
         self._last_refresh_check = time.monotonic()
@@ -1452,12 +824,13 @@ class LocalSearcher:
         self._stats_sig = _file_sig(os.path.join(index_dir, "stats.json"))
         self.stats = _load_stats(index_dir)
         self.n_docs = int(self.stats["n_docs"])
-        self.seg_ids, vis = _visible_seg_ids(index_dir, self.stats)
+        self.seg_ids, vis = self._visible(self.stats)
+        self._doc_ranges = sorted((int(m["doc_id_base"]), int(m["n_docs"]))
+                                  for m in vis.values())
         self._deleted = _load_deleted(index_dir, self.stats)
         self._bscale = _bound_scale(vis, self.stats)
         self.term_files = [seg_terms_path(index_dir, s) for s in self.seg_ids]
         self.term_ds = (pads.dataset(self.term_files) if self.term_files else None)
-        self.doc_files = [seg_docs_path(index_dir, s) for s in self.seg_ids]
         self._dl: dict[str, np.ndarray] = {}
         self._idf_cache: dict[tuple[str, str], float | None] = {}
         self._df_cache: dict[tuple[str, str], int] = {}
@@ -1536,6 +909,18 @@ class LocalSearcher:
                 self.pruned_files = sorted(
                     _glob.glob(os.path.join(pr_dir, "*.parquet")))
         self.last_pruned_bound = 0.0
+
+    def _visible(self, stats: dict) -> tuple[list[int], dict]:
+        """Bound segment ids and their manifests: every visible segment,
+        or the ``segments`` subset, which must all be visible."""
+        seg_ids, vis = _visible_seg_ids(self.index_dir, stats)
+        if self._segments is None:
+            return seg_ids, vis
+        gone = sorted(set(self._segments) - set(seg_ids))
+        if gone:
+            raise ValueError(f"segments {gone} are not visible in "
+                             f"{self.index_dir}")
+        return list(self._segments), {s: vis[s] for s in self._segments}
 
     def _read_terms(self, dict_cols: list[str], terms_by_field: dict,
                     positions: bool = False) -> pa.Table:
@@ -1663,7 +1048,7 @@ class LocalSearcher:
         immutable; merge publishes under NEW ids and the combined manifest
         is the atomic commit point)."""
         stats = _load_stats(self.index_dir)
-        new_ids, _ = _visible_seg_ids(self.index_dir, stats)
+        new_ids, _ = self._visible(stats)
         if (new_ids == self.seg_ids
                 and stats.get("tombstone_files", [])
                 == self.stats.get("tombstone_files", [])):
@@ -1696,15 +1081,19 @@ class LocalSearcher:
         import uuid as _uuid
 
         n = self.n_docs
-        if n == 0 or not self.doc_files:
+        if n == 0 or not self.seg_ids:
             return np.zeros(max(n, 1), dtype=np.float64)
         path = os.path.join(self.index_dir, "doclen", f"{field}.{n}.f64")
         if not os.path.exists(path):
+            # the sidecar is shared by every reader of the index, so it is
+            # filled from EVERY visible segment, whatever this one binds
+            doc_files = [seg_docs_path(self.index_dir, s) for s in
+                         _visible_seg_ids(self.index_dir, self.stats)[0]]
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 tmp = f"{path}.tmp-{_uuid.uuid4().hex}"
                 arr = np.memmap(tmp, dtype=np.float64, mode="w+", shape=(n,))
-                for f in self.doc_files:
+                for f in doc_files:
                     dt = pq.read_table(f, columns=["doc_id", _dl_column(field)])
                     arr[dt["doc_id"].to_numpy()] = \
                         dt[_dl_column(field)].to_numpy()
@@ -1713,7 +1102,7 @@ class LocalSearcher:
                 os.replace(tmp, path)  # atomic: concurrent builders race safely
             except OSError:  # read-only index dir: dense in-heap fallback
                 arr = np.zeros(n, dtype=np.float64)
-                dt = pq.read_table(self.doc_files,
+                dt = pq.read_table(doc_files,
                                    columns=["doc_id", _dl_column(field)])
                 arr[dt["doc_id"].to_numpy()] = dt[_dl_column(field)].to_numpy()
                 return arr
@@ -1746,8 +1135,8 @@ class LocalSearcher:
         if not os.path.exists(path):
             build_doc_values(self.index_dir, column)
 
-            def fill(arr):
-                for s in self.seg_ids:
+            def fill(arr):  # every visible segment, as in _doclen_map
+                for s in _visible_seg_ids(self.index_dir, self.stats)[0]:
                     dt = pq.read_table(_dv_path(self.index_dir, column,
                                                 int(s)),
                                        columns=["doc_id", column])
@@ -2834,11 +2223,22 @@ class LocalSearcher:
         clause semantics (must / should / must_not / filter term + range,
         ``minimum_should_match``). Score = sum of BM25 contributions of
         every matching must/should clause term (clause-major, analyzed
-        term order) — bitwise-identical to the distributed
-        ``SegmentSearcher._score_bool`` path."""
+        term order), so a segment-subset searcher scores its docs
+        bitwise as the whole-index one does. A range filter or
+        ``minimum_should_match_source`` naming a field the index does not
+        hold raises ``ValueError`` before anything is read."""
         self._maybe_auto_refresh()
         spec = prepare_bool_spec(bq, field,
                                  _field_analyzer(self.stats, field))
+        indexed = self.stats.get("field_analyzers",
+                                 {DEFAULT_FIELD: "standard"})
+        dl_fields = [rf for rf, _lo, _hi in spec["range_dl"]]
+        if spec["msm_div"]:
+            dl_fields.append(spec["msm_src"])
+        for rf in dl_fields:
+            if _range_dl_field(rf) not in indexed:
+                raise ValueError(f"bool query field {rf!r} is not an "
+                                 f"indexed field of {self.index_dir}")
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if self.n_docs == 0:
             return empty
@@ -2868,8 +2268,10 @@ class LocalSearcher:
                 [t for cl in spec["should"] for t in cl], score_runs)
         elif spec["filter_terms"] or spec.get("filter_any"):
             cand = None
-        else:  # range-/exists-only filter context: every doc
-            cand = np.arange(self.n_docs, dtype=np.int64)
+        else:  # range-/exists-only filter context: every bound doc
+            cand = np.concatenate(
+                [np.arange(b, b + n, dtype=np.int64)
+                 for b, n in self._doc_ranges] or [np.empty(0, np.int64)])
         for f, t in spec["filter_terms"]:
             fb = (self._postings_for(f, [t])
                   if self.term_ds is not None else {})
@@ -2913,7 +2315,8 @@ class LocalSearcher:
             if len(cand) == 0:
                 return empty
         if spec.get("msm_div") and spec["should"]:
-            # terms_set: per-doc dynamic msm (see _score_bool — identical)
+            # terms_set: required(doc) = min(n_clauses,
+            # max(1, floor(dl_src / divisor))) — per-doc dynamic msm
             cnt = np.zeros(len(cand), np.int64)
             for cl in spec["should"]:
                 cnt += _in_sorted(_bool_clause_ids(cl, score_runs), cand)
@@ -3011,8 +2414,8 @@ class LocalSearcher:
         expands against the term dictionary (``expand_fuzzy``: shared
         prefix, Levenshtein <= fuzziness, top-df cap), then the union of
         expansions is scored as a plain OR query (each expanded term with
-        its own df/idf) — bitwise-identical to the distributed rewrite
-        in ``search()``."""
+        its own df/idf). Expansion reads the global dictionary, so every
+        segment group of ``search()`` expands identically."""
         self._maybe_auto_refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if self.term_ds is None:
@@ -3078,11 +2481,17 @@ class LocalSearcher:
     #: (mode, field, query, k) top-k results, LRU, dropped on epoch swap
     _REQUEST_CACHE_CAP = 1024
 
+    #: ``search`` modes; any other mode raises ValueError
+    SEARCH_MODES = ("or", "and", "phrase", "fuzzy", "wildcard")
+
     def search(self, query: str, k: int = 10,
                field: str = DEFAULT_FIELD,
                mode: str = "or",
                or_strategy: str = "auto") -> tuple[np.ndarray, np.ndarray]:
-        """``or_strategy``: 'exact' always decodes every query term's
+        """``mode``: one of :attr:`SEARCH_MODES` (fuzzy and wildcard with
+        their default parameters).
+
+        ``or_strategy``: 'exact' always decodes every query term's
         postings (lexicographic accumulation); 'blockmax' runs the
         disjunctive block-max path; 'auto' picks blockmax when the df skew
         suggests skipping pays (rare term + long common lists). Scores are
@@ -3096,6 +2505,8 @@ class LocalSearcher:
         holding the returned (ids, scores) verbatim, dropped wholesale on
         any epoch swap (refresh/merge/append) — a hit changes nothing but
         latency."""
+        if mode not in self.SEARCH_MODES:
+            raise ValueError(f"unknown search mode {mode!r}")
         self._maybe_auto_refresh()
         rq_key = (mode, field, query, int(k), or_strategy)
         hit = self._request_cache.get(rq_key)
@@ -3190,8 +2601,8 @@ class LocalSearcher:
         boosted per-field score (dis_max, tie_breaker=0). ``fields``
         entries accept the ES ``"name^boost"`` syntax. Tie-break (score
         desc, doc_id asc). Accumulation is (field, term)-major over
-        ascending doc ids — bitwise-identical to the distributed
-        SegmentSearcher multi path (same per-doc addition order)."""
+        ascending doc ids, so a segment-subset searcher scores its docs
+        bitwise as the whole-index one does."""
         if combine not in ("most_fields", "best_fields"):
             raise ValueError(f"unknown multi_type {combine!r}")
         self._maybe_auto_refresh()
@@ -3698,51 +3109,74 @@ def highlight_matches(local: "LocalSearcher", query: str,
                      "first_pos": pa.array(p[order], pa.int64())})
 
 
-def search_inprocess(index_dir: str, queries: pa.Table | list[dict],
-                     searcher: LocalSearcher | None = None) -> pa.Table:
-    """Single-process query path over a (reusable) LocalSearcher."""
-    qrows = queries.to_pylist() if isinstance(queries, pa.Table) else list(queries)
-    searcher = searcher or LocalSearcher(index_dir)
+#: query-row ``mode`` values; a row with ``bool`` or ``fields`` ignores it
+QUERY_MODES = ("or", "and", "phrase", "fuzzy", "wildcard", "regexp",
+               "function_score", "boosting")
+
+
+def _query_kind(q: dict) -> str:
+    """A query row's dispatch key: ``"bool"``, ``"multi"`` (multi_match)
+    or its ``mode`` (default ``"or"``); an unknown mode raises."""
+    if q.get("bool") is not None:
+        return "bool"
+    if q.get("fields"):
+        return "multi"
+    mode = q.get("mode") or "or"
+    if mode not in QUERY_MODES:
+        raise ValueError(f"unknown query mode {mode!r}; expected one of "
+                         f"{QUERY_MODES}")
+    return mode
+
+
+def _bool_body(q: dict) -> dict:
+    """A bool row's ES body (a dict, or its JSON text)."""
+    import json
+
+    bq = q["bool"]
+    return json.loads(bq) if isinstance(bq, str) else bq
+
+
+def _run_query(searcher: LocalSearcher, q: dict
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Run one query row on ``searcher`` -> (doc ids, scores), ranked by
+    (score desc, doc_id asc): the one dispatch behind both entry points."""
+    kind = _query_kind(q)
+    k = int(q.get("k", 10))
+    field = q.get("field") or DEFAULT_FIELD
+    if kind == "bool":
+        return searcher.search_bool(_bool_body(q), k, field)
+    if kind == "multi":
+        return searcher.search_multi(q["query"], k, tuple(q["fields"]),
+                                     q.get("multi_type", "most_fields"))
+    if kind == "fuzzy":
+        return searcher.search_fuzzy(
+            q["query"], k, field, q.get("fuzziness", "AUTO"),
+            int(q.get("prefix_length", 1)), int(q.get("max_expansions", 50)))
+    if kind == "regexp":
+        return searcher.search_regexp(q["query"], k, field)
+    if kind == "function_score":
+        return searcher.search_function_score(
+            q["query"], k, field, q.get("modifier", "log1p"))
+    if kind == "boosting":
+        return searcher.search_boosting(
+            q["query"], q.get("negative", ""),
+            float(q.get("negative_boost", 0.5)), k, field)
+    return searcher.search(q["query"], k, field, kind)
+
+
+def _query_rows(queries: pa.Table | list[dict]) -> list[dict]:
+    return (queries.to_pylist() if isinstance(queries, pa.Table)
+            else list(queries))
+
+
+def _result_table(qids: list[int], hits: list[tuple]) -> pa.Table:
+    """(query_id, rank, doc_id, score) rows, ranks from 1 per query."""
     out_q, out_r, out_d, out_s = [], [], [], []
-    for q in qrows:
-        if q.get("bool") is not None:
-            bq = q["bool"]
-            if isinstance(bq, str):
-                import json as _json
-                bq = _json.loads(bq)
-            ids, sc = searcher.search_bool(
-                bq, int(q.get("k", 10)), q.get("field") or DEFAULT_FIELD)
-        elif q.get("mode") == "fuzzy":
-            ids, sc = searcher.search_fuzzy(
-                q["query"], int(q.get("k", 10)),
-                q.get("field") or DEFAULT_FIELD,
-                q.get("fuzziness", "AUTO"),
-                int(q.get("prefix_length", 1)),
-                int(q.get("max_expansions", 50)))
-        elif q.get("mode") == "wildcard":
-            ids, sc = searcher.search_wildcard(
-                q["query"], int(q.get("k", 10)),
-                q.get("field") or DEFAULT_FIELD)
-        elif q.get("mode") == "regexp":
-            ids, sc = searcher.search_regexp(
-                q["query"], int(q.get("k", 10)),
-                q.get("field") or DEFAULT_FIELD)
-        elif q.get("mode") == "boosting":
-            ids, sc = searcher.search_boosting(
-                q["query"], q.get("negative", ""),
-                float(q.get("negative_boost", 0.5)),
-                int(q.get("k", 10)), q.get("field") or DEFAULT_FIELD)
-        elif q.get("fields"):
-            ids, sc = searcher.search_multi(
-                q["query"], int(q.get("k", 10)), tuple(q["fields"]),
-                q.get("multi_type", "most_fields"))
-        else:
-            ids, sc = searcher.search(q["query"], int(q.get("k", 10)),
-                                      q.get("field") or DEFAULT_FIELD,
-                                      q.get("mode", "or"))
-        for r, (i, s) in enumerate(zip(ids, sc), start=1):
-            out_q.append(int(q["query_id"])); out_r.append(r)
-            out_d.append(int(i)); out_s.append(float(s))
+    for qid, (ids, sc) in zip(qids, hits):
+        out_q.extend([qid] * len(ids))
+        out_r.extend(range(1, len(ids) + 1))
+        out_d.extend(int(i) for i in ids)
+        out_s.extend(float(x) for x in sc)
     return pa.table({
         "query_id": pa.array(out_q, pa.int64()),
         "rank": pa.array(out_r, pa.int64()),
@@ -3751,114 +3185,73 @@ def search_inprocess(index_dir: str, queries: pa.Table | list[dict],
     })
 
 
-def search(index_dir: str, queries: pa.Table | list[dict],
-           cfg: SearchConfig | None = None) -> pa.Table:
-    """Run BM25 top-k for a query table -> (query_id, rank, doc_id, score).
+def search_inprocess(index_dir: str, queries: pa.Table | list[dict],
+                     searcher: LocalSearcher | None = None) -> pa.Table:
+    """Single-process query path over a (reusable) whole-index
+    LocalSearcher -> (query_id, rank, doc_id, score), in row order."""
+    qrows = _query_rows(queries)
+    searcher = searcher or LocalSearcher(index_dir)
+    return _result_table([int(q["query_id"]) for q in qrows],
+                         [_run_query(searcher, q) for q in qrows])
 
-    ``queries`` columns: query_id, query, k (schema.QUERIES); an optional
-    ``field`` key targets a non-default indexed field.
+
+def _segment_groups(seg_ids: list[int]) -> list[list[int]]:
+    """Contiguous runs of ``seg_ids``, one per cluster CPU (at most one
+    per segment) — the fan-out of :func:`search`."""
+    n_cpus = int(ray.cluster_resources().get("CPU", 1))
+    n = max(1, min(len(seg_ids), n_cpus))
+    return [g.tolist() for g in np.array_split(np.asarray(seg_ids), n)]
+
+
+@ray.remote
+def _search_group(index_dir: str, seg_ids: list[int],
+                  qrows: list[dict]) -> list[tuple]:
+    searcher = LocalSearcher(index_dir, segments=seg_ids)
+    return [_run_query(searcher, q) for q in qrows]
+
+
+def search(index_dir: str, queries: pa.Table | list[dict]) -> pa.Table:
+    """Run BM25 top-k for a query table -> (query_id, rank, doc_id, score),
+    ordered by (query_id, rank).
+
+    ``queries`` rows: query_id, query, k (schema.QUERIES), plus the
+    optional keys :func:`_run_query` reads (``field``, ``mode``, ``bool``,
+    ``fields`` ...). One Ray task per segment group (see
+    :func:`_segment_groups`) runs every row on a LocalSearcher bound to
+    its group; the driver keeps each query's k best rows of the groups'
+    top-k by (score desc, doc_id asc) — exact, see the module docstring.
     """
-    cfg = cfg or SearchConfig()
+    qrows = _query_rows(queries)
     stats = _load_stats(index_dir)
-    prepared = _prepare(queries, stats)
-    rewritten = []
-    for qid, field, terms, k, mode in prepared:
-        if isinstance(mode, str) and mode.startswith("fuzzy:"):
-            # multi-term rewrite: union of per-term expansions, then plain
-            # OR scoring over the expanded set (Lucene blended rewrite
-            # simplified to per-term idf — documented in expand_fuzzy)
-            _tag, fz, plen, mx = mode.split(":")
-            exp = sorted({e for t in terms
-                          for e in expand_fuzzy(index_dir, field, t, fz,
-                                                int(plen), int(mx))})
-            rewritten.append((qid, field, exp, k, "or"))
-        elif mode == "wildcard":
-            exp = expand_wildcard(index_dir, field, terms[0])
-            rewritten.append((qid, field, exp, k, "union_const"))
-        elif mode == "regexp":
-            exp = expand_regexp(index_dir, field, terms[0])
-            rewritten.append((qid, field, exp, k, "union_const"))
-        else:
-            rewritten.append((qid, field, terms, k, mode))
-    prepared = rewritten
-    for _qid, field, _terms, _k, mode in prepared:
-        if mode == "phrase":
-            if not stats.get("index_positions"):
-                raise ValueError(
-                    "phrase queries require an index built with "
-                    "BuildConfig(index_positions=True)")
-    by_field: dict[str, list[str]] = {}
-    has_bool = False
-    exists_cols: set[str] = set()
-    for _qid, field, terms, _k, _m in prepared:
-        if _m == "bool":
-            has_bool = True
-            for f, ts in terms["load"].items():
-                by_field.setdefault(f, []).extend(ts)
-            by_field.setdefault(field, [])  # avgdl for the scored field
-            exists_cols.update(terms.get("exists", ()))
-        elif isinstance(_m, str) and _m.startswith("boosting:"):
-            by_field.setdefault(field, []).extend(terms["pos"])
-            by_field[field].extend(terms["neg"])
-        elif isinstance(terms, dict):  # multi_match: {field: [terms]}
-            for f, ts in terms.items():
-                by_field.setdefault(f, []).extend(ts)
-        else:
-            by_field.setdefault(field, []).extend(terms)
-    by_field = {f: sorted(set(ts)) for f, ts in by_field.items()}
+    # exists filters read doc-values shards; build them once here so the
+    # group tasks never race on (or nest Ray Data jobs for) their creation
+    exists_cols = set()
+    for q in qrows:  # _query_kind: unknown modes fail before any task
+        if _query_kind(q) == "bool":
+            field = q.get("field") or DEFAULT_FIELD
+            exists_cols.update(prepare_bool_spec(
+                _bool_body(q), field, _field_analyzer(stats, field))["exists"])
+    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
+    if not seg_ids or not qrows:
+        return _result_table([], [])
     if exists_cols:
-        # exists filters read doc-values shards in the actors; build them
-        # ONCE on the driver so actors never race on shard creation
         from .aggs import build_doc_values
 
-        for colx in sorted(exists_cols):
-            build_doc_values(index_dir, colx)
-    idf, _dfs, _n = load_global_idf(index_dir, by_field)
-    avgdl_by_field = {f: _avgdl(stats, f) for f in by_field}
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table(
-        {"query_id": pa.array([], pa.int64()), "rank": pa.array([], pa.int64()),
-         "doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
-    )
-    if not seg_ids or (not idf and not has_bool):
-        return empty
-
-    prepared_ref = ray.put(prepared)
-    idf_ref = ray.put(idf)
-    per_segment = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            SegmentSearcher,
-            fn_constructor_kwargs={
-                "index_dir": index_dir,
-                "prepared_ref": prepared_ref,
-                "idf_ref": idf_ref,
-                "avgdl_by_field": avgdl_by_field,
-                "use_maxscore": cfg.use_maxscore,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.segments_per_batch,
-            concurrency=cfg.concurrency,
-        )
-    )
-    import pandas as pd
-
-    k_of = {qid: k for qid, _f, _t, k, _m in prepared}
-
-    def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
-        qid = int(df["query_id"].iloc[0])
-        k = k_of[qid]
-        df = df.sort_values(["score", "doc_id"], ascending=[False, True]).head(k)
-        df = df.reset_index(drop=True)
-        df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return df[["query_id", "rank", "doc_id", "score"]]
-
-    merged = (
-        per_segment.groupby("query_id")
-        .map_groups(merge_topk, batch_format="pandas")
-        .to_pandas()
-    )
-    if len(merged) == 0:
-        return empty
-    merged = merged.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    return pa.Table.from_pandas(merged, preserve_index=False)
+        for col in sorted(exists_cols):
+            build_doc_values(index_dir, col)
+    rows_ref = ray.put(qrows)
+    refs = [_search_group.remote(index_dir, g, rows_ref)
+            for g in _segment_groups(seg_ids)]
+    try:
+        parts = ray.get(refs)
+    except ray.exceptions.RayTaskError as e:
+        raise e.cause from e  # the query's own error, not the task wrapper
+    hits = []
+    for i, q in enumerate(qrows):
+        ids = np.concatenate([p[i][0] for p in parts])
+        sc = np.concatenate([p[i][1] for p in parts])
+        order = np.lexsort((ids, -sc))[:int(q.get("k", 10))]
+        hits.append((ids[order], sc[order]))
+    qids = [int(q["query_id"]) for q in qrows]
+    by_qid = sorted(range(len(qrows)), key=lambda i: qids[i])
+    return _result_table([qids[i] for i in by_qid], [hits[i] for i in by_qid])

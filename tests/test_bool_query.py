@@ -1,7 +1,8 @@
 """ES bool query (must / should / must_not / filter / minimum_should_match).
 
 Semantics vs a brute-force in-test oracle over the raw texts, and bitwise
-parity between the LocalSearcher and the distributed SegmentSearcher paths.
+parity between ``search_inprocess`` (one whole-index LocalSearcher) and
+``search()`` (LocalSearchers bound to segment groups, merged).
 """
 
 from __future__ import annotations
@@ -270,9 +271,29 @@ def test_bool_exists_filter_drops_missing(tmp_path_factory):
     assert got["doc_id"].tolist() == ids[:1000].tolist()
     assert got["score"].tolist() == sc[:1000].tolist()
     # exists-only: every doc with a lang, constant candidates via range
-    only = s.search_bool({"filter": [{"exists": {"field": "lang"}}]},
-                         k=1000)[0]
+    only_bq = {"filter": [{"exists": {"field": "lang"}}]}
+    only, only_sc = s.search_bool(only_bq, k=1000)
     assert only.tolist() == [i for i in range(n) if lg[i] is not None]
+    # ...and each segment group of search() contributes only its own docs
+    got = search(idx, [{"query_id": 0, "bool": only_bq,
+                        "k": 1000}]).to_pandas()
+    assert got["doc_id"].tolist() == only.tolist()
+    assert got["score"].tolist() == only_sc.tolist()
+
+
+@pytest.mark.parametrize("bq", [
+    {"must": ["data"], "filter": [{"range": {"field": "nosuch", "gte": 1}}]},
+    {"should": ["data", "query"], "minimum_should_match_divisor": 4,
+     "minimum_should_match_source": "nosuch"},
+])
+def test_bool_unindexed_field_is_clear_error(bool_index, bq):
+    """A doc-length-backed bool clause naming a field the index lacks
+    fails with a ValueError naming it, locally and through search()."""
+    idx, _ = bool_index
+    with pytest.raises(ValueError, match="'nosuch'"):
+        LocalSearcher(idx).search_bool(bq, k=5)
+    with pytest.raises(ValueError, match="'nosuch'"):
+        search(idx, [{"query_id": 0, "bool": bq, "k": 5}])
 
 
 def test_parse_query_string_lowering():

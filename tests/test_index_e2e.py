@@ -13,7 +13,7 @@ from elasticsearch_data_loader_ray import fixtures
 from elasticsearch_data_loader_ray.index import manifest as mf
 from elasticsearch_data_loader_ray.index import oracle
 from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
-from elasticsearch_data_loader_ray.index.search import SearchConfig, search
+from elasticsearch_data_loader_ray.index.search import search
 
 N_DOCS = 800
 
@@ -89,17 +89,6 @@ def test_search_matches_oracle_bitwise(webtext, index_dir):
     assert got["score"].tolist() == want["score"].tolist()
 
 
-def test_search_maxscore_rank_identical(webtext, index_dir):
-    t, _ = webtext
-    idx, _ = index_dir
-    queries = fixtures.generate_queries()
-    exact = search(idx, queries).to_pandas()
-    pruned = search(idx, queries, SearchConfig(use_maxscore=True)).to_pandas()
-    assert exact["doc_id"].tolist() == pruned["doc_id"].tolist()
-    assert exact["rank"].tolist() == pruned["rank"].tolist()
-    np.testing.assert_allclose(exact["score"], pruned["score"], rtol=1e-12)
-
-
 def test_search_inprocess_matches_distributed(webtext, index_dir):
     from elasticsearch_data_loader_ray.index.search import search_inprocess
 
@@ -109,6 +98,60 @@ def test_search_inprocess_matches_distributed(webtext, index_dir):
     local = search_inprocess(idx, queries).to_pandas()
     assert dist["doc_id"].tolist() == local["doc_id"].tolist()
     assert dist["score"].tolist() == local["score"].tolist()  # bitwise
+
+
+def test_search_fans_out_over_segment_groups(index_dir):
+    """search() splits the visible segments into >= 2 contiguous groups
+    here (4 CPUs, >= 3 segments) that cover every segment once."""
+    from elasticsearch_data_loader_ray.index.search import (
+        _segment_groups,
+        _visible_seg_ids,
+    )
+
+    idx, stats = index_dir
+    seg_ids, _ = _visible_seg_ids(idx, stats)
+    groups = _segment_groups(seg_ids)
+    assert len(groups) >= 2
+    assert [s for g in groups for s in g] == seg_ids
+
+
+def test_unknown_mode_raises_on_every_path(index_dir):
+    from elasticsearch_data_loader_ray.index.search import (
+        LocalSearcher,
+        search_inprocess,
+    )
+
+    idx, _ = index_dir
+    q = [{"query_id": 0, "query": "the data", "k": 5, "mode": "bogus"}]
+    with pytest.raises(ValueError, match="bogus"):
+        search_inprocess(idx, q)
+    with pytest.raises(ValueError, match="bogus"):
+        search(idx, q)
+    with pytest.raises(ValueError, match="bogus"):
+        LocalSearcher(idx).search("the data", k=5, mode="bogus")
+
+
+def test_first_search_writes_whole_doclen_sidecar(webtext, tmp_path_factory):
+    """The group tasks of a first search() on a fresh index each bind a
+    segment subset, yet the shared doc-length sidecar they publish must
+    hold every doc's length."""
+    from elasticsearch_data_loader_ray.index.build import seg_docs_path
+
+    _, src = webtext
+    out = str(tmp_path_factory.mktemp("idx_doclen"))
+    stats = build_index(src, out, BuildConfig(docs_per_segment=150,
+                                              extract_concurrency=2))
+    n = stats["n_docs"]
+    path = os.path.join(out, "doclen", f"text.{n}.f64")
+    assert not os.path.exists(path)
+    assert search(out, [{"query_id": 0, "query": "the data",
+                         "k": 5}]).num_rows == 5
+    want = np.zeros(n)
+    for s in mf.committed_segments(out):
+        d = pq.read_table(seg_docs_path(out, s), columns=["doc_id", "doc_len"])
+        want[d["doc_id"].to_numpy()] = d["doc_len"].to_numpy()
+    got = np.fromfile(path, dtype=np.float64)
+    assert got.tolist() == want.tolist()
 
 
 def test_conjunctive_matches_and_semantics(webtext, index_dir):
@@ -328,6 +371,7 @@ def test_function_score_distributed_matches_local(index_dir):
     from elasticsearch_data_loader_ray.index.search import (
         LocalSearcher,
         search,
+        search_inprocess,
     )
 
     idx, _ = index_dir
@@ -335,11 +379,14 @@ def test_function_score_distributed_matches_local(index_dir):
     for q, mod in [("the data search", "log1p"), ("data", "sqrt"),
                    ("the", "none")]:
         want_ids, want_sc = lo.search_function_score(q, k=10, modifier=mod)
-        got = search(idx, [{"query_id": 0, "query": q, "k": 10,
-                            "mode": "function_score", "modifier": mod}]
-                     ).to_pandas()
+        rows = [{"query_id": 0, "query": q, "k": 10,
+                 "mode": "function_score", "modifier": mod}]
+        got = search(idx, rows).to_pandas()
         assert got["doc_id"].tolist() == want_ids.tolist()
         assert got["score"].tolist() == want_sc.tolist()
+        inp = search_inprocess(idx, rows).to_pandas()
+        assert inp["doc_id"].tolist() == want_ids.tolist()
+        assert inp["score"].tolist() == want_sc.tolist()
 
 
 def test_boosting_distributed_matches_local(index_dir):
