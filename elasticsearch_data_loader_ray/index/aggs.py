@@ -3,8 +3,8 @@
 ES pairs a query with aggregations computed over ALL matching documents
 (not the top-k page): ``terms`` buckets a keyword field by doc count,
 optionally carrying metric sub-aggregations. The reference delegates this
-to ElasticSearch; here it is a Ray Data job shaped like Lucene's per-shard
-global-ordinals pattern:
+to ElasticSearch; here it is Lucene's per-shard global-ordinals pattern on
+the segment fan-out that serves search:
 
 * **doc-values / stored-field shards**
   (``docvalues/<column>/segment=K.parquet``): one (doc_id, value) file
@@ -15,12 +15,15 @@ global-ordinals pattern:
   per-segment filtered reads would each scan the whole corpus. The
   Lucene doc-values / stored-fields analogue, and the piece that makes
   aggregation, export and snippeting segment-local.
-* **partials**: one task per segment unions the query terms' postings
-  (the match's doc set within the segment), drops tombstoned docs, and
-  bincounts the matched docs' dictionary-encoded values — emitting
-  (key, doc_count, metric_sum) rows bounded by the segment's distinct
-  values, never its doc count.
-* **merge**: a ``groupby(key).sum`` over the tiny partials, then the
+* **partials**: :func:`..search.map_segment_groups` runs one Ray task per
+  contiguous segment group, on a ``LocalSearcher`` bound to the group.
+  The task takes the matched docs from ``LocalSearcher.matched_ids``
+  (tombstoned docs already dropped) — or the scored ones from its
+  exhaustive OR scorer — reads their values segment by segment, and
+  reduces them to a partial bounded by the bucket count (or k x groups),
+  never by the doc count.
+* **merge**: the driver concatenates the groups' partials and reduces
+  them with pandas/numpy (a per-key sum for bucket aggs), then cuts the
   top-``size`` buckets by (doc_count desc, key asc).
 
 Reference parity: the ES index the reference loads serves exactly such
@@ -40,38 +43,17 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from . import blobs, codec
-from .build import seg_docs_path, seg_terms_path
-from functools import lru_cache
-
+from .build import seg_docs_path
 from .search import (
     DEFAULT_FIELD,
-    _dl_column,
-    _drop_deleted,
+    _avgdl,
     _field_analyzer,
-    _load_deleted,
     _load_stats,
     _term_filters,
     _visible_seg_ids,
+    map_segment_groups,
     query_terms,
 )
-
-
-@lru_cache(maxsize=64)
-def _state_cached(index_dir: str, stats_mtime_ns: int):
-    stats = _load_stats(index_dir)
-    return stats, _load_deleted(index_dir, stats)
-
-
-def worker_state(index_dir: str):
-    """(stats, tombstones) cached per worker PROCESS, keyed by stats.json
-    mtime so a delete/append invalidates it. This is what lets the
-    per-segment stages run as plain TASKS instead of actor pools:
-    re-loading trivial state per task is nearly free, while the per-call
-    actor-pool spawn dominated agg latency (measured 4.3s -> 0.35s for a
-    warm 1M-doc histogram agg)."""
-    mt = os.stat(os.path.join(index_dir, "stats.json")).st_mtime_ns
-    return _state_cached(index_dir, mt)
 
 
 def _corpus_files(index_dir: str) -> list[str]:
@@ -326,229 +308,127 @@ def build_doc_values(index_dir: str, column: str) -> None:
     if not fallback:
         return
 
-    def _one(batch: pa.Table) -> pa.Table:
-        for s in batch["segment_id"].to_pylist():
-            _build_dv_shard(index_dir, int(s), column)
-        return pa.table({"segment_id": batch["segment_id"]})
-
-    (rd.from_items([{"segment_id": s} for s in fallback])
-     .map_batches(_one, batch_format="pyarrow", batch_size=1)
-     .materialize())
+    map_segment_groups(index_dir, fallback, _build_dv_shards, column)
 
 
-def _segment_postings(index_dir: str, seg_id: int, field: str,
-                      terms: list[str],
-                      with_tf: bool = False) -> dict[str, list]:
-    """term -> decoded doc-id runs for one segment, ONE filtered read for
-    the whole term list (callers with many queries union their term lists
-    and share this read instead of re-opening the file per query)."""
-    filters = _term_filters({field: terms})
-    if filters is None:
-        return {}
-    path = seg_terms_path(index_dir, seg_id)
-    tt = pq.read_table(path, columns=["field", "term", "df", "segment_id",
-                                      "blob_off", "doc_nbytes", "tf_nbytes"],
-                       filters=filters)
-    tt = blobs.materialize_enc(tt, lambda _s: path)
-    out: dict[str, list] = {}
-    for i in range(tt.num_rows):
-        ids, tfs = codec.decode_postings(
-            tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-            int(tt["df"][i].as_py()))
-        out.setdefault(tt["term"][i].as_py(), []).append(
-            (ids, tfs) if with_tf else ids)
-    return out
+def _build_dv_shards(searcher, column: str) -> None:
+    for seg_id in searcher.seg_ids:
+        _build_dv_shard(searcher.index_dir, seg_id, column)
 
 
-def _ids_from_runs(runs_by_term: dict[str, list[np.ndarray]],
-                   terms: list[str], mode: str) -> np.ndarray:
-    """Combine a term subset's runs: union (``or``) or intersection
-    (``and`` — a term absent from the segment empties it)."""
-    runs = [r for t in set(terms) for r in runs_by_term.get(t, [])]
-    if mode == "and":
-        if len(runs) < len(set(terms)):
-            return np.empty(0, np.int64)
-        out = runs[0]
-        for r in runs[1:]:
-            out = np.intersect1d(out, r, assume_unique=True)
-            if len(out) == 0:
-                break
-        return out
-    if not runs:
-        return np.empty(0, np.int64)
-    return runs[0] if len(runs) == 1 else np.unique(np.concatenate(runs))
+def _dv_take(index_dir: str, column: str, seg_id: int,
+             ids: np.ndarray) -> pa.Array:
+    """``column`` doc-values of the sorted ``ids`` of one segment (the
+    shard is positionally aligned to the segment's doc ids)."""
+    dv = pq.read_table(_dv_path(index_dir, column, seg_id),
+                       columns=["doc_id", column])
+    pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
+    return dv[column].combine_chunks().take(pa.array(pos))
 
 
-def _matched_ids(index_dir: str, seg_id: int, field: str,
-                 terms: list[str], mode: str = "or") -> np.ndarray:
-    """Sorted doc ids in the segment matching the query terms — union for
-    ``mode="or"`` (ES match default), intersection for ``mode="and"``
-    (match with operator=and). Aggregations and exports consume the full
-    matched set, not top-k."""
-    return _ids_from_runs(
-        _segment_postings(index_dir, seg_id, field, terms), terms, mode)
+def _dv_values(searcher, column: str, ids: np.ndarray) -> pa.Array:
+    """``column`` doc-values of the sorted, non-empty ``ids`` (all in the
+    searcher's segments), read segment by segment."""
+    parts = [_dv_take(searcher.index_dir, column, seg_id, seg_ids)
+             for seg_id, seg_ids in searcher.split_by_segment(ids)]
+    # shards of different generations may type a column differently
+    # (string vs large_string, from each corpus's schema)
+    return pa.concat_arrays([p.cast(parts[0].type) for p in parts])
 
 
-def _terms_agg_partials(batch: pa.Table, *, index_dir: str,
-                        column: str, field: str, terms: list[str],
-                        metric_field: str | None) -> pa.Table:
-    """Task: per-segment terms-agg partials for one broadcast query."""
-    _stats, deleted = worker_state(index_dir)
-    keys, counts, msums = [], [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field,
-                           terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        dvp = _dv_path(index_dir, column, seg_id)
-        dv = pq.read_table(dvp, columns=["doc_id", column])
-        dv_ids = dv["doc_id"].to_numpy()
-        pos = np.searchsorted(dv_ids, ids)
-        vals = dv[column].combine_chunks().take(pa.array(pos))
-        enc = pc.dictionary_encode(vals)
-        # ES terms-agg semantics: docs missing the field are SKIPPED. The
-        # dv shard is a left-outer join so nulls are reachable; a null
-        # dictionary index would cast to float64 NaN and crash bincount,
-        # so nulls get a sentinel code whose bucket is dropped (mirrors
-        # export._collapse_partials).
-        null_code = len(enc.dictionary)
-        codes = np.asarray(pc.fill_null(enc.indices, null_code),
-                           dtype=np.int64)
-        nbuck = len(enc.dictionary)
-        cnt = np.bincount(codes, minlength=nbuck + 1)[:nbuck]
-        if metric_field is not None:
-            docs = pq.read_table(
-                seg_docs_path(index_dir, seg_id),
-                columns=["doc_id", _dl_column(metric_field)])
-            dlv = docs[_dl_column(metric_field)].to_numpy()
-            base = int(docs["doc_id"][0].as_py())
-            msum = np.bincount(codes, weights=dlv[ids - base],
-                               minlength=nbuck + 1)[:nbuck]
-        else:
-            msum = np.zeros(nbuck)
-        keys.extend(enc.dictionary.to_pylist())
-        counts.extend(cnt.tolist())
-        msums.extend(msum.tolist())
-    return pa.table({
-        "key": pa.array([str(k) for k in keys], pa.string()),
-        "doc_count": pa.array(counts, pa.int64()),
-        "metric_sum": pa.array(msums, pa.float64()),
-    })
+def _str_keys(vals: pa.Array) -> np.ndarray:
+    """Object array of ``str(value)`` per row, None for nulls (``str``
+    runs once per distinct value)."""
+    enc = pc.dictionary_encode(vals)
+    names = np.array([str(v) for v in enc.dictionary.to_pylist()] + [None],
+                     dtype=object)
+    return names[np.asarray(pc.fill_null(enc.indices, len(enc.dictionary)),
+                            dtype=np.int64)]
 
 
-def _dl_agg_partials(batch: pa.Table, *, index_dir: str, field: str,
-                     terms: list[str], metric_field: str,
-                     interval: int | None,
-                     ranges: list[tuple] | None = None) -> pa.Table:
-    """Task: per-segment partials over the matched docs' token counts —
-    histogram buckets when ``interval`` is set, range-bucket counts when
-    ``ranges`` is set, else running (count, min, max, sum) stats. Doc
-    lengths come from the segment's docs table, so no doc-values shard is
-    needed."""
-    _stats, deleted = worker_state(index_dir)
-    hist: dict[int, int] = {}
-    rcnt = np.zeros(len(ranges or ()), dtype=np.int64)
-    cnt, mn, mx, sm, sq = 0, None, None, 0, 0
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field,
-                           terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        docs = pq.read_table(
-            seg_docs_path(index_dir, seg_id),
-            columns=["doc_id", _dl_column(metric_field)])
-        dlv = docs[_dl_column(metric_field)].to_numpy()
-        base = int(docs["doc_id"][0].as_py())
-        v = dlv[ids - base].astype(np.int64)
-        if ranges is not None:
-            # ES range agg: from inclusive, to exclusive, ends
-            # optional, ranges may overlap (each counted independently)
-            for ri, (frm, to) in enumerate(ranges):
-                ok = np.ones(len(v), dtype=bool)
-                if frm is not None:
-                    ok &= v >= frm
-                if to is not None:
-                    ok &= v < to
-                rcnt[ri] += int(ok.sum())
-        elif interval is not None:
-            keys = (v // interval) * interval
-            uk, uc = np.unique(keys, return_counts=True)
-            for kk, cc in zip(uk.tolist(), uc.tolist()):
-                hist[kk] = hist.get(kk, 0) + cc
-        else:
-            cnt += len(v)
-            sm += int(v.sum())
-            sq += int((v * v).sum())
-            mn = int(v.min()) if mn is None else min(mn, int(v.min()))
-            mx = int(v.max()) if mx is None else max(mx, int(v.max()))
-    if ranges is not None:
-        return pa.table({
-            "range_idx": pa.array(range(len(rcnt)), pa.int64()),
-            "doc_count": pa.array(rcnt, pa.int64()),
-        })
-    if interval is not None:
-        ks = sorted(hist)
-        return pa.table({
-            "key": pa.array(ks, pa.int64()),
-            "doc_count": pa.array([hist[kk] for kk in ks], pa.int64()),
-        })
-    if cnt == 0:
-        return pa.table({"doc_count": pa.array([], pa.int64()),
-                         "min_v": pa.array([], pa.int64()),
-                         "max_v": pa.array([], pa.int64()),
-                         "sum_v": pa.array([], pa.int64()),
-                         "sum_sq": pa.array([], pa.int64())})
-    return pa.table({"doc_count": pa.array([cnt], pa.int64()),
-                     "min_v": pa.array([mn], pa.int64()),
-                     "max_v": pa.array([mx], pa.int64()),
-                     "sum_v": pa.array([sm], pa.int64()),
-                     "sum_sq": pa.array([sq], pa.int64())})
+def _scored(searcher, field: str, terms: list[str]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(doc ids ascending, scores rounded to 6 dp) of every live doc
+    matching the OR query: the searcher's exhaustive scorer, uncut, so
+    scores are the serving path's bitwise."""
+    idf = searcher._idf(field, terms)
+    terms = [t for t in sorted(set(terms)) if t in idf]
+    if not terms or searcher.term_ds is None:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
+    ids, sc = searcher._search_or_fulldecode(
+        field, terms, max(searcher.n_docs, 1), idf,
+        searcher._dl_for(field), _avgdl(searcher.stats, field))
+    order = np.argsort(ids)
+    return ids[order], np.round(sc[order], 6)
+
+
+def _run_partials(index_dir: str, query: str, field: str, fn, *args,
+                  columns: tuple = ()) -> list:
+    """Analyze ``query`` with ``field``'s analyzer, build ``columns``'
+    doc-values, then run ``fn(searcher, field, terms, *args)`` on every
+    segment group -> the groups' partials, ``None`` ones dropped; ``[]``
+    when the query has no terms or the index no visible segment."""
+    stats = _load_stats(index_dir)
+    terms = query_terms(query, _field_analyzer(stats, field))
+    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
+    if not terms or not seg_ids:
+        return []
+    for c in columns:
+        build_doc_values(index_dir, c)
+    return [p for p in map_segment_groups(index_dir, seg_ids, fn, field,
+                                          terms, *args) if p is not None]
+
+
+def _sum_by(parts: list[pd.DataFrame], keys) -> pd.DataFrame:
+    """The driver merge of bucket partials: rows summed per key, sorted
+    by key."""
+    return (pd.concat(parts, ignore_index=True)
+            .groupby(keys, as_index=False, sort=True).sum())
+
+
+def _hist_partial(searcher, field: str, terms: list[str],
+                  metric_field: str, interval: int):
+    """Group partial: histogram bucket counts of the matched docs'
+    ``metric_field`` token counts."""
+    ids = searcher.matched_ids(field, terms)
+    if len(ids) == 0:
+        return None
+    v = searcher._dl_for(metric_field)[ids].astype(np.int64)
+    key, count = np.unique((v // interval) * interval, return_counts=True)
+    return pd.DataFrame({"key": key, "doc_count": count})
 
 
 def histogram_agg(index_dir: str, query: str, interval: int,
                   field: str = DEFAULT_FIELD,
-                  metric_field: str | None = None,
-                  concurrency: int | None = None) -> pa.Table:
+                  metric_field: str | None = None) -> pa.Table:
     """ES ``histogram`` aggregation over the matching docs' token counts:
     buckets keyed ``floor(v / interval) * interval``, key-ascending.
     ``min_doc_count=1`` semantics — only non-empty buckets are returned
-    (ES's default 0 would interpolate empties). Per-segment partials are
-    bounded by the bucket count, merged with a small groupby-sum."""
-    from ray.data.aggregate import Sum
-
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"key": pa.array([], pa.int64()),
-                      "doc_count": pa.array([], pa.int64())})
-    if not terms or not seg_ids:
-        return empty
-    per_seg = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _dl_agg_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field, "terms": terms,
-                "metric_field": metric_field or field,
-                "interval": int(interval)},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-    )
-    merged = per_seg.groupby("key").aggregate(Sum("doc_count")).to_pandas()
-    if len(merged) == 0:
-        return empty
-    merged = merged.rename(columns={"sum(doc_count)": "doc_count"})
-    merged = merged.sort_values("key")
+    (ES's default 0 would interpolate empties). Group partials are
+    bounded by the bucket count, merged with a per-key sum."""
+    parts = _run_partials(index_dir, query, field, _hist_partial,
+                          metric_field or field, int(interval))
+    merged = (_sum_by(parts, "key") if parts
+              else pd.DataFrame({"key": [], "doc_count": []}))
     return pa.table({
-        "key": pa.array(merged["key"].to_numpy(), pa.int64()),
-        "doc_count": pa.array(merged["doc_count"].to_numpy(), pa.int64()),
+        "key": pa.array(merged["key"].to_numpy(np.int64), pa.int64()),
+        "doc_count": pa.array(merged["doc_count"].to_numpy(np.int64),
+                              pa.int64()),
     })
+
+
+def _dl_moments(index_dir: str, query: str, field: str,
+                metric_field: str | None) -> tuple | None:
+    """Exact integer (count, min, max, sum, sum of squares) of the
+    matching docs' token counts, from the interval-1 histogram (a lossless
+    compression of integer values); None when nothing matches."""
+    hist = histogram_agg(index_dir, query, 1, field, metric_field)
+    if hist.num_rows == 0:
+        return None
+    k = hist["key"].to_numpy()
+    c = hist["doc_count"].to_numpy()
+    return (int(c.sum()), int(k[0]), int(k[-1]), int((k * c).sum()),
+            int((k * k * c).sum()))
 
 
 # "week" is NOT a numpy cast: M8[W] weeks are Thursday-epoch (1970-01-01)
@@ -559,114 +439,69 @@ _CAL_UNITS = {"hour": "h", "day": "D", "week": _ISO_WEEK, "month": "M",
               "year": "Y"}
 
 
-def _date_hist_partials(batch: pa.Table, *, index_dir: str, column: str,
-                        field: str, terms: list[str], unit: str) -> pa.Table:
-    """Task: per-segment date_histogram partials — matched docs' ``column``
-    timestamps truncated to the calendar unit (numpy datetime64 cast),
-    bucket counts bounded by distinct buckets. Docs with a null timestamp
-    are skipped (ES skip-missing)."""
-    _stats, deleted = worker_state(index_dir)
-    keys, counts = [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field, terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        dv = pq.read_table(_dv_path(index_dir, column, seg_id),
-                           columns=["doc_id", column])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-        vals = dv[column].combine_chunks().take(pa.array(pos))
-        arr = vals.to_numpy(zero_copy_only=False)  # datetime64[us] w/ NaT
-        arr = arr[~np.isnat(arr)]
-        if len(arr) == 0:
-            continue
-        if unit == _ISO_WEEK:
-            # ISO-Monday truncation: 1970-01-01 is a Thursday, so day
-            # number d has Monday-based weekday (d + 3) % 7
-            days = arr.astype("M8[D]").astype(np.int64)
-            days -= (days + 3) % 7
-            tr = days.astype("M8[D]").astype("M8[us]").astype(np.int64)
-        else:
-            tr = arr.astype(f"M8[{unit}]").astype("M8[us]").astype(np.int64)
-        u, c = np.unique(tr, return_counts=True)
-        keys.extend(u.tolist())
-        counts.extend(c.tolist())
-    return pa.table({"key_us": pa.array(keys, pa.int64()),
-                     "doc_count": pa.array(counts, pa.int64())})
+def _matched_ts(searcher, field: str, terms: list[str],
+                column: str) -> np.ndarray:
+    """The matched docs' non-null ``column`` timestamps (datetime64)."""
+    ids = searcher.matched_ids(field, terms)
+    if len(ids) == 0:
+        return np.empty(0, "M8[us]")
+    arr = _dv_values(searcher, column, ids).to_numpy(zero_copy_only=False)
+    return arr[~np.isnat(arr)]
+
+
+def _date_hist_partial(searcher, field: str, terms: list[str],
+                       column: str, unit: str):
+    """Group partial: date_histogram bucket counts — the matched docs'
+    ``column`` timestamps truncated to the calendar unit. Docs with a
+    null timestamp are skipped (ES skip-missing)."""
+    arr = _matched_ts(searcher, field, terms, column)
+    if len(arr) == 0:
+        return None
+    if unit == _ISO_WEEK:
+        # ISO-Monday truncation: 1970-01-01 is a Thursday, so day
+        # number d has Monday-based weekday (d + 3) % 7
+        days = arr.astype("M8[D]").astype(np.int64)
+        days -= (days + 3) % 7
+        tr = days.astype("M8[D]").astype("M8[us]").astype(np.int64)
+    else:
+        tr = arr.astype(f"M8[{unit}]").astype("M8[us]").astype(np.int64)
+    key, count = np.unique(tr, return_counts=True)
+    return pd.DataFrame({"key_us": key, "doc_count": count})
 
 
 def date_histogram_agg(index_dir: str, query: str,
                        calendar_interval: str = "day",
                        column: str = "warc_ts",
-                       field: str = DEFAULT_FIELD,
-                       concurrency: int | None = None) -> pa.Table:
+                       field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``date_histogram`` (calendar_interval hour/day/week/month/year)
     over the matching docs' ``column`` timestamps: buckets keyed by the
     truncated calendar boundary, key-ascending, ``min_doc_count=1``
-    semantics. Distributed as per-segment partials (bounded by distinct
-    buckets) merged with a small groupby-sum — the terms/histogram shape."""
-    from ray.data.aggregate import Sum
-
+    semantics. Group partials are bounded by distinct buckets, merged
+    with a per-key sum — the terms/histogram shape."""
     if calendar_interval not in _CAL_UNITS:
         raise ValueError(f"unsupported calendar_interval "
                          f"{calendar_interval!r} (have {list(_CAL_UNITS)})")
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"key": pa.array([], pa.timestamp("us")),
-                      "doc_count": pa.array([], pa.int64())})
-    if not terms or not seg_ids:
-        return empty
-    build_doc_values(index_dir, column)
-    per_seg = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _date_hist_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "column": column, "field": field,
-                "terms": terms, "unit": _CAL_UNITS[calendar_interval]},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-    )
-    merged = per_seg.groupby("key_us").aggregate(Sum("doc_count")).to_pandas()
-    if len(merged) == 0:
-        return empty
-    merged = merged.rename(columns={"sum(doc_count)": "doc_count"})
-    merged = merged.sort_values("key_us")
+    parts = _run_partials(index_dir, query, field, _date_hist_partial,
+                          column, _CAL_UNITS[calendar_interval],
+                          columns=(column,))
+    merged = (_sum_by(parts, "key_us") if parts
+              else pd.DataFrame({"key_us": [], "doc_count": []}))
     return pa.table({
-        "key": pa.array(merged["key_us"].to_numpy().astype("M8[us]"),
+        "key": pa.array(merged["key_us"].to_numpy(np.int64).astype("M8[us]"),
                         pa.timestamp("us")),
-        "doc_count": pa.array(merged["doc_count"].to_numpy(), pa.int64()),
+        "doc_count": pa.array(merged["doc_count"].to_numpy(np.int64),
+                              pa.int64()),
     })
 
 
-def _ts_minmax_partials(batch: pa.Table, *, index_dir: str, column: str,
-                        field: str, terms: list[str]) -> pa.Table:
-    """Task: per-segment (min, max) of the matched docs' non-null
-    ``column`` timestamps — two int64 microsecond values per segment."""
-    _stats, deleted = worker_state(index_dir)
-    mns, mxs = [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field, terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        dv = pq.read_table(_dv_path(index_dir, column, seg_id),
-                           columns=["doc_id", column])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-        arr = dv[column].combine_chunks().take(pa.array(pos)).to_numpy(
-            zero_copy_only=False)
-        arr = arr[~np.isnat(arr)]
-        if len(arr) == 0:
-            continue
-        mns.append(int(arr.min().astype("M8[us]").astype(np.int64)))
-        mxs.append(int(arr.max().astype("M8[us]").astype(np.int64)))
-    return pa.table({"mn": pa.array(mns, pa.int64()),
-                     "mx": pa.array(mxs, pa.int64())})
+def _ts_span_partial(searcher, field: str, terms: list[str], column: str):
+    """Group partial: (min, max) of the matched docs' non-null ``column``
+    timestamps, as int64 microseconds."""
+    arr = _matched_ts(searcher, field, terms, column)
+    if len(arr) == 0:
+        return None
+    us = arr.astype("M8[us]").astype(np.int64)
+    return int(us.min()), int(us.max())
 
 
 # auto_date_histogram ladder, finest first. ES's real ladder also has
@@ -693,85 +528,50 @@ def _span_buckets(mn_us: int, mx_us: int, unit: str) -> int:
 def auto_date_histogram_agg(index_dir: str, query: str,
                             target_buckets: int = 10,
                             column: str = "warc_ts",
-                            field: str = DEFAULT_FIELD,
-                            concurrency: int | None = None) -> pa.Table:
+                            field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``auto_date_histogram``: pick the finest calendar interval
     from the ladder (hour → day → week → month → year) whose
     span-implied bucket count fits ``target_buckets``, then histogram
     at that interval; the chosen interval is returned as a constant
     column (ES returns it in the agg metadata). The decision needs only
-    the matched span — one tiny per-segment (min, max) partials job —
-    never a trial histogram per rung."""
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"key": pa.array([], pa.timestamp("us")),
-                      "doc_count": pa.array([], pa.int64()),
-                      "interval": pa.array([], pa.string())})
-    if not terms or not seg_ids:
-        return empty
-    build_doc_values(index_dir, column)
-    mm = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _ts_minmax_partials,
-            fn_kwargs={"index_dir": index_dir, "column": column,
-                       "field": field, "terms": terms},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .to_pandas()  # one row per segment
-    )
-    if len(mm) == 0:
-        return empty
-    mn, mx = int(mm["mn"].min()), int(mm["mx"].max())
+    the matched span — one (min, max) pair per segment group — never a
+    trial histogram per rung."""
+    spans = _run_partials(index_dir, query, field, _ts_span_partial, column,
+                          columns=(column,))
+    if not spans:
+        return pa.table({"key": pa.array([], pa.timestamp("us")),
+                         "doc_count": pa.array([], pa.int64()),
+                         "interval": pa.array([], pa.string())})
+    mn = min(s[0] for s in spans)
+    mx = max(s[1] for s in spans)
     unit = _AUTO_LADDER[-1]
     for cand in _AUTO_LADDER:
         if _span_buckets(mn, mx, cand) <= target_buckets:
             unit = cand
             break
     base = date_histogram_agg(index_dir, query, unit, column=column,
-                              field=field, concurrency=concurrency)
+                              field=field)
     return base.append_column(
         "interval", pa.array([unit] * base.num_rows, pa.string()))
 
 
 def stats_agg(index_dir: str, query: str, field: str = DEFAULT_FIELD,
-              metric_field: str | None = None,
-              concurrency: int | None = None) -> pa.Table:
+              metric_field: str | None = None) -> pa.Table:
     """ES ``stats`` aggregation over the matching docs' token counts:
-    one row (doc_count, min, max, sum, avg). Partials are integer
-    (count, min, max, sum) per segment — the merge and the final avg are
-    exact."""
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"doc_count": pa.array([0], pa.int64()),
-                      "min_word_count": pa.array([None], pa.int64()),
-                      "max_word_count": pa.array([None], pa.int64()),
-                      "sum_word_count": pa.array([0], pa.int64()),
-                      "avg_word_count": pa.array([None], pa.float64())})
-    if not terms or not seg_ids:
-        return empty
-    per_seg = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _dl_agg_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field, "terms": terms,
-                "metric_field": metric_field or field,
-                "interval": None},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .to_pandas()
-    )
-    if len(per_seg) == 0 or per_seg["doc_count"].sum() == 0:
-        return empty
-    cnt = int(per_seg["doc_count"].sum())
-    sm = int(per_seg["sum_v"].sum())
+    one row (doc_count, min, max, sum, avg). The moments are exact
+    integers (see :func:`_dl_moments`), so only the final avg is float."""
+    m = _dl_moments(index_dir, query, field, metric_field)
+    if m is None:
+        return pa.table({"doc_count": pa.array([0], pa.int64()),
+                         "min_word_count": pa.array([None], pa.int64()),
+                         "max_word_count": pa.array([None], pa.int64()),
+                         "sum_word_count": pa.array([0], pa.int64()),
+                         "avg_word_count": pa.array([None], pa.float64())})
+    cnt, mn, mx, sm, _sq = m
     return pa.table({
         "doc_count": pa.array([cnt], pa.int64()),
-        "min_word_count": pa.array([int(per_seg["min_v"].min())], pa.int64()),
-        "max_word_count": pa.array([int(per_seg["max_v"].max())], pa.int64()),
+        "min_word_count": pa.array([mn], pa.int64()),
+        "max_word_count": pa.array([mx], pa.int64()),
         "sum_word_count": pa.array([sm], pa.int64()),
         "avg_word_count": pa.array([sm / cnt], pa.float64()),
     })
@@ -779,53 +579,33 @@ def stats_agg(index_dir: str, query: str, field: str = DEFAULT_FIELD,
 
 def extended_stats_agg(index_dir: str, query: str,
                        field: str = DEFAULT_FIELD,
-                       metric_field: str | None = None,
-                       concurrency: int | None = None) -> pa.Table:
+                       metric_field: str | None = None) -> pa.Table:
     """ES ``extended_stats`` aggregation over the matching docs' token
     counts: stats plus sum_of_squares, (population) variance and
-    std_deviation, Lucene's ExtendedStats reduce. Partials stay integer
-    (count, min, max, sum, sum of squares) per segment, so the merge is
-    exact; only the final moments are float, computed with one fixed
-    expression shape (``sq/n - (s/n)*(s/n)``) mirrored by the SQL oracle
-    so the hash compare is bitwise-stable."""
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"doc_count": pa.array([0], pa.int64()),
-                      "min_word_count": pa.array([None], pa.int64()),
-                      "max_word_count": pa.array([None], pa.int64()),
-                      "sum_word_count": pa.array([0], pa.int64()),
-                      "sum_of_squares": pa.array([0], pa.int64()),
-                      "avg_word_count": pa.array([None], pa.float64()),
-                      "variance": pa.array([None], pa.float64()),
-                      "std_deviation": pa.array([None], pa.float64())})
-    if not terms or not seg_ids:
-        return empty
-    per_seg = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _dl_agg_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field, "terms": terms,
-                "metric_field": metric_field or field,
-                "interval": None},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .to_pandas()
-    )
-    if len(per_seg) == 0 or per_seg["doc_count"].sum() == 0:
-        return empty
-    cnt = int(per_seg["doc_count"].sum())
-    sm = int(per_seg["sum_v"].sum())
-    sq = int(per_seg["sum_sq"].sum())
+    std_deviation, Lucene's ExtendedStats reduce. The moments are exact
+    integers (count, min, max, sum, sum of squares); only the final
+    moments are float, computed with one fixed expression shape
+    (``sq/n - (s/n)*(s/n)``) mirrored by the SQL oracle so the hash
+    compare is bitwise-stable."""
+    m = _dl_moments(index_dir, query, field, metric_field)
+    if m is None:
+        return pa.table({"doc_count": pa.array([0], pa.int64()),
+                         "min_word_count": pa.array([None], pa.int64()),
+                         "max_word_count": pa.array([None], pa.int64()),
+                         "sum_word_count": pa.array([0], pa.int64()),
+                         "sum_of_squares": pa.array([0], pa.int64()),
+                         "avg_word_count": pa.array([None], pa.float64()),
+                         "variance": pa.array([None], pa.float64()),
+                         "std_deviation": pa.array([None], pa.float64())})
+    cnt, mn, mx, sm, sq = m
     mean = sm / cnt
     # population variance, clamped at 0 against FP cancellation — the SQL
     # oracle uses the identical expression (greatest(..., 0))
     var = max(sq / cnt - mean * mean, 0.0)
     return pa.table({
         "doc_count": pa.array([cnt], pa.int64()),
-        "min_word_count": pa.array([int(per_seg["min_v"].min())], pa.int64()),
-        "max_word_count": pa.array([int(per_seg["max_v"].max())], pa.int64()),
+        "min_word_count": pa.array([mn], pa.int64()),
+        "max_word_count": pa.array([mx], pa.int64()),
         "sum_word_count": pa.array([sm], pa.int64()),
         "sum_of_squares": pa.array([sq], pa.int64()),
         "avg_word_count": pa.array([mean], pa.float64()),
@@ -835,124 +615,82 @@ def extended_stats_agg(index_dir: str, query: str,
 
 
 def filters_agg(index_dir: str, filters: dict[str, str],
-                field: str = DEFAULT_FIELD, mode: str = "or",
-                concurrency: int | None = None) -> pa.Table:
+                field: str = DEFAULT_FIELD, mode: str = "or") -> pa.Table:
     """ES ``filters`` aggregation: one named bucket per filter query,
     each counting its own matching docs independently (buckets may
-    overlap, exactly like ES). All filters share ONE Dataset job — the
-    per-segment partials union every filter's terms into a single
-    postings read (:func:`..export.count_matches_many`). Output is
-    key-ascending for determinism (ES returns insertion order; callers
-    that need it can reorder the small result)."""
+    overlap, exactly like ES). All filters share ONE fan-out — each
+    group reads the union of every filter's terms once
+    (:func:`..export.count_matches_many`). Output is key-ascending for
+    determinism (ES returns insertion order; callers that need it can
+    reorder the small result)."""
     from .export import count_matches_many
 
     names = sorted(filters)
     t = count_matches_many(index_dir, [filters[n] for n in names],
-                           field=field, mode=mode, concurrency=concurrency)
+                           field=field, mode=mode)
     return pa.table({
         "filter_key": pa.array(names, pa.string()),
         "doc_count": t["n_matched"],
     })
 
 
-def _composite_partials(batch: pa.Table, *, index_dir: str,
-                        columns: list[str], field: str,
-                        terms: list[str]) -> pa.Table:
-    """Task: per-segment composite-agg partials — the matched docs'
-    (col1, col2, ...) tuples pre-aggregated to (keys..., doc_count) rows
-    bounded by the segment's distinct tuple count."""
-    _stats, deleted = worker_state(index_dir)
-    parts = []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field, terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        cols = {}
-        for column in columns:
-            dv = pq.read_table(_dv_path(index_dir, column, seg_id),
-                               columns=["doc_id", column])
-            pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-            cols[column] = dv[column].combine_chunks().take(pa.array(pos))
-        seg_t = pa.table(cols)
-        # ES composite default (missing_bucket=false): docs missing any
-        # source value are skipped
-        mask = None
-        for column in columns:
-            valid = pc.is_valid(seg_t[column])
-            mask = valid if mask is None else pc.and_(mask, valid)
-        seg_t = seg_t.filter(mask)
-        if len(seg_t) == 0:
-            continue
-        agg = seg_t.group_by(columns).aggregate([([], "count_all")])
-        agg = agg.rename_columns(list(columns) + ["doc_count"])
-        parts.append(agg)
-    if not parts:
-        return pa.table(
-            {**{c: pa.array([], pa.string()) for c in columns},
-             "doc_count": pa.array([], pa.int64())})
-    return pa.concat_tables(parts)
+def _composite_partial(searcher, field: str, terms: list[str],
+                       columns: list[str]):
+    """Group partial: the matched docs' (col1, col2, ...) tuples counted
+    per distinct tuple. ES composite default (missing_bucket=false):
+    docs missing any source value are skipped."""
+    ids = searcher.matched_ids(field, terms)
+    if len(ids) == 0:
+        return None
+    t = pa.table({c: _dv_values(searcher, c, ids) for c in columns})
+    agg = t.drop_null().group_by(columns).aggregate([([], "count_all")])
+    return agg.rename_columns(list(columns) + ["doc_count"]).to_pandas()
 
 
-def composite_agg(index_dir: str, query: str,
-                  sources: tuple[str, ...] = ("lang", "source"),
-                  size: int = 10, after: tuple | None = None,
-                  field: str = DEFAULT_FIELD,
-                  concurrency: int | None = None) -> pa.Table:
-    """ES ``composite`` aggregation: every (sources...) value tuple of
-    the matching docs as a bucket, key-ascending, paginated with an
-    exclusive ``after`` key — the scroll-safe agg ES offers for full
-    bucket enumeration. Per-segment partials are bounded by distinct
-    tuples; the merge is a multi-key ``groupby().sum`` over partials,
-    and the page cut (after-filter + size) happens on the reduced bucket
-    list, exactly like ES's coordinate-node reduce."""
-    from ray.data.aggregate import Sum
+def _tuple_buckets(index_dir: str, query: str, columns, field: str
+                   ) -> pd.DataFrame | None:
+    """(columns..., doc_count) per distinct value tuple of the matching
+    docs, sorted by the tuple; None when nothing matches."""
+    srcs = list(columns)
+    parts = _run_partials(index_dir, query, field, _composite_partial,
+                          srcs, columns=tuple(srcs))
+    return _sum_by(parts, srcs) if parts else None
 
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    srcs = list(sources)
-    empty = pa.table({**{c: pa.array([], pa.string()) for c in srcs},
-                      "doc_count": pa.array([], pa.int64())})
-    if not terms or not seg_ids:
-        return empty
-    for c in srcs:
-        build_doc_values(index_dir, c)
-    merged = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _composite_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "columns": srcs, "field": field,
-                "terms": terms},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .groupby(srcs)
-        .aggregate(Sum("doc_count", alias_name="doc_count"))
-        .to_pandas()
-    )
-    if len(merged) == 0:
-        return empty
-    merged = merged.sort_values(srcs).reset_index(drop=True)
-    if after is not None:
-        aft = tuple(after)
-        keep = [tuple(row) > aft
-                for row in merged[srcs].itertuples(index=False)]
-        merged = merged[keep]
-    merged = merged.head(size)
+
+def _tuple_table(merged: pd.DataFrame | None, srcs: list[str]) -> pa.Table:
+    if merged is None:
+        return pa.table({**{c: pa.array([], pa.string()) for c in srcs},
+                         "doc_count": pa.array([], pa.int64())})
     return pa.table({
         **{c: pa.array(merged[c].astype(str), pa.string()) for c in srcs},
         "doc_count": pa.array(merged["doc_count"].to_numpy(), pa.int64()),
     })
 
 
+def composite_agg(index_dir: str, query: str,
+                  sources: tuple[str, ...] = ("lang", "source"),
+                  size: int = 10, after: tuple | None = None,
+                  field: str = DEFAULT_FIELD) -> pa.Table:
+    """ES ``composite`` aggregation: every (sources...) value tuple of
+    the matching docs as a bucket, key-ascending, paginated with an
+    exclusive ``after`` key — the scroll-safe agg ES offers for full
+    bucket enumeration. Group partials are bounded by distinct tuples;
+    the merge is a multi-key sum over partials, and the page cut
+    (after-filter + size) happens on the reduced bucket list, exactly
+    like ES's coordinate-node reduce."""
+    srcs = list(sources)
+    merged = _tuple_buckets(index_dir, query, srcs, field)
+    if merged is not None and after is not None:
+        aft = tuple(after)
+        merged = merged[[tuple(row) > aft
+                         for row in merged[srcs].itertuples(index=False)]]
+    return _tuple_table(None if merged is None else merged.head(size), srcs)
+
+
 def date_histogram_pipeline_agg(index_dir: str, query: str,
                                 calendar_interval: str = "day",
                                 column: str = "warc_ts",
-                                field: str = DEFAULT_FIELD,
-                                concurrency: int | None = None) -> pa.Table:
+                                field: str = DEFAULT_FIELD) -> pa.Table:
     """ES pipeline aggregations (``cumulative_sum`` + ``derivative``)
     over a date_histogram: computed on the REDUCED bucket list — exactly
     where ES computes pipeline aggs (coordinator-side, after the shard
@@ -960,8 +698,7 @@ def date_histogram_pipeline_agg(index_dir: str, query: str,
     not a shortcut. The first bucket's derivative is null (ES emits no
     value for it)."""
     base = date_histogram_agg(index_dir, query, calendar_interval,
-                              column=column, field=field,
-                              concurrency=concurrency)
+                              column=column, field=field)
     dc = base["doc_count"].to_numpy()
     cum = np.cumsum(dc)
     deriv = np.full(len(dc), np.nan)
@@ -980,8 +717,7 @@ def date_histogram_pipeline_agg(index_dir: str, query: str,
 def date_histogram_bucket_pipeline_agg(
         index_dir: str, query: str, calendar_interval: str = "day",
         window: int = 7, lag: int = 7, column: str = "warc_ts",
-        field: str = DEFAULT_FIELD,
-        concurrency: int | None = None) -> pa.Table:
+        field: str = DEFAULT_FIELD) -> pa.Table:
     """The remaining ES pipeline-agg family over a date_histogram:
 
     * ``moving_fn`` (``MovingFunctions.unweightedAvg``, ``shift=0``):
@@ -999,8 +735,7 @@ def date_histogram_bucket_pipeline_agg(
     the shard merge, so driver-side numpy here is the scale-correct
     shape (bucket count is bounded, never corpus-sized)."""
     base = date_histogram_agg(index_dir, query, calendar_interval,
-                              column=column, field=field,
-                              concurrency=concurrency)
+                              column=column, field=field)
     dc = base["doc_count"].to_numpy().astype(np.int64)
     n = len(dc)
     csum = np.concatenate([[0], np.cumsum(dc)])
@@ -1031,8 +766,7 @@ def date_histogram_bucket_pipeline_agg(
 
 def date_histogram_normalize_agg(
         index_dir: str, query: str, calendar_interval: str = "day",
-        column: str = "warc_ts", field: str = DEFAULT_FIELD,
-        concurrency: int | None = None) -> pa.Table:
+        column: str = "warc_ts", field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``normalize`` pipeline agg over a date_histogram — the four
     methods with distinct shapes (``bucket_script`` already covers
     plain ratios):
@@ -1048,8 +782,7 @@ def date_histogram_normalize_agg(
     Computed on the REDUCED bucket list like every ES pipeline agg —
     coordinator-side after the shard merge, bucket count bounded."""
     base = date_histogram_agg(index_dir, query, calendar_interval,
-                              column=column, field=field,
-                              concurrency=concurrency)
+                              column=column, field=field)
     dc = base["doc_count"].to_numpy().astype(np.int64)
     n = len(dc)
     if n == 0:
@@ -1081,8 +814,7 @@ def date_histogram_normalize_agg(
 def date_histogram_bucket_select_agg(
         index_dir: str, query: str, calendar_interval: str = "day",
         min_doc_count: int = 1, size: int = 10, column: str = "warc_ts",
-        field: str = DEFAULT_FIELD,
-        concurrency: int | None = None) -> pa.Table:
+        field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``bucket_script`` + ``bucket_selector`` + ``bucket_sort`` over
     a date_histogram: a derived per-bucket metric (percent of total
     matched docs), a predicate dropping buckets below ``min_doc_count``,
@@ -1090,8 +822,7 @@ def date_histogram_bucket_select_agg(
     three bucket-mutating pipeline aggs ES applies coordinator-side in
     exactly this order. Bounded by bucket count, never doc count."""
     base = date_histogram_agg(index_dir, query, calendar_interval,
-                              column=column, field=field,
-                              concurrency=concurrency)
+                              column=column, field=field)
     dc = base["doc_count"].to_numpy().astype(np.int64)
     tot = int(dc.sum()) if len(dc) else 0
     # bucket_script: params.count / params.total * 100
@@ -1104,182 +835,62 @@ def date_histogram_bucket_select_agg(
     return t.take(order[:size])  # bucket_sort: sort + from/size truncate
 
 
-def _missing_partials(batch: pa.Table, *, index_dir: str, column: str,
-                      field: str, terms: list[str]) -> pa.Table:
-    """Task: per-segment count of matched docs whose ``column``
-    doc-value is null — one int per segment."""
-    _stats, deleted = worker_state(index_dir)
-    n_missing = 0
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field, terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        dv = pq.read_table(_dv_path(index_dir, column, seg_id),
-                           columns=["doc_id", column])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-        vals = dv[column].combine_chunks().take(pa.array(pos))
-        n_missing += int(pc.sum(pc.cast(pc.is_null(vals),
-                                        pa.int64())).as_py() or 0)
-    return pa.table({"n_missing": pa.array([n_missing], pa.int64())})
+def _missing_partial(searcher, field: str, terms: list[str], column: str):
+    """Group partial: how many matched docs have a null ``column``."""
+    ids = searcher.matched_ids(field, terms)
+    return _dv_values(searcher, column, ids).null_count if len(ids) else 0
 
 
 def missing_agg(index_dir: str, query: str, column: str,
-                field: str = DEFAULT_FIELD,
-                concurrency: int | None = None) -> pa.Table:
+                field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``missing`` aggregation: how many of the matching docs lack a
     value for ``column`` — the complement bucket the terms agg skips.
-    One integer partial per segment, summed on the driver."""
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    if not terms or not seg_ids:
-        return pa.table({"doc_count": pa.array([0], pa.int64())})
-    build_doc_values(index_dir, column)
-    per_seg = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _missing_partials,
-            fn_kwargs={"index_dir": index_dir, "column": column,
-                       "field": field, "terms": terms},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .to_pandas()
-    )
-    return pa.table({"doc_count": pa.array(
-        [int(per_seg["n_missing"].sum())], pa.int64())})
+    One integer partial per segment group, summed on the driver."""
+    parts = _run_partials(index_dir, query, field, _missing_partial, column,
+                          columns=(column,))
+    return pa.table({"doc_count": pa.array([sum(parts)], pa.int64())})
 
 
-def _top_hits_partials(batch: pa.Table, *, index_dir: str, column: str,
-                       field: str, terms: list[str], idf: dict,
-                       avgdl: float, n_per_key: int) -> pa.Table:
-    """Task: per-segment top-``n_per_key`` hits per bucket value for one
-    OR query, plus the segment's full per-key matched-doc count — rows
-    bounded by (keys x n_per_key) per segment, never its doc count.
-    Scoring is the global-idf BM25 convention (term-major lexicographic
-    accumulation, rounded to 6 dp), identical to the serving paths."""
-    from . import codec
-
-    _stats, deleted = worker_state(index_dir)
-    out_s, out_k, out_d, out_sc, out_c = [], [], [], [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        runs = _segment_postings(index_dir, seg_id, field, terms,
-                                 with_tf=True)
-        if not runs:
-            continue
-        all_ids = [ids for rs in runs.values() for ids, _tfs in rs]
-        loc = np.unique(np.concatenate(all_ids))
-        docs = pq.read_table(seg_docs_path(index_dir, seg_id),
-                             columns=["doc_id", _dl_column(field)])
-        base = int(docs["doc_id"][0].as_py())
-        dl = docs[_dl_column(field)].to_numpy().astype(np.float64)
-        sc = np.zeros(len(loc), dtype=np.float64)
-        for t in terms:  # lexicographic accumulation order
-            for ids, tfs in runs.get(t, []):
-                sc[np.searchsorted(loc, ids)] += idf[t] * \
-                    codec.bm25_tf_impact(tfs.astype(np.float64),
-                                         dl[ids - base], avgdl)
-        if len(deleted):
-            keep = _drop_deleted(deleted, loc)
-            loc, sc = loc[keep], sc[keep]
-        if len(loc) == 0:
-            continue
-        r = np.round(sc, 6)
-        dv = pq.read_table(_dv_path(index_dir, column, seg_id),
-                           columns=["doc_id", column])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), loc)
-        vals = dv[column].combine_chunks().take(pa.array(pos))
-        enc = pc.dictionary_encode(vals)
-        # ES terms-agg semantics: docs missing the bucket field are
-        # skipped (null sentinel code, bucket dropped below)
-        null_code = len(enc.dictionary)
-        codes = np.asarray(pc.fill_null(enc.indices, null_code),
-                           dtype=np.int64)
-        valid = codes != null_code
-        loc, r, codes = loc[valid], r[valid], codes[valid]
-        if len(loc) == 0:
-            continue
-        cnts = np.bincount(codes, minlength=len(enc.dictionary))
-        order = np.lexsort((loc, -r))  # (score desc, doc_id asc)
-        oc = codes[order]
-        o2 = np.argsort(oc, kind="stable")  # group keys, keep score order
-        soc = oc[o2]
-        starts = np.flatnonzero(np.r_[True, soc[1:] != soc[:-1]])
-        sizes = np.diff(np.r_[starts, len(soc)])
-        within = np.arange(len(soc)) - np.repeat(starts, sizes)
-        sel = order[o2[within < n_per_key]]
-        names = enc.dictionary.to_pylist()
-        out_s.extend([seg_id] * len(sel))
-        out_k.extend(str(names[c]) for c in codes[sel].tolist())
-        out_d.extend(loc[sel].tolist())
-        out_sc.extend(r[sel].tolist())
-        out_c.extend(cnts[codes[sel]].tolist())
-    return pa.table({"segment_id": pa.array(out_s, pa.int64()),
-                     "key": pa.array(out_k, pa.string()),
-                     "doc_id": pa.array(out_d, pa.int64()),
-                     "score": pa.array(out_sc, pa.float64()),
-                     "seg_count": pa.array(out_c, pa.int64())})
+def _top_hits_partial(searcher, field: str, terms: list[str],
+                      column: str, n_per_key: int):
+    """Group partial: per non-null ``column`` value, its matched-doc
+    count and its ``n_per_key`` best hits by (score desc, doc_id asc) —
+    rows bounded by keys x n_per_key. ES terms-agg semantics: docs
+    missing the bucket field are skipped."""
+    ids, sc = _scored(searcher, field, terms)
+    if len(ids) == 0:
+        return None
+    df = pd.DataFrame({"key": _str_keys(_dv_values(searcher, column, ids)),
+                       "doc_id": ids, "score": sc}).dropna(subset=["key"])
+    hits = (df.sort_values(["score", "doc_id"], ascending=[False, True])
+            .groupby("key").head(n_per_key))
+    return df.groupby("key").size(), hits
 
 
 def top_hits_agg(index_dir: str, query: str, column: str,
                  num_buckets: int = 10, size_per_bucket: int = 3,
-                 field: str = DEFAULT_FIELD,
-                 concurrency: int | None = None) -> pa.Table:
+                 field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``terms`` aggregation with a ``top_hits`` sub-aggregation: the
     top-``num_buckets`` values of ``column`` by matched-doc count, each
-    carrying its ``size_per_bucket`` best-scoring hits. Per-segment
-    partials are bounded by (keys x size_per_bucket); the driver merge
-    re-ranks the tiny partial set — the ES coordinator reduce shape.
-    Returns (key, doc_count, hit_rank, doc_id, score) ordered
-    (doc_count desc, key asc, hit_rank asc)."""
-    from .search import _avgdl, load_global_idf
-
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"key": pa.array([], pa.string()),
-                      "doc_count": pa.array([], pa.int64()),
-                      "hit_rank": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
-    if not terms or not seg_ids:
-        return empty
-    idf_map, _dfs, _n = load_global_idf(index_dir, {field: terms})
-    idf = {t: v for (f, t), v in idf_map.items() if f == field}
-    terms = [t for t in terms if t in idf]
-    if not terms:
-        return empty
-    build_doc_values(index_dir, column)
-    parts = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _top_hits_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "column": column, "field": field,
-                "terms": terms, "idf": idf, "avgdl": _avgdl(stats, field),
-                "n_per_key": int(size_per_bucket)},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .to_pandas()  # <= keys x n x segments rows
-    )
-    if len(parts) == 0:
-        return empty
-    counts = (parts.drop_duplicates(["segment_id", "key"])
-              .groupby("key")["seg_count"].sum())
-    top_keys = counts.reset_index().sort_values(
-        ["seg_count", "key"], ascending=[False, True]
-    ).head(num_buckets)
+    carrying its ``size_per_bucket`` best-scoring hits. Scores are the
+    serving path's BM25, rounded to 6 dp. Group partials are bounded by
+    (keys x size_per_bucket); the driver merge re-ranks the tiny partial
+    set — the ES coordinator reduce shape. Returns (key, doc_count,
+    hit_rank, doc_id, score) ordered (doc_count desc, key asc, hit_rank
+    asc)."""
+    parts = _run_partials(index_dir, query, field, _top_hits_partial,
+                          column, int(size_per_bucket), columns=(column,))
     rows = []
-    for key, cnt in zip(top_keys["key"], top_keys["seg_count"]):
-        hits = (parts[parts["key"] == key]
-                .sort_values(["score", "doc_id"], ascending=[False, True])
-                .head(size_per_bucket))
-        for rank, (_i, h) in enumerate(hits.iterrows(), start=1):
-            rows.append((key, int(cnt), rank, int(h["doc_id"]),
-                         float(h["score"])))
+    if parts:
+        counts = pd.concat([c for c, _h in parts]).groupby(level=0).sum()
+        top = sorted(counts.items(), key=lambda kc: (-kc[1], kc[0]))
+        hits = (pd.concat([h for _c, h in parts])
+                .sort_values(["score", "doc_id"], ascending=[False, True]))
+        for key, cnt in top[:num_buckets]:
+            best = hits[hits["key"] == key].head(size_per_bucket)
+            for rank, (d, s) in enumerate(zip(best["doc_id"], best["score"]),
+                                          start=1):
+                rows.append((key, int(cnt), rank, int(d), float(s)))
     return pa.table({
         "key": pa.array([r[0] for r in rows], pa.string()),
         "doc_count": pa.array([r[1] for r in rows], pa.int64()),
@@ -1289,134 +900,100 @@ def top_hits_agg(index_dir: str, query: str, column: str,
     })
 
 
+def _terms_partial(searcher, field: str, terms: list[str], column: str,
+                   metric_field: str | None):
+    """Group partial: (key, doc_count, metric_sum) per non-null ``column``
+    value of the matched docs — rows bounded by distinct values. ES
+    terms-agg semantics: docs missing the field are skipped."""
+    ids = searcher.matched_ids(field, terms)
+    if len(ids) == 0:
+        return None
+    metric = (searcher._dl_for(metric_field)[ids].astype(np.int64)
+              if metric_field is not None else 0)
+    df = pd.DataFrame({"key": _str_keys(_dv_values(searcher, column, ids)),
+                       "metric_sum": metric})
+    return df.groupby("key", as_index=False).agg(
+        doc_count=("metric_sum", "size"), metric_sum=("metric_sum", "sum"))
+
+
+def _key_counts(index_dir: str, query: str, column: str, field: str,
+                metric_field: str | None = None) -> pd.DataFrame:
+    """(key, doc_count, metric_sum) per ``column`` value over the
+    matching docs, key-ascending (empty frame when nothing matches)."""
+    parts = _run_partials(index_dir, query, field, _terms_partial, column,
+                          metric_field, columns=(column,))
+    return (_sum_by(parts, "key") if parts else
+            pd.DataFrame({"key": pd.Series([], dtype=object),
+                          "doc_count": [], "metric_sum": []}))
+
+
 def terms_agg(index_dir: str, query: str, column: str, size: int = 10,
               field: str = DEFAULT_FIELD,
-              metric_field: str | None = None,
-              concurrency: int | None = None) -> pa.Table:
+              metric_field: str | None = None) -> pa.Table:
     """ES ``terms`` aggregation over the docs matching an OR match query:
     top-``size`` values of ``column`` by (doc_count desc, key asc).
     ``metric_field`` adds an ``avg_word_count``-style metric sub-agg (the
     mean token count of the bucket's matching docs, from the index's
-    per-field doc lengths). Distributed: segment partials bounded by
-    distinct values, merged with a small ``groupby().sum``."""
-    from ray.data.aggregate import Sum
-
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    empty = pa.table({"key": pa.array([], pa.string()),
-                      "doc_count": pa.array([], pa.int64())})
-    if metric_field is not None:
-        empty = empty.append_column(
-            "avg_word_count", pa.array([], pa.float64()))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    if not terms or not seg_ids:
-        return empty
-    build_doc_values(index_dir, column)
-    per_seg = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _terms_agg_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "column": column, "field": field,
-                "terms": terms, "metric_field": metric_field,
-            },
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-    )
-    merged = (per_seg.groupby("key")
-              .aggregate(Sum("doc_count"), Sum("metric_sum"))
-              .to_pandas())
-    if len(merged) == 0:
-        return empty
-    merged = merged.rename(columns={"sum(doc_count)": "doc_count",
-                                    "sum(metric_sum)": "metric_sum"})
+    per-field doc lengths). Group partials are bounded by distinct
+    values, merged with a per-key sum."""
+    merged = _key_counts(index_dir, query, column, field, metric_field)
     merged = merged.sort_values(["doc_count", "key"],
                                 ascending=[False, True]).head(size)
+    dc = merged["doc_count"].to_numpy(np.int64)
     out = {"key": pa.array(merged["key"], pa.string()),
-           "doc_count": pa.array(merged["doc_count"].to_numpy(), pa.int64())}
+           "doc_count": pa.array(dc, pa.int64())}
     if metric_field is not None:
         out["avg_word_count"] = pa.array(
-            merged["metric_sum"].to_numpy()
-            / merged["doc_count"].to_numpy(), pa.float64())
+            merged["metric_sum"].to_numpy(np.int64) / dc, pa.float64())
     return pa.table(out)
 
 
-def _sig_terms_partials(batch: pa.Table, *, index_dir: str,
-                        field: str, terms: list[str],
-                        shard_size: int | None = None,
-                        drop_ref=None) -> pa.Table:
-    """Task: per-segment foreground doc-frequency partials — the matched
-    docs' stored text re-tokenized, one (term, fg_count) row per distinct
-    term. Work is O(matched docs' tokens), not O(segment vocabulary):
-    texts come positionally from the segment's stored-field shard, so a
-    query matching a sliver of a 100-TB corpus tokenizes only that
-    sliver. ``drop_ref`` (significant_text's duplicate-text filter) is a
-    ``ray.put`` sorted int64 array of doc ids to exclude."""
-    import ray as _ray
-
-    _stats, deleted = worker_state(index_dir)
+def _sig_terms_partial(searcher, field: str, terms: list[str],
+                       shard_size: int | None, drop_ids: np.ndarray | None):
+    """Group partial: the matched docs' foreground doc frequencies
+    ((term, fg_count) rows, one per distinct term) and the matched-doc
+    count. The stored text is re-tokenized segment by segment, so work
+    is O(matched docs' tokens), never O(segment vocabulary)."""
     from ..functions import analyzers as an
 
-    drop = _ray.get(drop_ref) if drop_ref is not None else None
-    outs = []
-    n_matched = 0
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field,
-                           terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if drop is not None and len(drop) and len(ids):
-            pos = np.searchsorted(drop, ids)
-            pos[pos == len(drop)] = 0
-            ids = ids[drop[pos] != ids]
-        if len(ids) == 0:
-            continue
-        n_matched += len(ids)
-        dv = pq.read_table(_dv_path(index_dir, "text", seg_id),
-                           columns=["doc_id", "text"])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-        texts = dv["text"].combine_chunks().take(pa.array(pos))
+    ids = searcher.matched_ids(field, terms)
+    if drop_ids is not None and len(drop_ids):
+        ids = ids[~np.isin(ids, drop_ids)]
+    if len(ids) == 0:
+        return None
+    fg = []
+    for seg_id, seg_ids in searcher.split_by_segment(ids):
+        texts = _dv_take(searcher.index_dir, "text", seg_id, seg_ids)
         doc_idx, tokens, _dl = an.standard_tokenize_batch(texts)
         if len(doc_idx) == 0:
             continue
+        if isinstance(tokens, pa.ChunkedArray):
+            tokens = tokens.combine_chunks()
+        enc = pc.dictionary_encode(tokens)
+        nv = len(enc.dictionary)
         # distinct (doc, term): doc frequency, not term frequency
-        enc = pc.dictionary_encode(tokens.combine_chunks()
-                                   if isinstance(tokens,
-                                                 pa.ChunkedArray)
-                                   else tokens)
-        codes = np.asarray(enc.indices, dtype=np.int64)
-        pair = np.unique(doc_idx.astype(np.int64)
-                         * len(enc.dictionary) + codes)
-        term_code = pair % len(enc.dictionary)
-        cnt = np.bincount(term_code, minlength=len(enc.dictionary))
+        pair = np.unique(doc_idx.astype(np.int64) * nv
+                         + np.asarray(enc.indices, dtype=np.int64))
+        cnt = np.bincount(pair % nv, minlength=nv)
         nz = np.flatnonzero(cnt)
-        if shard_size is not None and len(nz) > shard_size:
-            # ES shard_size semantics: each shard ships only its top
-            # candidates (fg_count desc, term asc) — the documented
-            # approximation bound for huge foreground vocabularies
-            tnames = np.array(enc.dictionary.take(pa.array(nz))
-                              .to_pylist(), dtype=object)
-            order = np.lexsort((tnames, -cnt[nz]))[:shard_size]
-            nz = nz[order]
-        outs.append(pa.table({
-            "term": pc.cast(enc.dictionary.take(pa.array(nz)),
-                            pa.string()),
-            "fg_count": pa.array(cnt[nz], pa.int64()),
-            "fg_docs": pa.array([0] * len(nz), pa.int64()),
-        }))
-    tot = pa.table({"term": pa.array([""], pa.string()),
-                    "fg_count": pa.array([0], pa.int64()),
-                    "fg_docs": pa.array([n_matched], pa.int64())})
-    outs.append(tot)
-    return pa.concat_tables(outs)
+        fg.append(pd.DataFrame({
+            "term": enc.dictionary.take(pa.array(nz)).to_pylist(),
+            "fg_count": cnt[nz]}))
+    if not fg:
+        return pd.DataFrame({"term": [], "fg_count": []}), len(ids)
+    fg = _sum_by(fg, "term")
+    if shard_size is not None and len(fg) > shard_size:
+        # ES shard_size semantics: each shard (here: segment group)
+        # ships only its top candidates (fg_count desc, term asc)
+        fg = fg.sort_values(["fg_count", "term"],
+                            ascending=[False, True]).head(shard_size)
+    return fg, len(ids)
 
 
 def significant_terms_agg(index_dir: str, query: str, size: int = 10,
                           field: str = DEFAULT_FIELD,
                           shard_size: int | None = None,
-                          concurrency: int | None = None,
-                          drop_ref=None) -> pa.Table:
+                          drop_ids: np.ndarray | None = None) -> pa.Table:
     """ES ``significant_terms`` aggregation: terms over-represented in the
     docs matching an OR match query vs the whole corpus, scored with the
     JLH heuristic ``(fg% - bg%) * (fg% / bg%)`` (ES's default), positive
@@ -1425,15 +1002,14 @@ def significant_terms_agg(index_dir: str, query: str, size: int = 10,
     frequencies from the global term dictionary (read only for the
     foreground's terms). Scores are rounded to 6 dp so the ordering is
     reproducible cross-engine. ``shard_size`` (ES semantics) caps each
-    partial's candidate terms by fg_count — None is exact; set it when a
-    broad query's foreground vocabulary would swamp the merge. It is a
-    RECALL bound over high-fg-count candidates: reliable when the
+    segment group's candidate terms by fg_count — None is exact; set it
+    when a broad query's foreground vocabulary would swamp the merge. It
+    is a RECALL bound over high-fg-count candidates: reliable when the
     foreground's signature terms appear in most of its docs (the
     cluster-analysis / decontamination case), lossy for terms that are
     significant despite low foreground frequency — the same trade ES's
-    default shard_size makes."""
-    from ray.data.aggregate import Sum
-
+    default shard_size makes. ``drop_ids`` (significant_text's
+    duplicate-text filter): doc ids left out of the foreground."""
     from .search import _read_term_dict
 
     stats = _load_stats(index_dir)
@@ -1442,34 +1018,19 @@ def significant_terms_agg(index_dir: str, query: str, size: int = 10,
         raise ValueError(
             f"significant_terms re-tokenizes stored text and requires "
             f"the standard analyzer on {field!r}, got {analyzer!r}")
-    terms = query_terms(query, analyzer)
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
     empty = pa.table({"term": pa.array([], pa.string()),
                       "fg_count": pa.array([], pa.int64()),
                       "bg_count": pa.array([], pa.int64()),
                       "score": pa.array([], pa.float64())})
-    if not terms or not seg_ids:
+    # stored-field shards, built once
+    parts = _run_partials(index_dir, query, field, _sig_terms_partial,
+                          shard_size, drop_ids, columns=("text",))
+    fg_total = sum(n for _fg, n in parts)
+    if fg_total == 0:
         return empty
-    build_doc_values(index_dir, "text")  # stored-field shards, built once
-    merged = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _sig_terms_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field,
-                "terms": sorted(set(terms)),
-                "shard_size": shard_size,
-                "drop_ref": drop_ref},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .groupby("term")
-        .aggregate(Sum("fg_count", alias_name="fg_count"),
-                   Sum("fg_docs", alias_name="fg_docs"))
-        .to_pandas()  # bounded by the matched slice's vocabulary
-    )
-    fg_total = int(merged["fg_docs"].sum())
+    merged = _sum_by([fg for fg, _n in parts], "term")
     merged = merged[merged["fg_count"] > 0]
-    if fg_total == 0 or len(merged) == 0:
+    if len(merged) == 0:
         return empty
     n_docs = int(stats["n_docs"])
     # background df for exactly the foreground terms. Small foregrounds
@@ -1519,104 +1080,40 @@ def significant_terms_agg(index_dir: str, query: str, size: int = 10,
     })
 
 
-def _sampler_partials(batch: pa.Table, *, index_dir: str, column: str,
-                      field: str, terms: list[str], idf: dict,
-                      avgdl: float, shard_size: int) -> pa.Table:
-    """Task: per-segment top-``shard_size`` matched docs by BM25 (the
-    serving-path scoring convention) with their ``column`` doc-values —
-    rows bounded by shard_size per segment."""
-    from . import codec
-
-    _stats, deleted = worker_state(index_dir)
-    out_d, out_sc, out_v = [], [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        runs = _segment_postings(index_dir, seg_id, field, terms,
-                                 with_tf=True)
-        if not runs:
-            continue
-        all_ids = [ids for rs in runs.values() for ids, _tfs in rs]
-        loc = np.unique(np.concatenate(all_ids))
-        docs = pq.read_table(seg_docs_path(index_dir, seg_id),
-                             columns=["doc_id", _dl_column(field)])
-        base = int(docs["doc_id"][0].as_py())
-        dl = docs[_dl_column(field)].to_numpy().astype(np.float64)
-        sc = np.zeros(len(loc), dtype=np.float64)
-        for t in terms:  # lexicographic accumulation order
-            for ids, tfs in runs.get(t, []):
-                sc[np.searchsorted(loc, ids)] += idf[t] * \
-                    codec.bm25_tf_impact(tfs.astype(np.float64),
-                                         dl[ids - base], avgdl)
-        if len(deleted):
-            keep = _drop_deleted(deleted, loc)
-            loc, sc = loc[keep], sc[keep]
-        if len(loc) == 0:
-            continue
-        r = np.round(sc, 6)
-        sel = np.lexsort((loc, -r))[:shard_size]
-        loc, r = loc[sel], r[sel]
-        dv = pq.read_table(_dv_path(index_dir, column, seg_id),
-                           columns=["doc_id", column])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), loc)
-        vals = dv[column].combine_chunks().take(pa.array(pos))
-        out_d.extend(loc.tolist())
-        out_sc.extend(r.tolist())
-        out_v.append(vals)
-    return pa.table({
-        "doc_id": pa.array(out_d, pa.int64()),
-        "score": pa.array(out_sc, pa.float64()),
-        "value": (pc.cast(pa.concat_arrays(
-            [v.combine_chunks() if isinstance(v, pa.ChunkedArray) else v
-             for v in out_v]), pa.string())
-            if out_v else pa.array([], pa.string())),
-    })
+def _sampler_partial(searcher, field: str, terms: list[str], column: str,
+                     shard_size: int):
+    """Group partial: the group's top-``shard_size`` matched docs by
+    (score desc, doc_id asc) with their ``column`` values — rows bounded
+    by shard_size."""
+    ids, sc = _scored(searcher, field, terms)
+    if len(ids) == 0:
+        return None
+    top = np.sort(np.lexsort((ids, -sc))[:shard_size])  # doc-id order
+    return pd.DataFrame({
+        "doc_id": ids[top], "score": sc[top],
+        "value": _str_keys(_dv_values(searcher, column, ids[top]))})
 
 
 def sampler_terms_agg(index_dir: str, query: str, column: str,
                       shard_size: int = 100, num_buckets: int = 10,
-                      field: str = DEFAULT_FIELD,
-                      concurrency: int | None = None) -> pa.Table:
+                      field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``sampler`` aggregation with a ``terms`` sub-aggregation: the
     sub-agg sees only the top-``shard_size`` matched docs by relevance.
     This index is one logical shard, so the sample is the exact GLOBAL
-    top-``shard_size`` (score desc, doc_id asc) — per-segment
+    top-``shard_size`` (score desc, doc_id asc) — per-group
     top-shard_size partials merged on the driver (bounded by
-    segments x shard_size, never doc count), then one bincount over the
+    groups x shard_size, never doc count), then one count over the
     <= shard_size sampled values. ES's per-shard sampling is the
     multi-shard generalization of the same partials."""
-    from .search import _avgdl, load_global_idf
-
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"key": pa.array([], pa.string()),
-                      "doc_count": pa.array([], pa.int64())})
-    if not terms or not seg_ids:
-        return empty
-    idf_map, _dfs, _n = load_global_idf(index_dir, {field: terms})
-    idf = {t: v for (f, t), v in idf_map.items() if f == field}
-    terms = [t for t in terms if t in idf]
-    if not terms:
-        return empty
-    build_doc_values(index_dir, column)
-    parts = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _sampler_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "column": column, "field": field,
-                "terms": sorted(set(terms)), "idf": idf,
-                "avgdl": _avgdl(stats, field),
-                "shard_size": int(shard_size)},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .to_pandas()  # <= segments x shard_size rows
-    )
-    if len(parts) == 0:
-        return empty
-    parts = parts.sort_values(["score", "doc_id"],
-                              ascending=[False, True]).head(shard_size)
-    counts = (parts.dropna(subset=["value"]).groupby("value").size()
+    parts = _run_partials(index_dir, query, field, _sampler_partial, column,
+                          int(shard_size), columns=(column,))
+    if not parts:
+        return pa.table({"key": pa.array([], pa.string()),
+                         "doc_count": pa.array([], pa.int64())})
+    sample = (pd.concat(parts, ignore_index=True)
+              .sort_values(["score", "doc_id"], ascending=[False, True])
+              .head(shard_size))
+    counts = (sample.dropna(subset=["value"]).groupby("value").size()
               .reset_index(name="doc_count")
               .sort_values(["doc_count", "value"],
                            ascending=[False, True]).head(num_buckets))
@@ -1626,36 +1123,29 @@ def sampler_terms_agg(index_dir: str, query: str, column: str,
     })
 
 
-def _text_hash_partials(batch: pa.Table, *, index_dir: str, field: str,
-                        terms: list[str]) -> pa.Table:
-    """Task: (md5(text), doc_id) for each matched doc in the segment —
-    the duplicate-text probe for significant_text."""
+def _text_hash_partial(searcher, field: str, terms: list[str]):
+    """Group partial of significant_text's duplicate-text probe: one
+    (md5(text), min doc_id) row per distinct matched text, plus the ids
+    of the group's other docs with an already-seen text (the group's own
+    drops). Rows are bounded by the group's distinct matched texts."""
     import hashlib
 
-    _stats, deleted = worker_state(index_dir)
-    out_h, out_d = [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field, terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        dv = pq.read_table(_dv_path(index_dir, "text", seg_id),
-                           columns=["doc_id", "text"])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-        texts = dv["text"].combine_chunks().take(pa.array(pos))
-        out_h.extend(hashlib.md5(
-            (x or "").encode()).hexdigest() for x in texts.to_pylist())
-        out_d.extend(ids.tolist())
-    return pa.table({"h": pa.array(out_h, pa.string()),
-                     "doc_id": pa.array(out_d, pa.int64())})
+    ids = searcher.matched_ids(field, terms)
+    if len(ids) == 0:
+        return None
+    h = []
+    for seg_id, seg_ids in searcher.split_by_segment(ids):
+        texts = _dv_take(searcher.index_dir, "text", seg_id, seg_ids)
+        h.extend(hashlib.md5((x or "").encode()).hexdigest()
+                 for x in texts.to_pylist())
+    df = pd.DataFrame({"h": h, "doc_id": ids})
+    dup = df.duplicated("h").to_numpy()  # ids ascend: first = min doc_id
+    return df[~dup], ids[dup]
 
 
 def significant_text_agg(index_dir: str, query: str, size: int = 10,
                          field: str = DEFAULT_FIELD,
-                         filter_duplicate_text: bool = True,
-                         concurrency: int | None = None) -> pa.Table:
+                         filter_duplicate_text: bool = True) -> pa.Table:
     """ES ``significant_text`` aggregation: significant_terms computed
     directly from the matched docs' stored text (which is exactly how
     this engine's significant_terms already gets its foreground), plus
@@ -1664,50 +1154,26 @@ def significant_text_agg(index_dir: str, query: str, size: int = 10,
     pages cannot manufacture significance. Doc-level hash dedup is the
     documented simplification of ES's paragraph-level near-dup filter.
 
-    The drop set is found by a per-segment (md5, doc_id) probe over the
-    matched slice merged through one groupby — O(matched docs), the
-    exact_dedup shape — and shipped to the fg partials via ``ray.put``
-    (bounded by the number of duplicate docs)."""
-    import ray as _ray
-
+    The drop set comes from a duplicate-text probe over the matched
+    slice: each segment group pre-reduces to one (md5, min doc_id) row
+    per distinct text plus its own drops (see
+    :func:`_text_hash_partial`), so the driver holds O(distinct matched
+    texts) rows; a text first seen in several groups keeps only its
+    lowest doc_id."""
     if not filter_duplicate_text:
-        return significant_terms_agg(index_dir, query, size, field=field,
-                                     concurrency=concurrency)
-    stats = _load_stats(index_dir)
-    analyzer = _field_analyzer(stats, field)
-    terms = query_terms(query, analyzer)
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"term": pa.array([], pa.string()),
-                      "fg_count": pa.array([], pa.int64()),
-                      "bg_count": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
-    if not terms or not seg_ids:
-        return empty
-    build_doc_values(index_dir, "text")
-
-    def _dups(df: pd.DataFrame) -> pd.DataFrame:
-        # all but the lowest doc_id of each identical-text group
-        return df[df["doc_id"] != df["doc_id"].min()][["doc_id"]]
-
-    drops = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _text_hash_partials,
-            fn_kwargs={"index_dir": index_dir, "field": field,
-                       "terms": sorted(set(terms))},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .groupby("h")
-        .map_groups(_dups, batch_format="pandas")
-        .to_pandas()  # bounded by the number of DUPLICATE docs
-    )
-    drop_ids = (np.sort(drops["doc_id"].to_numpy(np.int64))
-                if len(drops) and "doc_id" in drops.columns
+        return significant_terms_agg(index_dir, query, size, field=field)
+    parts = _run_partials(index_dir, query, field, _text_hash_partial,
+                          columns=("text",))
+    drops = [d for _f, d in parts]
+    if parts:
+        firsts = (pd.concat([f for f, _d in parts], ignore_index=True)
+                  .sort_values("doc_id"))
+        drops.append(firsts["doc_id"].to_numpy()[
+            firsts.duplicated("h").to_numpy()])
+    drop_ids = (np.sort(np.concatenate(drops)).astype(np.int64) if drops
                 else np.empty(0, np.int64))
-    drop_ref = _ray.put(drop_ids)
     return significant_terms_agg(index_dir, query, size, field=field,
-                                 concurrency=concurrency,
-                                 drop_ref=drop_ref)
+                                 drop_ids=drop_ids)
 
 
 def _range_key(frm, to) -> str:
@@ -1719,57 +1185,44 @@ def _range_key(frm, to) -> str:
 
 def range_agg(index_dir: str, query: str, ranges: list[tuple],
               field: str = DEFAULT_FIELD,
-              metric_field: str | None = None,
-              concurrency: int | None = None) -> pa.Table:
+              metric_field: str | None = None) -> pa.Table:
     """ES ``range`` aggregation over the matching docs' token counts:
     explicit buckets ``[from, to)`` (either end open, overlaps allowed —
     each range counts independently, exactly like ES). Every requested
-    bucket is returned, zero or not, in the requested order. Per-segment
-    partials are one int per range; the merge is a groupby-sum over
-    ``len(ranges)`` keys."""
-    from ray.data.aggregate import Sum
-
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
+    bucket is returned, zero or not, in the requested order. Counted on
+    the driver from the interval-1 histogram (lossless for integer token
+    counts)."""
     norm = [(None if frm is None else int(frm),
              None if to is None else int(to)) for frm, to in ranges]
-    keys = pa.array([_range_key(f, t) for f, t in norm], pa.string())
-    if not terms or not seg_ids:
-        return pa.table({"range_key": keys,
-                         "doc_count": pa.array([0] * len(norm), pa.int64())})
-    per_seg = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _dl_agg_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field, "terms": terms,
-                "metric_field": metric_field or field,
-                "interval": None, "ranges": norm},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-    )
-    merged = (per_seg.groupby("range_idx").aggregate(Sum("doc_count"))
-              .to_pandas().rename(columns={"sum(doc_count)": "doc_count"}))
-    counts = np.zeros(len(norm), dtype=np.int64)
-    counts[merged["range_idx"].to_numpy()] = merged["doc_count"].to_numpy()
-    return pa.table({"range_key": keys,
-                     "doc_count": pa.array(counts, pa.int64())})
+    hist = histogram_agg(index_dir, query, 1, field, metric_field)
+    v = hist["key"].to_numpy()
+    c = hist["doc_count"].to_numpy()
+    counts = []
+    for frm, to in norm:
+        ok = np.ones(len(v), dtype=bool)
+        if frm is not None:
+            ok &= v >= frm
+        if to is not None:
+            ok &= v < to
+        counts.append(int(c[ok].sum()))
+    return pa.table({
+        "range_key": pa.array([_range_key(f, t) for f, t in norm],
+                              pa.string()),
+        "doc_count": pa.array(counts, pa.int64())})
 
 
 def percentiles_agg(index_dir: str, query: str,
                     percents: tuple = (1, 5, 25, 50, 75, 95, 99),
                     field: str = DEFAULT_FIELD,
-                    metric_field: str | None = None,
-                    concurrency: int | None = None) -> pa.Table:
+                    metric_field: str | None = None) -> pa.Table:
     """ES ``percentiles`` aggregation over the matching docs' token
     counts (default percents match ES). ES approximates with TDigest;
     token counts are integers, so the interval-1 histogram partials are a
     LOSSLESS compression of the full distribution and the interpolated
     quantiles are exact (quantile_cont convention: linear between order
     statistics — same convention as the quality_percentiles entry)."""
-    hist = histogram_agg(index_dir, query, 1, field, metric_field,
-                         concurrency).to_pandas()
+    hist = histogram_agg(index_dir, query, 1, field,
+                         metric_field).to_pandas()
     cols = {f"p{int(p)}": [None] for p in percents}
     if len(hist) == 0:
         return pa.table({k: pa.array(v, pa.float64())
@@ -1792,61 +1245,35 @@ def percentiles_agg(index_dir: str, query: str,
 
 def rare_terms_agg(index_dir: str, query: str, column: str,
                    max_doc_count: int = 3,
-                   field: str = DEFAULT_FIELD,
-                   concurrency: int | None = None) -> pa.Table:
+                   field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``rare_terms`` aggregation: the long tail the terms agg's
     size-cut hides — bucket values of ``column`` whose matched-doc count
-    is <= ``max_doc_count``, key-ascending. Same per-segment partials as
+    is <= ``max_doc_count``, key-ascending. Same group partials as
     terms_agg (bounded by distinct values); the rarity cut happens after
-    the exact groupby-sum merge, so there is no false-negative risk (ES
+    the exact per-key sum, so there is no false-negative risk (ES
     itself approximates with a CuckooFilter at scale; the exact merge is
     this engine's equivalent of `precision` at its max)."""
-    from ray.data.aggregate import Sum
-
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    empty = pa.table({"key": pa.array([], pa.string()),
-                      "doc_count": pa.array([], pa.int64())})
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    if not terms or not seg_ids:
-        return empty
-    build_doc_values(index_dir, column)
-    merged = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _terms_agg_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "column": column, "field": field,
-                "terms": terms, "metric_field": None},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .groupby("key")
-        .aggregate(Sum("doc_count", alias_name="doc_count"))
-        .to_pandas()
-    )
-    if len(merged) == 0:
-        return empty
+    merged = _key_counts(index_dir, query, column, field)
     merged = merged[merged["doc_count"] <= int(max_doc_count)]
-    merged = merged.sort_values("key")
     return pa.table({
         "key": pa.array(merged["key"], pa.string()),
-        "doc_count": pa.array(merged["doc_count"].to_numpy(), pa.int64()),
+        "doc_count": pa.array(merged["doc_count"].to_numpy(np.int64),
+                              pa.int64()),
     })
 
 
 def percentile_ranks_agg(index_dir: str, query: str,
                          values: tuple = (8, 16, 32),
                          field: str = DEFAULT_FIELD,
-                         metric_field: str | None = None,
-                         concurrency: int | None = None) -> pa.Table:
+                         metric_field: str | None = None) -> pa.Table:
     """ES ``percentile_ranks`` aggregation: for each requested value, the
     percentage of the matching docs' token counts that are <= it —
     the inverse of percentiles. Same interval-1 histogram partials
     (lossless for integer values), so the ranks are exact:
     ``100 * count(v <= x) / n`` with one fixed float expression shape
     mirrored by the SQL oracle."""
-    hist = histogram_agg(index_dir, query, 1, field, metric_field,
-                         concurrency).to_pandas()
+    hist = histogram_agg(index_dir, query, 1, field,
+                         metric_field).to_pandas()
     if len(hist) == 0:
         return pa.table({"value": pa.array([int(v) for v in values],
                                            pa.int64()),
@@ -1867,59 +1294,31 @@ def percentile_ranks_agg(index_dir: str, query: str,
     })
 
 
-def _card_agg_partials(batch: pa.Table, *, index_dir: str,
-                       column: str, field: str, terms: list[str],
-                       threshold: int) -> pa.Table:
-    """Task: per-segment cardinality partials for one broadcast query.
-
-    ES ``cardinality`` semantics: exact below ``precision_threshold``,
-    HyperLogLog above. A segment whose matched-distinct count fits the
-    threshold emits its distinct values verbatim (bounded rows); a bigger
-    one emits a single 16 KiB HLL register row. The merge promotes to the
-    sketch only if the union outgrows the threshold — like ES's
-    sparse-to-dense HLL++ promotion, the answer is exact whenever the true
-    cardinality is under the threshold."""
-    _stats, deleted = worker_state(index_dir)
+def _card_partial(searcher, field: str, terms: list[str], column: str,
+                  threshold: int):
+    """Group partial of ES ``cardinality`` (exact below
+    ``precision_threshold``, HyperLogLog above): a group whose
+    matched-distinct count fits the threshold ships its distinct values
+    verbatim; a bigger one ships a single 16 KiB HLL register array. The
+    merge promotes to the sketch only if the union outgrows the
+    threshold — like ES's sparse-to-dense HLL++ promotion, the answer is
+    exact whenever the true cardinality is under the threshold."""
     from ..functions.hll import fnv64_strings, hll_partial
 
-    vals: list[str] = []
-    regs = None
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field,
-                           terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        dvp = _dv_path(index_dir, column, seg_id)
-        dv = pq.read_table(dvp, columns=["doc_id", column])
-        dv_ids = dv["doc_id"].to_numpy()
-        pos = np.searchsorted(dv_ids, ids)
-        seg_vals = dv[column].combine_chunks().take(pa.array(pos))
-        # ES cardinality ignores missing values; dropping nulls here
-        # also keeps the exact and sketch paths' identities consistent
-        distinct = pc.drop_null(pc.unique(seg_vals))
-        if len(distinct) <= threshold:
-            vals.extend(str(v) for v in distinct.to_pylist())
-        else:
-            part = hll_partial(fnv64_strings(distinct))
-            regs = part if regs is None else np.maximum(regs, part)
-    rows_v = sorted(set(vals))
-    out_regs: list = [None] * len(rows_v)
-    if regs is not None:
-        rows_v.append(None)
-        out_regs.append(regs.tolist())
-    return pa.table({
-        "value": pa.array(rows_v, pa.string()),
-        "regs": pa.array(out_regs, pa.list_(pa.int64())),
-    })
+    ids = searcher.matched_ids(field, terms)
+    if len(ids) == 0:
+        return None
+    # ES cardinality ignores missing values; dropping nulls here also
+    # keeps the exact and sketch paths' identities consistent
+    distinct = pc.drop_null(pc.unique(_dv_values(searcher, column, ids)))
+    if len(distinct) <= threshold:
+        return {str(v) for v in distinct.to_pylist()}, None
+    return set(), hll_partial(fnv64_strings(distinct))
 
 
 def cardinality_agg(index_dir: str, query: str, column: str,
                     precision_threshold: int = 3000,
-                    field: str = DEFAULT_FIELD,
-                    concurrency: int | None = None) -> pa.Table:
+                    field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``cardinality`` aggregation: distinct ``column`` values among the
     docs matching an OR match query. Exact when the true cardinality is
     <= ``precision_threshold`` (ES default 3000, max 40000); otherwise a
@@ -1927,32 +1326,12 @@ def cardinality_agg(index_dir: str, query: str, column: str,
     (cardinality, is_approx)."""
     from ..functions.hll import fnv64_strings, hll_estimate, hll_partial
 
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    if not terms or not seg_ids:
-        return pa.table({"cardinality": pa.array([0], pa.int64()),
-                         "is_approx": pa.array([False], pa.bool_())})
-    build_doc_values(index_dir, column)
-    parts = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _card_agg_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "column": column, "field": field,
-                "terms": terms,
-                "threshold": int(precision_threshold)},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .take_all()  # bounded: <= threshold values or one register row
-    )
-    exact: set = set()
+    parts = _run_partials(index_dir, query, field, _card_partial, column,
+                          int(precision_threshold), columns=(column,))
+    exact: set = set().union(*(vals for vals, _r in parts))
     regs = None
-    for row in parts:
-        if row["value"] is not None:
-            exact.add(row["value"])
-        else:
-            r = np.asarray(row["regs"], dtype=np.int64)
+    for _vals, r in parts:
+        if r is not None:
             regs = r if regs is None else np.maximum(regs, r)
     if regs is None and len(exact) <= precision_threshold:
         return pa.table({
@@ -1970,202 +1349,104 @@ def cardinality_agg(index_dir: str, query: str, column: str,
 
 def multi_terms_agg(index_dir: str, query: str,
                     columns: tuple[str, ...] = ("lang", "source"),
-                    size: int = 10, field: str = DEFAULT_FIELD,
-                    concurrency: int | None = None) -> pa.Table:
+                    size: int = 10, field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``multi_terms`` aggregation: buckets are VALUE TUPLES of the
     source columns (``["lang", "source"]``-style terms list), ordered by
     (doc_count desc, keys asc), top ``size`` — the non-paginated sibling
-    of :func:`composite_agg`. Per-segment partials are the composite
-    partials (bounded by distinct tuples per segment); the merge is a
-    multi-key ``groupby().sum`` and the order-by + cut happens on the
-    reduced bucket list, exactly where ES's coordinator does it. Docs
-    missing ANY source value are skipped (ES multi_terms semantics)."""
-    from ray.data.aggregate import Sum
-
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
+    of :func:`composite_agg`. Group partials are the composite partials
+    (bounded by distinct tuples); the merge is a multi-key sum and the
+    order-by + cut happens on the reduced bucket list, exactly where
+    ES's coordinator does it. Docs missing ANY source value are skipped
+    (ES multi_terms semantics)."""
     srcs = list(columns)
-    empty = pa.table({**{c: pa.array([], pa.string()) for c in srcs},
-                      "doc_count": pa.array([], pa.int64())})
-    if not terms or not seg_ids:
-        return empty
-    for c in srcs:
-        build_doc_values(index_dir, c)
-    merged = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _composite_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "columns": srcs, "field": field,
-                "terms": terms},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .groupby(srcs)
-        .aggregate(Sum("doc_count", alias_name="doc_count"))
-        .to_pandas()
-    )
-    if len(merged) == 0:
-        return empty
-    merged = merged.sort_values(
-        ["doc_count", *srcs], ascending=[False] + [True] * len(srcs)
-    ).head(size)
-    return pa.table({
-        **{c: pa.array(merged[c].astype(str), pa.string()) for c in srcs},
-        "doc_count": pa.array(merged["doc_count"].to_numpy(), pa.int64()),
-    })
+    merged = _tuple_buckets(index_dir, query, srcs, field)
+    if merged is not None:
+        merged = merged.sort_values(
+            ["doc_count", *srcs], ascending=[False] + [True] * len(srcs)
+        ).head(size)
+    return _tuple_table(merged, srcs)
 
 
-def _weighted_avg_partials(batch: pa.Table, *, index_dir: str, field: str,
-                           terms: list[str], weight_column: str) -> pa.Table:
-    """Task: per-segment weighted_avg partials — integer sums of
-    (weight * value) and weight over the matched docs, so the final
-    division is the only float op (bitwise-stable across partitionings).
-    Value = the field's per-doc token count (docs table); weight = the
-    doc's ``weight_column`` timestamp in whole hours since the Unix epoch
-    (doc-values shard). Docs with a null weight are skipped (ES
-    weighted_avg skip-missing)."""
-    _stats, deleted = worker_state(index_dir)
-    swv, sw, n = 0, 0, 0
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field, terms)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        docs = pq.read_table(
-            seg_docs_path(index_dir, seg_id),
-            columns=["doc_id", _dl_column(field)])
-        dlv = docs[_dl_column(field)].to_numpy()
-        base = int(docs["doc_id"][0].as_py())
-        v = dlv[ids - base].astype(np.int64)
-        dv = pq.read_table(_dv_path(index_dir, weight_column, seg_id),
-                           columns=["doc_id", weight_column])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-        wcol = dv[weight_column].combine_chunks().take(pa.array(pos))
-        ok = np.asarray(pc.is_valid(wcol))
-        # timestamp[us] -> whole hours since epoch; integer floordiv
-        # BEFORE any float conversion (raw microseconds exceed float64's
-        # exact-integer range for far-future dates)
-        w = np.asarray(pc.fill_null(wcol.cast(pa.int64()), 0),
-                       dtype=np.int64) // 3_600_000_000
-        w = w[ok]
-        v = v[ok]
-        swv += int((w * v).sum())
-        sw += int(w.sum())
-        n += len(v)
-    return pa.table({"sum_wv": pa.array([swv], pa.int64()),
-                     "sum_w": pa.array([sw], pa.int64()),
-                     "n": pa.array([n], pa.int64())})
+def _weighted_avg_partial(searcher, field: str, terms: list[str],
+                          weight_column: str):
+    """Group partial: integer sums of (weight * value) and weight, and the
+    count, over the matched docs, so the final division is the only
+    float op (bitwise-stable across partitionings). Value = the field's
+    per-doc token count; weight = the doc's ``weight_column`` timestamp
+    in whole hours since the Unix epoch. Docs with a null weight are
+    skipped (ES weighted_avg skip-missing)."""
+    ids = searcher.matched_ids(field, terms)
+    if len(ids) == 0:
+        return None
+    wcol = _dv_values(searcher, weight_column, ids)
+    ok = np.asarray(pc.is_valid(wcol))
+    v = searcher._dl_for(field)[ids].astype(np.int64)[ok]
+    # timestamp[us] -> whole hours since epoch; integer floordiv BEFORE
+    # any float conversion (raw microseconds exceed float64's
+    # exact-integer range for far-future dates)
+    w = (np.asarray(pc.fill_null(wcol.cast(pa.int64()), 0),
+                    dtype=np.int64) // 3_600_000_000)[ok]
+    return int((w * v).sum()), int(w.sum()), len(v)
 
 
 def weighted_avg_agg(index_dir: str, query: str,
                      weight_column: str = "warc_ts",
-                     field: str = DEFAULT_FIELD,
-                     concurrency: int | None = None) -> pa.Table:
+                     field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``weighted_avg`` aggregation over the matching docs:
     ``sum(weight * value) / sum(weight)`` with value = the doc's token
     count and weight = its ``weight_column`` timestamp in whole hours
     since the Unix epoch (a deterministic numeric doc-value; real users
-    plug a ratings/votes column the same way). Per-segment partials are
-    two INTEGER sums, so the single final division is the only float op
+    plug a ratings/votes column the same way). Group partials are two
+    INTEGER sums, so the single final division is the only float op
     — exact at any partitioning."""
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"weighted_avg": pa.array([], pa.float64()),
-                      "value_count": pa.array([], pa.int64())})
-    if not terms or not seg_ids:
-        return empty
-    build_doc_values(index_dir, weight_column)
-    parts = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _weighted_avg_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field, "terms": terms,
-                "weight_column": weight_column},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .to_pandas()  # bounded: one 3-int row per task
-    )
-    sw = int(parts["sum_w"].sum())
-    n = int(parts["n"].sum())
+    parts = _run_partials(index_dir, query, field, _weighted_avg_partial,
+                          weight_column, columns=(weight_column,))
+    swv, sw, n = (sum(x) for x in zip(*parts)) if parts else (0, 0, 0)
     if n == 0 or sw == 0:
-        return empty
-    wavg = round(float(parts["sum_wv"].sum()) / float(sw), 6)
+        return pa.table({"weighted_avg": pa.array([], pa.float64()),
+                         "value_count": pa.array([], pa.int64())})
+    wavg = round(float(swv) / float(sw), 6)
     return pa.table({"weighted_avg": pa.array([wavg], pa.float64()),
                      "value_count": pa.array([n], pa.int64())})
 
 
-def _adjacency_partials(batch: pa.Table, *, index_dir: str, field: str,
-                        named_terms: list[tuple[str, list[str]]]
-                        ) -> pa.Table:
-    """Task: per-segment adjacency_matrix partials — matched-id sets per
-    named filter, then every single and pairwise-intersection count.
-    Output is bounded by ``n_filters^2`` rows per segment batch."""
-    _stats, deleted = worker_state(index_dir)
-    agg: dict[str, int] = {}
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        sets = []
-        for name, terms in named_terms:
-            ids = _matched_ids(index_dir, seg_id, field, terms)
-            if len(deleted) and len(ids):
-                ids = ids[_drop_deleted(deleted, ids)]
-            sets.append((name, ids))
-        for i, (na, ia) in enumerate(sets):
-            if len(ia):
-                agg[na] = agg.get(na, 0) + len(ia)
-            for nb, ib in sets[i + 1:]:
-                both = len(np.intersect1d(ia, ib, assume_unique=True))
-                if both:
-                    key = f"{na}&{nb}"
-                    agg[key] = agg.get(key, 0) + both
-    ks = sorted(agg)
-    return pa.table({"key": pa.array(ks, pa.string()),
-                     "doc_count": pa.array([agg[k] for k in ks], pa.int64())})
+def _adjacency_partial(searcher, field: str,
+                       named_terms: list[tuple[str, list[str]]]) -> dict:
+    """Group partial of adjacency_matrix: each named filter's matched
+    count and every pairwise-intersection count (key ``"a&b"``) —
+    n_filters^2 ints; doc ids never leave the task."""
+    sets = [(name, searcher.matched_ids(field, terms))
+            for name, terms in named_terms]
+    out = {}
+    for i, (na, ia) in enumerate(sets):
+        out[na] = len(ia)
+        for nb, ib in sets[i + 1:]:
+            out[f"{na}&{nb}"] = len(np.intersect1d(ia, ib,
+                                                   assume_unique=True))
+    return out
 
 
 def adjacency_matrix_agg(index_dir: str, filters: dict[str, str],
-                         field: str = DEFAULT_FIELD,
-                         concurrency: int | None = None) -> pa.Table:
+                         field: str = DEFAULT_FIELD) -> pa.Table:
     """ES ``adjacency_matrix`` aggregation: one bucket per named filter
     plus one per PAIR intersection (key ``"a&b"``, names in sorted order
     — ES's separator), counting docs matching both. Only non-empty
-    buckets are returned (ES semantics), key-ascending. Per-segment
-    partials compute the intersections locally on sorted id arrays
-    (doc ids never leave the task), merged with a tiny groupby-sum —
-    O(filters^2) rows total regardless of corpus size."""
-    from ray.data.aggregate import Sum
-
+    buckets are returned (ES semantics), key-ascending. Group partials
+    compute the intersections locally on sorted id arrays, summed on the
+    driver — O(filters^2) values regardless of corpus size."""
     stats = _load_stats(index_dir)
     analyzer = _field_analyzer(stats, field)
     named_terms = [(name, query_terms(filters[name], analyzer))
                    for name in sorted(filters)]
     seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"key": pa.array([], pa.string()),
-                      "doc_count": pa.array([], pa.int64())})
-    if not seg_ids or not named_terms:
-        return empty
-    merged = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _adjacency_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field,
-                "named_terms": named_terms},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .groupby("key")
-        .aggregate(Sum("doc_count", alias_name="doc_count"))
-        .to_pandas()
-    )
-    if len(merged) == 0:
-        return empty
-    merged = merged.sort_values("key")
-    return pa.table({
-        "key": pa.array(merged["key"], pa.string()),
-        "doc_count": pa.array(merged["doc_count"].to_numpy(), pa.int64()),
-    })
+    total: dict[str, int] = {}
+    if seg_ids and named_terms:
+        for part in map_segment_groups(index_dir, seg_ids,
+                                       _adjacency_partial, field,
+                                       named_terms):
+            for key, n in part.items():
+                total[key] = total.get(key, 0) + n
+    keys = sorted(k for k, n in total.items() if n)
+    return pa.table({"key": pa.array(keys, pa.string()),
+                     "doc_count": pa.array([total[k] for k in keys],
+                                           pa.int64())})

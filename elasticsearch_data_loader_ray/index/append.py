@@ -137,12 +137,11 @@ def _upsert_probe(index_dir: str, stats: dict, committed: dict[int, dict],
         # a url re-ingested a SECOND time matches its original doc id
         # again; without this filter n_deleted / n_upserts inflate
         # (search is unaffected — _load_deleted dedupes)
-        from .search import _drop_deleted, _load_deleted
+        from .search import _load_deleted
 
-        already = _load_deleted(index_dir, stats)
-        if len(already):
-            keep = _drop_deleted(already, ids)
-            ids, urls = ids[keep], urls[keep]
+        keep = ~np.isin(ids, _load_deleted(index_dir, stats),
+                        assume_unique=True)
+        ids, urls = ids[keep], urls[keep]
     return ids, urls.tolist()
 
 
@@ -252,59 +251,51 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
     return out
 
 
-def _delete_partials(batch: pa.Table, *, index_dir: str, field: str,
-                     terms: list[str], mode: str, qhash: str) -> pa.Table:
-    """Task: per-segment tombstone writer for one query.
+def _delete_partial(searcher, field: str, terms: list[str], mode: str,
+                    qhash: str) -> list[tuple[str, int]]:
+    """Group partial: the tombstone writer for one query.
 
-    Writes ``tombstones/dbq-<qhash>-seg<K>.json`` atomically with a
-    DETERMINISTIC name, so task retries overwrite the same payload and
-    re-running the same delete is idempotent. Files are inert until the
-    driver's stats.json rewrite lists them (the single visibility point).
-    The (stats, tombstones) state comes from the mtime-keyed worker cache,
-    so already-deleted docs are excluded from the new counts."""
-    from .aggs import _matched_ids, worker_state
-    from .search import _drop_deleted
-
-    _stats, deleted = worker_state(index_dir)
-    paths, counts = [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field, terms, mode)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
+    Writes ``tombstones/dbq-<qhash>-seg<K>.json`` per segment with live
+    matches, atomically and under a DETERMINISTIC name, so task retries
+    overwrite the same payload and re-running the same delete is
+    idempotent. Files are inert until the driver's stats.json rewrite
+    lists them (the single visibility point). The searcher's matched set
+    already excludes tombstoned docs, so they are not counted again.
+    Returns one (path, count) per file written."""
+    out = []
+    ids = searcher.matched_ids(field, terms, mode)
+    for seg_id, seg_ids in searcher.split_by_segment(ids):
         rel = os.path.join(
             "tombstones", f"dbq-{qhash}-seg{seg_id:06d}.json")
         mf.write_json_atomic(
-            os.path.join(index_dir, rel),
+            os.path.join(searcher.index_dir, rel),
             {"query_hash": qhash, "segment_id": seg_id,
-             "deleted_doc_ids": [int(d) for d in ids]})
-        paths.append(rel)
-        counts.append(len(ids))
-    return pa.table({"path": pa.array(paths, pa.string()),
-                     "n": pa.array(counts, pa.int64())})
+             "deleted_doc_ids": [int(d) for d in seg_ids]})
+        out.append((rel, len(seg_ids)))
+    return out
 
 
 def delete_by_query(index_dir: str, query: str, field: str | None = None,
-                    mode: str = "or",
-                    concurrency: int | None = None) -> int:
+                    mode: str = "or") -> int:
     """ES ``_delete_by_query``: tombstone every currently-visible doc
-    matching the match query. Per-segment workers write one tombstone
-    file each (nothing matched-set-sized reaches the driver); one atomic
-    ``stats.json`` rewrite makes them visible — a crash beforehand leaves
-    the index unchanged with inert orphan files. Lucene deletion
-    semantics: df / avgdl keep counting the deleted docs; segment merges
-    carry tombstones through unchanged (global term_stats cannot shrink
-    per-merge), and the expunge-deletes analogue is a REINDEX of the
-    live docs (``export.reindex_matches`` — tested in
+    matching the match query (``mode`` "or" or "and"; anything else
+    raises ``ValueError`` before any file is written). Each segment group
+    task (:func:`..search.map_segment_groups`) writes one tombstone file
+    per touched segment (nothing matched-set-sized reaches the driver);
+    one atomic ``stats.json`` rewrite makes them visible — a crash
+    beforehand leaves the index unchanged with inert orphan files. Lucene
+    deletion semantics: df / avgdl keep counting the deleted docs;
+    segment merges carry tombstones through unchanged (global term_stats
+    cannot shrink per-merge), and the expunge-deletes analogue is a
+    REINDEX of the live docs (``export.reindex_matches`` — tested in
     ``test_snapshot.py``). Every search / agg / export path drops
     tombstoned ids. Returns the number of docs deleted."""
     import hashlib
 
     from .search import DEFAULT_FIELD, _field_analyzer, _load_stats, \
-        _visible_seg_ids, query_terms
+        _visible_seg_ids, check_match_mode, map_segment_groups, query_terms
 
+    check_match_mode(mode)
     field = field or DEFAULT_FIELD
     stats = _load_stats(index_dir)
     terms = sorted(set(query_terms(query, _field_analyzer(stats, field))))
@@ -313,23 +304,14 @@ def delete_by_query(index_dir: str, query: str, field: str | None = None,
         return 0
     qhash = hashlib.md5(
         f"{field}:{mode}:{' '.join(terms)}".encode()).hexdigest()[:12]
-    parts = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _delete_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field, "terms": terms,
-                "mode": mode, "qhash": qhash},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .take_all()  # one (path, count) row per touched segment
-    )
-    new_files = [p["path"] for p in parts]
-    n_deleted = int(sum(p["n"] for p in parts))
-    if not new_files:
+    written = [w for part in map_segment_groups(
+        index_dir, seg_ids, _delete_partial, field, terms, mode, qhash)
+        for w in part]
+    if not written:
         return 0
+    n_deleted = sum(n for _p, n in written)
     listed = list(stats.get("tombstone_files", []))
-    listed += [p for p in new_files if p not in listed]
+    listed += [p for p, _n in written if p not in listed]
     stats["tombstone_files"] = listed
     stats["n_deleted"] = int(stats.get("n_deleted", 0)) + n_deleted
     mf.write_json_atomic(os.path.join(index_dir, "stats.json"), stats)

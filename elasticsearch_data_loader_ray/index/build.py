@@ -124,10 +124,14 @@ def _ncpus() -> int:
 def pin_worker_threads() -> None:
     """Cap pyarrow's internal thread pool to this task's CPU share.
 
-    Arrow sizes its pool to hardware concurrency and ignores the
-    OMP_NUM_THREADS Ray sets per worker — N workers x N arrow threads
-    thrashes the node (measured 10-17x slowdown in segment builds). Call at
-    the top of every arrow-heavy worker function; idempotent.
+    Arrow sizes its pool once, when it is first used: from
+    OMP_NUM_THREADS if set (pyarrow 16.1 reports ``pa.cpu_count()`` 1
+    under ``OMP_NUM_THREADS=1``), else from the hardware concurrency (4 on
+    a 4-CPU host). A pool sized before Ray set the worker's
+    OMP_NUM_THREADS, or resized by other code, keeps its size, and N
+    workers x N arrow threads thrashes the node (measured 10-17x slowdown
+    in segment builds). This re-applies the task's share explicitly.
+    Call at the top of every arrow-heavy worker function; idempotent.
     """
     want = max(1, int(os.environ.get("OMP_NUM_THREADS", "1")))
     if pa.cpu_count() != want:

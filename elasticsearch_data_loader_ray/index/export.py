@@ -5,20 +5,26 @@ ES consumers page whole result sets out of the cluster with ``scroll`` /
 downstream extractions), and sort hits by document fields
 (``sort: [{f: desc}]``) instead of relevance. Ray-Data-native shapes:
 
-* **export_matches**: the inverted index acts as a pushdown FILTER over
-  the corpus — one task per segment unions (or intersects) the query
-  terms' postings, drops tombstoned docs, slices the segment's docs
-  table positionally, and reads stored fields from the segment's
-  stored-field shard (Lucene layout; built once per column by a single
-  range-partition pass). The result is a streaming ``ray.data.Dataset`` —
-  nothing materializes on the driver; consumers ``write_parquet`` /
-  ``iter_batches`` the full matched set with backpressure. At 100 TB
-  this is the "extract every doc mentioning X" pipeline.
-* **sorted_matches**: ES field sort. Per-segment top-k over the matched
-  docs' numeric field (doc lengths come straight from the docs table;
-  other fields from doc-values shards), then a k×S-bounded driver merge
-  — the same partial-top-k shape as the BM25 path, so no segment ships
-  more than k rows.
+* **export_matches** / **snippet_matches**: the inverted index acts as a
+  pushdown FILTER over the corpus — one row-function call per segment
+  binds ``LocalSearcher(segments=[seg_id])``, takes its matched set
+  (``LocalSearcher.matched_ids``, or ``highlight_matches`` where snippets
+  need positions; tombstoned docs dropped), slices the
+  segment's docs table positionally, and reads stored fields from the
+  segment's stored-field shard (Lucene layout; built once per column by
+  a single range-partition pass). These two stay on Ray Data: the
+  result is a lazy, streaming ``ray.data.Dataset`` — nothing
+  materializes on the driver; consumers (``update_by_query``,
+  ``reindex_matches``, ``write_parquet``) take the full matched set with
+  backpressure. At 100 TB this is the "extract every doc mentioning X"
+  pipeline.
+* **count, sort and collapse**: bounded partials on the segment fan-out
+  that serves search (:func:`..search.map_segment_groups`, one Ray task
+  per segment group), merged on the driver. ``sorted_matches`` is ES
+  field sort: per-group top-k over the matched docs' numeric field (doc
+  lengths from the searcher, other fields from doc-values shards), then a
+  k x groups-bounded driver merge — the same partial-top-k shape as the
+  BM25 path.
 
 Reference parity: the ES queries the loaded index serves include
 filtered extractions and field-sorted listings over the keyword/numeric
@@ -28,26 +34,32 @@ fields declared in config/search_scheme.json.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
 from .aggs import (
-    _dv_path,
-    _matched_ids,
+    _dv_take,
+    _dv_values,
+    _run_partials,
+    _scored,
+    _str_keys,
     build_doc_values,
-    worker_state,
 )
 from .build import seg_docs_path
 from .search import (
     DEFAULT_FIELD,
+    LocalSearcher,
     _dl_column,
     _drop_deleted,
     _field_analyzer,
     _load_stats,
-    _term_filters,
     _visible_seg_ids,
+    check_match_mode,
+    highlight_matches,
+    map_segment_groups,
     query_terms,
 )
 
@@ -60,31 +72,19 @@ def _export_schema(stored_columns: tuple[str, ...]) -> pa.Schema:
     return pa.schema(fields)
 
 
-def _stored_values(index_dir: str, column: str, seg_id: int,
-                   ids: np.ndarray) -> pa.Array:
-    """Matched docs' stored values from the segment's doc-values shard
-    (built once per (index, column); positionally aligned to doc ids)."""
-    dv = pq.read_table(_dv_path(index_dir, column, seg_id),
-                       columns=["doc_id", column])
-    pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-    return dv[column].combine_chunks().take(pa.array(pos))
-
-
 def _export_rows(batch: pa.Table, *, index_dir: str, field: str,
                  terms: list[str], mode: str,
                  stored: tuple) -> pa.Table:
-    """Task: one segment per batch -> that segment's matched doc rows.
-    Stored fields come from the per-segment shards (Lucene stored-fields
-    layout) — no corpus scan on the serving path."""
-    _stats, deleted = worker_state(index_dir)
+    """Row function: one segment per batch -> that segment's matched doc
+    rows, on a searcher bound to the segment. Stored fields come from the
+    per-segment shards (Lucene stored-fields layout) — no corpus scan on
+    the serving path."""
     schema = _export_schema(tuple(stored))
     outs = []
     for seg_id in batch["segment_id"].to_pylist():
         seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field,
-                           terms, mode)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
+        ids = LocalSearcher(index_dir, segments=[seg_id]).matched_ids(
+            field, terms, mode)
         if len(ids) == 0:
             continue
         docs = pq.read_table(
@@ -99,7 +99,7 @@ def _export_rows(batch: pa.Table, *, index_dir: str, field: str,
                                   pa.int64()),
         }
         for c in stored:
-            cols[c] = pc.cast(_stored_values(index_dir, c, seg_id, ids),
+            cols[c] = pc.cast(_dv_take(index_dir, c, seg_id, ids),
                               pa.string())
         outs.append(pa.table(cols).cast(schema))
     if not outs:
@@ -165,8 +165,7 @@ def mget(index_dir: str, urls: list[str],
             docs, ids = docs.filter(pa.array(keep)), ids[keep]
         if docs.num_rows == 0:
             continue
-        svals = {c: _stored_values(index_dir, c, seg_id, ids)
-                 for c in stored}
+        svals = {c: _dv_take(index_dir, c, seg_id, ids) for c in stored}
         for i in range(docs.num_rows):
             row = {"doc_id": int(ids[i]),
                    "word_count": int(docs[_dl_column(field)][i].as_py())}
@@ -189,14 +188,12 @@ def mget(index_dir: str, urls: list[str],
 
 def export_matches(index_dir: str, query: str, field: str = DEFAULT_FIELD,
                    mode: str = "or",
-                   stored_columns: tuple[str, ...] = (),
-                   concurrency: int | None = None) -> rd.Dataset:
+                   stored_columns: tuple[str, ...] = ()) -> rd.Dataset:
     """Stream EVERY doc matching ``query`` as a Dataset of
     (doc_id, url, word_count, *stored_columns) — the ES scroll analogue.
     ``mode``: "or" (match default) or "and" (operator=and). Lazy: the
     returned Dataset executes segment-by-segment with backpressure."""
-    if mode not in ("or", "and"):
-        raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
+    check_match_mode(mode)
     stats = _load_stats(index_dir)
     terms = query_terms(query, _field_analyzer(stats, field))
     seg_ids, _vis = _visible_seg_ids(index_dir, stats)
@@ -213,198 +210,83 @@ def export_matches(index_dir: str, query: str, field: str = DEFAULT_FIELD,
                 "index_dir": index_dir, "field": field,
                 "terms": sorted(set(terms)), "mode": mode,
                 "stored": tuple(stored_columns)},
-            batch_format="pyarrow", batch_size=1,
-            concurrency=concurrency)
+            batch_format="pyarrow", batch_size=1)
     )
 
 
-def _count_partials(batch: pa.Table, *, index_dir: str, field: str,
-                    term_lists: list, mode: str) -> pa.Table:
-    """Task: per-segment matched-doc counts for a broadcast query LIST
-    (one postings pass per (segment, query); all queries share the pool
-    and the segment loop, so N queries cost one Dataset job)."""
-    _stats, deleted = worker_state(index_dir)
-    from .aggs import _ids_from_runs, _segment_postings
-
-    union = sorted({t for ts in term_lists for t in ts})
-    ns = np.zeros(len(term_lists), dtype=np.int64)
-    for seg_id in batch["segment_id"].to_pylist():
-        # ONE filtered read per segment covers every query's terms
-        runs = _segment_postings(index_dir, int(seg_id),
-                                 field, union)
-        for qi, terms in enumerate(term_lists):
-            if not terms:
-                continue
-            ids = _ids_from_runs(runs, terms, mode)
-            if len(deleted) and len(ids):
-                ids = ids[_drop_deleted(deleted, ids)]
-            ns[qi] += len(ids)
-    return pa.table({
-        "query_id": pa.array(range(len(ns)), pa.int64()),
-        "n": pa.array(ns, pa.int64()),
-    })
+def _count_partial(searcher: LocalSearcher, field: str,
+                   term_lists: list[list[str]], mode: str) -> np.ndarray:
+    """Group partial: matched-doc count per query. ONE postings read over
+    the union of every query's terms fills the searcher's cache; each
+    query's matched set then comes from it."""
+    searcher._postings_for(field, sorted({t for ts in term_lists
+                                          for t in ts}))
+    return np.array([len(searcher.matched_ids(field, ts, mode))
+                     for ts in term_lists], dtype=np.int64)
 
 
 def count_matches_many(index_dir: str, queries: list[str],
-                       field: str = DEFAULT_FIELD, mode: str = "or",
-                       concurrency: int | None = None) -> pa.Table:
+                       field: str = DEFAULT_FIELD,
+                       mode: str = "or") -> pa.Table:
     """ES ``_count`` API over a batch of queries: (query_id, n_matched)
-    without scoring or retrieval — per-segment posting-length partials,
-    all queries in one Dataset job."""
-    from ray.data.aggregate import Sum
-
+    without scoring or retrieval — one fan-out for all queries, group
+    partials summed on the driver."""
+    check_match_mode(mode)
     stats = _load_stats(index_dir)
     term_lists = [sorted(set(query_terms(q, _field_analyzer(stats, field))))
                   for q in queries]
     seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    zero = pa.table({
-        "query_id": pa.array(range(len(queries)), pa.int64()),
-        "n_matched": pa.array([0] * len(queries), pa.int64())})
-    if not seg_ids or not any(term_lists):
-        return zero
-    merged = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _count_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field,
-                "term_lists": term_lists, "mode": mode},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .groupby("query_id")
-        .aggregate(Sum("n", alias_name="n_matched"))
-        .to_pandas()
-        .set_index("query_id")["n_matched"]
-    )
+    n = np.zeros(len(queries), dtype=np.int64)
+    if seg_ids and any(term_lists):
+        n += np.sum(map_segment_groups(index_dir, seg_ids, _count_partial,
+                                       field, term_lists, mode), axis=0)
     return pa.table({
         "query_id": pa.array(range(len(queries)), pa.int64()),
-        "n_matched": pa.array(
-            [int(merged.get(i, 0)) for i in range(len(queries))],
-            pa.int64()),
+        "n_matched": pa.array(n, pa.int64()),
     })
 
 
 def count_matches(index_dir: str, query: str, field: str = DEFAULT_FIELD,
-                  mode: str = "or",
-                  concurrency: int | None = None) -> int:
+                  mode: str = "or") -> int:
     """Single-query ES ``_count``: see :func:`count_matches_many`."""
-    t = count_matches_many(index_dir, [query], field, mode, concurrency)
+    t = count_matches_many(index_dir, [query], field, mode)
     return int(t["n_matched"][0].as_py())
 
 
-def _collapse_partials(batch: pa.Table, *, index_dir: str, field: str,
-                       terms: list[str], collapse: str, idf: dict,
-                       avgdl: float) -> pa.Table:
-    """Task: per-segment best hit per collapse-key for one OR query.
-
-    Scores the segment's matched docs with the global-idf BM25 convention
-    (term-major lexicographic accumulation — identical to the serving
-    paths), rounds to 6 dp (the repo-wide determinism convention), looks
-    the collapse values up in the segment's doc-values shard, and emits
-    ONE row per distinct key: partials are bounded by the segment's key
-    cardinality, never its doc count."""
-    from . import codec
-    from .aggs import _segment_postings
-
-    _stats, deleted = worker_state(index_dir)
-    out_k, out_d, out_s = [], [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        runs = _segment_postings(index_dir, seg_id, field, terms,
-                                 with_tf=True)
-        if not runs:
-            continue
-        all_ids = [ids for rs in runs.values() for ids, _tfs in rs]
-        loc = np.unique(np.concatenate(all_ids))
-        docs = pq.read_table(seg_docs_path(index_dir, seg_id),
-                             columns=["doc_id", _dl_column(field)])
-        base = int(docs["doc_id"][0].as_py())
-        dl = docs[_dl_column(field)].to_numpy().astype(np.float64)
-        sc = np.zeros(len(loc), dtype=np.float64)
-        for t in terms:  # lexicographic accumulation order
-            for ids, tfs in runs.get(t, []):
-                contrib = idf[t] * codec.bm25_tf_impact(
-                    tfs.astype(np.float64), dl[ids - base], avgdl)
-                sc[np.searchsorted(loc, ids)] += contrib
-        if len(deleted):
-            keep = _drop_deleted(deleted, loc)
-            loc, sc = loc[keep], sc[keep]
-        if len(loc) == 0:
-            continue
-        r = np.round(sc, 6)
-        dv = pq.read_table(_dv_path(index_dir, collapse, seg_id),
-                           columns=["doc_id", collapse])
-        pos = np.searchsorted(dv["doc_id"].to_numpy(), loc)
-        vals = dv[collapse].combine_chunks().take(pa.array(pos))
-        enc = pc.dictionary_encode(vals)
-        # ES collapse semantics: docs missing the field share ONE null
-        # bucket. Null dictionary indices would cast to int64 garbage, so
-        # they get an explicit synthetic code past the dictionary.
-        null_code = len(enc.dictionary)
-        codes = np.asarray(pc.fill_null(enc.indices, null_code),
-                           dtype=np.int64)
-        order = np.lexsort((loc, -r))  # best first per key
-        _u, first = np.unique(codes[order], return_index=True)
-        keep = order[np.sort(first)]
-        kc = codes[keep]
-        names = enc.dictionary.to_pylist()
-        out_k.extend(None if c == null_code else str(names[c])
-                     for c in kc.tolist())
-        out_d.extend(loc[keep].tolist())
-        out_s.extend(r[keep].tolist())
-    return pa.table({"key": pa.array(out_k, pa.string()),
-                     "doc_id": pa.array(out_d, pa.int64()),
-                     "score": pa.array(out_s, pa.float64())})
+def _collapse_partial(searcher: LocalSearcher, field: str,
+                      terms: list[str], collapse: str):
+    """Group partial: the best hit per ``collapse`` value for one OR
+    query — scores from the searcher's exhaustive scorer, rounded to 6 dp
+    (the repo-wide determinism convention); ONE row per distinct key, so
+    partials are bounded by key cardinality, never doc count. ES collapse
+    semantics: docs missing the field share ONE null bucket."""
+    ids, sc = _scored(searcher, field, terms)
+    if len(ids) == 0:
+        return None
+    df = pd.DataFrame({"key": _str_keys(_dv_values(searcher, collapse, ids)),
+                       "doc_id": ids, "score": sc})
+    return (df.sort_values(["score", "doc_id"], ascending=[False, True])
+            .drop_duplicates("key"))
 
 
 def collapse_matches(index_dir: str, query: str, collapse: str,
-                     k: int = 10, field: str = DEFAULT_FIELD,
-                     concurrency: int | None = None) -> pa.Table:
+                     k: int = 10, field: str = DEFAULT_FIELD) -> pa.Table:
     """ES field collapsing: the top-``k`` hits of an OR match query with
     at most ONE hit (the best-scoring) per value of ``collapse`` —
-    per-segment best-per-key partials (bounded by key cardinality), then
-    a keys-by-segments driver merge. Returns (rank, key, doc_id, score),
+    per-group best-per-key partials (bounded by key cardinality), then
+    a keys-by-groups driver merge. Returns (rank, key, doc_id, score),
     ordered (score desc, doc_id asc)."""
-    from .search import _avgdl, load_global_idf
-
-    stats = _load_stats(index_dir)
-    terms = sorted(set(query_terms(query, _field_analyzer(stats, field))))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"rank": pa.array([], pa.int64()),
-                      "key": pa.array([], pa.string()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
-    if not terms or not seg_ids:
-        return empty
-    idf_map, _dfs, _n = load_global_idf(index_dir, {field: terms})
-    idf = {t: v for (f, t), v in idf_map.items() if f == field}
-    terms = [t for t in terms if t in idf]
-    if not terms:
-        return empty
-    build_doc_values(index_dir, collapse)
-    parts = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _collapse_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field, "terms": terms,
-                "collapse": collapse, "idf": idf,
-                "avgdl": _avgdl(stats, field)},
-            batch_format="pyarrow", batch_size=8,
-            concurrency=concurrency)
-        .to_pandas()  # keys x segments rows
-    )
-    if len(parts) == 0:
-        return empty
-    best = (parts.sort_values(["score", "doc_id"],
-                              ascending=[False, True])
-            .drop_duplicates("key", keep="first")
-            .head(k))
+    parts = _run_partials(index_dir, query, field, _collapse_partial,
+                          collapse, columns=(collapse,))
+    best = (pd.concat(parts, ignore_index=True)
+            .sort_values(["score", "doc_id"], ascending=[False, True])
+            .drop_duplicates("key").head(k) if parts
+            else pd.DataFrame({"key": [], "doc_id": [], "score": []}))
     return pa.table({
         "rank": pa.array(range(1, len(best) + 1), pa.int64()),
         "key": pa.array(best["key"].tolist(), pa.string()),
-        "doc_id": pa.array(best["doc_id"].to_numpy(), pa.int64()),
-        "score": pa.array(best["score"].to_numpy(), pa.float64()),
+        "doc_id": pa.array(best["doc_id"].to_numpy(np.int64), pa.int64()),
+        "score": pa.array(best["score"].to_numpy(np.float64), pa.float64()),
     })
 
 
@@ -473,78 +355,19 @@ def term_vectors(index_dir: str, urls: list[str],
     return out.sort_by([("url", "ascending"), ("term", "ascending")])
 
 
-def _segment_anchors(index_dir: str, field: str, terms: list[str],
-                     seg_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted matched doc ids, per-doc min first-position)."""
-    from . import blobs, codec
-    from .build import seg_terms_path
-
-    filters = _term_filters({field: terms})
-    path = seg_terms_path(index_dir, seg_id)
-    if "pos_nbytes" not in pq.read_schema(path).names:
-        raise ValueError(
-            "index was built without positions "
-            "(BuildConfig.index_positions=True required)")
-    tt = pq.read_table(path, columns=["field", "term", "df", "segment_id",
-                                      *blobs.RANGE_COLUMNS],
-                       filters=filters)
-    tt = blobs.materialize_enc(tt, lambda _s: path, want_positions=True)
-    all_ids, all_firsts = [], []
-    for i in range(tt.num_rows):
-        enc_pos = tt["positions_enc"][i].as_py()
-        if enc_pos is None:
-            raise ValueError(
-                "index was built without positions "
-                "(BuildConfig.index_positions=True required)")
-        ids, tfs = codec.decode_postings(
-            tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-            int(tt["df"][i].as_py()))
-        starts = np.r_[0, np.cumsum(tfs)[:-1]].astype(np.int64)
-        vals = codec.varint_decode(
-            np.frombuffer(enc_pos, dtype=np.uint8), int(tfs.sum()))
-        all_ids.append(ids)
-        all_firsts.append(vals[starts])
-    if not all_ids:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    ids = np.concatenate(all_ids)
-    firsts = np.concatenate(all_firsts).astype(np.int64)
-    uniq, inv = np.unique(ids, return_inverse=True)
-    anchor = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(anchor, inv, firsts)
-    return uniq, anchor
-
-
-def _sort_values(index_dir: str, sort_field: str, stats: dict,
-                 seg_id: int, ids: np.ndarray) -> np.ndarray:
-    fields = set(stats.get("field_analyzers",
-                           {DEFAULT_FIELD: "standard"})) | {"word_count"}
-    if sort_field in fields:  # doc-length-backed
-        src = (DEFAULT_FIELD if sort_field == "word_count"
-               else sort_field)
-        docs = pq.read_table(
-            seg_docs_path(index_dir, seg_id),
-            columns=["doc_id", _dl_column(src)])
-        base = int(docs["doc_id"][0].as_py())
-        return docs[_dl_column(src)].to_numpy()[ids - base]             .astype(np.int64)
-    dv = pq.read_table(_dv_path(index_dir, sort_field, seg_id),
-                       columns=["doc_id", sort_field])
-    pos = np.searchsorted(dv["doc_id"].to_numpy(), ids)
-    return np.asarray(dv[sort_field].take(pa.array(pos)))         .astype(np.int64)
-
-
 def _snippet_rows(batch: pa.Table, *, index_dir: str, field: str,
-                  terms: list[str], window: int) -> pa.Table:
-    """Task: one segment per batch -> (doc_id, anchor_pos, snippet).
+                  query: str, window: int) -> pa.Table:
+    """Row function: one segment per batch -> (doc_id, anchor_pos,
+    snippet), on a searcher bound to the segment.
 
     ES unified-highlighter analogue with a documented deterministic
     convention: the fragment anchors on the EARLIEST occurrence of any
-    query term in the doc (min over the terms' first positions, decoded
-    as positions_stream[run_starts] — each run's first value is stored
-    absolute, so no full position decode), and the snippet is the
-    ``window``-token neighbourhood re-tokenized from the stored-field
-    shard's text. Segment-local end to end: postings, positions, docs
-    slice and the text shard all stay within the segment."""
-    _stats, deleted = worker_state(index_dir)
+    query term in the doc (min over the terms' first positions from
+    :func:`..search.highlight_matches`, which drops tombstoned docs), and
+    the snippet is the ``window``-token neighbourhood re-tokenized from
+    the stored-field shard's text. Segment-local end to end: postings,
+    positions, docs slice and the text shard all stay within the
+    segment."""
     from ..functions import analyzers as an
 
     empty = pa.table({"doc_id": pa.array([], pa.int64()),
@@ -554,12 +377,13 @@ def _snippet_rows(batch: pa.Table, *, index_dir: str, field: str,
     outs = []
     for seg_id in batch["segment_id"].to_pylist():
         seg_id = int(seg_id)
-        ids, anchor = _segment_anchors(index_dir, field, terms, seg_id)
-        if len(deleted) and len(ids):
-            keep = _drop_deleted(deleted, ids)
-            ids, anchor = ids[keep], anchor[keep]
-        if len(ids) == 0:
+        hl = highlight_matches(LocalSearcher(index_dir, segments=[seg_id]),
+                               query, field)
+        if hl.num_rows == 0:
             continue
+        # rows sorted by (doc_id, term): each doc's min first position
+        ids, starts = np.unique(hl["doc_id"].to_numpy(), return_index=True)
+        anchor = np.minimum.reduceat(hl["first_pos"].to_numpy(), starts)
         docs = pq.read_table(
             seg_docs_path(index_dir, seg_id),
             columns=["doc_id", "url"])
@@ -568,8 +392,7 @@ def _snippet_rows(batch: pa.Table, *, index_dir: str, field: str,
         j = pa.table({"url": pc.cast(rows["url"], pa.string()),
                       "doc_id": rows["doc_id"],
                       "anchor_pos": pa.array(anchor, pa.int64()),
-                      "text": _stored_values(index_dir, "text", seg_id,
-                                             ids)})
+                      "text": _dv_take(index_dir, "text", seg_id, ids)})
         doc_idx, tokens, dl = an.standard_tokenize_batch(j["text"])
         dl64 = dl.astype(np.int64)
         tstarts = np.r_[0, np.cumsum(dl64)].astype(np.int64)
@@ -599,8 +422,7 @@ def _snippet_rows(batch: pa.Table, *, index_dir: str, field: str,
 
 
 def snippet_matches(index_dir: str, query: str, window: int = 2,
-                    field: str = DEFAULT_FIELD,
-                    concurrency: int | None = None) -> rd.Dataset:
+                    field: str = DEFAULT_FIELD) -> rd.Dataset:
     """Stream (doc_id, anchor_pos, snippet) for every doc matching the OR
     match query: the ``window``-token neighbourhood of the earliest query
     term occurrence, re-tokenized from stored text. Lazy Dataset — the ES
@@ -626,86 +448,48 @@ def snippet_matches(index_dir: str, query: str, window: int = 2,
             _snippet_rows,
             fn_kwargs={
                 "index_dir": index_dir, "field": field,
-                "terms": sorted(set(terms)), "window": int(window)},
-            batch_format="pyarrow", batch_size=1,
-            concurrency=concurrency)
+                "query": query, "window": int(window)},
+            batch_format="pyarrow", batch_size=1)
     )
 
 
-def _sort_partials(batch: pa.Table, *, index_dir: str, field: str,
-                   terms: list[str], mode: str, sort_field: str,
-                   k: int, ascending: bool) -> pa.Table:
-    """Task: per-segment top-k of the matched docs by a numeric field."""
-    _stats, deleted = worker_state(index_dir)
-    out_ids, out_vals = [], []
-    for seg_id in batch["segment_id"].to_pylist():
-        seg_id = int(seg_id)
-        ids = _matched_ids(index_dir, seg_id, field,
-                           terms, mode)
-        if len(deleted) and len(ids):
-            ids = ids[_drop_deleted(deleted, ids)]
-        if len(ids) == 0:
-            continue
-        v = _sort_values(index_dir, sort_field, _stats, seg_id, ids)
-        sv = v if ascending else -v
-        # stable top-k with doc_id-asc ties: ids are ascending, so a
-        # stable sort on the value keeps the tie order
-        order = np.argsort(sv, kind="stable")[:k]
-        out_ids.append(ids[order])
-        out_vals.append(v[order])
-    if not out_ids:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "sort_value": pa.array([], pa.int64())})
-    return pa.table({
-        "doc_id": pa.array(np.concatenate(out_ids), pa.int64()),
-        "sort_value": pa.array(np.concatenate(out_vals), pa.int64()),
-    })
+def _sort_partial(searcher: LocalSearcher, field: str, terms: list[str],
+                  mode: str, sort_field: str, k: int, ascending: bool):
+    """Group partial: top-k of the matched docs by a numeric field."""
+    ids = searcher.matched_ids(field, terms, mode)
+    if len(ids) == 0:
+        return None
+    fields = set(searcher.stats.get("field_analyzers",
+                                    {DEFAULT_FIELD: "standard"}))
+    if sort_field in fields | {"word_count"}:  # doc-length-backed
+        src = DEFAULT_FIELD if sort_field == "word_count" else sort_field
+        v = searcher._dl_for(src)[ids].astype(np.int64)
+    else:
+        v = np.asarray(_dv_values(searcher, sort_field, ids)).astype(np.int64)
+    # stable top-k with doc_id-asc ties: ids are ascending, so a stable
+    # sort on the value keeps the tie order
+    order = np.argsort(v if ascending else -v, kind="stable")[:k]
+    return ids[order], v[order]
 
 
 def sorted_matches(index_dir: str, query: str, sort_field: str,
                    k: int = 10, ascending: bool = False,
-                   field: str = DEFAULT_FIELD, mode: str = "or",
-                   concurrency: int | None = None) -> pa.Table:
+                   field: str = DEFAULT_FIELD, mode: str = "or") -> pa.Table:
     """ES field sort: the top-``k`` docs matching ``query`` ordered by a
     numeric field (desc by default), ties broken doc_id-asc. Doc-length
     fields (any indexed field name, or ``word_count`` for the default
-    field) read straight from the docs tables; any other column is served
-    from its doc-values shards (built on demand). Each segment ships at
-    most k rows; the final merge is k×S-bounded."""
-    stats = _load_stats(index_dir)
-    terms = query_terms(query, _field_analyzer(stats, field))
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    empty = pa.table({"rank": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "sort_value": pa.array([], pa.int64())})
-    if not terms or not seg_ids:
-        return empty
-    known = set(stats.get("field_analyzers",
-                          {DEFAULT_FIELD: "standard"})) | {"word_count"}
-    if sort_field not in known:
-        build_doc_values(index_dir, sort_field)
-    partials = (
-        rd.from_items([{"segment_id": s} for s in seg_ids])
-        .map_batches(
-            _sort_partials,
-            fn_kwargs={
-                "index_dir": index_dir, "field": field,
-                "terms": sorted(set(terms)), "mode": mode,
-                "sort_field": sort_field, "k": int(k),
-                "ascending": bool(ascending)},
-            batch_format="pyarrow", batch_size=4,
-            concurrency=concurrency)
-        .to_arrow_refs()
-    )
-    import ray as _ray
-
-    t = pa.concat_tables([x for x in _ray.get(partials)
-                          if x.num_rows > 0] or [empty.select(
-                              ["doc_id", "sort_value"])])
-    if t.num_rows == 0:
-        return empty
-    v = t["sort_value"].to_numpy()
-    ids = t["doc_id"].to_numpy()
+    field) come from the searcher's doc lengths; any other column is
+    served from its doc-values shards (built on demand). Each segment
+    group ships at most k rows; the final merge is k x groups-bounded."""
+    check_match_mode(mode)
+    known = set(_load_stats(index_dir).get(
+        "field_analyzers", {DEFAULT_FIELD: "standard"})) | {"word_count"}
+    parts = _run_partials(
+        index_dir, query, field, _sort_partial, mode, sort_field, int(k),
+        bool(ascending),
+        columns=() if sort_field in known else (sort_field,))
+    ids = np.concatenate([p[0] for p in parts] or [np.empty(0, np.int64)])
+    v = np.concatenate([p[1] for p in parts] or [np.empty(0, np.int64)])
     order = np.lexsort((ids, v if ascending else -v))[:k]
     return pa.table({
         "rank": pa.array(np.arange(1, len(order) + 1), pa.int64()),
@@ -716,8 +500,7 @@ def sorted_matches(index_dir: str, query: str, sort_field: str,
 
 def reindex_matches(index_dir: str, dest_dir: str, query: str,
                     mode: str = "or", field: str = DEFAULT_FIELD,
-                    docs_per_segment: int | None = None,
-                    concurrency: int | None = None) -> dict:
+                    docs_per_segment: int | None = None) -> dict:
     """ES ``_reindex`` with a query filter: stream every matching doc's
     stored source out of ``index_dir`` (the scroll path) and build a
     FRESH index at ``dest_dir`` from that sub-corpus — df/avgdl/idf are
@@ -731,8 +514,7 @@ def reindex_matches(index_dir: str, dest_dir: str, query: str,
     from .build import BuildConfig, build_index_from_corpus
 
     ds = export_matches(index_dir, query, field=field, mode=mode,
-                        stored_columns=("text", "lang", "warc_ts"),
-                        concurrency=concurrency)
+                        stored_columns=("text", "lang", "warc_ts"))
 
     def to_corpus(t: pa.Table) -> pa.Table:
         text = _pc.cast(t["text"], pa.large_string())

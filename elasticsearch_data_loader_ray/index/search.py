@@ -18,7 +18,9 @@ one contiguous group of visible segments, and merges the groups' top-k per
 query by (score desc, doc_id asc). The merge is exact: a doc's postings
 live in one segment, and every group scores with the global idf, avgdl and
 doc lengths, so each group's top-k is bitwise the whole index's restricted
-to its docs.
+to its docs. The aggregation, export and delete partials run on the same
+fan-out (:func:`map_segment_groups`), taking their matched sets from
+:meth:`LocalSearcher.matched_ids`.
 
 Scoring: accumulation runs per term in lexicographic order, so scores are
 bitwise-identical to the brute-force oracle on every path; OR queries pick
@@ -98,6 +100,14 @@ def _load_deleted(index_dir: str, stats: dict) -> np.ndarray:
     if not out:
         return np.empty(0, np.int64)
     return np.unique(np.concatenate(out))
+
+
+def check_match_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` is a matched-set mode of
+    :meth:`LocalSearcher.matched_ids` (driver-side callers check before
+    any task runs or file is written)."""
+    if mode not in ("or", "and"):
+        raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
 
 
 def _drop_deleted(deleted: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -825,8 +835,8 @@ class LocalSearcher:
         self.stats = _load_stats(index_dir)
         self.n_docs = int(self.stats["n_docs"])
         self.seg_ids, vis = self._visible(self.stats)
-        self._doc_ranges = sorted((int(m["doc_id_base"]), int(m["n_docs"]))
-                                  for m in vis.values())
+        self._doc_ranges = sorted((int(m["doc_id_base"]), int(m["n_docs"]),
+                                   int(s)) for s, m in vis.items())
         self._deleted = _load_deleted(index_dir, self.stats)
         self._bscale = _bound_scale(vis, self.stats)
         self.term_files = [seg_terms_path(index_dir, s) for s in self.seg_ids]
@@ -1804,6 +1814,43 @@ class LocalSearcher:
                 self._postings_cache[(field, t)] = by_term.get(t, [])
         return by_term
 
+    def matched_ids(self, field: str, terms: list[str], mode: str = "or"
+                    ) -> np.ndarray:
+        """Sorted live doc ids in the bound segments matching ``terms``:
+        their union for ``mode="or"`` (ES match default), their
+        intersection for ``"and"`` (operator=and). The whole matched set,
+        unscored and uncut, as aggregations, exports and deletes consume
+        it. Postings come through :meth:`_postings_for` (one read, shared
+        cache); tombstoned docs are dropped."""
+        check_match_mode(mode)
+        uniq = sorted(set(terms))
+        if not uniq or self.term_ds is None:
+            return np.empty(0, np.int64)
+        by_term = self._postings_for(field, uniq)
+        per_term = [np.concatenate([ids for ids, _tfs in by_term[t]])
+                    for t in uniq if by_term.get(t)]
+        if not per_term or (mode == "and" and len(per_term) < len(uniq)):
+            return np.empty(0, np.int64)
+        if mode == "and":
+            out = np.sort(per_term[0])
+            for ids in per_term[1:]:
+                out = np.intersect1d(out, ids, assume_unique=True)
+        else:
+            out = np.unique(np.concatenate(per_term))
+        if len(self._deleted):
+            out = out[_drop_deleted(self._deleted, out)]
+        return out.astype(np.int64, copy=False)
+
+    def split_by_segment(self, ids: np.ndarray):
+        """``(seg_id, ids in it)`` per bound segment holding any of the
+        sorted global ``ids``, in doc-id order, so per-segment reads
+        (doc-values shards, docs tables) concatenate aligned with
+        ``ids``."""
+        for base, n, seg_id in self._doc_ranges:
+            a, b = np.searchsorted(ids, (base, base + n))
+            if a < b:
+                yield seg_id, ids[a:b]
+
     # impact-cache byte budget (class attr so tests can shrink it)
     _CONTRIB_CACHE_CAP = int(os.environ.get("EDLR_IMPACT_CACHE_MB",
                                             "256")) << 20
@@ -2271,7 +2318,7 @@ class LocalSearcher:
         else:  # range-/exists-only filter context: every bound doc
             cand = np.concatenate(
                 [np.arange(b, b + n, dtype=np.int64)
-                 for b, n in self._doc_ranges] or [np.empty(0, np.int64)])
+                 for b, n, _s in self._doc_ranges] or [np.empty(0, np.int64)])
         for f, t in spec["filter_terms"]:
             fb = (self._postings_for(f, [t])
                   if self.term_ds is not None else {})
@@ -3197,16 +3244,39 @@ def search_inprocess(index_dir: str, queries: pa.Table | list[dict],
 
 def _segment_groups(seg_ids: list[int]) -> list[list[int]]:
     """Contiguous runs of ``seg_ids``, one per cluster CPU (at most one
-    per segment) — the fan-out of :func:`search`."""
+    per segment) — the fan-out of :func:`map_segment_groups`, so of
+    :func:`search`, the ``aggs``/``export`` partials and
+    ``append.delete_by_query``."""
     n_cpus = int(ray.cluster_resources().get("CPU", 1))
     n = max(1, min(len(seg_ids), n_cpus))
     return [g.tolist() for g in np.array_split(np.asarray(seg_ids), n)]
 
 
 @ray.remote
-def _search_group(index_dir: str, seg_ids: list[int],
-                  qrows: list[dict]) -> list[tuple]:
-    searcher = LocalSearcher(index_dir, segments=seg_ids)
+def _group_task(index_dir: str, seg_ids: list[int], fn, args: tuple):
+    return fn(LocalSearcher(index_dir, segments=seg_ids), *args)
+
+
+def map_segment_groups(index_dir: str, seg_ids: list[int], fn,
+                       *args) -> list:
+    """Run ``fn(LocalSearcher(index_dir, segments=group), *args)`` in one
+    Ray task per :func:`_segment_groups` group of ``seg_ids`` -> the
+    per-group results, in group order. ``args`` ship once; a failing task
+    re-raises its own exception, not the task wrapper. The one segment
+    fan-out: :func:`search`, every ``aggs``/``export`` partial and
+    ``append.delete_by_query`` run on it and merge on the driver
+    (``export_matches``/``snippet_matches`` stream per segment on Ray
+    Data instead)."""
+    args_ref = ray.put(args)
+    refs = [_group_task.remote(index_dir, g, fn, args_ref)
+            for g in _segment_groups(seg_ids)]
+    try:
+        return ray.get(refs)
+    except ray.exceptions.RayTaskError as e:
+        raise e.cause from e
+
+
+def _run_rows(searcher: LocalSearcher, qrows: list[dict]) -> list[tuple]:
     return [_run_query(searcher, q) for q in qrows]
 
 
@@ -3216,10 +3286,10 @@ def search(index_dir: str, queries: pa.Table | list[dict]) -> pa.Table:
 
     ``queries`` rows: query_id, query, k (schema.QUERIES), plus the
     optional keys :func:`_run_query` reads (``field``, ``mode``, ``bool``,
-    ``fields`` ...). One Ray task per segment group (see
-    :func:`_segment_groups`) runs every row on a LocalSearcher bound to
-    its group; the driver keeps each query's k best rows of the groups'
-    top-k by (score desc, doc_id asc) — exact, see the module docstring.
+    ``fields`` ...). :func:`map_segment_groups` runs every row on a
+    LocalSearcher bound to each segment group; the driver keeps each
+    query's k best rows of the groups' top-k by (score desc, doc_id asc)
+    — exact, see the module docstring.
     """
     qrows = _query_rows(queries)
     stats = _load_stats(index_dir)
@@ -3239,13 +3309,7 @@ def search(index_dir: str, queries: pa.Table | list[dict]) -> pa.Table:
 
         for col in sorted(exists_cols):
             build_doc_values(index_dir, col)
-    rows_ref = ray.put(qrows)
-    refs = [_search_group.remote(index_dir, g, rows_ref)
-            for g in _segment_groups(seg_ids)]
-    try:
-        parts = ray.get(refs)
-    except ray.exceptions.RayTaskError as e:
-        raise e.cause from e  # the query's own error, not the task wrapper
+    parts = map_segment_groups(index_dir, seg_ids, _run_rows, qrows)
     hits = []
     for i, q in enumerate(qrows):
         ids = np.concatenate([p[i][0] for p in parts])

@@ -442,3 +442,40 @@ def test_merge_next_id_skips_invisible_orphan_ids(tmp_path):
     assert len(after.search("visible", k=100)[0]) == 20
     assert len(after.search("alive", k=10)[0]) == 1
     assert len(after.search("orphan", k=10)[0]) == 0
+
+
+@pytest.mark.parametrize("mode", ["AND", "bogus", ""])
+def test_unknown_match_mode_raises_before_any_write(tmp_path, mode):
+    """An unknown ``mode`` used to fall through to OR: delete_by_query
+    tombstoned the OR set. It must raise on the driver and leave
+    stats.json and tombstones/ byte-identical."""
+    from elasticsearch_data_loader_ray.index.append import delete_by_query
+    from elasticsearch_data_loader_ray.index.export import (
+        count_matches,
+        count_matches_many,
+        sorted_matches,
+    )
+
+    texts = ["alpha beta"] * 6 + ["alpha gamma"] * 6 + ["delta"] * 3
+    urls = [f"{i:08d}" for i in range(len(texts))]
+    idx = tmp_path / "idx"
+    build_index_from_corpus(rd.from_arrow(_corpus_table(urls, texts)),
+                            str(idx), BuildConfig(docs_per_segment=4))
+    assert delete_by_query(str(idx), "delta") == 3
+
+    def snapshot() -> dict:
+        files = [idx / "stats.json", *sorted((idx / "tombstones").iterdir())]
+        return {f.name: f.read_bytes() for f in files}
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="mode"):
+        delete_by_query(str(idx), "alpha beta", mode=mode)
+    assert snapshot() == before
+    with pytest.raises(ValueError, match="mode"):
+        count_matches(str(idx), "alpha beta", mode=mode)
+    with pytest.raises(ValueError, match="mode"):
+        count_matches_many(str(idx), ["alpha", "beta"], mode=mode)
+    with pytest.raises(ValueError, match="mode"):
+        sorted_matches(str(idx), "alpha", "word_count", mode=mode)
+    assert count_matches(str(idx), "alpha beta") == 12
+    assert count_matches(str(idx), "alpha beta", mode="and") == 6

@@ -1,0 +1,216 @@
+"""Aggregations and exports on a tombstoned, multi-segment-group index.
+
+The index has more segments than the test cluster has CPUs, so every
+segment-group task binds several segments. Before checking, a
+``delete_by_query`` and an append with url upserts tombstone docs in both
+generations; every result must equal a brute force over the live docs
+only, with scores compared bitwise against the whole-index exhaustive
+scorer."""
+
+from __future__ import annotations
+
+from collections import Counter, defaultdict
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray
+import ray.data as rd
+
+from elasticsearch_data_loader_ray.functions.analyzers import (
+    analyze,
+    token_count_batch,
+)
+from elasticsearch_data_loader_ray.index import manifest as mf
+from elasticsearch_data_loader_ray.index.aggs import (
+    sampler_terms_agg,
+    stats_agg,
+    terms_agg,
+    top_hits_agg,
+)
+from elasticsearch_data_loader_ray.index.append import (
+    append_index_from_corpus,
+    delete_by_query,
+)
+from elasticsearch_data_loader_ray.index.build import (
+    BuildConfig,
+    build_index_from_corpus,
+    seg_docs_path,
+)
+from elasticsearch_data_loader_ray.index.export import (
+    collapse_matches,
+    count_matches,
+    sorted_matches,
+)
+from elasticsearch_data_loader_ray.index.search import (
+    LocalSearcher,
+    _segment_groups,
+)
+
+LANGS = ["en", "de", "fr", "es", "it"]
+VOCAB = ["data", "query", "scan", "table", "fast", "the", "index", "merge"]
+QUERY = "data fast"
+QTERMS = {"data", "fast"}
+
+
+def _corpus(urls: list[str], texts: list[str], langs: list[str]) -> pa.Table:
+    n = len(urls)
+    return pa.table({
+        "url": pa.array(urls, pa.string()),
+        "warc_ts": pa.array([0] * n, pa.timestamp("us")),
+        "text": pa.array(texts, pa.large_string()),
+        "lang": pa.array(langs, pa.string()),
+        "doc_len": pa.array(token_count_batch(
+            pa.array(texts, pa.large_string())), pa.int32()),
+    })
+
+
+def _texts(rng, n: int, marker_share: float) -> list[str]:
+    out = []
+    for _ in range(n):
+        words = list(rng.choice(VOCAB, rng.integers(2, 12)))
+        if rng.random() < marker_share:
+            words.append("purge")
+        out.append(" ".join(words))
+    return out
+
+
+@pytest.fixture(scope="module")
+def live_index(tmp_path_factory):
+    """(index dir, live doc id -> (text, lang)) after a delete and an
+    upserting append; brute-forced from the inputs, not the index."""
+    rng = np.random.default_rng(11)
+    n = 480
+    urls = [f"u{i:06d}" for i in range(n)]
+    texts = _texts(rng, n, 0.25)
+    langs = [LANGS[i % len(LANGS)] for i in range(n)]
+    idx = str(tmp_path_factory.mktemp("tomb_idx"))
+    build_index_from_corpus(rd.from_arrow(_corpus(urls, texts, langs)), idx,
+                            BuildConfig(docs_per_segment=40))
+    assert delete_by_query(idx, "purge") == sum(
+        "purge" in analyze("standard", t) for t in texts)
+    # upsert every 7th url (purged or not) and add brand-new urls
+    up = list(range(0, n, 7))
+    new_urls = [urls[i] for i in up] + [f"v{i:06d}" for i in range(50)]
+    new_texts = _texts(rng, len(new_urls), 0.0)
+    new_langs = [LANGS[(i * 3) % len(LANGS)] for i in range(len(new_urls))]
+    append_index_from_corpus(
+        rd.from_arrow(_corpus(new_urls, new_texts, new_langs)), idx,
+        BuildConfig(docs_per_segment=40))
+
+    final = {u: (t, g) for u, t, g in zip(urls, texts, langs)
+             if "purge" not in analyze("standard", t)}
+    final.update(zip(new_urls, zip(new_texts, new_langs)))
+    segs = sorted(mf.committed_segments(idx))
+    docs = pq.read_table([seg_docs_path(idx, s) for s in segs],
+                         columns=["doc_id", "url"])
+    newest: dict[str, int] = {}
+    for d, u in zip(docs["doc_id"].to_pylist(), docs["url"].to_pylist()):
+        newest[u] = max(d, newest.get(u, -1))  # appends get higher ids
+    live = {newest[u]: final[u] for u in final}
+    return idx, live, len(segs)
+
+
+def _matched(live: dict, mode: str = "or") -> list[int]:
+    ok = (lambda tk: QTERMS <= tk) if mode == "and" else \
+        (lambda tk: bool(QTERMS & tk))
+    return sorted(d for d, (t, _g) in live.items()
+                  if ok(set(analyze("standard", t))))
+
+
+def _exact_scores(idx: str) -> dict[int, float]:
+    s = LocalSearcher(idx)
+    ids, sc = s.search(QUERY, k=s.n_docs, or_strategy="exact")
+    return dict(zip(ids.tolist(), np.round(sc, 6).tolist()))
+
+
+def _dl(live: dict, d: int) -> int:
+    return len(analyze("standard", live[d][0]))
+
+
+def check_terms_agg(idx, live):
+    got = terms_agg(idx, QUERY, "lang", size=10, metric_field="text")
+    cnt = Counter(live[d][1] for d in _matched(live))
+    sums = defaultdict(int)
+    for d in _matched(live):
+        sums[live[d][1]] += _dl(live, d)
+    want = sorted(cnt.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert got["key"].to_pylist() == [k for k, _ in want]
+    assert got["doc_count"].to_pylist() == [v for _, v in want]
+    assert got["avg_word_count"].to_pylist() == \
+        [sums[k] / cnt[k] for k, _ in want]
+
+
+def check_stats_agg(idx, live):
+    got = stats_agg(idx, QUERY).to_pylist()[0]
+    dls = [_dl(live, d) for d in _matched(live)]
+    assert got == {"doc_count": len(dls), "min_word_count": min(dls),
+                   "max_word_count": max(dls), "sum_word_count": sum(dls),
+                   "avg_word_count": sum(dls) / len(dls)}
+
+
+def check_count_matches(idx, live):
+    assert count_matches(idx, QUERY) == len(_matched(live))
+    assert count_matches(idx, QUERY, mode="and") == \
+        len(_matched(live, "and"))
+
+
+def check_sorted_matches(idx, live):
+    for mode in ("or", "and"):
+        got = sorted_matches(idx, QUERY, "word_count", k=25, mode=mode)
+        want = sorted((-_dl(live, d), d) for d in _matched(live, mode))[:25]
+        assert got["doc_id"].to_pylist() == [d for _v, d in want]
+        assert got["sort_value"].to_pylist() == [-v for v, _d in want]
+
+
+def check_collapse_matches(idx, live):
+    got = collapse_matches(idx, QUERY, "lang", k=4)
+    exact = _exact_scores(idx)
+    assert sorted(exact) == _matched(live)
+    best = {}
+    for d, s in sorted(exact.items(), key=lambda x: (-x[1], x[0])):
+        best.setdefault(live[d][1], (d, s))
+    want = sorted(best.items(), key=lambda kv: (-kv[1][1], kv[1][0]))[:4]
+    assert list(zip(got["key"].to_pylist(), got["doc_id"].to_pylist(),
+                    got["score"].to_pylist())) == \
+        [(k, d, s) for k, (d, s) in want]
+
+
+def check_top_hits_agg(idx, live):
+    got = top_hits_agg(idx, QUERY, "lang", num_buckets=3, size_per_bucket=4)
+    exact = _exact_scores(idx)
+    assert sorted(exact) == _matched(live)
+    by_key = defaultdict(list)
+    for d, s in exact.items():
+        by_key[live[d][1]].append((d, s))
+    buckets = sorted(((k, len(v)) for k, v in by_key.items()),
+                     key=lambda kv: (-kv[1], kv[0]))[:3]
+    want = []
+    for k, cnt in buckets:
+        hits = sorted(by_key[k], key=lambda ds: (-ds[1], ds[0]))[:4]
+        want += [(k, cnt, r, d, s) for r, (d, s) in enumerate(hits, 1)]
+    assert list(zip(*[got[c].to_pylist() for c in got.column_names])) \
+        == want
+
+
+def check_sampler_terms_agg(idx, live):
+    got = sampler_terms_agg(idx, QUERY, "lang", shard_size=30,
+                            num_buckets=10)
+    exact = _exact_scores(idx)
+    sample = sorted(exact.items(), key=lambda x: (-x[1], x[0]))[:30]
+    want = Counter(live[d][1] for d, _s in sample)
+    assert dict(zip(got["key"].to_pylist(),
+                    got["doc_count"].to_pylist())) == dict(want)
+
+
+@pytest.mark.parametrize("check", [
+    check_terms_agg, check_stats_agg, check_count_matches,
+    check_sorted_matches, check_collapse_matches, check_top_hits_agg,
+    check_sampler_terms_agg])
+def test_live_docs_only_on_multi_segment_groups(live_index, check):
+    idx, live, n_segs = live_index
+    groups = _segment_groups(list(range(n_segs)))
+    assert n_segs > ray.cluster_resources()["CPU"]
+    assert all(len(g) > 1 for g in groups)
+    check(idx, live)

@@ -66,7 +66,8 @@ def main() -> int:
     sf_dir = args[0] if args else "/root/testdata/sf0.01"
     only = set(args[1:])
     report: dict[str, dict] = {}
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
+    ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+             include_dashboard=False,
              logging_level="ERROR")
     from ray.data import DataContext
 
