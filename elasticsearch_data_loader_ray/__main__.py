@@ -10,8 +10,10 @@ Commands:
 
 ``append`` goes beyond the reference (whose only refresh story is a full
 reload): new documents land as a fresh segment generation, re-ingested urls
-upsert (old doc tombstoned), and a serving ``LocalSearcher`` with
-``refresh_interval`` picks the commit up live.
+upsert (old doc tombstoned), and a serving ``LocalSearcher`` picks the
+commit up on its next query. ``build`` and ``append`` both merge down to
+``merge.MAX_SEGMENTS`` segments when their commit leaves more; ``compact``
+merges further by hand.
 
 The reference wraps its loader in a shell script that optionally deletes and
 re-creates the index before exec-ing the Go binary
@@ -46,9 +48,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("input")
     ap.add_argument("index_dir")
     ap.add_argument("--docs-per-segment", type=int, default=None)
-    ap.add_argument("--compact-to", type=int, default=None,
-                    help="after the append commits, merge down to at most "
-                         "N segments (auto merge policy)")
 
     s = sub.add_parser("search")
     s.add_argument("index_dir")
@@ -132,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
 
             stats = append_index(args.input, args.index_dir,
                                  BuildConfig(
-                                     docs_per_segment=args.docs_per_segment,
-                                     auto_compact_segments=args.compact_to))
+                                     docs_per_segment=args.docs_per_segment))
             print(json.dumps({k: stats.get(k) for k in
                               ("n_docs", "n_segments", "n_postings",
                                "n_deleted", "generations", "phase_secs")}))

@@ -32,7 +32,9 @@ serve segments whose ``doc_id_base + n_docs <= stats.n_docs``. The atomic
 ``stats.json`` rewrite (new ``n_docs``, ``dl_total``, ``tombstone_files``,
 ``generations``) is the single visibility point — a crash mid-append leaves
 a consistent old index plus invisible garbage that the next append sweeps.
-``LocalSearcher.refresh()`` / ``refresh_interval`` pick appends up live.
+A ``LocalSearcher`` picks the commit up on its next query. When the commit
+leaves more than ``merge.MAX_SEGMENTS`` visible segments, the append
+merges down to that bound (``merge.merge_at_commit``) before it returns.
 
 Exactness: ``dl_total`` is carried as an integer, so after appending
 disjoint batches the recomputed ``avgdl`` (and therefore every BM25 score)
@@ -209,7 +211,6 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
         _discard_generation(index_dir, gen_base, base_docs)
         raise
 
-    t0 = time.perf_counter()
     tombstone_files = list(stats.get("tombstone_files", []))
     if len(deleted_new):
         tpath = os.path.join("tombstones", f"gen-{gen_base}.json")
@@ -218,17 +219,15 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
             {"generation": gen_base,
              "deleted_doc_ids": [int(d) for d in deleted_new]})
         tombstone_files.append(tpath)
-    # term_stats / termdict must cover the new generation: force rebuilds
+    # term_stats must cover the new generation: force a rebuild
     ts_dir = os.path.join(index_dir, "term_stats")
     if os.path.isdir(ts_dir):
         shutil.rmtree(ts_dir)
-    from .build import drop_termdict
+    from .merge import merge_at_commit
     from .pruned import drop_pruned
 
-    drop_termdict(index_dir)
     drop_pruned(index_dir)
     out = _finalize(index_dir, plan, cfg, timings, extra={
-        "n_segments": len(committed) + plan["n_segments"],
         "tombstone_files": tombstone_files,
         "n_deleted": int(stats.get("n_deleted", 0)) + int(len(deleted_new)),
         "generations": [*stats.get("generations", []), {
@@ -238,17 +237,7 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
             "doc_id_base": base_docs,
         }],
     })
-    timings["finalize"] = round(time.perf_counter() - t0, 3)
-    if cfg.auto_compact_segments is not None:
-        committed_now = mf.committed_segments(index_dir)
-        if len(committed_now) > cfg.auto_compact_segments:
-            from .merge import compact_to
-
-            t0 = time.perf_counter()
-            survivors = compact_to(index_dir, cfg.auto_compact_segments, cfg)
-            timings["compact"] = round(time.perf_counter() - t0, 3)
-            out["n_segments"] = len(survivors)
-    return out
+    return merge_at_commit(index_dir, out, cfg)
 
 
 def _delete_partial(searcher, field: str, terms: list[str], mode: str,

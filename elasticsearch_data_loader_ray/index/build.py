@@ -16,6 +16,9 @@ index construction ES performs from ``config/search_scheme.json``. Shape:
             tokenize, tf, encode postings (delta+varint+block-max), atomic
             segment write + lineage manifest.
   finalize: global term stats (term -> df) for BM25 idf; stats.json.
+  merge:    a commit that leaves more than ``merge.MAX_SEGMENTS`` visible
+            segments merges adjacent runs down to that bound
+            (``merge.merge_at_commit``, also run by append).
 
 Skew design: the shuffle key is the url-range bucket — uniform by
 construction — so Zipf-head terms never concentrate on one worker; a head
@@ -62,7 +65,7 @@ def seg_docs_path(index_dir: str, seg_id: int) -> str:
 
 @dataclass
 class BuildConfig:
-    # None -> auto: n_docs / (4 * num_cpus), clamped to [1_000, 200_000] so
+    # None -> auto: n_docs / (2 * num_cpus), clamped to [4_000, 200_000] so
     # segments outnumber workers (parallel build wave) but one segment's text
     # still fits a worker's heap at web scale.
     docs_per_segment: int | None = None
@@ -95,11 +98,6 @@ class BuildConfig:
     # strictly more useful for web crawls; True fails the build with
     # example urls before any segment is committed.
     strict_duplicates: bool = False
-    # serving-side merge policy (simplified Lucene tiered merge): when set,
-    # append runs compact_to(index_dir, N) after committing its generation
-    # so repeated incremental batches can't grow segment fan-out unbounded
-    # (~1 ms cold-query cost per segment file). None = manual `compact`.
-    auto_compact_segments: int | None = None
 
 
 class DuplicateUrlError(ValueError):
@@ -777,86 +775,13 @@ def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
 
 # --- finalize ---------------------------------------------------------------
 
-def _build_termdict(index_dir: str, term_files: list[str],
-                    seg_ids: list[int], cfg: BuildConfig) -> None:
-    """Consolidated term-dictionary sidecar: every segment's PHYSICAL
-    dictionary rows (field, term, df, max_impact, segment_id, blob byte
-    ranges, blk_n — no postings) re-sorted by (field, term, segment_id)
-    into one place. A cold LocalSearcher lookup then prunes row groups of
-    O(1) files instead of fanning out a footer parse + filtered read to
-    every segment's term file (~1.6 ms/file; 497 segments at 4M docs put
-    cold p95 at 329 ms — VERDICT r3 #4). Postings still come from the
-    per-segment blob sidecars via byte-range preads.
-
-    This is a SERVING-side artifact (the Lucene force-merge/optimize
-    analogue), deliberately NOT part of ``_finalize``: building it re-reads
-    and re-sorts every dictionary row, a driver-heavy step that measurably
-    flattened index-build scaling when it ran inline (8M docs: finalize
-    2.8 s -> 17.3 s at 8 cpus). It builds on demand — ``ensure_termdict``
-    explicitly, or ``LocalSearcher(termdict="auto")`` at bind once the
-    segment count makes the fan-out hurt — and after merges.
-
-    ``meta.json`` records the segment set; readers
-    ignore a termdict whose set no longer matches (merge/append/compact
-    also remove it eagerly)."""
-    td_dir = os.path.join(index_dir, "termdict")
-    want = [int(s) for s in seg_ids]
-    if os.path.exists(os.path.join(td_dir, "_SUCCESS")):
-        try:
-            have = mf.read_json(os.path.join(td_dir, "meta.json"))["seg_ids"]
-        except (OSError, KeyError, ValueError):
-            have = None
-        if have == want:
-            return
-    if os.path.isdir(td_dir):
-        shutil.rmtree(td_dir)
-    if not term_files:
-        return
-    total = sum(pq.ParquetFile(f).metadata.num_rows for f in term_files)
-    os.makedirs(td_dir, exist_ok=True)
-    if total <= int(os.environ.get("EDLR_FINALIZE_CUTOFF", "50000000")):
-        tt = pq.read_table(term_files)
-        tt = tt.sort_by([("field", "ascending"), ("term", "ascending"),
-                         ("segment_id", "ascending")])
-        tmp = os.path.join(td_dir, f"part-0.parquet.tmp-{uuid.uuid4().hex}")
-        pq.write_table(tt, tmp, row_group_size=cfg.index_block_rows)
-        os.replace(tmp, os.path.join(td_dir, "part-0.parquet"))
-    else:
-        (rd.read_parquet(term_files)
-         .sort(["field", "term", "segment_id"])
-         .write_parquet(td_dir))
-    mf.write_json_atomic(os.path.join(td_dir, "meta.json"),
-                         {"seg_ids": want})
-    with open(os.path.join(td_dir, "_SUCCESS"), "w") as f:
-        f.write("")
-
-
-def ensure_termdict(index_dir: str, cfg: BuildConfig | None = None) -> None:
-    """Build (or refresh) the consolidated term dictionary for the index's
-    current VISIBLE segment set. Idempotent; safe to call concurrently
-    (atomic per-file writes + a _SUCCESS gate; a stale set rebuilds)."""
-    from .search import _load_stats, _visible_seg_ids
-
-    stats = _load_stats(index_dir)
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
-    _build_termdict(index_dir,
-                    [seg_terms_path(index_dir, s) for s in seg_ids],
-                    seg_ids, cfg or BuildConfig())
-
-
-def drop_termdict(index_dir: str) -> None:
-    """Remove the consolidated dictionary (stale after any operation that
-    rewrites segments: merge/compact, append, wipe)."""
-    td_dir = os.path.join(index_dir, "termdict")
-    if os.path.isdir(td_dir):
-        shutil.rmtree(td_dir)
-
-
 def _finalize(index_dir: str, plan: dict, cfg: BuildConfig,
               timings: dict[str, float], extra: dict | None = None) -> dict:
     """``extra`` keys are merged into stats.json before the atomic write —
     the append path uses this so visibility (n_docs), tombstone file list
-    and generation lineage land in ONE atomic commit."""
+    and generation lineage land in ONE atomic commit. Records its own
+    ``timings["finalize"]`` before the write, so stats.json carries it."""
+    t0 = time.perf_counter()
     stats_path = os.path.join(index_dir, "stats.json")
     manifests = mf.committed_segments(index_dir)
     term_files = [seg_terms_path(index_dir, s) for s in sorted(manifests)]
@@ -911,7 +836,7 @@ def _finalize(index_dir: str, plan: dict, cfg: BuildConfig,
         "field_analyzers": {"text": "standard",
                             **{f: a for f, _s, a in cfg.fields}},
         "index_positions": cfg.index_positions,
-        "n_segments": plan["n_segments"],
+        "n_segments": len(manifests),
         "n_duplicates": sum(m["n_duplicates"] for m in manifests.values()),
         "n_postings": sum(m["n_postings"] for m in manifests.values()),
         "rejects": rejects,
@@ -928,6 +853,7 @@ def _finalize(index_dir: str, plan: dict, cfg: BuildConfig,
     }
     if extra:
         stats.update(extra)
+    timings["finalize"] = round(time.perf_counter() - t0, 3)
     mf.write_json_atomic(stats_path, stats)
     return stats
 
@@ -941,10 +867,10 @@ def _build(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
         source, index_dir, cfg, timings, boundaries,
         corpus_dir=os.path.join(index_dir, "corpus") if write_corpus else None,
         plan_path=os.path.join(index_dir, "plan.json"), plan=plan)
-    t = time.perf_counter()
-    stats = _finalize(index_dir, plan, cfg, timings)
-    timings["finalize"] = round(time.perf_counter() - t, 3)
-    return stats
+    from .merge import merge_at_commit
+
+    return merge_at_commit(index_dir, _finalize(index_dir, plan, cfg, timings),
+                           cfg)
 
 
 def _plan_boundaries(plan: dict | None, corpus: rd.Dataset,

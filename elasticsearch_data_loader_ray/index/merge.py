@@ -9,9 +9,16 @@ O(1) bytes touched per term. Block-max metadata concatenates (a short
 boundary block keeps valid bounds); df adds; max_impact maxes.
 
 ``merge_segments(index_dir, group_size)`` compacts runs of adjacent
-committed segments, publishing each merged segment atomically (files first,
+visible segments, publishing each merged segment atomically (files first,
 then a combined manifest replacing the inputs' manifests) and refreshing
 ``stats.json``. Search is oblivious: it discovers segments from manifests.
+
+The merge policy is one bound, :data:`MAX_SEGMENTS`, held by the writer
+(the Lucene TieredMergePolicy shape: writers merge, readers never do).
+Build and append call :func:`merge_at_commit` after their commit, which
+runs :func:`compact_to` whenever the commit left more visible segments
+than the bound. A searcher bound before the merge rebinds on its next
+query (the merge rewrites ``stats.json``).
 """
 
 from __future__ import annotations
@@ -29,6 +36,13 @@ from . import codec
 from . import manifest as mf
 from .build import (BuildConfig, _write_segment_files, pin_worker_threads,
                     read_segment_terms, seg_docs_path, seg_terms_path)
+from .search import _load_stats, _visible_seg_ids
+
+#: the one segment-count bound: a commit (build or append) that leaves more
+#: visible segments merges down to it. It served cold and warm OR queries
+#: faster than bounds of 32 and 64 (97k docs) and than the removed
+#: term-dictionary sidecar (97k and 1M docs): ROADMAP, Direction 8.
+MAX_SEGMENTS = 16
 
 
 def _reencode_first(enc: bytes, prev_last: int) -> tuple[bytes, int]:
@@ -232,30 +246,26 @@ def _merge_run(index_dir: str, run: list[int], new_id: int,
 
 def merge_segments(index_dir: str, group_size: int = 2,
                    cfg: BuildConfig | None = None) -> list[int]:
-    """Compact adjacent committed segments in runs of ``group_size``.
+    """Compact adjacent visible segments in runs of ``group_size``.
 
     Returns the surviving segment ids. Doc ids are untouched (ranges stay
     contiguous); term_stats and global stats are unaffected except
-    ``n_segments``/``per_segment`` which are refreshed in stats.json.
+    ``n_segments``/``per_segment`` (visible segments only) which are
+    refreshed in stats.json.
     """
     cfg = cfg or BuildConfig()
-    manifests = mf.committed_segments(index_dir)
-    # id allocation must see EVERY committed manifest — including the
-    # committed-but-invisible crashed-append orphans filtered out below —
-    # or a fresh merge id can collide with an orphan and overwrite its
-    # files while append's orphan sweep races to rmtree the same dir
-    all_committed_ids = set(manifests.keys())
     # VISIBLE segments only: a crashed append can leave committed-but-
     # invisible segments (doc range beyond stats.n_docs, swept lazily by
     # append_index). Merging one of those with a visible segment would push
     # the merged doc_id_base + n_docs past the visibility point and hide
     # previously-visible docs — input files are deleted after the merge
     # commit, so the loss would be permanent.
-    stats_path = os.path.join(index_dir, "stats.json")
-    if os.path.exists(stats_path):
-        n_vis = int(mf.read_json(stats_path).get("n_docs", 0))
-        manifests = {s: m for s, m in manifests.items()
-                     if int(m["doc_id_base"]) + int(m["n_docs"]) <= n_vis}
+    _ids, manifests = _visible_seg_ids(index_dir, _load_stats(index_dir))
+    # id allocation must see EVERY committed manifest — including those
+    # invisible orphans — or a fresh merge id can collide with an orphan
+    # and overwrite its files while append's orphan sweep races to rmtree
+    # the same dir
+    all_committed_ids = set(mf.committed_segments(index_dir))
     # adjacency is by DOC RANGE, not id: merged segments get fresh ids, so
     # sorted ids need not follow doc order after partial merges
     seg_ids = sorted(manifests, key=lambda s: manifests[s]["doc_id_base"])
@@ -278,63 +288,51 @@ def merge_segments(index_dir: str, group_size: int = 2,
         tasks.append(_merge_run.remote(
             index_dir, run, new_id, {s: manifests[s] for s in run}, cfg))
     survivors.extend(ray.get(tasks))
-    # refresh stats.json segment counts
-    stats_path = os.path.join(index_dir, "stats.json")
-    if os.path.exists(stats_path):
-        stats = mf.read_json(stats_path)
-        new_manifests = mf.committed_segments(index_dir)
-        stats["n_segments"] = len(new_manifests)
-        stats["per_segment"] = {
-            str(k): {"n_docs": m["n_docs"], "build_secs": m["build_secs"],
-                     "docs_per_sec": m.get("docs_per_sec")}
-            for k, m in sorted(new_manifests.items())
-        }
-        stats.setdefault("merges", []).append(
-            {"group_size": group_size, "secs": round(time.perf_counter() - t_all, 3)})
-        mf.write_json_atomic(stats_path, stats)
-    # the consolidated dictionary references absorbed segment ids/offsets:
-    # drop it, and rebuild for the surviving set only when one existed
-    # (merges exist to IMPROVE serving; build-side callers never pay)
-    from .build import _build_termdict, drop_termdict
-
-    had_td = os.path.exists(
-        os.path.join(index_dir, "termdict", "_SUCCESS"))
-    drop_termdict(index_dir)
+    stats = _load_stats(index_dir)
+    _ids, vis = _visible_seg_ids(index_dir, stats)
+    stats["n_segments"] = len(vis)
+    stats["per_segment"] = {
+        str(k): {"n_docs": m["n_docs"], "build_secs": m["build_secs"],
+                 "docs_per_sec": m.get("docs_per_sec")}
+        for k, m in sorted(vis.items())
+    }
+    stats.setdefault("merges", []).append(
+        {"group_size": group_size, "secs": round(time.perf_counter() - t_all, 3)})
+    mf.write_json_atomic(os.path.join(index_dir, "stats.json"), stats)
     from .pruned import drop_pruned
 
     drop_pruned(index_dir)  # stale epoch; rebuilt on demand, not eagerly
-    if had_td:
-        # meta must list exactly the set a reader will resolve as VISIBLE,
-        # so exclude any crashed-append orphans still on disk
-        new_manifests = mf.committed_segments(index_dir)
-        if os.path.exists(stats_path):
-            n_vis = int(mf.read_json(stats_path).get("n_docs", 0))
-            new_manifests = {
-                s: m for s, m in new_manifests.items()
-                if int(m["doc_id_base"]) + int(m["n_docs"]) <= n_vis}
-        _build_termdict(index_dir,
-                        [seg_terms_path(index_dir, s)
-                         for s in sorted(new_manifests)],
-                        sorted(new_manifests), cfg)
     return survivors
 
 
 def compact_to(index_dir: str, max_segments: int,
                cfg: BuildConfig | None = None) -> list[int]:
-    """Serving-side compaction policy: merge adjacent runs until at most
-    ``max_segments`` remain (simplified Lucene tiered-merge). Cold-query
-    fan-out costs ~1 ms per segment FILE, so builds that accumulated many
-    small segments (or many incremental batches) call this once before
-    serving; an epoch-swapping ``LocalSearcher`` (``refresh_interval``)
-    picks the compacted set up live."""
-    ms = mf.committed_segments(index_dir)
-    stats_path = os.path.join(index_dir, "stats.json")
-    if os.path.exists(stats_path):
-        n_vis = int(mf.read_json(stats_path).get("n_docs", 0))
-        ms = {s: m for s, m in ms.items()
-              if int(m["doc_id_base"]) + int(m["n_docs"]) <= n_vis}
-    survivors = sorted(ms)
+    """Merge adjacent runs of visible segments until at most
+    ``max_segments`` remain; returns the survivors. One pass: the run
+    length is ``ceil(visible / max_segments)``, so every segment is
+    rewritten (no size tiers). :func:`merge_at_commit` calls it with
+    :data:`MAX_SEGMENTS`; a smaller bound can be asked for by hand (CLI
+    ``compact --max-segments``)."""
+    survivors, _vis = _visible_seg_ids(index_dir, _load_stats(index_dir))
     while len(survivors) > max_segments:
         group = math.ceil(len(survivors) / max_segments)
         survivors = merge_segments(index_dir, group_size=group, cfg=cfg)
     return survivors
+
+
+def merge_at_commit(index_dir: str, stats: dict, cfg: BuildConfig) -> dict:
+    """The merge policy, run by the writer right after a commit whose
+    stats.json content is ``stats``: when more than :data:`MAX_SEGMENTS`
+    segments are visible, :func:`compact_to` merges them down to it and
+    its seconds land in ``phase_secs["compact"]``. Returns the committed
+    stats.json content."""
+    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
+    if len(seg_ids) <= MAX_SEGMENTS:
+        return stats
+    t0 = time.perf_counter()
+    compact_to(index_dir, MAX_SEGMENTS, cfg)
+    stats = _load_stats(index_dir)
+    stats.setdefault("phase_secs", {})["compact"] = round(
+        time.perf_counter() - t0, 3)
+    mf.write_json_atomic(os.path.join(index_dir, "stats.json"), stats)
+    return stats

@@ -11,8 +11,8 @@ What remains is the classic static index pruning of Carmel et al. (SIGIR
 BM25 contribution, precomputed at build time.
 
 Layout: one consolidated parquet (``pruned/part-0.parquet`` + meta.json +
-_SUCCESS, epoch-validated against the visible segment set exactly like the
-termdict sidecar). One row per (field, term, segment), sorted by
+_SUCCESS, epoch-validated: ``meta.json`` records the visible segment set,
+and readers ignore a sidecar whose set no longer matches). One row per (field, term, segment), sorted by
 (field, term, doc_base) so a query term's rows sit in 1-2 row groups and
 the per-segment runs concatenate into ascending global doc ids. Cells
 store raw little-endian arrays: ``doc_ids`` int64 and ``contribs``
@@ -32,7 +32,7 @@ true score would rank; the per-term error is bounded by the row's ``eps``
 Scale shape: one Ray task per segment (pruned reads of only the hot
 terms' dictionary rows + blob byte ranges), consolidation via driver
 concat below EDLR_FINALIZE_CUTOFF rows and a Ray Data sort above it —
-the same split the termdict uses. The sidecar is tiny relative to the
+the same split ``build._finalize`` uses for term stats. The sidecar is tiny relative to the
 index (keep_frac of the head terms only), so serving reads stay O(query).
 
 No counterpart in the reference repo (it delegates serving to
@@ -159,8 +159,8 @@ def build_pruned_postings(index_dir: str, min_df: int = 100_000,
                           cfg: BuildConfig | None = None) -> int:
     """Build (or refresh) the pruned-postings sidecar for the index's
     current visible segment set. Returns the number of (field, term) lists
-    pruned. Idempotent per epoch; dropped by merge/append/compact exactly
-    like the termdict (any epoch mismatch makes readers ignore it)."""
+    pruned. Idempotent per epoch; dropped by merge/append/compact (any
+    epoch mismatch makes readers ignore it)."""
     from .search import _load_stats, _visible_seg_ids, _avgdl
 
     cfg = cfg or BuildConfig()

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import re
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -66,13 +65,13 @@ def _load_stats(index_dir: str) -> dict:
     return mf.read_json(os.path.join(index_dir, "stats.json"))
 
 
-def _file_sig(path: str) -> tuple[int, int] | None:
-    """(mtime_ns, size) epoch fingerprint of an atomically-replaced file;
-    None when absent. mf.write_json_atomic always os.replace()s, so any
-    committed mutation changes the signature."""
+def _file_sig(path: str) -> tuple[int, int, int] | None:
+    """(inode, mtime_ns, size) epoch fingerprint of an atomically-replaced
+    file; None when absent. mf.write_json_atomic always os.replace()s a
+    fresh file, so any committed mutation changes the signature."""
     try:
         st = os.stat(path)
-        return (st.st_mtime_ns, st.st_size)
+        return (st.st_ino, st.st_mtime_ns, st.st_size)
     except OSError:
         return None
 
@@ -727,110 +726,32 @@ class LocalSearcher:
     its docs bitwise-identically to a whole-index searcher.
     """
 
-    #: auto-consolidate threshold: below this many segments the per-segment
-    #: fan-out is already cheap and the one-time sort isn't worth paying
-    TERMDICT_AUTO_SEGMENTS = 64
-    #: above this many segments, skip-path per-run probe overhead makes
-    #: block-max LOSE even with a rare term (measured: 592 vs 347 ms at
-    #: 500 uncompacted segments, round 4) — auto routing falls back to
-    #: exact full decode, and "auto" compaction kicks in at bind
-    BLOCKMAX_MAX_SEGMENTS = 256
-    #: bind-time auto-compaction threshold + target: a fresh searcher on a
-    #: many-hundreds-of-segments index pays a one-time tiered merge down to
-    #: the target (the Lucene force-merge analogue) so every later query
-    #: runs on the measured-winning layout
-    COMPACT_AUTO_SEGMENTS = 384
-    COMPACT_TARGET = 64
-
-    def __init__(self, index_dir: str, refresh_interval: float | None = None,
-                 termdict: str = "auto", compact: str = "auto",
-                 segments: list[int] | None = None):
-        """``refresh_interval`` (seconds) is the ES ``refresh_interval``
-        analogue (reference ``config/search_scheme.json:6`` sets 30s): when
-        set, every search first checks — at most once per interval — whether
-        the committed segment set changed (a merge or an incremental build)
-        and epoch-swaps onto the new segments. ``None`` = explicit
-        :meth:`refresh` only.
-
-        ``termdict``: ``"auto"`` uses the consolidated dictionary sidecar
-        when present and builds it ONCE at bind when the segment count
-        exceeds :attr:`TERMDICT_AUTO_SEGMENTS` (a one-time optimize cost,
-        reported nowhere near per-query latency); ``"build"`` forces the
-        build at bind; ``"off"`` never uses it.
-
-        ``compact``: ``"auto"`` runs a one-time tiered compaction at bind
-        when the visible segment count exceeds
-        :attr:`COMPACT_AUTO_SEGMENTS` — above that, skip-path probe
-        overhead makes block-max lose outright (the round-4 500-segment
-        measurement), so compaction is the serving-side prerequisite, not
-        a routing decision. Skipped silently on read-only dirs or when
-        another process holds the compaction lock (routing then falls back
-        to exact decode via :attr:`BLOCKMAX_MAX_SEGMENTS`). ``"off"``
-        never compacts.
-
-        ``segments``: bind only these visible segment ids (None = every
+    def __init__(self, index_dir: str, segments: list[int] | None = None):
+        """``segments``: bind only these visible segment ids (None = every
         visible segment). Hits come from their docs only; idf, avgdl and
-        doc lengths stay global, so scores equal the whole-index ones. A
-        subset searcher never compacts and never uses the termdict (it
-        indexes the whole set); binding fails with ``ValueError`` when a
-        listed segment is not visible."""
+        doc lengths stay global, so scores equal the whole-index ones.
+        Binding fails with ``ValueError`` when a listed segment is not
+        visible.
+
+        A searcher never writes segments or manifests. Every public query
+        method first checks whether ``stats.json`` (the commit point of
+        every append, delete and merge) moved, and rebinds onto the new
+        epoch before it reads anything (see :meth:`refresh`)."""
         self.index_dir = index_dir
-        self.refresh_interval = refresh_interval
         self._segments = None if segments is None else sorted(
             int(s) for s in segments)
-        if self._segments is not None:
-            termdict = compact = "off"
-        self._termdict_mode = termdict
-        self._compact_mode = compact
-        self._last_refresh_check = time.monotonic()
         self._bind()
-
-    def _maybe_auto_compact(self) -> bool:
-        """Bind-time auto-compaction (see ``compact="auto"``). Returns True
-        when a compaction ran (caller re-reads stats/manifests). Guarded by
-        an O_CREAT|O_EXCL lock file so concurrent binds don't run two
-        merges that would allocate the same fresh segment ids; a crashed
-        holder's lock is broken after 1h (serving stays correct without
-        compaction — just on the slower exact path)."""
-        if getattr(self, "_compact_mode", "auto") != "auto":
-            return False
-        seg_ids, _vis = _visible_seg_ids(self.index_dir,
-                                         _load_stats(self.index_dir))
-        if len(seg_ids) <= self.COMPACT_AUTO_SEGMENTS:
-            return False
-        lock = os.path.join(self.index_dir, ".compact_lock")
-        try:
-            st = os.stat(lock)
-            if time.time() - st.st_mtime > 3600:
-                os.unlink(lock)
-        except OSError:
-            pass
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except OSError:
-            return False  # held by another binder, or read-only dir
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(str(os.getpid()))
-            from .merge import compact_to
-
-            compact_to(self.index_dir, self.COMPACT_TARGET)
-            return True
-        finally:
-            try:
-                os.unlink(lock)
-            except OSError:
-                pass
 
     def _bind(self) -> None:
         """Bind this searcher to the CURRENT committed segment set."""
+        import glob as _glob
+
         import pyarrow.dataset as pads
 
         index_dir = self.index_dir
-        self._maybe_auto_compact()
         # epoch fingerprint, taken BEFORE the stats read: if stats.json is
         # replaced between the two, the sig is older than the loaded stats
-        # and the next cold _idf harmlessly re-binds once more
+        # and the next query harmlessly re-binds once more
         self._stats_sig = _file_sig(os.path.join(index_dir, "stats.json"))
         self.stats = _load_stats(index_dir)
         self.n_docs = int(self.stats["n_docs"])
@@ -876,35 +797,9 @@ class LocalSearcher:
         # per-file row-group (field, term) bounds, parsed lazily from
         # parquet footers once per epoch (see _read_terms_direct)
         self._rg_index: list[tuple] | None = None
-        # consolidated term-dictionary sidecar (build._build_termdict):
-        # dictionary lookups prune row groups of O(1) files instead of
-        # fanning out to every segment's term file. Valid only while its
-        # recorded segment set matches this epoch's visible set.
-        import glob as _glob
-
-        self.termdict_files: list[str] = []
-        self._td_rg_index: list[tuple] | None = None
-        mode = getattr(self, "_termdict_mode", "auto")
-        if mode == "build" or (mode == "auto" and len(self.seg_ids)
-                               > self.TERMDICT_AUTO_SEGMENTS):
-            try:
-                from .build import ensure_termdict
-
-                ensure_termdict(index_dir)
-            except OSError:
-                pass  # read-only index dir: fan-out path serves
-        td_dir = os.path.join(index_dir, "termdict")
-        if mode != "off" and os.path.exists(os.path.join(td_dir, "_SUCCESS")):
-            try:
-                meta = mf.read_json(os.path.join(td_dir, "meta.json"))
-            except (OSError, ValueError):
-                meta = {}
-            if meta.get("seg_ids") == [int(s) for s in self.seg_ids]:
-                self.termdict_files = sorted(
-                    _glob.glob(os.path.join(td_dir, "*.parquet")))
         # statically-pruned postings sidecar (index/pruned.py) — powers
-        # the OPT-IN or_strategy="pruned" path only; epoch-validated like
-        # the termdict
+        # the OPT-IN or_strategy="pruned" path only; valid only while its
+        # recorded segment set matches this epoch's visible set
         self.pruned_files: list[str] = []
         self._pruned_rg_index: list[tuple] | None = None
         self._pruned_cache: "OrderedDict[tuple, tuple | None]" = \
@@ -965,34 +860,6 @@ class LocalSearcher:
             self._rg_index = _parse_rg_bounds(self.term_files)
         return self._rg_index
 
-    def _td_bounds(self) -> list[tuple] | None:
-        """Row-group bounds of the consolidated termdict, or None when the
-        sidecar is absent/unusable for this epoch (per-segment fan-out
-        path runs instead)."""
-        if not self.termdict_files:
-            return None
-        if self._td_rg_index is None:
-            # a concurrent merge/append may drop_termdict (or rebuild
-            # part-0.parquet under the same name for a NEW segment set)
-            # between _bind and this first-query footer parse. Catch the
-            # removal, then re-validate meta.json AFTER parsing: the
-            # rebuild sequence is rmtree -> part files -> meta.json ->
-            # _SUCCESS, so if meta still names OUR epoch's seg_ids the
-            # files we just parsed were ours.
-            try:
-                idx = _parse_rg_bounds(self.termdict_files)
-                meta = mf.read_json(os.path.join(
-                    self.index_dir, "termdict", "meta.json"))
-            except (OSError, ValueError):
-                self.termdict_files = []
-                return None
-            if (meta.get("seg_ids") != [int(s) for s in self.seg_ids]
-                    or any(b is None for _pf, b in idx)):
-                self.termdict_files = []
-                return None
-            self._td_rg_index = idx
-        return self._td_rg_index
-
     def _read_terms_direct(self, cols: list[str], terms_by_field: dict
                            ) -> pa.Table | None:
         """Row-group-pruned term-dictionary read: segment term files are
@@ -1004,9 +871,7 @@ class LocalSearcher:
         back to the dataset filter)."""
         pairs = sorted((f, t) for f, ts in terms_by_field.items()
                        for t in ts)
-        rg_index = self._td_bounds()
-        if rg_index is None:
-            rg_index = self._rg_bounds()
+        rg_index = self._rg_bounds()
         if any(bounds is None for _pf, bounds in rg_index):
             return None
         # filter keys may not be in the projection: read them, filter,
@@ -1050,29 +915,19 @@ class LocalSearcher:
         return pa.concat_tables(out)
 
     def refresh(self) -> bool:
-        """Epoch swap: re-resolve the committed segment set and tombstone
-        list and, if either changed (segment merge, incremental build,
-        delete-only ``delete_by_query`` commit), rebind files and drop
-        every derived cache. Returns True when a swap happened. Readers
-        in-flight on the old epoch are unaffected (segment files are
-        immutable; merge publishes under NEW ids and the combined manifest
-        is the atomic commit point)."""
-        stats = _load_stats(self.index_dir)
-        new_ids, _ = self._visible(stats)
-        if (new_ids == self.seg_ids
-                and stats.get("tombstone_files", [])
-                == self.stats.get("tombstone_files", [])):
+        """Epoch swap: when ``stats.json`` (the atomic commit point of
+        every append, delete and merge) was replaced since the last bind,
+        rebind files and drop every derived cache. Returns True when a
+        swap happened. Every public query method calls this first, so a
+        query never reads files of an epoch that a later commit deleted:
+        a merge removes its absorbed segments' files as soon as it
+        commits. A query already running when a commit lands is not
+        protected."""
+        if _file_sig(os.path.join(self.index_dir, "stats.json")) \
+                == self._stats_sig:
             return False
         self._bind()
         return True
-
-    def _maybe_auto_refresh(self) -> None:
-        if self.refresh_interval is None:
-            return
-        now = time.monotonic()
-        if now - self._last_refresh_check >= self.refresh_interval:
-            self._last_refresh_check = now
-            self.refresh()
 
     def _dl_for(self, field: str) -> np.ndarray:
         """Doc-length lookup array for ``field`` — a read-only float64
@@ -1195,7 +1050,7 @@ class LocalSearcher:
         as ``search_function_score``. Docs missing the doc-value score 0
         for the function (dropped from the top-k unless k exceeds the
         matched set)."""
-        self._maybe_auto_refresh()
+        self.refresh()
         all_terms = query_terms(query, _field_analyzer(self.stats, field))
         idf = self._idf(field, all_terms)
         terms = [t for t in all_terms if t in idf]
@@ -1218,19 +1073,6 @@ class LocalSearcher:
     def _idf(self, field: str, terms: list[str]) -> dict[str, float]:
         missing = [t for t in terms if (field, t) not in self._idf_cache]
         if missing:
-            # term_stats is a GLOBAL sidecar that append/merge/delete
-            # rewrite in place (the old generation's rows are gone), so a
-            # reader bound to the old epoch cannot lazily mix fresh df with
-            # its old segment set — that would be a torn snapshot matching
-            # NEITHER epoch. Detect the epoch move (stats.json is the
-            # atomic commit point of every mutation) and re-bind first:
-            # the reader serves the new epoch whole, like an ES reader
-            # reopen. Warm (fully cached) queries keep serving the bound
-            # epoch from memory.
-            if _file_sig(os.path.join(
-                    self.index_dir, "stats.json")) != self._stats_sig:
-                self._bind()
-                missing = list(terms)
             got, dfs, _ = load_global_idf(self.index_dir, {field: missing})
             for t in missing:
                 self._idf_cache[(field, t)] = got.get((field, t))
@@ -1823,6 +1665,7 @@ class LocalSearcher:
         it. Postings come through :meth:`_postings_for` (one read, shared
         cache); tombstoned docs are dropped."""
         check_match_mode(mode)
+        self.refresh()
         uniq = sorted(set(terms))
         if not uniq or self.term_ds is None:
             return np.empty(0, np.int64)
@@ -2030,6 +1873,7 @@ class LocalSearcher:
         (Lucene MLT semantics)."""
         from .export import term_vectors
 
+        self.refresh()
         tv = term_vectors(self.index_dir, [doc_url], field)
         if tv.num_rows == 0:
             return np.empty(0, np.int64), np.empty(0, np.float64)
@@ -2073,6 +1917,7 @@ class LocalSearcher:
         window, so nothing outside it is scored twice."""
         if k > window_size:
             raise ValueError("rescore requires k <= window_size")
+        self.refresh()
         # the window cut uses ROUNDED primary scores (6 dp) with doc-id
         # tie-break — the repo-wide determinism convention, so the window
         # membership is reproducible across engines and runs
@@ -2097,6 +1942,7 @@ class LocalSearcher:
         """ES ``_explain`` analogue: per-term BM25 contribution breakdown
         for one document. Sum of contributions == the search score bitwise
         (same accumulation order)."""
+        self.refresh()
         terms = query_terms(query, _field_analyzer(self.stats, field))
         idf = self._idf(field, terms)
         dl = self._dl_for(field)
@@ -2148,9 +1994,9 @@ class LocalSearcher:
         as page 1 (no full ranking, candidate memory bounded by the
         windowed accumulator) and scores are bitwise-identical to
         ``search()``'s."""
+        self.refresh()
         if after is None:
             return self.search(query, k=k, field=field)
-        self._maybe_auto_refresh()
         all_terms = query_terms(query, _field_analyzer(self.stats, field))
         idf = self._idf(field, all_terms)
         terms = [t for t in all_terms if t in idf]
@@ -2174,7 +2020,7 @@ class LocalSearcher:
         applied BEFORE the top-k cut (per window in the dense
         accumulator). ``factor_field`` defaults to the scored field's own
         doc length."""
-        self._maybe_auto_refresh()
+        self.refresh()
         all_terms = query_terms(query, _field_analyzer(self.stats, field))
         idf = self._idf(field, all_terms)
         terms = [t for t in all_terms if t in idf]
@@ -2214,7 +2060,7 @@ class LocalSearcher:
         layouts). The negative match set is the union of the negative
         terms' posting ids — one sorted-membership test per candidate
         batch, no per-row work."""
-        self._maybe_auto_refresh()
+        self.refresh()
         analyzer = _field_analyzer(self.stats, field)
         pos_terms = query_terms(positive, analyzer)
         idf = self._idf(field, pos_terms)
@@ -2274,7 +2120,7 @@ class LocalSearcher:
         bitwise as the whole-index one does. A range filter or
         ``minimum_should_match_source`` naming a field the index does not
         hold raises ``ValueError`` before anything is read."""
-        self._maybe_auto_refresh()
+        self.refresh()
         spec = prepare_bool_spec(bq, field,
                                  _field_analyzer(self.stats, field))
         indexed = self.stats.get("field_analyzers",
@@ -2411,7 +2257,7 @@ class LocalSearcher:
         prefix. Expansion is UNBOUNDED (Lucene prefix queries build a
         bitset over every matching term — no max_expansions cap), pruned
         to one closed dictionary range by ``expand_prefix``."""
-        self._maybe_auto_refresh()
+        self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         seq = list(analyze(_field_analyzer(self.stats, field), query))
         if not seq or self.term_ds is None:
@@ -2463,7 +2309,7 @@ class LocalSearcher:
         expansions is scored as a plain OR query (each expanded term with
         its own df/idf). Expansion reads the global dictionary, so every
         segment group of ``search()`` expands identically."""
-        self._maybe_auto_refresh()
+        self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if self.term_ds is None:
             return empty
@@ -2487,7 +2333,7 @@ class LocalSearcher:
         dictionary terms matching the raw (unanalyzed) pattern, docs
         containing any of them, constant score 1.0, doc_id order — the
         Lucene constant_score multi-term rewrite."""
-        self._maybe_auto_refresh()
+        self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if self.term_ds is None:
             return empty
@@ -2518,7 +2364,7 @@ class LocalSearcher:
         matches the (unanalyzed, implicitly anchored) RE2 pattern, docs
         containing any of them, constant score 1.0, doc_id order — the
         same Lucene constant_score multi-term rewrite as wildcard."""
-        self._maybe_auto_refresh()
+        self.refresh()
         if self.term_ds is None:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         exp = expand_regexp(self.index_dir, field, pattern)
@@ -2554,7 +2400,7 @@ class LocalSearcher:
         latency."""
         if mode not in self.SEARCH_MODES:
             raise ValueError(f"unknown search mode {mode!r}")
-        self._maybe_auto_refresh()
+        self.refresh()
         rq_key = (mode, field, query, int(k), or_strategy)
         hit = self._request_cache.get(rq_key)
         if hit is not None:
@@ -2598,8 +2444,6 @@ class LocalSearcher:
         if or_strategy == "pruned":  # opt-in approximate (index/pruned.py)
             return self._search_or_pruned(field, terms, k, idf, dl, avgdl)
         if (or_strategy in ("auto", "blockmax") and len(terms) == 1
-                and (or_strategy == "blockmax"
-                     or len(self.seg_ids) <= self.BLOCKMAX_MAX_SEGMENTS)
                 and self._df_cache.get((field, terms[0]), 0)
                 > self._SINGLE_TERM_BLOCKMAX_MIN_DF):
             res = self._search_single_term_blockmax(
@@ -2619,17 +2463,11 @@ class LocalSearcher:
             # (round 4): with a rare term block-max wins 2-7x ('the of a
             # w0100 w2000': 120 vs 620 ms cold); without one it loses
             # 3-6x ('data search': 1030 vs 254 ms) — this gate picks
-            # correctly in both regimes. NOTE segment count is the hidden
-            # variable: at 500 uncompacted segments per-run probe
-            # overhead makes block-max lose even WITH a rare term
-            # (592 vs 347 ms on the same query) — compaction
-            # (compact_to / auto_compact_segments) is the serving-side
-            # prerequisite, not a routing decision.
-            # the segment-count term encodes that measurement: on a
-            # many-segment index (read-only, or lock held, so bind-time
-            # auto-compaction couldn't run) exact decode wins regardless
+            # correctly in both regimes. Segment count is the hidden
+            # variable (at 500 segments per-run probe overhead made
+            # block-max lose even WITH a rare term); every commit merges
+            # down to merge.MAX_SEGMENTS, so that regime cannot occur.
             use_blockmax = (bool(dfs)
-                            and len(self.seg_ids) <= self.BLOCKMAX_MAX_SEGMENTS
                             and sum(dfs) > 500_000
                             and dfs[0] * 8 < sum(dfs) - dfs[0])
         if use_blockmax:
@@ -2652,7 +2490,7 @@ class LocalSearcher:
         bitwise as the whole-index one does."""
         if combine not in ("most_fields", "best_fields"):
             raise ValueError(f"unknown multi_type {combine!r}")
-        self._maybe_auto_refresh()
+        self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if self.term_ds is None:
             return empty
@@ -2748,6 +2586,7 @@ class PhraseSearcher:
         candidate set (the rescore window) — positions are still read
         term-major, but the per-doc scoring loop is bounded by it."""
         lo = self.local
+        lo.refresh()
         if (lo.term_ds is not None
                 and not blobs.has_positions(lo.term_ds.schema)):
             raise ValueError(
@@ -2825,6 +2664,7 @@ class PhraseSearcher:
         where freq counts positions completing the phrase with ANY
         expansion; tie-break (score desc, doc_id asc)."""
         lo = self.local
+        lo.refresh()
         if (lo.term_ds is not None
                 and not blobs.has_positions(lo.term_ds.schema)):
             raise ValueError(
@@ -2934,6 +2774,7 @@ class PhraseSearcher:
         clause's positions — O(total positions) per doc, no pairwise
         blowup. Each clause is a single analyzed term (span_term)."""
         lo = self.local
+        lo.refresh()
         if (lo.term_ds is not None
                 and not blobs.has_positions(lo.term_ds.schema)):
             raise ValueError(
@@ -3020,6 +2861,7 @@ class PhraseSearcher:
         if ordered:
             return self.span_near(clauses, slop=max_gaps, field=field)
         lo = self.local
+        lo.refresh()
         if (lo.term_ds is not None
                 and not blobs.has_positions(lo.term_ds.schema)):
             raise ValueError(
@@ -3110,6 +2952,7 @@ def highlight_matches(local: "LocalSearcher", query: str,
     Returns (doc_id, term, first_pos) sorted by (doc_id, term).
     """
     lo = local
+    lo.refresh()
     if (lo.term_ds is not None
             and not blobs.has_positions(lo.term_ds.schema)):
         raise ValueError("index was built without positions "

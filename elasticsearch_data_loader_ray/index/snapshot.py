@@ -15,7 +15,7 @@ repo/
 What is snapshotted: the index's AUTHORITATIVE state — ``stats.json``,
 ``manifests/``, ``docs/``, ``terms/``, ``term_stats/``, the corpus and
 generation corpora, ``plan.json``, tombstones. Derived caches
-(``docvalues/``, termdict sidecar, ``pruned/``) are excluded: they
+(``docvalues/``, ``pruned/``) are excluded: they
 rebuild on demand and would bloat the repo (same reasoning as ES not
 snapshotting field-data caches).
 
@@ -43,8 +43,7 @@ import ray.data as rd
 from .manifest import write_json_atomic
 
 # derived, rebuild-on-demand state that must NOT be snapshotted
-_EXCLUDE_DIRS = {"docvalues", "pruned", "termdict"}
-_EXCLUDE_PREFIXES = ("termdict",)
+_EXCLUDE_DIRS = {"docvalues", "pruned"}
 
 
 def _index_files(index_dir: str) -> list[str]:
@@ -52,7 +51,7 @@ def _index_files(index_dir: str) -> list[str]:
     for root, dirs, files in os.walk(index_dir):
         rel_root = os.path.relpath(root, index_dir)
         top = rel_root.split(os.sep)[0]
-        if top in _EXCLUDE_DIRS or top.startswith(_EXCLUDE_PREFIXES):
+        if top in _EXCLUDE_DIRS:
             dirs[:] = []
             continue
         for f in files:

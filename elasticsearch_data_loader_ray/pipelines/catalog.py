@@ -535,12 +535,13 @@ def _bloom_inject(t: pa.Table, incoming: bool) -> pa.Table:
     base = the rest; base docs with doc_id%15==1 and incoming docs with
     doc_id%15==0 share the content key ``synthetic duplicate doc_id//15``
     — each injected incoming doc has exactly one base partner. Mirrored
-    verbatim in the SQL oracle."""
+    verbatim in the SQL oracle; null text stays null (it matches nothing,
+    as ``b.text = i.text`` does in SQL)."""
     ids = t["doc_id"].to_numpy()
     t = t.filter(pa.array((ids % 3 == 0) == incoming))
     ids = t["doc_id"].to_numpy()
     hit = ids % 15 == (0 if incoming else 1)
-    txt = t["text"].to_pandas().astype(str)
+    txt = t["text"].to_pandas()
     txt[hit] = [f"synthetic duplicate {g}" for g in ids[hit] // 15]
     return pa.table({"doc_id": t["doc_id"],
                      "text": pa.array(txt, pa.string())})

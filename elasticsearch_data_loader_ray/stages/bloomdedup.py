@@ -22,12 +22,16 @@ per-shard kernel of that layout.
 Hashing is double hashing (Kirsch–Mitzenmacher): two 64-bit values
 derive all ``k`` probe positions; ``h2`` is forced odd so every probe
 sequence has full period over the power-of-two bit space.
+
+Null keys follow SQL equality: a null equals nothing, so nulls are left
+out of the filter and a null probe is never ``seen``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hll import fnv64_strings
 
@@ -85,7 +89,8 @@ def build_bloom(ds, column: str = "text", m_bits: int = 1 << 24,
         raise ValueError("m_bits must be a power of two >= 64")
 
     def part(t: pa.Table) -> pa.Table:
-        words = bloom_partial(fnv64_strings(t[column]), m_bits, k)
+        words = bloom_partial(fnv64_strings(pc.drop_null(t[column])),
+                              m_bits, k)
         return pa.table({"words": pa.array([words.view(np.int64).tolist()],
                                            pa.list_(pa.int64()))})
 
@@ -117,7 +122,9 @@ def probe_seen(ds, words_ref, column: str = "text", k: int = 8):
             self.words = np.asarray(ray.get(words_ref)).view(np.uint64)
 
         def __call__(self, t: pa.Table) -> pa.Table:
-            seen = bloom_contains(self.words, fnv64_strings(t[column]), k)
+            col = t[column]
+            seen = bloom_contains(self.words, fnv64_strings(col), k)
+            seen &= pc.is_valid(col).to_numpy(zero_copy_only=False)
             return t.append_column("seen", pa.array(seen, pa.bool_()))
 
     return ds.map_batches(Probe, batch_format="pyarrow", concurrency=(1, 8))

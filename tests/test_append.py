@@ -176,26 +176,31 @@ def test_invisible_segment_sweep_and_gating(tmp_path):
     assert fake_id not in mf.committed_segments(idx)
 
 
-def test_append_auto_compact_bounds_segments(tmp_path):
-    """auto_compact_segments: after append the committed segment count is
-    bounded and search results stay identical to the uncompacted index
-    (tombstoned upserts must survive the merge)."""
+def test_append_auto_compact_bounds_segments(tmp_path, monkeypatch):
+    """merge.MAX_SEGMENTS: an append whose commit leaves more segments
+    merges down to the bound, and search results stay identical to the
+    unmerged index (tombstoned upserts must survive the merge)."""
+    from elasticsearch_data_loader_ray.index import merge
+
     t = fixtures.generate_webtext(900)
     a, b = t.slice(0, 600), t.slice(600)
     for name, part in [("a", a), ("b", b)]:
         d = tmp_path / name
         d.mkdir()
         pq.write_table(part, str(d / "p.parquet"))
-    cfg_plain = BuildConfig(docs_per_segment=100)
-    cfg_auto = BuildConfig(docs_per_segment=100, auto_compact_segments=4)
+    cfg = BuildConfig(docs_per_segment=100)
     idx1, idx2 = str(tmp_path / "i1"), str(tmp_path / "i2")
-    build_index(str(tmp_path / "a"), idx1, cfg_plain)
-    append_index(str(tmp_path / "b"), idx1, cfg_plain)
-    build_index(str(tmp_path / "a"), idx2, cfg_plain)
-    out = append_index(str(tmp_path / "b"), idx2, cfg_auto)
+    build_index(str(tmp_path / "a"), idx1, cfg)
+    append_index(str(tmp_path / "b"), idx1, cfg)
+    assert len(mf.committed_segments(idx1)) > 4  # under the default bound
+    build_index(str(tmp_path / "a"), idx2, cfg)
+    monkeypatch.setattr(merge, "MAX_SEGMENTS", 4)
+    out = append_index(str(tmp_path / "b"), idx2, cfg)
     segs = sorted(mf.committed_segments(idx2))
     assert len(segs) <= 4
     assert out["n_segments"] == len(segs)
+    assert "compact" in out["phase_secs"]
+    assert out == mf.read_json(os.path.join(idx2, "stats.json"))
     u1, u2 = _url_of(idx1), _url_of(idx2)
     s1, s2 = LocalSearcher(idx1), LocalSearcher(idx2)
     for q in ["the data", "query scan", "w0042", "fast join table"]:
@@ -398,6 +403,33 @@ def test_merge_excludes_invisible_segments(tmp_path):
     after = LocalSearcher(idx)
     assert len(after.search("visible", k=100)[0]) == 30
     assert len(after.search("orphan", k=10)[0]) == 0
+
+
+def test_merge_counts_only_visible_segments(tmp_path):
+    """stats.json after a merge counts VISIBLE segments only: a committed
+    manifest of a crashed append (doc range past stats.n_docs) is neither
+    merged nor counted in n_segments / per_segment (regression)."""
+    from elasticsearch_data_loader_ray.index.merge import compact_to
+
+    urls = [f"https://c/{i:04d}" for i in range(30)]
+    idx = str(tmp_path / "idx")
+    build_index_from_corpus(
+        rd.from_arrow(_corpus_table(urls, ["counted text"] * 30)),
+        idx, BuildConfig(docs_per_segment=10))
+    fake_id = 2_000_000
+    for sub in ("terms", "docs"):
+        os.makedirs(os.path.join(idx, sub, f"segment={fake_id:06d}"))
+    mf.write_manifest(idx, fake_id, {
+        "doc_id_base": 30, "n_docs": 5, "n_input_rows": 5, "n_duplicates": 0,
+        "n_terms": 1, "n_postings": 1, "url_checksum": "x",
+        "build_secs": 0.0, "docs_per_sec": None})
+    survivors = compact_to(idx, 1)
+    stats = mf.read_json(os.path.join(idx, "stats.json"))
+    visible = LocalSearcher(idx).seg_ids
+    assert fake_id in mf.committed_segments(idx)  # still on disk
+    assert survivors == visible and len(visible) == 1
+    assert stats["n_segments"] == len(visible)
+    assert sorted(int(k) for k in stats["per_segment"]) == visible
 
 
 def test_merge_next_id_skips_invisible_orphan_ids(tmp_path):

@@ -61,3 +61,30 @@ def test_probe_seen_end_to_end(ray_session):
     seen = out["seen"].to_numpy()
     assert seen[:100].all()          # every true dup flagged
     assert seen[100:].sum() <= 2     # FP odds ~1e-13/probe at 1 Mbit
+
+
+def test_bloom_dedup_null_text_matches_sql_oracle(ray_session, tmp_path):
+    """Null text matches nothing on either split, as in the SQL oracle's
+    ``b.text = i.text``: a null incoming doc is not seen, whether the base
+    split holds null or empty text."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from elasticsearch_data_loader_ray.pipelines import catalog
+
+    n = 45
+    texts = [f"unique text {i}" for i in range(n)]
+    for i in (4, 8, 6, 21):   # null in base (4, 8) and incoming (6, 21)
+        texts[i] = None
+    texts[5] = texts[9] = ""  # empty text is a value: 9 is seen
+    texts[7] = texts[12] = "shared body"  # a real cross-split duplicate
+    pq.write_table(pa.table({"doc_id": pa.array(range(n), pa.int64()),
+                             "text": pa.array(texts, pa.string())}),
+                   str(tmp_path / "documents.parquet"))
+    got = catalog.q_bloom_dedup(str(tmp_path))["doc_id"].to_pylist()
+    con = duckdb.connect()
+    con.sql("CREATE VIEW documents AS SELECT * FROM "
+            f"'{tmp_path}/documents.parquet'")
+    want = con.sql(catalog.SQL_BLOOM_DEDUP).df()["doc_id"].tolist()
+    assert got == want
+    assert 9 in want and 12 in want and 6 not in want and 21 not in want

@@ -500,75 +500,6 @@ def test_fused_resume_bitwise_after_corpus_crash(webtext, tmp_path_factory):
     assert _file_md5s(out) == want
 
 
-def test_termdict_sidecar_used_and_equivalent(webtext, index_dir):
-    """The consolidated term dictionary must exist after finalize, be
-    picked up by a cold LocalSearcher, and produce bitwise-identical
-    results to the per-segment fan-out path."""
-    from elasticsearch_data_loader_ray.index.search import LocalSearcher
-
-    out, _stats = index_dir
-    # a serving-side artifact: NOT built by finalize (it measurably cost
-    # build-scaling when inline), but on demand / at bind
-    assert not os.path.exists(os.path.join(out, "termdict", "_SUCCESS"))
-    s_td = LocalSearcher(out, termdict="build")
-    assert os.path.exists(os.path.join(out, "termdict", "_SUCCESS"))
-    assert s_td.termdict_files  # sidecar bound for this epoch
-    ids1, sc1 = s_td.search("the fast data", k=20)
-    s_fan = LocalSearcher(out)
-    s_fan.termdict_files = []  # force the per-segment path
-    ids2, sc2 = s_fan.search("the fast data", k=20)
-    assert ids1.tolist() == ids2.tolist()
-    assert sc1.tolist() == sc2.tolist()
-
-
-def test_termdict_ignored_when_stale(webtext, tmp_path_factory):
-    """A termdict whose recorded segment set no longer matches (e.g. the
-    invalidation hook was bypassed) must be ignored, not served."""
-    import json as _json
-
-    from elasticsearch_data_loader_ray.index.search import LocalSearcher
-
-    _, src = webtext
-    out = str(tmp_path_factory.mktemp("idx_td_stale"))
-    from elasticsearch_data_loader_ray.index.build import ensure_termdict
-
-    cfg = BuildConfig(docs_per_segment=200, extract_concurrency=2)
-    build_index(src, out, cfg)
-    ensure_termdict(out)
-    meta_p = os.path.join(out, "termdict", "meta.json")
-    meta = _json.load(open(meta_p))
-    meta["seg_ids"] = meta["seg_ids"][:-1]
-    with open(meta_p, "w") as f:
-        _json.dump(meta, f)
-    s = LocalSearcher(out)
-    assert s.termdict_files == []
-    ids, _ = s.search("the", k=5)
-    assert len(ids) > 0  # per-segment fallback serves
-
-
-def test_termdict_rebuilt_after_merge(webtext, tmp_path_factory):
-    """merge_segments must invalidate and rebuild the consolidated dict
-    for the surviving set (stale blob offsets would corrupt postings)."""
-    from elasticsearch_data_loader_ray.index.merge import merge_segments
-    from elasticsearch_data_loader_ray.index.search import LocalSearcher
-
-    _, src = webtext
-    out = str(tmp_path_factory.mktemp("idx_td_merge"))
-    from elasticsearch_data_loader_ray.index.build import ensure_termdict
-
-    cfg = BuildConfig(docs_per_segment=150, extract_concurrency=2)
-    build_index(src, out, cfg)
-    ensure_termdict(out)
-    before = LocalSearcher(out)
-    i1, s1 = before.search("the fast data", k=20)
-    merge_segments(out, group_size=3)
-    after = LocalSearcher(out)
-    assert after.termdict_files  # rebuilt for the merged set
-    i2, s2 = after.search("the fast data", k=20)
-    assert i1.tolist() == i2.tolist()
-    assert s1.tolist() == s2.tolist()
-
-
 def test_request_cache_hits_and_epoch_invalidation(webtext, tmp_path_factory):
     """The request cache returns the identical result object on repeat and
     drops wholesale when an append epoch-swaps the searcher."""

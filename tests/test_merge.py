@@ -67,7 +67,8 @@ def test_build_resume_after_merge_rebuilds_nothing(merged_index, tmp_path_factor
     os.unlink(os.path.join(out, "term_stats", "_SUCCESS"))
     src = tmp_path_factory.mktemp("mg_resrc")
     pq_.write_table(fixtures.generate_webtext(600), str(src / "p.parquet"))
-    build_index(str(src), out, BuildConfig(docs_per_segment=100))
+    stats = build_index(str(src), out, BuildConfig(docs_per_segment=100))
+    assert stats["n_segments"] == len(mf.committed_segments(out))
     after = search(out, queries).to_pandas()
     assert after["doc_id"].tolist() == before["doc_id"].tolist()
     assert after["score"].tolist() == before["score"].tolist()
@@ -122,8 +123,8 @@ def test_conjunctive_after_merge(merged_index):
 def test_searcher_epoch_swap_after_merge(tmp_path_factory):
     """A LocalSearcher bound before a merge keeps serving after refresh():
     the committed-segment epoch swap rebinds files and drops caches, and
-    results from the merged segments are bitwise-identical (backlog #4 /
-    ES refresh_interval analogue)."""
+    results from the merged segments are bitwise-identical (the ES
+    refresh analogue)."""
     from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
     src = tmp_path_factory.mktemp("ref_src")
@@ -147,20 +148,19 @@ def test_searcher_epoch_swap_after_merge(tmp_path_factory):
     assert lo.refresh() is False
 
 
-def test_searcher_auto_refresh_interval(tmp_path_factory):
-    """refresh_interval (the reference's search_scheme.json:6 knob): a
-    searcher with interval=0 picks up a merge on the next search without
-    an explicit refresh() call."""
+def test_searcher_picks_up_merge_without_refresh(tmp_path_factory):
+    """A searcher picks up a merge on its next search with no refresh()
+    call: every query first checks the stats.json commit point."""
     from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
     src = tmp_path_factory.mktemp("ar_src")
     pq.write_table(fixtures.generate_webtext(400), str(src / "p.parquet"))
     out = str(tmp_path_factory.mktemp("ar_idx"))
     build_index(str(src), out, BuildConfig(docs_per_segment=100))
-    lo = LocalSearcher(out, refresh_interval=0.0)
+    lo = LocalSearcher(out)
     ids_b, sc_b = lo.search("the data", k=10)
     merge_segments(out, group_size=10)
-    ids_a, sc_a = lo.search("the data", k=10)  # auto-swapped epoch
+    ids_a, sc_a = lo.search("the data", k=10)  # swapped epoch
     assert any(s >= mf.MERGED_ID_BASE for s in lo.seg_ids)
     assert ids_b.tolist() == ids_a.tolist()
     assert sc_b.tolist() == sc_a.tolist()
@@ -185,39 +185,38 @@ def test_compact_to_bounds_segment_count(tmp_path_factory):
     assert before["score"].tolist() == after["score"].tolist()
 
 
-def test_auto_compact_at_bind(tmp_path_factory, monkeypatch):
-    """LocalSearcher(compact="auto") on a many-segment index runs a
-    one-time tiered compaction at bind (VERDICT r4 #8: make the measured
-    serving-side prerequisite a default, not a comment); a held lock or
-    compact="off" leaves the layout alone and search stays bitwise-equal
-    on the exact fallback path."""
+def test_build_merges_at_commit(tmp_path_factory, monkeypatch):
+    """A build whose plan has more segments than merge.MAX_SEGMENTS
+    leaves at most that many visible segments, with results bitwise-equal
+    to the same build under a bound above its segment count; the merge
+    time is in phase_secs and the returned stats equal stats.json."""
+    from elasticsearch_data_loader_ray.index import merge
     from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
-    src = tmp_path_factory.mktemp("ac_src")
+    src = tmp_path_factory.mktemp("mc_src")
     pq.write_table(fixtures.generate_webtext(600), str(src / "p.parquet"))
-    idx = str(tmp_path_factory.mktemp("ac_idx"))
-    stats = build_index(str(src), idx, BuildConfig(docs_per_segment=50))
-    assert stats["n_segments"] > 6
-    monkeypatch.setattr(LocalSearcher, "COMPACT_AUTO_SEGMENTS", 6)
-    monkeypatch.setattr(LocalSearcher, "COMPACT_TARGET", 3)
+    cfg = BuildConfig(docs_per_segment=50)
+    plain = str(tmp_path_factory.mktemp("mc_plain"))
+    stats_plain = build_index(str(src), plain, cfg)
+    assert 3 < stats_plain["n_segments"] <= merge.MAX_SEGMENTS
+    assert "compact" not in stats_plain["phase_secs"]
 
-    off = LocalSearcher(idx, compact="off")
-    assert len(off.seg_ids) == stats["n_segments"]
-    ids_off, sc_off = off.search("the data", k=10)
+    monkeypatch.setattr(merge, "MAX_SEGMENTS", 3)
+    merged = str(tmp_path_factory.mktemp("mc_merged"))
+    stats = build_index(str(src), merged, cfg)
+    seg_ids = LocalSearcher(merged).seg_ids
+    assert len(seg_ids) <= 3
+    assert stats["n_segments"] == len(seg_ids)
+    assert "compact" in stats["phase_secs"]
+    assert stats == mf.read_json(os.path.join(merged, "stats.json"))
 
-    # held lock: bind must skip compaction silently and still serve
-    lock = os.path.join(idx, ".compact_lock")
-    with open(lock, "w") as f:
-        f.write("held")
-    locked = LocalSearcher(idx)  # compact defaults to "auto"
-    assert len(locked.seg_ids) == stats["n_segments"]
-    ids_l, sc_l = locked.search("the data", k=10)
-    assert ids_l.tolist() == ids_off.tolist()
-    os.unlink(lock)
-
-    auto = LocalSearcher(idx)
-    assert len(auto.seg_ids) <= 3
-    assert not os.path.exists(lock)  # released
-    ids_a, sc_a = auto.search("the data", k=10)
-    assert ids_a.tolist() == ids_off.tolist()
-    assert sc_a.tolist() == sc_off.tolist()
+    queries = fixtures.generate_queries()
+    want = search_inprocess(plain, queries).to_pandas()
+    got = search_inprocess(merged, queries).to_pandas()
+    assert got["doc_id"].tolist() == want["doc_id"].tolist()
+    assert got["score"].tolist() == want["score"].tolist()
+    for q in ("the data", "w0042"):
+        ids_w, sc_w = LocalSearcher(plain).search(q, k=10, mode="and")
+        ids_g, sc_g = LocalSearcher(merged).search(q, k=10, mode="and")
+        assert ids_g.tolist() == ids_w.tolist()
+        assert sc_g.tolist() == sc_w.tolist()

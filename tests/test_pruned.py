@@ -39,7 +39,7 @@ def pruned_index(tmp_path_factory):
 def test_keep_all_is_bitwise_exact(pruned_index):
     n = build_pruned_postings(pruned_index, min_df=50, keep_frac=1.0)
     assert n > 0
-    s = LocalSearcher(pruned_index, compact="off")
+    s = LocalSearcher(pruned_index)
     assert s.pruned_files
     for q in QUERIES:
         ids_e, sc_e = s.search(q, k=10, or_strategy="exact")
@@ -50,7 +50,7 @@ def test_keep_all_is_bitwise_exact(pruned_index):
 
 def test_pruned_scores_are_bounded_lower_estimates(pruned_index):
     build_pruned_postings(pruned_index, min_df=50, keep_frac=0.3)
-    s = LocalSearcher(pruned_index, compact="off")
+    s = LocalSearcher(pruned_index)
     for q in QUERIES:
         ids_e, sc_e = s.search(q, k=1000, or_strategy="exact")
         exact_of = dict(zip(ids_e.tolist(), sc_e.tolist()))
@@ -76,7 +76,7 @@ def test_pruned_scores_are_bounded_lower_estimates(pruned_index):
 
 def test_below_threshold_terms_stay_exact(pruned_index):
     build_pruned_postings(pruned_index, min_df=10**9, keep_frac=0.1)
-    s = LocalSearcher(pruned_index, compact="off")
+    s = LocalSearcher(pruned_index)
     ids_e, sc_e = s.search("data search", k=10, or_strategy="exact")
     ids_p, sc_p = s.search("data search", k=10, or_strategy="pruned")
     assert ids_p.tolist() == ids_e.tolist()
@@ -112,7 +112,7 @@ def test_append_invalidates_sidecar(pruned_index, tmp_path):
     })
     append_index_from_corpus(rd.from_arrow(corpus), idx,
                              BuildConfig(docs_per_segment=250))
-    s = LocalSearcher(idx, compact="off")
+    s = LocalSearcher(idx)
     assert s.pruned_files == []  # dropped by the append
     ids_e, sc_e = s.search("the data", k=10, or_strategy="exact")
     ids_p, sc_p = s.search("the data", k=10, or_strategy="pruned")
@@ -120,7 +120,7 @@ def test_append_invalidates_sidecar(pruned_index, tmp_path):
     assert sc_p.tolist() == sc_e.tolist()
     # rebuild for the new epoch serves again
     build_pruned_postings(idx, min_df=50, keep_frac=1.0)
-    s2 = LocalSearcher(idx, compact="off")
+    s2 = LocalSearcher(idx)
     assert s2.pruned_files
     ids_p2, sc_p2 = s2.search("the data", k=10, or_strategy="pruned")
     assert ids_p2.tolist() == ids_e.tolist()

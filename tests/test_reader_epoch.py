@@ -1,0 +1,132 @@
+"""Readers against commits: a ``LocalSearcher`` bound before an append,
+delete or merge serves the NEW epoch as a whole on its next query.
+
+Every public query method first compares ``stats.json`` (the atomic
+commit point of every mutation) with the signature it bound, and rebinds
+when it moved. A merge deletes its absorbed segments' files as soon as it
+commits, so a reader that kept serving its old epoch would read deleted
+files; one that mixed fresh global df (term_stats is rewritten in place)
+with its old segment set would match neither epoch.
+"""
+
+from __future__ import annotations
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+import ray.data as rd
+
+from elasticsearch_data_loader_ray import fixtures
+from elasticsearch_data_loader_ray.functions.analyzers import token_count_batch
+from elasticsearch_data_loader_ray.index import manifest as mf
+from elasticsearch_data_loader_ray.index import merge
+from elasticsearch_data_loader_ray.index.append import (
+    append_index_from_corpus,
+    delete_by_query,
+)
+from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
+from elasticsearch_data_loader_ray.index.merge import merge_segments
+from elasticsearch_data_loader_ray.index.search import LocalSearcher
+
+CFG = BuildConfig(docs_per_segment=50)
+
+
+def _corpus_table(urls: list[str], texts: list[str]) -> pa.Table:
+    n = len(urls)
+    return pa.table({
+        "url": pa.array(urls, pa.string()),
+        "warc_ts": pa.array([0] * n, pa.timestamp("us")),
+        "text": pa.array(texts, pa.large_string()),
+        "lang": pa.array(["en"] * n, pa.string()),
+        "doc_len": pa.array(token_count_batch(
+            pa.array(texts, pa.large_string())), pa.int32()),
+    })
+
+
+def _build(tmp_path, n_docs: int) -> str:
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(fixtures.generate_webtext(n_docs), str(src / "p.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(src), idx, CFG)
+    return idx
+
+
+def _append(idx: str, url: str, text: str) -> dict:
+    return append_index_from_corpus(
+        rd.from_arrow(_corpus_table([url], [text])), idx, CFG)
+
+
+def _assert_same(got, want):
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
+
+
+def test_reader_bound_before_merge_reads_new_epoch(tmp_path):
+    """A merge deletes the absorbed segments' files at its commit. A
+    reader bound before it must not read them on its next cold read:
+    neither the term files (AND query, cold terms) nor the postings blobs
+    (OR query after its postings caches were dropped)."""
+    idx = _build(tmp_path, 600)
+    s = LocalSearcher(idx)
+    s.search("the data")
+    merge_segments(idx, 3)
+    _assert_same(s.search("the data", mode="and"),
+                 LocalSearcher(idx).search("the data", mode="and"))
+
+    s = LocalSearcher(idx)
+    s.search("the data")
+    for cache in (s._postings_cache, s._blocked_cache, s._contrib_cache,
+                  s._request_cache):
+        cache.clear()
+    merge_segments(idx, 3)
+    _assert_same(s.search("the data"), LocalSearcher(idx).search("the data"))
+
+
+@pytest.fixture()
+def low_bound(monkeypatch):
+    """Appends merge at commit: the bound sits below the build's 8."""
+    monkeypatch.setattr(merge, "MAX_SEGMENTS", 4)
+
+
+def test_old_epoch_reader_serves_new_epoch_after_append(tmp_path, low_bound):
+    idx = _build(tmp_path, 400)
+    s = LocalSearcher(idx)
+    old_segs = list(s.seg_ids)
+    s.search("the data", k=10)  # warm: request, idf and postings caches
+    out = _append(idx, "https://ep/new1", "zzznovelterm the data the data")
+    assert "compact" in out["phase_secs"]  # the append merged at commit
+    fresh = LocalSearcher(idx)
+    _assert_same(s.search("the data", k=10), fresh.search("the data", k=10))
+    assert s.seg_ids == fresh.seg_ids != old_segs
+    assert len(s.seg_ids) <= merge.MAX_SEGMENTS
+    assert len(s.search("zzznovelterm", k=10)[0]) == 1
+
+
+def test_reader_under_merge_append_loop_equals_fresh(tmp_path, low_bound):
+    """Interleaved merges, appends (merging at commit) and a delete: after
+    every commit the long-lived reader's next answers equal a fresh
+    searcher's on the current epoch, with no refresh() call."""
+    idx = _build(tmp_path, 400)
+    reader = LocalSearcher(idx)
+    queries = [("the data", "or"), ("the data", "and"), ("w0042", "or")]
+
+    def check():
+        fresh = LocalSearcher(idx)
+        for q, mode in queries:
+            _assert_same(reader.search(q, k=10, mode=mode),
+                         fresh.search(q, k=10, mode=mode))
+        assert reader.seg_ids == fresh.seg_ids
+
+    check()
+    merge_segments(idx, group_size=3)
+    check()
+    for i in range(3):
+        _append(idx, f"https://ep/loop{i}", f"loopdoc{i} the data")
+        assert len(mf.committed_segments(idx)) <= merge.MAX_SEGMENTS
+        check()
+    assert delete_by_query(idx, "loopdoc1") == 1
+    check()
+    merge_segments(idx, group_size=4)
+    check()

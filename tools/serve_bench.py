@@ -3,10 +3,9 @@
 Reproduces the round-4 serving measurement end-to-end and adds the
 round-5 pruned-path comparison:
 
-  build 3.875M synthetic webtext docs (500 x 8k-doc segments, cached
-  under /tmp) -> one-time compact_to(64) (now automatic at LocalSearcher
-  bind) -> ensure_termdict -> build_pruned_postings -> fresh searcher ->
-  24-query mix (fixture queries + head-term ORs + needle+haystack + a
+  build 3.875M synthetic webtext docs (500 x 8k-doc segments, merged at
+  commit down to merge.MAX_SEGMENTS; cached under /tmp) ->
+  build_pruned_postings -> fresh searcher -> 24-query mix (fixture queries + head-term ORs + needle+haystack + a
   miss): cold pass then 2 warm passes per strategy, plus pruned-vs-exact
   top-10 fidelity (overlap + score error + the per-query error bound).
 
@@ -54,7 +53,6 @@ def main_impl(ray) -> None:
     from elasticsearch_data_loader_ray.index.build import (
         BuildConfig,
         build_index,
-        ensure_termdict,
     )
     from elasticsearch_data_loader_ray.index.pruned import (
         build_pruned_postings,
@@ -70,22 +68,19 @@ def main_impl(ray) -> None:
         shutil.rmtree(src, ignore_errors=True)
         fixtures.write_webtext(src, N_DOCS)
         open(os.path.join(src, "_COMPLETE"), "w").close()
-    if not os.path.exists(os.path.join(idx, "_SERVE_OK")):
+    if not os.path.exists(os.path.join(idx, "_BUILT")):
         import shutil
 
         shutil.rmtree(idx, ignore_errors=True)
         t0 = time.perf_counter()
-        build_index(src, idx, BuildConfig(docs_per_segment=SEG_DOCS))
+        stats = build_index(src, idx, BuildConfig(docs_per_segment=SEG_DOCS))
+        # build_secs includes the merge at commit; compact_secs is its part
         timings["build_secs"] = round(time.perf_counter() - t0, 1)
-        t0 = time.perf_counter()
-        # bind-time auto-compaction (LocalSearcher compact="auto") is the
-        # default path now; bind once to trigger it, timed separately
-        LocalSearcher(idx)
-        timings["auto_compact_secs"] = round(time.perf_counter() - t0, 1)
-        open(os.path.join(idx, "_SERVE_OK"), "w").close()
-    t0 = time.perf_counter()
-    ensure_termdict(idx)
-    timings["termdict_secs"] = round(time.perf_counter() - t0, 1)
+        timings["compact_secs"] = stats["phase_secs"].get("compact", 0.0)
+        open(os.path.join(idx, "_BUILT"), "w").close()
+    from elasticsearch_data_loader_ray.index import manifest as mf
+
+    timings["n_segments"] = len(mf.committed_segments(idx))
     t0 = time.perf_counter()
     n_lists = build_pruned_postings(idx, min_df=MIN_DF, keep_frac=FRAC)
     timings["pruned_build_secs"] = round(time.perf_counter() - t0, 1)
