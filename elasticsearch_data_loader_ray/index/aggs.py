@@ -353,7 +353,7 @@ def _scored(searcher, field: str, terms: list[str]
     scores are the serving path's bitwise."""
     idf = searcher._idf(field, terms)
     terms = [t for t in sorted(set(terms)) if t in idf]
-    if not terms or searcher.term_ds is None:
+    if not terms or not searcher.term_files:
         return np.empty(0, np.int64), np.empty(0, np.float64)
     ids, sc = searcher._search_or_fulldecode(
         field, terms, max(searcher.n_docs, 1), idf,

@@ -30,6 +30,8 @@ skip blocks, and both return the exhaustive path's scores bitwise.
 
 from __future__ import annotations
 
+import bisect
+import operator
 import os
 import re
 
@@ -156,7 +158,6 @@ def _term_filters(by_field: dict[str, list[str]]):
     (measured 115ms vs 60ms per query on a 25-segment index).
     """
     import functools
-    import operator
 
     import pyarrow.dataset as pads
 
@@ -174,24 +175,14 @@ def _term_filters(by_field: dict[str, list[str]]):
 
 def load_global_idf(index_dir: str,
                     by_field: dict[str, list[str]]) -> tuple[dict, dict, int]:
-    """Global df per (field, term) from term_stats -> (idf map, df map,
-    n_docs), both maps keyed (field, term)."""
-    stats = _load_stats(index_dir)
-    n_docs = int(stats["n_docs"])
-    ts_dir = os.path.join(index_dir, "term_stats")
-    idf: dict[tuple[str, str], float] = {}
-    dfs: dict[tuple[str, str], int] = {}
-    filters = _term_filters(by_field)
-    if filters is not None and n_docs:
-        files = [os.path.join(ts_dir, f) for f in sorted(os.listdir(ts_dir))
-                 if f.endswith(".parquet")]
-        if files:
-            tbl = pq.read_table(files, filters=filters)
-            for f, t, df in zip(tbl["field"].to_pylist(),
-                                tbl["term"].to_pylist(),
-                                tbl["df"].to_pylist()):
-                idf[(f, t)] = float(codec.bm25_idf(int(df), n_docs))
-                dfs[(f, t)] = int(df)
+    """Global df per (field, term) from the index's current term_stats ->
+    (idf map, df map, n_docs), both maps keyed (field, term). A searcher
+    looks idf up through the term_stats readers of its bound epoch
+    instead (``LocalSearcher._idf``)."""
+    n_docs = int(_load_stats(index_dir)["n_docs"])
+    idf, dfs = _global_idf(
+        [SortedTermFile(p) for p in _term_stats_paths(index_dir)],
+        by_field, n_docs)
     return idf, dfs, n_docs
 
 
@@ -690,40 +681,186 @@ def expand_prefix(index_dir: str, field: str, prefix: str,
     return sorted(set(tbl["term"].to_pylist()))[:max_expansions]
 
 
-def _parse_rg_bounds(files: list[str]) -> list[tuple]:
-    """Per file ``(ParquetFile, [(fmin, tmin, fmax, tmax)] per row group)``
-    from the footers. Parquet string min/max may be truncated, but
-    truncation keeps them conservative (min a prefix <= true min, max >=
-    true max), so containment tests stay valid. ``bounds`` is None when a
-    file lacks usable statistics."""
-    idx = []
-    for path in files:
-        pf = pq.ParquetFile(path)
-        md = pf.metadata
+class SortedTermFile:
+    """Reader of one immutable parquet file of (field, term) rows, grouped
+    by field and ascending by term within each field: a segment's term
+    table, a ``term_stats`` part or a pruned-postings part — Lucene's
+    terms index, which stays open for a segment's life.
+
+    The file is opened once; the open handle keeps reading this file's
+    bytes after its path is replaced or unlinked. The footer's per row
+    group (field, term) min/max bounds are parsed once, so a lookup
+    decodes only the 1-2 row groups that can hold each key. Parquet
+    string statistics may be truncated, but truncation keeps them
+    conservative (min a prefix <= true min, max >= true max); a file
+    without usable statistics reads every row group. Row groups a lookup
+    read stay cached, non-binary columns only, with their terms as a
+    Python list, least recently used out first beyond ``_RG_CACHE_CAP``
+    bytes: a repeat or neighbouring lookup decodes nothing, and finds its
+    rows by binary search and one ``take``. ``sig`` is the file's (inode,
+    mtime_ns, size): a searcher hands the reader to its next epoch while
+    the path still carries it (see ``LocalSearcher._bind``)."""
+
+    # per-file byte budget of cached row groups (class attr so tests can
+    # shrink it)
+    _RG_CACHE_CAP = 16 << 20
+
+    def __init__(self, path: str):
+        import threading
+        from collections import OrderedDict
+
+        self.path = path
+        while True:  # the sig must name the file the handle opened
+            sig = _file_sig(path)
+            self.pf = pq.ParquetFile(path)
+            self.sig = _file_sig(path)
+            if sig == self.sig:
+                break
+        self.schema = self.pf.schema_arrow
+        self._cols = [f.name for f in self.schema
+                      if not (pa.types.is_binary(f.type)
+                              or pa.types.is_large_binary(f.type))]
+        md = self.pf.metadata
+        self.n_row_groups = md.num_row_groups
+        self.bounds = self._parse_bounds(md)
+        self._rgs: "OrderedDict[int, tuple]" = OrderedDict()
+        self.cached_bytes = 0
+        self.rg_reads = 0  # row groups decoded from the file
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _parse_bounds(md) -> list[tuple] | None:
+        """``[(fmin, tmin, fmax, tmax)]`` per row group, or None when a
+        row group lacks min/max statistics."""
+        if md.num_row_groups == 0:
+            return []
         rg0 = md.row_group(0)
         ci_of = {rg0.column(ci).path_in_schema: ci
                  for ci in range(rg0.num_columns)}
-        bounds: list[tuple] | None = []
+        bounds = []
         for g in range(md.num_row_groups):
             rg = md.row_group(g)
             fs = rg.column(ci_of["field"]).statistics
             ts = rg.column(ci_of["term"]).statistics
             if (fs is None or ts is None or not fs.has_min_max
                     or not ts.has_min_max):
-                bounds = None
-                break
+                return None
             bounds.append((fs.min, ts.min, fs.max, ts.max))
-        idx.append((pf, bounds))
-    return idx
+        return bounds
+
+    def row_groups(self, pairs: list[tuple[str, str]]) -> list[int]:
+        """Ascending ids of the row groups that can hold any of the
+        (field, term) ``pairs``."""
+        if self.bounds is None:
+            return list(range(self.n_row_groups)) if pairs else []
+        return [g for g, (fmin, tmin, fmax, tmax) in enumerate(self.bounds)
+                if any((fmin, tmin) <= p <= (fmax, tmax) for p in pairs)]
+
+    def _load(self, g: int) -> tuple[pa.Table, list[str], dict, int]:
+        """Row group ``g``: (non-binary columns, its terms, {field: [(lo,
+        hi) row runs]}, bytes held). Raises ``ValueError`` when a run's
+        terms are not strictly ascending: lookups binary-search them."""
+        # use_threads off: per-call pool spin-up costs more than it saves
+        # on ~1000-row groups
+        t = self.pf.read_row_group(g, columns=self._cols, use_threads=False)
+        # via numpy: Array.to_pylist builds a scalar per row, ~15x slower
+        terms = t["term"].to_numpy(zero_copy_only=False).tolist()
+        fields = t["field"].combine_chunks()
+        n = len(terms)
+        # a field run starts at row 0 and wherever the field changes
+        changed = pc.not_equal(fields.slice(1), fields.slice(0, n - 1)) \
+            if n > 1 else pa.array([], pa.bool_())
+        starts = ([0] if n else []) + (
+            np.flatnonzero(np.asarray(changed)) + 1).tolist()
+        runs: dict[str, list[tuple[int, int]]] = {}
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            if not all(map(operator.lt, terms[lo:hi - 1], terms[lo + 1:hi])):
+                raise ValueError(f"{self.path}: row group {g} is not sorted "
+                                 "by term within a field")
+            runs.setdefault(fields[lo].as_py(), []).append((lo, hi))
+        # each term str: ~49 B of header plus its bytes, and a list slot
+        nbytes = t.nbytes + t["term"].nbytes + 57 * n
+        return t, terms, runs, nbytes
+
+    def _groups(self, groups: list[int]) -> list[tuple]:
+        """:meth:`_load` of each of ``groups``, through the cache."""
+        with self._lock:
+            got = [self._rgs.get(g) for g in groups]
+            for g, e in zip(groups, got):
+                if e is not None:
+                    self._rgs.move_to_end(g)
+        for j, g in enumerate(groups):
+            if got[j] is not None:
+                continue
+            e = got[j] = self._load(g)
+            with self._lock:
+                self.rg_reads += 1
+                if g not in self._rgs and e[-1] <= self._RG_CACHE_CAP:
+                    self._rgs[g] = e
+                    self.cached_bytes += e[-1]
+                while self.cached_bytes > self._RG_CACHE_CAP:
+                    _g, old = self._rgs.popitem(last=False)
+                    self.cached_bytes -= old[-1]
+        return got
+
+    def lookup(self, terms_by_field: dict[str, list[str]],
+               cols: list[str]) -> pa.Table | None:
+        """Rows whose (field, term) is looked up, projected on ``cols``
+        (non-binary columns), in file order; None when no row matches."""
+        pairs = sorted({(f, t) for f, ts in terms_by_field.items()
+                        for t in ts})
+        parts = []
+        for t, terms, runs, _nb in self._groups(self.row_groups(pairs)):
+            rows = []
+            for f, term in pairs:
+                for lo, hi in runs.get(f, ()):
+                    i = bisect.bisect_left(terms, term, lo, hi)
+                    if i < hi and terms[i] == term:
+                        rows.append(i)
+            if rows:
+                parts.append(t.select(cols).take(sorted(rows)))
+        if not parts:
+            return None
+        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+
+
+def _term_stats_paths(index_dir: str) -> list[str]:
+    ts_dir = os.path.join(index_dir, "term_stats")
+    return [os.path.join(ts_dir, f) for f in sorted(os.listdir(ts_dir))
+            if f.endswith(".parquet")]
+
+
+def _global_idf(readers: list[SortedTermFile],
+                by_field: dict[str, list[str]], n_docs: int
+                ) -> tuple[dict, dict]:
+    """(idf map, df map) keyed (field, term) for the looked-up terms
+    present in the ``term_stats`` parts ``readers``."""
+    idf: dict[tuple[str, str], float] = {}
+    dfs: dict[tuple[str, str], int] = {}
+    if not n_docs:
+        return idf, dfs
+    for r in readers:
+        tbl = r.lookup(by_field, ["field", "term", "df"])
+        if tbl is None:
+            continue
+        for f, t, df in zip(tbl["field"].to_pylist(),
+                            tbl["term"].to_pylist(),
+                            tbl["df"].to_pylist()):
+            dfs[(f, t)] = dfs.get((f, t), 0) + int(df)
+    for key, df in dfs.items():
+        idf[key] = float(codec.bm25_idf(df, n_docs))
+    return idf, dfs
 
 
 class LocalSearcher:
     """The one scorer: global doc-length arrays loaded once, per-query
-    postings fetched with ONE threaded multi-file parquet read ((field,
-    term)-predicate pushdown over the bound segments' term tables).
-    Accumulation is per term in lexicographic order, so a searcher bound
-    to a segment subset (``segments=``, the :func:`search` fan-out) scores
-    its docs bitwise-identically to a whole-index searcher.
+    dictionary rows looked up through one :class:`SortedTermFile` per
+    bound segment term table (footer row-group bounds, cached row
+    groups) and postings read as byte ranges of the segments' blobs;
+    idf comes from the bound epoch's ``term_stats`` readers. Accumulation
+    is per term in lexicographic order, so a searcher bound to a segment
+    subset (``segments=``, the :func:`search` fan-out) scores its docs
+    bitwise-identically to a whole-index searcher.
     """
 
     def __init__(self, index_dir: str, segments: list[int] | None = None):
@@ -746,8 +883,6 @@ class LocalSearcher:
         """Bind this searcher to the CURRENT committed segment set."""
         import glob as _glob
 
-        import pyarrow.dataset as pads
-
         index_dir = self.index_dir
         # epoch fingerprint, taken BEFORE the stats read: if stats.json is
         # replaced between the two, the sig is older than the loaded stats
@@ -761,7 +896,22 @@ class LocalSearcher:
         self._deleted = _load_deleted(index_dir, self.stats)
         self._bscale = _bound_scale(vis, self.stats)
         self.term_files = [seg_terms_path(index_dir, s) for s in self.seg_ids]
-        self.term_ds = (pads.dataset(self.term_files) if self.term_files else None)
+        # one reader per immutable file, opened now: term_stats stays this
+        # epoch's even when a later append replaces it. A reader whose
+        # file is unchanged (same sig) carries over from the last epoch
+        # with its footer bounds and cached row groups; readers of files
+        # that left the epoch are dropped with it.
+        prev = {r.path: r for r in (*getattr(self, "_term_readers", ()),
+                                    *getattr(self, "_stats_readers", ()))}
+        paths = [*self.term_files, *_term_stats_paths(index_dir)]
+        readers = []
+        for path in paths:
+            r = prev.get(path)
+            readers.append(r if r is not None and r.sig == _file_sig(path)
+                           else SortedTermFile(path))
+        n = len(self.term_files)
+        self._term_readers, self._stats_readers = readers[:n], readers[n:]
+        self.term_schema = readers[0].schema if n else None
         self._dl: dict[str, np.ndarray] = {}
         self._idf_cache: dict[tuple[str, str], float | None] = {}
         self._df_cache: dict[tuple[str, str], int] = {}
@@ -794,14 +944,11 @@ class LocalSearcher:
         self._null_dv_cache: dict[str, np.ndarray] = {}
         self._dv_num_cache: dict[str, np.ndarray] = {}
         self.last_block_stats = (0, 0)  # (decoded, total) of last AND query
-        # per-file row-group (field, term) bounds, parsed lazily from
-        # parquet footers once per epoch (see _read_terms_direct)
-        self._rg_index: list[tuple] | None = None
         # statically-pruned postings sidecar (index/pruned.py) — powers
         # the OPT-IN or_strategy="pruned" path only; valid only while its
         # recorded segment set matches this epoch's visible set
         self.pruned_files: list[str] = []
-        self._pruned_rg_index: list[tuple] | None = None
+        self._pruned_readers: list[SortedTermFile] | None = None
         self._pruned_cache: "OrderedDict[tuple, tuple | None]" = \
             OrderedDict()
         pr_dir = os.path.join(index_dir, "pruned")
@@ -829,90 +976,32 @@ class LocalSearcher:
 
     def _read_terms(self, dict_cols: list[str], terms_by_field: dict,
                     positions: bool = False) -> pa.Table:
-        """Filtered term-dictionary read WITH encoded postings materialized:
-        small byte-range columns come from the parquet, postings (and the
-        block-metadata columns in ``dict_cols``) from coalesced ``pread`` s
-        of exactly the needed sidecar ranges — the cold-query path never
-        pays for whole row-group binary column chunks."""
-        schema = self.term_ds.schema
+        """Term-dictionary rows of the bound segments WITH encoded postings
+        materialized: the small fixed-width columns come from each term
+        file's reader (row groups located by footer bounds, kept cached),
+        postings (and the block-metadata columns in ``dict_cols``) from
+        coalesced ``pread`` s of exactly the needed sidecar ranges — the
+        cold-query path never pays for a dataset scan or a whole binary
+        column chunk."""
         want_blocks = any(c in blobs.BLOCK_COLUMNS for c in dict_cols)
         cols = [c for c in dict_cols if c not in blobs.BLOCK_COLUMNS]
         cols += ["segment_id", "blob_off", "doc_nbytes", "tf_nbytes"]
         if want_blocks:
             cols.append("blk_n")
-        if (positions or want_blocks) and "pos_nbytes" in schema.names:
+        if ((positions or want_blocks)
+                and "pos_nbytes" in self.term_schema.names):
             cols.append("pos_nbytes")  # also locates the block tail
-        tt = self._read_terms_direct(cols, terms_by_field)
-        if tt is None:  # missing row-group stats: dataset filter fallback
-            tt = self.term_ds.to_table(columns=cols,
-                                       filter=_term_filters(terms_by_field))
+        # serial: a cached lookup is a few hash probes and one take, and
+        # a cold one mostly builds its row-group index in Python; a thread
+        # pool measured up to 4x slower on 16 files (GIL contention)
+        out = [t for r in self._term_readers
+               if (t := r.lookup(terms_by_field, cols)) is not None]
+        tt = (pa.concat_tables(out) if out else
+              pa.table({c: pa.array([], self.term_schema.field(c).type)
+                        for c in cols}))
         return blobs.materialize_enc(
             tt, lambda sid: seg_terms_path(self.index_dir, sid),
             want_positions=positions, want_blocks=want_blocks)
-
-    def _rg_bounds(self) -> list[tuple]:
-        """Per term-file ``(ParquetFile, [(fmin, tmin, fmax, tmax)]
-        per row group)`` — footers parsed ONCE per epoch. Parquet string
-        min/max may be truncated, but truncation keeps them conservative
-        (min a prefix <= true min, max >= true max), so containment tests
-        stay valid."""
-        if self._rg_index is None:
-            self._rg_index = _parse_rg_bounds(self.term_files)
-        return self._rg_index
-
-    def _read_terms_direct(self, cols: list[str], terms_by_field: dict
-                           ) -> pa.Table | None:
-        """Row-group-pruned term-dictionary read: segment term files are
-        sorted by (field, term), so footer min/max statistics locate each
-        looked-up term in 1–2 row groups; only those decode. Replaces the
-        pyarrow dataset filter scan whose per-file evaluation machinery
-        (~1 ms x files x terms) dominated cold dictionary reads at 4M docs.
-        Returns None when any file lacks usable statistics (caller falls
-        back to the dataset filter)."""
-        pairs = sorted((f, t) for f, ts in terms_by_field.items()
-                       for t in ts)
-        rg_index = self._rg_bounds()
-        if any(bounds is None for _pf, bounds in rg_index):
-            return None
-        # filter keys may not be in the projection: read them, filter,
-        # then drop the extras (matches dataset-filter semantics)
-        extra = [c for c in ("field", "term") if c not in cols]
-        term_sets = {f: pa.array(sorted(ts))
-                     for f, ts in terms_by_field.items()}
-
-        def _one(entry) -> pa.Table | None:
-            pf, bounds = entry
-            need = sorted({
-                g for g, (fmin, tmin, fmax, tmax) in enumerate(bounds)
-                if any((fmin, tmin) <= p <= (fmax, tmax) for p in pairs)})
-            if not need:
-                return None
-            # inner use_threads off: per-call pool spin-up costs more than
-            # it saves on ~1000-row groups; parallelism comes from the
-            # cross-file map below
-            t = pf.read_row_groups(need, columns=cols + extra,
-                                   use_threads=False)
-            mask = None
-            for f, vs in term_sets.items():
-                m = pc.and_(pc.equal(t["field"], f),
-                            pc.is_in(t["term"], value_set=vs))
-                mask = m if mask is None else pc.or_(mask, m)
-            t = t.filter(mask)
-            return t.drop_columns(extra) if extra else t
-
-        if len(rg_index) > 8:  # pyarrow reads release the GIL
-            from concurrent.futures import ThreadPoolExecutor
-            if not hasattr(self, "_rg_pool"):
-                self._rg_pool = ThreadPoolExecutor(4)
-            parts = list(self._rg_pool.map(_one, rg_index))
-        else:
-            parts = [_one(e) for e in rg_index]
-        out = [t for t in parts if t is not None]
-        if not out:
-            schema = self.term_ds.schema
-            return pa.table({c: pa.array([], schema.field(c).type)
-                             for c in cols})
-        return pa.concat_tables(out)
 
     def refresh(self) -> bool:
         """Epoch swap: when ``stats.json`` (the atomic commit point of
@@ -1054,7 +1143,7 @@ class LocalSearcher:
         all_terms = query_terms(query, _field_analyzer(self.stats, field))
         idf = self._idf(field, all_terms)
         terms = [t for t in all_terms if t in idf]
-        if not terms or self.term_ds is None:
+        if not terms or not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         hours = self._dv_hours(column)
         sigma2 = (scale_hours * scale_hours) / (2.0 * np.log(1.0 / decay))
@@ -1071,9 +1160,13 @@ class LocalSearcher:
             score_mod=mod)
 
     def _idf(self, field: str, terms: list[str]) -> dict[str, float]:
+        """idf of the looked-up ``terms`` present in the bound epoch's
+        term_stats (global df, the bound ``n_docs``); fills ``_df_cache``
+        with every looked-up term's df (0 when absent)."""
         missing = [t for t in terms if (field, t) not in self._idf_cache]
         if missing:
-            got, dfs, _ = load_global_idf(self.index_dir, {field: missing})
+            got, dfs = _global_idf(self._stats_readers, {field: missing},
+                                   self.n_docs)
             for t in missing:
                 self._idf_cache[(field, t)] = got.get((field, t))
                 self._df_cache[(field, t)] = dfs.get((field, t), 0)
@@ -1095,23 +1188,15 @@ class LocalSearcher:
         """
         # cost model: probing costs ~driver_df per other term and loses the
         # vectorized-decode advantage (~8x); skip-read only pays when the
-        # driver is selective relative to the other lists. df comes from the
-        # blocked cache when every term is already hot (no read at all).
-        if all((field, t) in self._blocked_cache for t in terms):
-            df_of_g = {t: sum(r[0].df for r in self._blocked_cache[(field, t)])
-                       for t in terms}
-        else:
-            df_tbl = self.term_ds.to_table(
-                columns=["term", "df"], filter=_term_filters({field: terms}))
-            df_of_g = {}
-            for t, d in zip(df_tbl["term"].to_pylist(),
-                            df_tbl["df"].to_pylist()):
-                df_of_g[t] = df_of_g.get(t, 0) + int(d)
-        if any(df_of_g.get(t, 0) == 0 for t in terms):
+        # driver is selective relative to the other lists. df is the global
+        # one the caller's _idf call put in _df_cache (no read at all); the
+        # path choice never changes results, both paths are bitwise equal.
+        dfs = [self._df_cache.get((field, t), 0) for t in terms]
+        min_df = min(dfs)
+        if min_df == 0:
             self.last_block_stats = (0, 0)
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        min_df = min(df_of_g.values())
-        other_total = sum(df_of_g.values()) - min_df
+        other_total = sum(dfs) - min_df
         if min_df * 8 * max(1, len(terms) - 1) >= other_total:
             return self._search_and_fulldecode(field, terms, k, idf, dl, avgdl)
         runs = self._load_blocked_runs(field, terms)
@@ -1667,7 +1752,7 @@ class LocalSearcher:
         check_match_mode(mode)
         self.refresh()
         uniq = sorted(set(terms))
-        if not uniq or self.term_ds is None:
+        if not uniq or not self.term_files:
             return np.empty(0, np.int64)
         by_term = self._postings_for(field, uniq)
         per_term = [np.concatenate([ids for ids, _tfs in by_term[t]])
@@ -1735,31 +1820,27 @@ class LocalSearcher:
         missing = [t for t in terms
                    if (field, t) not in self._pruned_cache]
         if missing and self.pruned_files:
-            if self._pruned_rg_index is None:
+            if self._pruned_readers is None:
                 try:
-                    idx = _parse_rg_bounds(self.pruned_files)
+                    readers = [SortedTermFile(p) for p in self.pruned_files]
                     meta = mf.read_json(os.path.join(
                         self.index_dir, "pruned", "meta.json"))
                 except (OSError, ValueError):
-                    idx, meta = None, {}
-                if (idx is None or any(b is None for _pf, b in idx)
-                        or meta.get("seg_ids")
+                    readers, meta = None, {}
+                if (readers is None or meta.get("seg_ids")
                         != [int(s) for s in self.seg_ids]):
                     self.pruned_files = []
                 else:
-                    self._pruned_rg_index = idx
-            if self._pruned_rg_index is not None:
+                    self._pruned_readers = readers
+            if self._pruned_readers is not None:
                 pairs = sorted((field, t) for t in missing)
                 chunks: dict[str, list[tuple]] = {}
-                for pf, bounds in self._pruned_rg_index:
-                    need = sorted({
-                        g for g, (fmin, tmin, fmax, tmax)
-                        in enumerate(bounds)
-                        if any((fmin, tmin) <= p <= (fmax, tmax)
-                               for p in pairs)})
+                for r in self._pruned_readers:
+                    need = r.row_groups(pairs)
                     if not need:
                         continue
-                    tb = pf.read_row_groups(need, use_threads=False)
+                    # payload columns: an uncached read
+                    tb = r.pf.read_row_groups(need, use_threads=False)
                     fl = tb["field"].to_pylist()
                     tl = tb["term"].to_pylist()
                     db = tb["doc_base"].to_pylist()
@@ -2000,7 +2081,7 @@ class LocalSearcher:
         all_terms = query_terms(query, _field_analyzer(self.stats, field))
         idf = self._idf(field, all_terms)
         terms = [t for t in all_terms if t in idf]
-        if not terms or self.term_ds is None:
+        if not terms or not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         return self._search_or_fulldecode(
             field, terms, k, idf, self._dl_for(field),
@@ -2024,7 +2105,7 @@ class LocalSearcher:
         all_terms = query_terms(query, _field_analyzer(self.stats, field))
         idf = self._idf(field, all_terms)
         terms = [t for t in all_terms if t in idf]
-        if not terms or self.term_ds is None:
+        if not terms or not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         dl = self._dl_for(field)
         fv = (dl if factor_field in (None, field, "word_count")
@@ -2065,7 +2146,7 @@ class LocalSearcher:
         pos_terms = query_terms(positive, analyzer)
         idf = self._idf(field, pos_terms)
         terms = [t for t in pos_terms if t in idf]
-        if not terms or self.term_ds is None:
+        if not terms or not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         neg_terms = sorted(set(query_terms(negative, analyzer)))
         neg_by = (self._postings_for(field, neg_terms)
@@ -2140,10 +2221,10 @@ class LocalSearcher:
         idf = self._idf(field, sc_terms)
         by_term = (self._postings_for(
             field, [t for t in sc_terms if t in idf])
-            if self.term_ds is not None else {})
+            if self.term_files else {})
         mn_terms = sorted({t for cl in spec["must_not"] for t in cl})
         mn_by = (self._postings_for(field, mn_terms)
-                 if mn_terms and self.term_ds is not None else {})
+                 if mn_terms and self.term_files else {})
 
         def score_runs(t):
             return by_term.get(t, [])
@@ -2167,7 +2248,7 @@ class LocalSearcher:
                  for b, n, _s in self._doc_ranges] or [np.empty(0, np.int64)])
         for f, t in spec["filter_terms"]:
             fb = (self._postings_for(f, [t])
-                  if self.term_ds is not None else {})
+                  if self.term_files else {})
             ids = _bool_clause_ids([t], lambda tt: fb.get(tt, []))
             cand = ids if cand is None else np.intersect1d(
                 cand, ids, assume_unique=True)
@@ -2175,7 +2256,7 @@ class LocalSearcher:
                 return empty
         for f, vs in spec.get("filter_any", ()):
             fb = (self._postings_for(f, vs)
-                  if self.term_ds is not None else {})
+                  if self.term_files else {})
             ids = _bool_clause_ids(vs, lambda tt: fb.get(tt, []))
             cand = ids if cand is None else np.intersect1d(
                 cand, ids, assume_unique=True)
@@ -2260,7 +2341,7 @@ class LocalSearcher:
         self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         seq = list(analyze(_field_analyzer(self.stats, field), query))
-        if not seq or self.term_ds is None:
+        if not seq or not self.term_files:
             return empty
         fixed, prefix = seq[:-1], seq[-1]
         exps = expand_prefix(self.index_dir, field, prefix, 1 << 30)
@@ -2311,7 +2392,7 @@ class LocalSearcher:
         segment group of ``search()`` expands identically."""
         self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if self.term_ds is None:
+        if not self.term_files:
             return empty
         qterms = query_terms(query, _field_analyzer(self.stats, field))
         exp = sorted({e for t in qterms
@@ -2335,7 +2416,7 @@ class LocalSearcher:
         Lucene constant_score multi-term rewrite."""
         self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if self.term_ds is None:
+        if not self.term_files:
             return empty
         exp = expand_wildcard(self.index_dir, field, pattern)
         return self._union_const_topk(field, exp, k)
@@ -2365,7 +2446,7 @@ class LocalSearcher:
         containing any of them, constant score 1.0, doc_id order — the
         same Lucene constant_score multi-term rewrite as wildcard."""
         self.refresh()
-        if self.term_ds is None:
+        if not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         exp = expand_regexp(self.index_dir, field, pattern)
         return self._union_const_topk(field, exp, k)
@@ -2432,12 +2513,13 @@ class LocalSearcher:
             ids, sc, _fq = PhraseSearcher(self).search(query, k, field)
             return ids, sc
         if mode == "and":
-            if len(terms) != len(all_terms) or not terms or self.term_ds is None:
+            if (len(terms) != len(all_terms) or not terms
+                    or not self.term_files):
                 return np.empty(0, np.int64), np.empty(0, np.float64)
             return self._search_and_blockskip(
                 field, terms, k, idf, self._dl_for(field),
                 _avgdl(self.stats, field))
-        if not terms or self.term_ds is None:
+        if not terms or not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         dl = self._dl_for(field)
         avgdl = _avgdl(self.stats, field)
@@ -2492,7 +2574,7 @@ class LocalSearcher:
             raise ValueError(f"unknown multi_type {combine!r}")
         self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if self.term_ds is None:
+        if not self.term_files:
             return empty
         parsed = _parse_boosted_fields(fields)
         field_runs = []  # (field, boost, terms, by_term, dl, avgdl, idf)
@@ -2587,8 +2669,8 @@ class PhraseSearcher:
         term-major, but the per-doc scoring loop is bounded by it."""
         lo = self.local
         lo.refresh()
-        if (lo.term_ds is not None
-                and not blobs.has_positions(lo.term_ds.schema)):
+        if (lo.term_files
+                and not blobs.has_positions(lo.term_schema)):
             raise ValueError(
                 "index was built without positions "
                 "(BuildConfig.index_positions=True required)")
@@ -2665,8 +2747,8 @@ class PhraseSearcher:
         expansion; tie-break (score desc, doc_id asc)."""
         lo = self.local
         lo.refresh()
-        if (lo.term_ds is not None
-                and not blobs.has_positions(lo.term_ds.schema)):
+        if (lo.term_files
+                and not blobs.has_positions(lo.term_schema)):
             raise ValueError(
                 "index was built without positions "
                 "(BuildConfig.index_positions=True required)")
@@ -2775,8 +2857,8 @@ class PhraseSearcher:
         blowup. Each clause is a single analyzed term (span_term)."""
         lo = self.local
         lo.refresh()
-        if (lo.term_ds is not None
-                and not blobs.has_positions(lo.term_ds.schema)):
+        if (lo.term_files
+                and not blobs.has_positions(lo.term_schema)):
             raise ValueError(
                 "index was built without positions "
                 "(BuildConfig.index_positions=True required)")
@@ -2862,8 +2944,8 @@ class PhraseSearcher:
             return self.span_near(clauses, slop=max_gaps, field=field)
         lo = self.local
         lo.refresh()
-        if (lo.term_ds is not None
-                and not blobs.has_positions(lo.term_ds.schema)):
+        if (lo.term_files
+                and not blobs.has_positions(lo.term_schema)):
             raise ValueError(
                 "index was built without positions "
                 "(BuildConfig.index_positions=True required)")
@@ -2953,8 +3035,8 @@ def highlight_matches(local: "LocalSearcher", query: str,
     """
     lo = local
     lo.refresh()
-    if (lo.term_ds is not None
-            and not blobs.has_positions(lo.term_ds.schema)):
+    if (lo.term_files
+            and not blobs.has_positions(lo.term_schema)):
         raise ValueError("index was built without positions "
                          "(BuildConfig.index_positions=True required)")
     terms = sorted(set(analyze(_field_analyzer(lo.stats, field), query)))

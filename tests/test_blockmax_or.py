@@ -93,17 +93,14 @@ def test_blocked_runs_cached_across_queries(index_dir):
     assert lo._blocked_cache, "blocked runs not cached"
     first = lo.last_block_stats
     n_reads = {"n": 0}
-    real_ds = lo.term_ds
+    for r in lo._term_readers:
+        real = r.lookup
 
-    class CountingDS:
-        def to_table(self, *a, **kw):
+        def counting(*a, _real=real, **kw):
             n_reads["n"] += 1
-            return real_ds.to_table(*a, **kw)
+            return _real(*a, **kw)
 
-        def __getattr__(self, name):
-            return getattr(real_ds, name)
-
-    lo.term_ds = CountingDS()
+        r.lookup = counting
     # this test probes the layer BELOW the exact-request cache (the
     # blocked-reader memos), so drop the request cache to force execution
     lo._request_cache.clear()

@@ -22,6 +22,7 @@ from elasticsearch_data_loader_ray.functions.analyzers import token_count_batch
 from elasticsearch_data_loader_ray.index import manifest as mf
 from elasticsearch_data_loader_ray.index import merge
 from elasticsearch_data_loader_ray.index.append import (
+    append_index,
     append_index_from_corpus,
     delete_by_query,
 )
@@ -44,10 +45,11 @@ def _corpus_table(urls: list[str], texts: list[str]) -> pa.Table:
     })
 
 
-def _build(tmp_path, n_docs: int) -> str:
+def _build(tmp_path, n_docs: int, seed: int = fixtures.SEED) -> str:
     src = tmp_path / "src"
     src.mkdir()
-    pq.write_table(fixtures.generate_webtext(n_docs), str(src / "p.parquet"))
+    pq.write_table(fixtures.generate_webtext(n_docs, seed=seed),
+                   str(src / "p.parquet"))
     idx = str(tmp_path / "idx")
     build_index(str(src), idx, CFG)
     return idx
@@ -129,4 +131,67 @@ def test_reader_under_merge_append_loop_equals_fresh(tmp_path, low_bound):
     assert delete_by_query(idx, "loopdoc1") == 1
     check()
     merge_segments(idx, group_size=4)
+    check()
+
+
+def test_bound_reader_keeps_its_epoch_idf(tmp_path):
+    """A cold idf lookup scores with the epoch the searcher bound, even
+    when a commit lands before it: term_stats is opened at bind (the open
+    file outlives the append's rewrite of the directory) and idf uses the
+    bound ``n_docs``, so a query never mixes two epochs' idf."""
+    idx = _build(tmp_path, 600, seed=3)
+    s = LocalSearcher(idx)
+    want = LocalSearcher(idx)._idf("text", ["data"])
+    more = tmp_path / "more"
+    more.mkdir()
+    pq.write_table(fixtures.generate_webtext(300, seed=3, start=600),
+                   str(more / "p.parquet"))
+    append_index(str(more), idx, CFG)
+    assert LocalSearcher(idx)._idf("text", ["data"]) != want
+    assert s._idf("text", ["data"]) == want  # cold on s: no refresh ran
+
+
+def test_refresh_reuses_readers_of_unchanged_files(tmp_path):
+    """An epoch swap keeps the reader object, footer bounds and cached
+    row groups of every file it did not change: after an append the old
+    segments' readers carry over and term_stats (rewritten) gets a new
+    one; after a merge the absorbed segments' readers are gone and
+    term_stats' carries over. Answers equal a fresh searcher's bitwise."""
+    idx = _build(tmp_path, 400)
+    s = LocalSearcher(idx)
+    queries = [("the data", "or"), ("the data", "and"), ("w0042 web", "or")]
+
+    def check():
+        fresh = LocalSearcher(idx)
+        for q, mode in queries:
+            _assert_same(s.search(q, k=10, mode=mode),
+                         fresh.search(q, k=10, mode=mode))
+
+    check()
+    before = {r.path: r for r in s._term_readers}
+    cached = {p: dict(r._rgs) for p, r in before.items()}
+    assert all(cached.values())  # every segment served a lookup
+    old_stats = list(s._stats_readers)
+    _append(idx, "https://ep/reuse", "zzzreuse the data")
+    assert s.refresh()
+    assert len(s._term_readers) == len(before) + 1
+    for r in s._term_readers:
+        if r.path in before:
+            assert r is before[r.path]
+            assert all(r._rgs[g] is t for g, t in cached[r.path].items())
+    assert not {id(r) for r in s._stats_readers} & {id(r) for r in old_stats}
+    check()
+
+    before = {r.path: r for r in s._term_readers}
+    stats_readers = list(s._stats_readers)
+    merge_segments(idx, group_size=4)  # 9 segments: runs 4, 4 and 1
+    assert s.refresh()
+    paths = {r.path for r in s._term_readers}
+    assert paths == set(s.term_files)
+    assert len(set(before) - paths) == 8  # absorbed: readers dropped
+    kept = set(before) & paths
+    assert len(kept) == 1
+    assert all(r is before[r.path] for r in s._term_readers
+               if r.path in kept)
+    assert s._stats_readers == stats_readers  # merge leaves term_stats
     check()

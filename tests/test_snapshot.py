@@ -151,3 +151,22 @@ def test_delete_snapshot_gc(tmp_path, ray_session):
     # s1 still restores after the GC
     restore_index(repo, "s1", str(tmp_path / "r"))
     assert list_snapshots(repo) == ["s1"]
+
+
+def test_snapshot_excludes_doclen_memmaps(tmp_path, ray_session):
+    """The ``doclen/`` memmaps a search leaves behind are derived: a
+    snapshot skips them, and a restored index rebuilds them on its first
+    query and scores bitwise like the original."""
+    idx = _build(tmp_path)
+    want_ids, want_sc = LocalSearcher(idx).search("fast data", k=10)
+    assert os.listdir(os.path.join(idx, "doclen"))  # the search made one
+    repo = str(tmp_path / "repo")
+    m = snapshot_index(idx, repo, "s1")
+    assert not [f["rel"] for f in m["files"]
+                if f["rel"].startswith("doclen/")]
+    restored = str(tmp_path / "restored")
+    restore_index(repo, "s1", restored)
+    assert not os.path.exists(os.path.join(restored, "doclen"))
+    got_ids, got_sc = LocalSearcher(restored).search("fast data", k=10)
+    assert got_ids.tolist() == want_ids.tolist()
+    assert got_sc.tolist() == want_sc.tolist()
