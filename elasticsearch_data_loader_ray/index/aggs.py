@@ -355,7 +355,7 @@ def _scored(searcher, field: str, terms: list[str]
     terms = [t for t in sorted(set(terms)) if t in idf]
     if not terms or not searcher.term_files:
         return np.empty(0, np.int64), np.empty(0, np.float64)
-    ids, sc = searcher._search_or_fulldecode(
+    ids, sc = searcher._search_exact(
         field, terms, max(searcher.n_docs, 1), idf,
         searcher._dl_for(field), _avgdl(searcher.stats, field))
     order = np.argsort(ids)

@@ -22,10 +22,17 @@ to its docs. The aggregation, export and delete partials run on the same
 fan-out (:func:`map_segment_groups`), taking their matched sets from
 :meth:`LocalSearcher.matched_ids`.
 
-Scoring: accumulation runs per term in lexicographic order, so scores are
-bitwise-identical to the brute-force oracle on every path; OR queries pick
-exhaustive decode or block-max WAND pruning (``or_strategy``), AND queries
-skip blocks, and both return the exhaustive path's scores bitwise.
+Scoring: one exact scorer, :meth:`LocalSearcher._score_windows`, serves
+OR and AND top-k. It scatter-adds each term's postings into a reused
+buffer one doc-id window at a time, in lexicographic term order, so scores
+are bitwise the brute-force oracle's; block-max bounds skip every window
+and block that cannot reach the running k-th score (Lucene's
+``MaxScoreBulkScorer`` shape), and a skipped block is never decoded.
+``or_strategy`` is ``"exact"`` or the opt-in approximate ``"pruned"``
+(index/pruned.py), which runs the same loop over the pruned sidecar's
+postings. AND queries whose rarest term is far rarer than the rest probe
+the other terms at its docs instead (:meth:`LocalSearcher.
+_search_and_blockskip`), with the same scores.
 """
 
 from __future__ import annotations
@@ -119,6 +126,145 @@ def _drop_deleted(deleted: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ok = pos < len(deleted)
     posc = np.minimum(pos, len(deleted) - 1)
     return ~(ok & (deleted[posc] == ids))
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, e)`` over the pairs, in one pass."""
+    lens = ends - starts
+    return (np.repeat(ends - np.cumsum(lens), lens)
+            + np.arange(int(lens.sum()), dtype=np.int64))
+
+
+def _decode_blocks(r: "_Blocked", bs: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(doc ids, tfs) of the ascending blocks ``bs`` of ``r``, decoded in
+    one vectorized pass; each block's ids restart from the previous
+    block's last id, as in :meth:`codec.BlockedPostings.block`."""
+    nb = r.n_blocks
+    nxt = np.minimum(bs + 1, nb - 1)
+    d_lo = r.doc_offs[bs]
+    d_hi = np.where(bs + 1 < nb, r.doc_offs[nxt], len(r.doc_enc))
+    t_lo = r.tf_offs[bs]
+    t_hi = np.where(bs + 1 < nb, r.tf_offs[nxt], len(r.tf_enc))
+    doc = np.frombuffer(r.doc_enc, np.uint8)[_ranges(d_lo, d_hi)]
+    tfb = np.frombuffer(r.tf_enc, np.uint8)[_ranges(t_lo, t_hi)]
+    gaps = codec.varint_decode(doc).astype(np.int64)
+    tfs = codec.varint_decode(tfb, len(gaps)).astype(np.int64)
+    # postings per block: one value ends at each byte without the
+    # continuation bit
+    ends = np.cumsum(doc < 0x80)[np.cumsum(d_hi - d_lo) - 1]
+    starts = np.r_[0, ends[:-1]]
+    gaps[starts] += np.where(bs > 0, r.block_last[np.maximum(bs - 1, 0)], 0)
+    return codec.delta_decode_runs(gaps, starts), tfs
+
+
+class _Blocked:
+    """One term's postings in one segment: the encoded streams, per block
+    its last doc id, byte offsets, max tf impact (as float64 bits) and
+    smallest possible doc id (rows of ``meta``), and the blocks decoded so
+    far (``ids``/``tfs`` at the postings' offsets ``start``, ``have`` per
+    block), kept across queries. Compact: a served vocabulary keeps one
+    per term and segment."""
+
+    __slots__ = ("doc_enc", "tf_enc", "df", "meta", "blocks_decoded",
+                 "start", "have", "ids", "tfs", "_reader")
+
+    def __init__(self, doc_enc: bytes, tf_enc: bytes, df: int,
+                 meta: np.ndarray):
+        self.doc_enc, self.tf_enc, self.df, self.meta = (
+            doc_enc, tf_enc, df, meta)
+        self.blocks_decoded = 0
+        self.start = self.have = self.ids = self.tfs = self._reader = None
+
+    block_last = property(lambda self: self.meta[0])
+    doc_offs = property(lambda self: self.meta[1])
+    tf_offs = property(lambda self: self.meta[2])
+    bmax = property(lambda self: self.meta[3].view(np.float64))
+    block_lo = property(lambda self: self.meta[4])
+    n_blocks = property(lambda self: self.meta.shape[1])
+
+    def reader(self) -> codec.BlockedPostings:
+        """The per-block reader of the AND probe path (made once)."""
+        if self._reader is None:
+            self._reader = codec.BlockedPostings(self.doc_enc, self.tf_enc,
+                                                 self.df, *self.meta[:3])
+        return self._reader
+
+    def get(self, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(doc ids, tfs) of the ascending blocks ``bs``, decoding the
+        missing ones together. A fully decoded span from ``bs[0]`` to
+        ``bs[-1]`` comes back whole, as views: the blocks between only add
+        true contributions."""
+        if self.have is None:
+            if len(bs) == self.n_blocks:
+                self.ids, self.tfs = codec.decode_postings(
+                    self.doc_enc, self.tf_enc, self.df)
+                self.have = np.ones(self.n_blocks, dtype=bool)
+                self.blocks_decoded += self.n_blocks
+                return self.ids, self.tfs
+            # postings per block: its bytes without the continuation bit
+            n = np.add.reduceat(
+                np.frombuffer(self.doc_enc, np.uint8) < 0x80,
+                self.doc_offs, dtype=np.int64)
+            self.start = np.concatenate(([0], np.cumsum(n)))
+            self.have = np.zeros(self.n_blocks, dtype=bool)
+            self.ids = np.empty(self.df, np.int64)
+            self.tfs = np.empty(self.df, np.int64)
+        if self.start is None:
+            self.start = np.concatenate(
+                ([0], np.searchsorted(self.ids, self.block_last, "right")))
+        st = self.start
+        miss = bs[~self.have[bs]]
+        if len(miss):
+            idx = _ranges(st[miss], st[miss + 1])
+            self.ids[idx], self.tfs[idx] = _decode_blocks(self, miss)
+            self.blocks_decoded += len(miss)
+            self.have[miss] = True
+        if self.have[bs[0]:bs[-1] + 1].all():
+            a, b = st[bs[0]], st[bs[-1] + 1]
+            return self.ids[a:b], self.tfs[a:b]
+        idx = _ranges(st[bs], st[bs + 1])
+        return self.ids[idx], self.tfs[idx]
+
+
+def _drain(buf: np.ndarray, pos: list[np.ndarray],
+           cnt: np.ndarray | None = None, n_terms: int = 0
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, sums) of the docs scattered into ``buf`` at the ``pos``
+    arrays (with ``cnt``: only docs hit ``n_terms`` times), re-zeroing the
+    buffers: a scan when there is a posting per few dozen docs, else the
+    sorted positions, so a sparse window costs its postings."""
+    if 32 * sum(len(p) for p in pos) >= len(buf):
+        nz = np.flatnonzero(cnt == n_terms if cnt is not None
+                            else buf > 0.0)  # BM25 contributions are > 0
+        out = nz, buf[nz]
+        buf[:] = 0.0
+        if cnt is not None:
+            cnt[:] = 0
+        return out
+    nz = np.unique(np.concatenate(pos)) if pos else np.empty(0, np.int64)
+    sc = buf[nz]
+    buf[nz] = 0.0
+    if cnt is not None:
+        keep = cnt[nz] == n_terms
+        cnt[nz] = 0
+        nz, sc = nz[keep], sc[keep]
+    return nz, sc
+
+
+class _Run:
+    """A :class:`_Blocked` run as one query scores it: block ``b`` holds doc
+    ids in ``[lo_id[b], last[b]]`` and adds at most ``ub[b]`` to a score
+    (``inf``: no stored maxima, as the pruned sidecar's runs). ``ids``/
+    ``con`` (contributions) are set while the term's impacts are cached."""
+
+    __slots__ = ("term", "lo_id", "last", "ub", "blk", "ids", "con", "wa",
+                 "wb")
+
+    def __init__(self, term, lo_id, last, ub, blk=None):
+        self.term, self.lo_id, self.last, self.ub = term, lo_id, last, ub
+        self.blk = blk
+        self.ids = self.con = None
 
 
 def _bound_scale(vis_manifests: dict, stats: dict) -> float:
@@ -919,9 +1065,9 @@ class LocalSearcher:
         # FIFO-evicted; repeated/overlapping queries skip the parquet read
         self._postings_cache: dict[tuple[str, str], list] = {}
         self._postings_cache_cap = 8192
-        # blocked-reader cache for the skip paths (AND / disjunctive
-        # block-max): encoded bytes + block metadata per (field, term);
-        # readers memoize decoded blocks, so repeated queries skip both the
+        # blocked-reader cache for the exact scorer and the AND probe
+        # path: encoded bytes + block metadata per (field, term); readers
+        # memoize decoded blocks, so repeated queries skip both the
         # parquet read AND re-decoding hot blocks
         self._blocked_cache: dict[tuple[str, str], list[tuple]] = {}
         self._blocked_cache_cap = 8192
@@ -943,7 +1089,7 @@ class LocalSearcher:
         # adds docs whose null/value rows the old entries don't carry
         self._null_dv_cache: dict[str, np.ndarray] = {}
         self._dv_num_cache: dict[str, np.ndarray] = {}
-        self.last_block_stats = (0, 0)  # (decoded, total) of last AND query
+        self.last_block_stats = (0, 0)  # (decoded, total) of last query
         # statically-pruned postings sidecar (index/pruned.py) — powers
         # the OPT-IN or_strategy="pruned" path only; valid only while its
         # recorded segment set matches this epoch's visible set
@@ -1134,9 +1280,9 @@ class LocalSearcher:
         the value at ``origin±(offset+scale)`` is exactly ``decay``.
         All distances in whole hours (exactly representable, see
         :meth:`_dv_hours`). The multiplicative factor breaks block-max
-        admissibility, so this routes through exhaustive accumulation
-        with the modifier applied before the top-k cut — the same shape
-        as ``search_function_score``. Docs missing the doc-value score 0
+        admissibility, so the exact scorer runs with no bound and the
+        modifier applied before the top-k cut — the same shape as
+        ``search_function_score``. Docs missing the doc-value score 0
         for the function (dropped from the top-k unless k exceeds the
         matched set)."""
         self.refresh()
@@ -1155,7 +1301,7 @@ class LocalSearcher:
             return sc * np.where(np.isnan(g), 0.0, g)
 
         dl = self._dl_for(field)
-        return self._search_or_fulldecode(
+        return self._search_exact(
             field, terms, k, idf, dl, _avgdl(self.stats, field),
             score_mod=mod)
 
@@ -1183,7 +1329,7 @@ class LocalSearcher:
         blocks that can contain a surviving candidate (``block_last_doc``
         binary search — the WAND skipping primitive). Scores accumulate per
         term in lexicographic order, so results are bitwise-identical to the
-        full-decode path. ``self.last_block_stats`` records
+        exact scorer's. ``self.last_block_stats`` records
         (blocks_decoded, blocks_total) for observability.
         """
         # cost model: probing costs ~driver_df per other term and loses the
@@ -1198,10 +1344,11 @@ class LocalSearcher:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         other_total = sum(dfs) - min_df
         if min_df * 8 * max(1, len(terms) - 1) >= other_total:
-            return self._search_and_fulldecode(field, terms, k, idf, dl, avgdl)
+            return self._search_exact(field, terms, k, idf, dl, avgdl,
+                                      mode="and")
         runs = self._load_blocked_runs(field, terms)
         readers: dict[str, list[codec.BlockedPostings]] = {
-            t: [r[0] for r in runs[t]] for t in terms}
+            t: [r.reader() for r in runs[t]] for t in terms}
         if any(not rs for rs in readers.values()):
             self.last_block_stats = (0, 0)
             return np.empty(0, np.int64), np.empty(0, np.float64)
@@ -1264,438 +1411,333 @@ class LocalSearcher:
         return cand[order].astype(np.int64), scores[order]
 
     def _load_blocked_runs(self, field: str, terms: list[str]
-                           ) -> dict[str, list[tuple]]:
-        """(BlockedPostings, block_max_impact, max_impact) runs per term,
-        runs sorted by doc range. Served from ``_blocked_cache`` — only
-        terms not yet cached touch parquet, and cached readers keep their
-        decoded-block memos across queries (warm path does no I/O)."""
+                           ) -> dict[str, list[_Blocked]]:
+        """:class:`_Blocked` runs per term, sorted by doc range. Served from
+        ``_blocked_cache`` — only terms not yet cached touch parquet (warm
+        path does no I/O), and decoded blocks stay with their run."""
         missing = [t for t in terms if (field, t) not in self._blocked_cache]
         if missing:
             tt = self._read_terms(
-                ["term", "df", "max_impact", "block_last_doc",
-                 "block_max_impact", "block_doc_byte_off",
-                 "block_tf_byte_off"],
+                ["term", "df", "block_last_doc", "block_max_impact",
+                 "block_doc_byte_off", "block_tf_byte_off"],
                 {field: missing},
             )
-            fresh: dict[str, list[tuple]] = {t: [] for t in missing}
-            views = {c: blobs._list_views(tt[c])
-                     for c in ("block_last_doc", "block_max_impact",
-                               "block_doc_byte_off", "block_tf_byte_off")}
-            term_col = tt["term"].to_pylist()
-            df_col = tt["df"].to_numpy()
-            tmax_col = tt["max_impact"].to_numpy()
-            for i in range(tt.num_rows):
-                t = term_col[i]
-
-                def _lst(c: str, dt, i=i):
-                    offs_c, vals_c = views[c]
-                    return vals_c[offs_c[i]:offs_c[i + 1]].astype(
-                        dt, copy=False)
-
-                reader = codec.BlockedPostings(
-                    tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-                    int(df_col[i]),
-                    _lst("block_last_doc", np.int64),
-                    _lst("block_doc_byte_off", np.int64),
-                    _lst("block_tf_byte_off", np.int64),
-                )
-                bmax = _lst("block_max_impact", np.float64)
-                tmax = float(tmax_col[i])
-                fresh[t].append((reader, bmax, tmax))
+            fresh: dict[str, list[_Blocked]] = {t: [] for t in missing}
+            # the block columns share their list offsets: one (4, blocks)
+            # array per read, a column slice per run
+            views = [blobs._list_views(tt[c]) for c in (
+                "block_last_doc", "block_doc_byte_off", "block_tf_byte_off",
+                "block_max_impact")]
+            offs = views[0][0]
+            meta = np.stack([v.astype(np.int64, copy=False)
+                             for _o, v in views[:3]]
+                            + [views[3][1].astype(np.float64).view(np.int64),
+                               np.empty(offs[-1], np.int64)])
+            # smallest doc id per block: one past the previous block's
+            # last, the segment's first doc id for a run's first block
+            base = {s: b for b, _n, s in self._doc_ranges}
+            segs = tt["segment_id"].to_pylist()
+            meta[4, 1:] = meta[0, :-1] + 1
+            meta[4, offs[:-1]] = [base[s] for s in segs]
+            for t, df, d_enc, t_enc, a, b in zip(
+                    tt["term"].to_pylist(), tt["df"].to_pylist(),
+                    tt["doc_ids_enc"].to_pylist(),
+                    tt["tfs_enc"].to_pylist(), offs[:-1], offs[1:]):
+                fresh[t].append(_Blocked(d_enc, t_enc, df, meta[:, a:b]))
             for t in missing:
-                fresh[t].sort(key=lambda r: int(r[0].block_last[0]))
+                fresh[t].sort(key=lambda r: int(r.block_lo[0]))
                 while len(self._blocked_cache) >= self._blocked_cache_cap:
                     self._blocked_cache.pop(next(iter(self._blocked_cache)))
                 self._blocked_cache[(field, t)] = fresh[t]
         return {t: self._blocked_cache[(field, t)] for t in terms}
 
-    @staticmethod
-    def _per_run(cand: np.ndarray, runs: list[tuple], fn,
-                 dtype) -> np.ndarray:
-        """Apply ``fn(run_tuple, ascending_cand_slice)`` per run: runs hold
-        ordered disjoint doc ranges, so each run sees only its slice of the
-        (ascending) candidate array."""
-        out = np.zeros(len(cand), dtype=dtype)
-        lo = 0
-        for r in runs:
-            hi = int(np.searchsorted(cand, int(r[0].block_last[-1]), "right"))
-            if hi > lo:
-                out[lo:hi] = fn(r, cand[lo:hi])
-            lo = hi
-            if lo >= len(cand):
-                break
-        return out
+    #: doc ids per window of the exact scorer (a 2 MiB float64 buffer)
+    _WINDOW = 1 << 18
+    #: bounds summed in another order than a score differ from the same
+    #: sum in its order by under 2n ulp for n terms
+    _BOUND_SLACK = 1.0 + 1e-9
 
-    def _search_or_blockmax(self, field: str, terms: list[str], k: int,
-                            idf: dict[str, float], dl: np.ndarray,
-                            avgdl: float) -> tuple[np.ndarray, np.ndarray]:
-        """Disjunctive (OR) top-k with block-max pruning — the ES/Lucene
-        block-max WAND capability (Ding & Suel 2011), organized MaxScore-
-        style for vectorized execution:
+    def _search_exact(self, field: str, terms: list[str], k: int,
+                      idf: dict[str, float], dl: np.ndarray, avgdl: float,
+                      mode: str = "or",
+                      after: tuple[float, int] | None = None,
+                      score_mod=None) -> tuple[np.ndarray, np.ndarray]:
+        """Exact top-k of the OR or AND query ``terms`` (sorted, each with
+        an idf) by :meth:`_score_windows`."""
+        runs = self._bounded_runs(field, terms, idf)
+        return self._score_windows(field, terms, runs, k, idf, dl, avgdl,
+                                   mode, after, score_mod)
 
-        * terms sorted by upper bound ``idf * max_impact``; an ESSENTIAL
-          prefix is fully decoded (vectorized dense accumulation) to seed
-          candidates and a k-th-score lower bound theta;
-        * each NON-essential term is probed candidate-at-a-block: a
-          candidate whose ``partial + idf*block_max(block) + suffix_ub``
-          cannot reach theta is dropped permanently (strict <, so a
-          dropped doc can never tie into the top-k), and surviving
-          candidates decode ONLY the blocks they land in
-          (``BlockedPostings`` skip primitive);
-        * the essential prefix grows until the exact k-th score strictly
-          exceeds the non-essential upper-bound sum R — the certificate
-          that no doc outside the essential union can rank (ES executes
-          OR queries with the same bound; Lucene WANDScorer);
-        * survivors are re-scored in LEXICOGRAPHIC term order, so returned
-          scores are bitwise-identical to the exhaustive path and the
-          brute-force oracle.
+    def _bounded_runs(self, field: str, terms: list[str], idf: dict
+                      ) -> dict[str, list[_Run]]:
+        """term -> its :class:`_Run` s, each block bounded by ``idf *
+        bscale * block_max_impact`` (``bscale``: appended indexes)."""
+        blocked = self._load_blocked_runs(field, terms)
+        runs = {}
+        for t in terms:
+            w = idf[t] * self._bscale
+            runs[t] = [_Run(t, b.block_lo, b.block_last, w * b.bmax, b)
+                       for b in blocked[t]]
+        return runs
 
-        ``self.last_block_stats`` reports (blocks_decoded, blocks_total).
-        """
-        runs = self._load_blocked_runs(field, terms)
-        terms = [t for t in terms if runs[t]]
-        if not terms:
-            self.last_block_stats = (0, 0)
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        bscale = self._bscale  # appended-index bound admissibility factor
-        ub = {t: idf[t] * max(r[2] for r in runs[t]) * bscale for t in terms}
-        order = sorted(terms, key=lambda t: (-ub[t], t))
-        # cached readers carry decode counts from earlier queries: report
-        # this query's decodes relative to the load-time baseline
-        dec0 = sum(r[0].blocks_decoded for t in terms for r in runs[t])
+    def _warm(self, field: str, t: str, trs: list, idf: dict,
+              dl: np.ndarray, avgdl: float) -> None:
+        """Set the runs of ``t`` warm: postings through the postings cache,
+        impacts through the impact cache."""
+        key = (field, t)
+        post = self._postings_cache.get(key)
+        if post is None:
+            post = [r.blk.get(np.arange(len(r.last))) for r in trs]
+            self._cache_postings(key, post)
+        con = self._contribs_for(field, [t], {t: post}, idf, dl, avgdl)[t]
+        for r, (ids, _tfs), c in zip(trs, post, con):
+            r.ids, r.con = ids, c
 
-        def stats() -> tuple[int, int]:
-            dec = sum(r[0].blocks_decoded for t in terms for r in runs[t])
-            tot = sum(r[0].n_blocks for t in terms for r in runs[t])
-            return dec - dec0, tot
-
-        for n_ess in range(1, len(order) + 1):
-            ess, rest = order[:n_ess], order[n_ess:]
-            r_total = float(sum(ub[t] for t in rest))
-            # essential union: full decode (block reader, so stats count it).
-            # Compact accumulation over the union of essential doc ids —
-            # same per-doc addition order as a dense array indexed by doc id
-            # (term-major, ids ascending within a term), bitwise-identical,
-            # but peak memory tracks the decoded postings, not n_docs.
-            ess_lists: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-            for t in ess:
-                parts = [r[0].block(b) for r in runs[t]
-                         for b in range(r[0].n_blocks)]
-                ids = np.concatenate([p[0] for p in parts])
-                tfs = np.concatenate([p[1] for p in parts])
-                ess_lists[t] = (ids, tfs)
-            alive = np.unique(np.concatenate(
-                [ess_lists[t][0] for t in ess]))  # ascending
-            partial = np.zeros(len(alive), dtype=np.float64)
-            for t in ess:
-                ids, tfs = ess_lists[t]
-                pos = np.searchsorted(alive, ids)
-                partial[pos] += idf[t] * codec.bm25_tf_impact(
-                    tfs.astype(np.float64), dl[ids], avgdl)
-            if len(self._deleted):  # tombstoned docs can never rank
-                keepm = _drop_deleted(self._deleted, alive)
-                alive, partial = alive[keepm], partial[keepm]
-            theta = (float(np.partition(partial, -k)[-k])
-                     if len(partial) >= k else -np.inf)
-            tf_rest: dict[str, np.ndarray] = {}
-            suffix = r_total
-            for t in rest:
-                suffix -= ub[t]
-                # block-max prune: max gain from t at each candidate's block
-                bm = self._per_run(
-                    alive, runs[t],
-                    lambda r, c: np.where(
-                        (b := np.searchsorted(r[0].block_last, c))
-                        < r[0].n_blocks,
-                        idf[t] * bscale
-                        * r[1][np.minimum(b, r[0].n_blocks - 1)], 0.0),
-                    np.float64)
-                keep = partial + bm + suffix >= theta
-                if not keep.all():
-                    alive, partial = alive[keep], partial[keep]
-                    for u in tf_rest:
-                        tf_rest[u] = tf_rest[u][keep]
-                tfs = self._per_run(
-                    alive, runs[t],
-                    lambda r, c: r[0].lookup_many(c), np.int64)
-                tf_rest[t] = tfs
-                nz = tfs > 0
-                partial[nz] += idf[t] * codec.bm25_tf_impact(
-                    tfs[nz].astype(np.float64), dl[alive[nz]], avgdl)
-                if len(partial) >= k:
-                    theta = max(theta, float(np.partition(partial, -k)[-k]))
-            # partial is now EXACT for survivors; certify the essential set:
-            # any doc outside the essential union scores <= r_total, so the
-            # k-th survivor score must STRICTLY beat it (ties lose on doc_id)
-            theta_final = (float(np.partition(partial, -k)[-k])
-                           if len(partial) >= k else -np.inf)
-            if rest and not (theta_final > r_total):
-                continue  # grow the essential prefix and retry
-            if not len(alive):
-                self.last_block_stats = stats()
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-            # top-k slice, then bitwise-exact lex-order rescore. `partial`
-            # was accumulated in upper-bound term order while the rescore
-            # below runs in lex order; float addition order can move a sum
-            # by an ulp either way, so cut with a few-ulp slack to keep
-            # near-tie docs for the rescore to decide (ADVICE r2).
-            if len(alive) > k:
-                kth = np.partition(partial, -k)[-k]
-                for _ in range(4):
-                    kth = np.nextafter(kth, -np.inf)
-                sel = partial >= kth
-                alive = alive[sel]
-                for u in tf_rest:
-                    tf_rest[u] = tf_rest[u][sel]
-            sc = np.zeros(len(alive), dtype=np.float64)
-            for t in sorted(terms):
-                if t in tf_rest:
-                    tfv = tf_rest[t]
-                else:
-                    ids, tfs = ess_lists[t]
-                    pos = np.searchsorted(ids, alive)
-                    okm = pos < len(ids)
-                    posc = np.minimum(pos, len(ids) - 1)
-                    okm &= ids[posc] == alive
-                    tfv = np.where(okm, tfs[posc], 0)
-                nz = tfv > 0
-                sc[nz] += idf[t] * codec.bm25_tf_impact(
-                    tfv[nz].astype(np.float64), dl[alive[nz]], avgdl)
-            if len(alive) > k:
-                kth = np.partition(sc, -k)[-k]
-                keep2 = sc >= kth
-                alive, sc = alive[keep2], sc[keep2]
-            self.last_block_stats = stats()
-            ordr = np.lexsort((alive, -sc))[:k]
-            return alive[ordr].astype(np.int64), sc[ordr]
-        raise AssertionError("unreachable: essential set covers all terms")
-
-    def _search_single_term_blockmax(self, field: str, term: str, k: int,
-                                     idf: dict[str, float], dl: np.ndarray,
-                                     avgdl: float
-                                     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Single-term top-k by block-max upper bound — the degenerate
-        block-max WAND case where the pivot IS the whole query.
-
-        Blocks are visited in descending ``idf * block_max * bscale``
-        order; only blocks whose bound can still reach the running exact
-        k-th score decode (measured at 4M docs: ~k of ~30k blocks survive
-        for a stopword — the decode volume drops from the whole posting
-        list to a handful of 128-posting blocks). Bitwise-identical to the
-        exhaustive path: each score is the same single product, an
-        undecoded block's docs all score strictly below the final k-th
-        (we stop only when ``kth > ub``, and kth never decreases), and the
-        final cut is the same ``lexsort((ids, -sc))[:k]``.
-
-        Returns None (caller falls back) when the term has no postings or
-        the bound is too flat to prune (needed blocks exceed a third of the
-        list — per-block decode overhead would beat one bulk decode)."""
-        runs_all = self._load_blocked_runs(field, [term])
-        if not runs_all.get(term):
-            return None
-        rl = runs_all[term]
-        readers = [r[0] for r in rl]
-        w = float(idf[term]) * self._bscale
-        ubs = np.concatenate([r[1] for r in rl]) * w
-        n_blocks = len(ubs)
-        run_of = np.repeat(np.arange(len(rl)),
-                           [r.n_blocks for r in readers])
-        blk_of = np.concatenate([np.arange(r.n_blocks) for r in readers])
-        order = np.argsort(-ubs, kind="stable")
-        dec0 = sum(r.blocks_decoded for r in readers)
-        cand_ids: list[np.ndarray] = []
-        cand_sc: list[np.ndarray] = []
-        n_cand = 0
-        kth = -np.inf
-        i = 0
-        chunk = max(16, k // 8)
-        while i < n_blocks:
-            if kth > ubs[order[i]]:
-                break
-            for bi in order[i:i + chunk]:
-                ids, tfs = readers[run_of[bi]].block(int(blk_of[bi]))
-                if len(self._deleted):
-                    keepm = _drop_deleted(self._deleted, ids)
-                    ids, tfs = ids[keepm], tfs[keepm]
-                if not len(ids):
-                    continue
-                cand_ids.append(ids)
-                cand_sc.append(idf[term] * codec.bm25_tf_impact(
-                    tfs.astype(np.float64), dl[ids], avgdl))
-                n_cand += len(ids)
-            i += chunk
-            if n_cand >= k:
-                sc = np.concatenate(cand_sc)
-                kth = float(np.partition(sc, -k)[-k])
-                if i < n_blocks and kth <= ubs[order[i]]:
-                    # flat-bound bail: if the blocks still admissible under
-                    # the current bound exceed a third of the list, chunked
-                    # decode loses to one bulk decode — let the exhaustive
-                    # path take it
-                    if int((ubs >= kth).sum()) > n_blocks // 3:
-                        return None
-        self.last_block_stats = (
-            sum(r.blocks_decoded for r in readers) - dec0, n_blocks)
-        if not cand_ids:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        loc = np.concatenate(cand_ids)
-        sc = np.concatenate(cand_sc)
-        if len(loc) > k:
-            kthf = np.partition(sc, -k)[-k]
-            keep = sc >= kthf
-            loc, sc = loc[keep], sc[keep]
-        ordr = np.lexsort((loc, -sc))[:k]
-        return loc[ordr].astype(np.int64), sc[ordr]
-
-    # fulldecode accumulation-layout gate (module-level so tests can force
-    # either path; both are bitwise-identical)
-    _DENSE_MIN_POSTINGS = 1 << 19
-    # single-term block-max gate: below this df one bulk decode beats
-    # per-block ranked decode (class attr so tests can force the path)
-    _SINGLE_TERM_BLOCKMAX_MIN_DF = 100_000
-
-    def _search_or_fulldecode(self, field: str, terms: list[str], k: int,
-                              idf: dict[str, float], dl: np.ndarray,
-                              avgdl: float,
-                              after: tuple[float, int] | None = None,
-                              score_mod=None,
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """Exhaustive OR scoring (lexicographic accumulation) — the default
-        serving path and the bitwise reference for the block-max path.
-
-        Accumulates into a COMPACT array over the union of posting doc ids
-        instead of a dense O(n_docs) score array: per-doc addition order is
-        unchanged (term-major, ascending ids within each term), so scores
-        are bitwise-identical while peak memory tracks the query's
-        postings, not the corpus. Two layouts, picked by posting density
-        over the doc-id span and bitwise-equivalent (contributions are
-        elementwise, each (doc, term) adds exactly once, per-doc term order
-        is the query order in both):
-
-        - sparse (default): union via np.unique + searchsorted scatter —
-          O(P log P) but proportional to the postings touched.
-        - windowed dense (high-df queries, e.g. stopwords at web scale):
-          scatter-add into a reused fixed-size window buffer over doc-id
-          ranges — O(P), no sort; the O(P log P) union sort was the
-          measured hot cost (574 ms warm for a 4-common-term query at 4M
-          docs). The buffer is ≤ 8 MiB regardless of corpus size."""
-        by_term = self._postings_for(field, terms)
-        contribs = self._contribs_for(field, terms, by_term, idf, dl, avgdl)
-        return self._accumulate_or(terms, by_term, contribs, k,
-                                   after, score_mod)
-
-    def _accumulate_or(self, terms: list[str], by_term: dict, contribs: dict,
-                       k: int, after: tuple[float, int] | None = None,
-                       score_mod=None) -> tuple[np.ndarray, np.ndarray]:
-        """Shared OR accumulation + top-k tail over precomputed per-term
-        (doc-id run, contribution) pairs — used by the exact full-decode
-        path and the opt-in statically-pruned path (index/pruned.py)."""
-        runs = [ids for t in terms for ids, _tfs in by_term.get(t, [])]
-        if not runs:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        total = sum(len(r) for r in runs)
-        span_lo = min(int(r[0]) for r in runs)
-        span_hi = max(int(r[-1]) for r in runs) + 1
-        if (total >= self._DENSE_MIN_POSTINGS
-                and total * 16 >= span_hi - span_lo):
-            loc, sc = self._accumulate_windowed(
-                terms, by_term, contribs, span_lo, span_hi,
-                k, self._deleted, after, score_mod)
+    def _fetch(self, field: str, runs: dict, r: _Run, bs: np.ndarray,
+               lo: int, hi: int, idf: dict, dl: np.ndarray, avgdl: float,
+               at: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(doc id - ``lo``, contribution) of the postings in blocks ``bs``
+        (ascending) of ``r`` with ids in ``[lo, hi)`` — only those at the
+        sorted positions ``at`` when given. A run needed whole makes its
+        term warm (:meth:`_warm`); a head term of which queries need a few
+        blocks stays lazy."""
+        if r.ids is None and len(bs) == len(r.last):
+            self._warm(field, r.term, runs[r.term], idf, dl, avgdl)
+        if r.ids is None:
+            ids, val = r.blk.get(bs)
+        elif 2 * len(bs) >= bs[-1] - bs[0] + 1:
+            # mostly consecutive: one slice (the blocks between add
+            # postings that are cheaper to scatter than to gather around)
+            a, b = np.searchsorted(r.ids, (max(lo, int(r.lo_id[bs[0]])),
+                                           min(hi, int(r.last[bs[-1]]) + 1)))
+            ids, val = r.ids[a:b], r.con[a:b]
         else:
-            loc = np.unique(np.concatenate(runs))
-            sc = np.zeros(len(loc), dtype=np.float64)
-            for t in terms:  # lexicographic accumulation order
-                for (ids, _tfs), contrib in zip(by_term.get(t, []),
-                                                contribs.get(t, [])):
-                    pos = np.searchsorted(loc, ids)
-                    sc[pos] += contrib
-            if score_mod is not None:  # function_score: modify pre-cut
-                sc = score_mod(sc, loc)
-        if len(self._deleted):  # upsert tombstones: drop before top-k
-            keep = _drop_deleted(self._deleted, loc)
-            loc, sc = loc[keep], sc[keep]
-        if after is not None:  # keyset cursor: keep strictly-after rows
-            a_s, a_d = float(after[0]), int(after[1])
-            keep = (sc < a_s) | ((sc == a_s) & (loc > a_d))
-            loc, sc = loc[keep], sc[keep]
-        if len(loc) > k:
-            kth = np.partition(sc, -k)[-k]
-            keep = sc >= kth
-            loc, sc = loc[keep], sc[keep]
-        order = np.lexsort((loc, -sc))[:k]
-        return loc[order].astype(np.int64), sc[order]
+            idx = _ranges(np.searchsorted(r.ids, r.lo_id[bs]),
+                          np.searchsorted(r.ids, r.last[bs], "right"))
+            ids, val = r.ids[idx], r.con[idx]
+        if not len(ids):
+            keep = slice(None)
+        elif at is not None:
+            want = at + lo
+            j = np.minimum(np.searchsorted(ids, want), len(ids) - 1)
+            keep = j[ids[j] == want]
+        elif ids[0] < lo or ids[-1] >= hi:  # blocks straddling the window
+            keep = (ids >= lo) & (ids < hi)
+        else:
+            keep = slice(None)
+        ids, val = ids[keep], val[keep]
+        if r.ids is None:  # val holds tfs
+            val = idf[r.term] * codec.bm25_tf_impact(val, dl[ids], avgdl)
+        return ids - lo, val
 
-    @staticmethod
-    def _accumulate_windowed(terms: list[str], by_term: dict,
-                             contribs: dict, span_lo: int, span_hi: int,
-                             k: int, deleted: np.ndarray,
-                             after: tuple[float, int] | None = None,
-                             score_mod=None,
-                             ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense scatter-add accumulation over fixed doc-id windows.
+    def _seed_theta(self, field: str, terms: list[str], runs: dict, k: int,
+                    idf: dict, dl: np.ndarray, avgdl: float) -> float:
+        """A lower bound of the k-th score: the k-th largest live
+        contribution in the top-``k`` blocks of the highest-bound term
+        (distinct docs; a score is at least any one contribution of it),
+        or ``-inf``."""
+        t = max(terms, key=lambda t: (max(float(r.ub.max())
+                                          for r in runs[t]), t))
+        trs = runs[t]
+        ub = np.concatenate([r.ub for r in trs])
+        n = min(k, len(ub))
+        top = np.sort(np.argpartition(-ub, n - 1)[:n])
+        offs = np.cumsum([0] + [len(r.ub) for r in trs])
+        got = [self._fetch(field, runs, r, bs, 0, self.n_docs, idf, dl,
+                           avgdl)
+               for j, r in enumerate(trs)
+               if len(bs := top[(top >= offs[j]) & (top < offs[j + 1])]
+                      - offs[j])]
+        ids = np.concatenate([f[0] for f in got])
+        con = np.concatenate([f[1] for f in got])
+        if len(self._deleted):
+            con = con[_drop_deleted(self._deleted, ids)]
+        return float(np.partition(con, -k)[-k]) if len(con) >= k \
+            else -np.inf
 
-        One reused ``W``-double buffer (8 MiB); for each window, every
-        query term's run slice falling in the window scatter-adds its
-        contribution (ascending ids -> near-sequential writes), then the
-        window's top-``k`` (ties kept) compact out. BM25 contributions are
-        strictly positive (idf = ln(1+x), x > 0; tf impact > 0), so
-        ``> 0`` identifies touched docs. Windows are zeroed lazily — only
-        when a run intersects them — and the caller's density gate bounds
-        the per-posting amortized zero/scan cost.
-
-        The per-window cut is lossless for the caller's global top-k
-        (scores are final within a window — each doc lives in exactly one
-        window — so a global top-k member is necessarily in its window's
-        top-k; ``>= kth`` keeps boundary ties). Upsert tombstones are
-        dropped BEFORE the cut so a deleted doc can't displace a live one.
-        This keeps the returned candidate set O(k x windows) instead of
-        O(postings) — the measured cost at 4M docs was materializing the
-        3.7M-row scored union."""
-        W = 1 << 20
+    def _score_windows(self, field: str, terms: list[str], runs: dict,
+                       k: int, idf: dict, dl: np.ndarray, avgdl: float,
+                       mode: str = "or",
+                       after: tuple[float, int] | None = None,
+                       score_mod=None) -> tuple[np.ndarray, np.ndarray]:
+        """The exact scorer (Lucene's ``MaxScoreBulkScorer`` shape): top-k
+        of ``terms`` over ``runs`` (term -> :class:`_Run` s), one doc-id
+        window at a time. Each window scatter-adds its postings' scores
+        into a reused buffer in lexicographic term order, so scores are
+        the oracle's bitwise (``mode="and"`` also counts hits), then keeps
+        its top-k (tombstones and the ``after`` cursor dropped, ``score_mod``
+        applied first), raising ``theta``, the running k-th score (seeded
+        for OR by :meth:`_seed_theta`). A doc whose bound is strictly below
+        ``theta`` cannot tie into the top-k, so the loop skips a window
+        whose bounds sum below it, and an essential term's block whose
+        bound plus the other terms' window bounds does. The non-essential
+        terms (MaxScore: the lowest bounds summing below ``theta``; for
+        AND all but the term with the fewest blocks) are probed only at
+        the essential terms' docs whose partial score plus bounds reaches
+        ``theta``. A skipped block is never decoded; a doc that misses one
+        may read out with part of its score, below ``theta``. With
+        ``score_mod`` there is no bound. Sets ``last_block_stats`` to
+        (blocks decoded, blocks total)."""
+        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
+        n_terms = len(terms)
+        terms = [t for t in terms if runs.get(t)]
+        readers = [r.blk for t in terms for r in runs[t]
+                   if r.blk is not None]
+        dec0 = sum(rd.blocks_decoded for rd in readers)
+        total = sum(rd.n_blocks for rd in readers)
+        self.last_block_stats = (0, total)
+        if not terms or (mode == "and" and len(terms) < n_terms):
+            return empty
+        for t in terms:  # cached impacts: the windows slice them
+            if ((field, t) in self._contrib_cache
+                    and (field, t) in self._postings_cache
+                    and runs[t][0].ids is None):
+                self._warm(field, t, runs[t], idf, dl, avgdl)
+        theta = -np.inf
+        if score_mod is None and after is None and mode == "or" and k > 0:
+            theta = self._seed_theta(field, terms, runs, k, idf, dl, avgdl)
+        slack = self._BOUND_SLACK
+        all_runs = [r for t in terms for r in runs[t]]
+        W = self._WINDOW
+        span_lo = min(int(r.lo_id[0]) for r in all_runs)
+        span_hi = max(int(r.last[-1]) for r in all_runs) + 1
         edges = np.arange(span_lo, span_hi + W, W, dtype=np.int64)
         edges[-1] = span_hi
-        n_win = len(edges) - 1
-        # contributions precomputed (and impact-cached) by the caller:
-        # the window loop only scatter-adds precomputed slices. Values are
-        # bitwise-unchanged (elementwise kernel, slicing commutes).
-        flat: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for t in terms:
-            for (ids, _tfs), contrib in zip(by_term.get(t, []),
-                                            contribs.get(t, [])):
-                flat.append((ids, contrib, np.searchsorted(ids, edges)))
-        buf = np.empty(W, dtype=np.float64)
+        for r in all_runs:  # each window's overlapping blocks [wa, wb)
+            r.wa = np.searchsorted(r.last, edges[:-1])
+            r.wb = np.searchsorted(r.lo_id, edges[1:])
+        width = min(W, span_hi - span_lo)
+        buf = np.zeros(width)
+        cnt = np.zeros(width, np.int16) if mode == "and" else None
+        top = np.empty(0, np.float64)
         out_loc: list[np.ndarray] = []
         out_sc: list[np.ndarray] = []
-        for w in range(n_win):
-            w_lo = int(edges[w])
-            span = int(edges[w + 1]) - w_lo
-            touched = False
-            for ids, contrib, splits in flat:
-                a, b = int(splits[w]), int(splits[w + 1])
-                if a == b:
-                    continue
-                if not touched:
-                    buf[:span] = 0.0
-                    touched = True
-                buf[ids[a:b] - w_lo] += contrib[a:b]
-            if not touched:
+        for w in range(len(edges) - 1):
+            lo, hi = int(edges[w]), int(edges[w + 1])
+            parts: dict[str, list] = {}
+            for t in terms:
+                ps = [(r, int(r.wa[w]), int(r.wb[w])) for r in runs[t]]
+                ps = [p for p in ps if p[1] < p[2]]
+                if ps:
+                    parts[t] = ps
+            if not parts or (mode == "and" and len(parts) < n_terms):
                 continue
-            nz = np.flatnonzero(buf[:span] > 0.0)
-            loc_w = nz + w_lo
-            sc_w = buf[nz]
+            live = sorted(parts)
+            wmax = np.array([max(float(r.ub[a:b].max())
+                                 for r, a, b in parts[t]) for t in live])
+            if wmax.sum() * slack < theta:
+                continue
+            # other terms' bounds per term, summed without cancellation
+            cs = np.cumsum(wmax)
+            others = np.r_[0.0, cs[:-1]] + np.r_[
+                np.cumsum(wmax[::-1])[::-1][1:], 0.0]
+            if mode == "and":
+                ess = {min(live, key=lambda t: (
+                    sum(b - a for _r, a, b in parts[t]), t))}
+            else:
+                order = np.argsort(wmax, kind="stable")
+                n_non = int((np.cumsum(wmax[order]) * slack < theta).sum())
+                ess = {live[i] for i in order[n_non:]}
+            got: dict[str, list] = {}
+            for i, t in enumerate(live):
+                if t not in ess:
+                    continue
+                for r, a, b in parts[t]:
+                    if theta == -np.inf:
+                        bs = np.arange(a, b)
+                    else:
+                        bs = a + np.flatnonzero(
+                            (r.ub[a:b] + others[i]) * slack >= theta)
+                    if len(bs):
+                        got.setdefault(t, []).append(self._fetch(
+                            field, runs, r, bs, lo, hi, idf, dl, avgdl))
+            if not got:
+                continue
+            non = sorted((t for t in live if t not in ess),
+                         key=lambda t: (-wmax[live.index(t)], t))
+            n_ess = sum(len(pos) for t in got for pos, _con in got[t])
+            n_non = codec.BLOCK_SIZE * sum(b - a for t in non
+                                           for _r, a, b in parts[t])
+            if non and 8 * n_ess >= n_non:
+                # probing costs a few passes over the candidates: unless
+                # the non-essential postings are far more, they hold an
+                # essential posting in nearly every block anyway
+                for t in non:
+                    for r, a, b in parts[t]:
+                        got.setdefault(t, []).append(self._fetch(
+                            field, runs, r, np.arange(a, b), lo, hi, idf,
+                            dl, avgdl))
+                non = []
+            if non:
+                # candidates: the essential terms' docs with their partial
+                # scores (summed in any order: they only prune)
+                pos_e = [pos for t in live for pos, _con in got.get(t, ())]
+                for t in live:
+                    for pos, con in got.get(t, ()):
+                        buf[pos] += con
+                cand, partial = _drain(buf, pos_e)
+                w_non = np.array([wmax[live.index(t)] for t in non])
+                rest_bounds = np.r_[np.cumsum(w_non[::-1])[::-1][1:], 0.0]
+            for u, rest in zip(non, rest_bounds if non else ()):
+                # a candidate is probed in u's block holding it unless its
+                # bound cannot reach theta; only those blocks are fetched
+                ps = parts[u]
+                offs = np.cumsum([0] + [b - a for _r, a, b in ps])
+                c_last = np.concatenate([r.last[a:b] for r, a, b in ps])
+                bi = np.minimum(np.searchsorted(c_last, cand + lo),
+                                len(c_last) - 1)
+                inside = (np.concatenate([r.lo_id[a:b] for r, a, b in ps]
+                                         )[bi] <= cand + lo) \
+                    & (c_last[bi] >= cand + lo)
+                keep = (inside.copy() if mode == "and"
+                        else np.ones(len(cand), bool))
+                if theta > -np.inf:
+                    c_ub = np.concatenate([r.ub[a:b] for r, a, b in ps])
+                    keep &= (partial + np.where(inside, c_ub[bi], 0.0)
+                             + rest) * slack >= theta
+                cand, partial = cand[keep], partial[keep]
+                need = np.unique(bi[keep & inside])
+                if not len(cand) or not len(need):
+                    if mode == "and":
+                        cand = cand[:0]
+                    continue
+                # u's postings at the candidates only: a doc off the
+                # candidates cannot reach theta
+                part = np.searchsorted(offs, need, "right") - 1
+                got[u] = [self._fetch(field, runs, ps[j][0],
+                                      ps[j][1] + need[part == j] - offs[j],
+                                      lo, hi, idf, dl, avgdl, at=cand)
+                          for j in np.unique(part)]
+                hit = np.zeros(len(cand), bool)
+                for pos, con in got[u]:  # runs ascend, pos within cand
+                    i = np.searchsorted(cand, pos)
+                    partial[i] += con
+                    hit[i] = True
+                if mode == "and":
+                    cand, partial = cand[hit], partial[hit]
+            for t in live:  # lexicographic accumulation order
+                for pos, con in got.get(t, ()):
+                    buf[pos] += con
+                    if cnt is not None:
+                        cnt[pos] += 1
+            pos_w, sc_w = _drain(buf, [pos for t in live
+                                       for pos, _con in got.get(t, ())],
+                                 cnt, n_terms)
+            loc_w = pos_w + lo
             if score_mod is not None:
                 # modify BEFORE the per-window cut: the cut must rank by
                 # the FINAL score or a top-k member could be dropped
                 sc_w = score_mod(sc_w, loc_w)
-            if len(deleted):
-                keep = _drop_deleted(deleted, loc_w)
+            if len(self._deleted):  # a tombstone must not displace a hit
+                keep = _drop_deleted(self._deleted, loc_w)
                 loc_w, sc_w = loc_w[keep], sc_w[keep]
-            if after is not None:
-                # cursor filter BEFORE the window cut: the per-window
-                # top-k then bounds the filtered set, so page-2+ hits
-                # (all below the page-1 kth) survive
+            if after is not None:  # keyset cursor: strictly-after rows
                 a_s, a_d = float(after[0]), int(after[1])
                 keep = (sc_w < a_s) | ((sc_w == a_s) & (loc_w > a_d))
+                loc_w, sc_w = loc_w[keep], sc_w[keep]
+            if theta > -np.inf:  # below the k-th score so far: out
+                keep = sc_w >= theta
                 loc_w, sc_w = loc_w[keep], sc_w[keep]
             if len(loc_w) > k:
                 kth = np.partition(sc_w, -k)[-k]
@@ -1703,13 +1745,27 @@ class LocalSearcher:
                 loc_w, sc_w = loc_w[keep], sc_w[keep]
             out_loc.append(loc_w)
             out_sc.append(sc_w)
+            if score_mod is None and k > 0:
+                top = np.concatenate([top, sc_w])
+                if len(top) >= k:
+                    top = np.partition(top, -k)[-k:]
+                    theta = max(theta, float(top[0]))
+        self.last_block_stats = (
+            sum(rd.blocks_decoded for rd in readers) - dec0, total)
         if not out_loc:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        return np.concatenate(out_loc), np.concatenate(out_sc)
+            return empty
+        loc, sc = np.concatenate(out_loc), np.concatenate(out_sc)
+        if len(loc) > k:
+            kth = np.partition(sc, -k)[-k]
+            keep = sc >= kth
+            loc, sc = loc[keep], sc[keep]
+        order = np.lexsort((loc, -sc))[:k]
+        return loc[order].astype(np.int64), sc[order]
 
     def _postings_for(self, field: str, terms: list[str]
                       ) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
-        """Decoded postings per term through the FIFO cache."""
+        """Decoded postings per term through the FIFO cache, runs in
+        doc-id order."""
         by_term: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         missing = []
         for t in terms:
@@ -1736,10 +1792,17 @@ class LocalSearcher:
             for i in range(n):
                 by_term.setdefault(term_col[i], []).append(_dec(i))
             for t in missing:
-                if len(self._postings_cache) >= self._postings_cache_cap:
-                    self._postings_cache.pop(next(iter(self._postings_cache)))
-                self._postings_cache[(field, t)] = by_term.get(t, [])
+                runs = sorted(by_term.get(t, []), key=lambda r: int(r[0][0]))
+                by_term[t] = runs
+                self._cache_postings((field, t), runs)
         return by_term
+
+    def _cache_postings(self, key: tuple[str, str], runs: list) -> None:
+        """FIFO insert into the postings cache; ``runs`` in doc-id order,
+        the order of :meth:`_load_blocked_runs`."""
+        if len(self._postings_cache) >= self._postings_cache_cap:
+            self._postings_cache.pop(next(iter(self._postings_cache)))
+        self._postings_cache[key] = runs
 
     def matched_ids(self, field: str, terms: list[str], mode: str = "or"
                     ) -> np.ndarray:
@@ -1780,8 +1843,7 @@ class LocalSearcher:
                 yield seg_id, ids[a:b]
 
     # impact-cache byte budget (class attr so tests can shrink it)
-    _CONTRIB_CACHE_CAP = int(os.environ.get("EDLR_IMPACT_CACHE_MB",
-                                            "256")) << 20
+    _CONTRIB_CACHE_CAP = 256 << 20
 
     def _contribs_for(self, field: str, terms: list[str], by_term: dict,
                       idf: dict[str, float], dl: np.ndarray, avgdl: float
@@ -1872,75 +1934,28 @@ class LocalSearcher:
         """Opt-in approximate disjunction over statically-pruned postings
         (index/pruned.py): sidecar terms scatter-add PRECOMPUTED exact
         contributions (no decode, no dl gather); terms below the pruning
-        df threshold fall back to the exact path, so selective terms lose
-        nothing. Same float64 accumulation order as the exact path —
+        df threshold are scored from their postings, so selective terms
+        lose nothing. The exact scorer's loop and accumulation order —
         a returned doc's score is exact iff all its query-term postings
         were kept, else a lower bound; ``last_pruned_bound`` carries the
-        summed per-term error bound for this query."""
+        summed per-term error bound for this query. Sidecar runs have no
+        block maxima, so no window with one of them is skipped."""
         got = self._pruned_lookup(field, terms) if self.pruned_files \
             else {t: None for t in terms}
         miss = [t for t in terms if got.get(t) is None]
-        full: dict = {}
-        cf: dict = {}
-        if miss:
-            full = self._postings_for(field, miss)
-            cf = self._contribs_for(field, miss, full, idf, dl, avgdl)
-        by_term: dict = {}
-        contribs: dict = {}
+        runs = self._bounded_runs(field, miss, idf) if miss else {}
         bound = 0.0
+        inf = np.array([np.inf])
         for t in terms:
             g = got.get(t)
             if g is not None:
                 ids, con, eps = g
-                by_term[t] = [(ids, None)]
-                contribs[t] = [con]
+                r = _Run(t, ids[:1], ids[-1:], inf)
+                r.ids, r.con = ids, con
+                runs[t] = [r]
                 bound += eps
-            else:
-                by_term[t] = full.get(t, [])
-                contribs[t] = cf.get(t, [])
         self.last_pruned_bound = bound
-        return self._accumulate_or(terms, by_term, contribs, k)
-
-    def _search_and_fulldecode(self, field: str, terms: list[str], k: int,
-                               idf: dict[str, float], dl: np.ndarray,
-                               avgdl: float) -> tuple[np.ndarray, np.ndarray]:
-        """Conjunctive top-k via full posting decode (pre-block-offset
-        index format fallback; results identical to the block-skip path)."""
-        tt = self._read_terms(["term", "df"], {field: terms})
-        by_term: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for i in range(tt.num_rows):
-            t = tt["term"][i].as_py()
-            ids, tfs = codec.decode_postings(
-                tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-                int(tt["df"][i].as_py()))
-            by_term.setdefault(t, []).append((ids, tfs))
-        merged: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for t in terms:
-            runs = sorted(by_term.get(t, []), key=lambda r: r[0][0])
-            if not runs:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-            merged[t] = (np.concatenate([r[0] for r in runs]),
-                         np.concatenate([r[1] for r in runs]))
-        cand = merged[terms[0]][0]
-        for t in terms[1:]:
-            cand = np.intersect1d(cand, merged[t][0], assume_unique=True)
-            if len(cand) == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-        if len(self._deleted):
-            cand = cand[_drop_deleted(self._deleted, cand)]
-            if len(cand) == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-        sc = np.zeros(len(cand), dtype=np.float64)
-        for t in terms:  # lexicographic order
-            ids, tfs = merged[t]
-            pos = np.searchsorted(ids, cand)
-            sc += idf[t] * codec.bm25_tf_impact(tfs[pos], dl[cand], avgdl)
-        if len(cand) > k:
-            kth = np.partition(sc, -k)[-k]
-            keep = sc >= kth
-            cand, sc = cand[keep], sc[keep]
-        order = np.lexsort((cand, -sc))[:k]
-        return cand[order].astype(np.int64), sc[order]
+        return self._score_windows(field, terms, runs, k, idf, dl, avgdl)
 
     def more_like_this(self, doc_url: str, k: int = 10,
                        field: str = DEFAULT_FIELD,
@@ -2070,10 +2085,10 @@ class LocalSearcher:
         ``after=None`` is the first page. Deterministic: the cursor is the
         last row of the previous page.
 
-        Routed through the exhaustive-accumulation path with the cursor
-        applied before the top-k cut, so a page-2+ request costs the same
-        as page 1 (no full ranking, candidate memory bounded by the
-        windowed accumulator) and scores are bitwise-identical to
+        Routed through the exact scorer with the cursor applied before
+        each window's top-k cut (its bounds stay on), so a page-2+ request
+        costs about what page 1 does (no full ranking, candidate memory
+        bounded by the window loop) and scores are bitwise-identical to
         ``search()``'s."""
         self.refresh()
         if after is None:
@@ -2083,7 +2098,7 @@ class LocalSearcher:
         terms = [t for t in all_terms if t in idf]
         if not terms or not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        return self._search_or_fulldecode(
+        return self._search_exact(
             field, terms, k, idf, self._dl_for(field),
             _avgdl(self.stats, field),
             after=(float(after[0]), int(after[1])))
@@ -2097,9 +2112,8 @@ class LocalSearcher:
         per-doc token count: ``score = BM25 * modifier(word_count)``
         (modifier: ``log1p`` -> ln(1 + v), ``sqrt``, ``none``). The
         multiplicative factor breaks block-max upper-bound admissibility,
-        so this routes through exhaustive accumulation with the modifier
-        applied BEFORE the top-k cut (per window in the dense
-        accumulator). ``factor_field`` defaults to the scored field's own
+        so the exact scorer runs with no bound and the modifier applied
+        BEFORE each window's top-k cut. ``factor_field`` defaults to the scored field's own
         doc length."""
         self.refresh()
         all_terms = query_terms(query, _field_analyzer(self.stats, field))
@@ -2121,7 +2135,7 @@ class LocalSearcher:
                 return sc * fv[loc]
         else:
             raise ValueError(f"unknown modifier {modifier!r}")
-        return self._search_or_fulldecode(
+        return self._search_exact(
             field, terms, k, idf, dl, _avgdl(self.stats, field),
             score_mod=mod)
 
@@ -2135,10 +2149,9 @@ class LocalSearcher:
         (``0 < negative_boost < 1`` demotes; ES allows >1 too).
 
         Like function_score, the multiplicative demotion breaks
-        block-max upper-bound admissibility, so this routes through
-        exhaustive accumulation with the demotion applied BEFORE the
-        top-k cut via the ``score_mod`` hook (both accumulation
-        layouts). The negative match set is the union of the negative
+        block-max upper-bound admissibility, so the exact scorer runs
+        with no bound and the demotion applied BEFORE each window's top-k
+        cut via the ``score_mod`` hook. The negative match set is the union of the negative
         terms' posting ids — one sorted-membership test per candidate
         batch, no per-row work."""
         self.refresh()
@@ -2168,7 +2181,7 @@ class LocalSearcher:
             return out
 
         dl = self._dl_for(field)
-        return self._search_or_fulldecode(
+        return self._search_exact(
             field, terms, k, idf, dl, _avgdl(self.stats, field),
             score_mod=mod)
 
@@ -2403,7 +2416,7 @@ class LocalSearcher:
         terms = [t for t in exp if t in idf]
         if not terms:
             return empty
-        return self._search_or_fulldecode(field, terms, k, idf,
+        return self._search_exact(field, terms, k, idf,
                                           self._dl_for(field),
                                           _avgdl(self.stats, field))
 
@@ -2458,21 +2471,23 @@ class LocalSearcher:
     #: ``search`` modes; any other mode raises ValueError
     SEARCH_MODES = ("or", "and", "phrase", "fuzzy", "wildcard")
 
+    #: ``search`` OR strategies; any other value raises ValueError
+    OR_STRATEGIES = ("exact", "pruned")
+
     def search(self, query: str, k: int = 10,
                field: str = DEFAULT_FIELD,
                mode: str = "or",
-               or_strategy: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+               or_strategy: str = "exact") -> tuple[np.ndarray, np.ndarray]:
         """``mode``: one of :attr:`SEARCH_MODES` (fuzzy and wildcard with
         their default parameters).
 
-        ``or_strategy``: 'exact' always decodes every query term's
-        postings (lexicographic accumulation); 'blockmax' runs the
-        disjunctive block-max path; 'auto' picks blockmax when the df skew
-        suggests skipping pays (rare term + long common lists). Scores are
-        bitwise-identical across those three. 'pruned' (OPT-IN, never
-        chosen by auto) serves high-df terms from the statically-pruned
-        sidecar when one is built for this epoch (index/pruned.py) —
-        approximate for dense ORs; see ``last_pruned_bound``.
+        ``or_strategy``: one of :attr:`OR_STRATEGIES`. ``"exact"`` scores
+        with the exact scorer (:meth:`_score_windows`: block-max bounds
+        skip what cannot reach the top-k; scores are the oracle's
+        bitwise). ``"pruned"`` (opt-in) serves high-df terms from the
+        statically-pruned sidecar when one is built for this epoch
+        (index/pruned.py) — approximate for dense ORs; see
+        ``last_pruned_bound``.
 
         Repeated identical requests are served from an exact result cache
         (the ES shard-request-cache analogue): keyed on the full request,
@@ -2481,6 +2496,8 @@ class LocalSearcher:
         latency."""
         if mode not in self.SEARCH_MODES:
             raise ValueError(f"unknown search mode {mode!r}")
+        if or_strategy not in self.OR_STRATEGIES:
+            raise ValueError(f"unknown or_strategy {or_strategy!r}")
         self.refresh()
         rq_key = (mode, field, query, int(k), or_strategy)
         hit = self._request_cache.get(rq_key)
@@ -2502,6 +2519,7 @@ class LocalSearcher:
     def _search_uncached(self, query: str, k: int, field: str, mode: str,
                          or_strategy: str) -> tuple[np.ndarray, np.ndarray]:
         self.last_pruned_bound = 0.0  # only _search_or_pruned sets it
+        self.last_block_stats = (0, 0)  # set by the block-reading paths
         if mode == "fuzzy":
             return self.search_fuzzy(query, k, field)
         if mode == "wildcard":
@@ -2525,36 +2543,7 @@ class LocalSearcher:
         avgdl = _avgdl(self.stats, field)
         if or_strategy == "pruned":  # opt-in approximate (index/pruned.py)
             return self._search_or_pruned(field, terms, k, idf, dl, avgdl)
-        if (or_strategy in ("auto", "blockmax") and len(terms) == 1
-                and self._df_cache.get((field, terms[0]), 0)
-                > self._SINGLE_TERM_BLOCKMAX_MIN_DF):
-            res = self._search_single_term_blockmax(
-                field, terms[0], k, idf, dl, avgdl)
-            if res is not None:
-                return res
-        use_blockmax = or_strategy == "blockmax"
-        if or_strategy == "auto" and len(terms) > 1:
-            # df is already hot: the _idf call above filled _df_cache
-            dfs = sorted(self._df_cache.get((field, t), 0) for t in terms)
-            # skipping pays only when the decode volume is large AND a
-            # genuinely RARE term exists (its idf x max_impact drives the
-            # theta bound up so the giant lists' blocks prune). Measured
-            # at ~100k docs (sum df ~2e5): exact full-decode beats
-            # block-max both cold and warm, so the volume gate sits at
-            # 500k postings. Re-measured at 3.9M docs / 62 segments
-            # (round 4): with a rare term block-max wins 2-7x ('the of a
-            # w0100 w2000': 120 vs 620 ms cold); without one it loses
-            # 3-6x ('data search': 1030 vs 254 ms) — this gate picks
-            # correctly in both regimes. Segment count is the hidden
-            # variable (at 500 segments per-run probe overhead made
-            # block-max lose even WITH a rare term); every commit merges
-            # down to merge.MAX_SEGMENTS, so that regime cannot occur.
-            use_blockmax = (bool(dfs)
-                            and sum(dfs) > 500_000
-                            and dfs[0] * 8 < sum(dfs) - dfs[0])
-        if use_blockmax:
-            return self._search_or_blockmax(field, terms, k, idf, dl, avgdl)
-        return self._search_or_fulldecode(field, terms, k, idf, dl, avgdl)
+        return self._search_exact(field, terms, k, idf, dl, avgdl)
 
     def search_multi(self, query: str, k: int = 10,
                      fields: tuple = (DEFAULT_FIELD,),

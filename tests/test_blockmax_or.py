@@ -1,8 +1,9 @@
-"""Disjunctive block-max WAND (OR path): bitwise parity with the exhaustive
-scorer on every fixture query, plus an actual-skipping assertion on a Zipf
-corpus (rare essential term + long common lists -> most common-term blocks
-never decode). Reference capability: ES executes OR queries with
-block-max WAND (Lucene WANDScorer); repo backlog #2 / VERDICT r1 #6.
+"""The exact scorer's block-max bounds (one window loop for OR and AND):
+bitwise parity with the webtext oracle and with a dense brute force on a
+tombstoned index, plus actual-skipping assertions on a Zipf corpus (a rare
+term's bound lifts the k-th score so that most of a head term's blocks
+never decode). Reference capability: ES executes OR queries with block-max
+WAND / MaxScore (Lucene ``MaxScoreBulkScorer``).
 """
 
 from __future__ import annotations
@@ -10,8 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
+from bm25_brute import brute_topk
 
 from elasticsearch_data_loader_ray import fixtures
+from elasticsearch_data_loader_ray.index import oracle
+from elasticsearch_data_loader_ray.index.append import (
+    append_index,
+    delete_by_query,
+)
 from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
 from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
@@ -19,79 +26,106 @@ N_DOCS = 4000
 
 
 @pytest.fixture(scope="module")
-def index_dir(tmp_path_factory):
+def webtext():
+    return fixtures.generate_webtext(N_DOCS)
+
+
+@pytest.fixture(scope="module")
+def index_dir(tmp_path_factory, webtext):
     src = tmp_path_factory.mktemp("webtext_bm")
-    t = fixtures.generate_webtext(N_DOCS)
-    pq.write_table(t, str(src / "part-0.parquet"))
+    pq.write_table(webtext, str(src / "part-0.parquet"))
     out = str(tmp_path_factory.mktemp("index_bm"))
     build_index(str(src), out, BuildConfig(docs_per_segment=800,
                                            extract_concurrency=2))
     return out
 
 
-def test_blockmax_bitwise_equals_fulldecode(index_dir):
+@pytest.fixture(scope="module")
+def tombstoned_dir(tmp_path_factory):
+    """Base build, a delete_by_query, and an append of new urls plus url
+    upserts: two generations, tombstones in both, and a global avgdl that
+    moved after the base segments' bounds were encoded."""
+    t = fixtures.generate_webtext(2600)
+    src = tmp_path_factory.mktemp("webtext_ts")
+    pq.write_table(t.slice(0, 2000), str(src / "part-0.parquet"))
+    out = str(tmp_path_factory.mktemp("index_ts"))
+    cfg = BuildConfig(docs_per_segment=400, extract_concurrency=2)
+    build_index(str(src), out, cfg)
+    assert delete_by_query(out, "w0042") > 0
+    app = tmp_path_factory.mktemp("webtext_ts_app")
+    pq.write_table(t.slice(100, 200), str(app / "part-0.parquet"))
+    pq.write_table(t.slice(2000, 600), str(app / "part-1.parquet"))
+    append_index(str(app), out, cfg)
+    return out
+
+
+def _same(got, want, label):
+    assert np.asarray(got[0]).tolist() == np.asarray(want[0]).tolist(), label
+    # bitwise: float lists compare exactly
+    assert np.asarray(got[1]).tolist() == np.asarray(want[1]).tolist(), label
+
+
+def test_blockmax_bitwise_equals_fulldecode(index_dir, webtext):
+    """Every fixture query: the exact scorer equals the webtext oracle."""
+    qs = fixtures.generate_queries()
+    ref = oracle.bm25_topk(webtext, qs).to_pandas()
     lo = LocalSearcher(index_dir)
-    for q in fixtures.generate_queries()["query"].to_pylist():
-        ids_f, sc_f = lo.search(q, k=10, or_strategy="exact")
-        ids_b, sc_b = lo.search(q, k=10, or_strategy="blockmax")
-        assert ids_f.tolist() == ids_b.tolist(), q
-        assert sc_f.tolist() == sc_b.tolist(), q  # bitwise
+    for qid, q in zip(qs["query_id"].to_pylist(), qs["query"].to_pylist()):
+        want = ref[ref.query_id == qid].sort_values("rank")
+        _same(lo.search(q, k=10),
+              (want.doc_id.to_numpy(), want.score.to_numpy()), q)
 
 
 def test_blockmax_skips_blocks_on_zipf_corpus(index_dir):
     lo = LocalSearcher(index_dir)
-    # rare tail term drives; the head term's postings span many blocks of
-    # which only the candidate-bearing ones may decode
-    ids, sc = lo.search("the w2000", k=5, or_strategy="blockmax")
+    # the rare term's bound lifts theta: the head term's postings span
+    # many blocks of which only the candidate-bearing ones may decode
+    ids, sc = lo.search("the w2000", k=5)
     decoded, total = lo.last_block_stats
     assert len(ids) > 0
     assert total > 10
     assert decoded < total, (decoded, total)
-    # parity for this query too
-    ids_f, sc_f = lo.search("the w2000", k=5, or_strategy="exact")
-    assert ids.tolist() == ids_f.tolist()
-    assert sc.tolist() == sc_f.tolist()
+    _same((ids, sc), brute_topk(index_dir, "the w2000", 5), "the w2000")
 
 
 def test_blockmax_certificate_grows_essential_set(index_dir):
-    """A query of equal-frequency common terms defeats pruning: the
-    essential set must grow (possibly to all terms) and results stay
-    exact — the fallback correctness path."""
+    """A query of equal-frequency common terms defeats pruning: every term
+    stays essential and results stay exact."""
     lo = LocalSearcher(index_dir)
     q = "the and of to a in"
-    ids_f, sc_f = lo.search(q, k=10, or_strategy="exact")
-    ids_b, sc_b = lo.search(q, k=10, or_strategy="blockmax")
-    assert ids_f.tolist() == ids_b.tolist()
-    assert sc_f.tolist() == sc_b.tolist()
+    _same(lo.search(q, k=10), brute_topk(index_dir, q, 10), q)
 
 
 def test_blockmax_k_larger_than_hits(index_dir):
     lo = LocalSearcher(index_dir)
-    ids_f, sc_f = lo.search("w2000", k=500, or_strategy="exact")
-    ids_b, sc_b = lo.search("w2000", k=500, or_strategy="blockmax")
-    assert ids_f.tolist() == ids_b.tolist()
-    assert sc_f.tolist() == sc_b.tolist()
+    ids, sc = lo.search("w2000", k=500)
+    assert 0 < len(ids) < 500
+    _same((ids, sc), brute_topk(index_dir, "w2000", 500), "w2000")
 
 
-def test_auto_strategy_parity_small_index(index_dir):
-    """auto on a small index keeps the exhaustive path (volume threshold)
-    and must return identical results either way."""
+def test_or_strategy_accepts_exact_and_pruned_only(index_dir):
+    """The exact scorer is the default; a strategy that selects nothing
+    raises like an unknown mode."""
     lo = LocalSearcher(index_dir)
-    ids_a, sc_a = lo.search("the w0042", k=10)  # auto
-    ids_e, sc_e = lo.search("the w0042", k=10, or_strategy="exact")
-    assert ids_a.tolist() == ids_e.tolist()
-    assert sc_a.tolist() == sc_e.tolist()
+    want = lo.search("the w0042", k=10, or_strategy="exact")
+    _same(lo.search("the w0042", k=10), want, "default")
+    for bad in ("auto", "blockmax", "sparse"):
+        with pytest.raises(ValueError, match="or_strategy"):
+            lo.search("the w0042", k=10, or_strategy=bad)
 
 
 def test_blocked_runs_cached_across_queries(index_dir):
-    """The skip paths must serve repeat queries from _blocked_cache: no
-    parquet re-read, and per-query block stats report only NEW decodes
-    (a fully-memoized repeat decodes zero blocks)."""
+    """Repeat queries are served from _blocked_cache and the postings and
+    impact caches: no parquet re-read, and per-query block stats report
+    only NEW decodes. The first query decodes blocks lazily, the second
+    caches the terms it needs most of, a warm repeat decodes zero blocks."""
     lo = LocalSearcher(index_dir)
     q = "the and of to a in"
-    lo.search(q, k=10, or_strategy="blockmax")
+    lo.search(q, k=10)
     assert lo._blocked_cache, "blocked runs not cached"
     first = lo.last_block_stats
+    lo._request_cache.clear()
+    lo.search(q, k=10)
     n_reads = {"n": 0}
     for r in lo._term_readers:
         real = r.lookup
@@ -102,45 +136,77 @@ def test_blocked_runs_cached_across_queries(index_dir):
 
         r.lookup = counting
     # this test probes the layer BELOW the exact-request cache (the
-    # blocked-reader memos), so drop the request cache to force execution
+    # block and impact caches), so drop the request cache to force it
     lo._request_cache.clear()
-    ids1, sc1 = lo.search(q, k=10, or_strategy="blockmax")
-    assert n_reads["n"] == 0, "warm blockmax query re-read parquet"
-    assert lo.last_block_stats[0] == 0  # all blocks were memoized
+    ids1, sc1 = lo.search(q, k=10)
+    assert n_reads["n"] == 0, "warm query re-read parquet"
+    assert lo.last_block_stats[0] == 0  # every term's impacts cached
     assert lo.last_block_stats[1] == first[1]
-    ids2, sc2 = lo.search(q, k=10, or_strategy="exact")
-    assert ids1.tolist() == ids2.tolist()
-    assert sc1.tolist() == sc2.tolist()
+    _same((ids1, sc1), brute_topk(index_dir, q, 10), q)
 
 
-def test_single_term_blockmax_bitwise_parity(index_dir, monkeypatch):
-    """Single-term top-k via ranked block decode (the degenerate WAND
-    case, normally gated to df > 100k) must be bitwise-identical to the
-    exhaustive single-term scorer and must actually skip blocks for a
-    head term where k << df."""
+def test_last_block_stats_follow_every_query(index_dir):
+    """Every scored query sets (blocks decoded, blocks total) of its own
+    terms; an exact OR or a full-decode AND must not report the block
+    counts of the query before it."""
     lo = LocalSearcher(index_dir)
-    monkeypatch.setattr(LocalSearcher, "_SINGLE_TERM_BLOCKMAX_MIN_DF", 0)
+
+    def n_blocks(terms):
+        runs = lo._load_blocked_runs("text", terms)
+        return sum(r.n_blocks for t in terms for r in runs[t])
+
+    lo.search("the w2000", k=10, mode="and")  # block-probe AND path
+    assert lo.last_block_stats[1] == n_blocks(["the", "w2000"])
+    lo.search("news info site", k=10)
+    assert lo.last_block_stats[1] == n_blocks(["info", "news", "site"])
+    lo.search("the of", k=10, mode="and")  # full-decode AND path
+    assert lo.last_block_stats[1] == n_blocks(["of", "the"])
+    lo.search("zzqmissingzz", k=10)
+    assert lo.last_block_stats == (0, 0)
+
+
+def test_single_term_blockmax_bitwise_parity(index_dir):
+    """Single-term top-k equals the brute force and, for a head term
+    with k << df, decodes only the blocks whose bound reaches the k-th
+    score."""
+    lo = LocalSearcher(index_dir)
     for term, k in [("the", 5), ("the", 50), ("of", 10),
                     ("w2000", 5), ("w0042", 3)]:
-        ids_e, sc_e = lo.search(term, k=k, or_strategy="exact")
-        ids_b, sc_b = lo.search(term, k=k, or_strategy="auto")
-        assert ids_e.tolist() == ids_b.tolist(), term
-        assert sc_e.tolist() == sc_b.tolist(), term  # bitwise
-    # head term, tiny k: pruning must engage (most blocks undecoded)
+        _same(lo.search(term, k=k), brute_topk(index_dir, term, k), term)
     lo2 = LocalSearcher(index_dir)
-    lo2.search("the", k=5, or_strategy="auto")
+    lo2.search("the", k=5)
     decoded, total = lo2.last_block_stats
     assert total > 4
     assert decoded < total, (decoded, total)
 
 
-def test_single_term_blockmax_k_exceeds_df(index_dir, monkeypatch):
-    monkeypatch.setattr(LocalSearcher, "_SINGLE_TERM_BLOCKMAX_MIN_DF", 0)
+def test_single_term_blockmax_k_exceeds_df(index_dir):
     lo = LocalSearcher(index_dir)
-    ids_e, sc_e = lo.search("w2000", k=10_000, or_strategy="exact")
-    ids_b, sc_b = lo.search("w2000", k=10_000, or_strategy="auto")
-    assert ids_e.tolist() == ids_b.tolist()
-    assert sc_e.tolist() == sc_b.tolist()
+    _same(lo.search("w2000", k=10_000),
+          brute_topk(index_dir, "w2000", 10_000), "w2000")
+
+
+def test_window_loop_property_on_tombstoned_index(tombstoned_dir,
+                                                  monkeypatch):
+    """Seeded 1-5-term Zipf queries, OR and AND, k in {1, 10, 100,
+    n_docs}, with a window small enough that every query crosses many
+    windows: bitwise equal to the dense brute force over live docs."""
+    monkeypatch.setattr(LocalSearcher, "_WINDOW", 256)
+    rng = np.random.default_rng(13)
+    vocab = np.array(fixtures._vocab(), dtype=object)
+    probs = fixtures._zipf_probs(len(vocab))
+    lo = LocalSearcher(tombstoned_dir)
+    assert len(lo._deleted) > 0
+    checked = 0
+    for _ in range(40):
+        q = " ".join(vocab[rng.choice(len(vocab), rng.integers(1, 6),
+                                      p=probs)])
+        for mode in ("or", "and"):
+            for k in (1, 10, 100, lo.n_docs):
+                want = brute_topk(tombstoned_dir, q, k, mode)
+                _same(lo.search(q, k=k, mode=mode), want, (q, mode, k))
+                checked += len(want[0]) > 0
+    assert checked > 100
 
 
 def test_impact_cache_bounded_and_bitwise(index_dir, monkeypatch):
@@ -160,10 +226,12 @@ def test_impact_cache_bounded_and_bitwise(index_dir, monkeypatch):
             assert ids.tolist() == ids_w
             assert sc.tolist() == sc_w
     assert lo2._contrib_cache_bytes <= 4096
-    # warm cached path (default budget) also bitwise
+    # warm cached path (default budget) also bitwise: a term's impacts
+    # are cached when a second query needs most of its blocks
     lo3 = LocalSearcher(index_dir)
     for q, (ids_w, sc_w) in baseline.items():
         lo3.search(q, k=10, or_strategy="exact")
+        lo3._request_cache.clear()
         ids, sc = lo3.search(q, k=10, or_strategy="exact")
         assert ids.tolist() == ids_w
         assert sc.tolist() == sc_w

@@ -282,13 +282,13 @@ def test_manifest_lineage_fields(index_dir):
 
 
 def test_search_after_windowed_path_tiles(index_dir, monkeypatch):
-    """Cursor filter composes with the windowed-dense accumulator's
-    per-window cut (page-2 hits all score below the page-1 kth)."""
+    """Cursor filter composes with the exact scorer's per-window cut
+    (page-2 hits all score below the page-1 kth), across many windows."""
     from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
     idx, _ = index_dir
     s = LocalSearcher(idx)
-    monkeypatch.setattr(LocalSearcher, "_DENSE_MIN_POSTINGS", 1)
+    monkeypatch.setattr(LocalSearcher, "_WINDOW", 256)
     full_ids, full_sc = s.search("the data search", k=30,
                                  or_strategy="exact")
     pages_ids, pages_sc, cursor = [], [], None
@@ -306,7 +306,7 @@ def test_search_after_windowed_path_tiles(index_dir, monkeypatch):
 def test_function_score_modifier_applied_before_cut(index_dir, monkeypatch):
     """Top-k under the multiplied score == modify-then-sort of the FULL
     exact ranking (the factor reorders docs, so a post-cut modifier would
-    be wrong); sparse and windowed layouts agree bitwise."""
+    be wrong); one window and many windows agree bitwise."""
     from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
     idx, _ = index_dir
@@ -322,7 +322,7 @@ def test_function_score_modifier_applied_before_cut(index_dir, monkeypatch):
     # the modifier must actually reorder at least once on this corpus for
     # the test to be meaningful
     assert got_ids.tolist() != full_ids[:10].tolist()
-    monkeypatch.setattr(LocalSearcher, "_DENSE_MIN_POSTINGS", 1)
+    monkeypatch.setattr(LocalSearcher, "_WINDOW", 256)
     got2_ids, got2_sc = s.search_function_score("the data search", k=10)
     assert got2_ids.tolist() == got_ids.tolist()
     assert got2_sc.tolist() == got_sc.tolist()
@@ -331,8 +331,8 @@ def test_function_score_modifier_applied_before_cut(index_dir, monkeypatch):
 def test_boosting_query_demotes_before_cut(index_dir, monkeypatch):
     """ES boosting query: top-k under positive-BM25 * negative_boost (for
     docs matching the negative query) == demote-then-sort of the FULL
-    exact ranking; docs are demoted, never excluded; both accumulation
-    layouts agree bitwise."""
+    exact ranking; docs are demoted, never excluded; one window and many
+    windows agree bitwise."""
     from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
     idx, _ = index_dir
@@ -353,7 +353,7 @@ def test_boosting_query_demotes_before_cut(index_dir, monkeypatch):
     # stays in the full ranking with a scaled score
     assert hit.any()
     assert got_ids.tolist() != full_ids[:10].tolist()
-    monkeypatch.setattr(LocalSearcher, "_DENSE_MIN_POSTINGS", 1)
+    monkeypatch.setattr(LocalSearcher, "_WINDOW", 256)
     got2_ids, got2_sc = s.search_boosting("the data search", "news",
                                           negative_boost=0.3, k=10)
     assert got2_ids.tolist() == got_ids.tolist()

@@ -8,6 +8,10 @@ round-5 pruned-path comparison:
   build_pruned_postings -> fresh searcher -> 24-query mix (fixture queries + head-term ORs + needle+haystack + a
   miss): cold pass then 2 warm passes per strategy, plus pruned-vs-exact
   top-10 fidelity (overlap + score error + the per-query error bound).
+  Per strategy it reports latency percentiles over all passes, each
+  query's cold latency and warm median, and the mean of the warm medians
+  (a percentile over 48 warm samples of 24 queries falls between query
+  classes and moves between runs of the same code).
 
 Usage: python tools/serve_bench.py            # prints one JSON line
 Env: EDLR_SERVE_DOCS (3875000), EDLR_SERVE_SEGDOCS (8000),
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -89,10 +94,11 @@ def main_impl(ray) -> None:
     out: dict = {"n_docs": N_DOCS, "seg_docs": SEG_DOCS, "queries": len(qs),
                  "pruned_lists": n_lists, "min_df": MIN_DF,
                  "keep_frac": FRAC, **timings}
-    for strategy in ("auto", "pruned"):
+    for strategy in ("exact", "pruned"):
         s = LocalSearcher(idx)  # fresh bind per strategy: cold caches
         lat_cold, lat_warm = [], []
         per_q = {}
+        warm_q: dict[str, list[float]] = {q: [] for q in qs}
         for rnd in range(3):
             s._request_cache.clear()
             for q in qs:
@@ -102,8 +108,12 @@ def main_impl(ray) -> None:
                 (lat_cold if rnd == 0 else lat_warm).append(dt)
                 if rnd == 0:
                     per_q[q] = round(dt * 1000, 1)
+                else:
+                    warm_q[q].append(dt * 1000)
         lat_cold.sort()
         lat_warm.sort()
+        warm_med = {q: round(statistics.median(v), 2)
+                    for q, v in warm_q.items()}
         out[strategy] = {
             "cold_p50_ms": round(1000 * lat_cold[len(lat_cold) // 2], 1),
             "cold_p95_ms": round(
@@ -113,6 +123,9 @@ def main_impl(ray) -> None:
                 1000 * lat_warm[int(0.95 * len(lat_warm)) - 1], 1),
             "cold_worst_ms": round(1000 * lat_cold[-1], 1),
             "cold_per_query_ms": per_q,
+            "warm_per_query_median_ms": warm_med,
+            "warm_median_mean_ms": round(
+                statistics.mean(warm_med.values()), 2),
         }
     # fidelity: pruned vs exact top-10
     s = LocalSearcher(idx)
