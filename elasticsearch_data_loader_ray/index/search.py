@@ -195,13 +195,18 @@ class _Blocked:
         missing ones together. A fully decoded span from ``bs[0]`` to
         ``bs[-1]`` comes back whole, as views: the blocks between only add
         true contributions."""
+        if len(bs) == self.n_blocks and (self.have is None
+                                         or not self.have.all()):
+            # the whole run: one pass (re-decoding the few blocks decoded
+            # before beats gathering around them)
+            self.blocks_decoded += self.n_blocks - (
+                0 if self.have is None else int(self.have.sum()))
+            self.ids, self.tfs = codec.decode_postings(
+                self.doc_enc, self.tf_enc, self.df)
+            self.have = np.ones(self.n_blocks, dtype=bool)
+            self.start = None
+            return self.ids, self.tfs
         if self.have is None:
-            if len(bs) == self.n_blocks:
-                self.ids, self.tfs = codec.decode_postings(
-                    self.doc_enc, self.tf_enc, self.df)
-                self.have = np.ones(self.n_blocks, dtype=bool)
-                self.blocks_decoded += self.n_blocks
-                return self.ids, self.tfs
             # postings per block: its bytes without the continuation bit
             n = np.add.reduceat(
                 np.frombuffer(self.doc_enc, np.uint8) < 0x80,
