@@ -417,9 +417,13 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
         docs_cols[f"doc_len_{fname}"] = pa.array(f_dl, pa.int32())
         field_dl_sums[fname] = int(f_dl64.sum())
 
+    if len(field_tables) > 1:
+        # each table is one field, ascending by term: ordered by field
+        # name, the segment is (field, term)-sorted like a merged one, so
+        # its row groups' (field, term) bounds stay narrow
+        field_tables.sort(key=lambda t: t["field"][0].as_py()
+                          if t.num_rows else "")
     terms_out = pa.concat_tables(field_tables).combine_chunks()
-    # within a field terms are sorted; keep field-major order for row-group
-    # pruning on (field, term)
     docs_out = pa.table(docs_cols)
     _write_segment_files(index_dir, seg_id, terms_out, docs_out,
                          cfg.index_block_rows)

@@ -270,132 +270,6 @@ def build_posting_table(
     }
 
 
-class BlockedPostings:
-    """Lazy per-block reader over one term's encoded postings.
-
-    ``block_last`` gives each block's max doc id (ascending across blocks);
-    ``doc_offs``/``tf_offs`` are byte offsets of each block's start within
-    the term's encoded streams. Blocks decode on demand and are cached —
-    the block-max WAND building block: skip whole blocks via ``block_last``
-    without touching their bytes.
-    """
-
-    def __init__(self, doc_enc: bytes, tf_enc: bytes, df: int,
-                 block_last: np.ndarray, doc_offs: np.ndarray,
-                 tf_offs: np.ndarray):
-        self.doc_enc = doc_enc
-        self.tf_enc = tf_enc
-        self.df = int(df)
-        self.block_last = block_last
-        self.doc_offs = doc_offs
-        self.tf_offs = tf_offs
-        self.n_blocks = len(block_last)
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._full: tuple[np.ndarray, np.ndarray] | None = None
-        self.blocks_decoded = 0
-
-    def block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode block ``b`` -> (doc_ids asc, tfs). First gap of a block
-        b>0 is relative to the previous block's last doc id. Blocks are
-        self-delimiting (byte-offset bounded) — no fixed 128 count is
-        assumed, so merged lists with short interior tail blocks decode
-        correctly."""
-        got = self._cache.get(b)
-        if got is not None:
-            return got
-        d_end = (int(self.doc_offs[b + 1]) if b + 1 < self.n_blocks
-                 else len(self.doc_enc))
-        t_end = (int(self.tf_offs[b + 1]) if b + 1 < self.n_blocks
-                 else len(self.tf_enc))
-        gaps = varint_decode(np.frombuffer(
-            self.doc_enc[int(self.doc_offs[b]):d_end], dtype=np.uint8))
-        tfs = varint_decode(np.frombuffer(
-            self.tf_enc[int(self.tf_offs[b]):t_end], dtype=np.uint8))
-        assert len(gaps) == len(tfs), (len(gaps), len(tfs))
-        ids = np.cumsum(gaps.astype(np.int64))
-        if b > 0:
-            ids += int(self.block_last[b - 1])
-        out = (ids, tfs.astype(np.int64))
-        self._cache[b] = out
-        self.blocks_decoded += 1
-        return out
-
-    def lookup(self, doc_id: int) -> int:
-        """tf of ``doc_id`` in this posting list, or 0 — decodes only the
-        one block that could contain it."""
-        if self._full is not None:
-            ids, tfs = self._full
-        else:
-            b = int(np.searchsorted(self.block_last, doc_id))
-            if b >= self.n_blocks:
-                return 0
-            ids, tfs = self.block(b)
-        j = int(np.searchsorted(ids, doc_id))
-        if j < len(ids) and int(ids[j]) == doc_id:
-            return int(tfs[j])
-        return 0
-
-    def decode_full(self) -> tuple[np.ndarray, np.ndarray]:
-        """Whole-list decode in two vectorized passes (cached): block gap
-        streams chain (block b>0's first gap is relative to block b-1's
-        last id), so ONE global cumsum over the concatenated gaps
-        reconstructs absolute ids across every block."""
-        if self._full is None:
-            gaps = varint_decode(np.frombuffer(self.doc_enc, dtype=np.uint8))
-            tfs = varint_decode(np.frombuffer(self.tf_enc, dtype=np.uint8))
-            ids = np.cumsum(gaps.astype(np.int64))
-            self._full = (ids, tfs.astype(np.int64))
-            self.blocks_decoded = self.n_blocks
-        return self._full
-
-    def lookup_many(self, doc_ids: np.ndarray) -> np.ndarray:
-        """Vectorized membership+tf for ascending candidate doc ids.
-
-        Decodes only blocks containing at least one candidate — unless the
-        candidates hit more than a third of the blocks, where per-block
-        decode overhead exceeds one whole-list decode (the measured
-        pathology: a rare term's candidates spread uniformly touch every
-        common term's block; 17k per-block decodes vs one two-pass bulk
-        decode). Candidates are ascending, so per-block groups are
-        contiguous slices, not O(n) masks."""
-        out = np.zeros(len(doc_ids), dtype=np.int64)
-        if len(doc_ids) == 0:
-            return out
-
-        def _fill(sel: np.ndarray, ids: np.ndarray, tfs: np.ndarray,
-                  cand: np.ndarray) -> None:
-            pos = np.searchsorted(ids, cand)
-            ok = pos < len(ids)
-            pos_c = np.clip(pos, 0, len(ids) - 1)
-            ok &= ids[pos_c] == cand
-            vals = np.zeros(len(cand), dtype=np.int64)
-            vals[ok] = tfs[pos_c][ok]
-            out[sel] = vals
-
-        if self._full is not None:
-            ids, tfs = self._full
-            _fill(slice(None), ids, tfs, doc_ids)
-            return out
-        blocks = np.searchsorted(self.block_last, doc_ids)
-        uniq, first = np.unique(blocks, return_index=True)
-        n_needed = int((uniq < self.n_blocks).sum())
-        # absolute floor keeps genuinely sparse probes lazy — bulk decode
-        # only pays off once per-block Python overhead (~30 us x blocks)
-        # beats the two-pass whole-list decode
-        if n_needed > 32 and 3 * n_needed > self.n_blocks:
-            ids, tfs = self.decode_full()
-            _fill(slice(None), ids, tfs, doc_ids)
-            return out
-        bounds = np.r_[first, len(doc_ids)]
-        for i, b in enumerate(uniq):
-            if b >= self.n_blocks:
-                continue
-            sel = slice(int(bounds[i]), int(bounds[i + 1]))
-            ids, tfs = self.block(int(b))
-            _fill(sel, ids, tfs, doc_ids[sel])
-        return out
-
-
 def block_lists(table: dict) -> tuple[list[list[int]], list[list[float]]]:
     """Per-term block metadata as Python lists (test/debug convenience)."""
     offs = table["block_offsets"]

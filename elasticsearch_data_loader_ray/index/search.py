@@ -30,9 +30,11 @@ and block that cannot reach the running k-th score (Lucene's
 ``MaxScoreBulkScorer`` shape), and a skipped block is never decoded.
 ``or_strategy`` is ``"exact"`` or the opt-in approximate ``"pruned"``
 (index/pruned.py), which runs the same loop over the pruned sidecar's
-postings. AND queries whose rarest term is far rarer than the rest probe
-the other terms at its docs instead (:meth:`LocalSearcher.
-_search_and_blockskip`), with the same scores.
+postings. Every reader of a term's postings (the loop, matched sets, bool,
+multi_match, boosting, prefix, wildcard/regexp and explain) takes them
+from one per-(field, term) cache of :class:`_Blocked` runs, so a term's
+dictionary row and bytes are read once per epoch and a block is decoded
+once, where it is stored.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def _decode_blocks(r: "_Blocked", bs: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(doc ids, tfs) of the ascending blocks ``bs`` of ``r``, decoded in
-    one vectorized pass; each block's ids restart from the previous
-    block's last id, as in :meth:`codec.BlockedPostings.block`."""
+    one vectorized pass; a block's first gap is relative to the previous
+    block's last id (``block_last``), so blocks decode independently."""
     nb = r.n_blocks
     nxt = np.minimum(bs + 1, nb - 1)
     d_lo = r.doc_offs[bs]
@@ -167,14 +169,14 @@ class _Blocked:
     per term and segment."""
 
     __slots__ = ("doc_enc", "tf_enc", "df", "meta", "blocks_decoded",
-                 "start", "have", "ids", "tfs", "_reader")
+                 "start", "have", "ids", "tfs")
 
     def __init__(self, doc_enc: bytes, tf_enc: bytes, df: int,
                  meta: np.ndarray):
         self.doc_enc, self.tf_enc, self.df, self.meta = (
             doc_enc, tf_enc, df, meta)
         self.blocks_decoded = 0
-        self.start = self.have = self.ids = self.tfs = self._reader = None
+        self.start = self.have = self.ids = self.tfs = None
 
     block_last = property(lambda self: self.meta[0])
     doc_offs = property(lambda self: self.meta[1])
@@ -183,12 +185,12 @@ class _Blocked:
     block_lo = property(lambda self: self.meta[4])
     n_blocks = property(lambda self: self.meta.shape[1])
 
-    def reader(self) -> codec.BlockedPostings:
-        """The per-block reader of the AND probe path (made once)."""
-        if self._reader is None:
-            self._reader = codec.BlockedPostings(self.doc_enc, self.tf_enc,
-                                                 self.df, *self.meta[:3])
-        return self._reader
+    def whole(self) -> tuple[np.ndarray, np.ndarray]:
+        """(doc ids, tfs) of the whole run, decoded once; a whole run
+        (``blocks_decoded`` counts each block once) comes back as is."""
+        if self.blocks_decoded < self.n_blocks:
+            self.get(np.arange(self.n_blocks))
+        return self.ids, self.tfs
 
     def get(self, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(doc ids, tfs) of the ascending blocks ``bs``, decoding the
@@ -833,10 +835,10 @@ def expand_prefix(index_dir: str, field: str, prefix: str,
 
 
 class SortedTermFile:
-    """Reader of one immutable parquet file of (field, term) rows, grouped
-    by field and ascending by term within each field: a segment's term
-    table, a ``term_stats`` part or a pruned-postings part — Lucene's
-    terms index, which stays open for a segment's life.
+    """Reader of one immutable parquet file of (field, term)-sorted rows:
+    a segment's term table, a ``term_stats`` part or a pruned-postings
+    part — Lucene's terms index, which stays open for a segment's life.
+    Lookups need only each field's rows ascending by term.
 
     The file is opened once; the open handle keeps reading this file's
     bytes after its path is replaced or unlinked. The footer's per row
@@ -1065,17 +1067,13 @@ class LocalSearcher:
         self.term_schema = readers[0].schema if n else None
         self._dl: dict[str, np.ndarray] = {}
         self._idf_cache: dict[tuple[str, str], float | None] = {}
-        self._df_cache: dict[tuple[str, str], int] = {}
-        # hot postings cache (serving path): decoded runs per (field, term),
-        # FIFO-evicted; repeated/overlapping queries skip the parquet read
-        self._postings_cache: dict[tuple[str, str], list] = {}
+        # the one postings store: per (field, term) its _Blocked runs
+        # (encoded bytes, block metadata, the blocks decoded so far),
+        # FIFO-evicted; every reader of a term's postings goes through
+        # _load_blocked_runs, so a term is read and each block decoded
+        # once per epoch
+        self._postings_cache: dict[tuple[str, str], list[_Blocked]] = {}
         self._postings_cache_cap = 8192
-        # blocked-reader cache for the exact scorer and the AND probe
-        # path: encoded bytes + block metadata per (field, term); readers
-        # memoize decoded blocks, so repeated queries skip both the
-        # parquet read AND re-decoding hot blocks
-        self._blocked_cache: dict[tuple[str, str], list[tuple]] = {}
-        self._blocked_cache_cap = 8192
         # impact cache: per-(field, term) BM25 contribution arrays
         # (idf * tf-impact per posting) — query-INDEPENDENT, so warm
         # hot-term OR queries reduce to scatter-add + top-k (the dl
@@ -1223,9 +1221,7 @@ class LocalSearcher:
         float64 (raw microseconds would not be); docs with a null value
         get NaN (decay treats them as non-matching the function, ES
         skip-missing)."""
-        cache = getattr(self, "_dv_num_cache", None)
-        if cache is None:
-            cache = self._dv_num_cache = {}
+        cache = self._dv_num_cache
         if column in cache:
             return cache[column]
         import uuid as _uuid
@@ -1312,115 +1308,24 @@ class LocalSearcher:
 
     def _idf(self, field: str, terms: list[str]) -> dict[str, float]:
         """idf of the looked-up ``terms`` present in the bound epoch's
-        term_stats (global df, the bound ``n_docs``); fills ``_df_cache``
-        with every looked-up term's df (0 when absent)."""
+        term_stats (global df, the bound ``n_docs``), cached per epoch
+        (None for an absent term)."""
         missing = [t for t in terms if (field, t) not in self._idf_cache]
         if missing:
-            got, dfs = _global_idf(self._stats_readers, {field: missing},
-                                   self.n_docs)
+            got, _dfs = _global_idf(self._stats_readers, {field: missing},
+                                    self.n_docs)
             for t in missing:
                 self._idf_cache[(field, t)] = got.get((field, t))
-                self._df_cache[(field, t)] = dfs.get((field, t), 0)
         return {t: v for t in terms
                 if (v := self._idf_cache.get((field, t))) is not None}
 
-    def _search_and_blockskip(self, field: str, terms: list[str], k: int,
-                              idf: dict[str, float], dl: np.ndarray,
-                              avgdl: float) -> tuple[np.ndarray, np.ndarray]:
-        """Conjunctive top-k with block-max skipping.
-
-        The rarest term drives; every other term is probed via
-        ``BlockedPostings.lookup_many`` which decodes ONLY the 128-posting
-        blocks that can contain a surviving candidate (``block_last_doc``
-        binary search — the WAND skipping primitive). Scores accumulate per
-        term in lexicographic order, so results are bitwise-identical to the
-        exact scorer's. ``self.last_block_stats`` records
-        (blocks_decoded, blocks_total) for observability.
-        """
-        # cost model: probing costs ~driver_df per other term and loses the
-        # vectorized-decode advantage (~8x); skip-read only pays when the
-        # driver is selective relative to the other lists. df is the global
-        # one the caller's _idf call put in _df_cache (no read at all); the
-        # path choice never changes results, both paths are bitwise equal.
-        dfs = [self._df_cache.get((field, t), 0) for t in terms]
-        min_df = min(dfs)
-        if min_df == 0:
-            self.last_block_stats = (0, 0)
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        other_total = sum(dfs) - min_df
-        if min_df * 8 * max(1, len(terms) - 1) >= other_total:
-            return self._search_exact(field, terms, k, idf, dl, avgdl,
-                                      mode="and")
-        runs = self._load_blocked_runs(field, terms)
-        readers: dict[str, list[codec.BlockedPostings]] = {
-            t: [r.reader() for r in runs[t]] for t in terms}
-        if any(not rs for rs in readers.values()):
-            self.last_block_stats = (0, 0)
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        dec0 = sum(r.blocks_decoded for rs in readers.values() for r in rs)
-        df_of = {t: sum(r.df for r in readers[t]) for t in terms}
-        driver = min(terms, key=lambda t: df_of[t])
-        # driver decodes fully; every other term probed lazily
-        cand = np.concatenate([r.block(b)[0] for r in readers[driver]
-                               for b in range(r.n_blocks)])
-        if len(self._deleted):
-            cand = cand[_drop_deleted(self._deleted, cand)]
-        others = [t for t in terms if t != driver]
-        others.sort(key=lambda t: df_of[t])  # rarest first: shrink fastest
-        tf_by_term: dict[str, np.ndarray] = {}
-        def probe(t: str, cand: np.ndarray) -> np.ndarray:
-            """tf per candidate: runs are ordered disjoint ranges, so slice
-            the (ascending) candidate array per run instead of scanning the
-            whole set against every run."""
-            runs = readers[t]
-            if len(runs) == 1:
-                return runs[0].lookup_many(cand)
-            out = np.zeros(len(cand), dtype=np.int64)
-            lo = 0
-            for r in runs:
-                hi = int(np.searchsorted(cand, int(r.block_last[-1]), "right"))
-                if hi > lo:
-                    out[lo:hi] = r.lookup_many(cand[lo:hi])
-                lo = hi
-                if lo >= len(cand):
-                    break
-            return out
-
-        for t in others:
-            tfs = probe(t, cand)
-            keep = tfs > 0
-            cand = cand[keep]
-            tf_by_term[t] = tfs[keep]
-            for u in others:
-                if u in tf_by_term and u != t:
-                    tf_by_term[u] = tf_by_term[u][keep]
-            if len(cand) == 0:
-                break
-        blocks_decoded = sum(r.blocks_decoded for rs in readers.values()
-                             for r in rs) - dec0
-        blocks_total = sum(r.n_blocks for rs in readers.values() for r in rs)
-        self.last_block_stats = (blocks_decoded, blocks_total)
-        if len(cand) == 0:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        # driver tfs for surviving candidates
-        tf_by_term[driver] = probe(driver, cand)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for t in terms:  # lexicographic order -> bitwise-stable accumulation
-            scores += idf[t] * codec.bm25_tf_impact(
-                tf_by_term[t].astype(np.float64), dl[cand], avgdl)
-        if len(cand) > k:
-            kth = np.partition(scores, -k)[-k]
-            keep = scores >= kth
-            cand, scores = cand[keep], scores[keep]
-        order = np.lexsort((cand, -scores))[:k]
-        return cand[order].astype(np.int64), scores[order]
-
     def _load_blocked_runs(self, field: str, terms: list[str]
                            ) -> dict[str, list[_Blocked]]:
-        """:class:`_Blocked` runs per term, sorted by doc range. Served from
-        ``_blocked_cache`` — only terms not yet cached touch parquet (warm
-        path does no I/O), and decoded blocks stay with their run."""
-        missing = [t for t in terms if (field, t) not in self._blocked_cache]
+        """:class:`_Blocked` runs per term, sorted by doc range (``[]`` for
+        a term absent from the bound segments), from ``_postings_cache``:
+        only terms not yet cached read their dictionary rows and postings
+        bytes, and decoded blocks stay with their run."""
+        missing = [t for t in terms if (field, t) not in self._postings_cache]
         if missing:
             tt = self._read_terms(
                 ["term", "df", "block_last_doc", "block_max_impact",
@@ -1451,10 +1356,10 @@ class LocalSearcher:
                 fresh[t].append(_Blocked(d_enc, t_enc, df, meta[:, a:b]))
             for t in missing:
                 fresh[t].sort(key=lambda r: int(r.block_lo[0]))
-                while len(self._blocked_cache) >= self._blocked_cache_cap:
-                    self._blocked_cache.pop(next(iter(self._blocked_cache)))
-                self._blocked_cache[(field, t)] = fresh[t]
-        return {t: self._blocked_cache[(field, t)] for t in terms}
+                while len(self._postings_cache) >= self._postings_cache_cap:
+                    self._postings_cache.pop(next(iter(self._postings_cache)))
+                self._postings_cache[(field, t)] = fresh[t]
+        return {t: self._postings_cache[(field, t)] for t in terms}
 
     #: doc ids per window of the exact scorer (a 2 MiB float64 buffer)
     _WINDOW = 1 << 18
@@ -1487,13 +1392,9 @@ class LocalSearcher:
 
     def _warm(self, field: str, t: str, trs: list, idf: dict,
               dl: np.ndarray, avgdl: float) -> None:
-        """Set the runs of ``t`` warm: postings through the postings cache,
-        impacts through the impact cache."""
-        key = (field, t)
-        post = self._postings_cache.get(key)
-        if post is None:
-            post = [r.blk.get(np.arange(len(r.last))) for r in trs]
-            self._cache_postings(key, post)
+        """Set the runs of ``t`` warm: postings decoded whole, impacts
+        through the impact cache."""
+        post = [r.blk.whole() for r in trs]
         con = self._contribs_for(field, [t], {t: post}, idf, dl, avgdl)[t]
         for r, (ids, _tfs), c in zip(trs, post, con):
             r.ids, r.con = ids, c
@@ -1595,9 +1496,7 @@ class LocalSearcher:
         if not terms or (mode == "and" and len(terms) < n_terms):
             return empty
         for t in terms:  # cached impacts: the windows slice them
-            if ((field, t) in self._contrib_cache
-                    and (field, t) in self._postings_cache
-                    and runs[t][0].ids is None):
+            if (field, t) in self._contrib_cache and runs[t][0].ids is None:
                 self._warm(field, t, runs[t], idf, dl, avgdl)
         theta = -np.inf
         if score_mod is None and after is None and mode == "or" and k > 0:
@@ -1769,45 +1668,10 @@ class LocalSearcher:
 
     def _postings_for(self, field: str, terms: list[str]
                       ) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
-        """Decoded postings per term through the FIFO cache, runs in
-        doc-id order."""
-        by_term: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-        missing = []
-        for t in terms:
-            cached = self._postings_cache.get((field, t))
-            if cached is not None:
-                by_term[t] = cached
-            else:
-                missing.append(t)
-        if missing:
-            tt = self._read_terms(["term", "df"], {field: missing})
-            n = tt.num_rows
-            doc_col, tf_col = tt["doc_ids_enc"], tt["tfs_enc"]
-            df_col = tt["df"].to_numpy()
-            term_col = tt["term"].to_pylist()
-
-            def _dec(i: int):
-                return codec.decode_postings(
-                    doc_col[i].as_py(), tf_col[i].as_py(), int(df_col[i]))
-
-            # serial on purpose: the varint kernel is a chain of short
-            # numpy ops that never release the GIL long enough to win —
-            # measured 123 ms serial vs 138/163/249 ms at 2/4/8 threads
-            # for a 7M-posting query at 4M docs
-            for i in range(n):
-                by_term.setdefault(term_col[i], []).append(_dec(i))
-            for t in missing:
-                runs = sorted(by_term.get(t, []), key=lambda r: int(r[0][0]))
-                by_term[t] = runs
-                self._cache_postings((field, t), runs)
-        return by_term
-
-    def _cache_postings(self, key: tuple[str, str], runs: list) -> None:
-        """FIFO insert into the postings cache; ``runs`` in doc-id order,
-        the order of :meth:`_load_blocked_runs`."""
-        if len(self._postings_cache) >= self._postings_cache_cap:
-            self._postings_cache.pop(next(iter(self._postings_cache)))
-        self._postings_cache[key] = runs
+        """(doc ids, tfs) per run of each term, runs in doc-id order, each
+        decoded whole in the postings cache."""
+        runs = self._load_blocked_runs(field, terms)
+        return {t: [r.whole() for r in runs[t]] for t in terms}
 
     def matched_ids(self, field: str, terms: list[str], mode: str = "or"
                     ) -> np.ndarray:
@@ -1815,8 +1679,9 @@ class LocalSearcher:
         their union for ``mode="or"`` (ES match default), their
         intersection for ``"and"`` (operator=and). The whole matched set,
         unscored and uncut, as aggregations, exports and deletes consume
-        it. Postings come through :meth:`_postings_for` (one read, shared
-        cache); tombstoned docs are dropped."""
+        it. Postings come decoded whole from the postings cache
+        (:meth:`_postings_for`), shared with every scorer; tombstoned docs
+        are dropped."""
         check_match_mode(mode)
         self.refresh()
         uniq = sorted(set(terms))
@@ -2050,17 +1915,11 @@ class LocalSearcher:
         avgdl = _avgdl(self.stats, field)
         parts = []
         total = 0.0
-        for t in sorted(tt for tt in terms if tt in idf):
+        live = [t for t in terms if t in idf]
+        by_term = self._postings_for(field, live)
+        for t in live:
             tf = 0
-            cached = self._postings_cache.get((field, t))
-            runs = cached
-            if runs is None:
-                tbl = self._read_terms(["term", "df"], {field: [t]})
-                runs = []
-                for i in range(tbl.num_rows):
-                    runs.append(codec.decode_postings(
-                        tbl["doc_ids_enc"][i].as_py(), tbl["tfs_enc"][i].as_py(),
-                        int(tbl["df"][i].as_py())))
+            runs = by_term[t]
             for ids, tfs in runs:
                 j = int(np.searchsorted(ids, doc_id))
                 if j < len(ids) and int(ids[j]) == doc_id:
@@ -2195,9 +2054,7 @@ class LocalSearcher:
         all bound segments (exists-filter support) — built lazily once
         per column (ensures the doc-values shards exist), O(missing
         docs) memory."""
-        cache = getattr(self, "_null_dv_cache", None)
-        if cache is None:
-            cache = self._null_dv_cache = {}
+        cache = self._null_dv_cache
         if column not in cache:
             from .aggs import build_doc_values
 
@@ -2539,9 +2396,9 @@ class LocalSearcher:
             if (len(terms) != len(all_terms) or not terms
                     or not self.term_files):
                 return np.empty(0, np.int64), np.empty(0, np.float64)
-            return self._search_and_blockskip(
+            return self._search_exact(
                 field, terms, k, idf, self._dl_for(field),
-                _avgdl(self.stats, field))
+                _avgdl(self.stats, field), mode="and")
         if not terms or not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         dl = self._dl_for(field)

@@ -65,6 +65,20 @@ def _same(got, want, label):
     assert np.asarray(got[1]).tolist() == np.asarray(want[1]).tolist(), label
 
 
+def _count_term_lookups(lo) -> dict:
+    """Count the searcher's term-dictionary lookups from now on."""
+    n = {"n": 0}
+    for r in lo._term_readers:
+        real = r.lookup
+
+        def counting(*a, _real=real, **kw):
+            n["n"] += 1
+            return _real(*a, **kw)
+
+        r.lookup = counting
+    return n
+
+
 def test_blockmax_bitwise_equals_fulldecode(index_dir, webtext):
     """Every fixture query: the exact scorer equals the webtext oracle."""
     qs = fixtures.generate_queries()
@@ -115,26 +129,18 @@ def test_or_strategy_accepts_exact_and_pruned_only(index_dir):
 
 
 def test_blocked_runs_cached_across_queries(index_dir):
-    """Repeat queries are served from _blocked_cache and the postings and
-    impact caches: no parquet re-read, and per-query block stats report
+    """Repeat queries are served from the postings cache (blocked runs)
+    and the impact cache: no parquet re-read, and per-query block stats report
     only NEW decodes. The first query decodes blocks lazily, the second
     caches the terms it needs most of, a warm repeat decodes zero blocks."""
     lo = LocalSearcher(index_dir)
     q = "the and of to a in"
     lo.search(q, k=10)
-    assert lo._blocked_cache, "blocked runs not cached"
+    assert lo._postings_cache, "blocked runs not cached"
     first = lo.last_block_stats
     lo._request_cache.clear()
     lo.search(q, k=10)
-    n_reads = {"n": 0}
-    for r in lo._term_readers:
-        real = r.lookup
-
-        def counting(*a, _real=real, **kw):
-            n_reads["n"] += 1
-            return _real(*a, **kw)
-
-        r.lookup = counting
+    n_reads = _count_term_lookups(lo)
     # this test probes the layer BELOW the exact-request cache (the
     # block and impact caches), so drop the request cache to force it
     lo._request_cache.clear()
@@ -145,21 +151,51 @@ def test_blocked_runs_cached_across_queries(index_dir):
     _same((ids1, sc1), brute_topk(index_dir, q, 10), q)
 
 
+def test_every_reader_shares_one_postings_read(index_dir):
+    """matched_ids, an OR and an AND top-k and explain take a term's
+    postings from one cache: after the first of them reads the terms'
+    dictionary rows, the others read none, in either order, and every
+    answer equals a fresh searcher's."""
+    fresh = LocalSearcher(index_dir)
+    doc = int(fresh.search("the data", k=1)[0][0])
+    calls = [
+        ("matched", lambda lo: lo.matched_ids("text", ["data", "the"])),
+        ("or", lambda lo: lo.search("the data")),
+        ("and", lambda lo: lo.search("the data", mode="and")),
+        ("explain", lambda lo: lo.explain("the data", doc)),
+    ]
+    want = {name: fn(LocalSearcher(index_dir)) for name, fn in calls}
+    for order in (calls, calls[::-1]):
+        lo = LocalSearcher(index_dir)
+        n = None
+        for name, fn in order:
+            got = fn(lo)
+            if n is None:
+                n = _count_term_lookups(lo)
+            if name == "matched":
+                assert got.tolist() == want[name].tolist()
+            elif name == "explain":
+                assert got == want[name]
+            else:
+                _same(got, want[name], name)
+        assert n["n"] == 0, [name for name, _fn in order]
+
+
 def test_last_block_stats_follow_every_query(index_dir):
     """Every scored query sets (blocks decoded, blocks total) of its own
-    terms; an exact OR or a full-decode AND must not report the block
-    counts of the query before it."""
+    terms; an OR or AND query must not report the block counts of the
+    query before it."""
     lo = LocalSearcher(index_dir)
 
     def n_blocks(terms):
         runs = lo._load_blocked_runs("text", terms)
         return sum(r.n_blocks for t in terms for r in runs[t])
 
-    lo.search("the w2000", k=10, mode="and")  # block-probe AND path
+    lo.search("the w2000", k=10, mode="and")  # rare-term AND
     assert lo.last_block_stats[1] == n_blocks(["the", "w2000"])
     lo.search("news info site", k=10)
     assert lo.last_block_stats[1] == n_blocks(["info", "news", "site"])
-    lo.search("the of", k=10, mode="and")  # full-decode AND path
+    lo.search("the of", k=10, mode="and")  # head-term AND
     assert lo.last_block_stats[1] == n_blocks(["of", "the"])
     lo.search("zzqmissingzz", k=10)
     assert lo.last_block_stats == (0, 0)

@@ -112,7 +112,11 @@ def test_block_boundaries_multi_block():
     assert out_ids.tolist() == ids.tolist()
 
 
-def test_blocked_postings_lazy_decode():
+def test_blocked_run_lazy_decode():
+    """The searcher's per-run postings store decodes only the blocks asked
+    for, and a whole run equals the reference decode."""
+    from elasticsearch_data_loader_ray.index.search import _Blocked
+
     n = 700
     terms = np.array(["t"] * n, dtype=object)
     ids = np.arange(3, 3 + 5 * n, 5, dtype=np.int64)
@@ -121,39 +125,42 @@ def test_blocked_postings_lazy_decode():
     table = codec.build_posting_table(terms, ids, tfs, dls, 10.0)
     blast, _ = codec.block_lists(table)
     offs = table["block_offsets"]
-    bp = codec.BlockedPostings(
-        table["doc_ids_enc"][0], table["tfs_enc"][0], n,
-        np.array(blast[0]),
+    last = np.array(blast[0], dtype=np.int64)
+    meta = np.stack([
+        last,
         table["block_doc_off_flat"][offs[0]:offs[1]],
         table["block_tf_off_flat"][offs[0]:offs[1]],
-    )
-    assert bp.n_blocks == (n + codec.BLOCK_SIZE - 1) // codec.BLOCK_SIZE
+        table["block_max_flat"][offs[0]:offs[1]].view(np.int64),
+        np.r_[0, last[:-1] + 1],
+    ]).astype(np.int64)
+
+    def run():
+        return _Blocked(table["doc_ids_enc"][0], table["tfs_enc"][0], n, meta)
+
+    r = run()
+    assert r.n_blocks == (n + codec.BLOCK_SIZE - 1) // codec.BLOCK_SIZE
     # every block decodes to the right slice
-    for b in range(bp.n_blocks):
-        got_ids, got_tfs = bp.block(b)
+    for b in range(r.n_blocks):
+        got_ids, got_tfs = r.get(np.array([b]))
         s = b * codec.BLOCK_SIZE
         e = min(n, s + codec.BLOCK_SIZE)
         assert got_ids.tolist() == ids[s:e].tolist()
         assert got_tfs.tolist() == tfs[s:e].tolist()
-    # lazy lookup decodes exactly one block
-    bp2 = codec.BlockedPostings(
-        table["doc_ids_enc"][0], table["tfs_enc"][0], n,
-        np.array(blast[0]),
-        table["block_doc_off_flat"][offs[0]:offs[1]],
-        table["block_tf_off_flat"][offs[0]:offs[1]],
-    )
-    probe = int(ids[400])
-    assert bp2.lookup(probe) == int(tfs[400])
-    assert bp2.lookup(probe + 1) == 0  # absent doc
-    assert bp2.blocks_decoded == 1
-    # vectorized lookup over a sparse candidate set
-    cand = ids[[10, 300, 699]].copy()
-    cand_plus = np.sort(np.r_[cand, [1]])  # 1 is absent
-    out = bp2.lookup_many(cand_plus)
-    want = {int(ids[i]): int(tfs[i]) for i in (10, 300, 699)}
-    for d, tf in zip(cand_plus, out):
-        assert tf == want.get(int(d), 0)
-    assert bp2.blocks_decoded <= 4
+    # a one-block read decodes exactly that block
+    r2 = run()
+    b = int(np.searchsorted(last, ids[400]))
+    got_ids, _ = r2.get(np.array([b]))
+    assert ids[400] in got_ids.tolist()
+    assert r2.blocks_decoded == 1
+    # the whole run equals the reference decode, read out as is once whole
+    want_ids, want_tfs = codec.decode_postings(
+        table["doc_ids_enc"][0], table["tfs_enc"][0], n)
+    for rr in (r, r2, run()):
+        w_ids, w_tfs = rr.whole()
+        assert w_ids.tolist() == want_ids.tolist()
+        assert w_tfs.tolist() == want_tfs.tolist()
+        assert rr.blocks_decoded == rr.n_blocks
+        assert rr.whole()[0] is w_ids
 
 
 def test_bm25_idf():

@@ -50,6 +50,18 @@ def test_term_tables_have_all_fields(multi_index):
     assert stats["per_field"]["text_first"]["avgdl"] <= 1.0 + 1e-9
 
 
+def test_term_tables_sorted_by_field_and_term(multi_index):
+    """``fields`` are declared out of lexicographic order (text_unique
+    before text_first); every segment's term table is still sorted by
+    (field, term), as a merged segment's is."""
+    idx, _ = multi_index
+    for seg in sorted(mf.committed_segments(idx)):
+        tt = pq.read_table(seg_terms_path(idx, seg), columns=["field", "term"])
+        keys = list(zip(tt["field"].to_pylist(), tt["term"].to_pylist()))
+        assert keys == sorted(keys), seg
+        assert len(set(tt["field"].to_pylist())) == 3
+
+
 def test_unique_field_tf_is_one(multi_index):
     idx, _ = multi_index
     from elasticsearch_data_loader_ray.index import codec

@@ -79,8 +79,7 @@ def test_reader_bound_before_merge_reads_new_epoch(tmp_path):
 
     s = LocalSearcher(idx)
     s.search("the data")
-    for cache in (s._postings_cache, s._blocked_cache, s._contrib_cache,
-                  s._request_cache):
+    for cache in (s._postings_cache, s._contrib_cache, s._request_cache):
         cache.clear()
     merge_segments(idx, 3)
     _assert_same(s.search("the data"), LocalSearcher(idx).search("the data"))

@@ -8,10 +8,12 @@ round-5 pruned-path comparison:
   build_pruned_postings -> fresh searcher -> 24-query mix (fixture queries + head-term ORs + needle+haystack + a
   miss): cold pass then 2 warm passes per strategy, plus pruned-vs-exact
   top-10 fidelity (overlap + score error + the per-query error bound).
-  Per strategy it reports latency percentiles over all passes, each
-  query's cold latency and warm median, and the mean of the warm medians
-  (a percentile over 48 warm samples of 24 queries falls between query
-  classes and moves between runs of the same code).
+  The mix's multi-term queries also run as conjunctions (``mode="and"``,
+  reported under ``"and"``) with the same passes. Per class it reports
+  latency percentiles over all passes, each query's cold latency and warm
+  median, and the mean of the warm medians (a percentile over 48 warm
+  samples of 24 queries falls between query classes and moves between
+  runs of the same code).
 
 Usage: python tools/serve_bench.py            # prints one JSON line
 Env: EDLR_SERVE_DOCS (3875000), EDLR_SERVE_SEGDOCS (8000),
@@ -62,7 +64,10 @@ def main_impl(ray) -> None:
     from elasticsearch_data_loader_ray.index.pruned import (
         build_pruned_postings,
     )
-    from elasticsearch_data_loader_ray.index.search import LocalSearcher
+    from elasticsearch_data_loader_ray.index.search import (
+        LocalSearcher,
+        query_terms,
+    )
 
     src = os.path.join(ROOT, "src")
     idx = os.path.join(ROOT, "index")
@@ -94,16 +99,19 @@ def main_impl(ray) -> None:
     out: dict = {"n_docs": N_DOCS, "seg_docs": SEG_DOCS, "queries": len(qs),
                  "pruned_lists": n_lists, "min_df": MIN_DF,
                  "keep_frac": FRAC, **timings}
-    for strategy in ("exact", "pruned"):
-        s = LocalSearcher(idx)  # fresh bind per strategy: cold caches
+    and_qs = [q for q in qs if len(query_terms(q)) > 1]
+    for label, strategy, mode, mix in (("exact", "exact", "or", qs),
+                                       ("pruned", "pruned", "or", qs),
+                                       ("and", "exact", "and", and_qs)):
+        s = LocalSearcher(idx)  # fresh bind per class: cold caches
         lat_cold, lat_warm = [], []
         per_q = {}
-        warm_q: dict[str, list[float]] = {q: [] for q in qs}
+        warm_q: dict[str, list[float]] = {q: [] for q in mix}
         for rnd in range(3):
             s._request_cache.clear()
-            for q in qs:
+            for q in mix:
                 t0 = time.perf_counter()
-                s.search(q, k=10, or_strategy=strategy)
+                s.search(q, k=10, mode=mode, or_strategy=strategy)
                 dt = time.perf_counter() - t0
                 (lat_cold if rnd == 0 else lat_warm).append(dt)
                 if rnd == 0:
@@ -114,7 +122,7 @@ def main_impl(ray) -> None:
         lat_warm.sort()
         warm_med = {q: round(statistics.median(v), 2)
                     for q, v in warm_q.items()}
-        out[strategy] = {
+        out[label] = {
             "cold_p50_ms": round(1000 * lat_cold[len(lat_cold) // 2], 1),
             "cold_p95_ms": round(
                 1000 * lat_cold[int(0.95 * len(lat_cold)) - 1], 1),
