@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildConfig", "build_index", "build_index_from_corpus",
     "append_index", "append_index_from_corpus",
-    "search", "search_inprocess", "LocalSearcher", "PhraseSearcher",
-    "merge_segments",
+    "search", "search_inprocess", "LocalSearcher", "merge_segments",
 ]
 
 
@@ -32,8 +31,7 @@ def __getattr__(name):  # lazy public API (avoid importing ray at package import
         from .index import append as _a
 
         return getattr(_a, name)
-    if name in ("search", "search_inprocess", "LocalSearcher",
-                "PhraseSearcher"):
+    if name in ("search", "search_inprocess", "LocalSearcher"):
         from .index import search as _s
 
         return getattr(_s, name)

@@ -44,6 +44,7 @@ is bit-identical to a from-scratch build over the union — the basis of the
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import time
@@ -180,6 +181,10 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
         raise ValueError(
             "append field/analyzer config must match the index: "
             f"{stats.get('field_analyzers')} vs {want_analyzers}")
+    # new segments keep the index's positions layout: a segment without
+    # them would leave every term table with a schema the others lack
+    cfg = dataclasses.replace(cfg, index_positions=bool(
+        stats.get("index_positions", cfg.index_positions)))
     base_docs = int(stats["n_docs"])
     if "dl_total" not in stats:
         raise ValueError("index predates dl_total tracking; rebuild before "

@@ -8,8 +8,8 @@ downstream extractions), and sort hits by document fields
 * **export_matches** / **snippet_matches**: the inverted index acts as a
   pushdown FILTER over the corpus — one row-function call per segment
   binds ``LocalSearcher(segments=[seg_id])``, takes its matched set
-  (``LocalSearcher.matched_ids``, or ``highlight_matches`` where snippets
-  need positions; tombstoned docs dropped), slices the
+  (``LocalSearcher.matched_ids``, or ``LocalSearcher.highlight`` where
+  snippets need positions; tombstoned docs dropped), slices the
   segment's docs table positionally, and reads stored fields from the
   segment's stored-field shard (Lucene layout; built once per column by
   a single range-partition pass). These two stay on Ray Data: the
@@ -58,7 +58,6 @@ from .search import (
     _load_stats,
     _visible_seg_ids,
     check_match_mode,
-    highlight_matches,
     map_segment_groups,
     query_terms,
 )
@@ -363,7 +362,7 @@ def _snippet_rows(batch: pa.Table, *, index_dir: str, field: str,
     ES unified-highlighter analogue with a documented deterministic
     convention: the fragment anchors on the EARLIEST occurrence of any
     query term in the doc (min over the terms' first positions from
-    :func:`..search.highlight_matches`, which drops tombstoned docs), and
+    :meth:`..search.LocalSearcher.highlight`, which drops tombstoned docs), and
     the snippet is the ``window``-token neighbourhood re-tokenized from
     the stored-field shard's text. Segment-local end to end: postings,
     positions, docs slice and the text shard all stay within the
@@ -377,8 +376,8 @@ def _snippet_rows(batch: pa.Table, *, index_dir: str, field: str,
     outs = []
     for seg_id in batch["segment_id"].to_pylist():
         seg_id = int(seg_id)
-        hl = highlight_matches(LocalSearcher(index_dir, segments=[seg_id]),
-                               query, field)
+        hl = LocalSearcher(index_dir, segments=[seg_id]).highlight(
+            query, field)
         if hl.num_rows == 0:
             continue
         # rows sorted by (doc_id, term): each doc's min first position

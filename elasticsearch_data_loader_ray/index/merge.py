@@ -160,7 +160,7 @@ def _merge_term_tables(parts: list[pa.Table]) -> pa.Table:
         o_tf.append(b"".join(tf_parts))
         if has_positions:
             # all-null runs stay null (fields indexed without positions keep
-            # raising the PhraseSearcher guard instead of silently matching
+            # raising the positional queries' guard instead of matching
             # nothing on an empty stream)
             o_pos.append(b"".join(pos_parts) if pos_parts else None)
         o_blast.append(np.concatenate(bl).tolist())

@@ -35,6 +35,16 @@ multi_match, boosting, prefix, wildcard/regexp and explain) takes them
 from one per-(field, term) cache of :class:`_Blocked` runs, so a term's
 dictionary row and bytes are read once per epoch and a block is decoded
 once, where it is stored.
+
+Positional queries (index built with ``BuildConfig(index_positions=True)``)
+are ``LocalSearcher`` methods too: :meth:`~LocalSearcher.search_phrase`,
+:meth:`~LocalSearcher.search_phrase_prefix`,
+:meth:`~LocalSearcher.span_near`, :meth:`~LocalSearcher.intervals_all_of`
+and :meth:`~LocalSearcher.highlight`. Each takes its terms' positions from
+one read (:meth:`~LocalSearcher._read_positions`, a :class:`_Positions`
+per term) and its live candidates from one intersection
+(:meth:`~LocalSearcher._all_of`), and finds a candidate's positions by a
+vectorized ``searchsorted`` over the whole candidate array.
 """
 
 from __future__ import annotations
@@ -128,6 +138,18 @@ def _drop_deleted(deleted: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ok = pos < len(deleted)
     posc = np.minimum(pos, len(deleted) - 1)
     return ~(ok & (deleted[posc] == ids))
+
+
+def _top_k(ids: np.ndarray, sc: np.ndarray, k: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The top ``k`` of (``ids``, ``sc``) by (score desc, doc id asc): a
+    partition to the k-th score, then a lexsort of what reaches it."""
+    if len(ids) > k:
+        kth = np.partition(sc, -k)[-k]
+        keep = sc >= kth
+        ids, sc = ids[keep], sc[keep]
+    order = np.lexsort((ids, -sc))[:k]
+    return ids[order].astype(np.int64), sc[order]
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -272,6 +294,47 @@ class _Run:
         self.term, self.lo_id, self.last, self.ub = term, lo_id, last, ub
         self.blk = blk
         self.ids = self.con = None
+
+
+class _Positions:
+    """One term's postings with positions in a searcher's bound segments,
+    its runs joined in doc-id order: ``ids`` ascending, per-doc offsets
+    ``off`` into the positions (a cumsum of the tfs, ``len(ids) + 1`` of
+    them) and the varint-decoded position ``gaps``, each doc's first one
+    absolute (codec.delta_encode_runs). ``flat``, the absolute positions,
+    is delta-decoded on first use."""
+
+    __slots__ = ("ids", "off", "gaps", "_flat")
+
+    def __init__(self, ids: np.ndarray, off: np.ndarray, gaps: np.ndarray):
+        self.ids, self.off, self.gaps = ids, off, gaps
+        self._flat = None
+
+    @property
+    def flat(self) -> np.ndarray:
+        if self._flat is None:
+            self._flat = codec.delta_decode_runs(self.gaps, self.off[:-1])
+        return self._flat
+
+    def of(self, cand: np.ndarray) -> list[np.ndarray]:
+        """Ascending positions in each doc of the sorted ``cand`` (empty
+        where the term does not occur), located by one vectorized
+        ``searchsorted`` per side over the whole array."""
+        s = self.off[np.searchsorted(self.ids, cand)].tolist()
+        e = self.off[np.searchsorted(self.ids, cand, "right")].tolist()
+        flat = self.flat
+        return [flat[a:b] for a, b in zip(s, e)]
+
+
+def _phrase_starts(chain: list[np.ndarray]) -> np.ndarray:
+    """Positions of ``chain[0]`` that start a phrase occurrence in ONE
+    doc: ``chain[i]`` (ascending) holds position ``p + i``."""
+    ok = chain[0]
+    for i in range(1, len(chain)):
+        if len(ok) == 0:
+            break
+        ok = ok[np.isin(ok + i, chain[i], assume_unique=False)]
+    return ok
 
 
 def _bound_scale(vis_manifests: dict, stats: dict) -> float:
@@ -901,13 +964,27 @@ class SortedTermFile:
             bounds.append((fs.min, ts.min, fs.max, ts.max))
         return bounds
 
-    def row_groups(self, pairs: list[tuple[str, str]]) -> list[int]:
-        """Ascending ids of the row groups that can hold any of the
-        (field, term) ``pairs``."""
+    def _spans(self, pairs: list[tuple[str, str]]) -> list[tuple]:
+        """``(g, lo, hi)`` per row group ``g`` that can hold any of the
+        sorted (field, term) ``pairs``: ``pairs[lo:hi]`` lie inside its
+        bounds. A row's pair lies between ``(fmin, tmin)`` and ``(fmax,
+        tmax)`` even in a file grouped by field but not (field,
+        term)-sorted, so two bisections per group find its slice."""
         if self.bounds is None:
-            return list(range(self.n_row_groups)) if pairs else []
-        return [g for g, (fmin, tmin, fmax, tmax) in enumerate(self.bounds)
-                if any((fmin, tmin) <= p <= (fmax, tmax) for p in pairs)]
+            return ([(g, 0, len(pairs)) for g in range(self.n_row_groups)]
+                    if pairs else [])
+        out = []
+        for g, (fmin, tmin, fmax, tmax) in enumerate(self.bounds):
+            lo = bisect.bisect_left(pairs, (fmin, tmin))
+            hi = bisect.bisect_right(pairs, (fmax, tmax), lo)
+            if lo < hi:
+                out.append((g, lo, hi))
+        return out
+
+    def row_groups(self, pairs: list[tuple[str, str]]) -> list[int]:
+        """Ascending ids of the row groups that can hold any of the sorted
+        (field, term) ``pairs``."""
+        return [g for g, _lo, _hi in self._spans(pairs)]
 
     def _load(self, g: int) -> tuple[pa.Table, list[str], dict, int]:
         """Row group ``g``: (non-binary columns, its terms, {field: [(lo,
@@ -962,10 +1039,12 @@ class SortedTermFile:
         (non-binary columns), in file order; None when no row matches."""
         pairs = sorted({(f, t) for f, ts in terms_by_field.items()
                         for t in ts})
+        spans = self._spans(pairs)
         parts = []
-        for t, terms, runs, _nb in self._groups(self.row_groups(pairs)):
+        for (_g, p_lo, p_hi), (t, terms, runs, _nb) in zip(
+                spans, self._groups([g for g, _lo, _hi in spans])):
             rows = []
-            for f, term in pairs:
+            for f, term in pairs[p_lo:p_hi]:
                 for lo, hi in runs.get(f, ()):
                     i = bisect.bisect_left(terms, term, lo, hi)
                     if i < hi and terms[i] == term:
@@ -1659,12 +1738,7 @@ class LocalSearcher:
         if not out_loc:
             return empty
         loc, sc = np.concatenate(out_loc), np.concatenate(out_sc)
-        if len(loc) > k:
-            kth = np.partition(sc, -k)[-k]
-            keep = sc >= kth
-            loc, sc = loc[keep], sc[keep]
-        order = np.lexsort((loc, -sc))[:k]
-        return loc[order].astype(np.int64), sc[order]
+        return _top_k(loc, sc, k)
 
     def _postings_for(self, field: str, terms: list[str]
                       ) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
@@ -1877,7 +1951,7 @@ class LocalSearcher:
         BM25 ranking with a phrase query —
         ``new = query_weight * bm25 + rescore_weight * phrase_score``
         (phrase_score 0 when the phrase doesn't occur; the documented
-        PhraseSearcher convention otherwise). ``phrase`` defaults to the
+        :meth:`search_phrase` convention otherwise). ``phrase`` defaults to the
         query itself (ES's common usage). With non-negative weights and
         k <= window_size the global top-k provably lives inside the
         window, so nothing outside it is scored twice."""
@@ -1893,7 +1967,7 @@ class LocalSearcher:
             return ids, sc
         cut = np.lexsort((ids, -np.round(sc, 6)))[:window_size]
         ids, sc = ids[cut], sc[cut]
-        p_ids, p_sc, _fq = PhraseSearcher(self).search(
+        p_ids, p_sc, _fq = self.search_phrase(
             phrase or query, k=window_size, field=field,
             within=np.sort(ids))
         ph = dict(zip(p_ids.tolist(), p_sc.tolist()))
@@ -2195,12 +2269,7 @@ class LocalSearcher:
                     hit = _in_sorted(ids, cand)
                     pos = np.searchsorted(ids, cand[hit])
                     scores[hit] += contrib[pos]
-        if len(cand) > k:
-            kth = np.partition(scores, -k)[-k]
-            keep = scores >= kth
-            cand, scores = cand[keep], scores[keep]
-        order = np.lexsort((cand, -scores))[:k]
-        return cand[order].astype(np.int64), scores[order]
+        return _top_k(cand, scores, k)
 
     def search_bool_prefix(self, query: str, k: int = 10,
                            field: str = DEFAULT_FIELD
@@ -2248,12 +2317,7 @@ class LocalSearcher:
             edocs = (eruns[0] if len(eruns) == 1
                      else np.unique(np.concatenate(eruns)))
             scores[_in_sorted(edocs, cand)] += 1.0
-        if len(cand) > k:
-            kth = np.partition(scores, -k)[-k]
-            keep = scores >= kth
-            cand, scores = cand[keep], scores[keep]
-        order = np.lexsort((cand, -scores))[:k]
-        return cand[order].astype(np.int64), scores[order]
+        return _top_k(cand, scores, k)
 
     def search_fuzzy(self, query: str, k: int = 10,
                      field: str = DEFAULT_FIELD, fuzziness="AUTO",
@@ -2390,7 +2454,7 @@ class LocalSearcher:
         idf = self._idf(field, all_terms)
         terms = [t for t in all_terms if t in idf]
         if mode == "phrase":
-            ids, sc, _fq = PhraseSearcher(self).search(query, k, field)
+            ids, sc, _fq = self.search_phrase(query, k, field)
             return ids, sc
         if mode == "and":
             if (len(terms) != len(all_terms) or not terms
@@ -2463,130 +2527,117 @@ class LocalSearcher:
         if len(self._deleted):
             keep = _drop_deleted(self._deleted, loc)
             loc, sc = loc[keep], sc[keep]
-        if len(loc) > k:
-            kth = np.partition(sc, -k)[-k]
-            keep = sc >= kth
-            loc, sc = loc[keep], sc[keep]
-        order = np.lexsort((loc, -sc))[:k]
-        return loc[order].astype(np.int64), sc[order]
+        return _top_k(loc, sc, k)
 
+    # -- positional queries: one read (_read_positions) -------------------
 
-def _phrase_freq(seq_positions: list[np.ndarray]) -> int:
-    """Number of phrase occurrences given per-sequence-term position arrays
-    (ascending) for ONE document."""
-    ok = seq_positions[0]
-    for i in range(1, len(seq_positions)):
-        if len(ok) == 0:
-            return 0
-        ok = ok[np.isin(ok + i, seq_positions[i], assume_unique=False)]
-    return int(len(ok))
+    def _require_positions(self) -> None:
+        """:meth:`refresh`, then ``ValueError`` unless the bound segments
+        record positions (``BuildConfig(index_positions=True)``)."""
+        self.refresh()
+        if self.term_files and not blobs.has_positions(self.term_schema):
+            raise ValueError("index was built without positions "
+                             "(BuildConfig.index_positions=True required)")
 
+    def _read_positions(self, field: str, terms: list[str]
+                        ) -> dict[str, _Positions]:
+        """Each of ``terms``' postings with positions in the bound
+        segments, from one dictionary read: its runs sorted by first doc
+        id and joined (empty for a term without postings here)."""
+        tt = self._read_terms(["term", "df"], {field: terms}, positions=True)
+        if tt["positions_enc"].null_count:
+            raise ValueError(f"field {field!r} was indexed without positions")
+        runs: dict[str, list[tuple]] = {t: [] for t in terms}
+        for t, d, f, p, df in zip(*(tt[c].to_pylist() for c in (
+                "term", "doc_ids_enc", "tfs_enc", "positions_enc", "df"))):
+            runs[t].append((*codec.decode_postings(d, f, df), p))
+        out = {}
+        for t, rs in runs.items():
+            rs.sort(key=lambda r: int(r[0][0]))
+            ids = np.concatenate([r[0] for r in rs] or [np.empty(0, np.int64)])
+            off = np.zeros(len(ids) + 1, np.int64)
+            np.cumsum(np.concatenate([r[1] for r in rs] or [off[:0]]),
+                      out=off[1:])
+            gaps = codec.varint_decode(
+                np.frombuffer(b"".join(r[2] for r in rs), np.uint8),
+                int(off[-1]))
+            out[t] = _Positions(ids, off, gaps)
+        return out
 
-def _positions_by_doc(ids: np.ndarray, tfs: np.ndarray,
-                      positions_enc: bytes) -> dict[int, np.ndarray]:
-    """Decode one term-run's positions stream -> {doc_id: positions asc}."""
-    total = int(tfs.sum())
-    vals = codec.varint_decode(np.frombuffer(positions_enc, dtype=np.uint8),
-                               total)
-    starts = np.r_[0, np.cumsum(tfs)[:-1]].astype(np.int64)
-    flat = codec.delta_decode_runs(vals, starts)
-    out: dict[int, np.ndarray] = {}
-    for j, d in enumerate(ids):
-        s = int(starts[j])
-        e = s + int(tfs[j])
-        out[int(d)] = flat[s:e]
-    return out
+    def _all_of(self, id_lists: list[np.ndarray]) -> np.ndarray:
+        """Live candidates: the intersection of the sorted, unique
+        ``id_lists`` minus tombstones."""
+        cand = id_lists[0]
+        for ids in id_lists[1:]:
+            cand = np.intersect1d(cand, ids, assume_unique=True)
+        return cand[_drop_deleted(self._deleted, cand)]
 
-
-class PhraseSearcher:
-    """Phrase (match_phrase analogue) search over a positions-enabled index.
-
-    Requires ``BuildConfig(index_positions=True)``. Scoring (documented
-    convention, mirrored by the pytest oracle): docs where the exact token
-    sequence occurs, scored ``sum(idf of unique terms, lex order) *
-    bm25_tf_impact(phrase_freq, dl, avgdl)``; tie-break (score desc,
-    doc_id asc).
-    """
-
-    def __init__(self, local: "LocalSearcher"):
-        self.local = local
-
-    def search(self, query: str, k: int = 10,
-               field: str = DEFAULT_FIELD,
-               within: np.ndarray | None = None,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``within``: optional sorted doc-id array restricting the
-        candidate set (the rescore window) — positions are still read
-        term-major, but the per-doc scoring loop is bounded by it."""
-        lo = self.local
-        lo.refresh()
-        if (lo.term_files
-                and not blobs.has_positions(lo.term_schema)):
-            raise ValueError(
-                "index was built without positions "
-                "(BuildConfig.index_positions=True required)")
-        seq = list(analyze(_field_analyzer(lo.stats, field), query))
-        if not seq:
-            return (np.empty(0, np.int64), np.empty(0, np.float64),
-                    np.empty(0, np.int64))
-        uniq = sorted(set(seq))
-        idf = lo._idf(field, uniq)
-        if len(idf) != len(uniq):  # a term absent anywhere -> no phrase
-            return (np.empty(0, np.int64), np.empty(0, np.float64),
-                    np.empty(0, np.int64))
-        tt = lo._read_terms(["term", "df"], {field: uniq}, positions=True)
-        per_term_docs: dict[str, list[np.ndarray]] = {t: [] for t in uniq}
-        per_term_pos: dict[str, dict[int, np.ndarray]] = {t: {} for t in uniq}
-        for i in range(tt.num_rows):
-            t = tt["term"][i].as_py()
-            enc_pos = tt["positions_enc"][i].as_py()
-            if enc_pos is None:
+    def _clause_terms(self, clauses: list[str], field: str, what: str
+                      ) -> list[str]:
+        """The one analyzed term of each clause (span_term)."""
+        analyzer = _field_analyzer(self.stats, field)
+        seq = []
+        for c in clauses:
+            toks = list(analyze(analyzer, c))
+            if len(toks) != 1:
                 raise ValueError(
-                    "index was built without positions "
-                    "(BuildConfig.index_positions=True required)")
-            ids, tfs = codec.decode_postings(
-                tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-                int(tt["df"][i].as_py()))
-            per_term_docs[t].append(ids)
-            per_term_pos[t].update(_positions_by_doc(ids, tfs, enc_pos))
-        cand = None
-        for t in uniq:
-            docs_t = (np.concatenate(per_term_docs[t])
-                      if per_term_docs[t] else np.empty(0, np.int64))
-            docs_t = np.sort(docs_t)
-            cand = docs_t if cand is None else np.intersect1d(
-                cand, docs_t, assume_unique=True)
-            if len(cand) == 0:
-                return (np.empty(0, np.int64), np.empty(0, np.float64),
-                        np.empty(0, np.int64))
-        if within is not None:
-            cand = np.intersect1d(cand, within, assume_unique=True)
-            if len(cand) == 0:
-                return (np.empty(0, np.int64), np.empty(0, np.float64),
-                        np.empty(0, np.int64))
-        if len(lo._deleted):
-            cand = cand[_drop_deleted(lo._deleted, cand)]
-        dl = lo._dl_for(field)
-        avgdl = _avgdl(lo.stats, field)
-        idf_sum = float(sum(idf[t] for t in uniq))
-        hits, freqs = [], []
-        for d in cand:
-            fq = _phrase_freq([per_term_pos[t][int(d)] for t in seq])
-            if fq > 0:
-                hits.append(int(d))
-                freqs.append(fq)
-        if not hits:
+                    f"{what} clause {c!r} must analyze to one term")
+            seq.append(toks[0])
+        return seq
+
+    def _phrase_top(self, field: str, cand: np.ndarray, fqs: list[int],
+                    idf_sum: float, k: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(doc ids, scores, phrase freqs) of the top ``k`` of the
+        candidates whose freq ``fqs`` is positive, scored ``idf_sum *
+        bm25_tf_impact(freq, dl, avgdl)``; tie-break (score desc, doc_id
+        asc)."""
+        fqs = np.array(fqs, np.int64)
+        hit = fqs > 0
+        if not hit.any():
             return (np.empty(0, np.int64), np.empty(0, np.float64),
                     np.empty(0, np.int64))
-        hits_a = np.array(hits, dtype=np.int64)
-        freqs_a = np.array(freqs, dtype=np.float64)
-        scores = idf_sum * codec.bm25_tf_impact(freqs_a, dl[hits_a], avgdl)
+        hits_a = cand[hit]
+        freqs_a = fqs[hit].astype(np.float64)
+        scores = idf_sum * codec.bm25_tf_impact(
+            freqs_a, self._dl_for(field)[hits_a], _avgdl(self.stats, field))
         order = np.lexsort((hits_a, -scores))[:k]
         return hits_a[order], scores[order], freqs_a[order].astype(np.int64)
 
-    def search_prefix(self, query: str, k: int = 10,
-                      field: str = DEFAULT_FIELD, max_expansions: int = 50,
+    def search_phrase(self, query: str, k: int = 10,
+                      field: str = DEFAULT_FIELD,
+                      within: np.ndarray | None = None,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phrase (match_phrase analogue) search: (doc ids, scores, phrase
+        freqs). Scoring (documented convention, mirrored by the pytest
+        oracle): docs where the exact token sequence occurs, scored
+        ``sum(idf of unique terms, lex order) * bm25_tf_impact(phrase_freq,
+        dl, avgdl)``; tie-break (score desc, doc_id asc). ``within``: an
+        optional sorted doc-id array restricting the candidates (the
+        rescore window)."""
+        self._require_positions()
+        empty = (np.empty(0, np.int64), np.empty(0, np.float64),
+                 np.empty(0, np.int64))
+        seq = list(analyze(_field_analyzer(self.stats, field), query))
+        if not seq:
+            return empty
+        uniq = sorted(set(seq))
+        idf = self._idf(field, uniq)
+        if len(idf) != len(uniq):  # a term absent anywhere -> no phrase
+            return empty
+        pos = self._read_positions(field, uniq)
+        cand = self._all_of([pos[t].ids for t in uniq]
+                            + ([] if within is None else [within]))
+        per = {t: pos[t].of(cand) for t in uniq}
+        fqs = [len(_phrase_starts(chain))
+               for chain in zip(*(per[t] for t in seq))]
+        return self._phrase_top(field, cand, fqs,
+                                float(sum(idf[t] for t in uniq)), k)
+
+    def search_phrase_prefix(self, query: str, k: int = 10,
+                             field: str = DEFAULT_FIELD,
+                             max_expansions: int = 50,
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ES ``match_phrase_prefix`` analogue: the analyzed query's last
         token is a PREFIX — the phrase matches wherever the fixed tokens
         occur consecutively followed by any dictionary term carrying the
@@ -2596,101 +2647,43 @@ class PhraseSearcher:
         of matched expansions)))  * bm25_tf_impact(freq, dl, avgdl)``
         where freq counts positions completing the phrase with ANY
         expansion; tie-break (score desc, doc_id asc)."""
-        lo = self.local
-        lo.refresh()
-        if (lo.term_files
-                and not blobs.has_positions(lo.term_schema)):
-            raise ValueError(
-                "index was built without positions "
-                "(BuildConfig.index_positions=True required)")
-        seq = list(analyze(_field_analyzer(lo.stats, field), query))
+        self._require_positions()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64),
                  np.empty(0, np.int64))
+        seq = list(analyze(_field_analyzer(self.stats, field), query))
         if not seq:
             return empty
         fixed, prefix = seq[:-1], seq[-1]
-        exps = expand_prefix(lo.index_dir, field, prefix, max_expansions)
+        exps = expand_prefix(self.index_dir, field, prefix, max_expansions)
         if not exps:
             return empty
         uniq_fixed = sorted(set(fixed))
-        idf = lo._idf(field, uniq_fixed)
+        idf = self._idf(field, uniq_fixed)
         if len(idf) != len(uniq_fixed):
             return empty
-        uniq = sorted(set(uniq_fixed) | set(exps))
-        tt = lo._read_terms(["term", "df"], {field: uniq}, positions=True)
-        per_term_docs: dict[str, list[np.ndarray]] = {t: [] for t in uniq}
-        per_term_pos: dict[str, dict[int, np.ndarray]] = {t: {} for t in uniq}
-        df_of: dict[str, int] = {t: 0 for t in uniq}
-        for i in range(tt.num_rows):
-            t = tt["term"][i].as_py()
-            enc_pos = tt["positions_enc"][i].as_py()
-            if enc_pos is None:
-                raise ValueError(
-                    "index was built without positions "
-                    "(BuildConfig.index_positions=True required)")
-            ids, tfs = codec.decode_postings(
-                tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-                int(tt["df"][i].as_py()))
-            per_term_docs[t].append(ids)
-            per_term_pos[t].update(_positions_by_doc(ids, tfs, enc_pos))
-            df_of[t] += len(ids)
-        cand = None
-        for t in uniq_fixed:
-            docs_t = (np.concatenate(per_term_docs[t])
-                      if per_term_docs[t] else np.empty(0, np.int64))
-            docs_t = np.sort(docs_t)
-            cand = docs_t if cand is None else np.intersect1d(
-                cand, docs_t, assume_unique=True)
-            if len(cand) == 0:
-                return empty
-        exp_runs = [np.sort(np.concatenate(per_term_docs[t]))
-                    for t in exps if per_term_docs[t]]
-        if not exp_runs:
+        pos = self._read_positions(field, sorted(set(uniq_fixed) | set(exps)))
+        exp_ids = [pos[t].ids for t in exps if len(pos[t].ids)]
+        if not exp_ids:
             return empty
-        exp_docs = (exp_runs[0] if len(exp_runs) == 1
-                    else np.unique(np.concatenate(exp_runs)))
-        cand = exp_docs if cand is None else np.intersect1d(
-            cand, exp_docs, assume_unique=True)
-        if len(lo._deleted):
-            cand = cand[_drop_deleted(lo._deleted, cand)]
-        if len(cand) == 0:
-            return empty
-        dl = lo._dl_for(field)
-        avgdl = _avgdl(lo.stats, field)
+        exp_docs = (exp_ids[0] if len(exp_ids) == 1
+                    else np.unique(np.concatenate(exp_ids)))
+        cand = self._all_of([pos[t].ids for t in uniq_fixed] + [exp_docs])
+        n = int(self.stats["n_docs"])
         idf_fixed = float(sum(idf[t] for t in uniq_fixed))
-        exp_df = min(int(lo.stats["n_docs"]),
-                     sum(df_of[t] for t in exps))
-        idf_slot = float(codec.bm25_idf(exp_df, int(lo.stats["n_docs"])))
-        hits, freqs = [], []
+        idf_slot = float(codec.bm25_idf(
+            min(n, sum(len(pos[t].ids) for t in exps)), n))
+        per = {t: pos[t].of(cand) for t in {*fixed, *exps}}
         off = len(fixed)
-        for d in cand:
-            di = int(d)
-            last = np.concatenate([per_term_pos[t][di] for t in exps
-                                   if di in per_term_pos[t]])
-            if len(last) == 0:
-                continue
+        fqs = []
+        for j in range(len(cand)):
+            last = np.concatenate([a for t in exps
+                                   if len(a := per[t][j])])
             if not fixed:
-                fq = len(last)
-            else:
-                chain = [per_term_pos[t][di] for t in fixed]
-                ok = chain[0]
-                for i in range(1, len(chain)):
-                    ok = ok[np.isin(ok + i, chain[i], assume_unique=False)]
-                    if len(ok) == 0:
-                        break
-                fq = (int(np.isin(ok + off, last).sum())
-                      if len(ok) else 0)
-            if fq > 0:
-                hits.append(di)
-                freqs.append(fq)
-        if not hits:
-            return empty
-        hits_a = np.array(hits, dtype=np.int64)
-        freqs_a = np.array(freqs, dtype=np.float64)
-        scores = (idf_fixed + idf_slot) * codec.bm25_tf_impact(
-            freqs_a, dl[hits_a], avgdl)
-        order = np.lexsort((hits_a, -scores))[:k]
-        return hits_a[order], scores[order], freqs_a[order].astype(np.int64)
+                fqs.append(len(last))
+                continue
+            ok = _phrase_starts([per[t][j] for t in fixed])
+            fqs.append(int(np.isin(ok + off, last).sum()) if len(ok) else 0)
+        return self._phrase_top(field, cand, fqs, idf_fixed + idf_slot, k)
 
     def span_near(self, clauses: list[str], slop: int = 0,
                   field: str = DEFAULT_FIELD) -> np.ndarray:
@@ -2706,64 +2699,27 @@ class PhraseSearcher:
         each step is one searchsorted + one prefix-max over the previous
         clause's positions — O(total positions) per doc, no pairwise
         blowup. Each clause is a single analyzed term (span_term)."""
-        lo = self.local
-        lo.refresh()
-        if (lo.term_files
-                and not blobs.has_positions(lo.term_schema)):
-            raise ValueError(
-                "index was built without positions "
-                "(BuildConfig.index_positions=True required)")
-        analyzer = _field_analyzer(lo.stats, field)
-        seq: list[str] = []
-        for c in clauses:
-            toks = list(analyze(analyzer, c))
-            if len(toks) != 1:
-                raise ValueError(
-                    f"span_near clause {c!r} must analyze to one term")
-            seq.append(toks[0])
+        self._require_positions()
+        seq = self._clause_terms(clauses, field, "span_near")
         if not seq:
             return np.empty(0, np.int64)
         uniq = sorted(set(seq))
-        tt = lo._read_terms(["term", "df"], {field: uniq}, positions=True)
-        per_term_docs: dict[str, list[np.ndarray]] = {t: [] for t in uniq}
-        per_term_pos: dict[str, dict[int, np.ndarray]] = {t: {} for t in uniq}
-        for i in range(tt.num_rows):
-            t = tt["term"][i].as_py()
-            enc_pos = tt["positions_enc"][i].as_py()
-            if enc_pos is None:
-                raise ValueError(
-                    "index was built without positions "
-                    "(BuildConfig.index_positions=True required)")
-            ids, tfs = codec.decode_postings(
-                tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-                int(tt["df"][i].as_py()))
-            per_term_docs[t].append(ids)
-            per_term_pos[t].update(_positions_by_doc(ids, tfs, enc_pos))
-        cand = None
-        for t in uniq:
-            docs_t = (np.sort(np.concatenate(per_term_docs[t]))
-                      if per_term_docs[t] else np.empty(0, np.int64))
-            cand = docs_t if cand is None else np.intersect1d(
-                cand, docs_t, assume_unique=True)
-            if len(cand) == 0:
-                return np.empty(0, np.int64)
-        if len(lo._deleted):
-            cand = cand[_drop_deleted(lo._deleted, cand)]
+        pos = self._read_positions(field, uniq)
+        cand = self._all_of([pos[t].ids for t in uniq])
+        per = {t: pos[t].of(cand) for t in uniq}
         hits = []
-        for d in cand:
-            di = int(d)
-            chain = [per_term_pos[t][di] for t in seq]
+        for d, chain in zip(cand.tolist(), zip(*(per[t] for t in seq))):
             # DP over the ordered chain: carry, per position p of the
             # current clause, the minimal total gap of any in-order
             # span ending at p; prefix-max of (p - cost) makes each
             # transition a binary search instead of a cross product.
-            cost = np.zeros(len(chain[0]), dtype=np.int64)
-            best = chain[0] - cost  # p - cost(p), prefix-maxed below
+            prev = chain[0]
+            cost = np.zeros(len(prev), dtype=np.int64)
+            best = prev - cost  # p - cost(p), prefix-maxed below
             alive = True
-            for i in range(1, len(chain)):
+            for q in chain[1:]:
                 prefmax = np.maximum.accumulate(best)
-                q = chain[i]
-                idx = np.searchsorted(chain[i - 1], q) - 1
+                idx = np.searchsorted(prev, q) - 1
                 ok = idx >= 0
                 if not ok.any():
                     alive = False
@@ -2771,11 +2727,10 @@ class PhraseSearcher:
                 q = q[ok]
                 cost = q - 1 - prefmax[idx[ok]]
                 best = q - cost
-                chain[i] = q
+                prev = q
             if alive and (cost <= slop).any():
-                hits.append(di)
-        return np.array(sorted(hits), dtype=np.int64)
-
+                hits.append(d)
+        return np.array(hits, dtype=np.int64)
 
     def intervals_all_of(self, clauses: list[str], max_gaps: int = 0,
                          ordered: bool = False,
@@ -2793,143 +2748,73 @@ class PhraseSearcher:
         (the span_term restriction shared with span_near)."""
         if ordered:
             return self.span_near(clauses, slop=max_gaps, field=field)
-        lo = self.local
-        lo.refresh()
-        if (lo.term_files
-                and not blobs.has_positions(lo.term_schema)):
-            raise ValueError(
-                "index was built without positions "
-                "(BuildConfig.index_positions=True required)")
-        analyzer = _field_analyzer(lo.stats, field)
-        seq: list[str] = []
-        for c in clauses:
-            toks = list(analyze(analyzer, c))
-            if len(toks) != 1:
-                raise ValueError(
-                    f"intervals clause {c!r} must analyze to one term")
-            seq.append(toks[0])
+        self._require_positions()
+        seq = self._clause_terms(clauses, field, "intervals")
         if len(set(seq)) != len(seq):
             raise ValueError("intervals all_of clauses must be distinct")
         if not seq:
             return np.empty(0, np.int64)
-        uniq = sorted(set(seq))
-        tt = lo._read_terms(["term", "df"], {field: uniq}, positions=True)
-        per_term_docs: dict[str, list[np.ndarray]] = {t: [] for t in uniq}
-        per_term_pos: dict[str, dict[int, np.ndarray]] = {t: {} for t in uniq}
-        for i in range(tt.num_rows):
-            t = tt["term"][i].as_py()
-            enc_pos = tt["positions_enc"][i].as_py()
-            if enc_pos is None:
-                raise ValueError(
-                    "index was built without positions "
-                    "(BuildConfig.index_positions=True required)")
-            ids, tfs = codec.decode_postings(
-                tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-                int(tt["df"][i].as_py()))
-            per_term_docs[t].append(ids)
-            per_term_pos[t].update(_positions_by_doc(ids, tfs, enc_pos))
-        cand = None
-        for t in uniq:
-            docs_t = (np.sort(np.concatenate(per_term_docs[t]))
-                      if per_term_docs[t] else np.empty(0, np.int64))
-            cand = docs_t if cand is None else np.intersect1d(
-                cand, docs_t, assume_unique=True)
-            if len(cand) == 0:
-                return np.empty(0, np.int64)
-        if len(lo._deleted):
-            cand = cand[_drop_deleted(lo._deleted, cand)]
+        pos = self._read_positions(field, sorted(seq))
+        cand = self._all_of([pos[t].ids for t in sorted(seq)])
+        per = [pos[t].of(cand) for t in seq]
         k = len(seq)
         hits = []
-        for d in cand:
-            di = int(d)
-            arrs = [per_term_pos[t][di] for t in seq]
+        for d, arrs in zip(cand.tolist(), zip(*per)):
             lab = np.concatenate(
                 [np.full(len(a), i, np.int64) for i, a in enumerate(arrs)])
-            pos = np.concatenate(arrs)
-            o = np.argsort(pos)
-            pos, lab = pos[o], lab[o]
+            p = np.concatenate(arrs)
+            o = np.argsort(p)
+            p, lab = p[o], lab[o]
             cnt = np.zeros(k, np.int64)
             have, left, best = 0, 0, 1 << 60
-            for right in range(len(pos)):
+            for right in range(len(p)):
                 c = lab[right]
                 cnt[c] += 1
                 if cnt[c] == 1:
                     have += 1
                 while have == k:
-                    best = min(best, int(pos[right] - pos[left]) + 1)
+                    best = min(best, int(p[right] - p[left]) + 1)
                     cl = lab[left]
                     cnt[cl] -= 1
                     if cnt[cl] == 0:
                         have -= 1
                     left += 1
             if best - k <= max_gaps:
-                hits.append(di)
-        return np.array(sorted(hits), dtype=np.int64)
+                hits.append(d)
+        return np.array(hits, dtype=np.int64)
 
+    def highlight(self, query: str, field: str = DEFAULT_FIELD) -> pa.Table:
+        """ES highlighter primitive: for every live doc matching an OR
+        match query, the FIRST occurrence position (token index) of each
+        query term present — the fragment anchor an ES unified-highlighter
+        builds snippets around. We anchor on token positions from the
+        positional index rather than re-analyzed character offsets (the
+        index stores positions, not offsets; a snippet stage joins the
+        stored text by doc range, as ``export_matches`` does).
 
-def highlight_matches(local: "LocalSearcher", query: str,
-                      field: str = DEFAULT_FIELD) -> pa.Table:
-    """ES highlighter primitive: for every doc matching an OR match query,
-    the FIRST occurrence position (token index) of each query term present
-    — the fragment anchor an ES unified-highlighter builds snippets
-    around. We anchor on token positions from the positional index rather
-    than re-analyzed character offsets (the index stores positions, not
-    offsets; a snippet stage joins the stored text by doc range, as
-    ``export_matches`` does).
+        Each doc's first position is stored absolute, so it is
+        ``gaps[off[:-1]]`` of the term's :class:`_Positions`: no per-doc
+        loop and no delta decode.
 
-    Fully vectorized: the positions stream stores each run's first value
-    absolute (codec.delta_encode_runs), so the per-doc first position is
-    ``varint_decode(positions_enc)[run_starts]`` — no per-doc loop and no
-    full position decode. Requires ``BuildConfig(index_positions=True)``.
-
-    Returns (doc_id, term, first_pos) sorted by (doc_id, term).
-    """
-    lo = local
-    lo.refresh()
-    if (lo.term_files
-            and not blobs.has_positions(lo.term_schema)):
-        raise ValueError("index was built without positions "
-                         "(BuildConfig.index_positions=True required)")
-    terms = sorted(set(analyze(_field_analyzer(lo.stats, field), query)))
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "term": pa.array([], pa.string()),
-                      "first_pos": pa.array([], pa.int64())})
-    if not terms:
-        return empty
-    tt = lo._read_terms(["term", "df"], {field: terms}, positions=True)
-    out_d, out_t, out_p = [], [], []
-    for i in range(tt.num_rows):
-        enc_pos = tt["positions_enc"][i].as_py()
-        if enc_pos is None:
-            raise ValueError("index was built without positions "
-                             "(BuildConfig.index_positions=True required)")
-        ids, tfs = codec.decode_postings(
-            tt["doc_ids_enc"][i].as_py(), tt["tfs_enc"][i].as_py(),
-            int(tt["df"][i].as_py()))
-        if len(lo._deleted):
-            keep = _drop_deleted(lo._deleted, ids)
-            if not keep.any():
-                continue
-        else:
-            keep = None
-        starts = np.r_[0, np.cumsum(tfs)[:-1]].astype(np.int64)
-        vals = codec.varint_decode(
-            np.frombuffer(enc_pos, dtype=np.uint8), int(tfs.sum()))
-        firsts = vals[starts]
-        if keep is not None:
-            ids, firsts = ids[keep], firsts[keep]
-        out_d.append(ids)
-        out_t.extend([tt["term"][i].as_py()] * len(ids))
-        out_p.append(firsts)
-    if not out_d:
-        return empty
-    d = np.concatenate(out_d)
-    p = np.concatenate(out_p).astype(np.int64)
-    t = np.array(out_t, dtype=object)
-    order = np.lexsort((t, d))
-    return pa.table({"doc_id": pa.array(d[order], pa.int64()),
-                     "term": pa.array(t[order].tolist(), pa.string()),
-                     "first_pos": pa.array(p[order], pa.int64())})
+        Returns (doc_id, term, first_pos) sorted by (doc_id, term).
+        """
+        self._require_positions()
+        terms = sorted(set(analyze(_field_analyzer(self.stats, field),
+                                   query)))
+        pos = self._read_positions(field, terms) if terms else {}
+        out_d, out_t, out_p = [], [], []
+        for t, ps in pos.items():
+            keep = _drop_deleted(self._deleted, ps.ids)
+            out_d.append(ps.ids[keep])
+            out_p.append(ps.gaps[ps.off[:-1]][keep])
+            out_t.extend([t] * int(keep.sum()))
+        d = np.concatenate(out_d or [np.empty(0, np.int64)])
+        p = np.concatenate(out_p or [np.empty(0, np.int64)]).astype(np.int64)
+        t = np.array(out_t, dtype=object)
+        order = np.lexsort((t, d))
+        return pa.table({"doc_id": pa.array(d[order], pa.int64()),
+                         "term": pa.array(t[order].tolist(), pa.string()),
+                         "first_pos": pa.array(p[order], pa.int64())})
 
 
 #: query-row ``mode`` values; a row with ``bool`` or ``fields`` ignores it

@@ -5469,14 +5469,14 @@ def _sql_ngram_repetition() -> str:
 def q_phrase_match(sf_dir: str):
     """Phrase (match_phrase) queries via the positional index: matching doc
     set per phrase. Requires index_positions=True (separate cached index)."""
-    from ..index.search import LocalSearcher, PhraseSearcher
+    from ..index.search import LocalSearcher
 
     idx = _ensure_doc_index(sf_dir, positions=True)
-    ps = PhraseSearcher(LocalSearcher(idx))
+    lo = LocalSearcher(idx)
     dmap = _docid_map(idx)
     out_q, out_d = [], []
     for qid, phrase in enumerate(DOC_PHRASES):
-        ids, _sc, _fq = ps.search(phrase, k=10**9)
+        ids, _sc, _fq = lo.search_phrase(phrase, k=10**9)
         out_q.extend([qid] * len(ids))
         out_d.extend(sorted(int(dmap[i]) for i in ids))
     return pa.table({"query_id": pa.array(out_q, pa.int64()),
@@ -5515,14 +5515,14 @@ def q_span_near_match(sf_dir: str):
     clauses occur in order with at most ``slop`` intervening positions —
     positional-index DP (one searchsorted + prefix-max per clause step,
     O(positions) per doc). slop=0 degenerates to exact phrase."""
-    from ..index.search import LocalSearcher, PhraseSearcher
+    from ..index.search import LocalSearcher
 
     idx = _ensure_doc_index(sf_dir, positions=True)
-    ps = PhraseSearcher(LocalSearcher(idx))
+    lo = LocalSearcher(idx)
     dmap = _docid_map(idx)
     out_q, out_d = [], []
     for qid, (a, b, slop) in enumerate(SPAN_NEAR_QUERIES):
-        ids = ps.span_near([a, b], slop=slop)
+        ids = lo.span_near([a, b], slop=slop)
         out_q.extend([qid] * len(ids))
         out_d.extend(sorted(int(dmap[i]) for i in ids))
     return pa.table({"query_id": pa.array(out_q, pa.int64()),
@@ -5562,16 +5562,16 @@ def q_intervals_match(sf_dir: str):
     """ES intervals query (all_of, ordered=false, max_gaps): docs where
     every clause term occurs in one window with <= max_gaps intervening
     positions, any order — minimal-covering-window sweep over the
-    positional index (``PhraseSearcher.intervals_all_of``); ordered=true
+    positional index (``LocalSearcher.intervals_all_of``); ordered=true
     delegates to the span_near DP."""
-    from ..index.search import LocalSearcher, PhraseSearcher
+    from ..index.search import LocalSearcher
 
     idx = _ensure_doc_index(sf_dir, positions=True)
-    ps = PhraseSearcher(LocalSearcher(idx))
+    lo = LocalSearcher(idx)
     dmap = _docid_map(idx)
     out_q, out_d = [], []
     for qid, (terms, gaps) in enumerate(INTERVALS_QUERIES):
-        ids = ps.intervals_all_of(list(terms), max_gaps=gaps)
+        ids = lo.intervals_all_of(list(terms), max_gaps=gaps)
         out_q.extend([qid] * len(ids))
         out_d.extend(sorted(int(dmap[i]) for i in ids))
     return pa.table({"query_id": pa.array(out_q, pa.int64()),
@@ -5688,14 +5688,14 @@ def q_match_phrase_prefix(sf_dir: str):
     carrying the last token as a prefix (term-dictionary expansion in term
     order, Lucene's rewrite) — matching doc set per query via the
     positional index."""
-    from ..index.search import LocalSearcher, PhraseSearcher
+    from ..index.search import LocalSearcher
 
     idx = _ensure_doc_index(sf_dir, positions=True)
-    ps = PhraseSearcher(LocalSearcher(idx))
+    lo = LocalSearcher(idx)
     dmap = _docid_map(idx)
     out_q, out_d = [], []
     for qid, phrase in enumerate(DOC_PREFIX_PHRASES):
-        ids, _sc, _fq = ps.search_prefix(phrase, k=10**9)
+        ids, _sc, _fq = lo.search_phrase_prefix(phrase, k=10**9)
         out_q.extend([qid] * len(ids))
         out_d.extend(sorted(int(dmap[i]) for i in ids))
     return pa.table({"query_id": pa.array(out_q, pa.int64()),
@@ -5770,10 +5770,10 @@ def q_highlight_match(sf_dir: str):
     matching the OR match query — the first token position of each query
     term present, decoded as positions_stream[run_starts] (each run's
     first position is stored absolute), no full position decode."""
-    from ..index.search import LocalSearcher, highlight_matches
+    from ..index.search import LocalSearcher
 
     idx = _ensure_doc_index(sf_dir, positions=True)
-    t = highlight_matches(LocalSearcher(idx), HIGHLIGHT_QUERY)
+    t = LocalSearcher(idx).highlight(HIGHLIGHT_QUERY)
     ids = (_docid_map(idx)[t["doc_id"].to_numpy()]
            if t.num_rows else np.empty(0, np.int64))
     return pa.table({"doc_id": pa.array(ids, pa.int64()),

@@ -134,10 +134,7 @@ def test_unicode_serving_apis_equal_brute(tmp_path, seed):
         snippet_matches,
         term_vectors,
     )
-    from elasticsearch_data_loader_ray.index.search import (
-        LocalSearcher,
-        highlight_matches,
-    )
+    from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
     rng = np.random.default_rng(seed)
     exotic = ["中文", "分词", "東京", "İstanbul", "µmetre", "Σσς",
@@ -179,7 +176,7 @@ def test_unicode_serving_apis_equal_brute(tmp_path, seed):
     q = "中文 data σσς"
     qterms = set(analyze("standard", q))
     # highlight anchors
-    got = highlight_matches(LocalSearcher(idx), q).to_pandas()
+    got = LocalSearcher(idx).highlight(q).to_pandas()
     want = {}
     for d, u in url_of.items():
         for w in qterms:

@@ -11,7 +11,7 @@ from elasticsearch_data_loader_ray.functions.analyzers import analyze
 from elasticsearch_data_loader_ray.index import codec
 from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
 from elasticsearch_data_loader_ray.index.oracle import corpus_from_webtext
-from elasticsearch_data_loader_ray.index.search import LocalSearcher, PhraseSearcher
+from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
 N = 700
 
@@ -52,8 +52,8 @@ def brute_phrase(t, phrase: str):
                                     "acme limited", "zzq missing"])
 def test_phrase_matches_brute(pos_index, phrase):
     idx, t = pos_index
-    ps = PhraseSearcher(LocalSearcher(idx))
-    ids, scores, freqs = ps.search(phrase, k=1000)
+    lo = LocalSearcher(idx)
+    ids, scores, freqs = lo.search_phrase(phrase, k=1000)
     want = brute_phrase(t, phrase)
     got = {int(d): (int(f), float(s)) for d, s, f in zip(ids, scores, freqs)}
     assert set(got) == set(want), (phrase, len(got), len(want))
@@ -64,8 +64,8 @@ def test_phrase_matches_brute(pos_index, phrase):
 
 def test_phrase_rank_order(pos_index):
     idx, _ = pos_index
-    ps = PhraseSearcher(LocalSearcher(idx))
-    ids, scores, _ = ps.search("the data", k=10)
+    lo = LocalSearcher(idx)
+    ids, scores, _ = lo.search_phrase("the data", k=10)
     assert len(ids) <= 10
     assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
 
@@ -76,18 +76,18 @@ def test_phrase_requires_positions(tmp_path):
     pq.write_table(fixtures.generate_webtext(120), str(src / "p.parquet"))
     out = str(tmp_path / "idx")
     build_index(str(src), out, BuildConfig(docs_per_segment=100))
-    ps = PhraseSearcher(LocalSearcher(out))
-    with pytest.raises((ValueError, KeyError, Exception)):
-        ps.search("the data", k=5)
+    lo = LocalSearcher(out)
+    with pytest.raises(ValueError, match="without positions"):
+        lo.search_phrase("the data", k=5)
 
 
 def test_distributed_phrase_matches_local(pos_index):
     from elasticsearch_data_loader_ray.index.search import search
 
     idx, _t = pos_index
-    local = PhraseSearcher(LocalSearcher(idx))
+    local = LocalSearcher(idx)
     for phrase in ["the data", "data search", "the the"]:
-        ids, scores, _ = local.search(phrase, k=25)
+        ids, scores, _ = local.search_phrase(phrase, k=25)
         dist = search(idx, [{"query_id": 0, "query": phrase, "k": 25,
                              "mode": "phrase"}]).to_pandas()
         assert dist["doc_id"].tolist() == ids.tolist()
@@ -98,10 +98,10 @@ def test_phrase_survives_merge(pos_index, tmp_path_factory):
     from elasticsearch_data_loader_ray.index.merge import merge_segments
 
     idx, t = pos_index
-    ps = PhraseSearcher(LocalSearcher(idx))
-    before = ps.search("the data", k=50)
+    lo = LocalSearcher(idx)
+    before = lo.search_phrase("the data", k=50)
     merge_segments(idx, group_size=3)
-    after = PhraseSearcher(LocalSearcher(idx)).search("the data", k=50)
+    after = LocalSearcher(idx).search_phrase("the data", k=50)
     assert before[0].tolist() == after[0].tolist()
     assert before[1].tolist() == after[1].tolist()
 
@@ -142,8 +142,9 @@ def test_phrase_on_multifield(tmp_path_factory):
         if c:
             want[d] = (c, idf_sum * float(codec.bm25_tf_impact(
                 np.array([c], dtype=np.float64), np.array([dl[d]]), avgdl)[0]))
-    ps = PhraseSearcher(LocalSearcher(out))
-    ids, scores, freqs = ps.search(phrase, k=1000, field="text_simple")
+    lo = LocalSearcher(out)
+    ids, scores, freqs = lo.search_phrase(phrase, k=1000,
+                                          field="text_simple")
     got = {int(d): (int(f), float(s)) for d, s, f in zip(ids, scores, freqs)}
     assert set(got) == set(want)
     for d in got:
@@ -154,7 +155,7 @@ def test_phrase_on_multifield(tmp_path_factory):
 
     dist = dsearch(out, [{"query_id": 0, "query": phrase, "k": 20,
                           "mode": "phrase", "field": "text_simple"}]).to_pandas()
-    loc_ids, loc_sc, _ = ps.search(phrase, k=20, field="text_simple")
+    loc_ids, loc_sc, _ = lo.search_phrase(phrase, k=20, field="text_simple")
     assert dist["doc_id"].tolist() == loc_ids.tolist()
     assert dist["score"].tolist() == loc_sc.tolist()
 
@@ -197,8 +198,8 @@ def brute_prefix(t, phrase: str, max_expansions: int = 50):
                                     "zzq missing pre"])
 def test_match_phrase_prefix_matches_brute(pos_index, phrase):
     idx, t = pos_index
-    ps = PhraseSearcher(LocalSearcher(idx))
-    ids, scores, freqs = ps.search_prefix(phrase, k=100000)
+    lo = LocalSearcher(idx)
+    ids, scores, freqs = lo.search_phrase_prefix(phrase, k=100000)
     want = brute_prefix(t, phrase)
     got = {int(d): (int(f), float(s)) for d, s, f in zip(ids, scores, freqs)}
     assert set(got) == set(want), (phrase, len(got), len(want))
@@ -209,17 +210,16 @@ def test_match_phrase_prefix_matches_brute(pos_index, phrase):
 
 def test_match_phrase_prefix_expansion_cap(pos_index):
     idx, t = pos_index
-    ps = PhraseSearcher(LocalSearcher(idx))
-    ids1, _s1, _f1 = ps.search_prefix("the s", k=100000, max_expansions=1)
+    lo = LocalSearcher(idx)
+    ids1, _s1, _f1 = lo.search_phrase_prefix("the s", k=100000,
+                                             max_expansions=1)
     want = brute_prefix(t, "the s", max_expansions=1)
     assert set(int(d) for d in ids1) == set(want)
 
 
 def test_highlight_first_positions_match_brute(pos_index):
-    from elasticsearch_data_loader_ray.index.search import highlight_matches
-
     idx, t = pos_index
-    got = highlight_matches(LocalSearcher(idx), "the data search").to_pandas()
+    got = LocalSearcher(idx).highlight("the data search").to_pandas()
     urls, toks = corpus_from_webtext(t)
     want = {}
     for d, tk in enumerate(toks):
@@ -293,16 +293,16 @@ def brute_span_near(t, clauses: list[str], slop: int) -> list[int]:
 ])
 def test_span_near_matches_brute(pos_index, clauses, slop):
     out, t = pos_index
-    ps = PhraseSearcher(LocalSearcher(out))
-    got = ps.span_near(clauses, slop=slop)
+    lo = LocalSearcher(out)
+    got = lo.span_near(clauses, slop=slop)
     assert got.tolist() == brute_span_near(t, clauses, slop)
 
 
 def test_span_near_slop0_equals_phrase(pos_index):
     out, _t = pos_index
-    ps = PhraseSearcher(LocalSearcher(out))
-    ids, _sc, _fq = ps.search("data query", k=10**9)
-    assert ps.span_near(["data", "query"], slop=0).tolist() == sorted(
+    lo = LocalSearcher(out)
+    ids, _sc, _fq = lo.search_phrase("data query", k=10**9)
+    assert lo.span_near(["data", "query"], slop=0).tolist() == sorted(
         ids.tolist())
 
 
@@ -335,23 +335,116 @@ def brute_intervals(t, terms: list[str], max_gaps: int) -> list[int]:
 ])
 def test_intervals_unordered_matches_brute(pos_index, terms, gaps):
     out, t = pos_index
-    ps = PhraseSearcher(LocalSearcher(out))
-    got = ps.intervals_all_of(terms, max_gaps=gaps)
+    lo = LocalSearcher(out)
+    got = lo.intervals_all_of(terms, max_gaps=gaps)
     assert got.tolist() == brute_intervals(t, terms, gaps)
 
 
 def test_intervals_ordered_delegates_to_span_near(pos_index):
     out, _t = pos_index
-    ps = PhraseSearcher(LocalSearcher(out))
-    a = ps.intervals_all_of(["data", "query"], max_gaps=2, ordered=True)
-    b = ps.span_near(["data", "query"], slop=2)
+    lo = LocalSearcher(out)
+    a = lo.intervals_all_of(["data", "query"], max_gaps=2, ordered=True)
+    b = lo.span_near(["data", "query"], slop=2)
     assert a.tolist() == b.tolist()
 
 
 def test_intervals_unordered_superset_of_ordered(pos_index):
     out, _t = pos_index
-    ps = PhraseSearcher(LocalSearcher(out))
-    uo = set(ps.intervals_all_of(["data", "query"], max_gaps=1).tolist())
-    o = set(ps.intervals_all_of(["data", "query"], max_gaps=1,
+    lo = LocalSearcher(out)
+    uo = set(lo.intervals_all_of(["data", "query"], max_gaps=1).tolist())
+    o = set(lo.intervals_all_of(["data", "query"], max_gaps=1,
                                 ordered=True).tolist())
     assert o <= uo
+
+
+def _corpus_text(t) -> dict[str, str]:
+    """url -> text under the engine's corpus rule (see
+    ``oracle.corpus_from_webtext``)."""
+    rows = sorted((u, ts, x) for u, ts, x in zip(t["url"].to_pylist(),
+                                                 t["warc_ts"].to_pylist(),
+                                                 t["text"].to_pylist())
+                  if x)
+    out: dict[str, str] = {}
+    for u, _ts, x in rows:
+        out.setdefault(u, x)
+    return out
+
+
+def test_positional_queries_after_append_update_delete(tmp_path):
+    """An append and an update_by_query without a ``cfg`` keep the
+    index's positions layout. After a delete_by_query on top, every
+    positional query matches the brute oracles over the live docs, and
+    the OR scorer answers bitwise the same in process and distributed."""
+    import os
+    from datetime import datetime
+
+    import pyarrow as pa
+
+    from elasticsearch_data_loader_ray.index import manifest as mf
+    from elasticsearch_data_loader_ray.index.append import (
+        append_index,
+        delete_by_query,
+        update_by_query,
+    )
+    from elasticsearch_data_loader_ray.index.build import seg_docs_path
+    from elasticsearch_data_loader_ray.index.search import search
+
+    base = fixtures.generate_webtext(300)
+    batch = fixtures.generate_webtext(100, seed=7, start=250)  # upserts
+    for name, part in (("a", base), ("b", batch)):
+        (tmp_path / name).mkdir()
+        pq.write_table(part, str(tmp_path / name / "p.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "a"), idx,
+                BuildConfig(docs_per_segment=80, index_positions=True))
+    assert append_index(str(tmp_path / "b"), idx)["n_deleted"] > 0
+    new_text = "Fresh data query: the data scan."
+    update_by_query(idx, "w0042", {"text": new_text})
+    n_del = delete_by_query(idx, "w0011")
+    assert mf.read_json(os.path.join(idx, "stats.json"))["index_positions"]
+
+    # the live corpus: the batch replaces its urls, the update rewrites
+    # the w0042 docs, the delete drops the w0011 docs
+    live = {**_corpus_text(base), **_corpus_text(batch)}
+    for u, x in live.items():
+        if "w0042" in analyze("standard", x):
+            live[u] = new_text
+    gone = [u for u, x in live.items() if "w0011" in analyze("standard", x)]
+    assert 0 < len(gone) == n_del
+    for u in gone:
+        del live[u]
+    urls = sorted(live)
+    t_live = pa.table({"url": urls,
+                       "warc_ts": [datetime(2024, 1, 1)] * len(urls),
+                       "text": [live[u] for u in urls]})
+    url_of = {}
+    for s in mf.committed_segments(idx):
+        d = pq.read_table(seg_docs_path(idx, s), columns=["doc_id", "url"])
+        url_of.update(zip(d["doc_id"].to_pylist(), d["url"].to_pylist()))
+
+    def to_urls(ids) -> set[str]:
+        return {url_of[int(d)] for d in ids}
+
+    lo = LocalSearcher(idx)
+    ids, _sc, freqs = lo.search_phrase("the data", k=10**9)
+    want = brute_phrase(t_live, "the data")
+    assert {url_of[int(d)]: int(f) for d, f in zip(ids, freqs)} == {
+        urls[d]: c for d, (c, _s) in want.items()}
+    ids, _sc, _fq = lo.search_phrase_prefix("the d", k=10**9)
+    assert to_urls(ids) == {urls[d] for d in brute_prefix(t_live, "the d")}
+    assert to_urls(lo.span_near(["the", "data"], slop=3)) == {
+        urls[d] for d in brute_span_near(t_live, ["the", "data"], 3)}
+    assert to_urls(lo.intervals_all_of(["data", "the"], max_gaps=1)) == {
+        urls[d] for d in brute_intervals(t_live, ["data", "the"], 1)}
+    hl = lo.highlight("the data search").to_pandas()
+    _u, toks = corpus_from_webtext(t_live)
+    assert {(url_of[int(r.doc_id)], r.term): int(r.first_pos)
+            for r in hl.itertuples()} == {
+        (urls[d], q): tk.index(q) for d, tk in enumerate(toks)
+        for q in ("the", "data", "search") if q in tk}
+    ids, sc = lo.search("the data", k=25)
+    assert len(ids) == 25 and to_urls(ids) <= set(urls)
+    dist = search(idx, [{"query_id": 0, "query": "the data",
+                         "k": 25}]).to_pandas()
+    assert dist["doc_id"].tolist() == ids.tolist()
+    assert dist["score"].tolist() == sc.tolist()  # bitwise

@@ -61,6 +61,27 @@ def test_lookup_matches_filter(tmp_path, stats):
     assert r.rg_reads == reads  # a repeat is served from the cache
 
 
+@pytest.mark.parametrize("stats,rg_size", [(True, 100), (False, 100),
+                                           (True, 64)])
+def test_many_pair_lookup_matches_filter(tmp_path, stats, rg_size):
+    """One lookup of 600 pairs (hits and misses in both fields) spread
+    over every row group equals a filter over the whole table: each row
+    group takes its slice of the sorted pairs from its bounds, also in
+    the row group that mixes the two fields (``row_group_size=64``)."""
+    tbl = _table()
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(tbl, path, row_group_size=rg_size, write_statistics=stats)
+    r = SortedTermFile(path)
+    rng = np.random.default_rng(0)
+    by_field = {
+        "text": [f"t{i:04d}" for i in rng.choice(1800, 450, replace=False)],
+        "name": [f"t{i:04d}" for i in rng.choice(400, 150, replace=False)]}
+    pairs = sorted((f, t) for f, ts in by_field.items() for t in ts)
+    assert len(r.row_groups(pairs)) >= 10
+    got = r.lookup(by_field, ["field", "term", "df"])
+    assert got.equals(_want(tbl, by_field, ["field", "term", "df"]))
+
+
 def test_unsorted_row_group_is_refused(tmp_path):
     """Lookups binary-search each field's run of a row group, so a file
     whose terms are not ascending within a field raises instead of
