@@ -32,9 +32,12 @@ and block that cannot reach the running k-th score (Lucene's
 (index/pruned.py), which runs the same loop over the pruned sidecar's
 postings. Every reader of a term's postings (the loop, matched sets, bool,
 multi_match, boosting, prefix, wildcard/regexp and explain) takes them
-from one per-(field, term) cache of :class:`_Blocked` runs, so a term's
-dictionary row and bytes are read once per epoch and a block is decoded
-once, where it is stored.
+from one per-(field, term) cache of :class:`_TermDir` s: a term's block
+directory over its :class:`_Blocked` segment runs, in doc-id order, and
+one decoded buffer per term. So a term's dictionary rows and bytes are
+read once per epoch, a block is decoded once, and the loop takes one
+block span and one decode call per term and window, whatever the
+segment count.
 
 Positional queries (index built with ``BuildConfig(index_positions=True)``)
 are ``LocalSearcher`` methods too: :meth:`~LocalSearcher.search_phrase`,
@@ -159,44 +162,70 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
             + np.arange(int(lens.sum()), dtype=np.int64))
 
 
-def _decode_blocks(r: "_Blocked", bs: np.ndarray
+def _decode_blocks(d: "_TermDir", bs: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(doc ids, tfs) of the ascending blocks ``bs`` of ``r``, decoded in
-    one vectorized pass; a block's first gap is relative to the previous
-    block's last id (``block_last``), so blocks decode independently."""
-    nb = r.n_blocks
+    """(doc ids, tfs) of the ascending directory blocks ``bs`` of ``d``,
+    decoded in one vectorized pass over every run; a block's first gap is
+    relative to the previous block's last id in its run (``block_last``),
+    a run's first block's to 0, so blocks decode independently."""
+    nb = d.n_blocks
     nxt = np.minimum(bs + 1, nb - 1)
-    d_lo = r.doc_offs[bs]
-    d_hi = np.where(bs + 1 < nb, r.doc_offs[nxt], len(r.doc_enc))
-    t_lo = r.tf_offs[bs]
-    t_hi = np.where(bs + 1 < nb, r.tf_offs[nxt], len(r.tf_enc))
-    doc = np.frombuffer(r.doc_enc, np.uint8)[_ranges(d_lo, d_hi)]
-    tfb = np.frombuffer(r.tf_enc, np.uint8)[_ranges(t_lo, t_hi)]
+    d_lo = d.doc_offs[bs]
+    d_hi = np.where(bs + 1 < nb, d.doc_offs[nxt], len(d.doc_enc))
+    t_lo = d.tf_offs[bs]
+    t_hi = np.where(bs + 1 < nb, d.tf_offs[nxt], len(d.tf_enc))
+    doc = d.doc_enc[_ranges(d_lo, d_hi)]
+    tfb = d.tf_enc[_ranges(t_lo, t_hi)]
     gaps = codec.varint_decode(doc).astype(np.int64)
     tfs = codec.varint_decode(tfb, len(gaps)).astype(np.int64)
     # postings per block: one value ends at each byte without the
     # continuation bit
     ends = np.cumsum(doc < 0x80)[np.cumsum(d_hi - d_lo) - 1]
     starts = np.r_[0, ends[:-1]]
-    gaps[starts] += np.where(bs > 0, r.block_last[np.maximum(bs - 1, 0)], 0)
+    gaps[starts] += np.where(d.blk[bs] > 0,
+                             d.block_last[np.maximum(bs - 1, 0)], 0)
     return codec.delta_decode_runs(gaps, starts), tfs
 
 
 class _Blocked:
-    """One term's postings in one segment: the encoded streams, per block
-    its last doc id, byte offsets, max tf impact (as float64 bits) and
-    smallest possible doc id (rows of ``meta``), and the blocks decoded so
-    far (``ids``/``tfs`` at the postings' offsets ``start``, ``have`` per
-    block), kept across queries. Compact: a served vocabulary keeps one
-    per term and segment."""
+    """One term's run in one segment, as its :class:`_TermDir` holds it:
+    ``df`` postings, its blocks' columns of the directory's ``meta`` and,
+    once the term's buffer exists, its postings as views ``ids``/``tfs``
+    of it, so decoded postings are held once per term."""
 
-    __slots__ = ("doc_enc", "tf_enc", "df", "meta", "blocks_decoded",
-                 "start", "have", "ids", "tfs")
+    __slots__ = ("df", "meta", "ids", "tfs")
 
-    def __init__(self, doc_enc: bytes, tf_enc: bytes, df: int,
-                 meta: np.ndarray):
-        self.doc_enc, self.tf_enc, self.df, self.meta = (
-            doc_enc, tf_enc, df, meta)
+    def __init__(self, df: int, meta: np.ndarray):
+        self.df, self.meta = df, meta
+        self.ids = self.tfs = None
+
+    n_blocks = property(lambda self: self.meta.shape[1])
+
+
+class _TermDir:
+    """One term's postings in the bound segments: the block directory of
+    its :class:`_Blocked` runs, and their encoded streams joined, both in
+    doc-id order (segments hold disjoint ascending doc-id ranges, so the
+    directory is sorted). Per block (columns of ``meta``): its last doc
+    id, byte offsets into the joined streams, max tf impact (as float64
+    bits), smallest possible doc id and its index in its run. The blocks
+    decoded so far sit in one per-term buffer (``ids``/``tfs`` at the
+    postings' offsets ``start``, ``have`` per block), kept across queries;
+    each run's postings are views of it."""
+
+    __slots__ = ("runs", "meta", "doc_enc", "tf_enc", "df", "run_start",
+                 "blocks_decoded", "start", "have", "ids", "tfs")
+
+    def __init__(self, meta: np.ndarray, doc_enc: bytes, tf_enc: bytes,
+                 run_df: list[int]):
+        self.meta = meta
+        self.doc_enc = np.frombuffer(doc_enc, np.uint8)
+        self.tf_enc = np.frombuffer(tf_enc, np.uint8)
+        self.run_start = np.r_[0, np.cumsum(run_df)]
+        self.df = int(self.run_start[-1])
+        b0 = np.r_[np.flatnonzero(self.blk == 0), self.n_blocks]
+        self.runs = [_Blocked(df, meta[:, a:b])
+                     for df, a, b in zip(run_df, b0[:-1], b0[1:])]
         self.blocks_decoded = 0
         self.start = self.have = self.ids = self.tfs = None
 
@@ -205,40 +234,49 @@ class _Blocked:
     tf_offs = property(lambda self: self.meta[2])
     bmax = property(lambda self: self.meta[3].view(np.float64))
     block_lo = property(lambda self: self.meta[4])
+    blk = property(lambda self: self.meta[5])
     n_blocks = property(lambda self: self.meta.shape[1])
 
+    def _hold(self, ids: np.ndarray, tfs: np.ndarray) -> None:
+        """Make (``ids``, ``tfs``) the term's buffer, the runs' views."""
+        self.ids, self.tfs = ids, tfs
+        for r, a, b in zip(self.runs, self.run_start[:-1],
+                           self.run_start[1:]):
+            r.ids, r.tfs = ids[a:b], tfs[a:b]
+
     def whole(self) -> tuple[np.ndarray, np.ndarray]:
-        """(doc ids, tfs) of the whole run, decoded once; a whole run
+        """(doc ids, tfs) of the whole term, decoded once; a whole term
         (``blocks_decoded`` counts each block once) comes back as is."""
         if self.blocks_decoded < self.n_blocks:
             self.get(np.arange(self.n_blocks))
         return self.ids, self.tfs
 
     def get(self, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(doc ids, tfs) of the ascending blocks ``bs``, decoding the
-        missing ones together. A fully decoded span from ``bs[0]`` to
-        ``bs[-1]`` comes back whole, as views: the blocks between only add
-        true contributions."""
+        """(doc ids, tfs) of the ascending blocks ``bs``, of any runs,
+        decoding the missing ones together. A fully decoded span from
+        ``bs[0]`` to ``bs[-1]`` comes back whole, as views: the blocks
+        between only add true contributions."""
         if len(bs) == self.n_blocks and (self.have is None
                                          or not self.have.all()):
-            # the whole run: one pass (re-decoding the few blocks decoded
+            # the whole term: one pass (re-decoding the few blocks decoded
             # before beats gathering around them)
             self.blocks_decoded += self.n_blocks - (
                 0 if self.have is None else int(self.have.sum()))
-            self.ids, self.tfs = codec.decode_postings(
-                self.doc_enc, self.tf_enc, self.df)
+            gaps = codec.varint_decode(self.doc_enc, self.df)
+            self._hold(codec.delta_decode_runs(gaps, self.run_start[:-1]),
+                       codec.varint_decode(self.tf_enc, self.df)
+                       .astype(np.int64))
             self.have = np.ones(self.n_blocks, dtype=bool)
             self.start = None
             return self.ids, self.tfs
         if self.have is None:
             # postings per block: its bytes without the continuation bit
-            n = np.add.reduceat(
-                np.frombuffer(self.doc_enc, np.uint8) < 0x80,
-                self.doc_offs, dtype=np.int64)
+            n = np.add.reduceat(self.doc_enc < 0x80, self.doc_offs,
+                                dtype=np.int64)
             self.start = np.concatenate(([0], np.cumsum(n)))
             self.have = np.zeros(self.n_blocks, dtype=bool)
-            self.ids = np.empty(self.df, np.int64)
-            self.tfs = np.empty(self.df, np.int64)
+            self._hold(np.empty(self.df, np.int64),
+                       np.empty(self.df, np.int64))
         if self.start is None:
             self.start = np.concatenate(
                 ([0], np.searchsorted(self.ids, self.block_last, "right")))
@@ -256,14 +294,53 @@ class _Blocked:
         return self.ids[idx], self.tfs[idx]
 
 
+def _term_dirs(terms: list[str], dfs: list[int], doc_encs: list[bytes],
+               tf_encs: list[bytes], offs: np.ndarray, meta: np.ndarray
+               ) -> dict[str, _TermDir]:
+    """A :class:`_TermDir` per distinct term of the dictionary rows
+    (``terms``, ``dfs``, encoded streams; row ``i``'s blocks are columns
+    ``offs[i]:offs[i + 1]`` of ``meta``: last doc id, doc and tf byte
+    offsets in the row's streams, max impact bits, smallest doc id). The
+    rows are put term-major, each term's runs in doc-id order, in one
+    gather; the offsets move into the joined streams."""
+    n = len(terms)
+    first = meta[4, offs[:-1]].tolist()
+    order = sorted(range(n), key=lambda i: (terms[i], first[i]))
+    o = np.asarray(order, dtype=np.int64)
+    nb = np.diff(offs)[o]
+    meta = meta[:, _ranges(offs[:-1][o], offs[1:][o])]
+    ts = [terms[i] for i in order]
+    # each row's first block and its term's first row, in the new order
+    row_b0 = np.r_[0, np.cumsum(nb)[:-1]]
+    new = [0] + [j for j in range(1, n) if ts[j] != ts[j - 1]]
+    grp = np.zeros(n, np.int64)
+    grp[new] = new
+    grp = np.maximum.accumulate(grp)
+    row_of = np.repeat(np.arange(n), nb)
+    for r, enc in ((1, doc_encs), (2, tf_encs)):
+        nbytes = np.array([len(enc[i]) for i in order], np.int64)
+        base = np.cumsum(nbytes) - nbytes
+        meta[r] += (base - base[grp])[row_of]
+    meta = np.vstack([meta, np.arange(len(row_of)) - row_b0[row_of]])
+    out = {}
+    for a, b in zip(new, [*new[1:], n]):
+        rows = order[a:b]
+        out[ts[a]] = _TermDir(
+            meta[:, row_b0[a]:row_b0[b - 1] + nb[b - 1]],
+            b"".join(doc_encs[i] for i in rows),
+            b"".join(tf_encs[i] for i in rows), [dfs[i] for i in rows])
+    return out
+
+
 def _drain(buf: np.ndarray, pos: list[np.ndarray],
            cnt: np.ndarray | None = None, n_terms: int = 0
            ) -> tuple[np.ndarray, np.ndarray]:
     """(positions, sums) of the docs scattered into ``buf`` at the ``pos``
     arrays (with ``cnt``: only docs hit ``n_terms`` times), re-zeroing the
-    buffers: a scan when there is a posting per few dozen docs, else the
-    sorted positions, so a sparse window costs its postings."""
-    if 32 * sum(len(p) for p in pos) >= len(buf):
+    buffers: a scan when there is a posting per 8 docs or more, else the
+    sorted positions, so a sparse window costs its postings (sorting n
+    positions costs about what scanning 8n buffer slots does)."""
+    if 8 * sum(len(p) for p in pos) >= len(buf):
         nz = np.flatnonzero(cnt == n_terms if cnt is not None
                             else buf > 0.0)  # BM25 contributions are > 0
         out = nz, buf[nz]
@@ -282,10 +359,12 @@ def _drain(buf: np.ndarray, pos: list[np.ndarray],
 
 
 class _Run:
-    """A :class:`_Blocked` run as one query scores it: block ``b`` holds doc
-    ids in ``[lo_id[b], last[b]]`` and adds at most ``ub[b]`` to a score
-    (``inf``: no stored maxima, as the pruned sidecar's runs). ``ids``/
-    ``con`` (contributions) are set while the term's impacts are cached."""
+    """A term's :class:`_TermDir` (``blk``) as one query scores it: block
+    ``b`` of the directory holds doc ids in ``[lo_id[b], last[b]]`` and
+    adds at most ``ub[b]`` to a score (``inf``: no stored maxima, as a
+    pruned sidecar term). ``ids``/``con`` (contributions) are the whole
+    term's, set while its impacts are cached; ``wa``/``wb`` are each
+    window's first and past-last overlapping block."""
 
     __slots__ = ("term", "lo_id", "last", "ub", "blk", "ids", "con", "wa",
                  "wb")
@@ -585,15 +664,15 @@ def prepare_bool_spec(bq: dict, field: str, analyzer: str) -> dict:
             "msm_div": int(msm_div) if msm_div else 0, "msm_src": msm_src}
 
 
-def _bool_clause_ids(clause_terms, runs_of) -> np.ndarray:
-    """Sorted unique doc ids matching any of a clause's terms, given a
-    ``term -> [(ids, tfs), ...]`` runs lookup."""
-    runs = [ids for t in clause_terms for ids, _tfs in runs_of(t)]
-    if not runs:
+def _bool_clause_ids(clause_terms, by_term: dict) -> np.ndarray:
+    """Sorted unique doc ids matching any of a clause's terms, given
+    ``term -> (ids, tfs)`` postings (absent terms match nothing)."""
+    parts = [by_term[t][0] for t in clause_terms if t in by_term]
+    if not parts:
         return np.empty(0, np.int64)
-    if len(runs) == 1:
-        return runs[0]
-    return np.unique(np.concatenate(runs))
+    if len(parts) == 1:
+        return parts[0]
+    return np.unique(np.concatenate(parts))
 
 
 def _auto_fuzziness(term: str) -> int:
@@ -911,9 +990,10 @@ class SortedTermFile:
     conservative (min a prefix <= true min, max >= true max); a file
     without usable statistics reads every row group. Row groups a lookup
     read stay cached, non-binary columns only, with their terms as a
-    Python list, least recently used out first beyond ``_RG_CACHE_CAP``
-    bytes: a repeat or neighbouring lookup decodes nothing, and finds its
-    rows by binary search and one ``take``. ``sig`` is the file's (inode,
+    numpy object array, least recently used out first beyond
+    ``_RG_CACHE_CAP`` bytes: a repeat or neighbouring lookup decodes
+    nothing, and finds its rows by one ``np.searchsorted`` per field run
+    of a row group and one ``take``. ``sig`` is the file's (inode,
     mtime_ns, size): a searcher hands the reader to its next epoch while
     the path still carries it (see ``LocalSearcher._bind``)."""
 
@@ -986,7 +1066,7 @@ class SortedTermFile:
         (field, term) ``pairs``."""
         return [g for g, _lo, _hi in self._spans(pairs)]
 
-    def _load(self, g: int) -> tuple[pa.Table, list[str], dict, int]:
+    def _load(self, g: int) -> tuple[pa.Table, np.ndarray, dict, int]:
         """Row group ``g``: (non-binary columns, its terms, {field: [(lo,
         hi) row runs]}, bytes held). Raises ``ValueError`` when a run's
         terms are not strictly ascending: lookups binary-search them."""
@@ -994,7 +1074,7 @@ class SortedTermFile:
         # on ~1000-row groups
         t = self.pf.read_row_group(g, columns=self._cols, use_threads=False)
         # via numpy: Array.to_pylist builds a scalar per row, ~15x slower
-        terms = t["term"].to_numpy(zero_copy_only=False).tolist()
+        terms = t["term"].to_numpy(zero_copy_only=False)
         fields = t["field"].combine_chunks()
         n = len(terms)
         # a field run starts at row 0 and wherever the field changes
@@ -1004,11 +1084,11 @@ class SortedTermFile:
             np.flatnonzero(np.asarray(changed)) + 1).tolist()
         runs: dict[str, list[tuple[int, int]]] = {}
         for lo, hi in zip(starts, [*starts[1:], n]):
-            if not all(map(operator.lt, terms[lo:hi - 1], terms[lo + 1:hi])):
+            if not (terms[lo:hi - 1] < terms[lo + 1:hi]).all():
                 raise ValueError(f"{self.path}: row group {g} is not sorted "
                                  "by term within a field")
             runs.setdefault(fields[lo].as_py(), []).append((lo, hi))
-        # each term str: ~49 B of header plus its bytes, and a list slot
+        # each term str: ~49 B of header plus its bytes, and an array slot
         nbytes = t.nbytes + t["term"].nbytes + 57 * n
         return t, terms, runs, nbytes
 
@@ -1036,21 +1116,28 @@ class SortedTermFile:
     def lookup(self, terms_by_field: dict[str, list[str]],
                cols: list[str]) -> pa.Table | None:
         """Rows whose (field, term) is looked up, projected on ``cols``
-        (non-binary columns), in file order; None when no row matches."""
-        pairs = sorted({(f, t) for f, ts in terms_by_field.items()
-                        for t in ts})
+        (non-binary columns), in file order; None when no row matches.
+        A row group's rows of a field's looked-up terms come from one
+        ``np.searchsorted`` per field run over its cached terms."""
+        by_f = {f: sorted(set(ts)) for f, ts in sorted(terms_by_field.items())}
+        pairs = [(f, t) for f, ts in by_f.items() for t in ts]
+        keys = np.array([t for _f, t in pairs], dtype=object)
+        f_end = np.cumsum([len(ts) for ts in by_f.values()]).tolist()
+        f_at = list(zip(by_f, [0, *f_end[:-1]], f_end))
         spans = self._spans(pairs)
         parts = []
         for (_g, p_lo, p_hi), (t, terms, runs, _nb) in zip(
                 spans, self._groups([g for g, _lo, _hi in spans])):
             rows = []
-            for f, term in pairs[p_lo:p_hi]:
-                for lo, hi in runs.get(f, ()):
-                    i = bisect.bisect_left(terms, term, lo, hi)
-                    if i < hi and terms[i] == term:
-                        rows.append(i)
-            if rows:
-                parts.append(t.select(cols).take(sorted(rows)))
+            for f, a, b in f_at:
+                a, b = max(a, p_lo), min(b, p_hi)
+                for lo, hi in runs.get(f, ()) if a < b else ():
+                    i = np.minimum(lo + np.searchsorted(terms[lo:hi],
+                                                        keys[a:b]), hi - 1)
+                    rows.append(i[terms[i] == keys[a:b]])
+            rows = np.sort(np.concatenate(rows)) if rows else ()
+            if len(rows):
+                parts.append(t.select(cols).take(rows))
         if not parts:
             return None
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
@@ -1146,22 +1233,21 @@ class LocalSearcher:
         self.term_schema = readers[0].schema if n else None
         self._dl: dict[str, np.ndarray] = {}
         self._idf_cache: dict[tuple[str, str], float | None] = {}
-        # the one postings store: per (field, term) its _Blocked runs
-        # (encoded bytes, block metadata, the blocks decoded so far),
-        # FIFO-evicted; every reader of a term's postings goes through
-        # _load_blocked_runs, so a term is read and each block decoded
-        # once per epoch
-        self._postings_cache: dict[tuple[str, str], list[_Blocked]] = {}
+        # the one postings store: per (field, term) its _TermDir (block
+        # directory over the _Blocked segment runs, joined encoded bytes,
+        # the blocks decoded so far) or None, FIFO-evicted; every reader
+        # of a term's postings goes through _load_blocked_runs, so a term
+        # is read and each block decoded once per epoch
+        self._postings_cache: dict[tuple[str, str], _TermDir | None] = {}
         self._postings_cache_cap = 8192
-        # impact cache: per-(field, term) BM25 contribution arrays
+        # impact cache: per-(field, term) BM25 contribution array
         # (idf * tf-impact per posting) — query-INDEPENDENT, so warm
         # hot-term OR queries reduce to scatter-add + top-k (the dl
         # gather + kernel were ~half the warm cost for stopword queries).
         # Byte-budgeted LRU; idf/dl/avgdl are fixed per epoch, so entries
         # never go stale within a bind.
         from collections import OrderedDict
-        self._contrib_cache: "OrderedDict[tuple, list[np.ndarray]]" = \
-            OrderedDict()
+        self._contrib_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._contrib_cache_bytes = 0
         # exact-request result cache (see search()); per-epoch by
         # construction — _bind recreates it on every swap
@@ -1399,11 +1485,11 @@ class LocalSearcher:
                 if (v := self._idf_cache.get((field, t))) is not None}
 
     def _load_blocked_runs(self, field: str, terms: list[str]
-                           ) -> dict[str, list[_Blocked]]:
-        """:class:`_Blocked` runs per term, sorted by doc range (``[]`` for
-        a term absent from the bound segments), from ``_postings_cache``:
-        only terms not yet cached read their dictionary rows and postings
-        bytes, and decoded blocks stay with their run."""
+                           ) -> dict[str, _TermDir | None]:
+        """:class:`_TermDir` per term (None for a term absent from the
+        bound segments), from ``_postings_cache``: only terms not yet
+        cached read their dictionary rows and postings bytes, and decoded
+        blocks stay with their term."""
         missing = [t for t in terms if (field, t) not in self._postings_cache]
         if missing:
             tt = self._read_terms(
@@ -1411,33 +1497,32 @@ class LocalSearcher:
                  "block_doc_byte_off", "block_tf_byte_off"],
                 {field: missing},
             )
-            fresh: dict[str, list[_Blocked]] = {t: [] for t in missing}
-            # the block columns share their list offsets: one (4, blocks)
-            # array per read, a column slice per run
-            views = [blobs._list_views(tt[c]) for c in (
-                "block_last_doc", "block_doc_byte_off", "block_tf_byte_off",
-                "block_max_impact")]
-            offs = views[0][0]
-            meta = np.stack([v.astype(np.int64, copy=False)
-                             for _o, v in views[:3]]
-                            + [views[3][1].astype(np.float64).view(np.int64),
-                               np.empty(offs[-1], np.int64)])
-            # smallest doc id per block: one past the previous block's
-            # last, the segment's first doc id for a run's first block
-            base = {s: b for b, _n, s in self._doc_ranges}
-            segs = tt["segment_id"].to_pylist()
-            meta[4, 1:] = meta[0, :-1] + 1
-            meta[4, offs[:-1]] = [base[s] for s in segs]
-            for t, df, d_enc, t_enc, a, b in zip(
+            fresh: dict[str, _TermDir] = {}
+            if tt.num_rows:
+                # the block columns share their list offsets: one (5,
+                # blocks) array per read
+                views = [blobs._list_views(tt[c]) for c in (
+                    "block_last_doc", "block_doc_byte_off",
+                    "block_tf_byte_off", "block_max_impact")]
+                offs = views[0][0]
+                meta = np.stack(
+                    [v.astype(np.int64, copy=False) for _o, v in views[:3]]
+                    + [views[3][1].astype(np.float64).view(np.int64),
+                       np.empty(offs[-1], np.int64)])
+                # smallest doc id per block: one past the previous block's
+                # last, the segment's first doc id for a run's first block
+                base = {s: b for b, _n, s in self._doc_ranges}
+                segs = tt["segment_id"].to_pylist()
+                meta[4, 1:] = meta[0, :-1] + 1
+                meta[4, offs[:-1]] = [base[s] for s in segs]
+                fresh = _term_dirs(
                     tt["term"].to_pylist(), tt["df"].to_pylist(),
                     tt["doc_ids_enc"].to_pylist(),
-                    tt["tfs_enc"].to_pylist(), offs[:-1], offs[1:]):
-                fresh[t].append(_Blocked(d_enc, t_enc, df, meta[:, a:b]))
+                    tt["tfs_enc"].to_pylist(), offs, meta)
             for t in missing:
-                fresh[t].sort(key=lambda r: int(r.block_lo[0]))
                 while len(self._postings_cache) >= self._postings_cache_cap:
                     self._postings_cache.pop(next(iter(self._postings_cache)))
-                self._postings_cache[(field, t)] = fresh[t]
+                self._postings_cache[(field, t)] = fresh.get(t)
         return {t: self._postings_cache[(field, t)] for t in terms}
 
     #: doc ids per window of the exact scorer (a 2 MiB float64 buffer)
@@ -1458,37 +1543,37 @@ class LocalSearcher:
                                    mode, after, score_mod)
 
     def _bounded_runs(self, field: str, terms: list[str], idf: dict
-                      ) -> dict[str, list[_Run]]:
-        """term -> its :class:`_Run` s, each block bounded by ``idf *
-        bscale * block_max_impact`` (``bscale``: appended indexes)."""
-        blocked = self._load_blocked_runs(field, terms)
-        runs = {}
-        for t in terms:
-            w = idf[t] * self._bscale
-            runs[t] = [_Run(t, b.block_lo, b.block_last, w * b.bmax, b)
-                       for b in blocked[t]]
-        return runs
+                      ) -> dict[str, _Run]:
+        """term -> its :class:`_Run`, each block bounded by ``idf * bscale
+        * block_max_impact`` (``bscale``: appended indexes); terms absent
+        from the bound segments are left out."""
+        dirs = self._load_blocked_runs(field, terms)
+        return {t: _Run(t, d.block_lo, d.block_last,
+                        idf[t] * self._bscale * d.bmax, d)
+                for t, d in dirs.items() if d is not None}
 
-    def _warm(self, field: str, t: str, trs: list, idf: dict,
-              dl: np.ndarray, avgdl: float) -> None:
-        """Set the runs of ``t`` warm: postings decoded whole, impacts
-        through the impact cache."""
-        post = [r.blk.whole() for r in trs]
-        con = self._contribs_for(field, [t], {t: post}, idf, dl, avgdl)[t]
-        for r, (ids, _tfs), c in zip(trs, post, con):
-            r.ids, r.con = ids, c
+    def _warm(self, field: str, r: _Run, idf: dict, dl: np.ndarray,
+              avgdl: float) -> None:
+        """Set ``r`` warm: postings decoded whole, impacts through the
+        impact cache."""
+        post = r.blk.whole()
+        r.ids = post[0]
+        r.con = self._contribs_for(field, [r.term], {r.term: post}, idf, dl,
+                                   avgdl)[r.term]
 
-    def _fetch(self, field: str, runs: dict, r: _Run, bs: np.ndarray,
-               lo: int, hi: int, idf: dict, dl: np.ndarray, avgdl: float,
+    def _fetch(self, field: str, r: _Run, bs: np.ndarray, lo: int, hi: int,
+               n_span: int, idf: dict, dl: np.ndarray, avgdl: float,
                at: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
         """(doc id - ``lo``, contribution) of the postings in blocks ``bs``
         (ascending) of ``r`` with ids in ``[lo, hi)`` — only those at the
-        sorted positions ``at`` when given. A run needed whole makes its
-        term warm (:meth:`_warm`); a head term of which queries need a few
-        blocks stays lazy."""
-        if r.ids is None and len(bs) == len(r.last):
-            self._warm(field, r.term, runs[r.term], idf, dl, avgdl)
+        sorted positions ``at`` when given. Asking for all ``n_span``
+        blocks that overlap ``[lo, hi)``, or for any block of a term
+        decoded whole, makes the term warm (:meth:`_warm`); a head term of
+        which queries need a few blocks stays lazy."""
+        if r.ids is None and (len(bs) == n_span or r.blk.blocks_decoded
+                              == r.blk.n_blocks):
+            self._warm(field, r, idf, dl, avgdl)
         if r.ids is None:
             ids, val = r.blk.get(bs)
         elif 2 * len(bs) >= bs[-1] - bs[0] + 1:
@@ -1522,20 +1607,11 @@ class LocalSearcher:
         contribution in the top-``k`` blocks of the highest-bound term
         (distinct docs; a score is at least any one contribution of it),
         or ``-inf``."""
-        t = max(terms, key=lambda t: (max(float(r.ub.max())
-                                          for r in runs[t]), t))
-        trs = runs[t]
-        ub = np.concatenate([r.ub for r in trs])
-        n = min(k, len(ub))
-        top = np.sort(np.argpartition(-ub, n - 1)[:n])
-        offs = np.cumsum([0] + [len(r.ub) for r in trs])
-        got = [self._fetch(field, runs, r, bs, 0, self.n_docs, idf, dl,
-                           avgdl)
-               for j, r in enumerate(trs)
-               if len(bs := top[(top >= offs[j]) & (top < offs[j + 1])]
-                      - offs[j])]
-        ids = np.concatenate([f[0] for f in got])
-        con = np.concatenate([f[1] for f in got])
+        r = runs[max(terms, key=lambda t: (float(runs[t].ub.max()), t))]
+        n = min(k, len(r.ub))
+        top = np.sort(np.argpartition(-r.ub, n - 1)[:n])
+        ids, con = self._fetch(field, r, top, 0, self.n_docs, len(r.ub), idf,
+                               dl, avgdl)
         if len(self._deleted):
             con = con[_drop_deleted(self._deleted, ids)]
         return float(np.partition(con, -k)[-k]) if len(con) >= k \
@@ -1547,49 +1623,51 @@ class LocalSearcher:
                        after: tuple[float, int] | None = None,
                        score_mod=None) -> tuple[np.ndarray, np.ndarray]:
         """The exact scorer (Lucene's ``MaxScoreBulkScorer`` shape): top-k
-        of ``terms`` over ``runs`` (term -> :class:`_Run` s), one doc-id
-        window at a time. Each window scatter-adds its postings' scores
-        into a reused buffer in lexicographic term order, so scores are
-        the oracle's bitwise (``mode="and"`` also counts hits), then keeps
-        its top-k (tombstones and the ``after`` cursor dropped, ``score_mod``
-        applied first), raising ``theta``, the running k-th score (seeded
-        for OR by :meth:`_seed_theta`). A doc whose bound is strictly below
-        ``theta`` cannot tie into the top-k, so the loop skips a window
-        whose bounds sum below it, and an essential term's block whose
-        bound plus the other terms' window bounds does. The non-essential
-        terms (MaxScore: the lowest bounds summing below ``theta``; for
-        AND all but the term with the fewest blocks) are probed only at
-        the essential terms' docs whose partial score plus bounds reaches
-        ``theta``. A skipped block is never decoded; a doc that misses one
-        may read out with part of its score, below ``theta``. With
-        ``score_mod`` there is no bound. Sets ``last_block_stats`` to
-        (blocks decoded, blocks total)."""
+        of ``terms`` over ``runs`` (term -> its :class:`_Run`, one block
+        directory over all bound segments), one doc-id window at a time.
+        Each window scatter-adds its postings' scores into a reused buffer
+        in lexicographic term order, so scores are the oracle's bitwise
+        (``mode="and"`` also counts hits), then keeps its top-k
+        (tombstones and the ``after`` cursor dropped, ``score_mod`` applied
+        first), raising ``theta``, the running k-th score (seeded for OR by
+        :meth:`_seed_theta`). A doc whose bound is strictly below ``theta``
+        cannot tie into the top-k, so the loop skips a window whose bounds
+        sum below it, and an essential term's block whose bound plus the
+        other terms' window bounds does. The non-essential terms
+        (MaxScore: the lowest bounds summing below ``theta``; for AND all
+        but the term with the fewest blocks) are probed only at the
+        essential terms' docs whose partial score plus bounds reaches
+        ``theta``. Per term and window there is one block span, one
+        :meth:`_fetch` and one decode call, whatever the segment count. A
+        skipped block is never decoded; a doc that misses one may read
+        out with part of its score, below ``theta``. With ``score_mod``
+        there is no bound. Sets ``last_block_stats`` to (blocks decoded,
+        blocks total)."""
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         n_terms = len(terms)
-        terms = [t for t in terms if runs.get(t)]
-        readers = [r.blk for t in terms for r in runs[t]
-                   if r.blk is not None]
+        terms = [t for t in terms if t in runs]
+        readers = [runs[t].blk for t in terms if runs[t].blk is not None]
         dec0 = sum(rd.blocks_decoded for rd in readers)
         total = sum(rd.n_blocks for rd in readers)
         self.last_block_stats = (0, total)
         if not terms or (mode == "and" and len(terms) < n_terms):
             return empty
         for t in terms:  # cached impacts: the windows slice them
-            if (field, t) in self._contrib_cache and runs[t][0].ids is None:
-                self._warm(field, t, runs[t], idf, dl, avgdl)
+            if (field, t) in self._contrib_cache and runs[t].ids is None:
+                self._warm(field, runs[t], idf, dl, avgdl)
         theta = -np.inf
         if score_mod is None and after is None and mode == "or" and k > 0:
             theta = self._seed_theta(field, terms, runs, k, idf, dl, avgdl)
         slack = self._BOUND_SLACK
-        all_runs = [r for t in terms for r in runs[t]]
         W = self._WINDOW
-        span_lo = min(int(r.lo_id[0]) for r in all_runs)
-        span_hi = max(int(r.last[-1]) for r in all_runs) + 1
+        span_lo = min(int(runs[t].lo_id[0]) for t in terms)
+        span_hi = max(int(runs[t].last[-1]) for t in terms) + 1
         edges = np.arange(span_lo, span_hi + W, W, dtype=np.int64)
         edges[-1] = span_hi
-        for r in all_runs:  # each window's overlapping blocks [wa, wb)
-            r.wa = np.searchsorted(r.last, edges[:-1])
-            r.wb = np.searchsorted(r.lo_id, edges[1:])
+        for t in terms:  # each window's overlapping blocks [wa, wb)
+            r = runs[t]
+            r.wa = np.searchsorted(r.last, edges[:-1]).tolist()
+            r.wb = np.searchsorted(r.lo_id, edges[1:]).tolist()
         width = min(W, span_hi - span_lo)
         buf = np.zeros(width)
         cnt = np.zeros(width, np.int16) if mode == "and" else None
@@ -1598,17 +1676,12 @@ class LocalSearcher:
         out_sc: list[np.ndarray] = []
         for w in range(len(edges) - 1):
             lo, hi = int(edges[w]), int(edges[w + 1])
-            parts: dict[str, list] = {}
-            for t in terms:
-                ps = [(r, int(r.wa[w]), int(r.wb[w])) for r in runs[t]]
-                ps = [p for p in ps if p[1] < p[2]]
-                if ps:
-                    parts[t] = ps
-            if not parts or (mode == "and" and len(parts) < n_terms):
+            live = sorted(t for t in terms if runs[t].wa[w] < runs[t].wb[w])
+            if not live or (mode == "and" and len(live) < n_terms):
                 continue
-            live = sorted(parts)
-            wmax = np.array([max(float(r.ub[a:b].max())
-                                 for r, a, b in parts[t]) for t in live])
+            ab = [(runs[t].wa[w], runs[t].wb[w]) for t in live]
+            wmax = np.array([float(runs[t].ub[a:b].max())
+                             for t, (a, b) in zip(live, ab)])
             if wmax.sum() * slack < theta:
                 continue
             # other terms' bounds per term, summed without cancellation
@@ -1616,68 +1689,57 @@ class LocalSearcher:
             others = np.r_[0.0, cs[:-1]] + np.r_[
                 np.cumsum(wmax[::-1])[::-1][1:], 0.0]
             if mode == "and":
-                ess = {min(live, key=lambda t: (
-                    sum(b - a for _r, a, b in parts[t]), t))}
+                ess = {min(range(len(live)),
+                           key=lambda i: (ab[i][1] - ab[i][0], live[i]))}
             else:
                 order = np.argsort(wmax, kind="stable")
                 n_non = int((np.cumsum(wmax[order]) * slack < theta).sum())
-                ess = {live[i] for i in order[n_non:]}
-            got: dict[str, list] = {}
-            for i, t in enumerate(live):
-                if t not in ess:
-                    continue
-                for r, a, b in parts[t]:
-                    if theta == -np.inf:
-                        bs = np.arange(a, b)
-                    else:
-                        bs = a + np.flatnonzero(
-                            (r.ub[a:b] + others[i]) * slack >= theta)
-                    if len(bs):
-                        got.setdefault(t, []).append(self._fetch(
-                            field, runs, r, bs, lo, hi, idf, dl, avgdl))
+                ess = set(order[n_non:].tolist())
+            got: dict[str, tuple] = {}
+            for i in sorted(ess):  # got keeps the live order
+                r, (a, b) = runs[live[i]], ab[i]
+                if theta == -np.inf:
+                    bs = np.arange(a, b)
+                else:
+                    bs = a + np.flatnonzero(
+                        (r.ub[a:b] + others[i]) * slack >= theta)
+                if len(bs):
+                    got[live[i]] = self._fetch(field, r, bs, lo, hi, b - a,
+                                               idf, dl, avgdl)
             if not got:
                 continue
-            non = sorted((t for t in live if t not in ess),
-                         key=lambda t: (-wmax[live.index(t)], t))
-            n_ess = sum(len(pos) for t in got for pos, _con in got[t])
-            n_non = codec.BLOCK_SIZE * sum(b - a for t in non
-                                           for _r, a, b in parts[t])
+            non = sorted((i for i in range(len(live)) if i not in ess),
+                         key=lambda i: (-wmax[i], live[i]))
+            n_ess = sum(len(pos) for pos, _con in got.values())
+            n_non = codec.BLOCK_SIZE * sum(ab[i][1] - ab[i][0] for i in non)
             if non and 8 * n_ess >= n_non:
                 # probing costs a few passes over the candidates: unless
                 # the non-essential postings are far more, they hold an
                 # essential posting in nearly every block anyway
-                for t in non:
-                    for r, a, b in parts[t]:
-                        got.setdefault(t, []).append(self._fetch(
-                            field, runs, r, np.arange(a, b), lo, hi, idf,
-                            dl, avgdl))
+                for i in non:
+                    a, b = ab[i]
+                    got[live[i]] = self._fetch(field, runs[live[i]],
+                                               np.arange(a, b), lo, hi, b - a,
+                                               idf, dl, avgdl)
                 non = []
             if non:
                 # candidates: the essential terms' docs with their partial
                 # scores (summed in any order: they only prune)
-                pos_e = [pos for t in live for pos, _con in got.get(t, ())]
-                for t in live:
-                    for pos, con in got.get(t, ()):
-                        buf[pos] += con
-                cand, partial = _drain(buf, pos_e)
-                w_non = np.array([wmax[live.index(t)] for t in non])
-                rest_bounds = np.r_[np.cumsum(w_non[::-1])[::-1][1:], 0.0]
-            for u, rest in zip(non, rest_bounds if non else ()):
-                # a candidate is probed in u's block holding it unless its
+                for pos, con in got.values():
+                    buf[pos] += con
+                cand, partial = _drain(buf, [pos for pos, _c in got.values()])
+                rest_bounds = np.r_[np.cumsum(wmax[non][::-1])[::-1][1:], 0.0]
+            for i, rest in zip(non, rest_bounds if non else ()):
+                # a candidate is probed in the block holding it unless its
                 # bound cannot reach theta; only those blocks are fetched
-                ps = parts[u]
-                offs = np.cumsum([0] + [b - a for _r, a, b in ps])
-                c_last = np.concatenate([r.last[a:b] for r, a, b in ps])
-                bi = np.minimum(np.searchsorted(c_last, cand + lo),
-                                len(c_last) - 1)
-                inside = (np.concatenate([r.lo_id[a:b] for r, a, b in ps]
-                                         )[bi] <= cand + lo) \
-                    & (c_last[bi] >= cand + lo)
+                r, (a, b) = runs[live[i]], ab[i]
+                doc = cand + lo
+                bi = np.minimum(np.searchsorted(r.last[a:b], doc), b - a - 1)
+                inside = (r.lo_id[a:b][bi] <= doc) & (r.last[a:b][bi] >= doc)
                 keep = (inside.copy() if mode == "and"
                         else np.ones(len(cand), bool))
                 if theta > -np.inf:
-                    c_ub = np.concatenate([r.ub[a:b] for r, a, b in ps])
-                    keep &= (partial + np.where(inside, c_ub[bi], 0.0)
+                    keep &= (partial + np.where(inside, r.ub[a:b][bi], 0.0)
                              + rest) * slack >= theta
                 cand, partial = cand[keep], partial[keep]
                 need = np.unique(bi[keep & inside])
@@ -1685,27 +1747,24 @@ class LocalSearcher:
                     if mode == "and":
                         cand = cand[:0]
                     continue
-                # u's postings at the candidates only: a doc off the
+                # the postings at the candidates only: a doc off the
                 # candidates cannot reach theta
-                part = np.searchsorted(offs, need, "right") - 1
-                got[u] = [self._fetch(field, runs, ps[j][0],
-                                      ps[j][1] + need[part == j] - offs[j],
-                                      lo, hi, idf, dl, avgdl, at=cand)
-                          for j in np.unique(part)]
-                hit = np.zeros(len(cand), bool)
-                for pos, con in got[u]:  # runs ascend, pos within cand
-                    i = np.searchsorted(cand, pos)
-                    partial[i] += con
-                    hit[i] = True
+                pos, con = got[live[i]] = self._fetch(
+                    field, r, a + need, lo, hi, b - a, idf, dl, avgdl,
+                    at=cand)
+                j = np.searchsorted(cand, pos)
+                partial[j] += con
                 if mode == "and":
+                    hit = np.zeros(len(cand), bool)
+                    hit[j] = True
                     cand, partial = cand[hit], partial[hit]
             for t in live:  # lexicographic accumulation order
-                for pos, con in got.get(t, ()):
+                if t in got:
+                    pos, con = got[t]
                     buf[pos] += con
                     if cnt is not None:
                         cnt[pos] += 1
-            pos_w, sc_w = _drain(buf, [pos for t in live
-                                       for pos, _con in got.get(t, ())],
+            pos_w, sc_w = _drain(buf, [got[t][0] for t in live if t in got],
                                  cnt, n_terms)
             loc_w = pos_w + lo
             if score_mod is not None:
@@ -1741,11 +1800,12 @@ class LocalSearcher:
         return _top_k(loc, sc, k)
 
     def _postings_for(self, field: str, terms: list[str]
-                      ) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
-        """(doc ids, tfs) per run of each term, runs in doc-id order, each
-        decoded whole in the postings cache."""
-        runs = self._load_blocked_runs(field, terms)
-        return {t: [r.whole() for r in runs[t]] for t in terms}
+                      ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """(doc ids, tfs) of each term present in the bound segments, in
+        doc-id order: its per-term buffer in the postings cache, decoded
+        whole."""
+        dirs = self._load_blocked_runs(field, terms)
+        return {t: d.whole() for t, d in dirs.items() if d is not None}
 
     def matched_ids(self, field: str, terms: list[str], mode: str = "or"
                     ) -> np.ndarray:
@@ -1762,12 +1822,13 @@ class LocalSearcher:
         if not uniq or not self.term_files:
             return np.empty(0, np.int64)
         by_term = self._postings_for(field, uniq)
-        per_term = [np.concatenate([ids for ids, _tfs in by_term[t]])
-                    for t in uniq if by_term.get(t)]
+        per_term = [by_term[t][0] for t in uniq if t in by_term]
         if not per_term or (mode == "and" and len(per_term) < len(uniq)):
             return np.empty(0, np.int64)
-        if mode == "and":
-            out = np.sort(per_term[0])
+        if len(per_term) == 1:  # a copy: the buffer stays the cache's
+            out = per_term[0].copy()
+        elif mode == "and":
+            out = per_term[0]
             for ids in per_term[1:]:
                 out = np.intersect1d(out, ids, assume_unique=True)
         else:
@@ -1791,27 +1852,28 @@ class LocalSearcher:
 
     def _contribs_for(self, field: str, terms: list[str], by_term: dict,
                       idf: dict[str, float], dl: np.ndarray, avgdl: float
-                      ) -> dict[str, list[np.ndarray]]:
-        """Per-run BM25 contribution arrays (``idf[t] * tf_impact``),
-        parallel to ``by_term``'s runs, through the byte-budgeted LRU.
-        Values are exactly what the inline computation produced — caching
-        changes nothing bitwise."""
-        out: dict[str, list[np.ndarray]] = {}
+                      ) -> dict[str, np.ndarray]:
+        """Per-term BM25 contribution arrays (``idf[t] * tf_impact``),
+        parallel to ``by_term``'s (ids, tfs), through the byte-budgeted
+        LRU; terms absent from ``by_term`` are left out. Values are exactly
+        what the inline computation produced — caching changes nothing
+        bitwise."""
+        out: dict[str, np.ndarray] = {}
         for t in terms:
             key = (field, t)
             got = self._contrib_cache.get(key)
             if got is None:
-                got = [idf[t] * codec.bm25_tf_impact(tfs, dl[ids], avgdl)
-                       for ids, tfs in by_term.get(t, [])]
-                nb = sum(c.nbytes for c in got)
-                if nb <= self._CONTRIB_CACHE_CAP:
+                if t not in by_term:
+                    continue
+                ids, tfs = by_term[t]
+                got = idf[t] * codec.bm25_tf_impact(tfs, dl[ids], avgdl)
+                if got.nbytes <= self._CONTRIB_CACHE_CAP:
                     self._contrib_cache[key] = got
-                    self._contrib_cache_bytes += nb
+                    self._contrib_cache_bytes += got.nbytes
                     while (self._contrib_cache_bytes
                            > self._CONTRIB_CACHE_CAP):
                         _k, v = self._contrib_cache.popitem(last=False)
-                        self._contrib_cache_bytes -= sum(c.nbytes
-                                                         for c in v)
+                        self._contrib_cache_bytes -= v.nbytes
             else:
                 self._contrib_cache.move_to_end(key)
             out[t] = got
@@ -1896,7 +1958,7 @@ class LocalSearcher:
                 ids, con, eps = g
                 r = _Run(t, ids[:1], ids[-1:], inf)
                 r.ids, r.con = ids, con
-                runs[t] = [r]
+                runs[t] = r
                 bound += eps
         self.last_pruned_bound = bound
         return self._score_windows(field, terms, runs, k, idf, dl, avgdl)
@@ -1992,22 +2054,18 @@ class LocalSearcher:
         live = [t for t in terms if t in idf]
         by_term = self._postings_for(field, live)
         for t in live:
-            tf = 0
-            runs = by_term[t]
-            for ids, tfs in runs:
-                j = int(np.searchsorted(ids, doc_id))
-                if j < len(ids) and int(ids[j]) == doc_id:
-                    tf = int(tfs[j])
-                    break
+            ids, tfs = by_term.get(t, (np.empty(0, np.int64),) * 2)
+            j = int(np.searchsorted(ids, doc_id))
+            tf = int(tfs[j]) if j < len(ids) and int(ids[j]) == doc_id else 0
             impact = float(codec.bm25_tf_impact(
                 np.array([tf], dtype=np.float64),
                 np.array([dl[doc_id]]), avgdl)[0]) if tf else 0.0
             contrib = idf[t] * impact
             total += contrib
-            # global df — postings runs span all visible generations, so
-            # the sum of run lengths is the scoring df (Lucene keeps df
-            # through tombstones until compaction, as the scorer does)
-            df_t = int(sum(len(ids) for ids, _tfs in runs))
+            # global df — the postings span all visible generations, so
+            # their length is the scoring df (Lucene keeps df through
+            # tombstones until compaction, as the scorer does)
+            df_t = len(ids)
             parts.append({"term": t, "tf": tf, "df": df_t, "idf": idf[t],
                           "dl": float(dl[doc_id]), "avgdl": avgdl,
                           "contribution": contrib})
@@ -2102,10 +2160,7 @@ class LocalSearcher:
         neg_terms = sorted(set(query_terms(negative, analyzer)))
         neg_by = (self._postings_for(field, neg_terms)
                   if neg_terms else {})
-        neg_runs = [ids for t in neg_terms for ids, _tfs in
-                    neg_by.get(t, [])]
-        neg_ids = (np.unique(np.concatenate(neg_runs)) if neg_runs
-                   else np.empty(0, np.int64))
+        neg_ids = _bool_clause_ids(neg_terms, neg_by)
         nb = float(negative_boost)
 
         def mod(sc, loc):
@@ -2174,21 +2229,17 @@ class LocalSearcher:
         mn_terms = sorted({t for cl in spec["must_not"] for t in cl})
         mn_by = (self._postings_for(field, mn_terms)
                  if mn_terms and self.term_files else {})
-
-        def score_runs(t):
-            return by_term.get(t, [])
-
         if spec["must"]:
             cand = None
             for cl in spec["must"]:
-                ids = _bool_clause_ids(cl, score_runs)
+                ids = _bool_clause_ids(cl, by_term)
                 cand = ids if cand is None else np.intersect1d(
                     cand, ids, assume_unique=True)
                 if len(cand) == 0:
                     return empty
         elif spec["should"]:
             cand = _bool_clause_ids(
-                [t for cl in spec["should"] for t in cl], score_runs)
+                [t for cl in spec["should"] for t in cl], by_term)
         elif spec["filter_terms"] or spec.get("filter_any"):
             cand = None
         else:  # range-/exists-only filter context: every bound doc
@@ -2198,7 +2249,7 @@ class LocalSearcher:
         for f, t in spec["filter_terms"]:
             fb = (self._postings_for(f, [t])
                   if self.term_files else {})
-            ids = _bool_clause_ids([t], lambda tt: fb.get(tt, []))
+            ids = _bool_clause_ids([t], fb)
             cand = ids if cand is None else np.intersect1d(
                 cand, ids, assume_unique=True)
             if len(cand) == 0:
@@ -2206,7 +2257,7 @@ class LocalSearcher:
         for f, vs in spec.get("filter_any", ()):
             fb = (self._postings_for(f, vs)
                   if self.term_files else {})
-            ids = _bool_clause_ids(vs, lambda tt: fb.get(tt, []))
+            ids = _bool_clause_ids(vs, fb)
             cand = ids if cand is None else np.intersect1d(
                 cand, ids, assume_unique=True)
             if len(cand) == 0:
@@ -2225,7 +2276,7 @@ class LocalSearcher:
                 if len(cand) == 0:
                     return empty
         for cl in spec["must_not"]:
-            nids = _bool_clause_ids(cl, lambda t: mn_by.get(t, []))
+            nids = _bool_clause_ids(cl, mn_by)
             if len(nids):
                 cand = cand[~_in_sorted(nids, cand)]
                 if len(cand) == 0:
@@ -2233,7 +2284,7 @@ class LocalSearcher:
         if spec["msm"] > 0 and spec["should"]:
             cnt = np.zeros(len(cand), np.int64)
             for cl in spec["should"]:
-                cnt += _in_sorted(_bool_clause_ids(cl, score_runs), cand)
+                cnt += _in_sorted(_bool_clause_ids(cl, by_term), cand)
             cand = cand[cnt >= spec["msm"]]
             if len(cand) == 0:
                 return empty
@@ -2242,7 +2293,7 @@ class LocalSearcher:
             # max(1, floor(dl_src / divisor))) — per-doc dynamic msm
             cnt = np.zeros(len(cand), np.int64)
             for cl in spec["should"]:
-                cnt += _in_sorted(_bool_clause_ids(cl, score_runs), cand)
+                cnt += _in_sorted(_bool_clause_ids(cl, by_term), cand)
             src = self._dl_for(_range_dl_field(spec["msm_src"]))
             req = np.minimum(
                 len(spec["should"]),
@@ -2262,13 +2313,11 @@ class LocalSearcher:
                                       _avgdl(self.stats, field))
         for cl in (*spec["must"], *spec["should"]):
             for t in cl:
-                if t not in idf:
+                if t not in contribs:
                     continue
-                for (ids, _tfs), contrib in zip(by_term.get(t, []),
-                                                contribs.get(t, [])):
-                    hit = _in_sorted(ids, cand)
-                    pos = np.searchsorted(ids, cand[hit])
-                    scores[hit] += contrib[pos]
+                ids = by_term[t][0]
+                hit = _in_sorted(ids, cand)
+                scores[hit] += contribs[t][np.searchsorted(ids, cand[hit])]
         return _top_k(cand, scores, k)
 
     def search_bool_prefix(self, query: str, k: int = 10,
@@ -2294,11 +2343,10 @@ class LocalSearcher:
         live = [t for t in uniq_fixed if t in idf]
         by = self._postings_for(field, live) if live else {}
         exp_by = self._postings_for(field, exps) if exps else {}
-        runs = [ids for t in live for ids, _tfs in by.get(t, [])]
-        eruns = [ids for t in exps for ids, _tfs in exp_by.get(t, [])]
-        if not runs and not eruns:
+        parts = [by[t][0] for t in by] + [exp_by[t][0] for t in exp_by]
+        if not parts:
             return empty
-        cand = np.unique(np.concatenate(runs + eruns))
+        cand = np.unique(np.concatenate(parts))
         if len(self._deleted):
             cand = cand[_drop_deleted(self._deleted, cand)]
         if len(cand) == 0:
@@ -2307,16 +2355,12 @@ class LocalSearcher:
         contribs = self._contribs_for(field, live, by, idf,
                                       self._dl_for(field),
                                       _avgdl(self.stats, field))
-        for t in live:  # lexicographic accumulation, the OR convention
-            for (ids, _tfs), contrib in zip(by.get(t, []),
-                                            contribs.get(t, [])):
-                hit = _in_sorted(ids, cand)
-                pos = np.searchsorted(ids, cand[hit])
-                scores[hit] += contrib[pos]
-        if eruns:
-            edocs = (eruns[0] if len(eruns) == 1
-                     else np.unique(np.concatenate(eruns)))
-            scores[_in_sorted(edocs, cand)] += 1.0
+        for t in contribs:  # lexicographic accumulation, the OR convention
+            ids = by[t][0]
+            hit = _in_sorted(ids, cand)
+            scores[hit] += contribs[t][np.searchsorted(ids, cand[hit])]
+        if exp_by:
+            scores[_in_sorted(_bool_clause_ids(exps, exp_by), cand)] += 1.0
         return _top_k(cand, scores, k)
 
     def search_fuzzy(self, query: str, k: int = 10,
@@ -2367,11 +2411,9 @@ class LocalSearcher:
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not exp:
             return empty
-        by_term = self._postings_for(field, exp)
-        runs = [ids for t in exp for ids, _tfs in by_term.get(t, [])]
-        if not runs:
+        ids = _bool_clause_ids(exp, self._postings_for(field, exp))
+        if not len(ids):
             return empty
-        ids = runs[0] if len(runs) == 1 else np.unique(np.concatenate(runs))
         if len(self._deleted):
             ids = ids[_drop_deleted(self._deleted, ids)]
         ids = ids[:k]
@@ -2501,8 +2543,8 @@ class LocalSearcher:
                 continue
             field_runs.append((f, boost, terms, self._postings_for(f, terms),
                                self._dl_for(f), _avgdl(self.stats, f), idf))
-        runs = [ids for _f, _b, terms, bt, _dl, _ad, _idf in field_runs
-                for t in terms for ids, _tfs in bt.get(t, [])]
+        runs = [bt[t][0] for _f, _b, _terms, bt, _dl, _ad, _idf in field_runs
+                for t in bt]
         if not runs:
             return empty
         plain_sum = (combine == "most_fields"
@@ -2514,11 +2556,8 @@ class LocalSearcher:
             if not plain_sum:
                 fsc[:] = 0.0
             contribs = self._contribs_for(f, terms, by_term, idf, dl, avgdl)
-            for t in terms:  # (field, term)-major accumulation order
-                for (ids, _tfs), contrib in zip(by_term.get(t, []),
-                                                contribs.get(t, [])):
-                    pos = np.searchsorted(loc, ids)
-                    fsc[pos] += contrib
+            for t in contribs:  # (field, term)-major accumulation order
+                fsc[np.searchsorted(loc, by_term[t][0])] += contribs[t]
             if not plain_sum:
                 if combine == "best_fields":
                     np.maximum(sc, boost * fsc, out=sc)

@@ -20,7 +20,11 @@ from elasticsearch_data_loader_ray.index.append import (
     delete_by_query,
 )
 from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
-from elasticsearch_data_loader_ray.index.search import LocalSearcher
+from elasticsearch_data_loader_ray.index.search import (
+    LocalSearcher,
+    _Run,
+    query_terms,
+)
 
 N_DOCS = 4000
 
@@ -42,20 +46,25 @@ def index_dir(tmp_path_factory, webtext):
 
 @pytest.fixture(scope="module")
 def tombstoned_dir(tmp_path_factory):
-    """Base build, a delete_by_query, and an append of new urls plus url
-    upserts: two generations, tombstones in both, and a global avgdl that
-    moved after the base segments' bounds were encoded."""
-    t = fixtures.generate_webtext(2600)
+    """Base build, a delete_by_query, and three appends of new urls plus
+    url upserts: at least 10 segments over four generations, tombstones
+    in each, and a global avgdl that moved after the base segments'
+    bounds were encoded."""
+    t = fixtures.generate_webtext(3400)
     src = tmp_path_factory.mktemp("webtext_ts")
     pq.write_table(t.slice(0, 2000), str(src / "part-0.parquet"))
     out = str(tmp_path_factory.mktemp("index_ts"))
     cfg = BuildConfig(docs_per_segment=400, extract_concurrency=2)
     build_index(str(src), out, cfg)
     assert delete_by_query(out, "w0042") > 0
-    app = tmp_path_factory.mktemp("webtext_ts_app")
-    pq.write_table(t.slice(100, 200), str(app / "part-0.parquet"))
-    pq.write_table(t.slice(2000, 600), str(app / "part-1.parquet"))
-    append_index(str(app), out, cfg)
+    for i, (upsert, new) in enumerate([((100, 200), (2000, 600)),
+                                       ((700, 50), (2600, 400)),
+                                       ((1500, 80), (3000, 400))]):
+        app = tmp_path_factory.mktemp(f"webtext_ts_app{i}")
+        pq.write_table(t.slice(*upsert), str(app / "part-0.parquet"))
+        pq.write_table(t.slice(*new), str(app / "part-1.parquet"))
+        append_index(str(app), out, cfg)
+    assert delete_by_query(out, "w0100") > 0
     return out
 
 
@@ -129,14 +138,20 @@ def test_or_strategy_accepts_exact_and_pruned_only(index_dir):
 
 
 def test_blocked_runs_cached_across_queries(index_dir):
-    """Repeat queries are served from the postings cache (blocked runs)
-    and the impact cache: no parquet re-read, and per-query block stats report
-    only NEW decodes. The first query decodes blocks lazily, the second
-    caches the terms it needs most of, a warm repeat decodes zero blocks."""
+    """Repeat queries are served from the postings cache (one block
+    directory per term over its segment runs) and the impact cache: no
+    parquet re-read, and per-query block stats report only NEW decodes.
+    The first query decodes blocks lazily, the second caches the terms it
+    needs most of, a warm repeat decodes zero blocks."""
     lo = LocalSearcher(index_dir)
     q = "the and of to a in"
     lo.search(q, k=10)
-    assert lo._postings_cache, "blocked runs not cached"
+    terms = ["a", "and", "in", "of", "the", "to"]
+    for t in terms:
+        d = lo._postings_cache[("text", t)]
+        assert 1 < len(d.runs) <= len(lo.seg_ids)
+        assert d.n_blocks == sum(r.n_blocks for r in d.runs)
+        assert (np.diff(d.block_lo) > 0).all()
     first = lo.last_block_stats
     lo._request_cache.clear()
     lo.search(q, k=10)
@@ -148,6 +163,8 @@ def test_blocked_runs_cached_across_queries(index_dir):
     assert n_reads["n"] == 0, "warm query re-read parquet"
     assert lo.last_block_stats[0] == 0  # every term's impacts cached
     assert lo.last_block_stats[1] == first[1]
+    assert first[1] == sum(lo._postings_cache[("text", t)].n_blocks
+                           for t in terms)
     _same((ids1, sc1), brute_topk(index_dir, q, 10), q)
 
 
@@ -188,8 +205,8 @@ def test_last_block_stats_follow_every_query(index_dir):
     lo = LocalSearcher(index_dir)
 
     def n_blocks(terms):
-        runs = lo._load_blocked_runs("text", terms)
-        return sum(r.n_blocks for t in terms for r in runs[t])
+        dirs = lo._load_blocked_runs("text", terms)
+        return sum(r.n_blocks for t in terms for r in dirs[t].runs)
 
     lo.search("the w2000", k=10, mode="and")  # rare-term AND
     assert lo.last_block_stats[1] == n_blocks(["the", "w2000"])
@@ -222,16 +239,31 @@ def test_single_term_blockmax_k_exceeds_df(index_dir):
           brute_topk(index_dir, "w2000", 10_000), "w2000")
 
 
+def _runs_blocks(lo, q: str, mode: str) -> int:
+    """Blocks of the query's scored terms, summed over their segment
+    runs (0 when an AND query has a term absent from the index)."""
+    terms = query_terms(q)
+    live = [t for t in terms if t in lo._idf("text", terms)]
+    if mode == "and" and len(live) < len(terms):
+        return 0
+    dirs = lo._load_blocked_runs("text", live)
+    return sum(r.n_blocks for d in dirs.values() if d is not None
+               for r in d.runs)
+
+
 def test_window_loop_property_on_tombstoned_index(tombstoned_dir,
                                                   monkeypatch):
     """Seeded 1-5-term Zipf queries, OR and AND, k in {1, 10, 100,
-    n_docs}, with a window small enough that every query crosses many
-    windows: bitwise equal to the dense brute force over live docs."""
+    n_docs}, on a >=10-segment index with a window small enough that
+    every query crosses many windows, and windows and blocks straddle
+    segment runs: bitwise equal to the dense brute force over live docs,
+    and ``last_block_stats`` counts every block of the terms' runs."""
     monkeypatch.setattr(LocalSearcher, "_WINDOW", 256)
     rng = np.random.default_rng(13)
     vocab = np.array(fixtures._vocab(), dtype=object)
     probs = fixtures._zipf_probs(len(vocab))
     lo = LocalSearcher(tombstoned_dir)
+    assert len(lo.seg_ids) >= 10
     assert len(lo._deleted) > 0
     checked = 0
     for _ in range(40):
@@ -240,9 +272,78 @@ def test_window_loop_property_on_tombstoned_index(tombstoned_dir,
         for mode in ("or", "and"):
             for k in (1, 10, 100, lo.n_docs):
                 want = brute_topk(tombstoned_dir, q, k, mode)
+                lo._request_cache.clear()  # the scorer runs every time
                 _same(lo.search(q, k=k, mode=mode), want, (q, mode, k))
+                decoded, total = lo.last_block_stats
+                assert total == _runs_blocks(lo, q, mode), (q, mode, k)
+                assert 0 <= decoded <= total
                 checked += len(want[0]) > 0
     assert checked > 100
+
+
+def test_window_loop_fetches_a_term_once_per_window(tombstoned_dir,
+                                                    monkeypatch):
+    """A warm OR query reads each term once per window and phase (the
+    seed of theta, then the window's essential read or probe), through
+    its one block directory, whatever the number of segment runs."""
+    lo = LocalSearcher(tombstoned_dir)
+    assert len(lo.seg_ids) >= 7
+    calls = []
+    phase = ["window"]
+    fetch, seed = LocalSearcher._fetch, LocalSearcher._seed_theta
+
+    def counting_fetch(self, *a, **kw):
+        # (..., run, block ids, window start, ...)
+        i = next(i for i, x in enumerate(a) if isinstance(x, _Run))
+        calls.append((phase[0], a[i].term, a[i + 2]))
+        return fetch(self, *a, **kw)
+
+    def phased_seed(self, *a, **kw):
+        phase[0] = "seed"
+        try:
+            return seed(self, *a, **kw)
+        finally:
+            phase[0] = "window"
+
+    queries = ["the w2000", "news info site", "the and of to a in", "w0042"]
+    for window in (LocalSearcher._WINDOW, 512):
+        monkeypatch.setattr(LocalSearcher, "_WINDOW", window)
+        for q in queries:
+            lo.search(q, k=10)  # warm
+            lo._request_cache.clear()
+            monkeypatch.setattr(LocalSearcher, "_fetch", counting_fetch)
+            monkeypatch.setattr(LocalSearcher, "_seed_theta", phased_seed)
+            calls.clear()
+            got = lo.search(q, k=10)
+            monkeypatch.setattr(LocalSearcher, "_fetch", fetch)
+            monkeypatch.setattr(LocalSearcher, "_seed_theta", seed)
+            _same(got, brute_topk(tombstoned_dir, q, 10), q)
+            assert calls, q
+            dup = {c for c in calls if calls.count(c) > 1}
+            assert not dup, (q, window, sorted(dup))
+            lo._request_cache.clear()
+
+
+def test_term_postings_held_once(tombstoned_dir):
+    """After a warm query a term's decoded postings exist once: every
+    segment run's ids/tfs are views of the term's one buffer, and the
+    impact cache holds one contribution array per term."""
+    lo = LocalSearcher(tombstoned_dir)
+    q = "the data news w2000"
+    for _ in range(2):
+        lo._request_cache.clear()
+        lo.search(q, k=lo.n_docs)
+    multi = 0
+    for t in query_terms(q):
+        d = lo._postings_cache[("text", t)]
+        assert d.ids is not None and len(d.ids) == d.df
+        for r in d.runs:
+            assert np.shares_memory(r.ids, d.ids), t
+            assert np.shares_memory(r.tfs, d.tfs), t
+        multi += len(d.runs) > 1
+        con = lo._contrib_cache[("text", t)]
+        assert isinstance(con, np.ndarray) and len(con) == d.df, t
+    assert multi >= 2
 
 
 def test_impact_cache_bounded_and_bitwise(index_dir, monkeypatch):

@@ -113,54 +113,76 @@ def test_block_boundaries_multi_block():
 
 
 def test_blocked_run_lazy_decode():
-    """The searcher's per-run postings store decodes only the blocks asked
-    for, and a whole run equals the reference decode."""
-    from elasticsearch_data_loader_ray.index.search import _Blocked
+    """A term's block directory over three runs (segments of disjoint
+    ascending doc ranges, read in another order) decodes only the blocks
+    asked for, across run boundaries, and the whole term equals the
+    reference decode of every run, in one buffer that the runs view."""
+    from elasticsearch_data_loader_ray.index.search import _term_dirs
 
-    n = 700
-    terms = np.array(["t"] * n, dtype=object)
-    ids = np.arange(3, 3 + 5 * n, 5, dtype=np.int64)
-    tfs = (np.arange(n) % 7 + 1).astype(np.int64)
-    dls = np.full(n, 10, dtype=np.int64)
-    table = codec.build_posting_table(terms, ids, tfs, dls, 10.0)
-    blast, _ = codec.block_lists(table)
-    offs = table["block_offsets"]
-    last = np.array(blast[0], dtype=np.int64)
-    meta = np.stack([
-        last,
-        table["block_doc_off_flat"][offs[0]:offs[1]],
-        table["block_tf_off_flat"][offs[0]:offs[1]],
-        table["block_max_flat"][offs[0]:offs[1]].view(np.int64),
-        np.r_[0, last[:-1] + 1],
-    ]).astype(np.int64)
+    runs = []  # (ids, tfs, encoded table, block meta) per segment
+    for base, n in ((9000, 300), (0, 700), (5000, 130)):
+        ids = np.arange(base + 3, base + 3 + 5 * n, 5, dtype=np.int64)
+        tfs = (np.arange(n) % 7 + 1).astype(np.int64)
+        table = codec.build_posting_table(
+            np.array(["t"] * n, dtype=object), ids, tfs,
+            np.full(n, 10, dtype=np.int64), 10.0)
+        last = np.asarray(table["block_last_flat"], np.int64)
+        meta = np.stack([
+            last, table["block_doc_off_flat"], table["block_tf_off_flat"],
+            table["block_max_flat"].view(np.int64), np.r_[base, last[:-1] + 1],
+        ]).astype(np.int64)
+        runs.append((ids, tfs, table, meta))
 
-    def run():
-        return _Blocked(table["doc_ids_enc"][0], table["tfs_enc"][0], n, meta)
+    def directory():
+        nbs = [m.shape[1] for _i, _t, _tb, m in runs]
+        return _term_dirs(
+            ["t"] * 3, [len(i) for i, *_r in runs],
+            [tb["doc_ids_enc"][0] for _i, _t, tb, _m in runs],
+            [tb["tfs_enc"][0] for _i, _t, tb, _m in runs],
+            np.r_[0, np.cumsum(nbs)],
+            np.concatenate([m for *_r, m in runs], axis=1))["t"]
 
-    r = run()
-    assert r.n_blocks == (n + codec.BLOCK_SIZE - 1) // codec.BLOCK_SIZE
+    want_ids = np.concatenate([runs[j][0] for j in (1, 2, 0)])
+    want_tfs = np.concatenate([runs[j][1] for j in (1, 2, 0)])
+    # postings per block: 128 per block, each run's last one short
+    sizes = [min(codec.BLOCK_SIZE, n - s) for n in (700, 130, 300)
+             for s in range(0, n, codec.BLOCK_SIZE)]
+    edges = np.r_[0, np.cumsum(sizes)]
+    d = directory()
+    assert [r.n_blocks for r in d.runs] == [6, 2, 3]
+    assert d.n_blocks == len(sizes) == 11
+    assert d.block_last.tolist() == want_ids[edges[1:] - 1].tolist()
+    assert (np.diff(d.block_lo) > 0).all()  # sorted over every run
     # every block decodes to the right slice
-    for b in range(r.n_blocks):
-        got_ids, got_tfs = r.get(np.array([b]))
-        s = b * codec.BLOCK_SIZE
-        e = min(n, s + codec.BLOCK_SIZE)
-        assert got_ids.tolist() == ids[s:e].tolist()
-        assert got_tfs.tolist() == tfs[s:e].tolist()
-    # a one-block read decodes exactly that block
-    r2 = run()
-    b = int(np.searchsorted(last, ids[400]))
-    got_ids, _ = r2.get(np.array([b]))
-    assert ids[400] in got_ids.tolist()
-    assert r2.blocks_decoded == 1
-    # the whole run equals the reference decode, read out as is once whole
-    want_ids, want_tfs = codec.decode_postings(
-        table["doc_ids_enc"][0], table["tfs_enc"][0], n)
-    for rr in (r, r2, run()):
-        w_ids, w_tfs = rr.whole()
+    for b in range(d.n_blocks):
+        got_ids, got_tfs = d.get(np.array([b]))
+        assert got_ids.tolist() == want_ids[edges[b]:edges[b + 1]].tolist()
+        assert got_tfs.tolist() == want_tfs[edges[b]:edges[b + 1]].tolist()
+    # a one-block read of a later run's first block decodes that block
+    # only; a read across a run boundary returns both runs' postings
+    d2 = directory()
+    got_ids, _ = d2.get(np.array([6]))
+    assert got_ids.tolist() == want_ids[edges[6]:edges[7]].tolist()
+    assert d2.blocks_decoded == 1
+    got_ids, got_tfs = d2.get(np.array([5, 6, 7]))
+    assert got_ids.tolist() == want_ids[edges[5]:edges[8]].tolist()
+    assert got_tfs.tolist() == want_tfs[edges[5]:edges[8]].tolist()
+    assert d2.blocks_decoded == 3
+    # the whole term equals the reference decode, read out as is once
+    # whole; each run's postings are views of the one buffer
+    for dd in (d, d2, directory()):
+        w_ids, w_tfs = dd.whole()
         assert w_ids.tolist() == want_ids.tolist()
         assert w_tfs.tolist() == want_tfs.tolist()
-        assert rr.blocks_decoded == rr.n_blocks
-        assert rr.whole()[0] is w_ids
+        assert dd.blocks_decoded == dd.n_blocks
+        assert dd.whole()[0] is w_ids
+        for r, j in zip(dd.runs, (1, 2, 0)):
+            assert np.shares_memory(r.ids, w_ids)
+            assert np.shares_memory(r.tfs, w_tfs)
+            ref = codec.decode_postings(runs[j][2]["doc_ids_enc"][0],
+                                        runs[j][2]["tfs_enc"][0], r.df)
+            assert r.ids.tolist() == ref[0].tolist()
+            assert r.tfs.tolist() == ref[1].tolist()
 
 
 def test_bm25_idf():
