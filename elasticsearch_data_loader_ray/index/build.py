@@ -77,7 +77,6 @@ class BuildConfig:
     # groups (min/max pruning over the term-sorted file), so smaller groups
     # => less read amplification per query term
     index_block_rows: int = 1024
-    enable_metrics: bool = False  # push counters to the ST2 metrics actor
     # extra indexed fields beyond the main ("text", standard-analyzer) one:
     # (field_name, source_column, analyzer_name) — the ES multi-field
     # analogue (search_scheme.json:140-198); analyzer_name from
@@ -429,12 +428,6 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
                          cfg.index_block_rows)
 
     secs = time.perf_counter() - t0
-    if cfg.enable_metrics:
-        from ..state import metrics as _metrics
-
-        h = _metrics.get_or_create()
-        h.incr.remote("indexed", int(n_docs), partition=f"segment-{seg_id}")
-        h.incr.remote("duplicates", int(n_dups), partition=f"segment-{seg_id}")
     checksum = hashlib.md5("\n".join(urls[first].tolist()).encode()).hexdigest()
     n_postings = int(pc.sum(terms_out["df"]).as_py() or 0)
     mf.write_manifest(

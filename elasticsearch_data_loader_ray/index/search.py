@@ -46,8 +46,12 @@ are ``LocalSearcher`` methods too: :meth:`~LocalSearcher.search_phrase`,
 and :meth:`~LocalSearcher.highlight`. Each takes its terms' positions from
 one read (:meth:`~LocalSearcher._read_positions`, a :class:`_Positions`
 per term) and its live candidates from one intersection
-(:meth:`~LocalSearcher._all_of`), and finds a candidate's positions by a
-vectorized ``searchsorted`` over the whole candidate array.
+(:meth:`~LocalSearcher._all_of`). The four matchers share one kernel: a
+term's positions in every candidate become one ascending key array
+``(candidate index << 32) | position`` (:meth:`_Positions.keys`), and a
+match advances all candidates together, one ``searchsorted`` per query
+term (the shape of Lucene's ``ExactPhraseMatcher``), with no loop over
+candidates or positions.
 """
 
 from __future__ import annotations
@@ -381,7 +385,8 @@ class _Positions:
     ``off`` into the positions (a cumsum of the tfs, ``len(ids) + 1`` of
     them) and the varint-decoded position ``gaps``, each doc's first one
     absolute (codec.delta_encode_runs). ``flat``, the absolute positions,
-    is delta-decoded on first use."""
+    is delta-decoded on first use; :meth:`keys` gathers them for a whole
+    candidate set at once."""
 
     __slots__ = ("ids", "off", "gaps", "_flat")
 
@@ -395,25 +400,27 @@ class _Positions:
             self._flat = codec.delta_decode_runs(self.gaps, self.off[:-1])
         return self._flat
 
-    def of(self, cand: np.ndarray) -> list[np.ndarray]:
-        """Ascending positions in each doc of the sorted ``cand`` (empty
-        where the term does not occur), located by one vectorized
-        ``searchsorted`` per side over the whole array."""
-        s = self.off[np.searchsorted(self.ids, cand)].tolist()
-        e = self.off[np.searchsorted(self.ids, cand, "right")].tolist()
-        flat = self.flat
-        return [flat[a:b] for a, b in zip(s, e)]
+    def keys(self, cand: np.ndarray) -> np.ndarray:
+        """The term's positions in the docs of the sorted ``cand``, as one
+        ascending int64 array of keys ``(i << 32) | position`` for the
+        position's doc ``cand[i]``: one ``np.repeat`` and one gather over
+        ``flat``. A position plus a small offset keeps its doc bits, so
+        key arithmetic never crosses from one candidate into the next."""
+        s = self.off[np.searchsorted(self.ids, cand)]
+        e = self.off[np.searchsorted(self.ids, cand, "right")]
+        doc = np.repeat(np.arange(len(cand), dtype=np.int64) << 32, e - s)
+        return doc | self.flat[_ranges(s, e)]
 
 
-def _phrase_starts(chain: list[np.ndarray]) -> np.ndarray:
-    """Positions of ``chain[0]`` that start a phrase occurrence in ONE
-    doc: ``chain[i]`` (ascending) holds position ``p + i``."""
-    ok = chain[0]
-    for i in range(1, len(chain)):
-        if len(ok) == 0:
-            break
-        ok = ok[np.isin(ok + i, chain[i], assume_unique=False)]
-    return ok
+def _phrase_freqs(slots: list[np.ndarray], n: int) -> np.ndarray:
+    """Phrase freq of each of ``n`` candidates, from one key array
+    (:meth:`_Positions.keys`) per phrase slot: the keys of ``slots[0]``
+    whose successor ``key + i`` is in ``slots[i]`` for every ``i``,
+    counted per candidate (``key >> 32``)."""
+    ok = slots[0]
+    for i in range(1, len(slots)):
+        ok = ok[_in_sorted(slots[i], ok + i)]
+    return np.bincount(ok >> 32, minlength=n)
 
 
 def _bound_scale(vis_manifests: dict, stats: dict) -> float:
@@ -2667,9 +2674,8 @@ class LocalSearcher:
         pos = self._read_positions(field, uniq)
         cand = self._all_of([pos[t].ids for t in uniq]
                             + ([] if within is None else [within]))
-        per = {t: pos[t].of(cand) for t in uniq}
-        fqs = [len(_phrase_starts(chain))
-               for chain in zip(*(per[t] for t in seq))]
+        keys = {t: pos[t].keys(cand) for t in uniq}
+        fqs = _phrase_freqs([keys[t] for t in seq], len(cand))
         return self._phrase_top(field, cand, fqs,
                                 float(sum(idf[t] for t in uniq)), k)
 
@@ -2711,17 +2717,10 @@ class LocalSearcher:
         idf_fixed = float(sum(idf[t] for t in uniq_fixed))
         idf_slot = float(codec.bm25_idf(
             min(n, sum(len(pos[t].ids) for t in exps)), n))
-        per = {t: pos[t].of(cand) for t in {*fixed, *exps}}
-        off = len(fixed)
-        fqs = []
-        for j in range(len(cand)):
-            last = np.concatenate([a for t in exps
-                                   if len(a := per[t][j])])
-            if not fixed:
-                fqs.append(len(last))
-                continue
-            ok = _phrase_starts([per[t][j] for t in fixed])
-            fqs.append(int(np.isin(ok + off, last).sum()) if len(ok) else 0)
+        keys = {t: pos[t].keys(cand) for t in uniq_fixed}
+        # one position holds one term, so the expansions' keys are disjoint
+        last = np.sort(np.concatenate([pos[t].keys(cand) for t in exps]))
+        fqs = _phrase_freqs([keys[t] for t in fixed] + [last], len(cand))
         return self._phrase_top(field, cand, fqs, idf_fixed + idf_slot, k)
 
     def span_near(self, clauses: list[str], slop: int = 0,
@@ -2733,11 +2732,15 @@ class LocalSearcher:
         callers score the matched set as ES does with sloppy-freq — the
         doc set is the oracle-checkable contract).
 
-        Per-doc cost is a vectorized DP over the clause position arrays:
-        ``mincost(q) = q - 1 - max_{p<q}(p - mincost(p))`` per step, so
-        each step is one searchsorted + one prefix-max over the previous
-        clause's positions — O(total positions) per doc, no pairwise
-        blowup. Each clause is a single analyzed term (span_term)."""
+        A min-gap DP over every candidate at once, on the clauses'
+        position keys (:meth:`_Positions.keys`): the minimal total gap of
+        an in-order span ending at key ``q`` is ``q - 1 - max_{p<q}(p -
+        cost(p))`` over the previous clause's keys ``p`` in the same doc,
+        so each clause is one ``searchsorted`` and one prefix max over the
+        whole key array. The prefix max cannot reach into an earlier doc:
+        ``p - cost(p)`` is at least the doc's first key, above every key
+        of the docs before it. Each clause is a single analyzed term
+        (span_term)."""
         self._require_positions()
         seq = self._clause_terms(clauses, field, "span_near")
         if not seq:
@@ -2745,31 +2748,18 @@ class LocalSearcher:
         uniq = sorted(set(seq))
         pos = self._read_positions(field, uniq)
         cand = self._all_of([pos[t].ids for t in uniq])
-        per = {t: pos[t].of(cand) for t in uniq}
-        hits = []
-        for d, chain in zip(cand.tolist(), zip(*(per[t] for t in seq))):
-            # DP over the ordered chain: carry, per position p of the
-            # current clause, the minimal total gap of any in-order
-            # span ending at p; prefix-max of (p - cost) makes each
-            # transition a binary search instead of a cross product.
-            prev = chain[0]
-            cost = np.zeros(len(prev), dtype=np.int64)
-            best = prev - cost  # p - cost(p), prefix-maxed below
-            alive = True
-            for q in chain[1:]:
-                prefmax = np.maximum.accumulate(best)
-                idx = np.searchsorted(prev, q) - 1
-                ok = idx >= 0
-                if not ok.any():
-                    alive = False
-                    break
-                q = q[ok]
-                cost = q - 1 - prefmax[idx[ok]]
-                best = q - cost
-                prev = q
-            if alive and (cost <= slop).any():
-                hits.append(d)
-        return np.array(hits, dtype=np.int64)
+        keys = {t: pos[t].keys(cand) for t in uniq}
+        prev = keys[seq[0]]
+        cost = np.zeros(len(prev), np.int64)
+        for t in seq[1:]:
+            q = keys[t]
+            idx = np.searchsorted(prev, q) - 1  # the last key before q
+            ok = idx >= 0
+            ok[ok] = prev[idx[ok]] >> 32 == q[ok] >> 32
+            prefmax = np.maximum.accumulate(prev - cost)
+            prev, idx = q[ok], idx[ok]
+            cost = prev - 1 - prefmax[idx]
+        return cand[np.unique(prev[cost <= slop] >> 32)]
 
     def intervals_all_of(self, clauses: list[str], max_gaps: int = 0,
                          ordered: bool = False,
@@ -2780,11 +2770,14 @@ class LocalSearcher:
 
         ``ordered=true`` is exactly the span_near DP (total in-order
         gap budget), so it delegates. ``ordered=false`` is the minimal
-        covering window over k position lists: merge the doc's per-term
-        positions, two-pointer sweep for the smallest span containing
-        all k terms, match iff span_width - k <= max_gaps. O(total
-        positions) per doc. Clause terms must be distinct single tokens
-        (the span_term restriction shared with span_near)."""
+        covering window over k position lists, for every candidate at
+        once on the clauses' position keys (:meth:`_Positions.keys`):
+        the smallest window ending at a merged key spans back to the
+        earliest of each clause's last key at or before it in the same
+        doc (one ``searchsorted`` per clause), and a doc matches iff one
+        of its windows has width - k <= max_gaps. Clause terms must be
+        distinct single tokens (the span_term restriction shared with
+        span_near)."""
         if ordered:
             return self.span_near(clauses, slop=max_gaps, field=field)
         self._require_positions()
@@ -2795,32 +2788,16 @@ class LocalSearcher:
             return np.empty(0, np.int64)
         pos = self._read_positions(field, sorted(seq))
         cand = self._all_of([pos[t].ids for t in sorted(seq)])
-        per = [pos[t].of(cand) for t in seq]
-        k = len(seq)
-        hits = []
-        for d, arrs in zip(cand.tolist(), zip(*per)):
-            lab = np.concatenate(
-                [np.full(len(a), i, np.int64) for i, a in enumerate(arrs)])
-            p = np.concatenate(arrs)
-            o = np.argsort(p)
-            p, lab = p[o], lab[o]
-            cnt = np.zeros(k, np.int64)
-            have, left, best = 0, 0, 1 << 60
-            for right in range(len(p)):
-                c = lab[right]
-                cnt[c] += 1
-                if cnt[c] == 1:
-                    have += 1
-                while have == k:
-                    best = min(best, int(p[right] - p[left]) + 1)
-                    cl = lab[left]
-                    cnt[cl] -= 1
-                    if cnt[cl] == 0:
-                        have -= 1
-                    left += 1
-            if best - k <= max_gaps:
-                hits.append(d)
-        return np.array(hits, dtype=np.int64)
+        keys = [pos[t].keys(cand) for t in seq]
+        end = np.sort(np.concatenate(keys))
+        start = end.copy()
+        ok = np.ones(len(end), bool)
+        for ks in keys:
+            j = np.searchsorted(ks, end, "right") - 1
+            ok &= (j >= 0) & (ks[j] >> 32 == end >> 32)
+            np.minimum(start, ks[j], out=start)
+        win = end - start + 1
+        return cand[np.unique(end[ok & (win - len(seq) <= max_gaps)] >> 32)]
 
     def highlight(self, query: str, field: str = DEFAULT_FIELD) -> pa.Table:
         """ES highlighter primitive: for every live doc matching an OR

@@ -15,6 +15,27 @@ from elasticsearch_data_loader_ray.index.search import LocalSearcher
 
 N = 700
 
+# fixture terms for the seeded cases: head terms occur in most docs, so
+# phrases and spans over them match; the mid-df ones keep the product in
+# ``brute_intervals`` small for 3-4 clauses
+HEAD_TERMS = ["the", "and", "of", "to", "a", "in", "is", "data", "search"]
+MID_TERMS = ["for", "on", "with", "as", "by", "at", "from", "this", "that",
+             "are", "be", "or", "an", "it", "index", "query", "page", "web"]
+
+
+def _draw(seed: int, pool: list[str], repeat: bool) -> list[str]:
+    """2-4 terms drawn from ``pool`` with a fixed seed; ``repeat`` draws
+    with replacement and makes the last term repeat an earlier one."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    terms = [str(t) for t in rng.choice(pool, n, replace=repeat)]
+    if repeat:
+        terms[-1] = terms[int(rng.integers(n - 1))]
+    return terms
+
+
+SEEDS = range(6)
+
 
 @pytest.fixture(scope="module")
 def pos_index(tmp_path_factory):
@@ -49,7 +70,8 @@ def brute_phrase(t, phrase: str):
 
 
 @pytest.mark.parametrize("phrase", ["the data", "data search", "the the",
-                                    "acme limited", "zzq missing"])
+                                    "acme limited", "zzq missing"] + [
+    " ".join(_draw(s, HEAD_TERMS, repeat=s % 2 == 0)) for s in SEEDS])
 def test_phrase_matches_brute(pos_index, phrase):
     idx, t = pos_index
     lo = LocalSearcher(idx)
@@ -195,7 +217,9 @@ def brute_prefix(t, phrase: str, max_expansions: int = 50):
 
 
 @pytest.mark.parametrize("phrase", ["the da", "data s", "s", "the data s",
-                                    "zzq missing pre"])
+                                    "zzq missing pre"] + [
+    " ".join(ts[:-1] + [ts[-1][:1 + s % 2]])
+    for s in SEEDS for ts in [_draw(10 + s, HEAD_TERMS, repeat=s % 2 == 0)]])
 def test_match_phrase_prefix_matches_brute(pos_index, phrase):
     idx, t = pos_index
     lo = LocalSearcher(idx)
@@ -290,7 +314,8 @@ def brute_span_near(t, clauses: list[str], slop: int) -> list[int]:
     (["the", "data", "query"], 1),
     (["fast", "scan"], 5),
     (["the", "the"], 0),  # repeated term: strict position ordering
-])
+] + [(_draw(20 + s, HEAD_TERMS, repeat=s % 2 == 0), 2 * s % 7)
+      for s in SEEDS])
 def test_span_near_matches_brute(pos_index, clauses, slop):
     out, t = pos_index
     lo = LocalSearcher(out)
@@ -332,7 +357,8 @@ def brute_intervals(t, terms: list[str], max_gaps: int) -> list[int]:
     (["the", "data", "query"], 1),
     (["fast", "scan"], 4),
     (["slow", "merge", "page"], 6),
-])
+] + [(_draw(30 + s, HEAD_TERMS if s % 3 == 0 else MID_TERMS, repeat=False),
+      (2 * s + 1) % 7) for s in SEEDS])
 def test_intervals_unordered_matches_brute(pos_index, terms, gaps):
     out, t = pos_index
     lo = LocalSearcher(out)
@@ -448,3 +474,75 @@ def test_positional_queries_after_append_update_delete(tmp_path):
                          "k": 25}]).to_pandas()
     assert dist["doc_id"].tolist() == ids.tolist()
     assert dist["score"].tolist() == sc.tolist()  # bitwise
+
+
+def test_positional_matches_stay_inside_one_doc(tmp_path):
+    """The kernels match every candidate at once, so a match must never
+    join the end of one candidate to the start of the next. Each
+    boundary doc ends with ``alpha`` and starts with ``beta`` (far
+    apart), next to each other in doc-id order within a segment, across
+    segments, and across a doc tombstoned between them. Only the one doc
+    that really holds ``alpha beta`` matches."""
+    from datetime import datetime, timedelta
+
+    import pyarrow as pa
+
+    from elasticsearch_data_loader_ray import schema
+    from elasticsearch_data_loader_ray.index import manifest as mf
+    from elasticsearch_data_loader_ray.index.append import (
+        append_index,
+        delete_by_query,
+    )
+    from elasticsearch_data_loader_ray.index.build import seg_docs_path
+
+    edge = "beta " + "gamma " * 6 + "alpha"  # positions 0-7
+    gens = {"a": {"a0": edge, "a1": edge, "a2": edge},
+            "b": {"b0": "alpha beta zeta", "b1": edge},
+            "c": {"c0": edge, "c1": "delta alpha beta", "c2": edge}}
+    for i, (g, docs) in enumerate(gens.items()):
+        urls = [f"https://edge.example/{u}" for u in docs]
+        ts = datetime(2024, 1, 1) + timedelta(seconds=i)
+        (tmp_path / g).mkdir()
+        pq.write_table(pa.table({
+            "url": urls,
+            "warc_ts": [ts] * len(urls),
+            "html": [f"<p>{x}</p>".encode() for x in docs.values()],
+            "text": list(docs.values()),
+            "lang": ["en"] * len(urls)}, schema=schema.WEBTEXT),
+            str(tmp_path / g / "p.parquet"))
+    idx = str(tmp_path / "idx")
+    cfg = BuildConfig(docs_per_segment=4, index_positions=True)
+    build_index(str(tmp_path / "a"), idx, cfg)
+    append_index(str(tmp_path / "b"), idx, cfg)
+    append_index(str(tmp_path / "c"), idx, cfg)
+    assert len(mf.committed_segments(idx)) >= 3
+    url_of = {}
+    for s in mf.committed_segments(idx):
+        d = pq.read_table(seg_docs_path(idx, s), columns=["doc_id", "url"])
+        url_of.update(zip(d["doc_id"].to_pylist(), d["url"].to_pylist()))
+
+    def names(ids) -> list[str]:
+        return sorted(url_of[int(d)].rsplit("/", 1)[1] for d in ids)
+
+    lo = LocalSearcher(idx)
+    assert names(lo.span_near(["alpha", "beta"], slop=0)) == ["b0", "c1"]
+    assert delete_by_query(idx, "zeta") == 1  # b0, between a2 and b1
+    ids, _sc, freqs = lo.search_phrase("alpha beta", k=10**9)
+    assert names(ids) == ["c1"] and freqs.tolist() == [1]
+    ids, _sc, freqs = lo.search_phrase_prefix("alpha be", k=10**9)
+    assert names(ids) == ["c1"] and freqs.tolist() == [1]
+    assert names(lo.span_near(["alpha", "beta"], slop=5)) == ["c1"]
+    assert names(lo.intervals_all_of(["alpha", "beta"], max_gaps=5)) == [
+        "c1"]
+    # a boundary doc's own window spans 6 gaps
+    assert names(lo.intervals_all_of(["beta", "alpha"], max_gaps=5)) == [
+        "c1"]
+    assert names(lo.intervals_all_of(["beta", "alpha"], max_gaps=6)) == [
+        "a0", "a1", "a2", "b1", "c0", "c1", "c2"]
+    for got in (lo.search_phrase("alpha gamma", k=10),
+                lo.search_phrase_prefix("alpha ga", k=10)):
+        assert [(len(a), a.dtype) for a in got] == [
+            (0, np.int64), (0, np.float64), (0, np.int64)]
+    for got in (lo.span_near(["alpha", "gamma"], slop=5),
+                lo.intervals_all_of(["alpha", "zeta"], max_gaps=5)):
+        assert len(got) == 0 and got.dtype == np.int64

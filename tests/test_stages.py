@@ -1,5 +1,5 @@
 """Tests: record transform (M5), alpha index (O1/O3), LSH ANN, multimodal
-plumbing, metrics actor (ST2)."""
+plumbing."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-import ray
 import ray.data as rd
 
 from elasticsearch_data_loader_ray import fixtures
@@ -240,38 +239,6 @@ def test_frame_sample():
     assert out.num_rows > 0
     assert all(len(f) <= 512 for f in out["frame"].to_pylist())
     assert all(i % 2 == 0 for i in out["frame_index"].to_pylist())
-
-
-def test_metrics_actor():
-    from elasticsearch_data_loader_ray.state import metrics
-
-    h = metrics.get_or_create()
-    ray.get(h.reset.remote())
-    ray.get(h.incr.remote("read", 10, partition="p0"))
-    ray.get(h.incr.remote("read", 5, partition="p1"))
-    ray.get(h.incr.remote("skipped", 2))
-    snap = ray.get(h.snapshot.remote())
-    assert snap["totals"] == {"read": 15, "skipped": 2}
-    assert snap["per_partition"]["p0"]["read"] == 10
-    assert snap["rates_per_sec"]["read"] > 0
-
-
-def test_build_with_metrics(tmp_path):
-    from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
-    from elasticsearch_data_loader_ray.state import metrics
-
-    h = metrics.get_or_create()
-    ray.get(h.reset.remote())
-    src = str(tmp_path / "src")
-    import os
-
-    os.makedirs(src)
-    pq.write_table(fixtures.generate_webtext(300), f"{src}/p.parquet")
-    stats = build_index(src, str(tmp_path / "idx"),
-                        BuildConfig(docs_per_segment=100, enable_metrics=True))
-    snap = ray.get(h.snapshot.remote())
-    assert snap["totals"]["indexed"] == stats["n_docs"]
-    assert len(snap["per_partition"]) == stats["n_segments"]
 
 
 def test_lsh_partitioned_index_prunes_and_recalls(tmp_path):
