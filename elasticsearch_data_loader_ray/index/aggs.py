@@ -48,8 +48,10 @@ from .search import (
     DEFAULT_FIELD,
     _avgdl,
     _field_analyzer,
+    SortedTermFile,
+    _global_df,
     _load_stats,
-    _term_filters,
+    _term_stats_paths,
     _visible_seg_ids,
     map_segment_groups,
     query_terms,
@@ -999,8 +1001,9 @@ def significant_terms_agg(index_dir: str, query: str, size: int = 10,
     JLH heuristic ``(fg% - bg%) * (fg% / bg%)`` (ES's default), positive
     scores only, top-``size`` by (score desc, term asc). Foreground doc
     frequencies come from re-tokenizing the matched slice; background doc
-    frequencies from the global term dictionary (read only for the
-    foreground's terms). Scores are rounded to 6 dp so the ordering is
+    frequencies from the global ``term_stats`` (one lookup of the
+    foreground's terms per part, summed across parts, whatever the
+    foreground's size). Scores are rounded to 6 dp so the ordering is
     reproducible cross-engine. ``shard_size`` (ES semantics) caps each
     segment group's candidate terms by fg_count — None is exact; set it
     when a broad query's foreground vocabulary would swamp the merge. It
@@ -1010,8 +1013,6 @@ def significant_terms_agg(index_dir: str, query: str, size: int = 10,
     significant despite low foreground frequency — the same trade ES's
     default shard_size makes. ``drop_ids`` (significant_text's
     duplicate-text filter): doc ids left out of the foreground."""
-    from .search import _read_term_dict
-
     stats = _load_stats(index_dir)
     analyzer = _field_analyzer(stats, field)
     if analyzer != "standard":
@@ -1033,32 +1034,15 @@ def significant_terms_agg(index_dir: str, query: str, size: int = 10,
     if len(merged) == 0:
         return empty
     n_docs = int(stats["n_docs"])
-    # background df for exactly the foreground terms. Small foregrounds
-    # read via equality OR-chains (pyarrow prunes row groups for those but
-    # NOT for isin); a large foreground vocabulary reads the dictionary
-    # once and filters in memory.
+    # background df for exactly the foreground terms: one lookup in each
+    # term_stats part, whatever the foreground's size
     fg_terms = merged["term"].tolist()
-    bg: dict[str, int] = {}
-    if len(fg_terms) <= 1000:
-        ts_dir = os.path.join(index_dir, "term_stats")
-        files = [os.path.join(ts_dir, f)
-                 for f in sorted(os.listdir(ts_dir))
-                 if f.endswith(".parquet")]
-        CH = 200
-        for i in range(0, len(fg_terms), CH):
-            flt = _term_filters({field: fg_terms[i:i + CH]})
-            sel = pq.read_table(files, columns=["term", "df"],
-                                filters=flt)
-            for t, d in zip(sel["term"].to_pylist(),
-                            sel["df"].to_pylist()):
-                bg[t] = bg.get(t, 0) + int(d)
-    else:
-        td = _read_term_dict(index_dir, field)
-        sel = td.filter(pc.is_in(td["term"], pa.array(fg_terms)))
-        for t, d in zip(sel["term"].to_pylist(), sel["df"].to_pylist()):
-            bg[t] = bg.get(t, 0) + int(d)
+    bg = _global_df([SortedTermFile(p) for p in _term_stats_paths(index_dir)],
+                    {field: fg_terms})
+    at = pc.index_in(pa.array(fg_terms, pa.string()),
+                     value_set=bg["term"].combine_chunks())
     fg_cnt = merged["fg_count"].to_numpy(dtype=np.float64)
-    bg_cnt = np.array([bg.get(t, 0) for t in fg_terms], dtype=np.float64)
+    bg_cnt = pc.fill_null(bg["df"].take(at), 0).to_numpy().astype(np.float64)
     fg_pct = fg_cnt / fg_total
     bg_pct = np.where(bg_cnt > 0, bg_cnt / n_docs, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -52,12 +52,18 @@ term's positions in every candidate become one ascending key array
 match advances all candidates together, one ``searchsorted`` per query
 term (the shape of Lucene's ``ExactPhraseMatcher``), with no loop over
 candidates or positions.
+
+Term dictionary: every read of the global ``term_stats`` goes through the
+bound epoch's :class:`SortedTermFile` readers. Exact terms (idf) are
+:meth:`SortedTermFile.lookup` s; the expansions (fuzzy, wildcard, regexp,
+prefix, phrase- and bool-prefix) and the three suggesters are searcher
+methods over :meth:`SortedTermFile.range`, so they answer from the epoch
+the searcher bound, like every other read.
 """
 
 from __future__ import annotations
 
 import bisect
-import operator
 import os
 import re
 
@@ -405,10 +411,18 @@ class _Positions:
         ascending int64 array of keys ``(i << 32) | position`` for the
         position's doc ``cand[i]``: one ``np.repeat`` and one gather over
         ``flat``. A position plus a small offset keeps its doc bits, so
-        key arithmetic never crosses from one candidate into the next."""
-        s = self.off[np.searchsorted(self.ids, cand)]
-        e = self.off[np.searchsorted(self.ids, cand, "right")]
-        doc = np.repeat(np.arange(len(cand), dtype=np.int64) << 32, e - s)
+        key arithmetic never crosses from one candidate into the next.
+        The smaller side is searched in the larger: a term with fewer docs
+        than candidates locates its own ids in ``cand``."""
+        if len(self.ids) < len(cand):
+            j = np.minimum(np.searchsorted(cand, self.ids), len(cand) - 1)
+            hit = np.flatnonzero(cand[j] == self.ids)
+            ci, s, e = j[hit], self.off[hit], self.off[hit + 1]
+        else:
+            ci = np.arange(len(cand))
+            s = self.off[np.searchsorted(self.ids, cand)]
+            e = self.off[np.searchsorted(self.ids, cand, "right")]
+        doc = np.repeat(ci.astype(np.int64) << 32, e - s)
         return doc | self.flat[_ranges(s, e)]
 
 
@@ -449,30 +463,6 @@ def _avgdl(stats: dict, field: str) -> float:
     if field in pf:
         return float(pf[field]["avgdl"])
     return float(stats["avgdl"])
-
-
-def _term_filters(by_field: dict[str, list[str]]):
-    """Pushdown-friendly filter expression.
-
-    (field==f AND (term==t1 OR term==t2 ...)) OR ... — equality OR-chains
-    instead of ``isin``: pyarrow prunes parquet row groups for comparison
-    expressions but NOT for set-lookup, which degrades to a full scan
-    (measured 115ms vs 60ms per query on a 25-segment index).
-    """
-    import functools
-
-    import pyarrow.dataset as pads
-
-    parts = []
-    for f, ts in by_field.items():
-        if not ts:
-            continue
-        terms_expr = functools.reduce(
-            operator.or_, [pads.field("term") == t for t in ts])
-        parts.append((pads.field("field") == f) & terms_expr)
-    if not parts:
-        return None
-    return functools.reduce(operator.or_, parts)
 
 
 def load_global_idf(index_dir: str,
@@ -739,260 +729,34 @@ def levenshtein_vec(query: str, terms: pa.Array) -> np.ndarray:
 
 
 def _prefix_upper(p: str) -> str | None:
-    """Smallest string greater than every string with prefix ``p``."""
-    b = bytearray(p.encode())
-    while b:
-        if b[-1] < 0xFF:
-            b[-1] += 1
-            return bytes(b).decode("utf-8", "surrogateescape")
-        b.pop()
-    return None
-
-
-def _read_term_dict(index_dir: str, field: str,
-                    prefix: str = "") -> pa.Table:
-    """(term, df) rows of the global term dictionary for ``field``,
-    optionally restricted to a literal prefix. The prefix becomes a
-    closed range filter (``p <= term < next(p)``) — pyarrow prunes
-    term_stats row groups on the comparison, so a prefixed expansion
-    reads only the dictionary slice it needs."""
-    import pyarrow.dataset as pads
-
-    flt = pads.field("field") == field
-    if prefix:
-        flt = flt & (pads.field("term") >= prefix)
-        hi = _prefix_upper(prefix)
-        if hi is not None:
-            flt = flt & (pads.field("term") < hi)
-    ts_dir = os.path.join(index_dir, "term_stats")
-    files = [os.path.join(ts_dir, f) for f in sorted(os.listdir(ts_dir))
-             if f.endswith(".parquet")]
-    if not files:
-        return pa.table({"term": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64())})
-    return pq.read_table(files, columns=["term", "df"], filters=flt)
-
-
-def _fuzzy_candidates(index_dir: str, field: str, q: str,
-                      max_dist: int, prefix_length: int,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dictionary terms within classic Levenshtein ``max_dist`` of ``q``
-    sharing its first ``prefix_length`` chars — the candidate step shared
-    by fuzzy expansion and the term suggester. Returns (terms, dfs,
-    distances); the prefix prunes the dictionary read and a byte-length
-    prefilter skips the Levenshtein for hopeless rows. Distances are
-    byte-domain (like levenshtein_vec — see its docstring caveat)."""
-    empty = (np.empty(0, object), np.empty(0, np.int64),
-             np.empty(0, np.int64))
-    tbl = _read_term_dict(index_dir, field, q[:prefix_length])
-    if tbl.num_rows == 0:
-        return empty
-    lens = pc.binary_length(tbl["term"]).to_numpy()
-    near = np.abs(lens - len(q.encode())) <= max_dist
-    tbl = tbl.filter(pa.array(near))
-    if tbl.num_rows == 0:
-        return empty
-    d = levenshtein_vec(q, tbl["term"])
-    ok = d <= max_dist
-    if not ok.any():
-        return empty
-    sel = tbl.filter(pa.array(ok))
-    return (np.array(sel["term"].to_pylist(), dtype=object),
-            sel["df"].to_numpy(), d[ok])
-
-
-def expand_fuzzy(index_dir: str, field: str, qterm: str,
-                 fuzziness="AUTO", prefix_length: int = 1,
-                 max_expansions: int = 50) -> list[str]:
-    """ES fuzzy term expansion over the global term dictionary: terms
-    sharing the first ``prefix_length`` chars within Levenshtein distance
-    ``fuzziness`` (``"AUTO"`` = ES length-scaled), ranked by (df desc,
-    term asc) and capped at ``max_expansions`` — the Lucene
-    top-terms-by-frequency rewrite. Transpositions count 2 (classic
-    distance, matching the DuckDB oracle), unlike ES's default
-    Damerau variant. ``prefix_length`` defaults to 1 (ES default is 0)
-    so the dictionary read prunes to one prefix slice; pass 0 for the
-    full-vocabulary scan."""
-    f = (_auto_fuzziness(qterm)
-         if str(fuzziness).upper() == "AUTO" else int(fuzziness))
-    if f == 0:
-        tbl = _read_term_dict(index_dir, field, qterm[:prefix_length])
-        if tbl.num_rows == 0:
-            return []
-        m = pc.equal(tbl["term"], qterm)
-        return tbl.filter(m)["term"].to_pylist()
-    terms, dfs, _d = _fuzzy_candidates(index_dir, field, qterm, f,
-                                       prefix_length)
-    order = np.lexsort((terms, -dfs))[:max_expansions]
-    return terms[order].tolist()
-
-
-def expand_wildcard(index_dir: str, field: str, pattern: str) -> list[str]:
-    """ES wildcard-query term expansion: dictionary terms matching the
-    pattern (``*`` = any run, ``?`` = one char), sorted. The literal
-    prefix before the first wildcard prunes the dictionary read; the
-    match itself is one vectorized ``match_like`` kernel. Literal ``%``
-    and ``_`` in the pattern are escaped before the LIKE translation."""
-    cut = len(pattern)
-    for ch in "*?":
-        if (i := pattern.find(ch)) != -1:
-            cut = min(cut, i)
-    tbl = _read_term_dict(index_dir, field, pattern[:cut])
-    if tbl.num_rows == 0:
-        return []
-    like = (pattern.replace("\\", "\\\\").replace("%", "\\%")
-            .replace("_", "\\_").replace("*", "%").replace("?", "_"))
-    m = pc.match_like(tbl["term"], like)
-    return sorted(tbl.filter(m)["term"].to_pylist())
-
-
-def expand_regexp(index_dir: str, field: str, pattern: str) -> list[str]:
-    """ES regexp-query term expansion: dictionary terms whose ENTIRE text
-    matches the pattern (Lucene anchors regexp queries implicitly),
-    sorted. Any literal prefix of the pattern prunes the dictionary
-    read; the match is one vectorized RE2 kernel — the same engine the
-    DuckDB oracle uses, so expansion semantics are bit-identical."""
-    # longest literal prefix: stop at the first regex metacharacter
-    cut = len(pattern)
-    for i, ch in enumerate(pattern):
-        if ch in ".?*+()[]{}|^$\\":
-            cut = i
-            break
-    tbl = _read_term_dict(index_dir, field, pattern[:cut])
-    if tbl.num_rows == 0:
-        return []
-    m = pc.match_substring_regex(tbl["term"], f"^(?:{pattern})$")
-    return sorted(tbl.filter(m)["term"].to_pylist())
-
-
-def suggest_completions(index_dir: str, prefixes: list[str],
-                        field: str = DEFAULT_FIELD,
-                        size: int = 5) -> pa.Table:
-    """ES completion suggester (search-as-you-type): for each prefix,
-    the top dictionary terms carrying it, ranked by weight — here the
-    term's document frequency, ES's default when no explicit weights
-    are indexed — then term-ascending. Each prefix reads only its
-    closed dictionary range (row-group-pruned), so cost tracks the
-    prefix's vocabulary slice, not the corpus. Returns
-    (prefix, suggestion, weight) rows."""
-    out_p, out_s, out_w = [], [], []
-    for p in prefixes:
-        p = p.lower()
-        tbl = _read_term_dict(index_dir, field, p)
-        if tbl.num_rows == 0:
-            continue
-        # duplicate (term) rows across generations sum their dfs
-        agg = tbl.group_by("term").aggregate([("df", "sum")])
-        terms = np.asarray(agg["term"].to_pylist())
-        dfs = agg["df_sum"].to_numpy()
-        order = np.lexsort((terms, -dfs))[:size]
-        out_p.extend([p] * len(order))
-        out_s.extend(terms[order].tolist())
-        out_w.extend(dfs[order].tolist())
-    return pa.table({
-        "prefix": pa.array(out_p, pa.string()),
-        "suggestion": pa.array(out_s, pa.string()),
-        "weight": pa.array(out_w, pa.int64()),
-    })
-
-
-def suggest_terms(index_dir: str, inputs: list[str],
-                  field: str = DEFAULT_FIELD, max_edits: int = 2,
-                  prefix_length: int = 1, size: int = 5) -> pa.Table:
-    """ES term suggester (did-you-mean): for each input token, dictionary
-    terms within ``max_edits`` classic Levenshtein (transpositions count
-    2, matching the DuckDB oracle) sharing the first ``prefix_length``
-    chars, ranked (distance asc, df desc, term asc), top ``size``.
-    Distance-0 hits are excluded (the input itself needs no suggestion).
-    Each input reads only its prefix's dictionary slice."""
-    out_i, out_s, out_d, out_f = [], [], [], []
-    for q in inputs:
-        q = q.lower()
-        terms, dfs, dd = _fuzzy_candidates(index_dir, field, q,
-                                           max_edits, prefix_length)
-        keep = dd >= 1  # the input itself needs no suggestion
-        terms, dfs, dd = terms[keep], dfs[keep], dd[keep]
-        if len(terms) == 0:
-            continue
-        order = np.lexsort((terms, -dfs, dd))[:size]
-        out_i.extend([q] * len(order))
-        out_s.extend(terms[order].tolist())
-        out_d.extend(dd[order].tolist())
-        out_f.extend(dfs[order].tolist())
-    return pa.table({
-        "input": pa.array(out_i, pa.string()),
-        "suggestion": pa.array(out_s, pa.string()),
-        "distance": pa.array(out_d, pa.int64()),
-        "df": pa.array(out_f, pa.int64()),
-    })
-
-
-def suggest_phrase(index_dir: str, text: str,
-                   field: str = DEFAULT_FIELD, max_edits: int = 2,
-                   prefix_length: int = 1) -> pa.Table:
-    """ES phrase suggester (documented simplification: unigram-df LM in
-    place of ES's bigram stupid-backoff — per-doc positions exist but
-    corpus bigram counts are not materialized). Per analyzed token the
-    candidate set is the dictionary slice within ``max_edits`` classic
-    Levenshtein sharing the first ``prefix_length`` chars, INCLUDING the
-    token itself at distance 0 (a correctly-spelled token keeps itself:
-    distance-ascending rank puts d=0 first); each slot's winner is
-    ranked (distance asc, df desc, term asc), and the whole-phrase
-    suggestion is the per-slot winners joined in order. A slot with no
-    candidates keeps its input token (distance -1, df 0). Returns one
-    row per slot plus the assembled ``phrase`` on every row."""
-    from ..functions.analyzers import analyze
-
-    stats = _load_stats(index_dir)
-    tokens = list(analyze(_field_analyzer(stats, field), text))
-    out = {"slot": [], "input_token": [], "suggestion": [],
-           "distance": [], "df": []}
-    chosen = []
-    for slot, tok in enumerate(tokens):
-        terms, dfs, dd = _fuzzy_candidates(index_dir, field, tok,
-                                           max_edits, prefix_length)
-        if len(terms) == 0:
-            pick, dist, dfv = tok, -1, 0
-        else:
-            b = np.lexsort((terms, -dfs, dd))[0]
-            pick, dist, dfv = str(terms[b]), int(dd[b]), int(dfs[b])
-        chosen.append(pick)
-        out["slot"].append(slot)
-        out["input_token"].append(tok)
-        out["suggestion"].append(pick)
-        out["distance"].append(dist)
-        out["df"].append(dfv)
-    phrase = " ".join(chosen)
-    return pa.table({
-        "slot": pa.array(out["slot"], pa.int64()),
-        "input_token": pa.array(out["input_token"], pa.string()),
-        "suggestion": pa.array(out["suggestion"], pa.string()),
-        "distance": pa.array(out["distance"], pa.int64()),
-        "df": pa.array(out["df"], pa.int64()),
-        "phrase": pa.array([phrase] * len(chosen), pa.string()),
-    })
-
-
-def expand_prefix(index_dir: str, field: str, prefix: str,
-                  max_expansions: int = 50) -> list[str]:
-    """ES prefix / match_phrase_prefix term expansion: dictionary terms
-    with the literal prefix, in term order, capped at ``max_expansions``
-    (Lucene collects prefix terms in term order and stops at the cap).
-    The prefix prunes the dictionary read to one closed range."""
-    tbl = _read_term_dict(index_dir, field, prefix)
-    return sorted(set(tbl["term"].to_pylist()))[:max_expansions]
+    """Smallest string greater than every string with prefix ``p``, in
+    code-point order (that of ``str``, numpy object arrays and UTF-8
+    bytes alike): the last character stepped up one code point, past the
+    surrogate block, after dropping trailing U+10FFFF; None when nothing
+    is left (every string with the prefix is then unbounded above)."""
+    while p and p[-1] == "\U0010ffff":
+        p = p[:-1]
+    if not p:
+        return None
+    c = ord(p[-1]) + 1
+    return p[:-1] + chr(0xE000 if 0xD800 <= c < 0xE000 else c)
 
 
 class SortedTermFile:
     """Reader of one immutable parquet file of (field, term)-sorted rows:
     a segment's term table, a ``term_stats`` part or a pruned-postings
     part — Lucene's terms index, which stays open for a segment's life.
-    Lookups need only each field's rows ascending by term.
+    Lookups need only each field's rows ascending by term. Two reads
+    serve every caller: :meth:`lookup` of exact (field, term) keys and
+    :meth:`range` of one field's terms in ``[lo, hi)``, the read behind
+    every term expansion and suggester (Lucene's ``seekExact`` and
+    ``intersect`` over one terms index).
 
     The file is opened once; the open handle keeps reading this file's
     bytes after its path is replaced or unlinked. The footer's per row
     group (field, term) min/max bounds are parsed once, so a lookup
-    decodes only the 1-2 row groups that can hold each key. Parquet
+    decodes only the 1-2 row groups that can hold each key, and a range
+    only the row groups that overlap it. Parquet
     string statistics may be truncated, but truncation keeps them
     conservative (min a prefix <= true min, max >= true max); a file
     without usable statistics reads every row group. Row groups a lookup
@@ -1149,6 +913,30 @@ class SortedTermFile:
             return None
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
+    def range(self, field: str, lo: str, hi: str | None) -> pa.Table:
+        """(term, df) rows of ``field`` with ``lo <= term < hi`` (``hi``
+        None: no upper end), in file order, so ascending by term. Only the
+        row groups whose footer bounds overlap ``[(field, lo), (field,
+        hi))`` load, through the cache; each field run of them yields one
+        slice found by two ``np.searchsorted``."""
+        groups = list(range(self.n_row_groups))
+        if self.bounds is not None:
+            groups = [g for g, (fmin, tmin, fmax, tmax) in
+                      enumerate(self.bounds) if (fmax, tmax) >= (field, lo)
+                      and (fmin <= field if hi is None
+                           else (fmin, tmin) < (field, hi))]
+        parts = []
+        for t, terms, runs, _nb in self._groups(groups):
+            for a, b in runs.get(field, ()):
+                i = a + np.searchsorted(terms[a:b], lo)
+                j = b if hi is None else a + np.searchsorted(terms[a:b], hi)
+                if i < j:
+                    parts.append(t.select(["term", "df"]).slice(i, j - i))
+        if not parts:
+            return pa.table({c: pa.array([], self.schema.field(c).type)
+                             for c in ("term", "df")})
+        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+
 
 def _term_stats_paths(index_dir: str) -> list[str]:
     ts_dir = os.path.join(index_dir, "term_stats")
@@ -1156,26 +944,34 @@ def _term_stats_paths(index_dir: str) -> list[str]:
             if f.endswith(".parquet")]
 
 
+def _global_df(readers: list[SortedTermFile],
+               by_field: dict[str, list[str]]) -> pa.Table:
+    """(field, term, df) rows of the looked-up terms present in the
+    ``term_stats`` parts ``readers``, each pair's df summed across the
+    parts by one Arrow ``group_by``."""
+    cols = ["field", "term", "df"]
+    parts = [t for r in readers if (t := r.lookup(by_field, cols)) is not None]
+    if not parts:
+        return pa.table({"field": pa.array([], pa.string()),
+                         "term": pa.array([], pa.string()),
+                         "df": pa.array([], pa.int64())})
+    return (pa.concat_tables(parts).group_by(["field", "term"],
+                                             use_threads=False)
+            .aggregate([("df", "sum")]).rename_columns(cols))
+
+
 def _global_idf(readers: list[SortedTermFile],
                 by_field: dict[str, list[str]], n_docs: int
                 ) -> tuple[dict, dict]:
     """(idf map, df map) keyed (field, term) for the looked-up terms
-    present in the ``term_stats`` parts ``readers``."""
-    idf: dict[tuple[str, str], float] = {}
-    dfs: dict[tuple[str, str], int] = {}
+    present in the ``term_stats`` parts ``readers`` (:func:`_global_df`)."""
     if not n_docs:
-        return idf, dfs
-    for r in readers:
-        tbl = r.lookup(by_field, ["field", "term", "df"])
-        if tbl is None:
-            continue
-        for f, t, df in zip(tbl["field"].to_pylist(),
-                            tbl["term"].to_pylist(),
-                            tbl["df"].to_pylist()):
-            dfs[(f, t)] = dfs.get((f, t), 0) + int(df)
-    for key, df in dfs.items():
-        idf[key] = float(codec.bm25_idf(df, n_docs))
-    return idf, dfs
+        return {}, {}
+    t = _global_df(readers, by_field)
+    dfs = dict(zip(zip(t["field"].to_pylist(), t["term"].to_pylist()),
+                   t["df"].to_pylist()))
+    return {k: float(codec.bm25_idf(df, n_docs))
+            for k, df in dfs.items()}, dfs
 
 
 class LocalSearcher:
@@ -2327,6 +2123,221 @@ class LocalSearcher:
                 scores[hit] += contribs[t][np.searchsorted(ids, cand[hit])]
         return _top_k(cand, scores, k)
 
+    def _term_dict(self, field: str, prefix: str = "") -> pa.Table:
+        """(term, df) rows of the bound epoch's global term dictionary for
+        ``field`` whose term starts with the literal ``prefix``: one
+        :meth:`SortedTermFile.range` per ``term_stats`` part, so a prefix
+        reads only the row groups of its slice and a repeat reads none."""
+        hi = _prefix_upper(prefix)
+        parts = [r.range(field, prefix, hi) for r in self._stats_readers]
+        if not parts:
+            return pa.table({"term": pa.array([], pa.string()),
+                             "df": pa.array([], pa.int64())})
+        return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+
+    def _fuzzy_candidates(self, field: str, q: str, max_dist: int,
+                          prefix_length: int
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dictionary terms within classic Levenshtein ``max_dist`` of ``q``
+        sharing its first ``prefix_length`` chars — the candidate step
+        shared by fuzzy expansion and the term suggester. Returns (terms,
+        dfs, distances); the prefix narrows the dictionary read and a
+        byte-length prefilter skips the Levenshtein for hopeless rows.
+        Distances are byte-domain (like levenshtein_vec — see its
+        docstring caveat)."""
+        empty = (np.empty(0, object), np.empty(0, np.int64),
+                 np.empty(0, np.int64))
+        tbl = self._term_dict(field, q[:prefix_length])
+        if tbl.num_rows == 0:
+            return empty
+        lens = pc.binary_length(tbl["term"]).to_numpy()
+        near = np.abs(lens - len(q.encode())) <= max_dist
+        tbl = tbl.filter(pa.array(near))
+        if tbl.num_rows == 0:
+            return empty
+        d = levenshtein_vec(q, tbl["term"])
+        ok = d <= max_dist
+        if not ok.any():
+            return empty
+        sel = tbl.filter(pa.array(ok))
+        return (np.array(sel["term"].to_pylist(), dtype=object),
+                sel["df"].to_numpy(), d[ok])
+
+    def expand_fuzzy(self, field: str, qterm: str, fuzziness="AUTO",
+                     prefix_length: int = 1,
+                     max_expansions: int = 50) -> list[str]:
+        """ES fuzzy term expansion over the bound global term dictionary:
+        terms sharing the first ``prefix_length`` chars within Levenshtein
+        distance ``fuzziness`` (``"AUTO"`` = ES length-scaled), ranked by
+        (df desc, term asc) and capped at ``max_expansions`` — the Lucene
+        top-terms-by-frequency rewrite. Transpositions count 2 (classic
+        distance, matching the DuckDB oracle), unlike ES's default
+        Damerau variant. ``prefix_length`` defaults to 1 (ES default is
+        0) so the dictionary read narrows to one prefix slice; pass 0 for
+        the full-vocabulary scan."""
+        self.refresh()
+        f = (_auto_fuzziness(qterm)
+             if str(fuzziness).upper() == "AUTO" else int(fuzziness))
+        if f == 0:
+            tbl = self._term_dict(field, qterm[:prefix_length])
+            return tbl.filter(pc.equal(tbl["term"], qterm))["term"].to_pylist()
+        terms, dfs, _d = self._fuzzy_candidates(field, qterm, f,
+                                                prefix_length)
+        order = np.lexsort((terms, -dfs))[:max_expansions]
+        return terms[order].tolist()
+
+    def expand_wildcard(self, field: str, pattern: str) -> list[str]:
+        """ES wildcard-query term expansion: dictionary terms matching the
+        pattern (``*`` = any run, ``?`` = one char), sorted. The literal
+        prefix before the first wildcard narrows the dictionary read; the
+        match itself is one vectorized ``match_like`` kernel. Literal
+        ``%`` and ``_`` in the pattern are escaped before the LIKE
+        translation."""
+        self.refresh()
+        cut = len(pattern)
+        for ch in "*?":
+            if (i := pattern.find(ch)) != -1:
+                cut = min(cut, i)
+        tbl = self._term_dict(field, pattern[:cut])
+        like = (pattern.replace("\\", "\\\\").replace("%", "\\%")
+                .replace("_", "\\_").replace("*", "%").replace("?", "_"))
+        return sorted(tbl.filter(pc.match_like(tbl["term"], like))
+                      ["term"].to_pylist())
+
+    def expand_regexp(self, field: str, pattern: str) -> list[str]:
+        """ES regexp-query term expansion: dictionary terms whose ENTIRE
+        text matches the pattern (Lucene anchors regexp queries
+        implicitly), sorted. Any literal prefix of the pattern narrows the
+        dictionary read; the match is one vectorized RE2 kernel — the
+        same engine the DuckDB oracle uses, so expansion semantics are
+        bit-identical."""
+        self.refresh()
+        # longest literal prefix: stop at the first regex metacharacter
+        cut = len(pattern)
+        for i, ch in enumerate(pattern):
+            if ch in ".?*+()[]{}|^$\\":
+                cut = i
+                break
+        tbl = self._term_dict(field, pattern[:cut])
+        m = pc.match_substring_regex(tbl["term"], f"^(?:{pattern})$")
+        return sorted(tbl.filter(m)["term"].to_pylist())
+
+    def expand_prefix(self, field: str, prefix: str,
+                      max_expansions: int = 50) -> list[str]:
+        """ES prefix / match_phrase_prefix term expansion: dictionary
+        terms with the literal prefix, in term order, capped at
+        ``max_expansions`` (Lucene collects prefix terms in term order and
+        stops at the cap). The prefix narrows the read to one range."""
+        self.refresh()
+        tbl = self._term_dict(field, prefix)
+        return sorted(set(tbl["term"].to_pylist()))[:max_expansions]
+
+    def suggest_completions(self, prefixes: list[str],
+                            field: str = DEFAULT_FIELD,
+                            size: int = 5) -> pa.Table:
+        """ES completion suggester (search-as-you-type): for each prefix,
+        the top dictionary terms carrying it, ranked by weight — here the
+        term's document frequency, ES's default when no explicit weights
+        are indexed — then term-ascending. Each prefix reads only its
+        dictionary range, so cost tracks the prefix's vocabulary slice,
+        not the corpus. Returns (prefix, suggestion, weight) rows."""
+        self.refresh()
+        out_p, out_s, out_w = [], [], []
+        for p in prefixes:
+            p = p.lower()
+            tbl = self._term_dict(field, p)
+            if tbl.num_rows == 0:
+                continue
+            # duplicate (term) rows across term_stats parts sum their dfs
+            agg = tbl.group_by("term").aggregate([("df", "sum")])
+            terms = np.asarray(agg["term"].to_pylist())
+            dfs = agg["df_sum"].to_numpy()
+            order = np.lexsort((terms, -dfs))[:size]
+            out_p.extend([p] * len(order))
+            out_s.extend(terms[order].tolist())
+            out_w.extend(dfs[order].tolist())
+        return pa.table({
+            "prefix": pa.array(out_p, pa.string()),
+            "suggestion": pa.array(out_s, pa.string()),
+            "weight": pa.array(out_w, pa.int64()),
+        })
+
+    def suggest_terms(self, inputs: list[str], field: str = DEFAULT_FIELD,
+                      max_edits: int = 2, prefix_length: int = 1,
+                      size: int = 5) -> pa.Table:
+        """ES term suggester (did-you-mean): for each input token,
+        dictionary terms within ``max_edits`` classic Levenshtein
+        (transpositions count 2, matching the DuckDB oracle) sharing the
+        first ``prefix_length`` chars, ranked (distance asc, df desc, term
+        asc), top ``size``. Distance-0 hits are excluded (the input itself
+        needs no suggestion). Each input reads only its prefix's
+        dictionary slice."""
+        self.refresh()
+        out_i, out_s, out_d, out_f = [], [], [], []
+        for q in inputs:
+            q = q.lower()
+            terms, dfs, dd = self._fuzzy_candidates(field, q, max_edits,
+                                                    prefix_length)
+            keep = dd >= 1  # the input itself needs no suggestion
+            terms, dfs, dd = terms[keep], dfs[keep], dd[keep]
+            if len(terms) == 0:
+                continue
+            order = np.lexsort((terms, -dfs, dd))[:size]
+            out_i.extend([q] * len(order))
+            out_s.extend(terms[order].tolist())
+            out_d.extend(dd[order].tolist())
+            out_f.extend(dfs[order].tolist())
+        return pa.table({
+            "input": pa.array(out_i, pa.string()),
+            "suggestion": pa.array(out_s, pa.string()),
+            "distance": pa.array(out_d, pa.int64()),
+            "df": pa.array(out_f, pa.int64()),
+        })
+
+    def suggest_phrase(self, text: str, field: str = DEFAULT_FIELD,
+                       max_edits: int = 2,
+                       prefix_length: int = 1) -> pa.Table:
+        """ES phrase suggester (documented simplification: unigram-df LM
+        in place of ES's bigram stupid-backoff — per-doc positions exist
+        but corpus bigram counts are not materialized). Per analyzed token
+        the candidate set is the dictionary slice within ``max_edits``
+        classic Levenshtein sharing the first ``prefix_length`` chars,
+        INCLUDING the token itself at distance 0 (a correctly-spelled
+        token keeps itself: distance-ascending rank puts d=0 first); each
+        slot's winner is ranked (distance asc, df desc, term asc), and the
+        whole-phrase suggestion is the per-slot winners joined in order.
+        A slot with no candidates keeps its input token (distance -1, df
+        0). Returns one row per slot plus the assembled ``phrase`` on
+        every row."""
+        self.refresh()
+        tokens = list(analyze(_field_analyzer(self.stats, field), text))
+        out = {"slot": [], "input_token": [], "suggestion": [],
+               "distance": [], "df": []}
+        chosen = []
+        for slot, tok in enumerate(tokens):
+            terms, dfs, dd = self._fuzzy_candidates(field, tok, max_edits,
+                                                    prefix_length)
+            if len(terms) == 0:
+                pick, dist, dfv = tok, -1, 0
+            else:
+                b = np.lexsort((terms, -dfs, dd))[0]
+                pick, dist, dfv = str(terms[b]), int(dd[b]), int(dfs[b])
+            chosen.append(pick)
+            out["slot"].append(slot)
+            out["input_token"].append(tok)
+            out["suggestion"].append(pick)
+            out["distance"].append(dist)
+            out["df"].append(dfv)
+        phrase = " ".join(chosen)
+        return pa.table({
+            "slot": pa.array(out["slot"], pa.int64()),
+            "input_token": pa.array(out["input_token"], pa.string()),
+            "suggestion": pa.array(out["suggestion"], pa.string()),
+            "distance": pa.array(out["distance"], pa.int64()),
+            "df": pa.array(out["df"], pa.int64()),
+            "phrase": pa.array([phrase] * len(chosen), pa.string()),
+        })
+
     def search_bool_prefix(self, query: str, k: int = 10,
                            field: str = DEFAULT_FIELD
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -2337,14 +2348,14 @@ class LocalSearcher:
         matches on any full term OR any dictionary expansion of the
         prefix. Expansion is UNBOUNDED (Lucene prefix queries build a
         bitset over every matching term — no max_expansions cap), pruned
-        to one closed dictionary range by ``expand_prefix``."""
+        to one dictionary range by :meth:`expand_prefix`."""
         self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         seq = list(analyze(_field_analyzer(self.stats, field), query))
         if not seq or not self.term_files:
             return empty
         fixed, prefix = seq[:-1], seq[-1]
-        exps = expand_prefix(self.index_dir, field, prefix, 1 << 30)
+        exps = self.expand_prefix(field, prefix, 1 << 30)
         uniq_fixed = sorted(set(fixed))
         idf = self._idf(field, uniq_fixed)
         live = [t for t in uniq_fixed if t in idf]
@@ -2375,20 +2386,21 @@ class LocalSearcher:
                      prefix_length: int = 1, max_expansions: int = 50
                      ) -> tuple[np.ndarray, np.ndarray]:
         """ES match-with-fuzziness analogue: each analyzed query term
-        expands against the term dictionary (``expand_fuzzy``: shared
-        prefix, Levenshtein <= fuzziness, top-df cap), then the union of
-        expansions is scored as a plain OR query (each expanded term with
-        its own df/idf). Expansion reads the global dictionary, so every
-        segment group of ``search()`` expands identically."""
+        expands against the term dictionary (:meth:`expand_fuzzy`:
+        shared prefix, Levenshtein <= fuzziness, top-df cap), then the
+        union of expansions is scored as a plain OR query (each expanded
+        term with its own df/idf). Expansion reads the bound epoch's
+        global ``term_stats``, so every segment group of ``search()``
+        expands identically."""
         self.refresh()
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not self.term_files:
             return empty
         qterms = query_terms(query, _field_analyzer(self.stats, field))
         exp = sorted({e for t in qterms
-                      for e in expand_fuzzy(self.index_dir, field, t,
-                                            fuzziness, prefix_length,
-                                            max_expansions)})
+                      for e in self.expand_fuzzy(field, t, fuzziness,
+                                                 prefix_length,
+                                                 max_expansions)})
         idf = self._idf(field, exp)
         terms = [t for t in exp if t in idf]
         if not terms:
@@ -2408,7 +2420,7 @@ class LocalSearcher:
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not self.term_files:
             return empty
-        exp = expand_wildcard(self.index_dir, field, pattern)
+        exp = self.expand_wildcard(field, pattern)
         return self._union_const_topk(field, exp, k)
 
     def _union_const_topk(self, field: str, exp: list[str], k: int
@@ -2436,7 +2448,7 @@ class LocalSearcher:
         self.refresh()
         if not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        exp = expand_regexp(self.index_dir, field, pattern)
+        exp = self.expand_regexp(field, pattern)
         return self._union_const_topk(field, exp, k)
 
     #: request-cache capacity (ES shard-request-cache analogue): exact
@@ -2699,7 +2711,7 @@ class LocalSearcher:
         if not seq:
             return empty
         fixed, prefix = seq[:-1], seq[-1]
-        exps = expand_prefix(self.index_dir, field, prefix, max_expansions)
+        exps = self.expand_prefix(field, prefix, max_expansions)
         if not exps:
             return empty
         uniq_fixed = sorted(set(fixed))

@@ -4519,10 +4519,10 @@ def q_term_suggest(sf_dir: str):
     edit distance 2 sharing the first char, ranked (distance asc, df
     desc, term asc) — vectorized Levenshtein over prefix-pruned
     dictionary slices."""
-    from ..index.search import suggest_terms
+    from ..index.search import LocalSearcher
 
     idx = _ensure_doc_index(sf_dir)
-    return suggest_terms(idx, SUGGEST_INPUTS)
+    return LocalSearcher(idx).suggest_terms(SUGGEST_INPUTS)
 
 
 def _sql_term_suggest() -> str:
@@ -4553,10 +4553,10 @@ def q_phrase_suggest(sf_dir: str):
     analyzed slot, the best dictionary candidate within edit distance 2
     (the token itself at distance 0 wins when correctly spelled), the
     whole corrected phrase assembled per row."""
-    from ..index.search import suggest_phrase
+    from ..index.search import LocalSearcher
 
     idx = _ensure_doc_index(sf_dir)
-    return suggest_phrase(idx, PHRASE_SUGGEST_INPUT)
+    return LocalSearcher(idx).suggest_phrase(PHRASE_SUGGEST_INPUT)
 
 
 def _sql_phrase_suggest() -> str:
@@ -4600,12 +4600,12 @@ COMPLETION_SIZE = 5
 def q_completion_suggest(sf_dir: str):
     """ES completion suggester: top dictionary terms per prefix ranked
     by document frequency (ES's default weight), term-ascending ties —
-    each prefix reads only its closed term-dictionary range."""
-    from ..index.search import suggest_completions
+    each prefix reads only its term-dictionary range."""
+    from ..index.search import LocalSearcher
 
     idx = _ensure_doc_index(sf_dir)
-    return suggest_completions(idx, COMPLETION_PREFIXES,
-                               size=COMPLETION_SIZE)
+    return LocalSearcher(idx).suggest_completions(COMPLETION_PREFIXES,
+                                                  size=COMPLETION_SIZE)
 
 
 def _sql_completion_suggest() -> str:

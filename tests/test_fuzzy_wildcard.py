@@ -18,8 +18,6 @@ from elasticsearch_data_loader_ray.index.build import (
 from elasticsearch_data_loader_ray.index.search import (
     LocalSearcher,
     _auto_fuzziness,
-    expand_fuzzy,
-    expand_wildcard,
     levenshtein_vec,
     search,
     search_inprocess,
@@ -77,34 +75,36 @@ def fz_index(tmp_path_factory):
 
 def test_expand_fuzzy_semantics(fz_index):
     idx, _ = fz_index
+    ls = LocalSearcher(idx)
     # distance<=1, shared first char: date/dates(2? no: distance 2)...
-    got = expand_fuzzy(idx, "text", "date", fuzziness=1, prefix_length=1)
+    got = ls.expand_fuzzy("text", "date", fuzziness=1, prefix_length=1)
     assert set(got) == {"data", "date", "dates"}
     # exact term always included at distance 0
-    assert "query" in expand_fuzzy(idx, "text", "query", fuzziness=0)
+    assert "query" in ls.expand_fuzzy("text", "query", fuzziness=0)
     # max_expansions caps by df desc then term asc
-    all_d = expand_fuzzy(idx, "text", "date", fuzziness=1, prefix_length=1)
-    one = expand_fuzzy(idx, "text", "date", fuzziness=1, prefix_length=1,
-                       max_expansions=1)
+    all_d = ls.expand_fuzzy("text", "date", fuzziness=1, prefix_length=1)
+    one = ls.expand_fuzzy("text", "date", fuzziness=1, prefix_length=1,
+                          max_expansions=1)
     assert len(one) == 1 and one[0] in all_d
     # prefix_length=0 widens to different-first-letter matches
-    wide = expand_fuzzy(idx, "text", "steam", fuzziness=1, prefix_length=0)
+    wide = ls.expand_fuzzy("text", "steam", fuzziness=1, prefix_length=0)
     assert "steam" in wide and "stream" in wide
 
 
 def test_expand_wildcard_patterns(fz_index):
     idx, _ = fz_index
-    assert expand_wildcard(idx, "text", "quer*") == ["queries", "query"]
-    assert expand_wildcard(idx, "text", "s?an") == ["scan"]
-    assert expand_wildcard(idx, "text", "*s") == \
+    ls = LocalSearcher(idx)
+    assert ls.expand_wildcard("text", "quer*") == ["queries", "query"]
+    assert ls.expand_wildcard("text", "s?an") == ["scan"]
+    assert ls.expand_wildcard("text", "*s") == \
         sorted(t for t in VOCAB if t.endswith("s"))
-    assert expand_wildcard(idx, "text", "zz*") == []
+    assert ls.expand_wildcard("text", "zz*") == []
 
 
 def test_fuzzy_scores_match_expanded_or_query(fz_index):
     idx, _ = fz_index
     ls = LocalSearcher(idx)
-    exp = expand_fuzzy(idx, "text", "quer", fuzziness=1, prefix_length=1)
+    exp = ls.expand_fuzzy("text", "quer", fuzziness=1, prefix_length=1)
     ids_f, sc_f = ls.search_fuzzy("quer", k=20, fuzziness=1)
     ids_o, sc_o = ls.search(" ".join(exp), k=20, or_strategy="exact")
     assert ids_f.tolist() == ids_o.tolist()
@@ -136,15 +136,13 @@ def test_wildcard_constant_score_doc_order(fz_index):
 
 
 def test_suggest_terms_matches_brute(fz_index):
-    from elasticsearch_data_loader_ray.index.search import suggest_terms
-
     idx, texts = fz_index
     toks = [analyze("standard", t) for t in texts]
     vocab: dict[str, int] = {}
     for tk in toks:
         for w in set(tk):
             vocab[w] = vocab.get(w, 0) + 1
-    got = suggest_terms(idx, ["quer", "dtae", "zzz"]).to_pandas()
+    got = LocalSearcher(idx).suggest_terms(["quer", "dtae", "zzz"]).to_pandas()
     for inp in ("quer", "dtae"):
         rows = got[got["input"] == inp]
         cand = [(w, _ref_lev(inp, w), df) for w, df in vocab.items()
@@ -157,10 +155,8 @@ def test_suggest_terms_matches_brute(fz_index):
 
 
 def test_phrase_suggester_slots_and_assembly(fz_index):
-    from elasticsearch_data_loader_ray.index.search import suggest_phrase
-
     idx, _ = fz_index
-    got = suggest_phrase(idx, "teh data zzzzqqq").to_pandas()
+    got = LocalSearcher(idx).suggest_phrase("teh data zzzzqqq").to_pandas()
     assert got["slot"].tolist() == [0, 1, 2]
     # correctly-spelled token keeps itself at distance 0
     row1 = got.iloc[1]
@@ -181,18 +177,17 @@ def test_phrase_suggester_slots_and_assembly(fz_index):
 def test_regexp_expansion_is_anchored_and_local_matches_distributed(fz_index):
     from elasticsearch_data_loader_ray.index.search import (
         LocalSearcher,
-        expand_regexp,
         search,
         search_inprocess,
     )
 
     idx, texts = fz_index
+    lo = LocalSearcher(idx)
     # anchored whole-term semantics: "dat." matches date/data, NOT dates
-    exp = expand_regexp(idx, "text", "dat.")
+    exp = lo.expand_regexp("text", "dat.")
     assert "dates" not in exp and set(exp) >= {"data", "date"}
     # Lucene implicit anchors: a bare literal matches only itself
-    assert expand_regexp(idx, "text", "quer") == []
-    lo = LocalSearcher(idx)
+    assert lo.expand_regexp("text", "quer") == []
     q = [{"query_id": 0, "query": "d(ata|ate)", "k": 25, "mode": "regexp"}]
     want_ids, want_sc = lo.search_regexp("d(ata|ate)", k=25)
     got = search(idx, q).to_pandas()
@@ -245,3 +240,62 @@ def test_match_bool_prefix_brute_parity(fz_index):
         assert ids.tolist() == [h[0] for h in hits[:15]], q
         np.testing.assert_allclose(sc, [h[1] for h in hits[:15]],
                                    rtol=1e-9)
+
+
+ASTRAL = "\U0001d49c"  # MATHEMATICAL SCRIPT CAPITAL A
+UNI_WORDS = ["ÿ", "ÿes", "ÿz", "¿x", "¿", "é", "éx", "ê", "êa", ASTRAL,
+             ASTRAL + "b", "\uffff", "\uffffa", "y", "data", "zz"]
+
+
+def test_prefix_upper_code_points():
+    from elasticsearch_data_loader_ray.index.search import _prefix_upper
+
+    assert _prefix_upper("ÿ") == "Ā"
+    assert _prefix_upper("caf¿") == "cafÀ"
+    assert _prefix_upper("\uffff") == "\U00010000"
+    assert _prefix_upper("a\ud7ff") == "a\ue000"  # past the surrogates
+    assert _prefix_upper("a\U0010ffff\U0010ffff") == "b"
+    assert _prefix_upper("\U0010ffff") is None
+    assert _prefix_upper("") is None
+
+
+def test_unicode_prefix_expansions_match_brute(tmp_path):
+    """Prefixes whose last character's UTF-8 ends in byte 0xBF (``ÿ``,
+    ``¿``, U+FFFF), an accented and an astral one: prefix, wildcard and
+    fuzzy (``prefix_length=1``) expansions equal a brute ``startswith``
+    filter over the field's vocabulary. A whitespace-analyzed field keeps
+    the punctuation and noncharacter terms the standard one drops; 4-row
+    term_stats groups make the ranges cross row groups."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(5)
+    texts = [" ".join(rng.choice(UNI_WORDS, 6)) for _ in range(40)]
+    n = len(texts)
+    corpus = pa.table({
+        "url": pa.array([f"{i:08d}" for i in range(n)], pa.string()),
+        "warc_ts": pa.array([0] * n, pa.timestamp("us")),
+        "text": pa.array(texts, pa.large_string()),
+        "lang": pa.array(["en"] * n, pa.string()),
+        "doc_len": pa.array(token_count_batch(
+            pa.array(texts, pa.large_string())), pa.int32()),
+    })
+    idx = str(tmp_path / "uni_idx")
+    build_index_from_corpus(rd.from_arrow(corpus), idx, BuildConfig(
+        docs_per_segment=16, index_block_rows=4,
+        fields=(("ws", "text", "analyzer_whitespace_token"),)))
+    ts = pq.read_table(str(tmp_path / "uni_idx" / "term_stats"))
+    vocab = sorted(ts.filter(pc.equal(ts["field"], "ws"))["term"]
+                   .to_pylist())
+    assert {"ÿ", "ÿes", "¿x", "é", "ê", ASTRAL, "\uffff"} <= set(vocab)
+    ls = LocalSearcher(idx)
+    for p in ("ÿ", "¿", "é", "\uffff", ASTRAL):
+        want = [t for t in vocab if t.startswith(p)]
+        assert want, p
+        assert ls.expand_prefix("ws", p, 1 << 30) == want, p
+        assert ls.expand_wildcard("ws", p + "*") == want, p
+        fz = [t for t in want
+              if _ref_lev(p.encode(), t.encode()) <= 2]  # byte domain
+        assert sorted(ls.expand_fuzzy("ws", p, fuzziness=2,
+                                      prefix_length=1,
+                                      max_expansions=1 << 30)) == fz, p

@@ -28,7 +28,10 @@ from elasticsearch_data_loader_ray.index.append import (
 )
 from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
 from elasticsearch_data_loader_ray.index.merge import merge_segments
-from elasticsearch_data_loader_ray.index.search import LocalSearcher
+from elasticsearch_data_loader_ray.index.search import (
+    LocalSearcher,
+    SortedTermFile,
+)
 
 CFG = BuildConfig(docs_per_segment=50)
 
@@ -148,6 +151,66 @@ def test_bound_reader_keeps_its_epoch_idf(tmp_path):
     append_index(str(more), idx, CFG)
     assert LocalSearcher(idx)._idf("text", ["data"]) != want
     assert s._idf("text", ["data"]) == want  # cold on s: no refresh ran
+
+
+def test_bound_dictionary_keeps_its_epoch_terms(tmp_path):
+    """The dictionary read behind every expansion and suggester
+    (``_term_dict``, which the public methods call after their refresh)
+    reads the epoch the searcher bound: terms that an append commits
+    stay out of it until the next refresh."""
+    idx = _build(tmp_path, 300)
+    s = LocalSearcher(idx)
+    _append(idx, "https://ep/dict", "zzzdict zzzdictb the data")
+    assert s._term_dict("text", "zzzdict").num_rows == 0
+    want = ["zzzdict", "zzzdictb"]
+    assert LocalSearcher(idx).expand_prefix("text", "zzzdict") == want
+    assert s.expand_prefix("text", "zzzdict") == want  # refreshed
+
+
+def test_expansions_read_the_bound_term_stats(tmp_path, monkeypatch):
+    """Every expansion and suggester reads the term_stats readers the
+    searcher bound: with ``term_stats/`` renamed away and ``stats.json``
+    untouched (no commit, so no rebind), each answers as before, read
+    through the open files (no row group stays cached). A fresh bind in
+    that state still fails: binding lists the directory."""
+    import os
+
+    monkeypatch.setattr(SortedTermFile, "_RG_CACHE_CAP", 0)
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(fixtures.generate_webtext(300, seed=5),
+                   str(src / "p.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(src), idx,
+                BuildConfig(docs_per_segment=50, index_positions=True))
+    s = LocalSearcher(idx)
+    calls = [
+        lambda: s.search_fuzzy("dta serch", k=20),
+        lambda: s.search_wildcard("th*", k=50),
+        lambda: s.search_regexp("w0[0-9]+", k=50),
+        lambda: s.search_bool_prefix("the da", k=20),
+        lambda: s.search_phrase_prefix("the da", k=20),
+        lambda: s.suggest_terms(["teh", "dtaa"]).to_pydict(),
+        lambda: s.suggest_phrase("teh dtaa").to_pydict(),
+        lambda: s.suggest_completions(["th", "w0"]).to_pydict(),
+    ]
+
+    def run():
+        return [[a.tolist() for a in r] if isinstance(r, tuple) else r
+                for r in (c() for c in calls)]
+
+    want = run()
+    assert all(r[0] if isinstance(r, list) else r["suggestion"]
+               for r in want)  # every call finds something
+    ts = os.path.join(idx, "term_stats")
+    os.rename(ts, ts + ".away")
+    try:
+        assert not any(r._rgs for r in s._stats_readers)
+        assert run() == want
+        with pytest.raises(FileNotFoundError):
+            LocalSearcher(idx)
+    finally:
+        os.rename(ts + ".away", ts)
 
 
 def test_refresh_reuses_readers_of_unchanged_files(tmp_path):

@@ -132,3 +132,53 @@ def test_concurrent_lookups_keep_cache_accounting(tmp_path, monkeypatch):
     assert not errors
     assert r.cached_bytes == sum(e[-1] for e in r._rgs.values())
     assert 0 < r.cached_bytes <= SortedTermFile._RG_CACHE_CAP
+
+
+def _range_want(tbl: pa.Table, field: str, lo: str, hi) -> pa.Table:
+    m = pc.and_(pc.equal(tbl["field"], field),
+                pc.greater_equal(tbl["term"], lo))
+    if hi is not None:
+        m = pc.and_(m, pc.less(tbl["term"], hi))
+    return tbl.filter(m).select(["term", "df"])
+
+
+@pytest.mark.parametrize("stats,rg_size", [(True, 100), (False, 100),
+                                           (True, 64)])
+def test_range_matches_filter(tmp_path, stats, rg_size):
+    """A range equals a filter over the whole table: inside one row
+    group, across several, empty, open above, a whole field, and in the
+    ``name`` field that follows ``text`` in the file (grouped by field,
+    not sorted by it; ``row_group_size=64`` mixes the two in one group).
+    Without statistics every row group is read."""
+    tbl = _table()
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(tbl, path, row_group_size=rg_size, write_statistics=stats)
+    r = SortedTermFile(path)
+    cases = [("text", "t0010", "t0050"), ("text", "t0300", "t1000"),
+             ("text", "t0001", "t0002"), ("text", "t0500", "t0500"),
+             ("text", "t1700", None), ("text", "", None),
+             ("name", "t0250", None), ("name", "", "t0003"),
+             ("other", "", None)]
+    for field, lo, hi in cases:
+        assert r.range(field, lo, hi).equals(
+            _range_want(tbl, field, lo, hi)), (field, lo, hi)
+    assert 499 // rg_size - 150 // rg_size + 1 >= 3  # t0300-t0998
+    fresh = SortedTermFile(path)
+    fresh.range("text", "t0010", "t0050")  # rows 5-24: row group 0
+    # with bounds, row group 0 and (at 64 rows) the one mixing the fields
+    assert fresh.rg_reads == ((1 if rg_size == 100 else 2) if stats
+                              else r.n_row_groups)
+
+
+def test_repeat_range_reads_nothing(tmp_path):
+    """A warm reader serves a repeat range from its cached row groups."""
+    tbl = _table()
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(tbl, path, row_group_size=100)
+    r = SortedTermFile(path)
+    want = _range_want(tbl, "text", "t0100", "t0900")
+    assert r.range("text", "t0100", "t0900").equals(want)
+    reads = r.rg_reads
+    assert reads >= 3
+    assert r.range("text", "t0100", "t0900").equals(want)
+    assert r.rg_reads == reads
