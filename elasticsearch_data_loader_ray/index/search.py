@@ -53,12 +53,9 @@ match advances all candidates together, one ``searchsorted`` per query
 term (the shape of Lucene's ``ExactPhraseMatcher``), with no loop over
 candidates or positions.
 
-Term dictionary: every read of the global ``term_stats`` goes through the
-bound epoch's :class:`SortedTermFile` readers. Exact terms (idf) are
-:meth:`SortedTermFile.lookup` s; the expansions (fuzzy, wildcard, regexp,
-prefix, phrase- and bool-prefix) and the three suggesters are searcher
-methods over :meth:`SortedTermFile.range`, so they answer from the epoch
-the searcher bound, like every other read.
+Term dictionary: idf (:meth:`SortedTermFile.lookup`), every expansion and
+the suggesters (:meth:`SortedTermFile.range`) read the global
+``term_stats`` through the bound epoch's :class:`SortedTermFile` readers.
 """
 
 from __future__ import annotations
@@ -412,16 +409,13 @@ class _Positions:
         position's doc ``cand[i]``: one ``np.repeat`` and one gather over
         ``flat``. A position plus a small offset keeps its doc bits, so
         key arithmetic never crosses from one candidate into the next.
-        The smaller side is searched in the larger: a term with fewer docs
-        than candidates locates its own ids in ``cand``."""
-        if len(self.ids) < len(cand):
-            j = np.minimum(np.searchsorted(cand, self.ids), len(cand) - 1)
-            hit = np.flatnonzero(cand[j] == self.ids)
-            ci, s, e = j[hit], self.off[hit], self.off[hit + 1]
-        else:
-            ci = np.arange(len(cand))
-            s = self.off[np.searchsorted(self.ids, cand)]
-            e = self.off[np.searchsorted(self.ids, cand, "right")]
+        The term's ids are located in ``cand`` (``searchsorted`` and an
+        equality mask): a rare term costs its df, not the candidates."""
+        if not len(cand):
+            return np.empty(0, np.int64)
+        j = np.minimum(np.searchsorted(cand, self.ids), len(cand) - 1)
+        hit = np.flatnonzero(cand[j] == self.ids)
+        ci, s, e = j[hit], self.off[hit], self.off[hit + 1]
         doc = np.repeat(ci.astype(np.int64) << 32, e - s)
         return doc | self.flat[_ranges(s, e)]
 
@@ -762,7 +756,8 @@ class SortedTermFile:
     without usable statistics reads every row group. Row groups a lookup
     read stay cached, non-binary columns only, with their terms as a
     numpy object array, least recently used out first beyond
-    ``_RG_CACHE_CAP`` bytes: a repeat or neighbouring lookup decodes
+    ``_RG_CACHE_CAP`` bytes (a range's groups only fill free room): a
+    repeat or neighbouring lookup decodes
     nothing, and finds its rows by one ``np.searchsorted`` per field run
     of a row group and one ``take``. ``sig`` is the file's (inode,
     mtime_ns, size): a searcher hands the reader to its next epoch while
@@ -863,8 +858,10 @@ class SortedTermFile:
         nbytes = t.nbytes + t["term"].nbytes + 57 * n
         return t, terms, runs, nbytes
 
-    def _groups(self, groups: list[int]) -> list[tuple]:
-        """:meth:`_load` of each of ``groups``, through the cache."""
+    def _groups(self, groups: list[int], scan: bool = False) -> list[tuple]:
+        """:meth:`_load` of each of ``groups``, through the cache. A
+        ``scan`` (:meth:`range`) caches only into free room, at the cold
+        end: it never evicts the groups that lookups keep warm."""
         with self._lock:
             got = [self._rgs.get(g) for g in groups]
             for g, e in zip(groups, got):
@@ -876,8 +873,10 @@ class SortedTermFile:
             e = got[j] = self._load(g)
             with self._lock:
                 self.rg_reads += 1
-                if g not in self._rgs and e[-1] <= self._RG_CACHE_CAP:
+                room = self._RG_CACHE_CAP - (self.cached_bytes if scan else 0)
+                if g not in self._rgs and e[-1] <= room:
                     self._rgs[g] = e
+                    self._rgs.move_to_end(g, last=not scan)
                     self.cached_bytes += e[-1]
                 while self.cached_bytes > self._RG_CACHE_CAP:
                     _g, old = self._rgs.popitem(last=False)
@@ -917,8 +916,9 @@ class SortedTermFile:
         """(term, df) rows of ``field`` with ``lo <= term < hi`` (``hi``
         None: no upper end), in file order, so ascending by term. Only the
         row groups whose footer bounds overlap ``[(field, lo), (field,
-        hi))`` load, through the cache; each field run of them yields one
-        slice found by two ``np.searchsorted``."""
+        hi))`` load, through the cache as a scan (:meth:`_groups`); each
+        field run of them yields one slice found by two
+        ``np.searchsorted``."""
         groups = list(range(self.n_row_groups))
         if self.bounds is not None:
             groups = [g for g, (fmin, tmin, fmax, tmax) in
@@ -926,15 +926,14 @@ class SortedTermFile:
                       and (fmin <= field if hi is None
                            else (fmin, tmin) < (field, hi))]
         parts = []
-        for t, terms, runs, _nb in self._groups(groups):
+        for t, terms, runs, _nb in self._groups(groups, scan=True):
             for a, b in runs.get(field, ()):
                 i = a + np.searchsorted(terms[a:b], lo)
                 j = b if hi is None else a + np.searchsorted(terms[a:b], hi)
                 if i < j:
                     parts.append(t.select(["term", "df"]).slice(i, j - i))
         if not parts:
-            return pa.table({c: pa.array([], self.schema.field(c).type)
-                             for c in ("term", "df")})
+            return self.schema.empty_table().select(["term", "df"])
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
 
@@ -948,13 +947,16 @@ def _global_df(readers: list[SortedTermFile],
                by_field: dict[str, list[str]]) -> pa.Table:
     """(field, term, df) rows of the looked-up terms present in the
     ``term_stats`` parts ``readers``, each pair's df summed across the
-    parts by one Arrow ``group_by``."""
+    parts by one Arrow ``group_by`` (skipped for one part: its lookup holds
+    each pair once, and the sum costs more than a cold query's lookup)."""
     cols = ["field", "term", "df"]
     parts = [t for r in readers if (t := r.lookup(by_field, cols)) is not None]
     if not parts:
         return pa.table({"field": pa.array([], pa.string()),
                          "term": pa.array([], pa.string()),
                          "df": pa.array([], pa.int64())})
+    if len(parts) == 1:
+        return parts[0]
     return (pa.concat_tables(parts).group_by(["field", "term"],
                                              use_threads=False)
             .aggregate([("df", "sum")]).rename_columns(cols))
@@ -2127,7 +2129,9 @@ class LocalSearcher:
         """(term, df) rows of the bound epoch's global term dictionary for
         ``field`` whose term starts with the literal ``prefix``: one
         :meth:`SortedTermFile.range` per ``term_stats`` part, so a prefix
-        reads only the row groups of its slice and a repeat reads none."""
+        reads only the row groups of its slice and a repeat reads none.
+        Search methods call the ``_expand_*`` bodies, not the refreshing
+        ``expand_*``: one query never rebinds halfway through."""
         hi = _prefix_upper(prefix)
         parts = [r.range(field, prefix, hi) for r in self._stats_readers]
         if not parts:
@@ -2145,20 +2149,11 @@ class LocalSearcher:
         byte-length prefilter skips the Levenshtein for hopeless rows.
         Distances are byte-domain (like levenshtein_vec — see its
         docstring caveat)."""
-        empty = (np.empty(0, object), np.empty(0, np.int64),
-                 np.empty(0, np.int64))
         tbl = self._term_dict(field, q[:prefix_length])
-        if tbl.num_rows == 0:
-            return empty
         lens = pc.binary_length(tbl["term"]).to_numpy()
-        near = np.abs(lens - len(q.encode())) <= max_dist
-        tbl = tbl.filter(pa.array(near))
-        if tbl.num_rows == 0:
-            return empty
+        tbl = tbl.filter(pa.array(np.abs(lens - len(q.encode())) <= max_dist))
         d = levenshtein_vec(q, tbl["term"])
         ok = d <= max_dist
-        if not ok.any():
-            return empty
         sel = tbl.filter(pa.array(ok))
         return (np.array(sel["term"].to_pylist(), dtype=object),
                 sel["df"].to_numpy(), d[ok])
@@ -2176,6 +2171,11 @@ class LocalSearcher:
         0) so the dictionary read narrows to one prefix slice; pass 0 for
         the full-vocabulary scan."""
         self.refresh()
+        return self._expand_fuzzy(field, qterm, fuzziness, prefix_length,
+                                  max_expansions)
+
+    def _expand_fuzzy(self, field: str, qterm: str, fuzziness,
+                      prefix_length: int, max_expansions: int) -> list[str]:
         f = (_auto_fuzziness(qterm)
              if str(fuzziness).upper() == "AUTO" else int(fuzziness))
         if f == 0:
@@ -2194,15 +2194,7 @@ class LocalSearcher:
         ``%`` and ``_`` in the pattern are escaped before the LIKE
         translation."""
         self.refresh()
-        cut = len(pattern)
-        for ch in "*?":
-            if (i := pattern.find(ch)) != -1:
-                cut = min(cut, i)
-        tbl = self._term_dict(field, pattern[:cut])
-        like = (pattern.replace("\\", "\\\\").replace("%", "\\%")
-                .replace("_", "\\_").replace("*", "%").replace("?", "_"))
-        return sorted(tbl.filter(pc.match_like(tbl["term"], like))
-                      ["term"].to_pylist())
+        return self._expand_pattern(field, pattern, regexp=False)
 
     def expand_regexp(self, field: str, pattern: str) -> list[str]:
         """ES regexp-query term expansion: dictionary terms whose ENTIRE
@@ -2212,14 +2204,21 @@ class LocalSearcher:
         same engine the DuckDB oracle uses, so expansion semantics are
         bit-identical."""
         self.refresh()
-        # longest literal prefix: stop at the first regex metacharacter
-        cut = len(pattern)
-        for i, ch in enumerate(pattern):
-            if ch in ".?*+()[]{}|^$\\":
-                cut = i
-                break
+        return self._expand_pattern(field, pattern, regexp=True)
+
+    def _expand_pattern(self, field: str, pattern: str,
+                        regexp: bool) -> list[str]:
+        # the literal prefix before any metacharacter narrows the read
+        meta = ".?*+()[]{}|^$\\" if regexp else "*?"
+        cut = next((i for i, ch in enumerate(pattern) if ch in meta),
+                   len(pattern))
         tbl = self._term_dict(field, pattern[:cut])
-        m = pc.match_substring_regex(tbl["term"], f"^(?:{pattern})$")
+        if regexp:
+            m = pc.match_substring_regex(tbl["term"], f"^(?:{pattern})$")
+        else:
+            m = pc.match_like(tbl["term"], pattern.replace("\\", "\\\\")
+                              .replace("%", "\\%").replace("_", "\\_")
+                              .replace("*", "%").replace("?", "_"))
         return sorted(tbl.filter(m)["term"].to_pylist())
 
     def expand_prefix(self, field: str, prefix: str,
@@ -2229,6 +2228,10 @@ class LocalSearcher:
         ``max_expansions`` (Lucene collects prefix terms in term order and
         stops at the cap). The prefix narrows the read to one range."""
         self.refresh()
+        return self._expand_prefix(field, prefix, max_expansions)
+
+    def _expand_prefix(self, field: str, prefix: str,
+                       max_expansions: int) -> list[str]:
         tbl = self._term_dict(field, prefix)
         return sorted(set(tbl["term"].to_pylist()))[:max_expansions]
 
@@ -2355,7 +2358,7 @@ class LocalSearcher:
         if not seq or not self.term_files:
             return empty
         fixed, prefix = seq[:-1], seq[-1]
-        exps = self.expand_prefix(field, prefix, 1 << 30)
+        exps = self._expand_prefix(field, prefix, 1 << 30)
         uniq_fixed = sorted(set(fixed))
         idf = self._idf(field, uniq_fixed)
         live = [t for t in uniq_fixed if t in idf]
@@ -2398,9 +2401,9 @@ class LocalSearcher:
             return empty
         qterms = query_terms(query, _field_analyzer(self.stats, field))
         exp = sorted({e for t in qterms
-                      for e in self.expand_fuzzy(field, t, fuzziness,
-                                                 prefix_length,
-                                                 max_expansions)})
+                      for e in self._expand_fuzzy(field, t, fuzziness,
+                                                  prefix_length,
+                                                  max_expansions)})
         idf = self._idf(field, exp)
         terms = [t for t in exp if t in idf]
         if not terms:
@@ -2420,7 +2423,7 @@ class LocalSearcher:
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         if not self.term_files:
             return empty
-        exp = self.expand_wildcard(field, pattern)
+        exp = self._expand_pattern(field, pattern, regexp=False)
         return self._union_const_topk(field, exp, k)
 
     def _union_const_topk(self, field: str, exp: list[str], k: int
@@ -2448,7 +2451,7 @@ class LocalSearcher:
         self.refresh()
         if not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        exp = self.expand_regexp(field, pattern)
+        exp = self._expand_pattern(field, pattern, regexp=True)
         return self._union_const_topk(field, exp, k)
 
     #: request-cache capacity (ES shard-request-cache analogue): exact
@@ -2711,7 +2714,7 @@ class LocalSearcher:
         if not seq:
             return empty
         fixed, prefix = seq[:-1], seq[-1]
-        exps = self.expand_prefix(field, prefix, max_expansions)
+        exps = self._expand_prefix(field, prefix, max_expansions)
         if not exps:
             return empty
         uniq_fixed = sorted(set(fixed))

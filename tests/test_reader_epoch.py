@@ -167,6 +167,36 @@ def test_bound_dictionary_keeps_its_epoch_terms(tmp_path):
     assert s.expand_prefix("text", "zzzdict") == want  # refreshed
 
 
+def _positions_index(tmp_path) -> str:
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(fixtures.generate_webtext(300, seed=5),
+                   str(src / "p.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(src), idx,
+                BuildConfig(docs_per_segment=50, index_positions=True))
+    return idx
+
+
+def test_multi_term_searches_refresh_once(tmp_path):
+    """A multi-term search refreshes once, before it reads anything: its
+    expansions run on the epoch it bound, so a commit landing mid-query
+    cannot rebind the searcher halfway (part of the query on the old
+    epoch's files, the rest on the new)."""
+    s = LocalSearcher(_positions_index(tmp_path))
+    n = []
+    refresh = s.refresh
+    s.refresh = lambda: n.append(1) or refresh()
+    for query in (lambda: s.search_fuzzy("dta serch tehm", k=20),
+                  lambda: s.search_wildcard("th*", k=50),
+                  lambda: s.search_regexp("w0[0-9]+", k=50),
+                  lambda: s.search_bool_prefix("the da", k=20),
+                  lambda: s.search_phrase_prefix("the da", k=20)):
+        n.clear()
+        assert len(query()[0])
+        assert len(n) == 1
+
+
 def test_expansions_read_the_bound_term_stats(tmp_path, monkeypatch):
     """Every expansion and suggester reads the term_stats readers the
     searcher bound: with ``term_stats/`` renamed away and ``stats.json``
@@ -176,13 +206,7 @@ def test_expansions_read_the_bound_term_stats(tmp_path, monkeypatch):
     import os
 
     monkeypatch.setattr(SortedTermFile, "_RG_CACHE_CAP", 0)
-    src = tmp_path / "src"
-    src.mkdir()
-    pq.write_table(fixtures.generate_webtext(300, seed=5),
-                   str(src / "p.parquet"))
-    idx = str(tmp_path / "idx")
-    build_index(str(src), idx,
-                BuildConfig(docs_per_segment=50, index_positions=True))
+    idx = _positions_index(tmp_path)
     s = LocalSearcher(idx)
     calls = [
         lambda: s.search_fuzzy("dta serch", k=20),

@@ -182,3 +182,27 @@ def test_repeat_range_reads_nothing(tmp_path):
     assert reads >= 3
     assert r.range("text", "t0100", "t0900").equals(want)
     assert r.rg_reads == reads
+
+
+def test_range_never_evicts_lookup_groups(tmp_path, monkeypatch):
+    """A whole-field range caches its row groups only in free room and
+    first in line for eviction: the groups lookups keep warm survive it,
+    and the next lookup that needs room pushes out a range group."""
+    tbl = _table()
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(tbl, path, row_group_size=100)
+    r = SortedTermFile(path)
+    rg_bytes = max(r._load(g)[-1] for g in range(r.n_row_groups))
+    monkeypatch.setattr(SortedTermFile, "_RG_CACHE_CAP", 3 * rg_bytes)
+    cols = ["field", "term", "df"]
+    r.lookup({"text": ["t0000", "t1000"]}, cols)
+    warm = set(r._rgs)
+    assert len(warm) == 2
+    assert r.range("text", "", None).equals(_range_want(tbl, "text", "", None))
+    assert warm < set(r._rgs)
+    reads = r.rg_reads
+    r.lookup({"text": ["t0000", "t1000"]}, cols)
+    assert r.rg_reads == reads
+    r.lookup({"text": ["t1600"]}, cols)  # a third group: one must go
+    assert r.rg_reads == reads + 1 and warm < set(r._rgs)
+    assert r.cached_bytes == sum(e[-1] for e in r._rgs.values())
