@@ -16,6 +16,10 @@ Semantics
   superseded docs still count in df / avgdl until a full rebuild (scores of
   surviving docs shift by at most the deleted docs' statistical weight —
   the exact ES behavior between merges).
+* The upsert probe is one driver-side :func:`..search.url_rows` lookup of
+  the batch's urls over the committed segments: a segment whose footer
+  url range misses the batch is skipped, every other one costs one url
+  column read and one Arrow hash probe.
 * ``strict_duplicates=True`` treats BOTH intra-batch duplicates and
   cross-generation upserts as fatal create conflicts (D1 parity). The
   upsert probe reads the urls of the generation's built segments, so a
@@ -52,7 +56,6 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from . import manifest as mf
@@ -63,7 +66,6 @@ from .build import (
     _finalize,
     _run_exchange,
     _segment_boundaries,
-    pin_worker_threads,
     seg_docs_path,
     seg_terms_path,
 )
@@ -108,44 +110,32 @@ def _discard_generation(index_dir: str, gen_base: int,
         os.unlink(record)
 
 
-@ray.remote
-def _match_urls(docs_path: str, urls: np.ndarray) -> pa.Table:
-    """(doc_id, url) rows of one existing segment whose url is being
-    re-ingested."""
-    pin_worker_threads()
-    t = pq.read_table(docs_path, columns=["doc_id", "url"])
-    seg_urls = np.asarray(t["url"].to_numpy(zero_copy_only=False),
-                          dtype=object)
-    return t.filter(pa.array(np.isin(seg_urls, urls)))
-
-
 def _upsert_probe(index_dir: str, stats: dict, committed: dict[int, dict],
                   new_segs: list[int]) -> tuple[np.ndarray, list[str]]:
     """Existing docs that the new segments' urls supersede: (sorted global
-    doc ids not yet tombstoned, their urls). The new urls come from the
-    built segments (driver memory: one pointer-sized row per appended
-    unique url; shard giant appends into multiple calls)."""
+    doc ids not yet tombstoned, their urls). One driver-side
+    :func:`..search.url_rows` lookup over the committed segments: an
+    Arrow hash probe per segment whose footer url range overlaps the
+    batch. The new urls come from the built segments (driver memory: one
+    pointer-sized row per appended unique url; shard giant appends into
+    multiple calls)."""
     if not new_segs or not committed:
         return np.empty(0, np.int64), []
-    urls_ref = ray.put(pq.read_table(
+    from .search import _drop_deleted, _load_deleted, url_rows
+
+    new_urls = pq.read_table(
         [seg_docs_path(index_dir, s) for s in new_segs], columns=["url"]
-    )["url"].to_numpy())
-    hits = pa.concat_tables(ray.get([
-        _match_urls.remote(seg_docs_path(index_dir, s), urls_ref)
-        for s in sorted(committed)
-    ]))
+    )["url"]
+    hits = url_rows(index_dir, sorted(committed), new_urls, ["doc_id"])
     ids, first = np.unique(hits["doc_id"].to_numpy(), return_index=True)
-    urls = hits["url"].to_numpy()[first]
+    urls = hits["url"].take(pa.array(first, pa.int64()))
     if len(ids):
         # a url re-ingested a SECOND time matches its original doc id
         # again; without this filter n_deleted / n_upserts inflate
         # (search is unaffected — _load_deleted dedupes)
-        from .search import _load_deleted
-
-        keep = ~np.isin(ids, _load_deleted(index_dir, stats),
-                        assume_unique=True)
-        ids, urls = ids[keep], urls[keep]
-    return ids, urls.tolist()
+        keep = _drop_deleted(_load_deleted(index_dir, stats), ids)
+        ids, urls = ids[keep], urls.filter(pa.array(keep))
+    return ids, urls.to_pylist()
 
 
 def append_index(input_path: str, index_dir: str,

@@ -55,11 +55,13 @@ from .search import (
     _dl_column,
     _drop_deleted,
     _field_analyzer,
+    _load_deleted,
     _load_stats,
     _visible_seg_ids,
     check_match_mode,
     map_segment_groups,
     query_terms,
+    url_rows,
 )
 
 
@@ -113,75 +115,42 @@ def mget(index_dir: str, urls: list[str],
     identity key). Returns one row per FOUND url — (url, doc_id,
     word_count, *stored) — in request order; missing urls yield no row.
 
-    Segments hold contiguous url ranges (docs are globally url-sorted
-    within a generation), so candidate segments come from parquet footer
-    url min/max per segment, and each candidate read is a row-group-pruned
-    range read — O(requested urls) work, never a corpus scan. Upserts
-    resolve exactly like search: tombstoned doc ids are dropped, so the
-    newest visible generation's doc survives."""
-    from .search import _load_deleted
-
+    The docs rows come from :func:`..search.url_rows`: segments whose
+    footer url range holds no requested url are skipped, the rest cost
+    one Arrow hash probe each — never a corpus scan. Upserts resolve
+    exactly like search: tombstoned doc ids are dropped, so the newest
+    visible generation's doc survives."""
     stats = _load_stats(index_dir)
-    seg_ids, _vis = _visible_seg_ids(index_dir, stats)
+    seg_ids, vis = _visible_seg_ids(index_dir, stats)
     schema = _export_schema(tuple(stored))
-    want = sorted(set(urls))
-    if not want or not seg_ids:
+    if not urls or not seg_ids:
         return schema.empty_table()
-    deleted = _load_deleted(index_dir, stats)
+    docs = url_rows(index_dir, seg_ids, urls, ["doc_id", _dl_column(field)])
+    docs = docs.filter(pa.array(_drop_deleted(
+        _load_deleted(index_dir, stats), docs["doc_id"].to_numpy())))
+    if docs.num_rows == 0:
+        return schema.empty_table()
+    docs = docs.sort_by("doc_id")
+    ids = docs["doc_id"].to_numpy()
     for c in stored:
         build_doc_values(index_dir, c)
-    hits: dict[str, dict] = {}
+    # stored fields per segment, in doc-id order (aligned with ``docs``)
+    parts: dict[str, list[pa.Array]] = {c: [] for c in stored}
     for seg_id in seg_ids:
-        path = seg_docs_path(index_dir, seg_id)
-        md = pq.ParquetFile(path).metadata
-        rg0 = md.row_group(0)
-        ci = next(i for i in range(rg0.num_columns)
-                  if rg0.column(i).path_in_schema == "url")
-        st_lo = md.row_group(0).column(ci).statistics
-        st_hi = md.row_group(md.num_row_groups - 1).column(ci).statistics
-        if (st_lo is None or st_hi is None
-                or not st_lo.has_min_max or not st_hi.has_min_max):
-            mine = want  # no stats: check all (pruned read still bounds it)
-        else:
-            lo, hi = st_lo.min, st_hi.max
-            a = int(np.searchsorted(np.array(want, dtype=object), lo))
-            b = int(np.searchsorted(np.array(want, dtype=object), hi,
-                                    side="right"))
-            mine = want[a:b]
-        if not mine:
-            continue
-        docs = pq.read_table(
-            path, columns=["doc_id", "url", _dl_column(field)],
-            filters=[("url", ">=", mine[0]), ("url", "<=", mine[-1])])
-        mask = np.isin(np.asarray(docs["url"].to_numpy(zero_copy_only=False),
-                                  dtype=object), np.array(mine, dtype=object))
-        docs = docs.filter(pa.array(mask))
-        if docs.num_rows == 0:
-            continue
-        ids = docs["doc_id"].to_numpy()
-        if len(deleted):
-            keep = _drop_deleted(deleted, ids)
-            docs, ids = docs.filter(pa.array(keep)), ids[keep]
-        if docs.num_rows == 0:
-            continue
-        svals = {c: _dv_take(index_dir, c, seg_id, ids) for c in stored}
-        for i in range(docs.num_rows):
-            row = {"doc_id": int(ids[i]),
-                   "word_count": int(docs[_dl_column(field)][i].as_py())}
+        base = int(vis[seg_id]["doc_id_base"])
+        a, b = np.searchsorted(ids, (base, base + int(vis[seg_id]["n_docs"])))
+        if a < b:
             for c in stored:
-                row[c] = svals[c][i].as_py()
-            hits[docs["url"][i].as_py()] = row
-    out_rows = [(u, hits[u]) for u in urls if u in hits]
-    if not out_rows:
-        return schema.empty_table()
-    cols = {
-        "doc_id": pa.array([r["doc_id"] for _u, r in out_rows], pa.int64()),
-        "url": pa.array([u for u, _r in out_rows], pa.string()),
-        "word_count": pa.array([r["word_count"] for _u, r in out_rows],
-                               pa.int64()),
-    }
+                parts[c].append(pc.cast(
+                    _dv_take(index_dir, c, seg_id, ids[a:b]), pa.string()))
+    # a url with several live docs serves its newest (highest doc id)
+    row_of = {u: i for i, u in enumerate(docs["url"].to_pylist())}
+    take = pa.array([row_of[u] for u in urls if u in row_of], pa.int64())
+    cols = {"doc_id": docs["doc_id"].take(take),
+            "url": docs["url"].take(take),
+            "word_count": docs[_dl_column(field)].take(take)}
     for c in stored:
-        cols[c] = pa.array([r[c] for _u, r in out_rows], pa.string())
+        cols[c] = pa.concat_arrays(parts[c]).take(take)
     return pa.table(cols).cast(schema)
 
 

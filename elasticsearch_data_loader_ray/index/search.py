@@ -132,6 +132,53 @@ def _load_deleted(index_dir: str, stats: dict) -> np.ndarray:
     return np.unique(np.concatenate(out))
 
 
+def _url_range(md: pq.FileMetaData) -> tuple[str, str] | None:
+    """(min, max) url of one docs table from its footer statistics; None
+    when a row group lacks them. Taken over every row group: a merge
+    concatenates url ranges, so row groups need not be in url order."""
+    col = md.schema.names.index("url")
+    los, his = [], []
+    for g in range(md.num_row_groups):
+        st = md.row_group(g).column(col).statistics
+        if st is None or not st.has_min_max:
+            return None
+        los.append(st.min)
+        his.append(st.max)
+    return (min(los), max(his)) if los else None
+
+
+def url_rows(index_dir: str, seg_ids, urls, columns) -> pa.Table:
+    """Rows (``columns`` plus ``url``) of the listed segments' docs tables
+    whose url is in ``urls`` — the one url lookup behind the upsert probe,
+    ``export.mget`` and ``more_like_this``. Tombstoned rows are included;
+    callers drop them. A segment whose footer url range holds none of
+    ``urls`` is skipped unread; the others cost one column read and one
+    Arrow hash probe (``pc.is_in``) each, one segment at a time, so the
+    driver holds at most one segment's url column."""
+    want = pc.unique(urls if isinstance(urls, (pa.Array, pa.ChunkedArray))
+                     else pa.array(list(urls), pa.string()))
+    cols = list(dict.fromkeys([*columns, "url"]))
+    outs = []
+    empty = pa.table({c: pa.array([], pa.null()) for c in cols})
+    for seg in seg_ids:
+        with pq.ParquetFile(seg_docs_path(index_dir, seg)) as pf:
+            empty = pf.schema_arrow.empty_table().select(cols)
+            rng = _url_range(pf.metadata)
+            if rng is not None and not pc.any(pc.and_(
+                    pc.greater_equal(want, rng[0]),
+                    pc.less_equal(want, rng[1]))).as_py():
+                continue
+            t = pf.read(columns=cols)
+        t = t.filter(pc.is_in(t["url"], value_set=want.cast(t["url"].type)))
+        if t.num_rows:
+            outs.append(t)
+    if not outs:
+        return empty
+    # generations may type url string or large_string (each corpus's
+    # schema): promote rather than fail
+    return pa.concat_tables(outs, promote_options="permissive")
+
+
 def check_match_mode(mode: str) -> None:
     """Raise ``ValueError`` unless ``mode`` is a matched-set mode of
     :meth:`LocalSearcher.matched_ids` (driver-side callers check before
@@ -1777,7 +1824,9 @@ class LocalSearcher:
         term asc — rounding makes the selection reproducible across
         engines), the top ``max_query_terms`` become a standard BM25 OR
         query, and the source doc itself is excluded from the hits
-        (Lucene MLT semantics)."""
+        (Lucene MLT semantics). The source is the url's live doc, found
+        by :func:`url_rows` minus tombstones: after an upsert that is the
+        newest version, not the superseded one."""
         from .export import term_vectors
 
         self.refresh()
@@ -1792,22 +1841,15 @@ class LocalSearcher:
         t_arr = np.array(terms, dtype=object)
         order = np.lexsort((t_arr, -sel_score))[:max_query_terms]
         selected = sorted(t_arr[order].tolist())
-        # source doc's engine id: url-filtered docs-table reads (row
-        # groups prune on the url range; stop at the first hit)
-        src = None
-        for seg in self.seg_ids:
-            docs = pq.read_table(seg_docs_path(self.index_dir, seg),
-                                 columns=["doc_id"],
-                                 filters=[("url", "==", doc_url)])
-            if docs.num_rows:
-                src = int(docs["doc_id"][0].as_py())
-                break
+        # the source's live doc id: an upsert leaves the url's older,
+        # tombstoned docs in the index too
+        src = url_rows(self.index_dir, self.seg_ids, [doc_url],
+                       ["doc_id"])["doc_id"].to_numpy()
+        src = src[_drop_deleted(self._deleted, src)]
         ids, sc = self.search(" ".join(selected), k=k + 1, field=field,
                               or_strategy="exact")
-        if src is not None:
-            keep = ids != src
-            ids, sc = ids[keep], sc[keep]
-        return ids[:k], sc[:k]
+        keep = ~np.isin(ids, src)
+        return ids[keep][:k], sc[keep][:k]
 
     def rescore(self, query: str, phrase: str | None = None,
                 k: int = 10, window_size: int = 50,
@@ -2214,7 +2256,15 @@ class LocalSearcher:
                    len(pattern))
         tbl = self._term_dict(field, pattern[:cut])
         if regexp:
-            m = pc.match_substring_regex(tbl["term"], f"^(?:{pattern})$")
+            rx = f"^(?:{pattern})$"
+            try:
+                # RE2 compiles only on a non-empty input: a one-row
+                # probe makes an invalid pattern fail on every slice
+                pc.match_substring_regex(pa.array([""]), rx)
+            except pa.ArrowInvalid as e:
+                raise ValueError(
+                    f"invalid regexp {pattern!r}: {e}") from None
+            m = pc.match_substring_regex(tbl["term"], rx)
         else:
             m = pc.match_like(tbl["term"], pattern.replace("\\", "\\\\")
                               .replace("%", "\\%").replace("_", "\\_")

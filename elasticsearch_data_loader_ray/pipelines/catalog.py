@@ -3733,9 +3733,9 @@ MGET_DOC_IDS = [3, 17, 42, 123, 404, 99_999_999]  # last one: a miss
 
 def q_mget_docs(sf_dir: str):
     """ES _mget / GET-by-id analogue: point lookups by url (the identity
-    key) via per-segment parquet-footer url ranges + row-group-pruned
-    range reads — O(requested ids), never a corpus scan. The missing id
-    yields no row (ES found=false)."""
+    key) via per-segment parquet-footer url ranges + one Arrow hash probe
+    per candidate segment — never a corpus scan. The missing id yields no
+    row (ES found=false)."""
     from ..index.export import mget
 
     idx = _ensure_doc_index(sf_dir)

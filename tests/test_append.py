@@ -511,3 +511,92 @@ def test_unknown_match_mode_raises_before_any_write(tmp_path, mode):
         sorted_matches(str(idx), "alpha", "word_count", mode=mode)
     assert count_matches(str(idx), "alpha beta") == 12
     assert count_matches(str(idx), "alpha beta", mode="and") == 6
+
+
+def test_more_like_this_skips_upserted_source(tmp_path):
+    """more_like_this excludes the source url's LIVE doc: after an upsert
+    the url's tombstoned original sits in an earlier segment, and the
+    lookup must not stop there (the new version would come back as its
+    own best match)."""
+    urls = [f"https://m/{i:04d}" for i in range(60)]
+    idx = str(tmp_path / "idx")
+    build_index_from_corpus(
+        rd.from_arrow(_corpus_table(
+            urls, [f"base body w{i} w{i + 1}" for i in range(60)])),
+        idx, BuildConfig(docs_per_segment=20))
+    append_index_from_corpus(
+        rd.from_arrow(_corpus_table([urls[10]], ["fresh w11 w12 w13"])),
+        idx, BuildConfig(docs_per_segment=20))
+    url_of = _url_of(idx)
+    new_id = next(d for d, u in url_of.items() if u == urls[10] and d >= 60)
+    ids, _sc = LocalSearcher(idx).more_like_this(urls[10], k=5)
+    assert new_id not in ids.tolist() and 10 not in ids.tolist()
+    assert {11, 12} <= set(ids.tolist())
+
+
+def _brute_upserts(idx: str, batch_urls: set[str]) -> list[int]:
+    """Every visible, not-yet-tombstoned doc whose url is in the batch."""
+    from elasticsearch_data_loader_ray.index.search import (
+        _load_deleted,
+        _load_stats,
+        _visible_seg_ids,
+    )
+
+    stats = _load_stats(idx)
+    segs, _vis = _visible_seg_ids(idx, stats)
+    dead = set(_load_deleted(idx, stats).tolist())
+    t = pq.read_table([seg_docs_path(idx, s) for s in segs],
+                      columns=["doc_id", "url"])
+    return sorted(d for d, u in zip(t["doc_id"].to_pylist(),
+                                    t["url"].to_pylist())
+                  if u in batch_urls and d not in dead)
+
+
+def test_upsert_probe_matches_brute_force(tmp_path):
+    """The upsert probe's n_upserts and tombstone file equal a brute-force
+    scan across merged and unmerged segments, urls re-ingested twice
+    within a batch and across appends, and non-ASCII urls; strict mode
+    still rejects with the conflicting urls as examples."""
+    from elasticsearch_data_loader_ray.index.merge import compact_to
+    from elasticsearch_data_loader_ray.index.search import _visible_seg_ids
+
+    rng = np.random.default_rng(19)
+    base = [f"https://p/{i:04d}" for i in range(100)] + \
+        [f"https://ü/é-{i}" for i in range(20)]
+    idx = str(tmp_path / "idx")
+    cfg = BuildConfig(docs_per_segment=15)
+    build_index_from_corpus(
+        rd.from_arrow(_corpus_table(base, [f"base w{i}" for i in
+                                           range(len(base))])), idx, cfg)
+    stats = mf.read_json(os.path.join(idx, "stats.json"))
+    assert len(_visible_seg_ids(idx, stats)[0]) >= 6
+    compact_to(idx, 5, cfg)
+    seen: list[str] = []
+    for gen in range(3):
+        old = [str(u) for u in rng.choice(base, 12, replace=False)]
+        old += ["https://ü/é-1", *seen[:3]]  # non-ASCII; earlier upserts
+        batch = [*old, old[0], f"https://new/{gen}-a", f"https://new/{gen}-b"]
+        want = _brute_upserts(idx, set(batch))
+        assert want, gen
+        out = append_index_from_corpus(
+            rd.from_arrow(_corpus_table(batch, [f"gen{gen} v{i}" for i in
+                                                range(len(batch))])),
+            idx, cfg)
+        rec = out["generations"][-1]
+        assert rec["n_upserts"] == len(want), gen
+        tomb = mf.read_json(os.path.join(
+            idx, "tombstones", f"gen-{rec['generation']}.json"))
+        assert tomb["deleted_doc_ids"] == want, gen
+        seen = old
+        if gen == 0:
+            compact_to(idx, 5, cfg)  # a merge across the generation edge
+    conflict = ["https://p/0003", "https://ü/é-2", "https://p/0090"]
+    want = _brute_upserts(idx, set(conflict))
+    assert len(want) == 3
+    url_of = _url_of(idx)
+    with pytest.raises(DuplicateUrlError) as ei:
+        append_index_from_corpus(
+            rd.from_arrow(_corpus_table([*conflict, "https://new/z"],
+                                        ["c0", "c1", "c2", "fresh"])),
+            idx, BuildConfig(docs_per_segment=15, strict_duplicates=True))
+    assert ei.value.examples == [url_of[d] for d in want]

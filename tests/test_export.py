@@ -251,3 +251,48 @@ def test_mget_point_lookup_and_upsert_resolution(tmp_path):
     assert got2["text"].to_pylist() == ["replacement seven body",
                                         "original text 8"]
     assert got2["doc_id"].to_pylist()[0] == 60  # the appended doc's id
+
+
+def test_mget_url_upserted_twice_returns_newest_doc(tmp_path):
+    """A url upserted twice has three docs, two tombstoned: mget returns
+    one row, the newest."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from elasticsearch_data_loader_ray.functions.analyzers import (
+        token_count_batch,
+    )
+    from elasticsearch_data_loader_ray.index.append import (
+        append_index_from_corpus,
+    )
+    from elasticsearch_data_loader_ray.index.build import (
+        BuildConfig,
+        build_index_from_corpus,
+    )
+    from elasticsearch_data_loader_ray.index.export import mget
+
+    def corpus(urls, texts):
+        n = len(urls)
+        return pa.table({
+            "url": pa.array(urls, pa.string()),
+            "warc_ts": pa.array([0] * n, pa.timestamp("us")),
+            "text": pa.array(texts, pa.large_string()),
+            "lang": pa.array(["en"] * n, pa.string()),
+            "doc_len": pa.array(token_count_batch(
+                pa.array(texts, pa.large_string())), pa.int32()),
+        })
+
+    urls = [f"https://g/{i:04d}" for i in range(30)]
+    idx = str(tmp_path / "idx")
+    cfg = BuildConfig(docs_per_segment=10)
+    build_index_from_corpus(
+        rd.from_arrow(corpus(urls, [f"original {i}" for i in range(30)])),
+        idx, cfg)
+    for body in ("first rewrite", "second rewrite here"):
+        append_index_from_corpus(rd.from_arrow(corpus([urls[4]], [body])),
+                                 idx, cfg)
+    got = mget(idx, [urls[4], urls[5]])
+    assert got["url"].to_pylist() == [urls[4], urls[5]]
+    assert got["doc_id"].to_pylist() == [31, 5]
+    assert got["text"].to_pylist() == ["second rewrite here", "original 5"]
+    assert got["word_count"].to_pylist() == [3, 2]

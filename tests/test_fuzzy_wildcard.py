@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -172,6 +174,20 @@ def test_phrase_suggester_slots_and_assembly(fz_index):
     # the assembled phrase is the per-slot winners in order
     want = " ".join(got["suggestion"])
     assert (got["phrase"] == want).all()
+
+
+@pytest.mark.parametrize("pattern", ["zz(", "d("])
+def test_invalid_regexp_raises_on_every_slice(fz_index, pattern):
+    """An invalid regexp fails the same way whether its literal-prefix
+    slice of the dictionary is empty ("zz") or holds terms ("d")."""
+    idx, _ = fz_index
+    ls = LocalSearcher(idx)
+    assert bool(ls.expand_prefix("text", pattern[:-1], 1 << 30)) == \
+        (pattern == "d(")
+    with pytest.raises(ValueError, match=re.escape(repr(pattern))):
+        ls.expand_regexp("text", pattern)
+    with pytest.raises(ValueError, match=re.escape(repr(pattern))):
+        ls.search_regexp(pattern, k=5)
 
 
 def test_regexp_expansion_is_anchored_and_local_matches_distributed(fz_index):
