@@ -55,7 +55,6 @@ from .search import (
     _dl_column,
     _drop_deleted,
     _field_analyzer,
-    _load_deleted,
     _load_stats,
     _visible_seg_ids,
     check_match_mode,
@@ -119,30 +118,21 @@ def mget(index_dir: str, urls: list[str],
     footer url range holds no requested url are skipped, the rest cost
     one Arrow hash probe each — never a corpus scan. Upserts resolve
     exactly like search: tombstoned doc ids are dropped, so the newest
-    visible generation's doc survives."""
-    stats = _load_stats(index_dir)
-    seg_ids, vis = _visible_seg_ids(index_dir, stats)
+    visible generation's doc survives. Stored fields are read through a
+    whole-index searcher's doc-ordered segment split (``_dv_values``),
+    which also supplies the epoch's segments and tombstones."""
+    searcher = LocalSearcher(index_dir)
     schema = _export_schema(tuple(stored))
-    if not urls or not seg_ids:
+    if not urls or not searcher.seg_ids:
         return schema.empty_table()
-    docs = url_rows(index_dir, seg_ids, urls, ["doc_id", _dl_column(field)])
+    docs = url_rows(index_dir, searcher.seg_ids, pa.array(urls, pa.string()),
+                    ["doc_id", _dl_column(field)])
     docs = docs.filter(pa.array(_drop_deleted(
-        _load_deleted(index_dir, stats), docs["doc_id"].to_numpy())))
+        searcher._deleted, docs["doc_id"].to_numpy())))
     if docs.num_rows == 0:
         return schema.empty_table()
     docs = docs.sort_by("doc_id")
     ids = docs["doc_id"].to_numpy()
-    for c in stored:
-        build_doc_values(index_dir, c)
-    # stored fields per segment, in doc-id order (aligned with ``docs``)
-    parts: dict[str, list[pa.Array]] = {c: [] for c in stored}
-    for seg_id in seg_ids:
-        base = int(vis[seg_id]["doc_id_base"])
-        a, b = np.searchsorted(ids, (base, base + int(vis[seg_id]["n_docs"])))
-        if a < b:
-            for c in stored:
-                parts[c].append(pc.cast(
-                    _dv_take(index_dir, c, seg_id, ids[a:b]), pa.string()))
     # a url with several live docs serves its newest (highest doc id)
     row_of = {u: i for i, u in enumerate(docs["url"].to_pylist())}
     take = pa.array([row_of[u] for u in urls if u in row_of], pa.int64())
@@ -150,7 +140,8 @@ def mget(index_dir: str, urls: list[str],
             "url": docs["url"].take(take),
             "word_count": docs[_dl_column(field)].take(take)}
     for c in stored:
-        cols[c] = pa.concat_arrays(parts[c]).take(take)
+        build_doc_values(index_dir, c)
+        cols[c] = _dv_values(searcher, c, ids).take(take)
     return pa.table(cols).cast(schema)
 
 

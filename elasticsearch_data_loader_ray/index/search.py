@@ -147,19 +147,20 @@ def _url_range(md: pq.FileMetaData) -> tuple[str, str] | None:
     return (min(los), max(his)) if los else None
 
 
-def url_rows(index_dir: str, seg_ids, urls, columns) -> pa.Table:
-    """Rows (``columns`` plus ``url``) of the listed segments' docs tables
-    whose url is in ``urls`` — the one url lookup behind the upsert probe,
-    ``export.mget`` and ``more_like_this``. Tombstoned rows are included;
-    callers drop them. A segment whose footer url range holds none of
-    ``urls`` is skipped unread; the others cost one column read and one
-    Arrow hash probe (``pc.is_in``) each, one segment at a time, so the
-    driver holds at most one segment's url column."""
-    want = pc.unique(urls if isinstance(urls, (pa.Array, pa.ChunkedArray))
-                     else pa.array(list(urls), pa.string()))
+def url_rows(index_dir: str, seg_ids: list[int],
+             urls: pa.Array | pa.ChunkedArray,
+             columns: list[str]) -> pa.Table:
+    """Rows (``columns`` plus ``url``) of the listed, non-empty
+    ``seg_ids``' docs tables whose url is in the string array ``urls`` —
+    the one url lookup behind the upsert probe, ``export.mget`` and
+    ``more_like_this``. Tombstoned rows are included; callers drop them.
+    A segment whose footer url range holds none of ``urls`` is skipped
+    unread; the others cost one column read and one Arrow hash probe
+    (``pc.is_in``) each, one segment at a time, so the driver holds at
+    most one segment's url column."""
+    want = pc.unique(urls)
     cols = list(dict.fromkeys([*columns, "url"]))
     outs = []
-    empty = pa.table({c: pa.array([], pa.null()) for c in cols})
     for seg in seg_ids:
         with pq.ParquetFile(seg_docs_path(index_dir, seg)) as pf:
             empty = pf.schema_arrow.empty_table().select(cols)
@@ -1831,7 +1832,7 @@ class LocalSearcher:
 
         self.refresh()
         tv = term_vectors(self.index_dir, [doc_url], field)
-        if tv.num_rows == 0:
+        if tv.num_rows == 0 or not self.seg_ids:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         terms = tv["term"].to_pylist()
         tfs = tv["tf"].to_numpy().astype(np.float64)
@@ -1843,7 +1844,8 @@ class LocalSearcher:
         selected = sorted(t_arr[order].tolist())
         # the source's live doc id: an upsert leaves the url's older,
         # tombstoned docs in the index too
-        src = url_rows(self.index_dir, self.seg_ids, [doc_url],
+        src = url_rows(self.index_dir, self.seg_ids,
+                       pa.array([doc_url], pa.string()),
                        ["doc_id"])["doc_id"].to_numpy()
         src = src[_drop_deleted(self._deleted, src)]
         ids, sc = self.search(" ".join(selected), k=k + 1, field=field,

@@ -296,3 +296,40 @@ def test_mget_url_upserted_twice_returns_newest_doc(tmp_path):
     assert got["doc_id"].to_pylist() == [31, 5]
     assert got["text"].to_pylist() == ["second rewrite here", "original 5"]
     assert got["word_count"].to_pylist() == [3, 2]
+
+
+def test_mget_after_partial_merge_aligns_stored_text(tmp_path):
+    """A partial merge gives the merged run a fresh, larger segment id
+    while the unmerged survivor keeps its small id, so segment-id order
+    is not doc-id order: mget must still pair each url with its own
+    stored text."""
+    from elasticsearch_data_loader_ray.index.export import mget
+    from elasticsearch_data_loader_ray.index.merge import merge_segments
+    from elasticsearch_data_loader_ray.index.search import (
+        _load_stats,
+        _visible_seg_ids,
+    )
+
+    urls = [f"https://p/{i:04d}" for i in range(30)]
+    texts = [f"body number {i} " + "word " * (i % 5) for i in range(30)]
+    corpus = pa.table({
+        "url": pa.array(urls, pa.string()),
+        "warc_ts": pa.array([0] * 30, pa.timestamp("us")),
+        "text": pa.array(texts, pa.large_string()),
+        "lang": pa.array(["en"] * 30, pa.string()),
+        "doc_len": pa.array(token_count_batch(
+            pa.array(texts, pa.large_string())), pa.int32()),
+    })
+    idx = str(tmp_path / "idx")
+    build_index_from_corpus(rd.from_arrow(corpus), idx,
+                            BuildConfig(docs_per_segment=10))
+    merge_segments(idx, group_size=2)
+    seg_ids, vis = _visible_seg_ids(idx, _load_stats(idx))
+    bases = [vis[s]["doc_id_base"] for s in sorted(seg_ids)]
+    assert len(bases) == 2 and bases != sorted(bases)  # id order != doc order
+
+    want = [urls[25], urls[3], urls[17], urls[22], urls[0]]
+    got = mget(idx, want)
+    assert got["url"].to_pylist() == want
+    assert got["text"].to_pylist() == [texts[urls.index(u)] for u in want]
+    assert got["doc_id"].to_pylist() == [urls.index(u) for u in want]
