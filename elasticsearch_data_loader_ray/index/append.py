@@ -121,7 +121,7 @@ def _upsert_probe(index_dir: str, stats: dict, committed: dict[int, dict],
     multiple calls)."""
     if not new_segs or not committed:
         return np.empty(0, np.int64), []
-    from .search import _drop_deleted, _load_deleted, url_rows
+    from .search import _in_sorted, _load_deleted, url_rows
 
     new_urls = pq.read_table(
         [seg_docs_path(index_dir, s) for s in new_segs], columns=["url"]
@@ -133,7 +133,7 @@ def _upsert_probe(index_dir: str, stats: dict, committed: dict[int, dict],
         # a url re-ingested a SECOND time matches its original doc id
         # again; without this filter n_deleted / n_upserts inflate
         # (search is unaffected — _load_deleted dedupes)
-        keep = _drop_deleted(_load_deleted(index_dir, stats), ids)
+        keep = ~_in_sorted(_load_deleted(index_dir, stats), ids)
         ids, urls = ids[keep], urls.filter(pa.array(keep))
     return ids, urls.to_pylist()
 

@@ -53,7 +53,6 @@ from .search import (
     DEFAULT_FIELD,
     LocalSearcher,
     _dl_column,
-    _drop_deleted,
     _field_analyzer,
     _load_stats,
     _visible_seg_ids,
@@ -127,8 +126,7 @@ def mget(index_dir: str, urls: list[str],
         return schema.empty_table()
     docs = url_rows(index_dir, searcher.seg_ids, pa.array(urls, pa.string()),
                     ["doc_id", _dl_column(field)])
-    docs = docs.filter(pa.array(_drop_deleted(
-        searcher._deleted, docs["doc_id"].to_numpy())))
+    docs = docs.filter(pa.array(searcher._live[docs["doc_id"].to_numpy()]))
     if docs.num_rows == 0:
         return schema.empty_table()
     docs = docs.sort_by("doc_id")

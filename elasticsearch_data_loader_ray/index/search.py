@@ -39,14 +39,30 @@ read once per epoch, a block is decoded once, and the loop takes one
 block span and one decode call per term and window, whatever the
 segment count.
 
+Matched sets and tombstones: which docs match is decided in one place,
+:meth:`LocalSearcher._match_set` (Lucene's ``BooleanQuery`` over the
+live-docs bitset): the sorted live doc ids found in at least ``need`` of
+a list of clauses, each clause any of some sorted doc-id arrays.
+``matched_ids``, bool (must, filters, should against
+``minimum_should_match``, must_not), bool_prefix, wildcard/regexp,
+multi_match, boosting's negative set and the positional candidates all
+take their sets from it; the sparse scorers then score the candidates
+with :meth:`LocalSearcher._sparse_scores`, in each query's fixed term
+order. Tombstones (``stats.json``'s ``tombstone_files``, written by url
+upserts and ``delete_by_query``) become one read-only ``bool`` mask over
+``[0, n_docs)`` per epoch, ``LocalSearcher._live``, and every tombstone
+filter, in the match sets, the window loop and the url lookups, is
+``ids[live[ids]]``. A listed tombstone file that is missing fails the
+bind rather than serve its deleted docs.
+
 Positional queries (index built with ``BuildConfig(index_positions=True)``)
 are ``LocalSearcher`` methods too: :meth:`~LocalSearcher.search_phrase`,
 :meth:`~LocalSearcher.search_phrase_prefix`,
 :meth:`~LocalSearcher.span_near`, :meth:`~LocalSearcher.intervals_all_of`
 and :meth:`~LocalSearcher.highlight`. Each takes its terms' positions from
 one read (:meth:`~LocalSearcher._read_positions`, a :class:`_Positions`
-per term) and its live candidates from one intersection
-(:meth:`~LocalSearcher._all_of`). The four matchers share one kernel: a
+per term) and its live candidates from one all-clauses match set
+(:meth:`~LocalSearcher._match_set`). The four matchers share one kernel: a
 term's positions in every candidate become one ascending key array
 ``(candidate index << 32) | position`` (:meth:`_Positions.keys`), and a
 match advances all candidates together, one ``searchsorted`` per query
@@ -120,15 +136,17 @@ def _visible_seg_ids(index_dir: str, stats: dict) -> tuple[list[int], dict]:
 
 
 def _load_deleted(index_dir: str, stats: dict) -> np.ndarray:
-    """Sorted global doc ids tombstoned by url upserts (appends)."""
-    out = []
+    """Sorted global doc ids tombstoned by url upserts (appends) and
+    deletes. A listed file that is missing raises ``FileNotFoundError``:
+    serving without it would bring its deleted docs back."""
+    out = [np.empty(0, np.int64)]
     for rel in stats.get("tombstone_files", []):
         p = os.path.join(index_dir, rel)
-        if os.path.exists(p):
-            out.append(np.asarray(mf.read_json(p)["deleted_doc_ids"],
-                                  dtype=np.int64))
-    if not out:
-        return np.empty(0, np.int64)
+        if not os.path.exists(p):
+            raise FileNotFoundError(
+                f"tombstone file {p} listed in stats.json is missing")
+        out.append(np.asarray(mf.read_json(p)["deleted_doc_ids"],
+                              dtype=np.int64))
     return np.unique(np.concatenate(out))
 
 
@@ -186,16 +204,6 @@ def check_match_mode(mode: str) -> None:
     any task runs or file is written)."""
     if mode not in ("or", "and"):
         raise ValueError(f"mode must be 'or' or 'and', got {mode!r}")
-
-
-def _drop_deleted(deleted: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """keep-mask over ``ids`` given the sorted tombstone array."""
-    if len(deleted) == 0 or len(ids) == 0:
-        return np.ones(len(ids), dtype=bool)
-    pos = np.searchsorted(deleted, ids)
-    ok = pos < len(deleted)
-    posc = np.minimum(pos, len(deleted) - 1)
-    return ~(ok & (deleted[posc] == ids))
 
 
 def _top_k(ids: np.ndarray, sc: np.ndarray, k: int
@@ -703,17 +711,6 @@ def prepare_bool_spec(bq: dict, field: str, analyzer: str) -> dict:
             "msm_div": int(msm_div) if msm_div else 0, "msm_src": msm_src}
 
 
-def _bool_clause_ids(clause_terms, by_term: dict) -> np.ndarray:
-    """Sorted unique doc ids matching any of a clause's terms, given
-    ``term -> (ids, tfs)`` postings (absent terms match nothing)."""
-    parts = [by_term[t][0] for t in clause_terms if t in by_term]
-    if not parts:
-        return np.empty(0, np.int64)
-    if len(parts) == 1:
-        return parts[0]
-    return np.unique(np.concatenate(parts))
-
-
 def _auto_fuzziness(term: str) -> int:
     """ES ``AUTO`` fuzziness: 0 for terms under 3 chars, 1 for 3-5, 2
     for longer."""
@@ -1065,7 +1062,12 @@ class LocalSearcher:
         self.seg_ids, vis = self._visible(self.stats)
         self._doc_ranges = sorted((int(m["doc_id_base"]), int(m["n_docs"]),
                                    int(s)) for s, m in vis.items())
-        self._deleted = _load_deleted(index_dir, self.stats)
+        # the live-docs mask over [0, n_docs): False at each tombstone;
+        # every tombstone filter is ``ids[self._live[ids]]``
+        live = np.ones(self.n_docs, bool)
+        live[_load_deleted(index_dir, self.stats)] = False
+        live.setflags(write=False)
+        self._live = live
         self._bscale = _bound_scale(vis, self.stats)
         self.term_files = [seg_terms_path(index_dir, s) for s in self.seg_ids]
         # one reader per immutable file, opened now: term_stats stays this
@@ -1465,8 +1467,7 @@ class LocalSearcher:
         top = np.sort(np.argpartition(-r.ub, n - 1)[:n])
         ids, con = self._fetch(field, r, top, 0, self.n_docs, len(r.ub), idf,
                                dl, avgdl)
-        if len(self._deleted):
-            con = con[_drop_deleted(self._deleted, ids)]
+        con = con[self._live[ids]]
         return float(np.partition(con, -k)[-k]) if len(con) >= k \
             else -np.inf
 
@@ -1624,9 +1625,6 @@ class LocalSearcher:
                 # modify BEFORE the per-window cut: the cut must rank by
                 # the FINAL score or a top-k member could be dropped
                 sc_w = score_mod(sc_w, loc_w)
-            if len(self._deleted):  # a tombstone must not displace a hit
-                keep = _drop_deleted(self._deleted, loc_w)
-                loc_w, sc_w = loc_w[keep], sc_w[keep]
             if after is not None:  # keyset cursor: strictly-after rows
                 a_s, a_d = float(after[0]), int(after[1])
                 keep = (sc_w < a_s) | ((sc_w == a_s) & (loc_w > a_d))
@@ -1634,6 +1632,9 @@ class LocalSearcher:
             if theta > -np.inf:  # below the k-th score so far: out
                 keep = sc_w >= theta
                 loc_w, sc_w = loc_w[keep], sc_w[keep]
+            # before the cut: a tombstone must not displace a hit
+            keep = self._live[loc_w]
+            loc_w, sc_w = loc_w[keep], sc_w[keep]
             if len(loc_w) > k:
                 kth = np.partition(sc_w, -k)[-k]
                 keep = sc_w >= kth
@@ -1660,35 +1661,56 @@ class LocalSearcher:
         dirs = self._load_blocked_runs(field, terms)
         return {t: d.whole() for t, d in dirs.items() if d is not None}
 
+    def _match_set(self, clauses: list[list[np.ndarray]],
+                   need: int | None = None) -> np.ndarray:
+        """The one match-set evaluator (Lucene's ``BooleanQuery`` over the
+        live-docs bitset): sorted live doc ids found in at least ``need``
+        of ``clauses`` (default: every clause). A clause is a list of
+        sorted unique doc-id arrays, and a doc is in it when any array
+        holds it. ``need == 1`` is one union, ``need == len(clauses)`` an
+        intersection chain from the smallest clause, and anything between
+        counts each doc's clauses; each op is the fastest numpy one for its
+        case. The result is always a new array: a postings buffer stays the
+        cache's."""
+        need = len(clauses) if need is None else need
+        if not 1 <= need <= len(clauses):
+            return np.empty(0, np.int64)
+        if need == 1:  # one union
+            clauses = [[ids for cl in clauses for ids in cl]]
+        sets = sorted((cl[0] if len(cl) == 1 else np.unique(
+            np.concatenate([np.empty(0, np.int64), *cl])) for cl in clauses),
+            key=len)
+        if need < len(sets):  # count each doc's clauses
+            out, cnt = np.unique(np.concatenate(sets), return_counts=True)
+            out = out[cnt >= need]
+        else:  # every clause: an intersection chain from the smallest
+            out = sets[0]
+            for ids in sets[1:]:
+                if not len(out):
+                    break
+                out = np.intersect1d(out, ids, assume_unique=True)
+        return out[self._live[out]]
+
     def matched_ids(self, field: str, terms: list[str], mode: str = "or"
                     ) -> np.ndarray:
-        """Sorted live doc ids in the bound segments matching ``terms``:
-        their union for ``mode="or"`` (ES match default), their
-        intersection for ``"and"`` (operator=and). The whole matched set,
-        unscored and uncut, as aggregations, exports and deletes consume
-        it. Postings come decoded whole from the postings cache
-        (:meth:`_postings_for`), shared with every scorer; tombstoned docs
-        are dropped."""
+        """Sorted live doc ids in the bound segments matching ``terms``,
+        from :meth:`_match_set`: for ``mode="or"`` (ES match default) one
+        clause holding every term, for ``"and"`` (operator=and) one clause
+        per term, all required. The whole matched set, unscored and uncut,
+        as aggregations, exports and deletes consume it. Postings come
+        decoded whole from the postings cache (:meth:`_postings_for`),
+        shared with every scorer."""
         check_match_mode(mode)
         self.refresh()
         uniq = sorted(set(terms))
         if not uniq or not self.term_files:
             return np.empty(0, np.int64)
         by_term = self._postings_for(field, uniq)
-        per_term = [by_term[t][0] for t in uniq if t in by_term]
-        if not per_term or (mode == "and" and len(per_term) < len(uniq)):
-            return np.empty(0, np.int64)
-        if len(per_term) == 1:  # a copy: the buffer stays the cache's
-            out = per_term[0].copy()
-        elif mode == "and":
-            out = per_term[0]
-            for ids in per_term[1:]:
-                out = np.intersect1d(out, ids, assume_unique=True)
+        if mode == "or":
+            clauses = [[ids for ids, _tfs in by_term.values()]]
         else:
-            out = np.unique(np.concatenate(per_term))
-        if len(self._deleted):
-            out = out[_drop_deleted(self._deleted, out)]
-        return out.astype(np.int64, copy=False)
+            clauses = [[by_term[t][0]] if t in by_term else [] for t in uniq]
+        return self._match_set(clauses).astype(np.int64, copy=False)
 
     def split_by_segment(self, ids: np.ndarray):
         """``(seg_id, ids in it)`` per bound segment holding any of the
@@ -1731,6 +1753,36 @@ class LocalSearcher:
                 self._contrib_cache.move_to_end(key)
             out[t] = got
         return out
+
+    def _sparse_scores(self, field: str, cand: np.ndarray, terms: list[str],
+                       by_term: dict, idf: dict[str, float],
+                       out: np.ndarray | None = None) -> np.ndarray:
+        """BM25 sum of ``terms`` at each of the sorted candidates ``cand``,
+        added term by term in the given order (a repeated term adds
+        again), from :meth:`_contribs_for`; terms absent from ``by_term``
+        add nothing. Each candidate gets the same additions in the same
+        order whichever side is searched, so scores are bitwise fixed by
+        the term order. ``out``: add into it instead of a zero vector."""
+        con = self._contribs_for(field, list(dict.fromkeys(terms)), by_term,
+                                 idf, self._dl_for(field),
+                                 _avgdl(self.stats, field))
+        sc = np.zeros(len(cand)) if out is None else out
+        for t in terms:
+            if t not in con:
+                continue
+            ids = by_term[t][0]
+            if len(ids) > len(cand):  # probe the term at the candidates
+                pos = np.minimum(np.searchsorted(ids, cand), len(ids) - 1)
+                hit = ids[pos] == cand
+                sc[hit] += con[t][pos[hit]]
+            else:  # scatter the term's postings that are candidates
+                pos = np.minimum(np.searchsorted(cand, ids), len(cand) - 1)
+                hit = cand[pos] == ids
+                if hit.all():
+                    sc[pos] += con[t]
+                else:
+                    sc[pos[hit]] += con[t][hit]
+        return sc
 
     def _pruned_lookup(self, field: str, terms: list[str]) -> dict:
         """term -> (doc_ids, contribs, eps) from the pruned sidecar, or
@@ -1847,7 +1899,7 @@ class LocalSearcher:
         src = url_rows(self.index_dir, self.seg_ids,
                        pa.array([doc_url], pa.string()),
                        ["doc_id"])["doc_id"].to_numpy()
-        src = src[_drop_deleted(self._deleted, src)]
+        src = src[self._live[src]]
         ids, sc = self.search(" ".join(selected), k=k + 1, field=field,
                               or_strategy="exact")
         keep = ~np.isin(ids, src)
@@ -1996,9 +2048,9 @@ class LocalSearcher:
         Like function_score, the multiplicative demotion breaks
         block-max upper-bound admissibility, so the exact scorer runs
         with no bound and the demotion applied BEFORE each window's top-k
-        cut via the ``score_mod`` hook. The negative match set is the union of the negative
-        terms' posting ids — one sorted-membership test per candidate
-        batch, no per-row work."""
+        cut via the ``score_mod`` hook. The negative match set is the
+        negative terms' union (:meth:`_match_set`) — one sorted-membership
+        test per candidate batch, no per-row work."""
         self.refresh()
         analyzer = _field_analyzer(self.stats, field)
         pos_terms = query_terms(positive, analyzer)
@@ -2009,17 +2061,12 @@ class LocalSearcher:
         neg_terms = sorted(set(query_terms(negative, analyzer)))
         neg_by = (self._postings_for(field, neg_terms)
                   if neg_terms else {})
-        neg_ids = _bool_clause_ids(neg_terms, neg_by)
+        neg_ids = self._match_set([[ids for ids, _tfs in neg_by.values()]])
         nb = float(negative_boost)
 
         def mod(sc, loc):
-            if len(neg_ids) == 0:
-                return sc
-            pos = np.searchsorted(neg_ids, loc)
-            pos = np.minimum(pos, len(neg_ids) - 1)
-            hit = neg_ids[pos] == loc
             out = sc.copy()
-            out[hit] *= nb
+            out[_in_sorted(neg_ids, loc)] *= nb
             return out
 
         dl = self._dl_for(field)
@@ -2048,12 +2095,19 @@ class LocalSearcher:
                     ) -> tuple[np.ndarray, np.ndarray]:
         """ES ``bool`` query analogue — see ``prepare_bool_spec`` for the
         clause semantics (must / should / must_not / filter term + range,
-        ``minimum_should_match``). Score = sum of BM25 contributions of
-        every matching must/should clause term (clause-major, analyzed
-        term order), so a segment-subset searcher scores its docs
-        bitwise as the whole-index one does. A range filter or
-        ``minimum_should_match_source`` naming a field the index does not
-        hold raises ``ValueError`` before anything is read."""
+        ``minimum_should_match``). The candidates are one
+        :meth:`_match_set` over the required clauses: each must clause,
+        each term and terms filter, and the docs in at least
+        ``minimum_should_match`` should clauses (at least one without a
+        must clause); the range and exists filters, the must_not set and
+        terms_set's per-doc minimum then narrow them. Score
+        (:meth:`_sparse_scores`) = sum of BM25 contributions of every
+        matching must/should clause term (clause-major, analyzed term
+        order; a term in two clauses adds twice), so a segment-subset
+        searcher scores its docs bitwise as the whole-index one does. A
+        range filter or ``minimum_should_match_source`` naming a field the
+        index does not hold raises ``ValueError`` before anything is
+        read."""
         self.refresh()
         spec = prepare_bool_spec(bq, field,
                                  _field_analyzer(self.stats, field))
@@ -2078,95 +2132,53 @@ class LocalSearcher:
         mn_terms = sorted({t for cl in spec["must_not"] for t in cl})
         mn_by = (self._postings_for(field, mn_terms)
                  if mn_terms and self.term_files else {})
-        if spec["must"]:
-            cand = None
-            for cl in spec["must"]:
-                ids = _bool_clause_ids(cl, by_term)
-                cand = ids if cand is None else np.intersect1d(
-                    cand, ids, assume_unique=True)
-                if len(cand) == 0:
-                    return empty
-        elif spec["should"]:
-            cand = _bool_clause_ids(
-                [t for cl in spec["should"] for t in cl], by_term)
-        elif spec["filter_terms"] or spec.get("filter_any"):
-            cand = None
-        else:  # range-/exists-only filter context: every bound doc
+
+        def clause(terms, by) -> list[np.ndarray]:
+            return [by[t][0] for t in terms if t in by]
+
+        def filter_by(f, terms) -> dict:
+            return self._postings_for(f, terms) if self.term_files else {}
+
+        should = [clause(cl, by_term) for cl in spec["should"]]
+        # without must, a doc must match at least one should clause
+        msm = spec["msm"] if spec["must"] else max(spec["msm"], 1)
+        required = [clause(cl, by_term) for cl in spec["must"]]
+        required += [clause([t], filter_by(f, [t]))
+                     for f, t in spec["filter_terms"]]
+        required += [clause(vs, filter_by(f, vs))
+                     for f, vs in spec["filter_any"]]
+        if should and msm > 0:
+            required.append([self._match_set(should, msm)])
+        if required:
+            cand = self._match_set(required)
+        else:  # range-/exists-only filter context: every bound live doc
             cand = np.concatenate(
-                [np.arange(b, b + n, dtype=np.int64)
+                [b + np.flatnonzero(self._live[b:b + n])
                  for b, n, _s in self._doc_ranges] or [np.empty(0, np.int64)])
-        for f, t in spec["filter_terms"]:
-            fb = (self._postings_for(f, [t])
-                  if self.term_files else {})
-            ids = _bool_clause_ids([t], fb)
-            cand = ids if cand is None else np.intersect1d(
-                cand, ids, assume_unique=True)
-            if len(cand) == 0:
-                return empty
-        for f, vs in spec.get("filter_any", ()):
-            fb = (self._postings_for(f, vs)
-                  if self.term_files else {})
-            ids = _bool_clause_ids(vs, fb)
-            cand = ids if cand is None else np.intersect1d(
-                cand, ids, assume_unique=True)
-            if len(cand) == 0:
-                return empty
-        if cand is None or len(cand) == 0:
-            return empty
         for rf, lo, hi in spec["range_dl"]:
             v = self._dl_for(_range_dl_field(rf))[cand]
             cand = cand[(v >= lo) & (v <= hi)]
-            if len(cand) == 0:
-                return empty
-        for col in spec.get("exists", ()):
-            nulls = self._null_dv_ids(col)
-            if len(nulls):
-                cand = cand[_drop_deleted(nulls, cand)]
-                if len(cand) == 0:
-                    return empty
-        for cl in spec["must_not"]:
-            nids = _bool_clause_ids(cl, mn_by)
-            if len(nids):
-                cand = cand[~_in_sorted(nids, cand)]
-                if len(cand) == 0:
-                    return empty
-        if spec["msm"] > 0 and spec["should"]:
-            cnt = np.zeros(len(cand), np.int64)
-            for cl in spec["should"]:
-                cnt += _in_sorted(_bool_clause_ids(cl, by_term), cand)
-            cand = cand[cnt >= spec["msm"]]
-            if len(cand) == 0:
-                return empty
-        if spec.get("msm_div") and spec["should"]:
+        for col in spec["exists"]:
+            cand = cand[~_in_sorted(self._null_dv_ids(col), cand)]
+        if mn_by:
+            cand = cand[~_in_sorted(self._match_set(
+                [[ids for ids, _tfs in mn_by.values()]]), cand)]
+        if spec["msm_div"] and should and len(cand):
             # terms_set: required(doc) = min(n_clauses,
             # max(1, floor(dl_src / divisor))) — per-doc dynamic msm
-            cnt = np.zeros(len(cand), np.int64)
-            for cl in spec["should"]:
-                cnt += _in_sorted(_bool_clause_ids(cl, by_term), cand)
             src = self._dl_for(_range_dl_field(spec["msm_src"]))
-            req = np.minimum(
-                len(spec["should"]),
-                np.maximum(1, src[cand].astype(np.int64)
-                           // spec["msm_div"]))
-            cand = cand[cnt >= req]
-            if len(cand) == 0:
-                return empty
-        if len(self._deleted):
-            cand = cand[_drop_deleted(self._deleted, cand)]
-            if len(cand) == 0:
-                return empty
-        scores = np.zeros(len(cand), dtype=np.float64)
-        live = [t for t in sc_terms if t in idf]
-        contribs = self._contribs_for(field, live, by_term, idf,
-                                      self._dl_for(field),
-                                      _avgdl(self.stats, field))
-        for cl in (*spec["must"], *spec["should"]):
-            for t in cl:
-                if t not in contribs:
-                    continue
-                ids = by_term[t][0]
-                hit = _in_sorted(ids, cand)
-                scores[hit] += contribs[t][np.searchsorted(ids, cand[hit])]
+            req = np.minimum(len(should), np.maximum(
+                1, src[cand].astype(np.int64) // spec["msm_div"]))
+            ok = np.zeros(len(cand), bool)
+            for r in np.unique(req).tolist():
+                at = req == r
+                ok[at] = _in_sorted(self._match_set(should, r), cand[at])
+            cand = cand[ok]
+        if len(cand) == 0:
+            return empty
+        scores = self._sparse_scores(
+            field, cand, [t for cl in (*spec["must"], *spec["should"])
+                          for t in cl], by_term, idf)
         return _top_k(cand, scores, k)
 
     def _term_dict(self, field: str, prefix: str = "") -> pa.Table:
@@ -2416,24 +2428,15 @@ class LocalSearcher:
         live = [t for t in uniq_fixed if t in idf]
         by = self._postings_for(field, live) if live else {}
         exp_by = self._postings_for(field, exps) if exps else {}
-        parts = [by[t][0] for t in by] + [exp_by[t][0] for t in exp_by]
-        if not parts:
-            return empty
-        cand = np.unique(np.concatenate(parts))
-        if len(self._deleted):
-            cand = cand[_drop_deleted(self._deleted, cand)]
+        exp_ids = [ids for ids, _tfs in exp_by.values()]
+        cand = self._match_set(
+            [[ids for ids, _tfs in by.values()] + exp_ids])
         if len(cand) == 0:
             return empty
-        scores = np.zeros(len(cand), np.float64)
-        contribs = self._contribs_for(field, live, by, idf,
-                                      self._dl_for(field),
-                                      _avgdl(self.stats, field))
-        for t in contribs:  # lexicographic accumulation, the OR convention
-            ids = by[t][0]
-            hit = _in_sorted(ids, cand)
-            scores[hit] += contribs[t][np.searchsorted(ids, cand[hit])]
-        if exp_by:
-            scores[_in_sorted(_bool_clause_ids(exps, exp_by), cand)] += 1.0
+        # lexicographic accumulation, the OR convention
+        scores = self._sparse_scores(field, cand, live, by, idf)
+        if exp_ids:
+            scores[_in_sorted(self._match_set([exp_ids]), cand)] += 1.0
         return _top_k(cand, scores, k)
 
     def search_fuzzy(self, query: str, k: int = 10,
@@ -2480,17 +2483,11 @@ class LocalSearcher:
 
     def _union_const_topk(self, field: str, exp: list[str], k: int
                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared constant_score multi-term tail: union the expanded
-        terms' postings, drop tombstones, first-k by doc_id."""
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not exp:
-            return empty
-        ids = _bool_clause_ids(exp, self._postings_for(field, exp))
-        if not len(ids):
-            return empty
-        if len(self._deleted):
-            ids = ids[_drop_deleted(self._deleted, ids)]
-        ids = ids[:k]
+        """Shared constant_score multi-term tail: the live union of the
+        expanded terms' postings (:meth:`_match_set`), first-k by
+        doc_id."""
+        by = self._postings_for(field, exp) if exp else {}
+        ids = self._match_set([[ids for ids, _tfs in by.values()]])[:k]
         return ids.astype(np.int64), np.ones(len(ids), np.float64)
 
     def search_regexp(self, pattern: str, k: int = 10,
@@ -2598,9 +2595,11 @@ class LocalSearcher:
         doc matching in any field is a candidate. ``best_fields``: the MAX
         boosted per-field score (dis_max, tie_breaker=0). ``fields``
         entries accept the ES ``"name^boost"`` syntax. Tie-break (score
-        desc, doc_id asc). Accumulation is (field, term)-major over
-        ascending doc ids, so a segment-subset searcher scores its docs
-        bitwise as the whole-index one does."""
+        desc, doc_id asc). The candidates are the live union of every
+        field's terms (:meth:`_match_set`); each field's scores come from
+        :meth:`_sparse_scores`, (field, term)-major (unboosted most_fields
+        adds every field into one vector), so a segment-subset searcher
+        scores its docs bitwise as the whole-index one does."""
         if combine not in ("most_fields", "best_fields"):
             raise ValueError(f"unknown multi_type {combine!r}")
         self.refresh()
@@ -2608,39 +2607,32 @@ class LocalSearcher:
         if not self.term_files:
             return empty
         parsed = _parse_boosted_fields(fields)
-        field_runs = []  # (field, boost, terms, by_term, dl, avgdl, idf)
+        field_runs = []  # (field, boost, terms, by_term, idf)
         for f, boost in parsed:
             all_terms = query_terms(query, _field_analyzer(self.stats, f))
             idf = self._idf(f, all_terms)
             terms = [t for t in all_terms if t in idf]
-            if not terms:
-                continue
-            field_runs.append((f, boost, terms, self._postings_for(f, terms),
-                               self._dl_for(f), _avgdl(self.stats, f), idf))
-        runs = [bt[t][0] for _f, _b, _terms, bt, _dl, _ad, _idf in field_runs
-                for t in bt]
-        if not runs:
+            if terms:
+                field_runs.append(
+                    (f, boost, terms, self._postings_for(f, terms), idf))
+        cand = self._match_set([[ids for *_h, bt, _idf in field_runs
+                                 for ids, _tfs in bt.values()]])
+        if not len(cand):
             return empty
         plain_sum = (combine == "most_fields"
                      and all(b == 1.0 for _f, b in parsed))
-        loc = np.unique(np.concatenate(runs))
-        sc = np.zeros(len(loc), dtype=np.float64)
-        fsc = sc if plain_sum else np.zeros(len(loc))
-        for f, boost, terms, by_term, dl, avgdl, idf in field_runs:
-            if not plain_sum:
-                fsc[:] = 0.0
-            contribs = self._contribs_for(f, terms, by_term, idf, dl, avgdl)
-            for t in contribs:  # (field, term)-major accumulation order
-                fsc[np.searchsorted(loc, by_term[t][0])] += contribs[t]
-            if not plain_sum:
-                if combine == "best_fields":
-                    np.maximum(sc, boost * fsc, out=sc)
-                else:
-                    sc += boost * fsc
-        if len(self._deleted):
-            keep = _drop_deleted(self._deleted, loc)
-            loc, sc = loc[keep], sc[keep]
-        return _top_k(loc, sc, k)
+        sc = np.zeros(len(cand))
+        for f, boost, terms, by_term, idf in field_runs:
+            # (field, term)-major accumulation order
+            if plain_sum:
+                self._sparse_scores(f, cand, terms, by_term, idf, out=sc)
+                continue
+            fsc = self._sparse_scores(f, cand, terms, by_term, idf)
+            if combine == "best_fields":
+                np.maximum(sc, boost * fsc, out=sc)
+            else:
+                sc += boost * fsc
+        return _top_k(cand, sc, k)
 
     # -- positional queries: one read (_read_positions) -------------------
 
@@ -2676,14 +2668,6 @@ class LocalSearcher:
                 int(off[-1]))
             out[t] = _Positions(ids, off, gaps)
         return out
-
-    def _all_of(self, id_lists: list[np.ndarray]) -> np.ndarray:
-        """Live candidates: the intersection of the sorted, unique
-        ``id_lists`` minus tombstones."""
-        cand = id_lists[0]
-        for ids in id_lists[1:]:
-            cand = np.intersect1d(cand, ids, assume_unique=True)
-        return cand[_drop_deleted(self._deleted, cand)]
 
     def _clause_terms(self, clauses: list[str], field: str, what: str
                       ) -> list[str]:
@@ -2739,8 +2723,8 @@ class LocalSearcher:
         if len(idf) != len(uniq):  # a term absent anywhere -> no phrase
             return empty
         pos = self._read_positions(field, uniq)
-        cand = self._all_of([pos[t].ids for t in uniq]
-                            + ([] if within is None else [within]))
+        cand = self._match_set([[pos[t].ids] for t in uniq]
+                               + ([] if within is None else [[within]]))
         keys = {t: pos[t].keys(cand) for t in uniq}
         fqs = _phrase_freqs([keys[t] for t in seq], len(cand))
         return self._phrase_top(field, cand, fqs,
@@ -2774,12 +2758,9 @@ class LocalSearcher:
         if len(idf) != len(uniq_fixed):
             return empty
         pos = self._read_positions(field, sorted(set(uniq_fixed) | set(exps)))
-        exp_ids = [pos[t].ids for t in exps if len(pos[t].ids)]
-        if not exp_ids:
-            return empty
-        exp_docs = (exp_ids[0] if len(exp_ids) == 1
-                    else np.unique(np.concatenate(exp_ids)))
-        cand = self._all_of([pos[t].ids for t in uniq_fixed] + [exp_docs])
+        # the fixed terms and one clause for any expansion, all required
+        cand = self._match_set([[pos[t].ids] for t in uniq_fixed]
+                               + [[pos[t].ids for t in exps]])
         n = int(self.stats["n_docs"])
         idf_fixed = float(sum(idf[t] for t in uniq_fixed))
         idf_slot = float(codec.bm25_idf(
@@ -2814,7 +2795,7 @@ class LocalSearcher:
             return np.empty(0, np.int64)
         uniq = sorted(set(seq))
         pos = self._read_positions(field, uniq)
-        cand = self._all_of([pos[t].ids for t in uniq])
+        cand = self._match_set([[pos[t].ids] for t in uniq])
         keys = {t: pos[t].keys(cand) for t in uniq}
         prev = keys[seq[0]]
         cost = np.zeros(len(prev), np.int64)
@@ -2854,7 +2835,7 @@ class LocalSearcher:
         if not seq:
             return np.empty(0, np.int64)
         pos = self._read_positions(field, sorted(seq))
-        cand = self._all_of([pos[t].ids for t in sorted(seq)])
+        cand = self._match_set([[pos[t].ids] for t in seq])
         keys = [pos[t].keys(cand) for t in seq]
         end = np.sort(np.concatenate(keys))
         start = end.copy()
@@ -2887,7 +2868,7 @@ class LocalSearcher:
         pos = self._read_positions(field, terms) if terms else {}
         out_d, out_t, out_p = [], [], []
         for t, ps in pos.items():
-            keep = _drop_deleted(self._deleted, ps.ids)
+            keep = self._live[ps.ids]
             out_d.append(ps.ids[keep])
             out_p.append(ps.gaps[ps.off[:-1]][keep])
             out_t.extend([t] * int(keep.sum()))

@@ -500,6 +500,17 @@ def _md5_batch(texts: pa.Array | pa.ChunkedArray) -> pa.Array:
         "SELECT md5(coalesce(t, '')) AS h FROM tv").arrow()["h"].combine_chunks()
 
 
+def _hex_prefix_frac(hexes: pa.Array) -> np.ndarray:
+    """``int(h[:6], 16) / 16**6`` per md5 hex digest, without a per-row
+    loop: the six leading hex digits through a byte lookup table."""
+    lut = np.zeros(256, np.int64)
+    lut[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+    digits = np.frombuffer(
+        hexes.to_numpy(zero_copy_only=False).astype("S32").tobytes(),
+        np.uint8).reshape(-1, 32)[:, :6]
+    return lut[digits] @ (16 ** np.arange(5, -1, -1)) / 16777216.0
+
+
 def q_exact_dedup(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -6674,10 +6685,10 @@ def q_data_mixture(sf_dir: str):
         ids = t["doc_id"].to_numpy()
         base = np.floor(w).astype(np.int64)
         frac = w - base
-        hf = np.fromiter(
-            (int(hashlib.md5(f"m:{i:015d}".encode()).hexdigest()[:6], 16)
-             / 16777216.0 for i in ids.tolist()),
-            np.float64, count=len(ids))
+        keys = pc.binary_join_element_wise(
+            "m:", pc.utf8_lpad(pc.cast(t["doc_id"], pa.string()), 15, "0"),
+            "")
+        hf = _hex_prefix_frac(_md5_batch(keys))
         reps = base + (hf < frac)
         rows = np.repeat(np.arange(len(ids)), reps)
         counts_cum = np.concatenate([[0], np.cumsum(reps)])[:-1]
@@ -6724,16 +6735,10 @@ def q_deterministic_sample(sf_dir: str):
                          columns=["doc_id", "text"])
 
     def pick(t: pa.Table) -> pa.Table:
-        hs = [hashlib.md5((x or "").encode()).hexdigest()
-              for x in t["text"].to_pylist()]
-        keep = pa.array([h < SAMPLE_HEX_THRESHOLD for h in hs])
-        out = t.filter(keep)
-        return pa.table({
-            "doc_id": out["doc_id"],
-            "content_hash": pa.array([h for h in hs
-                                      if h < SAMPLE_HEX_THRESHOLD],
-                                     pa.string()),
-        })
+        hs = pc.cast(_md5_batch(t["text"]), pa.string())
+        keep = pc.less(hs, SAMPLE_HEX_THRESHOLD)
+        return pa.table({"doc_id": t["doc_id"].filter(keep),
+                         "content_hash": hs.filter(keep)})
 
     return ds.map_batches(pick, batch_format="pyarrow")
 

@@ -262,6 +262,27 @@ def test_refresh_sees_delete_only_commit(tmp_path):
     assert s.refresh() is False
 
 
+def test_missing_tombstone_file_fails_loudly(tmp_path):
+    """A tombstone file listed in stats.json but gone from disk must fail
+    the bind with FileNotFoundError naming it, not serve its deleted docs
+    again."""
+    from elasticsearch_data_loader_ray.index.append import delete_by_query
+
+    texts = [("alpha " if i % 3 == 0 else "") + f"body w{i}"
+             for i in range(60)]
+    urls = [f"{i:08d}" for i in range(60)]
+    idx = str(tmp_path / "idx")
+    build_index_from_corpus(rd.from_arrow(_corpus_table(urls, texts)), idx,
+                            BuildConfig(docs_per_segment=20))
+    assert delete_by_query(idx, "alpha") == 20
+    assert len(LocalSearcher(idx).matched_ids("text", ["alpha"])) == 0
+    stats = mf.read_json(os.path.join(idx, "stats.json"))
+    gone = stats["tombstone_files"][0]
+    os.unlink(os.path.join(idx, gone))
+    with pytest.raises(FileNotFoundError, match=os.path.basename(gone)):
+        LocalSearcher(idx)
+
+
 def test_export_serves_newest_generation_after_upsert(tmp_path):
     """Corpus-backed reads (export stored fields, term vectors) must
     resolve an upserted url to the NEW generation's text, not the

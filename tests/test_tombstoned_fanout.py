@@ -1,14 +1,19 @@
-"""Aggregations and exports on a tombstoned, multi-segment-group index.
+"""Aggregations, exports and match-set queries on a tombstoned,
+multi-segment-group index.
 
 The index has more segments than the test cluster has CPUs, so every
 segment-group task binds several segments. Before checking, a
 ``delete_by_query`` and an append with url upserts tombstone docs in both
 generations; every result must equal a brute force over the live docs
 only, with scores compared bitwise against the whole-index exhaustive
-scorer."""
+scorer or the dense per-term brute force (``bm25_brute``). Queries with a
+query-row form run both on a whole-index searcher and through the
+segment-group fan-out."""
 
 from __future__ import annotations
 
+import fnmatch
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -17,6 +22,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data as rd
+from bm25_brute import brute_topk
 
 from elasticsearch_data_loader_ray.functions.analyzers import (
     analyze,
@@ -45,7 +51,10 @@ from elasticsearch_data_loader_ray.index.export import (
 )
 from elasticsearch_data_loader_ray.index.search import (
     LocalSearcher,
+    _run_query,
     _segment_groups,
+    query_terms,
+    search,
 )
 
 LANGS = ["en", "de", "fr", "es", "it"]
@@ -204,10 +213,135 @@ def check_sampler_terms_agg(idx, live):
                     got["doc_count"].to_pylist())) == dict(want)
 
 
+def _contrib(idx: str, term: str) -> dict[int, float]:
+    """Live doc id -> ``term``'s BM25 contribution (dense brute force)."""
+    ids, sc = brute_topk(idx, term, k=1 << 30)
+    return dict(zip(ids.tolist(), sc.tolist()))
+
+
+def _ranked(scores: dict[int, float]) -> tuple[list[int], list[float]]:
+    best = sorted(scores.items(), key=lambda x: (-x[1], x[0]))
+    return [d for d, _s in best], [s for _d, s in best]
+
+
+def _served(idx: str, row: dict) -> tuple[list[int], list[float]]:
+    """One query row on a whole-index searcher; the segment-group fan-out
+    must return the same rows."""
+    ids, sc = _run_query(LocalSearcher(idx), row)
+    t = search(idx, [{"query_id": 0, **row}])
+    assert t["doc_id"].to_pylist() == ids.tolist()
+    assert t["score"].to_pylist() == sc.tolist()
+    return ids.tolist(), sc.tolist()
+
+
+def _tokens(live: dict, d: int) -> list[str]:
+    return analyze("standard", live[d][0])
+
+
+BOOL_BODIES = [
+    {"must": ["data"], "should": ["fast", "query scan"],
+     "must_not": ["merge"], "minimum_should_match": 1,
+     "filter": [{"range": {"field": "word_count", "gte": 3, "lte": 9}}]},
+    # no must: at least two of three should clauses (the counting path)
+    {"should": ["data", "fast", "query scan"], "must_not": ["merge"],
+     "minimum_should_match": 2},
+]
+
+
+def check_search_bool(idx, live):
+    for bq in BOOL_BODIES:
+        clauses = {c: set(query_terms(c)) for key in ("must", "should",
+                                                      "must_not")
+                   for c in bq.get(key, ())}
+        con = {t: _contrib(idx, t) for ts in clauses.values() for t in ts}
+        (rng,) = [f["range"] for f in bq.get("filter", [{"range": {}}])]
+        want = {}
+        for d in live:
+            toks = _tokens(live, d)
+            tk = set(toks)
+            if (not all(clauses[c] & tk for c in bq.get("must", ()))
+                    or sum(bool(clauses[c] & tk) for c in bq["should"])
+                    < bq["minimum_should_match"]
+                    or any(clauses[c] & tk for c in bq["must_not"])
+                    or not rng.get("gte", 0) <= len(toks)
+                    <= rng.get("lte", 1 << 30)):
+                continue
+            sc = 0.0  # clause-major, each clause's terms sorted
+            for c in (*bq.get("must", ()), *bq["should"]):
+                for t in sorted(clauses[c] & tk):
+                    sc += con[t][d]
+            want[d] = sc
+        assert want
+        assert _served(idx, {"bool": bq, "k": len(live)}) == _ranked(want)
+
+
+def check_search_bool_prefix(idx, live):
+    con = _contrib(idx, "query")
+    want = {}
+    for d in live:
+        tk = set(_tokens(live, d))
+        fixed, prefix = "query" in tk, any(t.startswith("fa") for t in tk)
+        if fixed or prefix:
+            want[d] = (con[d] if fixed else 0.0) + (1.0 if prefix else 0.0)
+    ids, sc = LocalSearcher(idx).search_bool_prefix("query fa", k=len(live))
+    assert (ids.tolist(), sc.tolist()) == _ranked(want)
+
+
+def _check_const_union(idx, live, mode, pattern, matches):
+    """A constant-score multi-term query: live docs holding any term that
+    ``matches``, first 60 by doc id, score 1.0."""
+    want = sorted(d for d in live
+                  if any(matches(t) for t in _tokens(live, d)))[:60]
+    got = _served(idx, {"mode": mode, "query": pattern, "k": 60})
+    assert got == (want, [1.0] * len(want))
+    return want
+
+
+def check_search_wildcard(idx, live):
+    assert _check_const_union(idx, live, "wildcard", "*a*",
+                              lambda t: fnmatch.fnmatchcase(t, "*a*"))
+    # every doc holding "purge" was deleted or superseded
+    assert _check_const_union(idx, live, "wildcard", "pu*",
+                              lambda t: t.startswith("pu")) == []
+
+
+def check_search_regexp(idx, live):
+    assert _check_const_union(idx, live, "regexp", "(fa|pu).*",
+                              lambda t: re.fullmatch("(fa|pu).*", t))
+
+
+def check_search_boosting(idx, live):
+    con = {t: _contrib(idx, t) for t in sorted(QTERMS)}
+    want = {}
+    for d in live:
+        tk = set(_tokens(live, d))
+        if not QTERMS & tk:
+            continue
+        sc = 0.0  # lexicographic, the OR convention
+        for t in sorted(QTERMS & tk):
+            sc += con[t][d]
+        want[d] = sc * 0.5 if "merge" in tk else sc
+    row = {"mode": "boosting", "query": QUERY, "negative": "merge",
+           "negative_boost": 0.5, "k": len(live)}
+    assert _served(idx, row) == _ranked(want)
+
+
+def check_matched_ids_and(idx, live):
+    s = LocalSearcher(idx)
+    want = _matched(live, "and")
+    assert s.matched_ids("text", sorted(QTERMS), "and").tolist() == want
+    got = [d for g in _segment_groups(s.seg_ids)
+           for d in LocalSearcher(idx, segments=g).matched_ids(
+               "text", sorted(QTERMS), "and").tolist()]
+    assert sorted(got) == want
+
+
 @pytest.mark.parametrize("check", [
     check_terms_agg, check_stats_agg, check_count_matches,
     check_sorted_matches, check_collapse_matches, check_top_hits_agg,
-    check_sampler_terms_agg])
+    check_sampler_terms_agg, check_search_bool, check_search_bool_prefix,
+    check_search_wildcard, check_search_regexp, check_search_boosting,
+    check_matched_ids_and])
 def test_live_docs_only_on_multi_segment_groups(live_index, check):
     idx, live, n_segs = live_index
     groups = _segment_groups(list(range(n_segs)))

@@ -159,7 +159,8 @@ if __name__ == "__main__":
     import ray
 
     ray.init(address="local",
-             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                         len(os.sched_getaffinity(0)))),
              include_dashboard=False, ignore_reinit_error=True,
              logging_level="ERROR")
     from ray.data import DataContext
