@@ -11,9 +11,9 @@ top-10 p95 latency over the reference query set and per-entry timings of the
 driver query catalog at $GRAFT_SF_DIR.
 
 ``--scaling``: runs the headline build in two fresh processes at
-num_cpus=8 and 32 (same input, page cache warmed) and reports the
-throughput scaling efficiency (BASELINE.md protocol; the sandbox substitute
-for the north rule's N vs 4N cluster sizes).
+num_cpus=2 and 8 (``EDLR_SCALING_CPUS``; same input, page cache warmed)
+and reports the throughput scaling efficiency (BASELINE.md protocol; the
+sandbox substitute for the north rule's N vs 4N cluster sizes).
 """
 
 from __future__ import annotations
@@ -33,7 +33,11 @@ BENCH_ROOT = os.environ.get("EDLR_BENCH_DIR", "/tmp/edlr_bench")
 BENCH_SRC = os.path.join(BENCH_ROOT, f"webtext_{BENCH_DOCS}")
 BENCH_IDX = os.path.join(BENCH_ROOT, "index")
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# default: the CPUs this process may run on; the build wave's bucket group
+# follows Ray's CPU count, so a Ray larger than the host fans out to
+# one-segment tasks that only contend
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 
 # Entries excluded from the per-query timing loop at bench sf (the exact
 # all-pairs shingle join is intentionally quadratic; its scale path —
@@ -253,7 +257,7 @@ def run_scaling() -> dict:
     run once (still ~10 min total); smaller jobs run best-of-2 — every leg
     reports host_steal_pct so the conditions are on the record, and a leg
     that measured a steal burst (> 1%) is retried once.
-    docs_per_segment is pinned so both legs process identical work units."""
+    docs_per_segment is pinned so both legs build identical segments."""
 
     def one(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),

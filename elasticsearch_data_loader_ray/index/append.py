@@ -62,8 +62,10 @@ from . import manifest as mf
 from .build import (
     BuildConfig,
     DuplicateUrlError,
+    _block_sources,
     _extract_source,
     _finalize,
+    _parquet_sources,
     _run_exchange,
     _segment_boundaries,
     seg_docs_path,
@@ -142,11 +144,12 @@ def append_index(input_path: str, index_dir: str,
                  cfg: BuildConfig | None = None) -> dict:
     """Append raw webtext at ``input_path`` to an existing index."""
     cfg = cfg or BuildConfig()
-    boundaries, n_est = _segment_boundaries(
-        rd.read_parquet(input_path, columns=["url"]), cfg)
+    t0 = time.perf_counter()
+    boundaries, n_est = _segment_boundaries(_parquet_sources(input_path), cfg)
+    timings = {"bounds": round(time.perf_counter() - t0, 3)}
     src = _extract_source(input_path, os.path.join(index_dir, "errors"),
                           n_est, cfg)
-    return _run_append(src, index_dir, cfg, boundaries)
+    return _run_append(src, index_dir, cfg, boundaries, timings)
 
 
 def append_index_from_corpus(corpus: rd.Dataset, index_dir: str,
@@ -154,13 +157,15 @@ def append_index_from_corpus(corpus: rd.Dataset, index_dir: str,
     """Append an already-cleaned corpus Dataset (columns url, warc_ts,
     text, lang, doc_len) to an existing index."""
     cfg = cfg or BuildConfig()
-    mat = corpus.materialize()
-    boundaries, _n = _segment_boundaries(mat.select_columns(["url"]), cfg)
-    return _run_append(mat, index_dir, cfg, boundaries)
+    t0 = time.perf_counter()
+    mat = corpus.materialize()  # the sample reads its block metadata
+    boundaries, _n = _segment_boundaries(_block_sources(mat), cfg)
+    timings = {"bounds": round(time.perf_counter() - t0, 3)}
+    return _run_append(mat, index_dir, cfg, boundaries, timings)
 
 
 def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
-                boundaries: list[str]) -> dict:
+                boundaries: list[str], timings: dict[str, float]) -> dict:
     stats_path = os.path.join(index_dir, "stats.json")
     if not os.path.exists(stats_path):
         raise FileNotFoundError(
@@ -182,7 +187,6 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
     sweep_invisible_segments(index_dir, base_docs)
     committed = mf.committed_segments(index_dir)
     gen_base = _next_gen_base(committed)
-    timings: dict[str, float] = {}
     try:
         # the generation's segments commit INVISIBLE (doc ids from
         # base_docs on); stats.json below is the visibility point

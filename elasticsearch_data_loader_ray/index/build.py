@@ -4,8 +4,10 @@ Replaces the reference's load path (Mongo cursor -> enrich -> transform ->
 ES ``_bulk``, reference ``companybindex/main.go:105-279``) plus the
 index construction ES performs from ``config/search_scheme.json``. Shape:
 
-  bounds:   url-range segment boundaries from a seeded sample of the input
-            (placement only affects segment membership, never doc ids).
+  bounds:   url-range segment boundaries from a seeded row sample of the
+            input: row counts from parquet footers or block metadata, only
+            the sampled rows' urls read, no Ray Data job (placement only
+            affects segment membership, never doc ids).
   exchange: ONE streaming pass over the extracted source (``_run_exchange``,
             also the append path): each block writes a corpus parquet part
             and partitions into per-bucket-group slices; a count wave over
@@ -187,25 +189,83 @@ def _docs_per_segment(cfg: BuildConfig, n_est: int) -> int:
     return int(min(200_000, max(4_000, math.ceil(n_est / (2 * _ncpus())))))
 
 
-def _segment_boundaries(urls_ds: rd.Dataset,
+def _sample_urls_impl(src, rows: np.ndarray) -> list[str]:
+    """The ``url`` values at ascending row numbers ``rows`` of one source:
+    a parquet file path (only the row groups holding those rows are read)
+    or a Dataset block."""
+    pin_worker_threads()
+    if not isinstance(src, str):
+        from ray.data.block import BlockAccessor
+
+        col = BlockAccessor.for_block(src).to_arrow()["url"]
+        return col.take(pa.array(rows)).to_pylist()
+    pf = pq.ParquetFile(src)
+    rg_rows = np.array([pf.metadata.row_group(i).num_rows
+                        for i in range(pf.num_row_groups)], dtype=np.int64)
+    rg_start = np.r_[0, np.cumsum(rg_rows)]
+    rg_of = np.searchsorted(rg_start, rows, side="right") - 1
+    rgs = np.unique(rg_of)
+    # where each read row group starts inside the concatenated read
+    read_start = np.r_[0, np.cumsum(rg_rows[rgs])]
+    pos = read_start[np.searchsorted(rgs, rg_of)] + rows - rg_start[rg_of]
+    col = pf.read_row_groups(rgs.tolist(), columns=["url"])["url"]
+    return col.take(pa.array(pos)).to_pylist()
+
+
+_sample_urls = ray.remote(_sample_urls_impl)
+
+# parquet inputs up to this many rows are sampled on the driver: their url
+# column reads in milliseconds, where the first Ray task of a fresh cluster
+# waits ~0.5 s for a worker to import the package. Larger inputs read one
+# Ray task per file; blocks are always read where they live.
+DRIVER_SAMPLE_ROWS = 1_000_000
+
+
+def _parquet_sources(path: str) -> list[tuple[str, int]]:
+    """(file, footer row count) of every parquet file under ``path``, in
+    path order; no data page is read."""
+    import pyarrow.dataset as pads
+
+    files = sorted(pads.dataset(path, format="parquet").files)
+    return [(f, pq.read_metadata(f).num_rows) for f in files]
+
+
+def _block_sources(ds: rd.Dataset) -> list[tuple]:
+    """(block ref, row count) of a materialized Dataset, from its block
+    metadata; nothing executes."""
+    return [(ref, meta.num_rows) for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks]
+
+
+def _segment_boundaries(sources: list[tuple],
                         cfg: BuildConfig) -> tuple[list[str], int]:
-    """(S-1 range cut points, row estimate) from seeded-sample url
-    quantiles of a url-column Dataset. Boundary placement affects only
-    segment membership, never doc ids (global url rank)."""
-    n_est = urls_ds.count()
-    n_segments = max(1, math.ceil(n_est / _docs_per_segment(cfg, n_est)))
+    """(S-1 range cut points, row count) from seeded-sample url quantiles.
+
+    ``sources`` are (parquet file path or block ref, row count) pairs
+    (:func:`_parquet_sources`, :func:`_block_sources`). The sample is a
+    seeded choice of row numbers over the whole input, uniform over rows
+    (sampling whole row groups would put every cut of a url-sorted file
+    in one range); only those rows' urls are read. Boundary placement
+    affects only segment membership, never doc ids (global url rank)."""
+    sizes = np.array([n for _s, n in sources], dtype=np.int64)
+    n_rows = int(sizes.sum())
+    n_segments = max(1, math.ceil(n_rows / _docs_per_segment(cfg, n_rows)))
     if n_segments == 1:
-        return [], n_est
-    want = n_segments * cfg.boundary_sample_per_segment
-    frac = min(1.0, want / max(1, n_est))
-    sample = urls_ds.random_sample(frac, seed=cfg.seed).take_all()
-    urls = sorted(r["url"] for r in sample)
-    if not urls:
-        return [], n_est
-    cuts = []
-    for k in range(1, n_segments):
-        cuts.append(urls[min(len(urls) - 1, k * len(urls) // n_segments)])
-    return sorted(set(cuts)), n_est
+        return [], n_rows
+    want = min(n_rows, n_segments * cfg.boundary_sample_per_segment)
+    rows = np.sort(np.random.default_rng(cfg.seed).choice(
+        n_rows, size=want, replace=False))
+    starts = np.r_[0, np.cumsum(sizes)]
+    src_of = np.searchsorted(starts, rows, side="right") - 1
+    picks = [(sources[i][0], rows[src_of == i] - starts[i])
+             for i in np.unique(src_of)]
+    if n_rows <= DRIVER_SAMPLE_ROWS and isinstance(sources[0][0], str):
+        got = [_sample_urls_impl(src, r) for src, r in picks]
+    else:
+        got = ray.get([_sample_urls.remote(src, r) for src, r in picks])
+    urls = sorted(u for part in got for u in part)
+    cuts = [urls[k * want // n_segments] for k in range(1, n_segments)]
+    return sorted(set(cuts)), n_rows
 
 
 def _bucket_of(urls: np.ndarray, boundaries: list[str]) -> np.ndarray:
@@ -459,18 +519,19 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
 #   1. ONE streaming pass: each source block concurrently (a) writes a
 #      corpus parquet part (resumability; aggs/export read stored fields
 #      from it) and (b) partitions into per-bucket-GROUP slices returned as
-#      separate driver-owned objects (ceil(n/BUILD_GROUP) zstd-packed data
-#      slices + ceil(n/STATS_GROUP) (url, warc_ts, doc_len) count minis,
-#      each with an int32 bucket column for local re-split) — ref fan-out
-#      per block is O(buckets/BUILD_GROUP), and a ray.wait throttle on
-#      unfinished write/partition tasks backpressures the streaming source
-#      so the exchange holds ~1x corpus (the slices) + a bounded block window;
+#      separate driver-owned objects (ceil(n/g) zstd-packed data slices,
+#      g = _build_group(n, cpus) <= BUILD_GROUP, + ceil(n/STATS_GROUP)
+#      (url, warc_ts, doc_len) count minis, each with an int32 bucket
+#      column for local re-split) — ref fan-out per block is O(buckets/g),
+#      and a ray.wait throttle on unfinished write/partition tasks
+#      backpressures the streaming source so the exchange holds ~1x corpus
+#      (the slices) + a bounded block window;
 #   2. fixed-range count wave over the minis (~5% of corpus bytes): exact
 #      post-dedup counts -> prefix-sum doc-id offsets -> the plan file;
-#   3. fixed-range build wave: each task concatenates its bucket range's
-#      slices, re-splits on the bucket column and runs the vectorized
-#      ``_build_segment`` (dedup, dense ids, tokenize, encode, atomic
-#      manifest commit) per bucket.
+#   3. fixed-range build wave, at least min(n, cpus) tasks wide: each task
+#      concatenates its bucket range's slices, re-splits on the bucket
+#      column and runs the vectorized ``_build_segment`` (dedup, dense ids,
+#      tokenize, encode, atomic manifest commit) per bucket.
 #
 # The exchange is raw Ray tasks because the Dataset API cannot express a
 # range-partition by *known* boundaries without a sort: every object is
@@ -480,8 +541,8 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
 # (see _resume_state): boundaries and offsets are frozen, so resumed doc
 # ids are bitwise-identical, and committed buckets ship no rows.
 
-def _resume_state(index_dir: str) -> tuple[dict | None, rd.Dataset | None]:
-    """(committed plan, committed corpus Dataset) a build attempt resumes
+def _resume_state(index_dir: str) -> tuple[dict | None, str | None]:
+    """(committed plan, committed corpus dir) a build attempt resumes
     from; either is None when absent. A corpus with no plan (crash before
     the count wave) re-samples boundaries from the corpus. Committed
     segments with no plan have no recorded doc-id plan to resume under, so
@@ -494,11 +555,14 @@ def _resume_state(index_dir: str) -> tuple[dict | None, rd.Dataset | None]:
             "their doc ids have no recorded plan to resume under — remove "
             "the index directory and rebuild")
     corpus_dir = os.path.join(index_dir, "corpus")
-    corpus = (rd.read_parquet(corpus_dir,
-                              override_num_blocks=max(2 * _ncpus(), 16))
-              if os.path.exists(os.path.join(corpus_dir, "_SUCCESS"))
-              else None)
-    return plan, corpus
+    if os.path.exists(os.path.join(corpus_dir, "_SUCCESS")):
+        return plan, corpus_dir
+    return plan, None
+
+
+def _read_corpus(corpus_dir: str) -> rd.Dataset:
+    return rd.read_parquet(corpus_dir,
+                           override_num_blocks=max(2 * _ncpus(), 16))
 
 
 @ray.remote
@@ -510,10 +574,11 @@ def _write_corpus_block(tbl: pa.Table, corpus_dir: str, name: str) -> int:
 
 _MINI_COLS = ["url", "warc_ts", "doc_len"]
 
-# buckets per stats task / segments per build task: grouping amortizes the
-# per-task scheduling + arg-serialization cost (485 one-bucket tasks cost
-# ~4s of driver time regardless of CPU count — pure Amdahl overhead).
-# Values are leg-independent so every cluster size runs identical work units.
+# buckets per stats task / most segments per build task: grouping
+# amortizes the per-task scheduling + arg-serialization cost (485
+# one-bucket tasks cost ~4s of driver time regardless of CPU count — pure
+# Amdahl overhead). The build wave's group shrinks below BUILD_GROUP when
+# that would leave CPUs idle (see _build_group).
 STATS_GROUP = 16
 BUILD_GROUP = 4
 
@@ -531,6 +596,14 @@ EXCHANGE_INFLIGHT = max(4 * os.cpu_count() if os.cpu_count() else 32, 32)
 # the build 124.6 -> 106.6 s, neutral at 100k docs and at 2 cpus; it is
 # also the multi-node network-shuffle shape (ship compressed bytes).
 SLICE_CODEC = "zstd"
+
+
+def _build_group(n_buckets: int, ncpus: int) -> int:
+    """Buckets per build task: as many as BUILD_GROUP allows while the
+    build wave still has at least ``min(n_buckets, ncpus)`` tasks (the
+    auto layout makes ~2 segments per CPU, so a fixed group of 4 left half
+    the CPUs idle)."""
+    return max(1, min(BUILD_GROUP, n_buckets // max(1, ncpus)))
 
 
 def _group_cuts(n_buckets: int, group: int) -> np.ndarray:
@@ -552,12 +625,12 @@ def _pack_cell(sub: pa.Table) -> bytes:
 
 @ray.remote
 def _partition_block(tbl: pa.Table, boundaries: list[str], n_buckets: int,
-                     cols: list[str], skip: frozenset[int]):
+                     build_group: int, cols: list[str], skip: frozenset[int]):
     """One source block -> per-bucket-GROUP driver-owned objects:
-    ``ceil(n/BUILD_GROUP)`` packed data slices (columns ``cols`` + an int32
+    ``ceil(n/build_group)`` packed data slices (columns ``cols`` + an int32
     ``bucket`` column, rows bucket-sorted) then ``ceil(n/STATS_GROUP)``
     count minis (``_MINI_COLS`` + ``bucket``). Grouped returns bound the
-    driver's ref fan-out at O(blocks x buckets / BUILD_GROUP) — the
+    driver's ref fan-out at O(blocks x buckets / build_group) — the
     per-(block, bucket) shape was the first thing to break at 8M+ docs
     (object metadata + residency). Buckets in ``skip`` (resume: already
     committed) ship no rows. Minis stay unpacked: they are ~6% of corpus
@@ -575,7 +648,7 @@ def _partition_block(tbl: pa.Table, boundaries: list[str], n_buckets: int,
     ts = t.take(pa.array(order))
     bs = b[order]
     mini_cols = [*_MINI_COLS, "bucket"]
-    d_cuts = _group_cuts(n_buckets, BUILD_GROUP)
+    d_cuts = _group_cuts(n_buckets, build_group)
     s_cuts = _group_cuts(n_buckets, STATS_GROUP)
     d_pos = np.searchsorted(bs, d_cuts)
     s_pos = np.searchsorted(bs, s_cuts)
@@ -674,7 +747,8 @@ def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
     skip = (frozenset(mf.covered_buckets(index_dir)) if plan is not None
             else frozenset())
     cols = _corpus_columns(cfg)
-    d_cuts = _group_cuts(n_buckets, BUILD_GROUP)
+    build_group = _build_group(n_buckets, _ncpus())
+    d_cuts = _group_cuts(n_buckets, build_group)
     s_cuts = _group_cuts(n_buckets, STATS_GROUP)
     n_dg, n_sg = len(d_cuts) - 1, len(s_cuts) - 1
     part_task = _partition_block.options(num_returns=n_dg + n_sg)
@@ -698,8 +772,8 @@ def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
                     block_ref, corpus_dir, f"part-{i:06d}.parquet")
                 write_refs.append(w)
                 pending.append(w)
-            rets = part_task.remote(block_ref, boundaries, n_buckets, cols,
-                                    skip)
+            rets = part_task.remote(block_ref, boundaries, n_buckets,
+                                    build_group, cols, skip)
             data_refs.append(list(rets[:n_dg]))
             mini_refs.append(list(rets[n_dg:]))
             pending.append(rets[0])
@@ -870,11 +944,11 @@ def _build(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
                            cfg)
 
 
-def _plan_boundaries(plan: dict | None, corpus: rd.Dataset,
+def _plan_boundaries(plan: dict | None, sources: list[tuple],
                      cfg: BuildConfig) -> list[str]:
     if plan is not None:
         return list(plan["boundaries"])
-    return _segment_boundaries(corpus.select_columns(["url"]), cfg)[0]
+    return _segment_boundaries(sources, cfg)[0]
 
 
 def build_index_from_corpus(corpus: rd.Dataset, index_dir: str,
@@ -887,13 +961,17 @@ def build_index_from_corpus(corpus: rd.Dataset, index_dir: str,
     os.makedirs(index_dir, exist_ok=True)
     timings: dict[str, float] = {}
     t = time.perf_counter()
-    plan, committed = _resume_state(index_dir)
-    # a committed corpus replaces the caller's input
-    source = committed if committed is not None else corpus.materialize()
-    boundaries = _plan_boundaries(plan, source, cfg)
+    plan, corpus_dir = _resume_state(index_dir)
+    if corpus_dir is not None:  # a committed corpus replaces the input
+        source = _read_corpus(corpus_dir)
+        sources = _parquet_sources(corpus_dir)
+    else:
+        source = corpus.materialize()
+        sources = _block_sources(source)
+    boundaries = _plan_boundaries(plan, sources, cfg)
     timings["bounds"] = round(time.perf_counter() - t, 3)
     return _build(source, index_dir, cfg, timings, boundaries, plan,
-                  write_corpus=committed is None)
+                  write_corpus=corpus_dir is None)
 
 
 def build_index(input_path: str, index_dir: str,
@@ -908,20 +986,20 @@ def build_index(input_path: str, index_dir: str,
     os.makedirs(index_dir, exist_ok=True)
     timings: dict[str, float] = {}
     t = time.perf_counter()
-    plan, corpus = _resume_state(index_dir)
-    if corpus is not None:
-        boundaries = _plan_boundaries(plan, corpus, cfg)
+    plan, corpus_dir = _resume_state(index_dir)
+    if corpus_dir is not None:
+        boundaries = _plan_boundaries(plan, _parquet_sources(corpus_dir), cfg)
         timings["bounds"] = round(time.perf_counter() - t, 3)
-        return _build(corpus, index_dir, cfg, timings, boundaries, plan,
-                      write_corpus=False)
+        return _build(_read_corpus(corpus_dir), index_dir, cfg, timings,
+                      boundaries, plan, write_corpus=False)
     errors_dir = os.path.join(index_dir, "errors")
     if plan is None:
         if os.path.isdir(errors_dir):
             _clear_errors_dir(errors_dir)  # resume keeps retry-safe sinks
-        # boundary sample over the INPUT's url column only (pruned read):
-        # reject rows shift quantiles negligibly and never affect doc ids
-        boundaries, n_est = _segment_boundaries(
-            rd.read_parquet(input_path, columns=["url"]), cfg)
+        # boundary sample over the INPUT's url column only: reject rows
+        # shift quantiles negligibly and never affect doc ids
+        boundaries, n_est = _segment_boundaries(_parquet_sources(input_path),
+                                                cfg)
     else:
         # corpus never committed: re-extract, but keep the FROZEN
         # boundaries/offsets so resumed doc ids are bitwise-identical

@@ -75,18 +75,6 @@ def probe_buckets(q_sig: int, n_probes: int, n_planes: int = N_PLANES) -> list[i
     return out
 
 
-def add_bucket_column(ds: rd.Dataset, dim: int,
-                      embedding_col: str = "embedding") -> rd.Dataset:
-    planes_ref = ray.put(_planes(dim))
-
-    def xf(t: pa.Table) -> pa.Table:
-        planes = ray.get(planes_ref)
-        vecs = vec_matrix(t[embedding_col])
-        return t.append_column("lsh_bucket", pa.array(signature(vecs, planes)))
-
-    return ds.map_batches(xf, batch_format="pyarrow")
-
-
 def ann_topk(emb_path: str, query_vec_ids: list[int], k: int = 10,
              n_probes: int = 6, id_col: str = "vec_id",
              embedding_col: str = "embedding") -> pa.Table:
