@@ -66,6 +66,8 @@ from .build import (
     _extract_source,
     _finalize,
     _parquet_sources,
+    _read_block_urls,
+    _read_file_urls,
     _run_exchange,
     _segment_boundaries,
     seg_docs_path,
@@ -145,7 +147,8 @@ def append_index(input_path: str, index_dir: str,
     """Append raw webtext at ``input_path`` to an existing index."""
     cfg = cfg or BuildConfig()
     t0 = time.perf_counter()
-    boundaries, n_est = _segment_boundaries(_parquet_sources(input_path), cfg)
+    boundaries, n_est = _segment_boundaries(_parquet_sources(input_path),
+                                            _read_file_urls, cfg)
     timings = {"bounds": round(time.perf_counter() - t0, 3)}
     src = _extract_source(input_path, os.path.join(index_dir, "errors"),
                           n_est, cfg)
@@ -157,9 +160,10 @@ def append_index_from_corpus(corpus: rd.Dataset, index_dir: str,
     """Append an already-cleaned corpus Dataset (columns url, warc_ts,
     text, lang, doc_len) to an existing index."""
     cfg = cfg or BuildConfig()
-    t0 = time.perf_counter()
     mat = corpus.materialize()  # the sample reads its block metadata
-    boundaries, _n = _segment_boundaries(_block_sources(mat), cfg)
+    t0 = time.perf_counter()
+    boundaries, _n = _segment_boundaries(_block_sources(mat),
+                                         _read_block_urls, cfg)
     timings = {"bounds": round(time.perf_counter() - t0, 3)}
     return _run_append(mat, index_dir, cfg, boundaries, timings)
 

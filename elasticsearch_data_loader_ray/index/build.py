@@ -189,17 +189,10 @@ def _docs_per_segment(cfg: BuildConfig, n_est: int) -> int:
     return int(min(200_000, max(4_000, math.ceil(n_est / (2 * _ncpus())))))
 
 
-def _sample_urls_impl(src, rows: np.ndarray) -> list[str]:
-    """The ``url`` values at ascending row numbers ``rows`` of one source:
-    a parquet file path (only the row groups holding those rows are read)
-    or a Dataset block."""
-    pin_worker_threads()
-    if not isinstance(src, str):
-        from ray.data.block import BlockAccessor
-
-        col = BlockAccessor.for_block(src).to_arrow()["url"]
-        return col.take(pa.array(rows)).to_pylist()
-    pf = pq.ParquetFile(src)
+def _file_urls(path: str, rows: np.ndarray) -> list[str]:
+    """The ``url`` values at ascending row numbers ``rows`` of one parquet
+    file; only the row groups holding those rows are read."""
+    pf = pq.ParquetFile(path)
     rg_rows = np.array([pf.metadata.row_group(i).num_rows
                         for i in range(pf.num_row_groups)], dtype=np.int64)
     rg_start = np.r_[0, np.cumsum(rg_rows)]
@@ -212,13 +205,27 @@ def _sample_urls_impl(src, rows: np.ndarray) -> list[str]:
     return col.take(pa.array(pos)).to_pylist()
 
 
-_sample_urls = ray.remote(_sample_urls_impl)
+@ray.remote
+def _block_urls(block, rows: np.ndarray) -> list[str]:
+    """The ``url`` values at row numbers ``rows`` of one Dataset block,
+    read where the block lives."""
+    from ray.data.block import BlockAccessor
 
-# parquet inputs up to this many rows are sampled on the driver: their url
-# column reads in milliseconds, where the first Ray task of a fresh cluster
-# waits ~0.5 s for a worker to import the package. Larger inputs read one
-# Ray task per file; blocks are always read where they live.
-DRIVER_SAMPLE_ROWS = 1_000_000
+    pin_worker_threads()
+    col = BlockAccessor.for_block(block).to_arrow()["url"]
+    return col.take(pa.array(rows)).to_pylist()
+
+
+def _read_file_urls(picks: list[tuple[str, np.ndarray]]) -> list[list[str]]:
+    """Sampled urls of parquet files, read on the driver: a url column
+    reads in milliseconds, where the first Ray task of a fresh cluster
+    waits ~0.5 s for a worker to import the package."""
+    return [_file_urls(path, rows) for path, rows in picks]
+
+
+def _read_block_urls(picks: list[tuple]) -> list[list[str]]:
+    """Sampled urls of Dataset blocks, one Ray task per block."""
+    return ray.get([_block_urls.remote(ref, rows) for ref, rows in picks])
 
 
 def _parquet_sources(path: str) -> list[tuple[str, int]]:
@@ -237,15 +244,17 @@ def _block_sources(ds: rd.Dataset) -> list[tuple]:
             for ref, meta in bundle.blocks]
 
 
-def _segment_boundaries(sources: list[tuple],
+def _segment_boundaries(sources: list[tuple], read_urls,
                         cfg: BuildConfig) -> tuple[list[str], int]:
     """(S-1 range cut points, row count) from seeded-sample url quantiles.
 
-    ``sources`` are (parquet file path or block ref, row count) pairs
-    (:func:`_parquet_sources`, :func:`_block_sources`). The sample is a
-    seeded choice of row numbers over the whole input, uniform over rows
-    (sampling whole row groups would put every cut of a url-sorted file
-    in one range); only those rows' urls are read. Boundary placement
+    ``sources`` are (source, row count) pairs: parquet files
+    (:func:`_parquet_sources`, read by :func:`_read_file_urls`) or Dataset
+    blocks (:func:`_block_sources`, read by :func:`_read_block_urls`);
+    ``read_urls`` maps (source, row numbers) picks to their urls. The
+    sample is a seeded choice of row numbers over the whole input, uniform
+    over rows (sampling whole row groups would put every cut of a
+    url-sorted file in one range); only those rows' urls are read. Boundary placement
     affects only segment membership, never doc ids (global url rank)."""
     sizes = np.array([n for _s, n in sources], dtype=np.int64)
     n_rows = int(sizes.sum())
@@ -259,11 +268,7 @@ def _segment_boundaries(sources: list[tuple],
     src_of = np.searchsorted(starts, rows, side="right") - 1
     picks = [(sources[i][0], rows[src_of == i] - starts[i])
              for i in np.unique(src_of)]
-    if n_rows <= DRIVER_SAMPLE_ROWS and isinstance(sources[0][0], str):
-        got = [_sample_urls_impl(src, r) for src, r in picks]
-    else:
-        got = ray.get([_sample_urls.remote(src, r) for src, r in picks])
-    urls = sorted(u for part in got for u in part)
+    urls = sorted(u for part in read_urls(picks) for u in part)
     cuts = [urls[k * want // n_segments] for k in range(1, n_segments)]
     return sorted(set(cuts)), n_rows
 
@@ -944,11 +949,11 @@ def _build(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
                            cfg)
 
 
-def _plan_boundaries(plan: dict | None, sources: list[tuple],
+def _plan_boundaries(plan: dict | None, sources: list[tuple], read_urls,
                      cfg: BuildConfig) -> list[str]:
     if plan is not None:
         return list(plan["boundaries"])
-    return _segment_boundaries(sources, cfg)[0]
+    return _segment_boundaries(sources, read_urls, cfg)[0]
 
 
 def build_index_from_corpus(corpus: rd.Dataset, index_dir: str,
@@ -964,11 +969,11 @@ def build_index_from_corpus(corpus: rd.Dataset, index_dir: str,
     plan, corpus_dir = _resume_state(index_dir)
     if corpus_dir is not None:  # a committed corpus replaces the input
         source = _read_corpus(corpus_dir)
-        sources = _parquet_sources(corpus_dir)
+        sampled = _parquet_sources(corpus_dir), _read_file_urls
     else:
         source = corpus.materialize()
-        sources = _block_sources(source)
-    boundaries = _plan_boundaries(plan, sources, cfg)
+        sampled = _block_sources(source), _read_block_urls
+    boundaries = _plan_boundaries(plan, *sampled, cfg)
     timings["bounds"] = round(time.perf_counter() - t, 3)
     return _build(source, index_dir, cfg, timings, boundaries, plan,
                   write_corpus=corpus_dir is None)
@@ -988,7 +993,8 @@ def build_index(input_path: str, index_dir: str,
     t = time.perf_counter()
     plan, corpus_dir = _resume_state(index_dir)
     if corpus_dir is not None:
-        boundaries = _plan_boundaries(plan, _parquet_sources(corpus_dir), cfg)
+        boundaries = _plan_boundaries(plan, _parquet_sources(corpus_dir),
+                                      _read_file_urls, cfg)
         timings["bounds"] = round(time.perf_counter() - t, 3)
         return _build(_read_corpus(corpus_dir), index_dir, cfg, timings,
                       boundaries, plan, write_corpus=False)
@@ -998,8 +1004,8 @@ def build_index(input_path: str, index_dir: str,
             _clear_errors_dir(errors_dir)  # resume keeps retry-safe sinks
         # boundary sample over the INPUT's url column only: reject rows
         # shift quantiles negligibly and never affect doc ids
-        boundaries, n_est = _segment_boundaries(_parquet_sources(input_path),
-                                                cfg)
+        boundaries, n_est = _segment_boundaries(
+            _parquet_sources(input_path), _read_file_urls, cfg)
     else:
         # corpus never committed: re-extract, but keep the FROZEN
         # boundaries/offsets so resumed doc ids are bitwise-identical

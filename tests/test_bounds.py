@@ -58,14 +58,10 @@ def test_same_input_same_boundaries(tmp_path, monkeypatch):
     assert plans[0]["offsets"] == plans[1]["offsets"]
 
 
-@pytest.mark.parametrize("driver_rows", [B.DRIVER_SAMPLE_ROWS, 0],
-                         ids=["driver", "ray-task"])
-def test_balanced_segments_on_url_sorted_row_groups(tmp_path, monkeypatch,
-                                                    driver_rows):
+def test_balanced_segments_on_url_sorted_row_groups(tmp_path):
     """A url-sorted file with many row groups: each segment holds n/S docs
     within 25%. A sample of whole row groups would put every cut inside the
     few url ranges those groups cover."""
-    monkeypatch.setattr(B, "DRIVER_SAMPLE_ROWS", driver_rows)
     n = 3000
     texts = [f"doc {i} alpha beta" for i in range(n)]
     corpus = pa.table({
@@ -82,7 +78,8 @@ def test_balanced_segments_on_url_sorted_row_groups(tmp_path, monkeypatch,
     cfg = BuildConfig(docs_per_segment=500)
     sources = B._parquet_sources(str(src))
     assert sources == [(str(src / "sorted.parquet"), n)]
-    boundaries, n_rows = B._segment_boundaries(sources, cfg)
+    boundaries, n_rows = B._segment_boundaries(sources, B._read_file_urls,
+                                               cfg)
     assert n_rows == n and len(boundaries) == 5
     counts = np.bincount(B._bucket_of(corpus["url"].to_numpy(
         zero_copy_only=False), boundaries), minlength=6)
@@ -94,6 +91,23 @@ def test_balanced_segments_on_url_sorted_row_groups(tmp_path, monkeypatch,
     per_seg = [s["n_docs"] for s in stats["per_segment"].values()]
     assert len(per_seg) == 6 and sum(per_seg) == n
     assert all(abs(c - n / 6) <= 0.25 * n / 6 for c in per_seg), per_seg
+
+
+def test_driver_sample_keeps_arrow_pool_size(tmp_path):
+    """Sampling parquet files on the driver leaves the driver's Arrow
+    thread pool as it was; only worker tasks pin it to their CPU share."""
+    src = str(tmp_path / "src")
+    fixtures.write_webtext(src, 600, seed=5, rows_per_file=200)
+    before = pa.cpu_count()
+    pa.set_cpu_count(3)
+    try:
+        boundaries, _n = B._segment_boundaries(
+            B._parquet_sources(src), B._read_file_urls,
+            BuildConfig(docs_per_segment=100))
+        assert len(boundaries) >= 4
+        assert pa.cpu_count() == 3
+    finally:
+        pa.set_cpu_count(before)
 
 
 def test_corpus_resume_without_plan_matches_fresh(tmp_path, monkeypatch):
