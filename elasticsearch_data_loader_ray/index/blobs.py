@@ -29,6 +29,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 BLOB_NAME = "postings-0.bin"
 ENC_COLUMNS = ("doc_ids_enc", "tfs_enc", "positions_enc")
@@ -65,55 +66,58 @@ def _list_views(col: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     return offs, vals
 
 
-def split_for_write(terms: pa.Table) -> tuple[pa.Table, bytes]:
+def _list_bytes(col: pa.ChunkedArray, dtype) -> pa.Array:
+    """A list column's per-row values as raw little-endian bytes: one
+    ``large_binary`` view whose data buffer is the values (cast to
+    ``dtype``) and whose offsets are the list offsets in bytes."""
+    offs, vals = _list_views(col)
+    vals = np.ascontiguousarray(vals.astype(dtype, copy=False))
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(offs) - 1,
+        [None, pa.py_buffer(offs * vals.itemsize), pa.py_buffer(vals)])
+
+
+def _large(col: pa.ChunkedArray) -> pa.Array:
+    return col.combine_chunks().cast(pa.large_binary())
+
+
+def split_for_write(terms: pa.Table) -> tuple[pa.Table, pa.Buffer]:
     """Logical terms table (with enc + block-list columns) -> (physical
-    fixed-width dict table with byte-range columns, sidecar blob bytes).
+    fixed-width dict table with byte-range columns, sidecar blob).
 
     Per-term row payload, contiguous:
     ``doc | tf | pos? | block_last(8n) | block_max(8n) | bdoc(8n) | btf(8n)``
     so one ranged read serves scoring (prefix) and a second tiny read (or
-    the same coalesced one) serves block-max metadata."""
-    doc_encs = terms["doc_ids_enc"].combine_chunks().to_pylist()
-    tf_encs = terms["tfs_enc"].combine_chunks().to_pylist()
+    the same coalesced one) serves block-max metadata. The blob is one
+    ``binary_join_element_wise`` over ``large_binary`` views of those
+    columns, row-major; a null ``positions_enc`` joins as ``b""`` and
+    records ``pos_nbytes = -1``."""
+    pieces = [_large(terms["doc_ids_enc"]), _large(terms["tfs_enc"])]
+    doc_n, tf_n = (pc.binary_length(p).to_numpy() for p in pieces)
     with_pos = "positions_enc" in terms.column_names
-    pos_encs = (terms["positions_enc"].combine_chunks().to_pylist()
-                if with_pos else None)
-    with_blocks = all(c in terms.column_names for c in BLOCK_COLUMNS)
-    n = terms.num_rows
-    doc_n = np.fromiter((len(b) for b in doc_encs), np.int64, n)
-    tf_n = np.fromiter((len(b) for b in tf_encs), np.int64, n)
     if with_pos:
-        pos_n = np.fromiter(
-            (-1 if b is None else len(b) for b in pos_encs), np.int64, n)
-    else:
-        pos_n = None
-    row_n = doc_n + tf_n + (np.maximum(pos_n, 0) if with_pos else 0)
-    blk_views = []
+        pos = _large(terms["positions_enc"])
+        pos_n = pc.binary_length(pos).fill_null(-1).to_numpy()
+        pieces.append(pos.fill_null(b""))
+    with_blocks = all(c in terms.column_names for c in BLOCK_COLUMNS)
     if with_blocks:
-        for c, dt in zip(BLOCK_COLUMNS, _BLOCK_DTYPES):
-            offs_c, vals_c = _list_views(terms[c])
-            blk_views.append((offs_c, np.ascontiguousarray(
-                vals_c.astype(dt, copy=False))))
-        blk_n = np.diff(blk_views[0][0])
-        row_n = row_n + 32 * blk_n
-    offs = np.zeros(n, dtype=np.int64)
-    if n:
-        np.cumsum(row_n[:-1], out=offs[1:])
-    parts: list[bytes] = []
-    for i in range(n):
-        parts.append(doc_encs[i])
-        parts.append(tf_encs[i])
-        if with_pos and pos_encs[i] is not None:
-            parts.append(pos_encs[i])
-        if with_blocks:
-            for offs_c, vals_c in blk_views:
-                parts.append(vals_c[offs_c[i]:offs_c[i + 1]].tobytes())
-    blob = b"".join(parts)
+        blk = [_list_bytes(terms[c], dt)
+               for c, dt in zip(BLOCK_COLUMNS, _BLOCK_DTYPES)]
+        blk_n = pc.binary_length(blk[0]).to_numpy() // 8
+        pieces += blk
+    joined = pc.binary_join_element_wise(
+        *pieces, pa.scalar(b"", pa.large_binary()))
+    _valid, offs_buf, data = joined.buffers()
+    row_offs = np.frombuffer(offs_buf, np.int64)[
+        joined.offset:joined.offset + len(joined) + 1]
+    blob = (data.slice(int(row_offs[0]), int(row_offs[-1] - row_offs[0]))
+            if data is not None else pa.py_buffer(b""))
     drop = [c for c in ENC_COLUMNS if c in terms.column_names]
     if with_blocks:
         drop += list(BLOCK_COLUMNS)
     phys = terms.drop_columns(drop)
-    phys = phys.append_column("blob_off", pa.array(offs, pa.int64()))
+    phys = phys.append_column(
+        "blob_off", pa.array(row_offs[:-1] - row_offs[0], pa.int64()))
     phys = phys.append_column("doc_nbytes", pa.array(doc_n, pa.int64()))
     phys = phys.append_column("tf_nbytes", pa.array(tf_n, pa.int64()))
     if with_pos:

@@ -9,8 +9,9 @@ index construction ES performs from ``config/search_scheme.json``. Shape:
             the sampled rows' urls read, no Ray Data job (placement only
             affects segment membership, never doc ids).
   exchange: ONE streaming pass over the extracted source (``_run_exchange``,
-            also the append path): each block writes a corpus parquet part
-            and partitions into per-bucket-group slices; a count wave over
+            also the append path), blocks sized to the CPUs: one task per
+            block writes its corpus parquet part and partitions it into
+            per-bucket-group slices; a count wave over
             (url, warc_ts, doc_len) minis gives exact post-dedup per-segment
             doc counts -> prefix-sum doc-id offsets + global avgdl ->
             plan.json; a build wave runs one vectorized segment build per
@@ -72,7 +73,6 @@ class BuildConfig:
     # still fits a worker's heap at web scale.
     docs_per_segment: int | None = None
     extract_batch_size: int = 1024
-    extract_concurrency: tuple[int, int] | int | None = None  # None -> (1, ncpus)
     boundary_sample_per_segment: int = 200
     seed: int = 42
     # parquet row-group size for term tables: term lookups read whole row
@@ -160,17 +160,23 @@ def _clear_errors_dir(errors_dir: str) -> None:
                         "previous attempt's side-writes", errors_dir)
 
 
+def _source_blocks(n_rows: int) -> int:
+    """Blocks an exchange source is read in: 2 per CPU, and more when rows
+    demand it (~125k docs / ~300MB of text per block) so one block + its
+    partition copy stays a small fraction of a worker heap. Every block
+    costs one partition task (with its corpus part) and one slice per
+    bucket group, so there is no floor beyond the CPUs."""
+    return max(2 * _ncpus(), math.ceil(n_rows / 125_000))
+
+
 def _extract_source(input_path: str, errors_dir: str, n_est: int,
                     cfg: BuildConfig) -> rd.Dataset:
     """Streaming read -> extract of raw webtext (rejects side-write into
-    ``errors_dir``). Stateless tasks, not an actor pool: a pool sized to the
-    node starves the read operator of CPU slots. Block count scales with
-    rows (~125k docs / ~300MB of text per block) so one block + its
-    partition copy stays a small fraction of a worker heap, and never below
-    2 blocks per CPU."""
-    n_blocks = max(2 * _ncpus(), 16, math.ceil(n_est / 125_000))
+    ``errors_dir``), read in :func:`_source_blocks` blocks. Stateless
+    tasks, not an actor pool: a pool sized to the node starves the read
+    operator of CPU slots."""
     return rd.read_parquet(
-        input_path, override_num_blocks=n_blocks
+        input_path, override_num_blocks=_source_blocks(n_est)
     ).map_batches(
         extract_batch,
         fn_kwargs={"errors_dir": errors_dir,
@@ -378,8 +384,8 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
     import pyarrow.compute as pc
 
     def encode_field(field: str, doc_idx: np.ndarray, tokens: pa.Array,
-                     dls_per_doc: np.ndarray, avgdl: float | None,
-                     with_positions: bool = False) -> pa.Table:
+                     dls_per_doc: np.ndarray, avgdl: float | None
+                     ) -> pa.Table:
         """Posting table for one field. Integer term ids end to end:
         dictionary-encode the flat token column (one C++ hash pass), rank
         the (small) vocab lexicographically, then a single np.unique over
@@ -411,8 +417,8 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
             "field": pa.array([field] * nt, pa.string()),
             "term": pc.cast(term_strings, pa.string()),
             "df": pa.array(table["df"], pa.int64()),
-            "doc_ids_enc": pa.array(table["doc_ids_enc"], pa.binary()),
-            "tfs_enc": pa.array(table["tfs_enc"], pa.binary()),
+            "doc_ids_enc": table["doc_ids_enc"].arrow,
+            "tfs_enc": table["tfs_enc"].arrow,
             "block_last_doc": pa.ListArray.from_arrays(
                 offs, pa.array(table["block_last_flat"], pa.int64())),
             "block_max_impact": pa.ListArray.from_arrays(
@@ -423,9 +429,9 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
                 offs, pa.array(table["block_tf_off_flat"], pa.int64())),
             "max_impact": pa.array(table["max_impact"], pa.float64()),
         }
-        if with_positions and len(rank_s) == 0:
-            cols["positions_enc"] = pa.array([], pa.binary())
-        elif with_positions:
+        if cfg.index_positions and len(rank_s) == 0:
+            cols["positions_enc"] = pa.array([], pa.large_binary())
+        elif cfg.index_positions:
             # token stream is (doc asc, position asc); a stable sort by term
             # rank groups it into (term, doc) runs with positions ascending —
             # the same (term, doc) order np.unique produced above.
@@ -436,7 +442,7 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
             gaps = codec.delta_encode_runs(
                 pos_sorted.astype(np.uint64), posting_starts)
             pos_bytes, pos_lens = codec.varint_encode(gaps)
-            # per-term byte slices: term boundary = last posting's last byte
+            # per-term byte runs: term boundary = last posting's last byte
             run_change = np.empty(len(rank_s), dtype=bool)
             run_change[0] = True
             run_change[1:] = rank_s[1:] != rank_s[:-1]
@@ -444,20 +450,12 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
             term_ends = np.r_[term_starts[1:], len(rank_s)]
             byte_ends = np.cumsum(pos_lens)
             post_ends = np.cumsum(tfs_s)
-            term_byte_end = byte_ends[post_ends[term_ends - 1] - 1]
-            term_byte_start = np.r_[0, term_byte_end[:-1]]
-            buf = pos_bytes.tobytes()
-            cols["positions_enc"] = pa.array(
-                [buf[int(s):int(e)]
-                 for s, e in zip(term_byte_start, term_byte_end)],
-                pa.binary())
-        elif cfg.index_positions:
-            cols["positions_enc"] = pa.array([None] * nt, pa.binary())
+            cols["positions_enc"] = codec.byte_runs(
+                pos_bytes, byte_ends[post_ends[term_ends - 1] - 1])
         return pa.table(cols)
 
     doc_idx, tokens, _dl = standard_tokenize_batch(deduped["text"])
-    field_tables = [encode_field("text", doc_idx, tokens, doc_len, avgdl,
-                                 with_positions=cfg.index_positions)]
+    field_tables = [encode_field("text", doc_idx, tokens, doc_len, avgdl)]
     docs_cols = {
         "doc_id": pa.array(doc_ids, pa.int64()),
         "url": deduped["url"],
@@ -476,8 +474,7 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
         # index_positions applies to EVERY text field (ES records positions
         # on all text fields by default, search_scheme.json:140-198), so
         # phrase queries work on multi-fields too.
-        field_tables.append(encode_field(fname, f_idx, f_toks, f_dl64, None,
-                                         with_positions=cfg.index_positions))
+        field_tables.append(encode_field(fname, f_idx, f_toks, f_dl64, None))
         docs_cols[f"doc_len_{fname}"] = pa.array(f_dl, pa.int32())
         field_dl_sums[fname] = int(f_dl64.sum())
 
@@ -521,16 +518,18 @@ def _build_segment(group: pa.Table, index_dir: str, seg_id: int,
 # Builds and appends both run this one plan over a streaming source (the
 # extract output, a clean corpus Dataset, or the committed corpus):
 #
-#   1. ONE streaming pass: each source block concurrently (a) writes a
-#      corpus parquet part (resumability; aggs/export read stored fields
-#      from it) and (b) partitions into per-bucket-GROUP slices returned as
+#   1. ONE streaming pass, ONE task per source block (blocks sized to the
+#      CPUs, ``_source_blocks``): the task (a) writes the block's corpus
+#      parquet part (resumability; aggs/export read stored fields from it)
+#      and (b) partitions it into per-bucket-GROUP slices returned as
 #      separate driver-owned objects (ceil(n/g) zstd-packed data slices,
 #      g = _build_group(n, cpus) <= BUILD_GROUP, + ceil(n/STATS_GROUP)
 #      (url, warc_ts, doc_len) count minis, each with an int32 bucket
 #      column for local re-split) — ref fan-out per block is O(buckets/g),
-#      and a ray.wait throttle on unfinished write/partition tasks
-#      backpressures the streaming source so the exchange holds ~1x corpus
-#      (the slices) + a bounded block window;
+#      and a ray.wait throttle on unfinished partition tasks backpressures
+#      the streaming source so the exchange holds ~1x corpus (the slices)
+#      + a bounded block window; corpus ``_SUCCESS`` waits on every
+#      partition task;
 #   2. fixed-range count wave over the minis (~5% of corpus bytes): exact
 #      post-dedup counts -> prefix-sum doc-id offsets -> the plan file;
 #   3. fixed-range build wave, at least min(n, cpus) tasks wide: each task
@@ -565,16 +564,12 @@ def _resume_state(index_dir: str) -> tuple[dict | None, str | None]:
     return plan, None
 
 
-def _read_corpus(corpus_dir: str) -> rd.Dataset:
-    return rd.read_parquet(corpus_dir,
-                           override_num_blocks=max(2 * _ncpus(), 16))
-
-
-@ray.remote
-def _write_corpus_block(tbl: pa.Table, corpus_dir: str, name: str) -> int:
-    pin_worker_threads()
-    pq.write_table(tbl, os.path.join(corpus_dir, name))
-    return tbl.num_rows
+def _read_corpus(corpus_dir: str, sources: list[tuple[str, int]]
+                 ) -> rd.Dataset:
+    """The committed corpus (``sources`` from :func:`_parquet_sources`) as
+    an exchange source."""
+    return rd.read_parquet(corpus_dir, override_num_blocks=_source_blocks(
+        sum(n for _f, n in sources)))
 
 
 _MINI_COLS = ["url", "warc_ts", "doc_len"]
@@ -587,12 +582,12 @@ _MINI_COLS = ["url", "warc_ts", "doc_len"]
 STATS_GROUP = 16
 BUILD_GROUP = 4
 
-# max unfinished corpus-write + partition tasks before the bundle loop
-# blocks on ray.wait: bounds how many source blocks sit in the object
-# store awaiting their two consumers (backpressure propagates up through
+# max unfinished partition tasks (one per source block) before the bundle
+# loop blocks on ray.wait: bounds how many source blocks sit in the object
+# store awaiting their partition task (backpressure propagates up through
 # the streaming source), so exchange residency stays ~1x corpus (the
 # bucket slices) + this window instead of 2x.
-EXCHANGE_INFLIGHT = max(4 * os.cpu_count() if os.cpu_count() else 32, 32)
+EXCHANGE_INFLIGHT = max(2 * os.cpu_count() if os.cpu_count() else 16, 16)
 
 # data-slice compression: packing each (block, bucket-group) slice into one
 # zstd Arrow-IPC payload halves the exchange's object-store residency —
@@ -630,17 +625,23 @@ def _pack_cell(sub: pa.Table) -> bytes:
 
 @ray.remote
 def _partition_block(tbl: pa.Table, boundaries: list[str], n_buckets: int,
-                     build_group: int, cols: list[str], skip: frozenset[int]):
-    """One source block -> per-bucket-GROUP driver-owned objects:
+                     build_group: int, cols: list[str], skip: frozenset[int],
+                     corpus_path: str | None):
+    """One source block -> its corpus part at ``corpus_path`` (None: no
+    corpus write) and per-bucket-GROUP driver-owned objects:
     ``ceil(n/build_group)`` packed data slices (columns ``cols`` + an int32
-    ``bucket`` column, rows bucket-sorted) then ``ceil(n/STATS_GROUP)``
-    count minis (``_MINI_COLS`` + ``bucket``). Grouped returns bound the
-    driver's ref fan-out at O(blocks x buckets / build_group) — the
+    ``bucket`` column, rows bucket-sorted), then ``ceil(n/STATS_GROUP)``
+    count minis (``_MINI_COLS`` + ``bucket``), then the block's row count:
+    a small object that is ready once the task, corpus write included, has
+    finished. Grouped returns bound the driver's ref fan-out at
+    O(blocks x buckets / build_group) — the
     per-(block, bucket) shape was the first thing to break at 8M+ docs
     (object metadata + residency). Buckets in ``skip`` (resume: already
     committed) ship no rows. Minis stay unpacked: they are ~6% of corpus
     and packing them just adds a decode to the low-parallelism count wave."""
     pin_worker_threads()
+    if corpus_path is not None:
+        pq.write_table(tbl, corpus_path)
     t = tbl.select(cols).combine_chunks()
     urls = np.asarray(t["url"].to_numpy(zero_copy_only=False), dtype=object)
     b = _bucket_of(urls, boundaries)
@@ -662,7 +663,7 @@ def _partition_block(tbl: pa.Table, boundaries: list[str], n_buckets: int,
     minis = [ts.select(mini_cols).slice(int(s_pos[i]),
                                         int(s_pos[i + 1] - s_pos[i]))
              for i in range(len(s_cuts) - 1)]
-    return tuple(datas) + tuple(minis)
+    return (*datas, *minis, tbl.num_rows)
 
 
 @ray.remote
@@ -735,8 +736,9 @@ def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
     """Run the exchange over ``source`` and build its segments; returns the
     plan. See the section comment above.
 
-    ``corpus_dir``: each source block is also written there as a corpus
-    part, then ``_SUCCESS``; None when ``source`` is the committed corpus.
+    ``corpus_dir``: each source block's partition task also writes it
+    there as a corpus part; ``_SUCCESS`` follows once every partition task
+    has finished. None when ``source`` is the committed corpus.
     ``plan_path``: where the counted plan commits before any segment builds.
     ``seg_base`` / ``doc_base`` / ``dl_base``: bucket ``b`` becomes segment
     ``seg_base + b``, doc ids continue at ``doc_base`` and the encoded
@@ -756,12 +758,12 @@ def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
     d_cuts = _group_cuts(n_buckets, build_group)
     s_cuts = _group_cuts(n_buckets, STATS_GROUP)
     n_dg, n_sg = len(d_cuts) - 1, len(s_cuts) - 1
-    part_task = _partition_block.options(num_returns=n_dg + n_sg)
+    part_task = _partition_block.options(num_returns=n_dg + n_sg + 1)
     t0 = time.perf_counter()
-    write_refs: list = []
     data_refs: list[list] = []   # [block][data_group]
     mini_refs: list[list] = []   # [block][stats_group]
-    pending: list = []           # in-flight write+partition, for throttling
+    done_refs: list = []         # [block] row count: its task finished
+    pending: list = []           # in-flight partition tasks, for throttling
     i = 0
     for bundle in source.iter_internal_ref_bundles():
         for block_ref, bmeta in bundle.blocks:
@@ -772,19 +774,17 @@ def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
             # yields fully-filtered upstream blocks.
             if bmeta.num_rows == 0:
                 continue
-            if corpus_dir is not None:
-                w = _write_corpus_block.remote(
-                    block_ref, corpus_dir, f"part-{i:06d}.parquet")
-                write_refs.append(w)
-                pending.append(w)
+            part = (None if corpus_dir is None else
+                    os.path.join(corpus_dir, f"part-{i:06d}.parquet"))
             rets = part_task.remote(block_ref, boundaries, n_buckets,
-                                    build_group, cols, skip)
+                                    build_group, cols, skip, part)
             data_refs.append(list(rets[:n_dg]))
-            mini_refs.append(list(rets[n_dg:]))
-            pending.append(rets[0])
+            mini_refs.append(list(rets[n_dg:-1]))
+            done_refs.append(rets[-1])
+            pending.append(rets[-1])
             i += 1
-            # bound source-block residency: blocks stay pinned only by
-            # their two consumers' args; throttling the consumer backlog
+            # bound source-block residency: a block stays pinned only by
+            # its partition task's args; throttling that backlog
             # backpressures the streaming source
             if len(pending) > EXCHANGE_INFLIGHT:
                 done, pending = ray.wait(
@@ -803,7 +803,7 @@ def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
         new_dl = sum(s[1] for s in stats_per_bucket)
         n_dups = sum(s[2] for s in stats_per_bucket)
         if cfg.strict_duplicates and n_dups:
-            ray.get(write_refs)  # settle corpus writes: callers may discard
+            ray.get(done_refs)  # settle corpus writes: callers may discard
             raise DuplicateUrlError(
                 n_dups, [u for s in stats_per_bucket for u in s[3]][:5])
         n_docs = doc_base + int(per_bucket.sum())
@@ -842,7 +842,9 @@ def _run_exchange(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
     ray.get(build_refs)
     timings["segments"] = round(time.perf_counter() - t0, 3)
 
-    ray.get(write_refs)
+    # a resume may leave a block's slices with no consumer: wait on every
+    # partition task (and its corpus part) before the corpus commits
+    ray.get(done_refs)
     if corpus_dir is not None:
         with open(os.path.join(corpus_dir, "_SUCCESS"), "w") as f:
             f.write("")
@@ -965,15 +967,16 @@ def build_index_from_corpus(corpus: rd.Dataset, index_dir: str,
     cfg = cfg or BuildConfig()
     os.makedirs(index_dir, exist_ok=True)
     timings: dict[str, float] = {}
-    t = time.perf_counter()
     plan, corpus_dir = _resume_state(index_dir)
     if corpus_dir is not None:  # a committed corpus replaces the input
-        source = _read_corpus(corpus_dir)
-        sampled = _parquet_sources(corpus_dir), _read_file_urls
+        t = time.perf_counter()
+        sources = _parquet_sources(corpus_dir)
+        source, read_urls = _read_corpus(corpus_dir, sources), _read_file_urls
     else:
-        source = corpus.materialize()
-        sampled = _block_sources(source), _read_block_urls
-    boundaries = _plan_boundaries(plan, *sampled, cfg)
+        source = corpus.materialize()  # the caller's pipeline runs here
+        t = time.perf_counter()
+        sources, read_urls = _block_sources(source), _read_block_urls
+    boundaries = _plan_boundaries(plan, sources, read_urls, cfg)
     timings["bounds"] = round(time.perf_counter() - t, 3)
     return _build(source, index_dir, cfg, timings, boundaries, plan,
                   write_corpus=corpus_dir is None)
@@ -993,11 +996,11 @@ def build_index(input_path: str, index_dir: str,
     t = time.perf_counter()
     plan, corpus_dir = _resume_state(index_dir)
     if corpus_dir is not None:
-        boundaries = _plan_boundaries(plan, _parquet_sources(corpus_dir),
-                                      _read_file_urls, cfg)
+        sources = _parquet_sources(corpus_dir)
+        boundaries = _plan_boundaries(plan, sources, _read_file_urls, cfg)
         timings["bounds"] = round(time.perf_counter() - t, 3)
-        return _build(_read_corpus(corpus_dir), index_dir, cfg, timings,
-                      boundaries, plan, write_corpus=False)
+        return _build(_read_corpus(corpus_dir, sources), index_dir, cfg,
+                      timings, boundaries, plan, write_corpus=False)
     errors_dir = os.path.join(index_dir, "errors")
     if plan is None:
         if os.path.isdir(errors_dir):

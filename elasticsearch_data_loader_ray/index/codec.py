@@ -15,7 +15,10 @@ with offset arithmetic so one call encodes an entire segment's postings.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
+import pyarrow as pa
 
 BLOCK_SIZE = 128
 BM25_K1 = 1.2
@@ -174,6 +177,33 @@ def bm25_idf(df: np.ndarray | int, n_docs: int) -> np.ndarray | float:
 
 # --- segment posting-table builder ---------------------------------------
 
+def byte_runs(stream: np.ndarray, ends: np.ndarray) -> pa.Array:
+    """Consecutive byte runs of one contiguous uint8 ``stream`` (run ``i``
+    ends at ``ends[i]``, the first starts at 0) as one ``large_binary``
+    array: the stream is its data buffer and the ends its offsets, so no
+    per-run ``bytes`` object is made."""
+    offsets = np.zeros(len(ends) + 1, dtype=np.int64)
+    offsets[1:] = ends
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(ends),
+        [None, pa.py_buffer(offsets), pa.py_buffer(stream)])
+
+
+class ByteRuns(Sequence):
+    """One term's encoded bytes per item. ``arrow`` is the
+    :func:`byte_runs` array the segment build consumes; indexing yields a
+    term's ``bytes`` (tests and probes)."""
+
+    def __init__(self, stream: np.ndarray, ends: np.ndarray):
+        self.arrow = byte_runs(stream, ends)
+
+    def __len__(self) -> int:
+        return len(self.arrow)
+
+    def __getitem__(self, i: int) -> bytes:
+        return self.arrow[i].as_py()
+
+
 def build_posting_table(
     terms_sorted: np.ndarray,
     doc_ids_sorted: np.ndarray,
@@ -188,7 +218,7 @@ def build_posting_table(
     ``tfs_sorted`` (int), ``dls_sorted`` (doc length of each posting's doc).
 
     Returns columns for the segment's term table:
-      term, df, doc_ids_enc (bytes), tfs_enc (bytes),
+      term, df, doc_ids_enc / tfs_enc (:class:`ByteRuns`, one term each),
       block_last_doc (list<int64>), block_max_impact (list<float64>),
       max_impact (float64 per term).
     """
@@ -196,7 +226,8 @@ def build_posting_table(
     if n == 0:
         return {
             "term": np.empty(0, object), "df": np.empty(0, np.int64),
-            "doc_ids_enc": [], "tfs_enc": [],
+            "doc_ids_enc": ByteRuns(np.zeros(0, np.uint8), []),
+            "tfs_enc": ByteRuns(np.zeros(0, np.uint8), []),
             "block_last_flat": np.empty(0, np.int64),
             "block_max_flat": np.empty(0, np.float64),
             "block_doc_off_flat": np.empty(0, np.int64),
@@ -213,18 +244,12 @@ def build_posting_table(
     dfs = run_ends - run_starts
     uniq_terms = terms_sorted[run_starts]
 
-    # delta + varint over the whole concatenated stream; per-term byte slices
+    # delta + varint over the whole concatenated stream; per-term byte runs
     gaps = delta_encode_runs(doc_ids_sorted.astype(np.uint64, copy=False), run_starts)
     id_bytes, id_lens = varint_encode(gaps)
     tf_bytes, tf_lens = varint_encode(tfs_sorted.astype(np.uint64, copy=False))
     id_byte_ends = np.cumsum(id_lens)
     tf_byte_ends = np.cumsum(tf_lens)
-
-    def slices(stream: np.ndarray, byte_ends: np.ndarray) -> list[bytes]:
-        term_end = byte_ends[run_ends - 1]
-        term_start = np.r_[0, term_end[:-1]]
-        buf = stream.tobytes()
-        return [buf[int(s):int(e)] for s, e in zip(term_start, term_end)]
 
     # block-max metadata per term, BLOCK_SIZE postings per block; the flat
     # block index is non-decreasing over the (term, doc)-sorted stream, so
@@ -259,8 +284,8 @@ def build_posting_table(
     return {
         "term": uniq_terms,
         "df": dfs.astype(np.int64),
-        "doc_ids_enc": slices(id_bytes, id_byte_ends),
-        "tfs_enc": slices(tf_bytes, tf_byte_ends),
+        "doc_ids_enc": ByteRuns(id_bytes, id_byte_ends[run_ends - 1]),
+        "tfs_enc": ByteRuns(tf_bytes, tf_byte_ends[run_ends - 1]),
         "block_last_flat": blk_last,
         "block_max_flat": blk_max,
         "block_doc_off_flat": blk_doc_off,

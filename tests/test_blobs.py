@@ -9,6 +9,7 @@ oracle tests."""
 from __future__ import annotations
 
 import os
+import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -46,40 +47,93 @@ def _build(tmp_path, name: str, corpus: pa.Table) -> str:
     return out
 
 
-def test_split_materialize_roundtrip():
-    rng = np.random.default_rng(7)
-    n = 50
+def _reference_blob(terms: pa.Table) -> tuple[bytes, list[int]]:
+    """The sidecar layout written one term at a time: ``doc | tf | pos? |
+    block_last | block_max | bdoc | btf`` per row, a null position stream
+    contributing no bytes. Returns (blob, row start offsets)."""
+    rows = terms.to_pylist()
+    parts, offs, at = [], [], 0
+    for r in rows:
+        row = r["doc_ids_enc"] + r["tfs_enc"] + (r.get("positions_enc") or b"")
+        for c, dt in zip(blobs.BLOCK_COLUMNS, blobs._BLOCK_DTYPES):
+            if c in r:
+                row += np.asarray(r[c], dtype=dt).tobytes()
+        offs.append(at)
+        at += len(row)
+        parts.append(row)
+    return b"".join(parts), offs
+
+
+def _logical_terms(rng, n: int, with_pos: bool = True,
+                   with_blocks: bool = True) -> pa.Table:
     doc = [rng.bytes(int(rng.integers(1, 400))) for _ in range(n)]
     tf = [rng.bytes(int(rng.integers(1, 200))) for _ in range(n)]
-    pos = [None if i % 5 == 0 else rng.bytes(int(rng.integers(0, 300)))
-           for i in range(n)]
-    t = pa.table({
+    cols = {
         "field": pa.array(["text"] * n),
         "term": pa.array([f"t{i:04d}" for i in range(n)]),
         "df": pa.array([1] * n, pa.int64()),
         "doc_ids_enc": pa.array(doc, pa.binary()),
         "tfs_enc": pa.array(tf, pa.binary()),
-        "positions_enc": pa.array(pos, pa.binary()),
-        "segment_id": pa.array([3] * n, pa.int32()),
-    })
-    phys, blob = blobs.split_for_write(t)
-    assert not any(c in phys.column_names for c in blobs.ENC_COLUMNS)
-    assert all(c in phys.column_names for c in blobs.RANGE_COLUMNS)
+    }
+    if with_pos:
+        cols["positions_enc"] = pa.array(
+            [None if i % 5 == 0 else rng.bytes(int(rng.integers(0, 300)))
+             for i in range(n)], pa.binary())
+    if with_blocks:
+        nb = rng.integers(1, 4, n)
+        for c, typ in zip(blobs.BLOCK_COLUMNS, (pa.int64(), pa.float64(),
+                                                 pa.int64(), pa.int64())):
+            cols[c] = pa.array(
+                [(rng.random(k) * 1e6).astype(
+                    np.float64 if typ == pa.float64() else np.int64).tolist()
+                 for k in nb], pa.list_(typ))
+    cols["segment_id"] = pa.array([3] * n, pa.int32())
+    return pa.table(cols)
 
-    # stage the blob where materialize_enc will look for it
-    import tempfile
-    with tempfile.TemporaryDirectory() as d:
-        terms_path = os.path.join(d, "part-0.parquet")
-        with open(blobs.blob_path(terms_path), "wb") as f:
-            f.write(blob)
-        # subset in scrambled order exercises the unsorted-ranges path
-        idx = [41, 3, 17, 0, 49, 25, 5]
-        sub = phys.take(pa.array(idx))
-        out = blobs.materialize_enc(sub, lambda _s: terms_path,
-                                    want_positions=True)
-        assert out["doc_ids_enc"].to_pylist() == [doc[i] for i in idx]
-        assert out["tfs_enc"].to_pylist() == [tf[i] for i in idx]
-        assert out["positions_enc"].to_pylist() == [pos[i] for i in idx]
+
+def test_split_materialize_roundtrip():
+    """split_for_write gives the reference loop's blob and ranges, and
+    materialize_enc reads every column back: with and without positions
+    (null streams included) and block lists, and for an empty table."""
+    rng = np.random.default_rng(7)
+    for n, with_pos, with_blocks in ((50, True, True), (50, True, False),
+                                     (50, False, True), (0, True, True)):
+        t = _logical_terms(rng, n, with_pos, with_blocks)
+        # several chunks, one of them an offset slice: split reads views
+        t = pa.concat_tables([t.slice(0, n // 3), t.slice(n // 3)])
+        phys, blob = blobs.split_for_write(t)
+        assert not any(c in phys.column_names for c in blobs.ENC_COLUMNS)
+        assert not any(c in phys.column_names for c in blobs.BLOCK_COLUMNS)
+        assert all(c in phys.column_names for c in blobs.RANGE_COLUMNS[:3])
+        ref_blob, ref_offs = _reference_blob(t)
+        assert bytes(blob) == ref_blob
+        assert phys["blob_off"].to_pylist() == ref_offs
+        rows = t.to_pylist()
+        assert phys["doc_nbytes"].to_pylist() == [len(r["doc_ids_enc"])
+                                                  for r in rows]
+        if with_pos:
+            assert phys["pos_nbytes"].to_pylist() == [
+                -1 if r["positions_enc"] is None else len(r["positions_enc"])
+                for r in rows]
+        if with_blocks:
+            assert phys["blk_n"].to_pylist() == [len(r["block_last_doc"])
+                                                 for r in rows]
+
+        # stage the blob where materialize_enc will look for it
+        with tempfile.TemporaryDirectory() as d:
+            terms_path = os.path.join(d, "part-0.parquet")
+            with open(blobs.blob_path(terms_path), "wb") as f:
+                f.write(blob)
+            # subset in scrambled order exercises the unsorted-ranges path
+            idx = [i for i in (41, 3, 17, 0, 49, 25, 5) if i < n]
+            out = blobs.materialize_enc(phys.take(pa.array(idx, pa.int64())),
+                                        lambda _s: terms_path,
+                                        want_positions=True,
+                                        want_blocks=True)
+            want = t.take(pa.array(idx, pa.int64()))
+            for c in [*blobs.ENC_COLUMNS, *blobs.BLOCK_COLUMNS]:
+                if c in t.column_names:
+                    assert out[c].to_pylist() == want[c].to_pylist(), c
 
 
 def test_read_ranges_coalescing(tmp_path):

@@ -39,8 +39,7 @@ def index_dir(tmp_path_factory, webtext):
     src = tmp_path_factory.mktemp("webtext_bm")
     pq.write_table(webtext, str(src / "part-0.parquet"))
     out = str(tmp_path_factory.mktemp("index_bm"))
-    build_index(str(src), out, BuildConfig(docs_per_segment=800,
-                                           extract_concurrency=2))
+    build_index(str(src), out, BuildConfig(docs_per_segment=800))
     return out
 
 
@@ -54,7 +53,7 @@ def tombstoned_dir(tmp_path_factory):
     src = tmp_path_factory.mktemp("webtext_ts")
     pq.write_table(t.slice(0, 2000), str(src / "part-0.parquet"))
     out = str(tmp_path_factory.mktemp("index_ts"))
-    cfg = BuildConfig(docs_per_segment=400, extract_concurrency=2)
+    cfg = BuildConfig(docs_per_segment=400)
     build_index(str(src), out, cfg)
     assert delete_by_query(out, "w0042") > 0
     for i, (upsert, new) in enumerate([((100, 200), (2000, 600)),

@@ -94,7 +94,7 @@ def test_build_with_oversize_guard_e2e(tmp_path):
                  if h is not None and len(h) > limit)
     assert n_over > 0  # fixture long docs exceed the limit
     stats = build_index(str(src), idx, BuildConfig(
-        docs_per_segment=100, extract_concurrency=2, max_doc_bytes=limit))
+        docs_per_segment=100, max_doc_bytes=limit))
     assert stats["rejects"][ex.REJECT_OVERSIZE] == n_over
     # corpus keeps duplicate rows (dedup happens in phase C), so every input
     # row is either in the corpus or in exactly one reject sink
@@ -108,7 +108,7 @@ def test_corpus_restart_resets_reject_counts(tmp_path):
     t = fixtures.generate_webtext(250)
     pq.write_table(t, str(src / "part-0.parquet"))
     idx = str(tmp_path / "idx")
-    cfg = BuildConfig(docs_per_segment=100, extract_concurrency=2)
+    cfg = BuildConfig(docs_per_segment=100)
     s1 = build_index(str(src), idx, cfg)
     # simulate a crash mid-corpus-phase: _SUCCESS missing, stale side-writes
     os.remove(os.path.join(idx, "corpus", "_SUCCESS"))

@@ -30,7 +30,7 @@ def webtext(tmp_path_factory):
 def index_dir(webtext, tmp_path_factory):
     _, src = webtext
     out = str(tmp_path_factory.mktemp("index"))
-    cfg = BuildConfig(docs_per_segment=150, extract_concurrency=2)
+    cfg = BuildConfig(docs_per_segment=150)
     stats = build_index(src, out, cfg)
     return out, stats
 
@@ -139,8 +139,7 @@ def test_first_search_writes_whole_doclen_sidecar(webtext, tmp_path_factory):
 
     _, src = webtext
     out = str(tmp_path_factory.mktemp("idx_doclen"))
-    stats = build_index(src, out, BuildConfig(docs_per_segment=150,
-                                              extract_concurrency=2))
+    stats = build_index(src, out, BuildConfig(docs_per_segment=150))
     n = stats["n_docs"]
     path = os.path.join(out, "doclen", f"text.{n}.f64")
     assert not os.path.exists(path)
@@ -190,7 +189,7 @@ def test_absent_term_returns_empty(index_dir):
 def test_resume_skips_committed_segments(webtext, tmp_path_factory):
     _, src = webtext
     out = str(tmp_path_factory.mktemp("index_resume"))
-    cfg = BuildConfig(docs_per_segment=200, extract_concurrency=2)
+    cfg = BuildConfig(docs_per_segment=200)
     stats1 = build_index(src, out, cfg)
     segs = sorted(mf.committed_segments(out))
     # drop one manifest + its segment dir -> only that segment rebuilds
@@ -442,7 +441,7 @@ def test_fused_resume_bitwise_after_build_crash(webtext, tmp_path_factory):
     missing): the fused resume must rebuild only that bucket and produce a
     byte-identical index (VERDICT r3 #8)."""
     _, src = webtext
-    cfg = BuildConfig(docs_per_segment=200, extract_concurrency=2)
+    cfg = BuildConfig(docs_per_segment=200)
     clean = str(tmp_path_factory.mktemp("idx_clean"))
     build_index(src, clean, cfg)
     want = _file_md5s(clean)
@@ -473,7 +472,7 @@ def test_fused_resume_bitwise_after_corpus_crash(webtext, tmp_path_factory):
     absent, some segments built): resume re-extracts with the FROZEN plan
     and still produces a byte-identical index."""
     _, src = webtext
-    cfg = BuildConfig(docs_per_segment=200, extract_concurrency=2)
+    cfg = BuildConfig(docs_per_segment=200)
     clean = str(tmp_path_factory.mktemp("idx_clean2"))
     build_index(src, clean, cfg)
     want = _file_md5s(clean)
@@ -516,7 +515,7 @@ def test_request_cache_hits_and_epoch_invalidation(webtext, tmp_path_factory):
 
     _, src = webtext
     out = str(tmp_path_factory.mktemp("idx_reqcache"))
-    cfg = BuildConfig(docs_per_segment=200, extract_concurrency=2)
+    cfg = BuildConfig(docs_per_segment=200)
     build_index(src, out, cfg)
     s = LocalSearcher(out)
     i1, s1 = s.search("the data", k=10)

@@ -57,8 +57,7 @@ def test_engine_matches_oracle_on_adversarial_duplicates(tmp_path):
     src.mkdir()
     pq.write_table(t, str(src / "p.parquet"))
     idx = str(tmp_path / "idx")
-    build_index(str(src), idx, BuildConfig(docs_per_segment=40,
-                                           extract_concurrency=2))
+    build_index(str(src), idx, BuildConfig(docs_per_segment=40))
     # the oracle corpus carries the min-ts payloads
     urls, toks = oracle.corpus_from_webtext(t)
     assert "https://adv.example/a" in urls
