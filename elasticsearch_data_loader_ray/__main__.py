@@ -65,14 +65,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="merge adjacent runs until at most N segments "
                          "remain (cold-query fan-out bound)")
 
-    pr = sub.add_parser("prune",
-                        help="build the statically-pruned postings "
-                             "sidecar (opt-in approximate dense-OR "
-                             "serving; see index/pruned.py)")
-    pr.add_argument("index_dir")
-    pr.add_argument("--min-df", type=int, default=100_000)
-    pr.add_argument("--keep-frac", type=float, default=0.1)
-
     sn = sub.add_parser("snapshot",
                         help="snapshot an index into a content-addressed "
                              "repo (incremental at the file level)")
@@ -143,13 +135,6 @@ def main(argv: list[str] | None = None) -> int:
             survivors = compact_to(args.index_dir, args.max_segments)
             print(json.dumps({"segments_before": before,
                               "segments_after": len(survivors)}))
-        elif args.cmd == "prune":
-            from .index.pruned import build_pruned_postings
-
-            n = build_pruned_postings(args.index_dir, min_df=args.min_df,
-                                      keep_frac=args.keep_frac)
-            print(json.dumps({"pruned_lists": n, "min_df": args.min_df,
-                              "keep_frac": args.keep_frac}))
         elif args.cmd == "snapshot":
             from .index.snapshot import snapshot_index
 

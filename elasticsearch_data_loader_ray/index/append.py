@@ -227,9 +227,7 @@ def _run_append(source: rd.Dataset, index_dir: str, cfg: BuildConfig,
     if os.path.isdir(ts_dir):
         shutil.rmtree(ts_dir)
     from .merge import merge_at_commit
-    from .pruned import drop_pruned
 
-    drop_pruned(index_dir)
     out = _finalize(index_dir, plan, cfg, timings, extra={
         "tombstone_files": tombstone_files,
         "n_deleted": int(stats.get("n_deleted", 0)) + int(len(deleted_new)),

@@ -597,6 +597,13 @@ EXCHANGE_INFLIGHT = max(2 * os.cpu_count() if os.cpu_count() else 16, 16)
 # also the multi-node network-shuffle shape (ship compressed bytes).
 SLICE_CODEC = "zstd"
 
+# finalize's in-process cutoff: (field, term, df) rows are ~50 B each, so 50M
+# rows is ~2.5 GB — one threaded read + C++ group_by beats a distributed
+# sort-shuffle by ~10x well past this point (measured: 29M rows in seconds
+# vs 70s+ distributed at 8M docs). Above it, the Ray groupby path takes
+# over.
+FINALIZE_CUTOFF = 50_000_000
+
 
 def _build_group(n_buckets: int, ncpus: int) -> int:
     """Buckets per build task: as many as BUILD_GROUP allows while the
@@ -870,13 +877,7 @@ def _finalize(index_dir: str, plan: dict, cfg: BuildConfig,
         os.makedirs(term_stats_dir, exist_ok=True)
         total_terms = sum(m["n_terms"] for m in manifests.values())
         if plan["n_docs"] > 0 and term_files:
-            # driver cutoff: (field, term, df) rows are ~50 B each, so 50M
-            # rows is ~2.5 GB — one threaded read + C++ group_by beats a
-            # distributed sort-shuffle by ~10x well past this point
-            # (measured: 29M rows in seconds vs 70s+ distributed at 8M
-            # docs). Above it, the Ray groupby path takes over.
-            if total_terms <= int(os.environ.get(
-                    "EDLR_FINALIZE_CUTOFF", "50000000")):
+            if total_terms <= FINALIZE_CUTOFF:
                 # small vocab: one threaded read + C++ group_by on the driver
                 # beats three distributed stages of overhead
                 tt = pq.read_table(term_files, columns=["field", "term", "df"])

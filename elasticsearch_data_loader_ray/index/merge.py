@@ -3,10 +3,11 @@
 Segments hold contiguous, disjoint doc-id ranges in url order, and every
 posting list stores its first doc id absolute + the rest as gaps. Merging
 two ADJACENT segments therefore never re-encodes posting bodies: for a term
-in both, the merged stream is ``enc_A ++ reencode_first(enc_B)`` where only
-B's first varint is rewritten from absolute to a gap from A's last doc id —
-O(1) bytes touched per term. Block-max metadata concatenates (a short
-boundary block keeps valid bounds); df adds; max_impact maxes.
+in both, the merged stream is ``enc_A ++ enc_B`` with only B's first varint
+rewritten from absolute to a gap from A's last doc id — O(1) bytes touched
+per term, and one vectorized pass for all of them. Block-max metadata
+concatenates (a short boundary block keeps valid bounds); df adds;
+max_impact maxes.
 
 ``merge_segments(index_dir, group_size)`` compacts runs of adjacent
 visible segments, publishing each merged segment atomically (files first,
@@ -29,6 +30,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -36,7 +38,7 @@ from . import codec
 from . import manifest as mf
 from .build import (BuildConfig, _write_segment_files, pin_worker_threads,
                     read_segment_terms, seg_docs_path, seg_terms_path)
-from .search import _load_stats, _visible_seg_ids
+from .search import _load_stats, _ranges, _visible_seg_ids
 
 #: the one segment-count bound: a commit (build or append) that leaves more
 #: visible segments merges down to it. It served cold and warm OR queries
@@ -45,33 +47,39 @@ from .search import _load_stats, _visible_seg_ids
 MAX_SEGMENTS = 16
 
 
-def _reencode_first(enc: bytes, prev_last: int) -> tuple[bytes, int]:
-    """Rewrite the leading absolute-doc varint as a gap from prev_last.
+def _taken(col: pa.ChunkedArray, order: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A binary column's rows in ``order`` as one contiguous stream (Arrow
+    ``take``; a null row holds no bytes): (row offsets from 0, uint8 data,
+    validity)."""
+    arr = col.combine_chunks().cast(pa.large_binary()).take(pa.array(order))
+    _valid, offs, data = arr.buffers()
+    offs = np.frombuffer(offs, np.int64)[arr.offset:arr.offset + len(arr) + 1]
+    data = (np.frombuffer(data, np.uint8)[offs[0]:offs[-1]]
+            if data is not None else np.zeros(0, np.uint8))
+    return offs - offs[0], data, arr.is_valid().to_numpy(zero_copy_only=False)
 
-    Returns (new_bytes, length_delta) — the delta shifts this part's
-    stored block byte offsets when rebasing them into the merged stream.
-    """
-    v, L = 0, 0
-    while True:  # decode only the first varint (<=10 bytes)
-        byte = enc[L]
-        v |= (byte & 0x7F) << (7 * L)
-        L += 1
-        if not byte & 0x80:
-            break
-    gap_bytes, _ = codec.varint_encode(np.array([v - prev_last], dtype=np.uint64))
-    gb = gap_bytes.tobytes()
-    return gb + enc[L:], len(gb) - L
+
+def _list_column(values: np.ndarray, counts: np.ndarray) -> pa.Array:
+    offs = np.zeros(len(counts) + 1, np.int32)
+    np.cumsum(counts, out=offs[1:])
+    return pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
+                                    pa.array(values))
 
 
 def _merge_term_tables(parts: list[pa.Table]) -> pa.Table:
     """Merge per-segment term tables (each sorted by field, term).
 
-    Vectorized: numpy run detection over the stably-sorted concatenation,
-    zero-copy binary slices from the Arrow buffers; the only per-row work is
-    the boundary re-encode of non-first runs' first varints.
+    Vectorized: numpy run detection over the stably-sorted concatenation
+    (a run is one term's rows, in segment order), then every output column
+    is one take or gather in that order. A run's rows after its first
+    (the boundary rows) start with an absolute doc id: their leading
+    varints are decoded in one :func:`codec.varint_decode` call and
+    rewritten, with one :func:`codec.varint_encode` call, as gaps from the
+    previous row's last doc id; their block doc-byte offsets shift by the
+    length change.
     """
     allt = pa.concat_tables(parts).combine_chunks()
-    has_positions = "positions_enc" in allt.column_names
     n = allt.num_rows
     fields = np.asarray(allt["field"].to_numpy(zero_copy_only=False), dtype=object)
     terms = np.asarray(allt["term"].to_numpy(zero_copy_only=False), dtype=object)
@@ -83,105 +91,78 @@ def _merge_term_tables(parts: list[pa.Table]) -> pa.Table:
     first[1:] = (f_s[1:] != f_s[:-1]) | (t_s[1:] != t_s[:-1])
     run_starts = np.flatnonzero(first)
     run_ends = np.r_[run_starts[1:], n]
+    run_of = np.cumsum(first) - 1  # each sorted row's run
+    bnd = np.flatnonzero(~first)  # sorted positions of boundary rows
 
-    def bin_col(name: str) -> list:
-        col = allt[name].combine_chunks()
-        return col.to_pylist()  # zero-copy bytes objects
-
-    doc_encs = bin_col("doc_ids_enc")
-    tf_encs = bin_col("tfs_enc")
-    pos_encs = bin_col("positions_enc") if has_positions else None
-    dfs = allt["df"].to_numpy()
-    mxs = allt["max_impact"].to_numpy()
+    # block lists, gathered in sorted order
     blast_col = allt["block_last_doc"].combine_chunks()
-    bmax_col = allt["block_max_impact"].combine_chunks()
-    bdoc_col = allt["block_doc_byte_off"].combine_chunks()
-    btf_col = allt["block_tf_byte_off"].combine_chunks()
-    blast_flat = np.asarray(blast_col.values)
-    bmax_flat = np.asarray(bmax_col.values)
-    bdoc_flat = np.asarray(bdoc_col.values)
-    btf_flat = np.asarray(btf_col.values)
-    bl_off = np.asarray(blast_col.offsets)
-    # last doc id of each input row's posting list (for boundary re-encode)
-    row_last = blast_flat[bl_off[1:] - 1]
+    bl_off = np.asarray(blast_col.offsets, dtype=np.int64)
+    bl_off = bl_off - bl_off[0]
 
-    out_rows = len(run_starts)
-    o_field, o_term = f_s[run_starts], t_s[run_starts]
-    o_df = np.zeros(out_rows, dtype=np.int64)
-    o_mx = np.zeros(out_rows, dtype=np.float64)
-    o_doc, o_tf, o_pos = [], [], []
-    o_blast, o_bmax, o_bdoc, o_btf = [], [], [], []
-    for r, (s, e) in enumerate(zip(run_starts, run_ends)):
-        idxs = order[s:e]
-        o_df[r] = dfs[idxs].sum()
-        o_mx[r] = mxs[idxs].max()
-        if e - s == 1:
-            i = int(idxs[0])
-            o_doc.append(doc_encs[i])
-            o_tf.append(tf_encs[i])
-            if has_positions:
-                o_pos.append(pos_encs[i])
-            o_blast.append(blast_flat[bl_off[i]:bl_off[i + 1]].tolist())
-            o_bmax.append(bmax_flat[bl_off[i]:bl_off[i + 1]].tolist())
-            o_bdoc.append(bdoc_flat[bl_off[i]:bl_off[i + 1]].tolist())
-            o_btf.append(btf_flat[bl_off[i]:bl_off[i + 1]].tolist())
-            continue
-        i0 = int(idxs[0])
-        doc_parts = [doc_encs[i0]]
-        tf_parts = [tf_encs[i0]]
-        pos_parts = ([pos_encs[i0]] if has_positions and
-                     pos_encs[i0] is not None else [])
-        bl = [blast_flat[bl_off[i0]:bl_off[i0 + 1]]]
-        bm = [bmax_flat[bl_off[i0]:bl_off[i0 + 1]]]
-        bd = [bdoc_flat[bl_off[i0]:bl_off[i0 + 1]]]
-        bt = [btf_flat[bl_off[i0]:bl_off[i0 + 1]]]
-        prev_last = int(row_last[i0])
-        doc_prefix = len(doc_encs[i0])
-        tf_prefix = len(tf_encs[i0])
-        for i in (int(x) for x in idxs[1:]):
-            new_enc, delta = _reencode_first(doc_encs[i], prev_last)
-            doc_parts.append(new_enc)
-            tf_parts.append(tf_encs[i])
-            if has_positions and pos_encs[i] is not None:
-                pos_parts.append(pos_encs[i])
-            bl.append(blast_flat[bl_off[i]:bl_off[i + 1]])
-            bm.append(bmax_flat[bl_off[i]:bl_off[i + 1]])
-            # rebase this part's block byte offsets into the merged stream:
-            # +prefix, and +delta for blocks after the rewritten first varint
-            part_bdoc = bdoc_flat[bl_off[i]:bl_off[i + 1]].copy()
-            part_bdoc[0] = 0
-            part_bdoc[1:] += delta
-            bd.append(part_bdoc + doc_prefix)
-            bt.append(btf_flat[bl_off[i]:bl_off[i + 1]] + tf_prefix)
-            prev_last = int(row_last[i])
-            doc_prefix += len(new_enc)
-            tf_prefix += len(tf_encs[i])
-        o_doc.append(b"".join(doc_parts))
-        o_tf.append(b"".join(tf_parts))
-        if has_positions:
-            # all-null runs stay null (fields indexed without positions keep
-            # raising the positional queries' guard instead of matching
-            # nothing on an empty stream)
-            o_pos.append(b"".join(pos_parts) if pos_parts else None)
-        o_blast.append(np.concatenate(bl).tolist())
-        o_bmax.append(np.concatenate(bm).tolist())
-        o_bdoc.append(np.concatenate(bd).tolist())
-        o_btf.append(np.concatenate(bt).tolist())
+    def flat(name: str) -> np.ndarray:  # every block list has bl_off
+        return np.asarray(allt[name].combine_chunks().flatten())
+
+    blast_flat = flat("block_last_doc")
+    n_blk = np.diff(bl_off)[order]
+    gidx = _ranges(bl_off[:-1][order], bl_off[1:][order])
+    row_last = blast_flat[bl_off[1:] - 1][order]  # last doc id per row
+
+    # doc-id streams: each boundary row's leading varint becomes a gap
+    d_off, d_data, _ = _taken(allt["doc_ids_enc"], order)
+    b_lo = d_off[bnd]
+    win = d_data[np.minimum(b_lo[:, None] + np.arange(10), len(d_data) - 1)]
+    v_len = np.argmax(win < 0x80, axis=1) + 1  # first byte w/o continuation
+    lead = _ranges(b_lo, b_lo + v_len)
+    first_ids = codec.varint_decode(d_data[lead], len(bnd)).astype(np.int64)
+    gap_bytes, gap_len = codec.varint_encode(first_ids - row_last[bnd - 1])
+    keep = np.ones(len(d_data), bool)
+    keep[lead] = False
+    doc_stream = np.insert(  # each gap where its varint was
+        d_data[keep], np.repeat(b_lo - np.cumsum(v_len) + v_len, gap_len),
+        gap_bytes)
+    delta = np.zeros(n, np.int64)
+    delta[bnd] = gap_len - v_len
+    doc_off = np.r_[0, np.cumsum(np.diff(d_off) + delta)]
+    doc_pre = doc_off[:-1] - doc_off[run_starts][run_of]  # offset in run
+
+    t_off, t_data, _ = _taken(allt["tfs_enc"], order)
+    tf_pre = t_off[:-1] - t_off[run_starts][run_of]
+
+    # block doc-byte offsets: +the row's prefix in its run, and +delta
+    # after a rewritten first varint (a boundary row's block 0 starts at 0)
+    row_of_blk = np.repeat(np.arange(n), n_blk)
+    bdoc = flat("block_doc_byte_off")[gidx]
+    blk0 = np.cumsum(n_blk) - n_blk
+    bdoc = bdoc + delta[row_of_blk]
+    bdoc[blk0[bnd]] = 0
+    bdoc += doc_pre[row_of_blk]
+    btf = flat("block_tf_byte_off")[gidx] + tf_pre[row_of_blk]
+    blk_counts = np.add.reduceat(n_blk, run_starts)
 
     cols = {
-        "field": pa.array(o_field, pa.string()),
-        "term": pa.array(o_term, pa.string()),
-        "df": pa.array(o_df, pa.int64()),
-        "doc_ids_enc": pa.array(o_doc, pa.binary()),
-        "tfs_enc": pa.array(o_tf, pa.binary()),
-        "block_last_doc": pa.array(o_blast, pa.list_(pa.int64())),
-        "block_max_impact": pa.array(o_bmax, pa.list_(pa.float64())),
-        "block_doc_byte_off": pa.array(o_bdoc, pa.list_(pa.int64())),
-        "block_tf_byte_off": pa.array(o_btf, pa.list_(pa.int64())),
-        "max_impact": pa.array(o_mx, pa.float64()),
+        "field": pa.array(f_s[run_starts], pa.string()),
+        "term": pa.array(t_s[run_starts], pa.string()),
+        "df": pa.array(np.add.reduceat(
+            allt["df"].to_numpy()[order], run_starts), pa.int64()),
+        "doc_ids_enc": codec.byte_runs(doc_stream, doc_off[run_ends]),
+        "tfs_enc": codec.byte_runs(t_data, t_off[run_ends]),
+        "block_last_doc": _list_column(blast_flat[gidx], blk_counts),
+        "block_max_impact": _list_column(flat("block_max_impact")[gidx],
+                                         blk_counts),
+        "block_doc_byte_off": _list_column(bdoc, blk_counts),
+        "block_tf_byte_off": _list_column(btf, blk_counts),
+        "max_impact": pa.array(np.maximum.reduceat(
+            allt["max_impact"].to_numpy()[order], run_starts), pa.float64()),
     }
-    if has_positions:
-        cols["positions_enc"] = pa.array(o_pos, pa.binary())
+    if "positions_enc" in allt.column_names:
+        # all-null runs stay null (fields indexed without positions keep
+        # raising the positional queries' guard instead of matching
+        # nothing on an empty stream)
+        q_off, q_data, q_valid = _taken(allt["positions_enc"], order)
+        runs = codec.byte_runs(q_data, q_off[run_ends])
+        valid = np.logical_or.reduceat(q_valid, run_starts)
+        cols["positions_enc"] = pc.if_else(
+            pa.array(valid), runs, pa.scalar(None, pa.large_binary()))
     return pa.table(cols)
 
 
@@ -299,9 +280,6 @@ def merge_segments(index_dir: str, group_size: int = 2,
     stats.setdefault("merges", []).append(
         {"group_size": group_size, "secs": round(time.perf_counter() - t_all, 3)})
     mf.write_json_atomic(os.path.join(index_dir, "stats.json"), stats)
-    from .pruned import drop_pruned
-
-    drop_pruned(index_dir)  # stale epoch; rebuilt on demand, not eagerly
     return survivors
 
 

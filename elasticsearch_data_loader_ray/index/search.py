@@ -28,9 +28,7 @@ buffer one doc-id window at a time, in lexicographic term order, so scores
 are bitwise the brute-force oracle's; block-max bounds skip every window
 and block that cannot reach the running k-th score (Lucene's
 ``MaxScoreBulkScorer`` shape), and a skipped block is never decoded.
-``or_strategy`` is ``"exact"`` or the opt-in approximate ``"pruned"``
-(index/pruned.py), which runs the same loop over the pruned sidecar's
-postings. Every reader of a term's postings (the loop, matched sets, bool,
+Every reader of a term's postings (the loop, matched sets, bool,
 multi_match, boosting, prefix, wildcard/regexp and explain) takes them
 from one per-(field, term) cache of :class:`_TermDir` s: a term's block
 directory over its :class:`_Blocked` segment runs, in doc-id order, and
@@ -424,15 +422,14 @@ def _drain(buf: np.ndarray, pos: list[np.ndarray],
 class _Run:
     """A term's :class:`_TermDir` (``blk``) as one query scores it: block
     ``b`` of the directory holds doc ids in ``[lo_id[b], last[b]]`` and
-    adds at most ``ub[b]`` to a score (``inf``: no stored maxima, as a
-    pruned sidecar term). ``ids``/``con`` (contributions) are the whole
-    term's, set while its impacts are cached; ``wa``/``wb`` are each
-    window's first and past-last overlapping block."""
+    adds at most ``ub[b]`` to a score. ``ids``/``con`` (contributions)
+    are the whole term's, set while its impacts are cached; ``wa``/``wb``
+    are each window's first and past-last overlapping block."""
 
     __slots__ = ("term", "lo_id", "last", "ub", "blk", "ids", "con", "wa",
                  "wb")
 
-    def __init__(self, term, lo_id, last, ub, blk=None):
+    def __init__(self, term, lo_id, last, ub, blk):
         self.term, self.lo_id, self.last, self.ub = term, lo_id, last, ub
         self.blk = blk
         self.ids = self.con = None
@@ -783,13 +780,13 @@ def _prefix_upper(p: str) -> str | None:
 
 class SortedTermFile:
     """Reader of one immutable parquet file of (field, term)-sorted rows:
-    a segment's term table, a ``term_stats`` part or a pruned-postings
-    part — Lucene's terms index, which stays open for a segment's life.
-    Lookups need only each field's rows ascending by term. Two reads
-    serve every caller: :meth:`lookup` of exact (field, term) keys and
-    :meth:`range` of one field's terms in ``[lo, hi)``, the read behind
-    every term expansion and suggester (Lucene's ``seekExact`` and
-    ``intersect`` over one terms index).
+    a segment's term table or a ``term_stats`` part — Lucene's terms
+    index, which stays open for a segment's life. Lookups need only each
+    field's rows ascending by term. Two reads serve every caller:
+    :meth:`lookup` of exact (field, term) keys and :meth:`range` of one
+    field's terms in ``[lo, hi)``, the read behind every term expansion
+    and suggester (Lucene's ``seekExact`` and ``intersect`` over one terms
+    index).
 
     The file is opened once; the open handle keeps reading this file's
     bytes after its path is replaced or unlinked. The footer's per row
@@ -1050,8 +1047,6 @@ class LocalSearcher:
 
     def _bind(self) -> None:
         """Bind this searcher to the CURRENT committed segment set."""
-        import glob as _glob
-
         index_dir = self.index_dir
         # epoch fingerprint, taken BEFORE the stats read: if stats.json is
         # replaced between the two, the sig is older than the loaded stats
@@ -1113,23 +1108,6 @@ class LocalSearcher:
         self._null_dv_cache: dict[str, np.ndarray] = {}
         self._dv_num_cache: dict[str, np.ndarray] = {}
         self.last_block_stats = (0, 0)  # (decoded, total) of last query
-        # statically-pruned postings sidecar (index/pruned.py) — powers
-        # the OPT-IN or_strategy="pruned" path only; valid only while its
-        # recorded segment set matches this epoch's visible set
-        self.pruned_files: list[str] = []
-        self._pruned_readers: list[SortedTermFile] | None = None
-        self._pruned_cache: "OrderedDict[tuple, tuple | None]" = \
-            OrderedDict()
-        pr_dir = os.path.join(index_dir, "pruned")
-        if os.path.exists(os.path.join(pr_dir, "_SUCCESS")):
-            try:
-                pmeta = mf.read_json(os.path.join(pr_dir, "meta.json"))
-            except (OSError, ValueError):
-                pmeta = {}
-            if pmeta.get("seg_ids") == [int(s) for s in self.seg_ids]:
-                self.pruned_files = sorted(
-                    _glob.glob(os.path.join(pr_dir, "*.parquet")))
-        self.last_pruned_bound = 0.0
 
     def _visible(self, stats: dict) -> tuple[list[int], dict]:
         """Bound segment ids and their manifests: every visible segment,
@@ -1500,7 +1478,7 @@ class LocalSearcher:
         empty = (np.empty(0, np.int64), np.empty(0, np.float64))
         n_terms = len(terms)
         terms = [t for t in terms if t in runs]
-        readers = [runs[t].blk for t in terms if runs[t].blk is not None]
+        readers = [runs[t].blk for t in terms]
         dec0 = sum(rd.blocks_decoded for rd in readers)
         total = sum(rd.n_blocks for rd in readers)
         self.last_block_stats = (0, total)
@@ -1784,90 +1762,6 @@ class LocalSearcher:
                     sc[pos[hit]] += con[t][hit]
         return sc
 
-    def _pruned_lookup(self, field: str, terms: list[str]) -> dict:
-        """term -> (doc_ids, contribs, eps) from the pruned sidecar, or
-        None per term absent from it (df below the build's min_df). Rows
-        are (field, term, doc_base)-sorted, so per-term segment runs
-        concatenate into ascending global doc ids; reads are row-group
-        pruned via footer min/max, results FIFO-cached per epoch."""
-        missing = [t for t in terms
-                   if (field, t) not in self._pruned_cache]
-        if missing and self.pruned_files:
-            if self._pruned_readers is None:
-                try:
-                    readers = [SortedTermFile(p) for p in self.pruned_files]
-                    meta = mf.read_json(os.path.join(
-                        self.index_dir, "pruned", "meta.json"))
-                except (OSError, ValueError):
-                    readers, meta = None, {}
-                if (readers is None or meta.get("seg_ids")
-                        != [int(s) for s in self.seg_ids]):
-                    self.pruned_files = []
-                else:
-                    self._pruned_readers = readers
-            if self._pruned_readers is not None:
-                pairs = sorted((field, t) for t in missing)
-                chunks: dict[str, list[tuple]] = {}
-                for r in self._pruned_readers:
-                    need = r.row_groups(pairs)
-                    if not need:
-                        continue
-                    # payload columns: an uncached read
-                    tb = r.pf.read_row_groups(need, use_threads=False)
-                    fl = tb["field"].to_pylist()
-                    tl = tb["term"].to_pylist()
-                    db = tb["doc_base"].to_pylist()
-                    ep = tb["eps"].to_pylist()
-                    for i in range(tb.num_rows):
-                        if fl[i] == field and tl[i] in missing:
-                            chunks.setdefault(tl[i], []).append(
-                                (db[i], tb["doc_ids"][i].as_py(),
-                                 tb["contribs"][i].as_py(), ep[i]))
-                for t in missing:
-                    got = chunks.get(t)
-                    if not got:
-                        entry = None
-                    else:
-                        got.sort(key=lambda r: r[0])
-                        ids = np.frombuffer(
-                            b"".join(r[1] for r in got), dtype=np.int64)
-                        con = np.frombuffer(
-                            b"".join(r[2] for r in got), dtype=np.float64)
-                        entry = (ids, con, float(max(r[3] for r in got)))
-                    if len(self._pruned_cache) >= 64:
-                        self._pruned_cache.popitem(last=False)
-                    self._pruned_cache[(field, t)] = entry
-        return {t: self._pruned_cache.get((field, t)) for t in terms}
-
-    def _search_or_pruned(self, field: str, terms: list[str], k: int,
-                          idf: dict[str, float], dl: np.ndarray,
-                          avgdl: float) -> tuple[np.ndarray, np.ndarray]:
-        """Opt-in approximate disjunction over statically-pruned postings
-        (index/pruned.py): sidecar terms scatter-add PRECOMPUTED exact
-        contributions (no decode, no dl gather); terms below the pruning
-        df threshold are scored from their postings, so selective terms
-        lose nothing. The exact scorer's loop and accumulation order —
-        a returned doc's score is exact iff all its query-term postings
-        were kept, else a lower bound; ``last_pruned_bound`` carries the
-        summed per-term error bound for this query. Sidecar runs have no
-        block maxima, so no window with one of them is skipped."""
-        got = self._pruned_lookup(field, terms) if self.pruned_files \
-            else {t: None for t in terms}
-        miss = [t for t in terms if got.get(t) is None]
-        runs = self._bounded_runs(field, miss, idf) if miss else {}
-        bound = 0.0
-        inf = np.array([np.inf])
-        for t in terms:
-            g = got.get(t)
-            if g is not None:
-                ids, con, eps = g
-                r = _Run(t, ids[:1], ids[-1:], inf)
-                r.ids, r.con = ids, con
-                runs[t] = r
-                bound += eps
-        self.last_pruned_bound = bound
-        return self._score_windows(field, terms, runs, k, idf, dl, avgdl)
-
     def more_like_this(self, doc_url: str, k: int = 10,
                        field: str = DEFAULT_FIELD,
                        max_query_terms: int = 5,
@@ -1900,8 +1794,7 @@ class LocalSearcher:
                        pa.array([doc_url], pa.string()),
                        ["doc_id"])["doc_id"].to_numpy()
         src = src[self._live[src]]
-        ids, sc = self.search(" ".join(selected), k=k + 1, field=field,
-                              or_strategy="exact")
+        ids, sc = self.search(" ".join(selected), k=k + 1, field=field)
         keep = ~np.isin(ids, src)
         return ids[keep][:k], sc[keep][:k]
 
@@ -1924,8 +1817,7 @@ class LocalSearcher:
         # the window cut uses ROUNDED primary scores (6 dp) with doc-id
         # tie-break — the repo-wide determinism convention, so the window
         # membership is reproducible across engines and runs
-        ids, sc = self.search(query, k=window_size + 20, field=field,
-                              or_strategy="exact")
+        ids, sc = self.search(query, k=window_size + 20, field=field)
         if len(ids) == 0:
             return ids, sc
         cut = np.lexsort((ids, -np.round(sc, 6)))[:window_size]
@@ -2510,23 +2402,13 @@ class LocalSearcher:
     #: ``search`` modes; any other mode raises ValueError
     SEARCH_MODES = ("or", "and", "phrase", "fuzzy", "wildcard")
 
-    #: ``search`` OR strategies; any other value raises ValueError
-    OR_STRATEGIES = ("exact", "pruned")
-
     def search(self, query: str, k: int = 10,
                field: str = DEFAULT_FIELD,
-               mode: str = "or",
-               or_strategy: str = "exact") -> tuple[np.ndarray, np.ndarray]:
+               mode: str = "or") -> tuple[np.ndarray, np.ndarray]:
         """``mode``: one of :attr:`SEARCH_MODES` (fuzzy and wildcard with
-        their default parameters).
-
-        ``or_strategy``: one of :attr:`OR_STRATEGIES`. ``"exact"`` scores
-        with the exact scorer (:meth:`_score_windows`: block-max bounds
-        skip what cannot reach the top-k; scores are the oracle's
-        bitwise). ``"pruned"`` (opt-in) serves high-df terms from the
-        statically-pruned sidecar when one is built for this epoch
-        (index/pruned.py) — approximate for dense ORs; see
-        ``last_pruned_bound``.
+        their default parameters). OR and AND score with the exact scorer
+        (:meth:`_score_windows`: block-max bounds skip what cannot reach
+        the top-k; scores are the oracle's bitwise).
 
         Repeated identical requests are served from an exact result cache
         (the ES shard-request-cache analogue): keyed on the full request,
@@ -2535,15 +2417,13 @@ class LocalSearcher:
         latency."""
         if mode not in self.SEARCH_MODES:
             raise ValueError(f"unknown search mode {mode!r}")
-        if or_strategy not in self.OR_STRATEGIES:
-            raise ValueError(f"unknown or_strategy {or_strategy!r}")
         self.refresh()
-        rq_key = (mode, field, query, int(k), or_strategy)
+        rq_key = (mode, field, query, int(k))
         hit = self._request_cache.get(rq_key)
         if hit is not None:
             self._request_cache.move_to_end(rq_key)
             return hit
-        res = self._search_uncached(query, k, field, mode, or_strategy)
+        res = self._search_uncached(query, k, field, mode)
         # freeze before caching: the same array objects are handed to every
         # future hit, so an in-place mutation by one caller must not poison
         # the cache (the ES request cache is safe because it stores bytes)
@@ -2555,9 +2435,8 @@ class LocalSearcher:
             self._request_cache.popitem(last=False)
         return res
 
-    def _search_uncached(self, query: str, k: int, field: str, mode: str,
-                         or_strategy: str) -> tuple[np.ndarray, np.ndarray]:
-        self.last_pruned_bound = 0.0  # only _search_or_pruned sets it
+    def _search_uncached(self, query: str, k: int, field: str, mode: str
+                         ) -> tuple[np.ndarray, np.ndarray]:
         self.last_block_stats = (0, 0)  # set by the block-reading paths
         if mode == "fuzzy":
             return self.search_fuzzy(query, k, field)
@@ -2578,11 +2457,8 @@ class LocalSearcher:
                 _avgdl(self.stats, field), mode="and")
         if not terms or not self.term_files:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        dl = self._dl_for(field)
-        avgdl = _avgdl(self.stats, field)
-        if or_strategy == "pruned":  # opt-in approximate (index/pruned.py)
-            return self._search_or_pruned(field, terms, k, idf, dl, avgdl)
-        return self._search_exact(field, terms, k, idf, dl, avgdl)
+        return self._search_exact(field, terms, k, idf, self._dl_for(field),
+                                  _avgdl(self.stats, field))
 
     def search_multi(self, query: str, k: int = 10,
                      fields: tuple = (DEFAULT_FIELD,),

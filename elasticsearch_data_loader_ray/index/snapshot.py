@@ -15,9 +15,9 @@ repo/
 What is snapshotted: the index's AUTHORITATIVE state — ``stats.json``,
 ``manifests/``, ``docs/``, ``terms/``, ``term_stats/``, the corpus and
 generation corpora, ``plan.json``, tombstones. Derived caches
-(``docvalues/``, ``pruned/`` and the ``doclen/`` doc-length and
-doc-value memmaps) are excluded: they rebuild on demand and would bloat
-the repo (same reasoning as ES not snapshotting field-data caches).
+(``docvalues/`` and the ``doclen/`` doc-length and doc-value memmaps)
+are excluded: they rebuild on demand and would bloat the repo (same
+reasoning as ES not snapshotting field-data caches).
 
 Hashing + blob upload run as one Ray Data pass over the file list
 (``map_batches`` tasks), so a 10k-segment snapshot parallelizes; the
@@ -43,7 +43,7 @@ import ray.data as rd
 from .manifest import write_json_atomic
 
 # derived, rebuild-on-demand state that must NOT be snapshotted
-_EXCLUDE_DIRS = {"docvalues", "doclen", "pruned"}
+_EXCLUDE_DIRS = {"docvalues", "doclen"}
 
 
 def _index_files(index_dir: str) -> list[str]:

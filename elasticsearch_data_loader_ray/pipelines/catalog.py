@@ -2398,40 +2398,6 @@ def q_snapshot_restore(sf_dir: str):
     return out
 
 
-def q_bm25_pruned_topk(sf_dir: str):
-    """BM25 top-k served from the statically-pruned postings sidecar
-    (index/pruned.py, ``or_strategy="pruned"``). Built with keep_frac=1.0,
-    where the pruned path is BITWISE-equal to exact scoring (same float64
-    accumulation order over the full kept lists), so the standard bm25 SQL
-    oracle applies — the approximation behavior at keep_frac < 1 is the
-    pytest-covered, documented opt-in (tests/test_pruned.py)."""
-    from ..index.pruned import build_pruned_postings
-    from ..index.search import LocalSearcher
-
-    idx = _ensure_doc_index(sf_dir)
-    import pyarrow.parquet as pq_
-
-    n_docs = pq_.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    build_pruned_postings(idx, min_df=max(200, n_docs // 20), keep_frac=1.0)
-    lo = LocalSearcher(idx)
-    dmap = _docid_map(idx)
-    rows = []
-    for qid, q in enumerate(DOC_QUERIES):
-        ids, sc = lo.search(q, k=DOC_K + 20, or_strategy="pruned")
-        for d, s in zip(ids.tolist(), sc.tolist()):
-            rows.append((qid, d, s))
-    if not rows:
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.float64())})
-    import pandas as pd
-
-    res = pd.DataFrame(rows, columns=["query_id", "doc_id", "score"])
-    res["doc_id"] = dmap[res["doc_id"].to_numpy()]
-    return _round_rerank(res, DOC_K, "query_id", "score", "doc_id")
-
-
 EXPLAIN_K = 3
 
 
@@ -6932,7 +6898,6 @@ def queries() -> dict:
         "dup_spans": q_dup_spans,
         "bm25_topk": q_bm25_topk,
         "explain_score": q_explain_score,
-        "bm25_pruned_topk": q_bm25_pruned_topk,
         "search_after_page": q_search_after_page,
         "function_score_topk": q_function_score_topk,
         "random_score_topk": q_random_score_topk,
@@ -7065,8 +7030,6 @@ def oracle_sql() -> dict:
         "dup_spans": _sql_dup_spans(),
         "bm25_topk": _sql_bm25_topk(),
         "explain_score": _sql_explain_score(),
-        # keep_frac=1.0 makes the pruned path bitwise-exact -> same oracle
-        "bm25_pruned_topk": _sql_bm25_topk(),
         "search_after_page": _sql_search_after_page(),
         "function_score_topk": _sql_function_score_topk(),
         "random_score_topk": _sql_random_score_topk(),

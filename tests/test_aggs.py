@@ -738,8 +738,7 @@ def test_top_hits_agg_matches_brute_force(agg_index):
     got = top_hits_agg(idx, "the data", "lang", num_buckets=3,
                        size_per_bucket=2).to_pandas()
     s = LocalSearcher(idx)
-    full_ids, full_sc = s.search("the data", k=s.n_docs,
-                                 or_strategy="exact")
+    full_ids, full_sc = s.search("the data", k=s.n_docs)
     r = np.round(full_sc, 6)
     # brute: bucket matched docs by lang, count, top-3 buckets, top-2 hits
     by_key = defaultdict(list)

@@ -125,17 +125,6 @@ def test_blockmax_k_larger_than_hits(index_dir):
     _same((ids, sc), brute_topk(index_dir, "w2000", 500), "w2000")
 
 
-def test_or_strategy_accepts_exact_and_pruned_only(index_dir):
-    """The exact scorer is the default; a strategy that selects nothing
-    raises like an unknown mode."""
-    lo = LocalSearcher(index_dir)
-    want = lo.search("the w0042", k=10, or_strategy="exact")
-    _same(lo.search("the w0042", k=10), want, "default")
-    for bad in ("auto", "blockmax", "sparse"):
-        with pytest.raises(ValueError, match="or_strategy"):
-            lo.search("the w0042", k=10, or_strategy=bad)
-
-
 def test_blocked_runs_cached_across_queries(index_dir):
     """Repeat queries are served from the postings cache (one block
     directory per term over its segment runs) and the impact cache: no
@@ -351,14 +340,14 @@ def test_impact_cache_bounded_and_bitwise(index_dir, monkeypatch):
     lo = LocalSearcher(index_dir)
     baseline = {}
     for q in ["the data", "the and of to a in", "w2000"]:
-        ids, sc = lo.search(q, k=10, or_strategy="exact")
+        ids, sc = lo.search(q, k=10)
         baseline[q] = (ids.tolist(), sc.tolist())
     # tiny budget: every lookup evicts; results must stay bitwise-equal
     monkeypatch.setattr(LocalSearcher, "_CONTRIB_CACHE_CAP", 4096)
     lo2 = LocalSearcher(index_dir)
     for _ in range(2):
         for q, (ids_w, sc_w) in baseline.items():
-            ids, sc = lo2.search(q, k=10, or_strategy="exact")
+            ids, sc = lo2.search(q, k=10)
             assert ids.tolist() == ids_w
             assert sc.tolist() == sc_w
     assert lo2._contrib_cache_bytes <= 4096
@@ -366,9 +355,9 @@ def test_impact_cache_bounded_and_bitwise(index_dir, monkeypatch):
     # are cached when a second query needs most of its blocks
     lo3 = LocalSearcher(index_dir)
     for q, (ids_w, sc_w) in baseline.items():
-        lo3.search(q, k=10, or_strategy="exact")
+        lo3.search(q, k=10)
         lo3._request_cache.clear()
-        ids, sc = lo3.search(q, k=10, or_strategy="exact")
+        ids, sc = lo3.search(q, k=10)
         assert ids.tolist() == ids_w
         assert sc.tolist() == sc_w
     assert lo3._contrib_cache_bytes > 0

@@ -68,24 +68,3 @@ def test_cli_compact_preserves_search(tmp_path):
     assert res["segments_after"] <= 2 < res["segments_before"]
     after = run("search", idx, "the data", "-k", "5")
     assert before == after  # identical ranking + rounded scores
-
-
-@pytest.mark.slow
-def test_cli_prune_builds_sidecar(tmp_path):
-    src = tmp_path / "src"
-    src.mkdir()
-    pq.write_table(fixtures.generate_webtext(300), str(src / "p.parquet"))
-    idx = str(tmp_path / "idx")
-    env = dict(os.environ, PYTHONPATH=REPO)
-
-    def run(*args):
-        r = subprocess.run(
-            [sys.executable, "-m", "elasticsearch_data_loader_ray", *args],
-            capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
-        assert r.returncode == 0, r.stderr[-800:]
-        return json.loads(r.stdout.strip().splitlines()[-1])
-
-    run("--num-cpus", "2", "build", str(src), idx)
-    out = run("prune", idx, "--min-df", "20", "--keep-frac", "0.5")
-    assert out["pruned_lists"] > 0
-    assert os.path.exists(os.path.join(idx, "pruned", "_SUCCESS"))

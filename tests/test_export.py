@@ -190,7 +190,7 @@ def test_collapse_matches_brute_force(exp_index):
     got = collapse_matches(idx, "the data", "lang", k=3).to_pandas()
     # brute: full exact ranking, best per lang, top-3
     lo = LocalSearcher(idx)
-    ids, sc = lo.search("the data", k=lo.n_docs, or_strategy="exact")
+    ids, sc = lo.search("the data", k=lo.n_docs)
     r = np.round(sc, 6)
     best = {}
     for d, s in sorted(zip(ids.tolist(), r.tolist()),

@@ -108,7 +108,7 @@ def test_fuzzy_scores_match_expanded_or_query(fz_index):
     ls = LocalSearcher(idx)
     exp = ls.expand_fuzzy("text", "quer", fuzziness=1, prefix_length=1)
     ids_f, sc_f = ls.search_fuzzy("quer", k=20, fuzziness=1)
-    ids_o, sc_o = ls.search(" ".join(exp), k=20, or_strategy="exact")
+    ids_o, sc_o = ls.search(" ".join(exp), k=20)
     assert ids_f.tolist() == ids_o.tolist()
     assert sc_f.tolist() == sc_o.tolist()  # bitwise
 

@@ -288,8 +288,7 @@ def test_search_after_windowed_path_tiles(index_dir, monkeypatch):
     idx, _ = index_dir
     s = LocalSearcher(idx)
     monkeypatch.setattr(LocalSearcher, "_WINDOW", 256)
-    full_ids, full_sc = s.search("the data search", k=30,
-                                 or_strategy="exact")
+    full_ids, full_sc = s.search("the data search", k=30)
     pages_ids, pages_sc, cursor = [], [], None
     for _ in range(3):
         ids, sc = s.search_after("the data search", cursor, k=10)
@@ -310,8 +309,7 @@ def test_function_score_modifier_applied_before_cut(index_dir, monkeypatch):
 
     idx, _ = index_dir
     s = LocalSearcher(idx)
-    full_ids, full_sc = s.search("the data search", k=s.n_docs,
-                                 or_strategy="exact")
+    full_ids, full_sc = s.search("the data search", k=s.n_docs)
     dl = s._dl_for("text")
     want_sc = full_sc * np.log(1.0 + dl[full_ids])
     order = np.lexsort((full_ids, -want_sc))[:10]
@@ -336,9 +334,8 @@ def test_boosting_query_demotes_before_cut(index_dir, monkeypatch):
 
     idx, _ = index_dir
     s = LocalSearcher(idx)
-    full_ids, full_sc = s.search("the data search", k=s.n_docs,
-                                 or_strategy="exact")
-    neg_ids, _ = s.search("news", k=s.n_docs, or_strategy="exact")
+    full_ids, full_sc = s.search("the data search", k=s.n_docs)
+    neg_ids, _ = s.search("news", k=s.n_docs)
     neg = set(neg_ids.tolist())
     want_sc = full_sc.copy()
     hit = np.array([int(d) in neg for d in full_ids])

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from elasticsearch_data_loader_ray import fixtures
+from elasticsearch_data_loader_ray.index import codec
 from elasticsearch_data_loader_ray.index import manifest as mf
 from elasticsearch_data_loader_ray.index.build import BuildConfig, build_index
-from elasticsearch_data_loader_ray.index.merge import merge_segments
+from elasticsearch_data_loader_ray.index.merge import (_merge_term_tables,
+                                                       merge_segments)
 from elasticsearch_data_loader_ray.index.search import search, search_inprocess
 
 
@@ -78,11 +82,6 @@ def test_merged_equals_directly_built(tmp_path_factory):
     """Strong invariant: an index built with many segments then merged to
     one holds the SAME decoded postings as an index built as one segment
     directly (block layouts differ, content must not)."""
-    import numpy as np
-
-    from elasticsearch_data_loader_ray.index import codec
-    from elasticsearch_data_loader_ray.index.build import seg_terms_path
-
     src = tmp_path_factory.mktemp("inv_src")
     pq.write_table(fixtures.generate_webtext(400), str(src / "p.parquet"))
     many = str(tmp_path_factory.mktemp("inv_many"))
@@ -109,6 +108,145 @@ def test_merged_equals_directly_built(tmp_path_factory):
     assert set(a) == set(b)
     for k in a:
         assert a[k] == b[k], k
+
+
+def _varint(v: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte, v = v & 0x7F, v >> 7
+        out.append(byte | (0x80 if v else 0))
+        if not v:
+            return bytes(out)
+
+
+def _segment_terms(rng, base: int, span: int) -> pa.Table:
+    """One segment's term table over doc ids ``[base, base + span)``, in
+    the column order ``read_segment_terms`` gives: two fields, ``text``
+    with position streams and ``title`` with null ones."""
+    tables = []
+    for field in ("text", "title"):
+        terms, ids, tfs = [], [], []
+        for t in range(12):
+            df = int(rng.integers(1, min(span, 400)))
+            if rng.random() < 0.25:  # terms missing from some segments
+                continue
+            got = np.sort(rng.choice(span, df, replace=False)) + base
+            terms += [f"t{t:02d}"] * df
+            ids.append(got)
+            tfs.append(rng.integers(1, 300, df))
+        ids, tfs = np.concatenate(ids), np.concatenate(tfs)
+        tbl = codec.build_posting_table(
+            np.array(terms, dtype=object), ids, tfs,
+            rng.integers(5, 50, len(ids)), 20.0)
+        offs = pa.array(tbl["block_offsets"].astype(np.int32))
+        n = len(tbl["term"])
+        pos = ([rng.bytes(int(rng.integers(1, 60))) for _ in range(n)]
+               if field == "text" else [None] * n)
+        tables.append(pa.table({
+            "field": pa.array([field] * n, pa.string()),
+            "term": pa.array(tbl["term"], pa.string()),
+            "df": pa.array(tbl["df"], pa.int64()),
+            "doc_ids_enc": pa.array(list(tbl["doc_ids_enc"]), pa.binary()),
+            "tfs_enc": pa.array(list(tbl["tfs_enc"]), pa.binary()),
+            "block_last_doc": pa.ListArray.from_arrays(
+                offs, pa.array(tbl["block_last_flat"])),
+            "block_max_impact": pa.ListArray.from_arrays(
+                offs, pa.array(tbl["block_max_flat"])),
+            "block_doc_byte_off": pa.ListArray.from_arrays(
+                offs, pa.array(tbl["block_doc_off_flat"])),
+            "block_tf_byte_off": pa.ListArray.from_arrays(
+                offs, pa.array(tbl["block_tf_off_flat"])),
+            "max_impact": pa.array(tbl["max_impact"], pa.float64()),
+            "positions_enc": pa.array(pos, pa.binary()),
+        }))
+    return pa.concat_tables(tables)
+
+
+def _reference_merge(parts: list[pa.Table]) -> list[dict]:
+    """The merge written one row at a time: per (field, term), rows in
+    segment order; a later row's leading absolute doc id becomes a gap
+    from the previous row's last doc id, its block doc-byte offsets move
+    by its prefix in the merged stream plus the length change, and its
+    tf offsets by the tf prefix. A term's positions are null only when
+    every row's are."""
+    by_key: dict[tuple, list[dict]] = {}
+    for part in parts:
+        for r in part.to_pylist():
+            by_key.setdefault((r["field"], r["term"]), []).append(r)
+    out = []
+    for key in sorted(by_key):
+        rows = by_key[key]
+        doc, tf, pos = b"", b"", None
+        blast, bmax, bdoc, btf = [], [], [], []
+        prev_last = None
+        for r in rows:
+            enc = r["doc_ids_enc"]
+            shift = 0
+            if prev_last is not None:
+                v, n = 0, 0
+                while True:
+                    v |= (enc[n] & 0x7F) << (7 * n)
+                    n += 1
+                    if not enc[n - 1] & 0x80:
+                        break
+                gap = _varint(v - prev_last)
+                enc, shift = gap + enc[n:], len(gap) - n
+            offs = [0] + [o + shift for o in r["block_doc_byte_off"][1:]]
+            bdoc += [o + len(doc) for o in offs]
+            btf += [o + len(tf) for o in r["block_tf_byte_off"]]
+            blast += r["block_last_doc"]
+            bmax += r["block_max_impact"]
+            doc, tf = doc + enc, tf + r["tfs_enc"]
+            if r["positions_enc"] is not None:
+                pos = (pos or b"") + r["positions_enc"]
+            prev_last = r["block_last_doc"][-1]
+        out.append({
+            "field": key[0], "term": key[1],
+            "df": sum(r["df"] for r in rows),
+            "doc_ids_enc": doc, "tfs_enc": tf,
+            "block_last_doc": blast, "block_max_impact": bmax,
+            "block_doc_byte_off": bdoc, "block_tf_byte_off": btf,
+            "max_impact": max(r["max_impact"] for r in rows),
+            "positions_enc": pos,
+        })
+    return out
+
+
+def test_merge_term_tables_matches_reference_loop():
+    """_merge_term_tables gives the per-row reference merge: positions, a
+    null-positions field, single-segment terms, and boundary gaps both
+    below 128 and of 128 or more (a multi-byte varint shrinking or
+    staying multi-byte). The merged streams decode to the segments'
+    postings, and every block's byte offset starts that block."""
+    rng = np.random.default_rng(5)
+    spans = [(0, 600), (600, 900), (1500, 3000), (4500, 700)]
+    parts = [_segment_terms(rng, b, n) for b, n in spans]
+    # a two-chunk input with an offset slice: the merge reads views
+    parts[1] = pa.concat_tables([parts[1].slice(0, 5), parts[1].slice(5)])
+    got = _merge_term_tables(parts)
+    want = _reference_merge(parts)
+    assert got.column_names == list(want[0])
+    assert got.to_pylist() == want
+    for r in want:
+        ids, _tfs = codec.decode_postings(r["doc_ids_enc"], r["tfs_enc"],
+                                          r["df"])
+        assert (np.diff(ids) > 0).all() and ids[-1] == r["block_last_doc"][-1]
+        prev = [-1, *r["block_last_doc"][:-1]]
+        for b, at in enumerate(r["block_doc_byte_off"]):
+            first = int(ids[np.searchsorted(ids, prev[b], "right")])
+            v = codec.varint_decode(np.frombuffer(
+                r["doc_ids_enc"][at:at + 10], np.uint8))[0]
+            assert int(v) == first - max(prev[b], 0)
+    rows: dict[tuple, list[dict]] = {}
+    for part in parts:
+        for r in part.to_pylist():
+            rows.setdefault((r["field"], r["term"]), []).append(r)
+    boundary = [codec.decode_postings(b["doc_ids_enc"], b["tfs_enc"],
+                                      b["df"])[0][0] - a["block_last_doc"][-1]
+                for rs in rows.values() for a, b in zip(rs, rs[1:])]
+    assert max(boundary) >= 128 and min(boundary) < 128
+    assert any(r["positions_enc"] is None for r in want)
+    assert any(r["positions_enc"] is not None for r in want)
 
 
 def test_conjunctive_after_merge(merged_index):

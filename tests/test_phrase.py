@@ -267,8 +267,7 @@ def test_rescore_combines_primary_and_phrase(pos_index):
                          window_size=W, query_weight=QW, rescore_weight=RW)
     # brute: rounded-score window cut over the exact primary ranking,
     # then the documented combination
-    p_ids, p_sc = lo.search("the data search", k=W + 20,
-                            or_strategy="exact")
+    p_ids, p_sc = lo.search("the data search", k=W + 20)
     cut = np.lexsort((p_ids, -np.round(p_sc, 6)))[:W]
     w_ids, w_sc = p_ids[cut], p_sc[cut]
     ph = brute_phrase(t, "the data")

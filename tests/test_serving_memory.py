@@ -90,7 +90,7 @@ def test_fulldecode_matches_blockmax_after_sparse_union(tmp_path):
     idx = _index(tmp_path, 8_000)
     s = LocalSearcher(idx)
     for q in ["needle beacon", "filler3 pad2 body", "w10 row text"]:
-        i1, s1 = s.search(q, 10, or_strategy="exact")
+        i1, s1 = s.search(q, 10)
         i2, s2 = brute_topk(idx, q, 10)
         assert i1.tolist() == i2.tolist(), q
         assert s1.tolist() == s2.tolist(), q  # bitwise

@@ -130,7 +130,7 @@ def _matched(live: dict, mode: str = "or") -> list[int]:
 
 def _exact_scores(idx: str) -> dict[int, float]:
     s = LocalSearcher(idx)
-    ids, sc = s.search(QUERY, k=s.n_docs, or_strategy="exact")
+    ids, sc = s.search(QUERY, k=s.n_docs)
     return dict(zip(ids.tolist(), np.round(sc, 6).tolist()))
 
 

@@ -1,13 +1,11 @@
 """Serving-latency protocol at multi-million-doc scale (BASELINE.md).
 
-Reproduces the round-4 serving measurement end-to-end and adds the
-round-5 pruned-path comparison:
+Reproduces the round-4 serving measurement end-to-end:
 
   build 3.875M synthetic webtext docs (500 x 8k-doc segments, merged at
-  commit down to merge.MAX_SEGMENTS; cached under /tmp) ->
-  build_pruned_postings -> fresh searcher -> 24-query mix (fixture queries + head-term ORs + needle+haystack + a
-  miss): cold pass then 2 warm passes per strategy, plus pruned-vs-exact
-  top-10 fidelity (overlap + score error + the per-query error bound).
+  commit down to merge.MAX_SEGMENTS; cached under /tmp) -> fresh
+  searcher -> 24-query mix (fixture queries + head-term ORs +
+  needle+haystack + a miss): cold pass then 2 warm passes per class.
   The mix's multi-term queries also run as conjunctions (``mode="and"``,
   reported under ``"and"``) with the same passes. Per class it reports
   latency percentiles over all passes, each query's cold latency and warm
@@ -16,8 +14,7 @@ round-5 pruned-path comparison:
   runs of the same code).
 
 Usage: python tools/serve_bench.py            # prints one JSON line
-Env: EDLR_SERVE_DOCS (3875000), EDLR_SERVE_SEGDOCS (8000),
-     EDLR_PRUNE_MIN_DF (100000), EDLR_PRUNE_FRAC (0.1)
+Env: EDLR_SERVE_DOCS (3875000), EDLR_SERVE_SEGDOCS (8000)
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 N_DOCS = int(os.environ.get("EDLR_SERVE_DOCS", "3875000"))
 SEG_DOCS = int(os.environ.get("EDLR_SERVE_SEGDOCS", "8000"))
-MIN_DF = int(os.environ.get("EDLR_PRUNE_MIN_DF", "100000"))
-FRAC = float(os.environ.get("EDLR_PRUNE_FRAC", "0.1"))
 ROOT = f"/tmp/edlr_serve/{N_DOCS}_{SEG_DOCS}"
 
 EXTRA_QUERIES = [
@@ -60,9 +55,6 @@ def main_impl(ray) -> None:
     from elasticsearch_data_loader_ray.index.build import (
         BuildConfig,
         build_index,
-    )
-    from elasticsearch_data_loader_ray.index.pruned import (
-        build_pruned_postings,
     )
     from elasticsearch_data_loader_ray.index.search import (
         LocalSearcher,
@@ -91,18 +83,12 @@ def main_impl(ray) -> None:
     from elasticsearch_data_loader_ray.index import manifest as mf
 
     timings["n_segments"] = len(mf.committed_segments(idx))
-    t0 = time.perf_counter()
-    n_lists = build_pruned_postings(idx, min_df=MIN_DF, keep_frac=FRAC)
-    timings["pruned_build_secs"] = round(time.perf_counter() - t0, 1)
 
     qs = query_mix()
     out: dict = {"n_docs": N_DOCS, "seg_docs": SEG_DOCS, "queries": len(qs),
-                 "pruned_lists": n_lists, "min_df": MIN_DF,
-                 "keep_frac": FRAC, **timings}
+                 **timings}
     and_qs = [q for q in qs if len(query_terms(q)) > 1]
-    for label, strategy, mode, mix in (("exact", "exact", "or", qs),
-                                       ("pruned", "pruned", "or", qs),
-                                       ("and", "exact", "and", and_qs)):
+    for label, mode, mix in (("exact", "or", qs), ("and", "and", and_qs)):
         s = LocalSearcher(idx)  # fresh bind per class: cold caches
         lat_cold, lat_warm = [], []
         per_q = {}
@@ -111,7 +97,7 @@ def main_impl(ray) -> None:
             s._request_cache.clear()
             for q in mix:
                 t0 = time.perf_counter()
-                s.search(q, k=10, mode=mode, or_strategy=strategy)
+                s.search(q, k=10, mode=mode)
                 dt = time.perf_counter() - t0
                 (lat_cold if rnd == 0 else lat_warm).append(dt)
                 if rnd == 0:
@@ -135,20 +121,6 @@ def main_impl(ray) -> None:
             "warm_median_mean_ms": round(
                 statistics.mean(warm_med.values()), 2),
         }
-    # fidelity: pruned vs exact top-10
-    s = LocalSearcher(idx)
-    fid = {}
-    for q in qs:
-        ids_e, sc_e = s.search(q, k=10, or_strategy="exact")
-        ids_p, sc_p = s.search(q, k=10, or_strategy="pruned")
-        if len(ids_e) == 0:  # term absent from corpus: nothing to rank
-            continue
-        inter = set(ids_e.tolist()) & set(ids_p.tolist())
-        fid[q] = {"overlap": len(inter), "of": len(ids_e),
-                  "bound": round(float(s.last_pruned_bound), 3)}
-    out["fidelity"] = fid
-    out["overlap_mean"] = round(
-        sum(v["overlap"] / v["of"] for v in fid.values()) / len(fid), 3)
     print(json.dumps(out))
     import ray as _ray
 
